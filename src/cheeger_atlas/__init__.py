@@ -5,7 +5,7 @@ from .bounds import (BoundResult, arcsinc, chi, d0, dstar, evaluate_all, implici
 from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, implicit_bound_value, smallest_crossing
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,
-                     NoRoot, NonMonotone, OutOfRange, PolygonJsonError, UnboundedRegion,
+                     NoConvergence, NoRoot, NonMonotone, OutOfRange, PolygonJsonError, UnboundedRegion,
                      Unreachable, Unsupported)
 from .functionals import (Functionals, area, circumradius, diameter, inradius,
                           measure, min_width, perimeter)

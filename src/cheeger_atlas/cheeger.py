@@ -3,20 +3,24 @@
 For a planar convex body the Cheeger problem reduces to a scalar equation:
 there is a unique t* > 0 with |inner_parallel(poly, t*)| = pi t*^2, the
 constant is h = 1/t*, and the Cheeger set is the inner core dilated back by
-t*.  The same crossing machinery solves the implicit inequalities g(t) =
-pi t^2 used by the bound registry.
+t*.  Between the edge-vanishing events of the straight skeleton the inner
+parallel area is exactly quadratic, |poly_{-t-s}| = A - P s + T s^2 with
+T = sum of tan(theta/2) over the exterior angles (Kawohl & Lachand-Robert,
+Pacific J. Math. 225 (2006)), so the solve steps to the root of that
+quadratic rather than bisecting.  The same module solves the implicit
+inequalities g(t) = pi t^2 used by the bound registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import NoRoot
-from .functionals import area, min_width, perimeter
-from .geom import ConvexPolygon, OffsetMachine, dilate
+from .errors import NoConvergence, NoRoot
+from .geom import ConvexPolygon, OffsetMachine, dilate, shoelace
 
 # Bisection stops when the bracket is below this fraction of the domain size.
 BISECT_REL_TOL = 1e-13
@@ -24,6 +28,32 @@ BISECT_REL_TOL = 1e-13
 SCAN_SAMPLES = 1024
 # Chords per full circle when discretizing the Cheeger set boundary.
 DEFAULT_ARC_SEGMENTS = 4096
+# The Cheeger solve ends once a step moves t by less than this fraction of t.
+STEP_REL_TOL = 1e-14
+# Offset-chain evaluations one Cheeger solve may make before it gives up.
+MAX_EVALS = 64
+# Inward retries of t* (each by the factor 1 - NUDGE_REL) for a core that
+# does not survive as a strictly convex polygon.
+MAX_NUDGES = 16
+NUDGE_REL = 1e-12
+
+
+@dataclass(frozen=True)
+class SolveDiagnostics:
+    """How one Cheeger solve went; never part of a deterministic output.
+
+    ``evaluations`` counts offset-chain evaluations (calls of
+    ``OffsetMachine.area_at``), ``bisections`` the steps that left the sign
+    bracket and halved it instead, and ``nudges`` the inward retries of t*.
+    ``bracket_width`` is hi - lo of the sign bracket when the solve ended,
+    and ``residual`` is |A(t*) - pi t*^2| on the returned core.
+    """
+
+    evaluations: int
+    bisections: int
+    nudges: int
+    bracket_width: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -34,6 +64,7 @@ class CheegerResult:
     t_star: float
     cheeger_set: ConvexPolygon
     inner_core: ConvexPolygon
+    diagnostics: SolveDiagnostics = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -55,48 +86,87 @@ class ImplicitRootProblem:
             raise ValueError("domain upper end must be positive")
 
 
-def _bisect(f, lo, hi, flo, tol):
-    """Plain bisection on a bracketed sign change; returns the midpoint."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
+def _model_step(t: float, m) -> float:
+    """Smaller root s of (T - pi) s^2 - (P + 2 pi t) s + (A - pi t^2) = 0.
+
+    The quadratic is F(t + s) on the skeleton piece that holds t; the root
+    is taken in the form 2F / (b + sqrt(b^2 - 4aF)), which does not cancel.
+    """
+    f = m.area - np.pi * t * t
+    a = m.tan_sum - np.pi
+    b = m.perimeter + 2.0 * np.pi * t
+    return 2.0 * f / (b + math.sqrt(max(b * b - 4.0 * a * f, 0.0)))
+
+
+def _solve(machine: OffsetMachine):
+    """Root t* of F(t) = |poly_{-t}| - pi t^2; returns (t*, evals, bisections, width).
+
+    F(0) > 0, and F(2A/P) < 0 because 2A/P is at least the inradius, where
+    the body vanishes.  T only grows at skeleton events, so the quadratic
+    model from t under-estimates F ahead of t and over-estimates it behind:
+    model steps approach the root from either side without crossing it, and
+    a forward step within the reach of the current piece lands on the root
+    exactly.  A step that leaves the sign bracket [lo, hi], or starts from an
+    empty chain, bisects instead.
+    """
+    lo, hi = 0.0, machine.size
+    t, m = 0.0, machine.measure0
+    evals = bisections = 0
+    while True:
+        f = m.area - np.pi * t * t
+        if f > 0.0:
+            lo = t
+        elif f < 0.0:
+            hi = t
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return t, evals, bisections, hi - lo
+        nxt = None
+        if m.area > 0.0:
+            s = _model_step(t, m)
+            if 0.0 <= s <= m.reach:
+                return t + s, evals, bisections, hi - lo
+            nxt = t + s
+        if nxt is None or not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            bisections += 1
+        if abs(nxt - t) <= STEP_REL_TOL * nxt:
+            return nxt, evals, bisections, hi - lo
+        if evals == MAX_EVALS:
+            raise NoConvergence(f"Cheeger solve took {MAX_EVALS} chain evaluations "
+                                f"without converging (bracket [{lo!r}, {hi!r}])")
+        t, m = nxt, machine.area_at(nxt)
+        evals += 1
 
 
 def cheeger_constant(poly: ConvexPolygon,
                      arc_segments: int = DEFAULT_ARC_SEGMENTS,
                      with_set: bool = True) -> CheegerResult:
-    """Cheeger constant via bisection of |poly_{-t}| - pi t^2 on [0, r].
+    """Cheeger constant from guarded quadratic steps on |poly_{-t}| - pi t^2.
 
-    F(0) = |poly| > 0 and F(r) < 0, and F is strictly decreasing, so the
-    crossing is unique.  The bisection brackets on [0, omega/2] (omega/2 >=
-    r, and F stays negative past r), which avoids an extra inradius solve.
+    Each step evaluates the offset chain once and moves to the root of the
+    exact local quadratic (see ``_solve``); the sign bracket starts as
+    [0, 2A/P] and catches steps that would leave it.  A core at t* that
+    does not survive as a strictly convex polygon moves t* inward by at most
+    MAX_NUDGES relative steps of NUDGE_REL before NoConvergence is raised.
     ``with_set=False`` skips building the discretized Cheeger set (the
     ``cheeger_set`` field then repeats the inner core).
     """
     machine = OffsetMachine(poly)
-    hi, _ = min_width(poly)
-    hi *= 0.5
-
-    def f(t):
-        return machine.area_at(t) - np.pi * t * t
-
-    # omega/2 <= 1.5 r, so halving the tolerance keeps it below 1e-13 r
-    t_star = _bisect(f, 0.0, hi, machine.area0, 0.5 * BISECT_REL_TOL * hi)
+    t_star, evals, bisections, width = _solve(machine)
     core = machine.polygon_at(t_star)
+    nudges = 0
     while core is None:
-        # t_star numerically pinned where the offset vanishes; nudge inside
-        t_star *= 1.0 - 1e-12
+        if nudges == MAX_NUDGES:
+            raise NoConvergence(f"no strictly convex core within {MAX_NUDGES} nudges "
+                                f"of t* = {t_star!r}")
+        t_star *= 1.0 - NUDGE_REL
+        nudges += 1
         core = machine.polygon_at(t_star)
-    h = 1.0 / t_star
+    residual = abs(shoelace(core.vertices - machine.origin) - math.pi * t_star * t_star)
     cheeger_set = dilate(core, t_star, arc_segments) if with_set else core
-    return CheegerResult(h=h, t_star=t_star, cheeger_set=cheeger_set, inner_core=core)
+    return CheegerResult(h=1.0 / t_star, t_star=t_star, cheeger_set=cheeger_set,
+                         inner_core=core,
+                         diagnostics=SolveDiagnostics(evals, bisections, nudges, width, residual))
 
 
 def smallest_crossing(problem: ImplicitRootProblem,
@@ -153,7 +223,3 @@ def implicit_bound_value(problem: ImplicitRootProblem, samples: int = SCAN_SAMPL
     """1 / crossing: a lower bound on h for mode='smallest', upper otherwise."""
     return 1.0 / smallest_crossing(problem, samples=samples)
 
-
-def cheeger_ratio(poly: ConvexPolygon) -> float:
-    """Perimeter over area; equals h exactly for bodies Cheeger of themselves."""
-    return perimeter(poly) / area(poly)

@@ -41,6 +41,10 @@ class NoRoot(CheegerAtlasError):
     """A bracketed scan found no sign change."""
 
 
+class NoConvergence(CheegerAtlasError):
+    """An iterative solve ran out of its step budget."""
+
+
 class PolygonJsonError(CheegerAtlasError):
     """Structured rejection of a polygon JSON document.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -279,27 +280,22 @@ def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
 
 
 def _merge_parallel(normals, offsets):
-    """Merge half-planes whose normals agree within PARALLEL_EPS (keep tighter)."""
+    """Merge half-planes whose normals agree within PARALLEL_EPS (keep tighter).
+
+    Normals are sorted by angle; a gap of PARALLEL_EPS or more between
+    neighbours starts a new group, and the last group joins the first when
+    it closes the circle within PARALLEL_EPS.  Each group keeps the plane
+    of smallest offset, the earliest one on ties.
+    """
     angles = np.arctan2(normals[:, 1], normals[:, 0])
     order = np.argsort(angles, kind="stable")
     ns, cs, angs = normals[order], offsets[order], angles[order]
-    out_n, out_c = [ns[0]], [cs[0]]
-    last_ang = angs[0]
-    for i in range(1, len(ns)):
-        if angs[i] - last_ang < PARALLEL_EPS:
-            if cs[i] < out_c[-1]:
-                out_c[-1] = cs[i]
-                out_n[-1] = ns[i]
-        else:
-            out_n.append(ns[i])
-            out_c.append(cs[i])
-            last_ang = angs[i]
-    if len(out_n) > 1 and (angs[0] + 2 * np.pi) - last_ang < PARALLEL_EPS:
-        if out_c[0] > out_c[-1]:
-            out_n[0], out_c[0] = out_n[-1], out_c[-1]
-        out_n.pop()
-        out_c.pop()
-    return np.array(out_n), np.array(out_c)
+    group = np.cumsum(np.concatenate(([False], np.diff(angs) >= PARALLEL_EPS)))
+    if group[-1] > 0 and (angs[0] + 2 * np.pi) - angs[-1] < PARALLEL_EPS:
+        group[group == group[-1]] = 0
+    by_offset = np.lexsort((cs, group))
+    first = by_offset[np.concatenate(([True], np.diff(group[by_offset]) != 0))]
+    return ns[first], cs[first]
 
 
 def _deque_peel(ns: np.ndarray, cs: np.ndarray) -> list[int] | None:
@@ -344,24 +340,67 @@ def _deque_peel(ns: np.ndarray, cs: np.ndarray) -> list[int] | None:
     return list(dq)
 
 
+class ChainMeasure(NamedTuple):
+    """The inner parallel set at one offset t, as the Cheeger solve reads it.
+
+    Until the next edge of the chain vanishes, the set at t + s has area
+    ``area - perimeter * s + tan_sum * s**2``, where ``tan_sum`` sums
+    tan(theta / 2) over the exterior angles theta of the chain.  ``reach``
+    is the s at which the first edge vanishes.  All four are 0 once the set
+    is empty.
+    """
+
+    area: float
+    perimeter: float
+    tan_sum: float
+    reach: float
+
+
+_EMPTY = ChainMeasure(0.0, 0.0, 0.0, 0.0)
+
+
+def _chain_measure(verts: np.ndarray, ns: np.ndarray, lengths: np.ndarray) -> ChainMeasure:
+    """Measure a closed chain whose edge k ends at verts[k] with normal ns[k]."""
+    vx, vy = verts[:, 0], verts[:, 1]
+    a = 0.5 * (np.dot(vx, np.concatenate((vy[1:], vy[:1])))
+               - np.dot(vy, np.concatenate((vx[1:], vx[:1]))))
+    n2 = np.concatenate((ns[1:], ns[:1]))
+    # exterior angle at vertex k, between edges k and k + 1
+    theta = np.arctan2(ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0],
+                       ns[:, 0] * n2[:, 0] + ns[:, 1] * n2[:, 1])
+    tans = np.tan(0.5 * theta)
+    # edge k shortens at the rate of the tangents at both of its ends
+    rates = tans + np.concatenate((tans[-1:], tans[:-1]))
+    return ChainMeasure(float(a), float(np.sum(lengths)), float(np.sum(tans)),
+                        float(np.min(lengths / rates)))
+
+
 class OffsetMachine:
-    """Repeated inward offsets of one polygon (the Cheeger bisection hot path).
+    """Repeated inward offsets of one polygon (the Cheeger solve's hot path).
 
     Normal merging and angle bookkeeping happen once; each query reruns only
     the consecutive-intersection chain with redundant planes peeled off.  A
     plane whose neighbor-pair vertex already satisfies it is globally
-    redundant, so the peeling is exact.
+    redundant, so the peeling is exact.  The chain runs in a frame centred
+    on the vertex mean, and its tolerances scale with the intrinsic size
+    ``2A/P`` (between the inradius and twice it), so that neither where the
+    polygon sits nor how thin it is moves the result.
     """
 
     def __init__(self, poly: ConvexPolygon):
         self.poly = poly
-        self.ns, self.cs = _merge_parallel(poly.edge_normals, poly.edge_offsets)
-        self.scale = float(np.max(np.abs(poly.vertices))) or 1.0
-        self.area0 = shoelace(poly.vertices)
+        self.origin = poly.vertices.mean(axis=0)
+        self.local = poly.vertices - self.origin
+        normals = poly.edge_normals
+        self.ns, self.cs = _merge_parallel(normals, np.einsum("ij,ij->i", normals, self.local))
+        self.area0 = shoelace(self.local)
+        edges = np.roll(self.local, -1, axis=0) - self.local
+        self.size = 2.0 * self.area0 / float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
+        self.measure0 = _chain_measure(*self._chain(0.0))._replace(area=self.area0)
 
     def _fast_chain(self, t: float):
         ns, cs = self.ns, self.cs - t
-        eps = self.scale * 1e-14
+        eps = self.size * 1e-14
         passes = 0
         while True:
             if len(cs) < 3:
@@ -377,7 +416,7 @@ class OffsetMachine:
                 + (vy - np.concatenate((vy[-1:], vy[:-1]))) * ns[:, 0]
             dead = adv <= eps
             if not dead.any():
-                return np.column_stack((vx, vy))
+                return np.column_stack((vx, vy)), ns, adv
             keep = ~dead
             ns, cs = ns[keep], cs[keep]
             passes += 1
@@ -390,37 +429,42 @@ class OffsetMachine:
                 ns, cs = ns[survivors], cs[survivors]
                 passes = 0
 
+    def _chain(self, t: float):
+        """Local-frame (vertices, normals, edge lengths) at t; None once empty.
+
+        Edge k ends at vertex k.  When the chain meets a gap in the normal
+        fan, the shifted planes clip the polygon instead.
+        """
+        try:
+            return self._fast_chain(t)
+        except ValueError:
+            clipped = _clip_chain(list(self.local), list(range(-len(self.poly), 0)),
+                                  list(zip(self.ns, self.cs - t)))
+            verts = None if clipped is None else _strictify(clipped[0], self.size)
+            if verts is None:
+                return None
+            e = verts - np.roll(verts, 1, axis=0)
+            lengths = np.hypot(e[:, 0], e[:, 1])
+            return verts, np.column_stack((e[:, 1], -e[:, 0])) / lengths[:, None], lengths
+
+    def area_at(self, t: float) -> ChainMeasure:
+        """Area, perimeter, tan sum and reach of the inner parallel set at t."""
+        if t == 0.0:
+            return self.measure0
+        chain = self._chain(t)
+        if chain is None:
+            return _EMPTY
+        m = _chain_measure(*chain)
+        return _EMPTY if m.area <= self.area0 * DEGENERATE_AREA_REL else m
+
     def vertices_at(self, t: float) -> np.ndarray | None:
         if t == 0.0:
             return self.poly.vertices
-        try:
-            verts = self._fast_chain(t)
-        except ValueError:
-            verts = None
-            clipped = _clip_chain(list(self.poly.vertices), list(range(-len(self.poly), 0)),
-                                  list(zip(self.ns, self.cs - t)))
-            if clipped is not None:
-                verts = clipped[0]
-        if verts is None:
-            return None
-        verts = _strictify(verts, self.scale)
+        chain = self._chain(t)
+        verts = None if chain is None else _strictify(chain[0], self.size)
         if verts is None or shoelace(verts) <= self.area0 * DEGENERATE_AREA_REL:
             return None
-        return verts
-
-    def area_at(self, t: float) -> float:
-        if t == 0.0:
-            return self.area0
-        try:
-            verts = self._fast_chain(t)
-        except ValueError:
-            verts = self.vertices_at(t)
-        if verts is None:
-            return 0.0
-        vx, vy = verts[:, 0], verts[:, 1]
-        a = 0.5 * (np.dot(vx, np.concatenate((vy[1:], vy[:1])))
-                   - np.dot(vy, np.concatenate((vx[1:], vx[:1]))))
-        return 0.0 if a <= self.area0 * DEGENERATE_AREA_REL else float(a)
+        return verts + self.origin
 
     def polygon_at(self, t: float) -> ConvexPolygon | None:
         verts = self.vertices_at(t)
@@ -440,7 +484,7 @@ def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:
 
 def inner_parallel_area(poly: ConvexPolygon, t: float) -> float:
     """Area of the inner parallel set (0 once empty); avoids reconstruction."""
-    return OffsetMachine(poly).area_at(t)
+    return OffsetMachine(poly).area_at(t).area
 
 
 def _edge_vectors_from_lowest(poly: ConvexPolygon):
@@ -517,9 +561,8 @@ def dilate(poly: ConvexPolygon, t: float, arc_segments: int = 4096) -> ConvexPol
         k = max(1, int(np.ceil(turn / step)))
         phis = a_prev + turn * np.arange(k + 1) / k
         pieces.append(v[i] + t * np.column_stack((np.cos(phis), np.sin(phis))))
-    verts = np.concatenate(pieces)
-    scale = float(np.max(np.abs(verts))) or 1.0
-    verts = _strictify(verts, scale)
+    # the dilation holds a disk of radius t, so t is its intrinsic size
+    verts = _strictify(np.concatenate(pieces), t)
     if verts is None:
         raise DegenerateInput("degenerate dilation")
     return ConvexPolygon(verts)

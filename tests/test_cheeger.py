@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cheeger_atlas import cheeger as cheeger_mod
 from cheeger_atlas.cheeger import (ImplicitRootProblem, cheeger_constant,
                                    implicit_bound_value, smallest_crossing)
-from cheeger_atlas.errors import NoRoot
+from cheeger_atlas.errors import NoConvergence, NoRoot
 from cheeger_atlas.functionals import area, diameter, inradius, measure, perimeter
-from cheeger_atlas.geom import inner_parallel, inner_parallel_area
-from cheeger_atlas.sampler import valtr
+from cheeger_atlas.geom import ConvexPolygon, OffsetMachine, inner_parallel, inner_parallel_area
+from cheeger_atlas.sampler import _rng, mix, normalize, valtr
 from conftest import random_polygons, regular_ngon
 
 PI = math.pi
@@ -81,6 +82,100 @@ class TestCheegerConstant:
         r, _ = inradius(poly)
         h = cheeger_constant(poly, with_set=False).h
         assert 1 / r - 1e-9 / r <= h <= 2 / r + 1e-9 / r
+
+
+def rectangle_t_star(a: float) -> float:
+    # 1 x a rectangle: (1 - 2t)(a - 2t) = pi t^2, smaller root without cancellation
+    return a / ((1 + a) + math.sqrt((1 + a) ** 2 - (4 - PI) * a))
+
+
+def rotate(poly, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return ConvexPolygon(poly.vertices @ np.array([[c, s], [-s, c]]))
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("a", [1e-6, 1e-8, 1e-10])
+    def test_thin_rectangle(self, a):
+        # the core at t* is about 0.785 a^2 high: numerically a segment
+        res = cheeger_constant(ConvexPolygon([[0, 0], [1, 0], [1, a], [0, a]]))
+        assert res.t_star == pytest.approx(rectangle_t_star(a), rel=1e-12)
+        assert res.h * res.t_star == pytest.approx(1.0, rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
+           vx=st.floats(-1e6, 1e6), vy=st.floats(-1e6, 1e6))
+    def test_translation_invariant(self, seed, n, vx, vy):
+        # shifting back is exact, so both solves see one shape and only the
+        # solver's own dependence on position is measured
+        moved = valtr(n, seed).translate([vx, vy])
+        h = cheeger_constant(moved.translate([-vx, -vy]), with_set=False).h
+        assert cheeger_constant(moved, with_set=False).h == pytest.approx(h, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30), k=st.integers(-30, 30))
+    def test_scale_covariant(self, seed, n, k):
+        # powers of two scale without rounding, so the solve must be covariant
+        poly = valtr(n, seed)
+        h = cheeger_constant(poly, with_set=False).h
+        assert cheeger_constant(poly.scale(2.0 ** k), with_set=False).h == pytest.approx(h / 2.0 ** k, rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
+           angle=st.floats(0.0, 2 * math.pi))
+    def test_rotation_invariant(self, seed, n, angle):
+        # rounding the rotated vertices reshapes a needle by about eps * d / r
+        poly = valtr(n, seed)
+        f = measure(poly)
+        h = cheeger_constant(poly, with_set=False).h
+        assert cheeger_constant(rotate(poly, angle), with_set=False).h == pytest.approx(
+            h, rel=1e-13 * f.diameter / f.inradius)
+
+    def test_nudges_are_bounded(self, monkeypatch, unit_square):
+        monkeypatch.setattr(OffsetMachine, "polygon_at", lambda self, t: None)
+        with pytest.raises(NoConvergence):
+            cheeger_constant(unit_square, with_set=False)
+
+
+class TestDiagnostics:
+    def test_census_set_needs_few_evaluations(self):
+        # drawn as verify.census draws its records; blind bisection took 45
+        worst = 0
+        for i in range(200):
+            rec_seed = mix(2024, i)
+            n = int(_rng(rec_seed).integers(3, 31))
+            d = cheeger_constant(normalize(valtr(n, rec_seed), "area"), with_set=False).diagnostics
+            assert d.bisections == 0 and d.nudges == 0
+            worst = max(worst, d.evaluations)
+        assert worst <= 8
+
+    def test_record(self, unit_square):
+        res = cheeger_constant(unit_square, with_set=False)
+        d = res.diagnostics
+        assert d.evaluations >= 0 and d.bisections == 0 and d.nudges == 0
+        assert 0.0 < d.bracket_width <= 0.5
+        assert d.residual <= 1e-14
+
+    def test_evaluations_are_area_at_calls(self, monkeypatch):
+        calls = []
+        original = OffsetMachine.area_at
+
+        def counted(self, t):
+            calls.append(t)
+            return original(self, t)
+        monkeypatch.setattr(OffsetMachine, "area_at", counted)
+        poly = regular_ngon(7).translate([0.3, 0.1]).scale(2.0)
+        poly = ConvexPolygon(poly.vertices * np.array([1.0, 0.4]))
+        res = cheeger_constant(poly, with_set=False)
+        assert res.diagnostics.evaluations == len(calls) >= 1
+
+    def test_steps_outside_the_bracket_bisect(self, monkeypatch, unit_square):
+        # a model step that always leaves [lo, hi] leaves plain bisection
+        monkeypatch.setattr(cheeger_mod, "_model_step", lambda t, m: 10.0)
+        res = cheeger_constant(unit_square, with_set=False)
+        assert res.t_star == pytest.approx(square_t_star(), rel=1e-13)
+        d = res.diagnostics
+        assert d.bisections == d.evaluations + 1 > 40
 
 
 class TestSmallestCrossing:

@@ -21,6 +21,7 @@ class TestShapeAndCheeger:
         assert len(poly) > 1000
         assert run(["cheeger", "--in", str(out)]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"h", "t_star"}  # solve diagnostics stay out
         h = float(doc["h"])
         assert h == pytest.approx((2 * math.pi + 4) / (math.pi + 4), abs=1e-5)
         assert h == pytest.approx(1.439900, abs=5e-6)

@@ -6,10 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from cheeger_atlas.errors import DegenerateInput, PolygonJsonError, UnboundedRegion
 from cheeger_atlas.functionals import area, circumradius, diameter, inradius, min_width, perimeter
-from cheeger_atlas.geom import (ConvexPolygon, HalfPlane, convex_hull, dilate, form_body,
+from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, HalfPlane, OffsetMachine,
+                                _merge_parallel, convex_hull, dilate, form_body,
                                 halfplane_intersection, inner_parallel, inner_parallel_area,
                                 interpolate, minkowski_sum, polygon_from_json,
                                 polygon_to_json, support)
+from cheeger_atlas.sampler import valtr
+from cheeger_atlas.shapes import (Resolution, Slice, Stadium, SubequilateralTriangle, TwoCup,
+                                  build, solve_param)
+from cheeger_atlas.verify import SLICE_DIAMETERS, STADIUM_GAPS, SUBEQ_DIAMETERS, TWOCUP_TIPS
 from conftest import random_polygons, regular_ngon
 
 
@@ -128,6 +133,122 @@ class TestInnerParallel:
                 assert perimeter(p) <= f0[3] - 2 * math.pi * t + 1e-9
 
 
+def _merge_parallel_loop(normals, offsets):
+    """Reference loop: anchor-based grouping in angle order, tighter plane kept."""
+    angles = np.arctan2(normals[:, 1], normals[:, 0])
+    order = np.argsort(angles, kind="stable")
+    ns, cs, angs = normals[order], offsets[order], angles[order]
+    out_n, out_c = [ns[0]], [cs[0]]
+    last_ang = angs[0]
+    for i in range(1, len(ns)):
+        if angs[i] - last_ang < PARALLEL_EPS:
+            if cs[i] < out_c[-1]:
+                out_c[-1] = cs[i]
+                out_n[-1] = ns[i]
+        else:
+            out_n.append(ns[i])
+            out_c.append(cs[i])
+            last_ang = angs[i]
+    if len(out_n) > 1 and (angs[0] + 2 * np.pi) - last_ang < PARALLEL_EPS:
+        if out_c[0] > out_c[-1]:
+            out_n[0], out_c[0] = out_n[-1], out_c[-1]
+        out_n.pop()
+        out_c.pop()
+    return np.array(out_n), np.array(out_c)
+
+
+def _sharpness_bodies(res):
+    specs = [Stadium(1.0, g) for g in STADIUM_GAPS]
+    specs += [TwoCup(1.0, k) for k in TWOCUP_TIPS]
+    specs += [Slice(1.0, d) for d in SLICE_DIAMETERS]
+    specs += [solve_param("subequilateral_triangle", ("w", 1.0), ("d", d)) for d in SUBEQ_DIAMETERS]
+    specs.append(SubequilateralTriangle(1.0, math.sqrt(3) / 2))
+    return [build(spec, Resolution(res)) for spec in specs]
+
+
+class TestMergeParallel:
+    def _check(self, normals, offsets):
+        got_n, got_c = _merge_parallel(normals, offsets)
+        want_n, want_c = _merge_parallel_loop(normals, offsets)
+        assert np.array_equal(got_n, want_n)
+        assert np.array_equal(got_c, want_c)
+
+    def test_matches_loop_on_random_polygons(self):
+        for poly in random_polygons(200, seed=11, n_max=30):
+            self._check(poly.edge_normals, poly.edge_offsets)
+
+    def test_matches_loop_on_sharpness_bodies(self):
+        for poly in _sharpness_bodies(8192):
+            self._check(poly.edge_normals, poly.edge_offsets)
+
+    def test_near_parallel_groups(self):
+        # pairs closer than PARALLEL_EPS, one of them across the +-pi seam
+        ang = np.array([0.0, 0.3 * PARALLEL_EPS, 2.0, np.pi, -np.pi + 0.2 * PARALLEL_EPS, -2.0])
+        normals = np.column_stack((np.cos(ang), np.sin(ang)))
+        offsets = np.array([1.0, 0.5, 1.0, 2.0, 3.0, 1.0])
+        self._check(normals, offsets)
+        ns, cs = _merge_parallel(normals, offsets)
+        assert len(cs) == 4
+        assert sorted(cs.tolist()) == [0.5, 1.0, 1.0, 2.0]
+
+
+class TestOffsetOracle:
+    """Offset chain against the Sutherland-Hodgman clip of the shifted edge planes."""
+
+    @staticmethod
+    def _clip(poly, t):
+        return halfplane_intersection([HalfPlane(n, c - t) for n, c in
+                                       zip(poly.edge_normals, poly.edge_offsets)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
+           frac=st.sampled_from([0.1, 0.35, 0.6, 0.85, 0.99, 1.2]))
+    def test_area_matches_clip(self, seed, n, frac):
+        poly = valtr(n, seed)
+        t = frac * inradius(poly)[0]
+        clipped = self._clip(poly, t)
+        want = 0.0 if clipped is None else area(clipped)
+        assert inner_parallel_area(poly, t) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
+           frac=st.sampled_from([0.1, 0.4, 0.7]))
+    def test_measure_matches_clip(self, seed, n, frac):
+        poly = valtr(n, seed)
+        t = frac * inradius(poly)[0]
+        m = OffsetMachine(poly).area_at(t)
+        clipped = self._clip(poly, t)
+        assert m.perimeter == pytest.approx(perimeter(clipped), abs=1e-12)
+        # exterior angles from the original planes the clip keeps: normals
+        # recomputed from short clipped edges are too coarse at a needle tip
+        ns = poly.edge_normals[np.argmax(clipped.edge_normals @ poly.edge_normals.T, axis=1)]
+        nn = np.roll(ns, -1, axis=0)
+        turn = np.arctan2(ns[:, 0] * nn[:, 1] - ns[:, 1] * nn[:, 0],
+                          np.einsum("ij,ij->i", ns, nn))
+        assert m.tan_sum == pytest.approx(float(np.sum(np.tan(turn / 2))), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
+           frac=st.sampled_from([0.0, 0.2, 0.5]), share=st.sampled_from([0.3, 1.0]))
+    def test_quadratic_within_reach(self, seed, n, frac, share):
+        poly = valtr(n, seed)
+        machine = OffsetMachine(poly)
+        t = frac * inradius(poly)[0]
+        m = machine.area_at(t)
+        s = share * m.reach
+        predicted = m.area - m.perimeter * s + m.tan_sum * s * s
+        assert machine.area_at(t + s).area == pytest.approx(predicted, abs=1e-12)
+
+    def test_translation_keeps_area(self):
+        # the chain runs centred, so only the rounding of the shifted input
+        # (1.2e-10 at 1e6) is left
+        for poly in random_polygons(30, seed=4):
+            t = 0.5 * inradius(poly)[0]
+            a = inner_parallel_area(poly, t)
+            for v in ((1e6, -3e5), (-2e5, 9e5)):
+                assert inner_parallel_area(poly.translate(v), t) == pytest.approx(a, rel=1e-7)
+
+
 class TestMinkowski:
     def test_square_doubling(self, unit_square):
         s = minkowski_sum(unit_square, unit_square)
@@ -239,19 +360,16 @@ class TestAgainstShapely:
     remaining area are compared.
     """
 
-    shapely = pytest.importorskip("shapely.geometry")
-
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
            frac=st.sampled_from([0.15, 0.4, 0.7]))
     def test_offset_area(self, seed, n, frac):
-        from cheeger_atlas.sampler import valtr
-        from cheeger_atlas.functionals import inradius
+        shapely = pytest.importorskip("shapely.geometry")
         poly = valtr(n, seed)
         r, _ = inradius(poly)
         t = frac * r
         mine = inner_parallel_area(poly, t)
-        buf = self.shapely.Polygon(poly.vertices.tolist()).buffer(
+        buf = shapely.Polygon(poly.vertices.tolist()).buffer(
             -t, join_style=2, mitre_limit=1e9)
         assert mine == pytest.approx(buf.area, abs=1e-9)
 
