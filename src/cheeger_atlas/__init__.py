@@ -1,14 +1,14 @@
 """Cheeger constants, extremal shapes and sharp bounds for planar convex bodies."""
 
 from .bounds import (BoundResult, arcsinc, chi, d0, dstar, evaluate_all, implicit_g,
-                     phi, psi, registry_csv, subeq_area_from_perimeter, subeq_inverse)
-from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, implicit_bound_value, smallest_crossing
+                     phi, psi, registry_csv)
+from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, smallest_crossing
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,
-                     NoConvergence, NoRoot, NonMonotone, OutOfRange, PolygonJsonError, UnboundedRegion,
+                     NoConvergence, NoRoot, NonMonotone, PolygonJsonError, UnboundedRegion,
                      Unreachable, Unsupported)
 from .functionals import (Functionals, area, circumradius, diameter, inradius,
-                          measure, min_width, perimeter)
+                          measure, measure_with_cheeger, min_width, perimeter)
 from .geom import (ConvexPolygon, HalfPlane, convex_hull, dilate, form_body,
                    halfplane_intersection, inner_parallel, interpolate, minkowski_sum,
                    polygon_from_json, polygon_to_json, support)

@@ -2,9 +2,9 @@
 
 Each inequality gets a symbolic id, a direction (lower/upper bound on h), an
 applicability predicate on the six functionals, and an evaluator.  Implicit
-bounds solve g(t) = pi t^2 through the crossing machinery; triangle-valued
-bounds construct the matching subequilateral triangle and use the triangle
-identity h = 1/r + sqrt(pi/A).
+bounds solve g(t) = pi t^2 with ``smallest_crossing``; triangle-valued
+bounds match a subequilateral triangle through ``shapes.solve_param`` and use
+the triangle identity h = 1/r + sqrt(pi/A).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import shapes
-from .cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
-from .errors import DomainError, NoRoot, OutOfRange, Unreachable, NonMonotone
+from .cheeger import ImplicitRootProblem, _bracketed_root, cheeger_constant, smallest_crossing
+from .errors import DomainError, NoConvergence, NoRoot, NonMonotone, Unreachable
 from .functionals import Functionals
 from .shapes import Resolution, SmoothedNonagon, SubequilateralTriangle, triangle_functionals
 
@@ -85,23 +85,15 @@ def arcsinc(x: float) -> float:
     """Inverse of sin(y)/y on [0, pi): the unique y with sinc(y) = x."""
     if not 0.0 < x <= 1.0:
         raise DomainError("arcsinc is defined on (0, 1]")
-    if x == 1.0:
-        return 0.0
-    lo, hi = 0.0, PI
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if math.sin(mid) / mid > x:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # sinc falls from 1 at y = 0 to 0 at y = pi; the ends are never evaluated
+    return _bracketed_root(lambda y: math.sin(y) / y - x, 0.0, 1.0 - x, PI, -x, 1e-14)
 
 
 @lru_cache(maxsize=1)
 def dstar() -> float:
     """Branch-switch constant of psi: the interior root in (2, 2*sqrt(3)).
 
-    Both branches also agree at d = 2r (the ball), so the bisection bracket
+    Both branches also agree at d = 2r (the ball), so the root bracket
     starts strictly above 2.
     """
 
@@ -112,15 +104,7 @@ def dstar() -> float:
         return f - g
 
     lo, hi = 2.05, 2 * SQRT3
-    glo = gap(lo)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bracketed_root(gap, lo, gap(lo), hi, gap(hi), 1e-13)
 
 
 _D0_CACHE: dict[int, float] = {}
@@ -131,8 +115,8 @@ def d0(res: int = 4096) -> float:
     switches from smoothed nonagons to spherical slices.
 
     Root of (D* - x)/(D* - 2) = 1/h(N_{1,x}) on (2, D*); the left side
-    decreases, the right side increases, so bisection applies.  Converged to
-    |dx| < 1e-6 and memoized per resolution.
+    decreases and the right side increases, so the root is bracketed and
+    unique.  Solved to a bracket of 1e-6 and memoized per resolution.
     """
     if res in _D0_CACHE:
         return _D0_CACHE[res]
@@ -144,15 +128,7 @@ def d0(res: int = 4096) -> float:
         return (ds - x) / (ds - 2.0) - 1.0 / h
 
     lo, hi = 2.0 + 1e-9, ds - 1e-9
-    qlo = q(lo)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        qm = q(mid)
-        if (qm > 0) == (qlo > 0):
-            lo, qlo = mid, qm
-        else:
-            hi = mid
-    _D0_CACHE[res] = 0.5 * (lo + hi)
+    _D0_CACHE[res] = _bracketed_root(q, lo, q(lo), hi, q(hi), 1e-6)
     return _D0_CACHE[res]
 
 
@@ -196,103 +172,6 @@ def _slice_area(d, w):
             + (d * d / 2) * np.arcsin(np.clip(w / safe_d, -1.0, 1.0))
     out = np.where(d <= 0.0, 0.0, val)
     return float(out) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# subequilateral-triangle inversions
-# ---------------------------------------------------------------------------
-
-def _f_omega(kind: str, omega: float, r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    den = (omega - 2 * r) ** 2 * (4 * r - omega)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "area_from":
-            val = np.sqrt(r ** 4 * omega ** 3 / den)
-        else:
-            val = np.sqrt(4 * r * r * omega ** 3 / den)
-    return val
-
-
-def subeq_inverse(kind: str, omega: float, X: float) -> float:
-    """Invert the increasing maps r -> A(T_I) or r -> P(T_I) at fixed width.
-
-    ``kind`` is 'area_from' or 'perim_from'; the inradius is searched on
-    [omega/3, omega/2) by bisection to 1e-12 relative.  Values below the
-    equilateral endpoint raise OutOfRange.
-    """
-    if kind not in ("area_from", "perim_from"):
-        raise DomainError("kind must be 'area_from' or 'perim_from'")
-    if omega <= 0:
-        raise DomainError("omega must be positive")
-    lo = omega / 3.0
-    floor_val = float(_f_omega(kind, omega, lo))
-    if X < floor_val * (1 - 1e-12):
-        raise OutOfRange(f"{kind} target {X} below the equilateral value {floor_val}")
-    if X <= floor_val:
-        return lo
-    hi = omega / 2.0 * (1 - 1e-15)
-    for _ in range(200):
-        if float(_f_omega(kind, omega, hi)) >= X:
-            break
-        hi = omega / 2.0 - (omega / 2.0 - hi) * 0.125
-    while hi - lo > 1e-12 * omega:
-        mid = 0.5 * (lo + hi)
-        if float(_f_omega(kind, omega, mid)) < X:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def subeq_area_from_perimeter(omega: float, P: float) -> float:
-    """Middle positive root of the cubic tying A to (omega, P) on triangles.
-
-    All real positive roots are located by bracketed bisection on the
-    cubic's monotone intervals; NoRoot is raised when fewer than three
-    positive roots exist (degenerate data).
-    """
-    if omega <= 0 or P <= 0:
-        raise DomainError("omega and P must be positive")
-    c3 = 128 * P
-    c2 = -16 * omega * (5 * P * P + omega * omega)
-    c1 = 16 * omega * omega * P ** 3
-    c0 = -(omega ** 3) * P ** 4
-
-    def cubic(a):
-        return ((c3 * a + c2) * a + c1) * a + c0
-
-    # stationary points of the cubic bound its monotone intervals
-    disc = (2 * c2) ** 2 - 4 * (3 * c3) * c1
-    roots = []
-    if disc > 0:
-        s1 = (-2 * c2 - math.sqrt(disc)) / (2 * 3 * c3)
-        s2 = (-2 * c2 + math.sqrt(disc)) / (2 * 3 * c3)
-        brackets = [(0.0, s1), (s1, s2), (s2, max(2 * s2, 1.0) * 4)]
-    else:
-        brackets = [(0.0, (P * P / (4 * PI)) * 4)]
-    for lo, hi in brackets:
-        if hi <= lo:
-            continue
-        flo, fhi = cubic(lo), cubic(hi)
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if flo * fhi > 0:
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = cubic(mid)
-            if fm == 0.0 or hi - lo < 1e-15 * max(1.0, hi):
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    roots = sorted(r for r in roots if r > 0)
-    if len(roots) < 3:
-        raise NoRoot("cubic has fewer than three positive roots")
-    return roots[1]
 
 
 def _triangle_h_from_wd(w: float, d: float) -> float:
@@ -340,9 +219,9 @@ class BoundResult:
         return self.status != "not-applicable"
 
 
-def _g_value(fam, samples, **params):
+def _g_value(fam, **params):
     try:
-        return 1.0 / smallest_crossing(implicit_g(fam, **params), samples=samples)
+        return 1.0 / smallest_crossing(implicit_g(fam, **params))
     except NoRoot:
         return None
 
@@ -356,63 +235,63 @@ def _build_registry():
     always = lambda f: True
 
     add("HRA_LO", "lower", "", "h-r-area-lower", "stadiums", always,
-        lambda f, s: 1 / f.inradius + PI * f.inradius / f.area)
+        lambda f: 1 / f.inradius + PI * f.inradius / f.area)
     add("HRA_UP", "upper", "", "h-r-area-upper", "form-body homothets", always,
-        lambda f, s: 1 / f.inradius + math.sqrt(PI / f.area))
+        lambda f: 1 / f.inradius + math.sqrt(PI / f.area))
     add("HPA_LO", "lower", "", "h-perim-area-lower", "form-body homothets", always,
-        lambda f, s: (f.perimeter + math.sqrt(4 * PI * f.area)) / (2 * f.area))
+        lambda f: (f.perimeter + math.sqrt(4 * PI * f.area)) / (2 * f.area))
     add("HPA_UP", "upper", "", "h-perim-area-upper", "bodies Cheeger of themselves", always,
-        lambda f, s: f.perimeter / f.area)
+        lambda f: f.perimeter / f.area)
     add("ONEQ_A", "lower", "", "h-area-only", "balls", always,
-        lambda f, s: 2 * math.sqrt(PI / f.area))
+        lambda f: 2 * math.sqrt(PI / f.area))
     add("ONEQ_P", "lower", "", "h-perimeter-only", "balls", always,
-        lambda f, s: 4 * PI / f.perimeter)
+        lambda f: 4 * PI / f.perimeter)
     add("ONEQ_D", "lower", "", "h-diameter-only", "balls", always,
-        lambda f, s: 4 / f.diameter)
+        lambda f: 4 / f.diameter)
     add("ONEQ_R_LO", "lower", "", "h-circumradius-only", "balls", always,
-        lambda f, s: 2 / f.circumradius)
+        lambda f: 2 / f.circumradius)
     add("ONEQ_R_UP2", "upper", "", "h-inradius-only", "balls", always,
-        lambda f, s: 2 / f.inradius)
+        lambda f: 2 / f.inradius)
     add("HRP_LO", "lower", "", "h-r-perim-lower", "stadiums", always,
-        lambda f, s: 1 / f.inradius + PI / (f.perimeter - PI * f.inradius))
+        lambda f: 1 / f.inradius + PI / (f.perimeter - PI * f.inradius))
     add("HRP_UP", "upper", "", "h-r-perim-upper", "form-body homothets", always,
-        lambda f, s: 1 / f.inradius + math.sqrt(2 * PI / (f.perimeter * f.inradius)))
+        lambda f: 1 / f.inradius + math.sqrt(2 * PI / (f.perimeter * f.inradius)))
 
-    def hdr_up(f, s):
+    def hdr_up(f):
         r, d = f.inradius, f.diameter
         den = r * math.sqrt(max(d * d - 4 * r * r, 0.0)) \
             + r * r * (PI - 2 * math.acos(min(1.0, 2 * r / d)))
         return 1 / r + math.sqrt(PI / den)
     add("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", always, hdr_up)
     add("HDR_LO_IMPLICIT", "lower", "", "g1-crossing", "slices / smoothed nonagons", always,
-        lambda f, s: _g_value("g1", s, d=f.diameter, r=f.inradius))
+        lambda f: _g_value("g1", d=f.diameter, r=f.inradius))
 
-    def hdr_lo_exp(f, s):
+    def hdr_lo_exp(f):
         d, r = f.diameter, f.inradius
         return (4 - PI) / (d + 2 * r - math.sqrt((d + 2 * r) ** 2 - 2 * (4 - PI) * d * r))
     add("HDR_LO_EXPLICIT", "lower", "", "h-d-r-lower-explicit", "thinning rectangles", always, hdr_lo_exp)
 
-    def hrr_up(f, s):
+    def hrr_up(f):
         r, R = f.inradius, f.circumradius
         den = 2 * r * (math.sqrt(max(R * R - r * r, 0.0)) + r * math.asin(min(1.0, r / R)))
         return 1 / r + math.sqrt(PI / den)
     add("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", always, hrr_up)
     add("HRR_LO_IMPLICIT", "lower", "", "g2-crossing", "slices", always,
-        lambda f, s: _g_value("g2", s, R=f.circumradius, r=f.inradius))
+        lambda f: _g_value("g2", R=f.circumradius, r=f.inradius))
 
-    def hrr_lo_exp(f, s):
+    def hrr_lo_exp(f):
         R, r = f.circumradius, f.inradius
         return (4 - PI) / (2 * (R + r) - math.sqrt(4 * (R + r) ** 2 - 4 * (4 - PI) * R * r))
     add("HRR_LO_EXPLICIT", "lower", "", "h-R-r-lower-explicit", "thinning rectangles", always, hrr_lo_exp)
 
     add("HDW_LO_IMPLICIT", "lower", "", "g3-crossing", "slices", always,
-        lambda f, s: _g_value("g3", s, d=f.diameter, w=f.min_width))
+        lambda f: _g_value("g3", d=f.diameter, w=f.min_width))
     add("HDW_UP_TRI", "upper", "omega <= sqrt(3)/2 * d", "h-w-d-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= SQRT3 / 2 * f.diameter,
-        lambda f, s: _triangle_h_from_wd(f.min_width, f.diameter))
+        lambda f: _triangle_h_from_wd(f.min_width, f.diameter))
 
-    def hdw_up_yam(f, s):
+    def hdw_up_yam(f):
         w, d = f.min_width, f.diameter
         ac = math.acos(min(1.0, w / d))
         den = PI * w * w - SQRT3 * d * d + 6 * w * w * (math.tan(ac) - ac)
@@ -422,70 +301,70 @@ def _build_registry():
         lambda f: SQRT3 / 2 * f.diameter <= f.min_width,
         hdw_up_yam)
 
-    def hdw_lo_exp(f, s):
+    def hdw_lo_exp(f):
         w, d = f.min_width, f.diameter
         inv = 1 / w + 1 / d
         return inv + math.sqrt(inv * inv - (4 - PI) / (w * d))
     add("HDW_LO_EXPLICIT", "lower", "", "h-w-d-lower-explicit", "thinning rectangles", always, hdw_lo_exp)
 
     add("HRW_LO_IMPLICIT", "lower", "", "g4-crossing", "slices", always,
-        lambda f, s: _g_value("g4", s, w=f.min_width, R=f.circumradius))
+        lambda f: _g_value("g4", w=f.min_width, R=f.circumradius))
     add("HRW_UP_TRI", "upper", "omega <= 3R/2", "h-w-R-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= 1.5 * f.circumradius,
-        lambda f, s: _triangle_h_matched("R", f.circumradius, "w", f.min_width))
+        lambda f: _triangle_h_matched("R", f.circumradius, "w", f.min_width))
     add("HRW_UP_EXPLICIT", "upper", "", "h-w-R-upper-explicit", "equilateral triangles", always,
-        lambda f, s: 3 / f.min_width + math.sqrt(2 * PI / (SQRT3 * f.circumradius * f.min_width)))
+        lambda f: 3 / f.min_width + math.sqrt(2 * PI / (SQRT3 * f.circumradius * f.min_width)))
 
-    def hrw_lo_exp(f, s):
+    def hrw_lo_exp(f):
         R, w = f.circumradius, f.min_width
         return (4 - PI) / ((2 * R + w) - math.sqrt((2 * R + w) ** 2 - 2 * (4 - PI) * R * w))
     add("HRW_LO_EXPLICIT", "lower", "", "h-w-R-lower-explicit", "thinning rectangles", always, hrw_lo_exp)
 
     add("HAW_LO", "lower", "", "h-w-area-lower", "stadiums", always,
-        lambda f, s: 2 / f.min_width + PI * f.min_width / (2 * f.area))
+        lambda f: 2 / f.min_width + PI * f.min_width / (2 * f.area))
     add("HAW_UP_TRI", "upper", "sqrt(3)*A >= omega^2", "h-w-area-upper-triangle",
         "subequilateral triangles",
         lambda f: SQRT3 * f.area >= f.min_width ** 2 * (1 - 1e-12),
-        lambda f, s: _triangle_h_matched("w", f.min_width, "A", f.area))
+        lambda f: _triangle_h_matched("w", f.min_width, "A", f.area))
     add("HAW_UP1", "upper", "", "h-w-area-upper-1", "equilateral triangles", always,
-        lambda f, s: 2 / f.min_width + f.min_width / (SQRT3 * f.area) + math.sqrt(PI / f.area))
+        lambda f: 2 / f.min_width + f.min_width / (SQRT3 * f.area) + math.sqrt(PI / f.area))
     add("HAW_UP2", "upper", "", "h-w-area-upper-2", "thin subequilateral triangles", always,
-        lambda f, s: 2 / (f.min_width - f.min_width ** 3 / (4 * f.area)) + math.sqrt(PI / f.area))
+        lambda f: 2 / (f.min_width - f.min_width ** 3 / (4 * f.area)) + math.sqrt(PI / f.area))
 
     add("HWP_LO", "lower", "", "h-w-perim-lower", "stadiums", always,
-        lambda f, s: 2 / f.min_width + 2 * PI / (2 * f.perimeter - PI * f.min_width))
+        lambda f: 2 / f.min_width + 2 * PI / (2 * f.perimeter - PI * f.min_width))
     add("HWP_UP_TRI", "upper", "P >= 2*sqrt(3)*omega", "h-w-perim-upper-triangle",
         "subequilateral triangles",
         lambda f: f.perimeter >= 2 * SQRT3 * f.min_width,
-        lambda f, s: _triangle_h_matched("w", f.min_width, "P", f.perimeter))
+        lambda f: _triangle_h_matched("w", f.min_width, "P", f.perimeter))
 
-    def hrd_up(f, s):
+    def hrd_up(f):
         R, d = f.circumradius, f.diameter
         root = math.sqrt(max(4 * R * R - d * d, 0.0))
         return 2 * R * (2 * R + root) / (d * d * root) + math.sqrt(4 * PI * R * R / (d ** 3 * root))
     add("HRD_UP", "upper", "sqrt(3)*R <= d < 2R", "h-R-d-upper", "subequilateral triangles",
         lambda f: f.diameter < 2 * f.circumradius, hrd_up)
 
-    def hwr_lo(f, s):
+    def hwr_lo(f):
         r, w = f.inradius, f.min_width
         inner = PI * max(1 - 2 * r / w, 0.0) * math.sqrt(max(4 * r / w - 1, 0.0))
         return 1 / r + math.sqrt(inner) / r
     add("HWR_LO", "lower", "", "h-w-r-lower", "subequilateral triangles", always, hwr_lo)
     add("HWR_UP", "upper", "", "h-w-r-upper", "equilateral triangles", always,
-        lambda f, s: 1 / f.inradius + math.sqrt(PI * SQRT3) / f.min_width)
+        lambda f: 1 / f.inradius + math.sqrt(PI * SQRT3) / f.min_width)
 
     add("RHA_UP", "upper", "", "h-R-area-upper", "thinning rectangles", always,
-        lambda f, s: 1 / f.circumradius + 4 * f.circumradius / f.area)
+        lambda f: 1 / f.circumradius + 4 * f.circumradius / f.area)
     add("RHA_LO", "lower", "", "h-R-area-lower", "balls", always,
-        lambda f, s: 1 / (2 * f.circumradius) + PI * f.circumradius / (2 * f.area)
+        lambda f: 1 / (2 * f.circumradius) + PI * f.circumradius / (2 * f.area)
         + math.sqrt(PI / f.area))
 
     add("PHR_UP", "upper", "P > 4R", "h-P-R-upper", "thinning rectangles",
         lambda f: f.perimeter > 4 * f.circumradius,
-        lambda f, s: f.perimeter / (f.circumradius * (f.perimeter - 4 * f.circumradius)))
+        lambda f: f.perimeter / (f.circumradius * (f.perimeter - 4 * f.circumradius)))
 
-    def phr_lo(f, s):
+    def phr_lo(f):
         P, R = f.perimeter, f.circumradius
         x = arcsinc(min(1.0, 4 * R / P))
         den = P - 4 * R * math.cos(x)
@@ -495,15 +374,15 @@ def _build_registry():
 
     add("PHD_UP1", "upper", "2d < P < 3d", "h-P-d-upper-1", "",
         lambda f: 2 * f.diameter < f.perimeter < 3 * f.diameter,
-        lambda f, s: 4 / (f.perimeter - 2 * f.diameter) + math.sqrt(
+        lambda f: 4 / (f.perimeter - 2 * f.diameter) + math.sqrt(
             4 * PI / ((f.perimeter - 2 * f.diameter)
                       * math.sqrt(f.perimeter * (4 * f.diameter - f.perimeter)))))
     add("PHD_UP2", "upper", "3d <= P <= pi*d", "h-P-d-upper-2", "",
         lambda f: 3 * f.diameter <= f.perimeter <= PI * f.diameter * (1 + 1e-12),
-        lambda f, s: 4 / (f.perimeter - 2 * f.diameter) + math.sqrt(
+        lambda f: 4 / (f.perimeter - 2 * f.diameter) + math.sqrt(
             4 * PI / (SQRT3 * f.diameter * (f.perimeter - 2 * f.diameter))))
 
-    def phd_lo(f, s):
+    def phd_lo(f):
         P, d = f.perimeter, f.diameter
         y = arcsinc(min(1.0, 2 * d / P))
         den = P - 2 * d * math.cos(y)
@@ -512,11 +391,11 @@ def _build_registry():
         lambda f: f.perimeter > 2 * f.diameter, phd_lo)
 
     add("DHA_UP1", "upper", "", "h-d-area-upper-1", "", always,
-        lambda f, s: 4 / f.diameter + 2 * f.diameter / f.area)
+        lambda f: 4 / f.diameter + 2 * f.diameter / f.area)
     add("DHA_UP2", "upper", "", "h-d-area-upper-2", "", always,
-        lambda f, s: 2 * f.diameter / f.area + math.sqrt(PI / f.area))
+        lambda f: 2 * f.diameter / f.area + math.sqrt(PI / f.area))
     add("DHA_LO", "lower", "", "h-d-area-lower", "thinning two-cup bodies", always,
-        lambda f, s: f.diameter / f.area + math.sqrt(PI / f.area))
+        lambda f: f.diameter / f.area + math.sqrt(PI / f.area))
 
     return reg
 
@@ -529,7 +408,7 @@ def bound_defs() -> list[BoundDef]:
     return [d for d, _, _ in _REGISTRY]
 
 
-def evaluate_all(f: Functionals, samples: int = 1024) -> list[BoundResult]:
+def evaluate_all(f: Functionals) -> list[BoundResult]:
     """Evaluate every registered inequality against one Functionals record.
 
     Applicability predicates are honored; per-entry failures surface as
@@ -544,8 +423,8 @@ def evaluate_all(f: Functionals, samples: int = 1024) -> list[BoundResult]:
             out.append(BoundResult(bdef.id, bdef.direction, None, "not-applicable", None))
             continue
         try:
-            val = value_fn(f, samples)
-        except (NoRoot, OutOfRange, Unreachable, NonMonotone, DomainError, ValueError):
+            val = value_fn(f)
+        except (NoRoot, NoConvergence, Unreachable, NonMonotone, DomainError, ValueError):
             val = None
         if val is None or not math.isfinite(val):
             out.append(BoundResult(bdef.id, bdef.direction, None, "no-root", None))
@@ -557,13 +436,13 @@ def evaluate_all(f: Functionals, samples: int = 1024) -> list[BoundResult]:
     return out
 
 
-def registry_csv(f: Functionals, samples: int = 1024) -> str:
+def registry_csv(f: Functionals) -> str:
     """CSV export of the registry evaluated at one record."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "direction", "condition", "formula-id", "value", "slack"])
     defs = {d.id: d for d, _, _ in _REGISTRY}
-    for r in evaluate_all(f, samples=samples):
+    for r in evaluate_all(f):
         d = defs[r.id]
         val = r.status if r.status != "ok" else format(r.value, ".17g")
         slack = "" if r.slack is None else format(r.slack, ".17g")

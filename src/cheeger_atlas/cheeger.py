@@ -7,8 +7,13 @@ t*.  Between the edge-vanishing events of the straight skeleton the inner
 parallel area is exactly quadratic, |poly_{-t-s}| = A - P s + T s^2 with
 T = sum of tan(theta/2) over the exterior angles (Kawohl & Lachand-Robert,
 Pacific J. Math. 225 (2006)), so the solve steps to the root of that
-quadratic rather than bisecting.  The same module solves the implicit
-inequalities g(t) = pi t^2 used by the bound registry.
+quadratic rather than bisecting.
+
+The module also holds the package's one root finder for monotone scalar
+equations: ``_bracketed_root`` starts from a sign bracket and shrinks it
+with Illinois (modified regula falsi) steps.  ``smallest_crossing`` uses it
+for the implicit inequalities g(t) = pi t^2 of the bound registry; the
+bound constants and the shape-parameter solve use it too.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ import numpy as np
 from .errors import NoConvergence, NoRoot
 from .geom import ConvexPolygon, OffsetMachine, dilate, shoelace
 
-# Bisection stops when the bracket is below this fraction of the domain size.
-BISECT_REL_TOL = 1e-13
-# Uniform samples used to locate a sign change before bisecting.
-SCAN_SAMPLES = 1024
+# A crossing is solved until its bracket is below this fraction of the domain.
+CROSSING_REL_TOL = 1e-13
+# Steps one bracketed root solve may take before it gives up.
+MAX_ROOT_STEPS = 100
 # Chords per full circle when discretizing the Cheeger set boundary.
 DEFAULT_ARC_SEGMENTS = 4096
 # The Cheeger solve ends once a step moves t by less than this fraction of t.
@@ -69,19 +74,16 @@ class CheegerResult:
 
 @dataclass(frozen=True)
 class ImplicitRootProblem:
-    """Solve g(t) = pi t^2 on [0, upper] for the smallest or largest root.
+    """The equation g(t) = pi t^2 on [0, upper].
 
-    ``g`` must accept numpy arrays (scalars are broadcast); it is the
-    caller's job to guarantee continuity on the domain.
+    ``g`` must accept numpy arrays and scalars.  It is the caller's job to
+    make g(t) - pi t^2 continuous and non-increasing on the domain.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     upper: float
-    mode: str = "smallest"
 
     def __post_init__(self):
-        if self.mode not in ("smallest", "largest"):
-            raise ValueError("mode must be 'smallest' or 'largest'")
         if self.upper <= 0:
             raise ValueError("domain upper end must be positive")
 
@@ -169,57 +171,63 @@ def cheeger_constant(poly: ConvexPolygon,
                          diagnostics=SolveDiagnostics(evals, bisections, nudges, width, residual))
 
 
-def smallest_crossing(problem: ImplicitRootProblem,
-                      samples: int = SCAN_SAMPLES) -> float:
-    """First (or last) crossing of g(t) = pi t^2 on [0, upper].
+def _bracketed_root(f: Callable[[float], float], a: float, fa: float,
+                    b: float, fb: float, xtol: float) -> float:
+    """Root of a continuous f between a and b, where fa = f(a) and fb = f(b).
 
-    A uniform scan with ``samples`` points locates a sign change of
-    F(t) = g(t) - pi t^2, which is then bisected to BISECT_REL_TOL * upper.
-    A root pair closer than the grid step can be missed.
+    fa and fb must not share a strict sign; either may be the positive one.
+    Illinois steps (regula falsi that halves the value kept at an end that
+    survives twice running) shrink the bracket; a step that leaves the open
+    bracket bisects instead.  Returns the midpoint once the bracket is at
+    most ``xtol`` wide, and raises NoConvergence after MAX_ROOT_STEPS
+    evaluations of f.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise NoRoot(f"no sign change between {a!r} and {b!r}")
+    kept = 0  # +1 when the last step kept a, -1 when it kept b
+    for _ in range(MAX_ROOT_STEPS):
+        if abs(b - a) <= xtol:
+            return 0.5 * (a + b)
+        x = (a * fb - b * fa) / (fb - fa)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
+        else:
+            a, fa = x, fx
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
+    raise NoConvergence(f"root bracket [{a!r}, {b!r}] still wider than {xtol!r} "
+                        f"after {MAX_ROOT_STEPS} steps")
+
+
+def smallest_crossing(problem: ImplicitRootProblem) -> float:
+    """The crossing t in (0, upper] of g(t) = pi t^2.
+
+    F(t) = g(t) - pi t^2 is read at both ends of the domain in one call of
+    g; it must satisfy F(0) > 0 >= F(upper), else NoRoot is raised (a touch
+    at t = 0 carries no information, since 1/t blows up).  F is
+    non-increasing, so the crossing is unique; it is solved to
+    CROSSING_REL_TOL * upper.
     """
     upper = problem.upper
-    ts = np.linspace(0.0, upper, samples + 1)
-    gs = np.asarray(problem.g(ts), dtype=float)
-    fs = gs - np.pi * ts * ts
+    ends = np.array([0.0, upper])
+    f0, f1 = np.asarray(problem.g(ends), dtype=float) - np.pi * ends * ends
+    if not f0 > 0.0 >= f1:
+        raise NoRoot("g(t) - pi t^2 does not fall from positive to nonpositive on the domain")
 
-    # a zero at t = 0 exactly is vacuous (1/t blows up); require t > 0
-    zero_hits = np.flatnonzero((fs == 0.0) & (ts > 0.0))
-    signs = np.sign(fs)
-    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    candidates = []
-    if zero_hits.size:
-        candidates.extend(("zero", int(i)) for i in zero_hits)
-    candidates.extend(("flip", int(i)) for i in flips)
-    if not candidates:
-        raise NoRoot("g(t) - pi t^2 has no sign change on the domain")
+    def F(t):
+        return np.asarray(problem.g(t), dtype=float).item() - np.pi * t * t
 
-    def key(c):
-        kind, i = c
-        return ts[i] if kind == "zero" else ts[i] + 1e-30
-    chosen = min(candidates, key=key) if problem.mode == "smallest" else max(candidates, key=key)
-    kind, i = chosen
-    if kind == "zero":
-        return float(ts[i])
-
-    # refine by repeated 64-fold subdivision (vectorized g evaluations)
-    lo, hi = float(ts[i]), float(ts[i + 1])
-    flo = float(fs[i])
-    tol = BISECT_REL_TOL * upper
-    for _ in range(40):
-        if hi - lo <= tol:
-            break
-        grid = np.linspace(lo, hi, 65)
-        vals = np.asarray(problem.g(grid), dtype=float) - np.pi * grid * grid
-        matches = vals > 0.0 if flo > 0.0 else vals < 0.0
-        flips = np.flatnonzero(~matches)
-        k = int(flips[0])
-        if k == 0:
-            return lo
-        lo, hi, flo = float(grid[k - 1]), float(grid[k]), float(vals[k - 1])
-    return 0.5 * (lo + hi)
-
-
-def implicit_bound_value(problem: ImplicitRootProblem, samples: int = SCAN_SAMPLES) -> float:
-    """1 / crossing: a lower bound on h for mode='smallest', upper otherwise."""
-    return 1.0 / smallest_crossing(problem, samples=samples)
-
+    return _bracketed_root(F, 0.0, float(f0), upper, float(f1), CROSSING_REL_TOL * upper)

@@ -1,9 +1,12 @@
 """Command line surface: cheeger-atlas <subcommand> [--flags].
 
 Subcommands: shape, measure, cheeger, bounds, sample, diagram, verify.
-Numeric output is printed with 17 significant digits; runs with a fixed
-seed are byte-reproducible.  Exit codes: 0 success, 2 validation error,
-3 numeric failure.  CHEEGER_ATLAS_THREADS caps worker-pool parallelism.
+``bounds`` evaluates the whole registry at the polygon's functionals and
+Cheeger constant; its implicit bounds are crossings of g(t) = pi t^2,
+solved to 1e-13 of their domain.  Numeric output is printed with 17
+significant digits; runs with a fixed seed are byte-reproducible.  Exit
+codes: 0 success, 2 validation error, 3 numeric failure.
+CHEEGER_ATLAS_THREADS caps worker-pool parallelism.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import shapes as shapes_mod
 from . import verify as verify_mod
 from .cheeger import cheeger_constant
 from .errors import CheegerAtlasError, InvalidParam, NoRoot, PolygonJsonError, Unreachable
-from .functionals import Functionals, measure
+from .functionals import Functionals, measure, measure_with_cheeger
 from .geom import polygon_from_json, polygon_to_json
 from .sampler import NORMALIZE_TAGS, cloud_csv, sample_cloud
 
@@ -73,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bp = sub.add_parser("bounds", help="evaluate the full bound registry")
     bp.add_argument("--in", dest="input", required=True)
-    bp.add_argument("--samples", type=int, default=1024, help="crossing-scan grid size")
     bp.add_argument("--format", choices=("csv", "json"), default="csv")
     bp.add_argument("--out", help="write the table here instead of stdout")
 
@@ -155,17 +157,14 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    poly = _read_polygon(args.input)
-    f = measure(poly)
-    r = cheeger_constant(poly, with_set=False)
-    f = f.with_cheeger(r.h, r.t_star)
+    f = measure_with_cheeger(_read_polygon(args.input))
     if args.format == "csv":
-        text = bounds_mod.registry_csv(f, samples=args.samples)
+        text = bounds_mod.registry_csv(f)
     else:
         rows = [{"id": b.id, "direction": b.direction, "status": b.status,
                  "value": None if b.value is None else G17(b.value),
                  "slack": None if b.slack is None else G17(b.slack)}
-                for b in bounds_mod.evaluate_all(f, samples=args.samples)]
+                for b in bounds_mod.evaluate_all(f)]
         text = json.dumps(rows, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:

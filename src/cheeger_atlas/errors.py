@@ -29,16 +29,12 @@ class NonMonotone(CheegerAtlasError):
     """A sampled scan detected non-monotone behaviour where monotone was required."""
 
 
-class OutOfRange(CheegerAtlasError):
-    """A value lies outside the range of an invertible function."""
-
-
 class DomainError(CheegerAtlasError):
     """Arguments violate a formula's domain."""
 
 
 class NoRoot(CheegerAtlasError):
-    """A bracketed scan found no sign change."""
+    """A scalar equation has no sign change on its bracket."""
 
 
 class NoConvergence(CheegerAtlasError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .cheeger import cheeger_constant
 from .errors import DegenerateInput
 from .geom import ConvexPolygon, shoelace
 
@@ -280,7 +281,6 @@ def _circle_three(a, b, c):
 def circumradius_brute(poly: ConvexPolygon):
     """O(n^3) oracle over all vertex pairs and triples."""
     pts = [tuple(p) for p in poly.vertices.tolist()]
-    import itertools
     best = None
     for p, q in itertools.combinations(pts, 2):
         c = _circle_two(p, q)
@@ -302,3 +302,10 @@ def measure(poly: ConvexPolygon) -> Functionals:
     r, _ = inradius(poly)
     R, _ = circumradius(poly)
     return Functionals(area(poly), perimeter(poly), r, R, d, w)
+
+
+def measure_with_cheeger(poly: ConvexPolygon) -> Functionals:
+    """All six functionals of a polygon and its Cheeger constant."""
+    f = measure(poly)
+    res = cheeger_constant(poly, with_set=False)
+    return f.with_cheeger(res.h, res.t_star)

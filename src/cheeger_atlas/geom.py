@@ -432,20 +432,14 @@ class OffsetMachine:
     def _chain(self, t: float):
         """Local-frame (vertices, normals, edge lengths) at t; None once empty.
 
-        Edge k ends at vertex k.  When the chain meets a gap in the normal
-        fan, the shifted planes clip the polygon instead.
+        Edge k ends at vertex k.  A gap in the normal fan means the shifted
+        planes hold no bounded region: t is at least the inradius, where
+        the inner parallel set is empty.
         """
         try:
             return self._fast_chain(t)
         except ValueError:
-            clipped = _clip_chain(list(self.local), list(range(-len(self.poly), 0)),
-                                  list(zip(self.ns, self.cs - t)))
-            verts = None if clipped is None else _strictify(clipped[0], self.size)
-            if verts is None:
-                return None
-            e = verts - np.roll(verts, 1, axis=0)
-            lengths = np.hypot(e[:, 0], e[:, 1])
-            return verts, np.column_stack((e[:, 1], -e[:, 0])) / lengths[:, None], lengths
+            return None
 
     def area_at(self, t: float) -> ChainMeasure:
         """Area, perimeter, tan sum and reach of the inner parallel set at t."""

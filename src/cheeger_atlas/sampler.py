@@ -18,9 +18,8 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .cheeger import cheeger_constant
 from .errors import DegenerateInput
-from .functionals import Functionals, area, diameter, inradius, measure
+from .functionals import Functionals, area, diameter, inradius, measure_with_cheeger
 from .geom import ConvexPolygon
 
 _MASK64 = (1 << 64) - 1
@@ -122,15 +121,22 @@ class SampleRecord:
     y: float
 
 
+def seeded_polygon(master_seed: int, index: int, n_min: int, n_max: int,
+                   tag: str) -> tuple[int, int, ConvexPolygon]:
+    """Record ``index`` of a batch: (record seed, vertex count, normalized polygon).
+
+    The record seed is mix(master_seed, index); it draws the vertex count
+    uniformly from [n_min, n_max] and then seeds the Valtr polygon.
+    """
+    rec_seed = mix(master_seed, index)
+    n = int(_rng(rec_seed).integers(n_min, n_max + 1))
+    return rec_seed, n, normalize(valtr(n, rec_seed), tag)
+
+
 def _make_record(args) -> SampleRecord:
     index, master_seed, n_min, n_max, tag, x_key, y_key = args
-    rec_seed = mix(master_seed, index)
-    rng = _rng(rec_seed)
-    n = int(rng.integers(n_min, n_max + 1))
-    poly = normalize(valtr(n, rec_seed), tag)
-    f = measure(poly)
-    res = cheeger_constant(poly, with_set=False)
-    f = f.with_cheeger(res.h, res.t_star)
+    rec_seed, n, poly = seeded_polygon(master_seed, index, n_min, n_max, tag)
+    f = measure_with_cheeger(poly)
     return SampleRecord(index, rec_seed, n, f, tag, f.value(x_key), f.value(y_key))
 
 

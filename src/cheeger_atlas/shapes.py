@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cheeger import _bracketed_root
 from .errors import InvalidParam, NonMonotone, Unreachable, Unsupported
 from .functionals import Functionals, measure
 from .geom import ConvexPolygon, convex_hull
@@ -422,9 +423,10 @@ def solve_param(family, target, fixed, res: int = 8192,
     ``target`` and ``fixed`` are (functional id, value) pairs with ids from
     {A, P, r, R, d, w}.  The family is reduced to one dimensionless shape
     parameter; for each trial value the ``fixed`` functional pins the scale
-    and the target functional is driven to its value by bisection (matched
-    to 1e-10 relative).  Raises Unreachable when the target lies outside the
-    family's range and NonMonotone when the sampled scan is not monotone.
+    and the target functional is driven to its value by the bracketed root
+    finder, to 1e-13 in the shape parameter.  Raises Unreachable when the
+    target lies outside the family's range and NonMonotone when the sampled
+    scan is not monotone.
     """
     fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
     if fam not in _SIGMA:
@@ -464,23 +466,13 @@ def solve_param(family, target, fixed, res: int = 8192,
 
     idx = np.nonzero((vals[:-1] - tval) * (vals[1:] - tval) <= 0.0)[0]
     if idx.size == 0:
-        i = int(np.argmin(np.abs(vals - tval)))
-        s_lo = s_hi = float(grid[i])
+        # the target sits within the scan's relative slack of an end
+        sigma = float(grid[int(np.argmin(np.abs(vals - tval)))])
     else:
         i = int(idx[0])
-        s_lo, s_hi = float(grid[i]), float(grid[i + 1])
-    f_lo = g(s_lo) - tval
-    for _ in range(200):
-        mid = 0.5 * (s_lo + s_hi)
-        fm = g(mid) - tval
-        if abs(fm) <= 1e-10 * abs(tval) or (s_hi - s_lo) <= 1e-13 * max(1.0, abs(s_hi)):
-            s_lo = s_hi = mid
-            break
-        if (fm > 0) == (f_lo > 0):
-            s_lo, f_lo = mid, fm
-        else:
-            s_hi = mid
-    sigma = 0.5 * (s_lo + s_hi)
+        sigma = _bracketed_root(lambda s: g(s) - tval, float(grid[i]), float(vals[i] - tval),
+                                float(grid[i + 1]), float(vals[i + 1] - tval),
+                                1e-13 * max(1.0, abs(float(grid[i + 1]))))
     f = _unit_functionals(fam, sigma, res)
     scale = (fval / f.value(fid)) ** (1.0 / a_f)
     return _scale_spec(_SIGMA[fam][3](sigma), scale)

@@ -16,10 +16,9 @@ import math
 from . import bounds as bounds_mod
 from . import diagrams
 from .bounds import evaluate_all
-from .cheeger import cheeger_constant
-from .functionals import measure
-from .sampler import mix, normalize, parallel_map, valtr, _rng
-from .shapes import Resolution, Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
+from .functionals import measure_with_cheeger
+from .sampler import parallel_map, seeded_polygon
+from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
 
 SCHEMA = "cheeger-atlas-verify/1"
 CENSUS_SLACK_FLOOR = -1e-7
@@ -40,13 +39,8 @@ EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
 
 def _census_record(args) -> tuple[int, int, list[tuple[str, str, float | None]]]:
     index, master_seed, n_min, n_max = args
-    rec_seed = mix(master_seed, index)
-    rng = _rng(rec_seed)
-    n = int(rng.integers(n_min, n_max + 1))
-    poly = normalize(valtr(n, rec_seed), "area")
-    f = measure(poly)
-    res = cheeger_constant(poly, with_set=False)
-    f = f.with_cheeger(res.h, res.t_star)
+    rec_seed, _, poly = seeded_polygon(master_seed, index, n_min, n_max, "area")
+    f = measure_with_cheeger(poly)
     return index, rec_seed, [(r.id, r.status, r.slack) for r in evaluate_all(f)]
 
 
@@ -75,13 +69,6 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     return agg
 
 
-def _measured_with_h(spec, res: int):
-    poly = build(spec, Resolution(res))
-    f = measure(poly)
-    r = cheeger_constant(poly, with_set=False)
-    return f.with_cheeger(r.h, r.t_star), poly
-
-
 def _bound_residuals(f, ids) -> dict[str, float]:
     by_id = {r.id: r for r in evaluate_all(f)}
     out = {}
@@ -99,11 +86,11 @@ def sharpness(res: int = 8192) -> list[dict]:
         rows.append({"shape": shape_name, "bound": bid, "residual": residual})
 
     for gap in STADIUM_GAPS:
-        f, _ = _measured_with_h(Stadium(1.0, gap), res)
+        f = measure_with_cheeger(build(Stadium(1.0, gap), res))
         for bid, resid in _bound_residuals(f, STADIUM_BOUNDS).items():
             push(f"stadium(r=1,l={gap:g})", bid, resid)
     for tip in TWOCUP_TIPS:
-        f, _ = _measured_with_h(TwoCup(1.0, tip), res)
+        f = measure_with_cheeger(build(TwoCup(1.0, tip), res))
         for bid, resid in _bound_residuals(f, TWOCUP_BOUNDS).items():
             push(f"two_cup(r=1,k={tip:g})", bid, resid)
         h = f.cheeger
@@ -111,17 +98,17 @@ def sharpness(res: int = 8192) -> list[dict]:
             y = diagrams._upper_y(did, x / f.inradius)
             push(f"two_cup(r=1,k={tip:g})", f"{did}:upper", abs(h * f.inradius - y) / h)
     for dia in SLICE_DIAMETERS:
-        f, _ = _measured_with_h(Slice(1.0, dia), res)
+        f = measure_with_cheeger(build(Slice(1.0, dia), res))
         for bid, resid in _bound_residuals(f, SLICE_BOUNDS).items():
             push(f"slice(r=1,d={dia:g})", bid, resid)
         y = diagrams._lower_y("D2_RHR", f.circumradius / f.inradius)
         push(f"slice(r=1,d={dia:g})", "D2_RHR:lower", abs(f.cheeger * f.inradius - y) / f.cheeger)
     for dia in SUBEQ_DIAMETERS:
         spec = solve_param("subequilateral_triangle", ("w", 1.0), ("d", dia))
-        f, _ = _measured_with_h(spec, res)
+        f = measure_with_cheeger(build(spec, res))
         for bid, resid in _bound_residuals(f, SUBEQ_BOUNDS).items():
             push(f"subeq_triangle(w=1,d={dia:g})", bid, resid)
-    f, _ = _measured_with_h(SubequilateralTriangle(1.0, math.sqrt(3) / 2), res)
+    f = measure_with_cheeger(build(SubequilateralTriangle(1.0, math.sqrt(3) / 2), res))
     for bid, resid in _bound_residuals(f, EQUILATERAL_BOUNDS).items():
         push("equilateral_triangle(side=1)", bid, resid)
     return rows

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cheeger_atlas import bounds
 from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_all,
-                                  implicit_g, phi, psi, registry_csv,
-                                  subeq_area_from_perimeter, subeq_inverse)
-from cheeger_atlas.cheeger import cheeger_constant, implicit_bound_value, smallest_crossing
-from cheeger_atlas.errors import DomainError, OutOfRange
+                                  implicit_g, phi, psi, registry_csv)
+from cheeger_atlas.cheeger import cheeger_constant, smallest_crossing
+from cheeger_atlas.diagrams import DiagramSpec
+from cheeger_atlas.errors import DomainError
 from cheeger_atlas.functionals import measure
-from cheeger_atlas.sampler import valtr
-from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
-                                  triangle_functionals)
+from cheeger_atlas.sampler import seeded_polygon, valtr
+from cheeger_atlas.shapes import Resolution, Slice, Stadium, TwoCup, build, closed_form
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -112,27 +112,90 @@ class TestD0:
         assert 2.0 < v1 < dstar()
         assert abs(v1 - v2) < 1e-4
 
+    def test_few_cheeger_solves(self, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return cheeger_constant(*args, **kwargs)
+        monkeypatch.setattr(bounds, "_D0_CACHE", {})
+        monkeypatch.setattr(bounds, "cheeger_constant", counted)
+        d0(1024)
+        assert 3 <= len(solves) <= 10
+
+
+def _census_problems(count=100, seed=1):
+    """g1..g4 at the functionals of seeded unit-area census polygons."""
+    problems = []
+    for i in range(count):
+        f = measure(seeded_polygon(seed, i, 3, 30, "area")[2])
+        problems += [implicit_g("g1", d=f.diameter, r=f.inradius),
+                     implicit_g("g2", R=f.circumradius, r=f.inradius),
+                     implicit_g("g3", d=f.diameter, w=f.min_width),
+                     implicit_g("g4", w=f.min_width, R=f.circumradius)]
+    return problems
+
+
+def _diagram_problems():
+    """The implicit lower curves of the diagrams, one problem per grid abscissa."""
+    families = {"D2_RHR": lambda x: implicit_g("g2", R=x, r=1.0),
+                "D3_DHR": lambda x: implicit_g("g1", d=x, r=1.0),
+                "HWD": lambda x: implicit_g("g3", d=1.0, w=x),
+                "HWR_CIRC": lambda x: implicit_g("g4", w=x, R=1.0)}
+    return [make(float(x)) for did, make in families.items() for x in DiagramSpec(did).xs()]
+
+
+@pytest.fixture(scope="module")
+def crossing_problems():
+    return _census_problems() + _diagram_problems()
+
+
+def _scan_crossing(problem, points=1025):
+    """Oracle: the first sign change of g - pi t^2 on a grid, regridded to 1e-13 of the domain."""
+    lo, hi = 0.0, problem.upper
+    while hi - lo > 1e-13 * problem.upper:
+        ts = np.linspace(lo, hi, points)
+        k = int(np.argmax(problem.g(ts) - PI * ts * ts <= 0.0))
+        assert k > 0
+        lo, hi = float(ts[k - 1]), float(ts[k])
+    return 0.5 * (lo + hi)
+
+
+class TestCrossingContract:
+    def test_difference_is_non_increasing(self, crossing_problems):
+        # the premise of smallest_crossing: F = g - pi t^2 never rises
+        for problem in crossing_problems:
+            ts = np.linspace(0.0, problem.upper, 4097)
+            F = problem.g(ts) - PI * ts * ts
+            assert F[0] > 0.0 >= F[-1]
+            assert np.all(np.diff(F) <= 0.0)
+
+    def test_matches_scan_oracle(self, crossing_problems):
+        for problem in crossing_problems:
+            got = smallest_crossing(problem)
+            assert abs(got - _scan_crossing(problem)) <= 1e-12 * problem.upper
+
 
 class TestImplicitG:
     def test_g2_ball_reduction(self):
         problem = implicit_g("g2", R=1.0, r=1.0)
         ts = np.linspace(0, 1, 7)
         assert np.allclose(problem.g(ts), PI * (1 - ts) ** 2, atol=1e-12)
-        assert implicit_bound_value(problem) == pytest.approx(2.0, abs=1e-10)
+        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
 
     def test_g1_ball_reduction(self):
         problem = implicit_g("g1", d=2.0, r=1.0)
         ts = np.linspace(0, 1, 7)
         assert np.allclose(problem.g(ts), PI * (1 - ts) ** 2, atol=1e-12)
-        assert implicit_bound_value(problem) == pytest.approx(2.0, abs=1e-10)
+        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
 
     def test_g3_ball_reduction(self):
         problem = implicit_g("g3", d=2.0, w=2.0)
-        assert implicit_bound_value(problem) == pytest.approx(2.0, abs=1e-10)
+        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
 
     def test_g4_ball_reduction(self):
         problem = implicit_g("g4", w=2.0, R=1.0)
-        assert implicit_bound_value(problem) == pytest.approx(2.0, abs=1e-10)
+        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -162,32 +225,8 @@ class TestImplicitG:
             for fam, kw in [("g2", dict(R=f.circumradius, r=f.inradius)),
                             ("g3", dict(d=f.diameter, w=f.min_width)),
                             ("g4", dict(w=f.min_width, R=f.circumradius))]:
-                val = implicit_bound_value(implicit_g(fam, **kw))
+                val = 1 / smallest_crossing(implicit_g(fam, **kw))
                 assert val <= h * (1 + 1e-6)
-
-
-class TestSubeqInverse:
-    def test_equilateral_endpoints(self):
-        w = 1.3
-        assert subeq_inverse("area_from", w, w * w / SQRT3) == pytest.approx(w / 3, abs=1e-10)
-        assert subeq_inverse("perim_from", w, 2 * SQRT3 * w) == pytest.approx(w / 3, abs=1e-10)
-
-    def test_below_range(self):
-        with pytest.raises(OutOfRange):
-            subeq_inverse("area_from", 1.0, 0.5 / SQRT3)
-
-    @pytest.mark.parametrize("kind,key", [("area_from", "A"), ("perim_from", "P")])
-    def test_round_trip_on_triangles(self, kind, key):
-        for height in (1.0, 2.0, 5.0):
-            f = triangle_functionals(1.0, height)
-            r = subeq_inverse(kind, f.min_width, f.value(key))
-            assert r == pytest.approx(f.inradius, rel=1e-10)
-
-    def test_cubic_middle_root_matches_triangle_area(self):
-        for height in (0.9, 1.5, 4.0):
-            f = triangle_functionals(1.0, height)
-            A = subeq_area_from_perimeter(f.min_width, f.perimeter)
-            assert A == pytest.approx(f.area, rel=1e-9)
 
 
 class TestEvaluateAll:
@@ -224,7 +263,7 @@ class TestEvaluateAll:
         for _ in range(40):
             r = rng.uniform(0.2, 2.0)
             d = r * rng.uniform(2.0, 6.0)
-            lo_impl = implicit_bound_value(implicit_g("g1", d=d, r=r))
+            lo_impl = 1 / smallest_crossing(implicit_g("g1", d=d, r=r))
             s = d + 2 * r - math.sqrt((d + 2 * r) ** 2 - 2 * (4 - PI) * d * r)
             lo_expl = (4 - PI) / s
             assert lo_impl >= lo_expl - 1e-9

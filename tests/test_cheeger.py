@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheeger_atlas import cheeger as cheeger_mod
-from cheeger_atlas.cheeger import (ImplicitRootProblem, cheeger_constant,
-                                   implicit_bound_value, smallest_crossing)
+from cheeger_atlas.bounds import implicit_g
+from cheeger_atlas.cheeger import (ImplicitRootProblem, _bracketed_root, cheeger_constant,
+                                   smallest_crossing)
 from cheeger_atlas.errors import NoConvergence, NoRoot
 from cheeger_atlas.functionals import area, diameter, inradius, measure, perimeter
 from cheeger_atlas.geom import ConvexPolygon, OffsetMachine, inner_parallel, inner_parallel_area
-from cheeger_atlas.sampler import _rng, mix, normalize, valtr
+from cheeger_atlas.sampler import seeded_polygon, valtr
 from conftest import random_polygons, regular_ngon
 
 PI = math.pi
@@ -142,9 +144,8 @@ class TestDiagnostics:
         # drawn as verify.census draws its records; blind bisection took 45
         worst = 0
         for i in range(200):
-            rec_seed = mix(2024, i)
-            n = int(_rng(rec_seed).integers(3, 31))
-            d = cheeger_constant(normalize(valtr(n, rec_seed), "area"), with_set=False).diagnostics
+            poly = seeded_polygon(2024, i, 3, 30, "area")[2]
+            d = cheeger_constant(poly, with_set=False).diagnostics
             assert d.bisections == 0 and d.nudges == 0
             worst = max(worst, d.evaluations)
         assert worst <= 8
@@ -182,7 +183,7 @@ class TestSmallestCrossing:
     def test_symmetric_parabola(self):
         p = ImplicitRootProblem(g=lambda t: PI * (1 - t) ** 2, upper=1.0)
         assert smallest_crossing(p) == pytest.approx(0.5, abs=1e-13)
-        assert implicit_bound_value(p) == pytest.approx(2.0, abs=1e-12)
+        assert 1 / smallest_crossing(p) == pytest.approx(2.0, abs=1e-12)
 
     def test_square_offset_area(self, unit_square):
         p = ImplicitRootProblem(
@@ -199,10 +200,43 @@ class TestSmallestCrossing:
         with pytest.raises(NoRoot):
             smallest_crossing(ImplicitRootProblem(g=lambda t: -np.asarray(t), upper=1.0))
 
-    def test_largest_mode(self):
-        # g(t) = pi*(2t - t^2) meets pi t^2 at 0 (vacuous) and crosses at 1
-        g = lambda t: PI * np.maximum(2 * t - t * t, 0.0)
-        p_small = ImplicitRootProblem(g=g, upper=2.0, mode="smallest")
-        p_large = ImplicitRootProblem(g=g, upper=2.0, mode="largest")
-        assert smallest_crossing(p_small) == pytest.approx(1.0, abs=1e-10)
-        assert smallest_crossing(p_large) == pytest.approx(1.0, abs=1e-10)
+    def test_replaced_g_sees_every_evaluation(self):
+        # the benchmark counts g points through dataclasses.replace(problem, g=...)
+        inner, outer = [], []
+        base = implicit_g("g1", d=3.0, r=1.0)
+
+        def g(t):
+            inner.append(np.size(t))
+            return base.g(t)
+
+        def counting_g(t):
+            outer.append(np.size(t))
+            return g(t)
+        problem = ImplicitRootProblem(g, base.upper)
+        t = smallest_crossing(dataclasses.replace(problem, g=counting_g))
+        assert t == smallest_crossing(base)
+        assert sum(outer) == sum(inner) <= 16
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_either_orientation(self, sign):
+        f = lambda x: sign * (math.exp(x) - 2.0)
+        for a, b in ((0.0, 3.0), (3.0, 0.0)):
+            root = _bracketed_root(f, a, f(a), b, f(b), 1e-14)
+            assert root == pytest.approx(math.log(2.0), abs=1e-14)
+
+    def test_zero_at_an_end(self):
+        f = lambda x: x - 1.0
+        assert _bracketed_root(f, 1.0, 0.0, 2.0, 1.0, 1e-12) == 1.0
+        assert _bracketed_root(f, 0.0, -1.0, 1.0, 0.0, 1e-12) == 1.0
+
+    def test_no_sign_change(self):
+        with pytest.raises(NoRoot):
+            _bracketed_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0, 1e-12)
+
+    def test_runs_out_of_steps(self):
+        # a bracket of two neighbouring floats never gets below xtol = 0
+        step = lambda x: 1.0 if x < 1.0 / 3.0 else -1.0
+        with pytest.raises(NoConvergence):
+            _bracketed_root(step, 0.0, 1.0, 1.0, -1.0, 0.0)

@@ -11,7 +11,7 @@ from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, HalfPlane, OffsetMa
                                 halfplane_intersection, inner_parallel, inner_parallel_area,
                                 interpolate, minkowski_sum, polygon_from_json,
                                 polygon_to_json, support)
-from cheeger_atlas.sampler import valtr
+from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, SubequilateralTriangle, TwoCup,
                                   build, solve_param)
 from cheeger_atlas.verify import SLICE_DIAMETERS, STADIUM_GAPS, SUBEQ_DIAMETERS, TWOCUP_TIPS
@@ -53,7 +53,7 @@ class TestConvexHull:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 14))
     def test_idempotent(self, seed, n):
-        from cheeger_atlas.sampler import valtr
+        from cheeger_atlas.sampler import seeded_polygon, valtr
         p = valtr(n, seed)
         h = convex_hull(p.vertices)
         assert len(h) == len(p)
@@ -239,6 +239,22 @@ class TestOffsetOracle:
         predicted = m.area - m.perimeter * s + m.tan_sum * s * s
         assert machine.area_at(t + s).area == pytest.approx(predicted, abs=1e-12)
 
+    def test_one_offset_path(self):
+        # the vectorised chain meets no gap in the normal fan below the
+        # inradius, agrees with the clip there, and is empty from r on
+        bodies = [seeded_polygon(5, i, 3, 30, "none")[2] for i in range(2000)]
+        for poly in bodies + _sharpness_bodies(8192) + _sharpness_bodies(128):
+            r = inradius(poly)[0]
+            machine = OffsetMachine(poly)
+            for frac in (0.5, 0.99, 1.0 - 1e-12):
+                machine._fast_chain(frac * r)  # raises ValueError at a gap
+            if len(poly) <= 300:  # the clip is quadratic in the vertex count
+                clipped = self._clip(poly, 0.99 * r)
+                want = 0.0 if clipped is None else area(clipped)
+                assert machine.area_at(0.99 * r).area == pytest.approx(want, abs=1e-12)
+            for frac in (1.0, 1.0 + 1e-12, 1.2):
+                assert machine.area_at(frac * r) == (0.0, 0.0, 0.0, 0.0)
+
     def test_translation_keeps_area(self):
         # the chain runs centred, so only the rounding of the shifted input
         # (1.2e-10 at 1e6) is left
@@ -271,7 +287,7 @@ class TestMinkowski:
     @settings(max_examples=25, deadline=None)
     @given(sa=st.integers(0, 2**31), sb=st.integers(0, 2**31))
     def test_matches_bruteforce_hull(self, sa, sb):
-        from cheeger_atlas.sampler import valtr
+        from cheeger_atlas.sampler import seeded_polygon, valtr
         p, q = valtr(3 + sa % 9, sa), valtr(3 + sb % 9, sb)
         s = minkowski_sum(p, q)
         sums = (p.vertices[:, None, :] + q.vertices[None, :, :]).reshape(-1, 2)

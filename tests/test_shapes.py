@@ -197,11 +197,23 @@ class TestSolveParam:
         f = triangle_functionals(spec.base, spec.height)
         assert f.min_width == pytest.approx(1.0, abs=1e-8)
         assert f.diameter == pytest.approx(3.0, abs=1e-8)
+        # the triangles the registry matches by width and A, P or R, from
+        # the equilateral end on
+        for key in ("A", "P", "R"):
+            for height in (SQRT3 / 2, 1.0, 2.0, 5.0):
+                want = triangle_functionals(1.0, height)
+                spec = solve_param("subequilateral_triangle", (key, want.value(key)),
+                                   ("w", want.min_width))
+                assert spec.base == pytest.approx(1.0, rel=1e-10)
+                assert spec.height == pytest.approx(height, rel=1e-10)
 
     def test_unreachable(self):
         with pytest.raises(Unreachable):
             # a two-cup of inradius 1 cannot have diameter below 2
             solve_param("two_cup", ("d", 1.0), ("r", 1.0))
+        with pytest.raises(Unreachable):
+            # below the area of the equilateral triangle of width 1
+            solve_param("subequilateral_triangle", ("A", 0.5 / SQRT3), ("w", 1.0))
 
     def test_stadium_area_perimeter(self):
         spec = solve_param("stadium", ("A", 10.0), ("P", 12.0))
