@@ -9,10 +9,11 @@ from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_a
                                   implicit_g, phi, psi, registry_csv)
 from cheeger_atlas.cheeger import cheeger_constant, smallest_crossing
 from cheeger_atlas.diagrams import DiagramSpec
-from cheeger_atlas.errors import DomainError
+from cheeger_atlas.errors import DomainError, Unreachable
 from cheeger_atlas.functionals import measure
 from cheeger_atlas.sampler import seeded_polygon, valtr
-from cheeger_atlas.shapes import Resolution, Slice, Stadium, TwoCup, build, closed_form
+from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
+                                  solve_param, triangle_functionals)
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -227,6 +228,30 @@ class TestImplicitG:
                             ("g4", dict(w=f.min_width, R=f.circumradius))]:
                 val = 1 / smallest_crossing(implicit_g(fam, **kw))
                 assert val <= h * (1 + 1e-6)
+
+
+def _subeq_inradius(key, w, value):
+    """Inradius of the subequilateral triangle of width w and functional ``key``."""
+    spec = solve_param("subequilateral_triangle", (key, value), ("w", w))
+    return triangle_functionals(spec.base, spec.height).inradius
+
+
+class TestSubeqInverse:
+    def test_equilateral_endpoints(self):
+        w = 1.3
+        assert _subeq_inradius("A", w, w * w / SQRT3) == pytest.approx(w / 3, abs=1e-10)
+        assert _subeq_inradius("P", w, 2 * SQRT3 * w) == pytest.approx(w / 3, abs=1e-10)
+
+    def test_below_range(self):
+        with pytest.raises(Unreachable):
+            _subeq_inradius("A", 1.0, 0.5 / SQRT3)
+
+    @pytest.mark.parametrize("kind,key", [("area_from", "A"), ("perim_from", "P")])
+    def test_round_trip_on_triangles(self, kind, key):
+        for height in (1.0, 2.0, 5.0):
+            f = triangle_functionals(1.0, height)
+            r = _subeq_inradius(key, f.min_width, f.value(key))
+            assert r == pytest.approx(f.inradius, rel=1e-10)
 
 
 class TestEvaluateAll:
