@@ -197,14 +197,14 @@ def _arc(center, radius, a0, a1, step):
 
 
 def _dedupe(chunks, scale):
+    """Join boundary chunks, dropping each point within 1e-12*scale of the
+    one before it and a last point that closes onto the first."""
     pts = np.concatenate(chunks)
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-12 * scale:
-            keep.append(i)
-    if np.hypot(*(pts[keep[-1]] - pts[keep[0]])) <= 1e-12 * scale:
-        keep.pop()
-    return pts[keep]
+    gap = np.diff(pts, axis=0)
+    pts = pts[np.concatenate(([True], np.hypot(gap[:, 0], gap[:, 1]) > 1e-12 * scale))]
+    if np.hypot(*(pts[-1] - pts[0])) <= 1e-12 * scale:
+        pts = pts[:-1]
+    return pts
 
 
 def build(spec: ShapeSpec, res: Resolution | int = Resolution()) -> ConvexPolygon:

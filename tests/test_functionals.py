@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+from cheeger_atlas import functionals
+from cheeger_atlas.bounds import evaluate_all
+from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, area, circumradius, circumradius_brute,
                                        diameter, inradius, measure, min_width,
                                        min_width_brute, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
-from cheeger_atlas.sampler import valtr
+from cheeger_atlas.sampler import seeded_polygon, valtr
 from conftest import random_polygons, regular_ngon
 
 SQRT3 = math.sqrt(3.0)
@@ -99,6 +102,19 @@ class TestMeasureInvariants:
         assert f.inradius <= f.circumradius + slack
         assert f.perimeter > 2 * f.diameter - slack
 
+    def test_diameter_circle_radius_is_half_diameter(self):
+        # a minimal enclosing circle on the diameter pair has R == d/2 exactly,
+        # so the "d < 2R" applicability of HRD_UP does not flip on rounding
+        hits = 0
+        for i in range(200):
+            f = measure(seeded_polygon(1, i, 3, 30, "area")[2])
+            if abs(f.circumradius - f.diameter / 2) <= 1e-12 * f.diameter:
+                hits += 1
+                assert f.circumradius == f.diameter / 2
+                status = {r.id: r.status for r in evaluate_all(f)}
+                assert status["HRD_UP"] == "not-applicable"
+        assert hits > 0
+
     def test_monotone_under_inclusion(self):
         for poly in random_polygons(15, seed=33):
             r, _ = inradius(poly)
@@ -112,26 +128,56 @@ class TestMeasureInvariants:
             assert fi.min_width <= fo.min_width + 1e-9
 
 
+def moved(poly, shift, angle):
+    """The polygon rotated by ``angle`` about the origin, then shifted."""
+    c, s = math.cos(angle), math.sin(angle)
+    try:
+        return ConvexPolygon(poly.vertices @ np.array([[c, s], [-s, c]]) + np.asarray(shift))
+    except DegenerateInput:  # rounding flattened a needle; nothing to compare
+        reject()
+
+
+# |shift| <= 1e6
+SHIFTS = st.tuples(st.floats(-7e5, 7e5), st.floats(-7e5, 7e5))
+THIN_FAR = ConvexPolygon([[1e6, 1e6], [1e6 + 1, 1e6], [1e6 + 1, 1e6 + 1e-9], [1e6, 1e6 + 1e-9]])
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(4, 12))
-    def test_width_and_diameter(self, seed, n):
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(4, 300), shift=SHIFTS,
+           angle=st.floats(0.0, 2 * math.pi))
+    def test_width_and_diameter(self, seed, n, shift, angle):
         poly = valtr(n, seed)
-        w, _ = min_width(poly)
-        wb, _ = min_width_brute(poly)
-        assert w == pytest.approx(wb, abs=1e-12)
-        d, _, _ = diameter(poly)
-        diff = poly.vertices[:, None] - poly.vertices[None, :]
-        db = float(np.hypot(diff[..., 0], diff[..., 1]).max())
-        assert d == pytest.approx(db, abs=1e-12)
+        for p in (poly, moved(poly, shift, angle), THIN_FAR):
+            # the edge offsets c_i carry rounding of the coordinates' size
+            tol = 1e-12 * max(1.0, 1e-3 * float(np.abs(p.vertices).max()))
+            w, _ = min_width(p)
+            wb, _ = min_width_brute(p)
+            assert w == pytest.approx(wb, abs=tol)
+            d, _, _ = diameter(p)
+            diff = p.vertices[:, None] - p.vertices[None, :]
+            db = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+            assert d == pytest.approx(db, abs=tol)
+        height = THIN_FAR.vertices[2, 1] - THIN_FAR.vertices[1, 1]
+        assert min_width(THIN_FAR)[0] == height
+        assert diameter(THIN_FAR)[0] == math.hypot(1.0, height)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 10))
-    def test_circumradius(self, seed, n):
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 40), shift=SHIFTS,
+           angle=st.floats(0.0, 2 * math.pi))
+    def test_circumradius(self, seed, n, shift, angle):
         poly = valtr(n, seed)
-        R, _ = circumradius(poly)
-        Rb, _ = circumradius_brute(poly)
-        assert R == pytest.approx(Rb, abs=1e-9)
+        for p in (poly, moved(poly, shift, angle)):
+            R, _ = circumradius(p)
+            Rb, _ = circumradius_brute(p)
+            assert R == pytest.approx(Rb, abs=1e-9)
+
+    def test_circumradius_step_bound(self, equilateral, monkeypatch):
+        # a pair circle first, then the third vertex: two steps
+        assert circumradius(equilateral)[0] == pytest.approx(1 / SQRT3, abs=1e-15)
+        monkeypatch.setattr(functionals, "MAX_CIRCLE_STEPS", 1)
+        with pytest.raises(NoConvergence):
+            circumradius(equilateral)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 12))

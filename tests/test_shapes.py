@@ -6,6 +6,7 @@ import pytest
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import InvalidParam, Unreachable, Unsupported
 from cheeger_atlas.functionals import measure
+from cheeger_atlas import shapes
 from cheeger_atlas.geom import support
 from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Polygon, Resolution,
                                   Slice, SmoothedNonagon, Stadium,
@@ -245,3 +246,34 @@ class TestTwoCupAreaIdentity:
         expect = r * math.sqrt(d * d - 4 * r * r) + r * r * (PI - 2 * math.acos(2 * r / d))
         m = measure(build(TwoCup(r, k), Resolution(8192)))
         assert rel(m.area, expect) < 5e-5
+
+
+def dedupe_loop(chunks, scale):
+    """Reference for shapes._dedupe: compare each point with the last kept one."""
+    pts = np.concatenate(chunks)
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-12 * scale:
+            keep.append(i)
+    if np.hypot(*(pts[keep[-1]] - pts[keep[0]])) <= 1e-12 * scale:
+        keep.pop()
+    return pts[keep]
+
+
+class TestDedupe:
+    SPECS = [
+        Stadium(1.0, 0.0), Stadium(1.0, 1e-13), Stadium(1.0, 2.0), Stadium(0.5, 5.0),
+        TwoCup(1.0, 1.0), TwoCup(1.0, 1.0 + 1e-13), TwoCup(1.0, 2.0), TwoCup(2.0, 9.0),
+        Slice(1.0, 2.0), Slice(1.0, 2.0 + 1e-13), Slice(1.0, 3.0), Slice(0.5, 3.0),
+        SmoothedNonagon(1.0, 2.0 + 1e-9), SmoothedNonagon(1.0, 2.8),
+        SmoothedNonagon(1.0, 2 * SQRT3 - 1e-9),
+        ConstantWidthNonagon(1.0, 1 - 1 / SQRT3), ConstantWidthNonagon(1.0, 0.46),
+        ConstantWidthNonagon(1.0, 0.5 - 1e-9),
+    ]
+
+    @pytest.mark.parametrize("res", [16, 17, 64, 1000, 4096, 8192])
+    def test_matches_loop(self, res, monkeypatch):
+        fast = [build(spec, res).vertices for spec in self.SPECS]
+        monkeypatch.setattr(shapes, "_dedupe", dedupe_loop)
+        for spec, v in zip(self.SPECS, fast):
+            assert np.array_equal(build(spec, res).vertices, v), spec
