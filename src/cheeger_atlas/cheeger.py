@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoConvergence, NoRoot
-from .geom import ConvexPolygon, OffsetMachine, dilate, shoelace
+from .geom import ConvexPolygon, OffsetMachine, dilate, falling_root, shoelace
 
 # A crossing is solved until its bracket is below this fraction of the domain.
 CROSSING_REL_TOL = 1e-13
@@ -92,12 +92,10 @@ def _model_step(t: float, m) -> float:
     """Smaller root s of (T - pi) s^2 - (P + 2 pi t) s + (A - pi t^2) = 0.
 
     The quadratic is F(t + s) on the skeleton piece that holds t; the root
-    is taken in the form 2F / (b + sqrt(b^2 - 4aF)), which does not cancel.
+    is taken in the form that does not cancel (``geom.falling_root``).
     """
-    f = m.area - np.pi * t * t
-    a = m.tan_sum - np.pi
-    b = m.perimeter + 2.0 * np.pi * t
-    return 2.0 * f / (b + math.sqrt(max(b * b - 4.0 * a * f, 0.0)))
+    return falling_root(m.tan_sum - np.pi, m.perimeter + 2.0 * np.pi * t,
+                        m.area - np.pi * t * t)
 
 
 def _solve(machine: OffsetMachine):

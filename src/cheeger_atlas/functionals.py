@@ -4,10 +4,11 @@ Area and perimeter come straight from the vertex chain. Diameter and minimal
 width read the antipodal pairs (rotating calipers, Toussaint 1983): the
 vertex farthest from each edge is found at once for all edges by
 ``searchsorted`` of the opposite normal angle among the increasing edge-normal
-angles. The inradius is the Chebyshev-center linear program over the edge
-half-planes. The circumradius is the minimal enclosing circle of the
-vertices, found by farthest-violator iteration over a support set of at most
-three points (Elzinga & Hearn 1972).
+angles. The inradius is the offset at which the inner parallel set vanishes,
+found by walking its straight-skeleton events (Aichholzer et al. 1995) on
+the offset chain the Cheeger solve uses. The circumradius is the minimal
+enclosing circle of the vertices, found by farthest-violator iteration over
+a support set of at most three points (Elzinga & Hearn 1972).
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cheeger import cheeger_constant
-from .errors import DegenerateInput, NoConvergence
-from .geom import ConvexPolygon, shoelace
+from .errors import NoConvergence
+from .geom import ConvexPolygon, OffsetMachine, shoelace
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
@@ -152,25 +152,40 @@ def min_width_brute(poly: ConvexPolygon):
 
 
 def inradius(poly: ConvexPolygon):
-    """Chebyshev center: maximize t s.t. n_i . x <= c_i - t; returns (r, center).
+    """Largest inscribed disc; returns (r, center).
 
-    The LP solution is polished by re-solving the active constraint set
-    exactly, so the result is accurate to machine precision in regular cases.
+    r is the offset at which the inner parallel set vanishes, reached by
+    walking the straight skeleton (``OffsetMachine.collapse``).  The centre
+    and r are then polished by re-solving the active constraint set
+    n_i . x + r = c_i exactly, so the result is accurate to machine
+    precision in regular cases.  The polish's tolerances follow the
+    polygon's extent about its vertex mean, not its distance from the
+    origin.
     """
-    ns, cs = poly.edge_normals, poly.edge_offsets
-    m = len(cs)
-    A_ub = np.column_stack((ns, np.ones(m)))
-    res = linprog(np.array([0.0, 0.0, -1.0]), A_ub=A_ub, b_ub=cs,
-                  bounds=[(None, None), (None, None), (0.0, None)],
-                  method="highs")
-    if not res.success:
-        raise DegenerateInput(f"inradius LP failed: {res.message}")
-    x, t = res.x[:2], res.x[2]
-    scale = max(1.0, float(np.max(np.abs(poly.vertices))))
-    polished = _polish_chebyshev(ns, cs, x, t, scale)
+    machine = OffsetMachine(poly)
+    t, x = machine.collapse()
+    x = x + machine.origin
+    scale = max(1.0, float(np.max(np.abs(machine.local))))
+    polished = _polish_chebyshev(poly.edge_normals, poly.edge_offsets, x, t, scale)
     if polished is not None:
         x, t = polished
     return float(t), np.asarray(x, dtype=float)
+
+
+def inradius_brute(poly: ConvexPolygon):
+    """Oracle: the deepest of the points equidistant from three edge lines.
+
+    Every edge triple gives one such point, solved in one batch of 3x3
+    systems; the Chebyshev centre is among them.  Returns (r, center).
+    """
+    ns, cs = poly.edge_normals, poly.edge_offsets
+    triples = np.array(list(itertools.combinations(range(len(cs)), 3)))
+    M = np.concatenate((ns[triples], np.ones(triples.shape + (1,))), axis=2)
+    centers = np.linalg.solve(M, cs[triples][..., None])[:, :2, 0]
+    depth = np.concatenate([np.min(cs - part @ ns.T, axis=1)
+                            for part in np.array_split(centers, len(centers) // 4096 + 1)])
+    k = int(np.argmax(depth))
+    return float(depth[k]), centers[k]
 
 
 def _polish_chebyshev(ns, cs, x, t, scale):

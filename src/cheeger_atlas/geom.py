@@ -10,13 +10,14 @@ coordinates; there is no exact arithmetic.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, PolygonJsonError, UnboundedRegion
+from .errors import DegenerateInput, NoConvergence, PolygonJsonError, UnboundedRegion
 
 # Angle below which two half-plane normals are treated as parallel and merged.
 PARALLEL_EPS = 1e-10
@@ -24,6 +25,8 @@ PARALLEL_EPS = 1e-10
 DEGENERATE_AREA_REL = 1e-18
 # Unit-norm check for half-plane normals.
 UNIT_EPS = 1e-12
+# Skeleton steps ``OffsetMachine.collapse`` may take before it gives up.
+MAX_COLLAPSE_STEPS = 64
 
 
 def _as_vertex_array(vertices) -> np.ndarray:
@@ -360,8 +363,14 @@ _EMPTY = ChainMeasure(0.0, 0.0, 0.0, 0.0)
 
 
 def _chain_measure(verts: np.ndarray, ns: np.ndarray, lengths: np.ndarray) -> ChainMeasure:
-    """Measure a closed chain whose edge k ends at verts[k] with normal ns[k]."""
-    vx, vy = verts[:, 0], verts[:, 1]
+    """Measure a closed chain whose edge k ends at verts[k] with normal ns[k].
+
+    The shoelace runs about the vertex mean: its rounding is then of the
+    chain's own size, not of its distance from the frame origin, and stays
+    below the emptiness floor as the chain shrinks to a point.
+    """
+    centred = verts - verts.sum(axis=0) / len(verts)
+    vx, vy = centred[:, 0], centred[:, 1]
     a = 0.5 * (np.dot(vx, np.concatenate((vy[1:], vy[:1])))
                - np.dot(vy, np.concatenate((vx[1:], vx[:1]))))
     n2 = np.concatenate((ns[1:], ns[:1]))
@@ -375,16 +384,69 @@ def _chain_measure(verts: np.ndarray, ns: np.ndarray, lengths: np.ndarray) -> Ch
                         float(np.min(lengths / rates)))
 
 
-class OffsetMachine:
-    """Repeated inward offsets of one polygon (the Cheeger solve's hot path).
+def falling_root(a: float, b: float, f: float) -> float:
+    """Root s nearest 0 of a s^2 - b s + f = 0, for b > 0.
 
-    Normal merging and angle bookkeeping happen once; each query reruns only
-    the consecutive-intersection chain with redundant planes peeled off.  A
-    plane whose neighbor-pair vertex already satisfies it is globally
-    redundant, so the peeling is exact.  The chain runs in a frame centred
-    on the vertex mean, and its tolerances scale with the intrinsic size
-    ``2A/P`` (between the inradius and twice it), so that neither where the
-    polygon sits nor how thin it is moves the result.
+    Taken in the form 2f / (b + sqrt(b^2 - 4af)), which does not cancel.
+    """
+    return 2.0 * f / (b + math.sqrt(max(b * b - 4.0 * a * f, 0.0)))
+
+
+def _fan_det(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Cross product of each normal of a fan with the next one, ``n2``."""
+    return ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0]
+
+
+def _offset_chain(ns: np.ndarray, cs: np.ndarray, eps: float):
+    """Consecutive-intersection chain of the half-planes n_k . x <= c_k.
+
+    The normals are sorted by angle and pairwise non-parallel.  Planes whose
+    edge is not longer than ``eps`` are peeled off; a plane whose
+    neighbour-pair vertex already satisfies it is globally redundant, so the
+    peeling is exact.  Returns (vertices, normals, edge lengths, offsets) of
+    the surviving planes, edge k ending at vertex k, or None once the region
+    is empty: fewer than 3 planes survive, or the normal fan has a gap (the
+    planes then hold no bounded region).
+    """
+    passes = 0
+    while True:
+        if len(cs) < 3:
+            return None
+        n2 = np.concatenate((ns[1:], ns[:1]))
+        det = _fan_det(ns, n2)
+        if float(np.min(det)) <= 0.0:
+            return None
+        c2 = np.concatenate((cs[1:], cs[:1]))
+        vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
+        vy = (ns[:, 0] * c2 - n2[:, 0] * cs) / det
+        adv = -(vx - np.concatenate((vx[-1:], vx[:-1]))) * ns[:, 1] \
+            + (vy - np.concatenate((vy[-1:], vy[:-1]))) * ns[:, 0]
+        dead = adv <= eps
+        if not dead.any():
+            return np.column_stack((vx, vy)), ns, adv, cs
+        keep = ~dead
+        ns, cs = ns[keep], cs[keep]
+        passes += 1
+        if passes >= 6:
+            # long removal cascades (fine arcs eaten by long edges):
+            # switch to the linear-time deque peel
+            survivors = _deque_peel(ns, cs)
+            if survivors is None:
+                return None
+            ns, cs = ns[survivors], cs[survivors]
+            passes = 0
+
+
+class OffsetMachine:
+    """Repeated inward offsets of one polygon.
+
+    Both the Cheeger solve (``area_at``) and the inradius (``collapse``)
+    read the inner parallel sets through it.  Normal merging happens once;
+    each query reruns only the consecutive-intersection chain with
+    redundant planes peeled off (``_offset_chain``).  The chain runs in a
+    frame centred on the vertex mean, and its tolerances scale with the
+    intrinsic size ``2A/P`` (between the inradius and twice it), so that
+    neither where the polygon sits nor how thin it is moves the result.
     """
 
     def __init__(self, poly: ConvexPolygon):
@@ -396,50 +458,42 @@ class OffsetMachine:
         self.area0 = shoelace(self.local)
         edges = np.roll(self.local, -1, axis=0) - self.local
         self.size = 2.0 * self.area0 / float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
-        self.measure0 = _chain_measure(*self._chain(0.0))._replace(area=self.area0)
-
-    def _fast_chain(self, t: float):
-        ns, cs = self.ns, self.cs - t
-        eps = self.size * 1e-14
-        passes = 0
-        while True:
-            if len(cs) < 3:
-                return None
-            n2 = np.concatenate((ns[1:], ns[:1]))
-            c2 = np.concatenate((cs[1:], cs[:1]))
-            det = ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0]
-            if float(np.min(det)) <= 0.0:
-                raise ValueError("normal fan gap")
-            vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
-            vy = (ns[:, 0] * c2 - n2[:, 0] * cs) / det
-            adv = -(vx - np.concatenate((vx[-1:], vx[:-1]))) * ns[:, 1] \
-                + (vy - np.concatenate((vy[-1:], vy[:-1]))) * ns[:, 0]
-            dead = adv <= eps
-            if not dead.any():
-                return np.column_stack((vx, vy)), ns, adv
-            keep = ~dead
-            ns, cs = ns[keep], cs[keep]
-            passes += 1
-            if passes >= 6:
-                # long removal cascades (fine arcs eaten by long edges):
-                # switch to the linear-time deque peel
-                survivors = _deque_peel(ns, cs)
-                if survivors is None:
-                    return None
-                ns, cs = ns[survivors], cs[survivors]
-                passes = 0
+        self.eps = self.size * 1e-14
+        self.chain0 = self._chain(0.0)
+        self.measure0 = _chain_measure(*self.chain0[:3])._replace(area=self.area0)
 
     def _chain(self, t: float):
-        """Local-frame (vertices, normals, edge lengths) at t; None once empty.
+        """Local-frame chain of the inner parallel set at t; None once empty."""
+        return _offset_chain(self.ns, self.cs - t, self.eps)
 
-        Edge k ends at vertex k.  A gap in the normal fan means the shifted
-        planes hold no bounded region: t is at least the inradius, where
-        the inner parallel set is empty.
+    def collapse(self):
+        """(r, local centre): the offset r at which the inner parallel set vanishes.
+
+        Walks the straight skeleton from t = 0.  Up to the reach of the
+        chain at t the area is A - P s + T s^2, and T only grows at skeleton
+        events, so the smaller root of that quadratic is at most r - t, as
+        is the reach.  Each step moves by the larger of the two, the root
+        taken just short so that it does not pass the collapse on rounding,
+        and continues from the surviving planes only: a plane redundant at t
+        stays redundant beyond it.  The first step that leaves an empty
+        chain ends at r; the centre, in the machine's centred frame, is the
+        mean of the last chain's vertices, each moved along its bisector by
+        that step.
         """
-        try:
-            return self._fast_chain(t)
-        except ValueError:
-            return None
+        floor = self.area0 * DEGENERATE_AREA_REL
+        t, chain, m = 0.0, self.chain0, self.measure0
+        for _ in range(MAX_COLLAPSE_STEPS):
+            verts, ns, _, cs = chain
+            step = max(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
+            nxt = _offset_chain(ns, cs - step, self.eps)
+            m = None if nxt is None else _chain_measure(*nxt[:3])
+            if m is None or m.area <= floor:
+                n2 = np.concatenate((ns[1:], ns[:1]))
+                bisectors = (ns + n2) / (1.0 + np.einsum("ij,ij->i", ns, n2))[:, None]
+                return t + step, (verts - step * bisectors).mean(axis=0)
+            t, chain = t + step, nxt
+        raise NoConvergence(f"inner parallel set did not vanish in {MAX_COLLAPSE_STEPS} "
+                            f"skeleton steps (t = {t!r})")
 
     def area_at(self, t: float) -> ChainMeasure:
         """Area, perimeter, tan sum and reach of the inner parallel set at t."""
@@ -448,7 +502,7 @@ class OffsetMachine:
         chain = self._chain(t)
         if chain is None:
             return _EMPTY
-        m = _chain_measure(*chain)
+        m = _chain_measure(*chain[:3])
         return _EMPTY if m.area <= self.area0 * DEGENERATE_AREA_REL else m
 
     def vertices_at(self, t: float) -> np.ndarray | None:

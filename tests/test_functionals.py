@@ -1,17 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from cheeger_atlas import functionals
+import cheeger_atlas
+from cheeger_atlas import functionals, geom
 from cheeger_atlas.bounds import evaluate_all
 from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, area, circumradius, circumradius_brute,
-                                       diameter, inradius, measure, min_width,
-                                       min_width_brute, perimeter)
+                                       diameter, inradius, inradius_brute, measure,
+                                       min_width, min_width_brute, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
-from cheeger_atlas.sampler import seeded_polygon, valtr
+from cheeger_atlas.sampler import mix, normalize, seeded_polygon, valtr
 from conftest import random_polygons, regular_ngon
 
 SQRT3 = math.sqrt(3.0)
@@ -180,12 +184,21 @@ class TestAgainstBruteForce:
             circumradius(equilateral)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 12))
-    def test_inradius_offset_root_oracle(self, seed, n):
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 40), tag=st.sampled_from(["none", "area"]),
+           shift=SHIFTS, angle=st.floats(0.0, 2 * math.pi))
+    # a 100-gon whose depth is flat to 1e-7 near its centre; a sharp triangle
+    # (census seed 90210, record 1742) whose chain ends far from the frame
+    # origin; a heptagon moved by 5e5, where a polish tolerance taken from
+    # |v| accepted an infeasible triple 7e-7 too deep
+    @example(seed=1708, n=100, tag="none", shift=(0.0, 0.0), angle=0.0)
+    @example(seed=mix(90210, 1742), n=3, tag="area", shift=(0.0, 0.0), angle=0.0)
+    @example(seed=352998337988516388, n=7, tag="none",
+             shift=(302332.7306981236, -403362.5905221078), angle=3.8393576035975197)
+    def test_inradius_offset_root_oracle(self, seed, n, tag, shift, angle):
         # the offset-root method: r is where |poly_{-t}| hits zero; the
         # shoelace noise floor limits the root to ~sqrt(eps), so the oracle
         # itself only resolves r to about 1e-7
-        poly = valtr(n, seed)
+        poly = normalize(valtr(n, seed), tag)
         r, center = inradius(poly)
         lo, hi = 0.0, min_width(poly)[0] / 2 + 1e-9
         for _ in range(60):
@@ -198,6 +211,19 @@ class TestAgainstBruteForce:
         # returned center realizes the clearance
         depth = float(np.min(poly.edge_offsets - poly.edge_normals @ center))
         assert depth == pytest.approx(r, abs=1e-9)
+        for p in (poly, moved(poly, shift, angle), THIN_FAR):
+            tol = 1e-12 * max(1.0, 1e-3 * float(np.abs(p.vertices).max()))
+            assert inradius(p)[0] == pytest.approx(inradius_brute(p)[0], abs=tol)
+
+    def test_inradius_step_bound(self, monkeypatch):
+        # the short right edge vanishes at the first step, the triangle of
+        # the other three planes at the second; the incircle touches the
+        # axes and the line x + 2y = 6
+        quad = ConvexPolygon([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [0.0, 3.0]])
+        assert inradius(quad)[0] == pytest.approx(6 / (3 + math.sqrt(5)), abs=1e-15)
+        monkeypatch.setattr(geom, "MAX_COLLAPSE_STEPS", 1)
+        with pytest.raises(NoConvergence):
+            inradius(quad)
 
 
 class TestFunctionalsRecord:
@@ -210,3 +236,13 @@ class TestFunctionalsRecord:
         assert f.value("h") == 2.0
         with pytest.raises(ValueError):
             Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=2.0, cheeger_t=0.4)
+
+
+class TestImport:
+    def test_no_scipy(self):
+        # a fresh interpreter, importing the package under test
+        src = os.path.dirname(os.path.dirname(cheeger_atlas.__file__))
+        code = "import sys, cheeger_atlas; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
