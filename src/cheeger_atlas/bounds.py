@@ -1,10 +1,14 @@
 """Every sharp bound on the Cheeger constant, as a queryable registry.
 
 Each inequality gets a symbolic id, a direction (lower/upper bound on h), an
-applicability predicate on the six functionals, and an evaluator.  Implicit
-bounds solve g(t) = pi t^2 with ``smallest_crossing``; triangle-valued
-bounds match a subequilateral triangle through ``shapes.solve_param`` and use
-the triangle identity h = 1/r + sqrt(pi/A).
+applicability predicate on the six functionals, and an evaluator.  The
+registry is evaluated on columns: ``evaluate_all(*records)`` gathers each
+functional of all records into one numpy array, and every predicate and
+value is computed once on those arrays.  Implicit bounds solve the column's
+equations g(t) = pi t^2 in one ``smallest_crossing`` call; triangle-valued
+bounds match the column's subequilateral triangles in one
+``shapes.solve_param`` call and use the triangle identity
+h = 1/r + sqrt(pi/A).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +26,7 @@ from . import shapes
 from .cheeger import ImplicitRootProblem, _bracketed_root, cheeger_constant, smallest_crossing
 from .errors import DomainError, NoConvergence, NoRoot, NonMonotone, Unreachable
 from .functionals import Functionals
-from .shapes import Resolution, SmoothedNonagon, SubequilateralTriangle, triangle_functionals
+from .shapes import Resolution, SmoothedNonagon, triangle_values
 
 SQRT3 = math.sqrt(3.0)
 PI = math.pi
@@ -34,6 +39,16 @@ def _to_arrays(*vals):
     return arrs, scalar
 
 
+def _in_domain(out, bad, scalar, message):
+    """``out`` as a float, or DomainError, for scalar arguments; for arrays,
+    ``out`` with NaN where ``bad`` marks an element outside the domain."""
+    if scalar:
+        if bad:
+            raise DomainError(message)
+        return float(out)
+    return np.where(bad, np.nan, out)
+
+
 def psi(d, r):
     """Largest area of a convex body with diameter d and inradius r.
 
@@ -42,8 +57,6 @@ def psi(d, r):
     the degenerate limit (area 0).
     """
     (d, r), scalar = _to_arrays(d, r)
-    if np.any(r < -0.0) or np.any(d + _DOMAIN_TOL * np.maximum(1.0, d) < 2 * r):
-        raise DomainError("psi needs d >= 2r >= 0")
     ds = dstar()
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_d = np.where(d <= 0.0, 1.0, d)
@@ -52,41 +65,43 @@ def psi(d, r):
         g_branch = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
             + (d * d / 2) * np.arcsin(np.clip(2 * r / safe_d, -1.0, 1.0))
     out = np.where(d <= 0.0, 0.0, np.where(d <= r * ds, f_branch, g_branch))
-    return float(out) if scalar else out
+    bad = (r < -0.0) | (d + _DOMAIN_TOL * np.maximum(1.0, d) < 2 * r)
+    return _in_domain(out, bad, scalar, "psi needs d >= 2r >= 0")
 
 
 def chi(omega, R):
     """Largest area of a convex body with minimal width omega and circumradius R."""
     (w, R), scalar = _to_arrays(omega, R)
-    if np.any(w < -0.0) or np.any(w > 2 * R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL):
-        raise DomainError("chi needs 0 <= omega <= 2R")
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_R = np.where(R <= 0.0, 1.0, R)
         val = (w / 2) * np.sqrt(np.maximum(4 * R * R - w * w, 0.0)) \
             + 2 * R * R * np.arcsin(np.clip(w / (2 * safe_R), -1.0, 1.0))
     out = np.where(R <= 0.0, 0.0, val)
-    return float(out) if scalar else out
+    bad = (w < -0.0) | (w > 2 * R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL)
+    return _in_domain(out, bad, scalar, "chi needs 0 <= omega <= 2R")
 
 
 def phi(R, r):
     """Largest area of a convex body with circumradius R and inradius r."""
     (R, r), scalar = _to_arrays(R, r)
-    if np.any(r < -0.0) or np.any(r > R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL):
-        raise DomainError("phi needs 0 <= r <= R")
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_R = np.where(R <= 0.0, 1.0, R)
         val = 2 * (r * np.sqrt(np.maximum(R * R - r * r, 0.0))
                    + R * R * np.arcsin(np.clip(r / safe_R, -1.0, 1.0)))
     out = np.where(R <= 0.0, 0.0, val)
-    return float(out) if scalar else out
+    bad = (r < -0.0) | (r > R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL)
+    return _in_domain(out, bad, scalar, "phi needs 0 <= r <= R")
 
 
-def arcsinc(x: float) -> float:
-    """Inverse of sin(y)/y on [0, pi): the unique y with sinc(y) = x."""
-    if not 0.0 < x <= 1.0:
-        raise DomainError("arcsinc is defined on (0, 1]")
+def arcsinc(x):
+    """Inverse of sin(y)/y on [0, pi): the unique y with sinc(y) = x.
+
+    Accepts an array, solved in one root loop, with NaN outside (0, 1].
+    """
+    (x,), scalar = _to_arrays(x)
+    x = _in_domain(x, ~((0.0 < x) & (x <= 1.0)), scalar, "arcsinc is defined on (0, 1]")
     # sinc falls from 1 at y = 0 to 0 at y = pi; the ends are never evaluated
-    return _bracketed_root(lambda y: math.sin(y) / y - x, 0.0, 1.0 - x, PI, -x, 1e-14)
+    return _bracketed_root(lambda y: np.sin(y) / y - x, 0.0, 1.0 - x, PI, -x, 1e-14)
 
 
 @lru_cache(maxsize=1)
@@ -139,28 +154,33 @@ def implicit_g(family: str, **params) -> ImplicitRootProblem:
     g2(R, r):  phi(R - t, r - t)       on [0, r]
     g3(d, w):  slice area f(d-2t,w-2t) on [0, w/2]
     g4(w, R):  chi(w - 2t, R - t)      on [0, w/2]
+
+    Array parameters (broadcast together) give a column of problems; an
+    element outside the family's domain gets a NaN domain end, so its
+    crossing comes back NaN instead of raising DomainError.
     """
+    if family not in ("g1", "g2", "g3", "g4"):
+        raise DomainError(f"unknown implicit family {family!r}")
+    names = {"g1": ("d", "r"), "g2": ("R", "r"), "g3": ("d", "w"), "g4": ("w", "R")}[family]
+    p, q = np.broadcast_arrays(*(np.asarray(params[k], dtype=float) for k in names))
+    scalar = p.ndim == 0
+    if scalar:
+        p, q = float(p), float(q)
     if family == "g1":
-        d, r = params["d"], params["r"]
-        if d < 2 * r - _DOMAIN_TOL:
-            raise DomainError("g1 needs d >= 2r")
-        return ImplicitRootProblem(lambda t: psi(d - 2 * t, np.maximum(r - t, 0.0)), r)
+        d, r = p, q
+        upper = _in_domain(r, d < 2 * r - _DOMAIN_TOL, scalar, "g1 needs d >= 2r")
+        return ImplicitRootProblem(lambda t: psi(d - 2 * t, np.maximum(r - t, 0.0)), upper)
     if family == "g2":
-        R, r = params["R"], params["r"]
-        if R < r - _DOMAIN_TOL:
-            raise DomainError("g2 needs R >= r")
-        return ImplicitRootProblem(lambda t: phi(np.maximum(R - t, 0.0), np.maximum(r - t, 0.0)), r)
+        R, r = p, q
+        upper = _in_domain(r, R < r - _DOMAIN_TOL, scalar, "g2 needs R >= r")
+        return ImplicitRootProblem(lambda t: phi(np.maximum(R - t, 0.0), np.maximum(r - t, 0.0)), upper)
     if family == "g3":
-        d, w = params["d"], params["w"]
-        if d < w - _DOMAIN_TOL:
-            raise DomainError("g3 needs d >= omega")
-        return ImplicitRootProblem(lambda t: _slice_area(d - 2 * t, np.maximum(w - 2 * t, 0.0)), w / 2)
-    if family == "g4":
-        w, R = params["w"], params["R"]
-        if 2 * R < w - _DOMAIN_TOL:
-            raise DomainError("g4 needs 2R >= omega")
-        return ImplicitRootProblem(lambda t: chi(np.maximum(w - 2 * t, 0.0), np.maximum(R - t, 0.0)), w / 2)
-    raise DomainError(f"unknown implicit family {family!r}")
+        d, w = p, q
+        upper = _in_domain(w / 2, d < w - _DOMAIN_TOL, scalar, "g3 needs d >= omega")
+        return ImplicitRootProblem(lambda t: _slice_area(d - 2 * t, np.maximum(w - 2 * t, 0.0)), upper)
+    w, R = p, q
+    upper = _in_domain(w / 2, 2 * R < w - _DOMAIN_TOL, scalar, "g4 needs 2R >= omega")
+    return ImplicitRootProblem(lambda t: chi(np.maximum(w - 2 * t, 0.0), np.maximum(R - t, 0.0)), upper)
 
 
 def _slice_area(d, w):
@@ -174,18 +194,21 @@ def _slice_area(d, w):
     return float(out) if scalar else out
 
 
-def _triangle_h_from_wd(w: float, d: float) -> float:
-    """h of the subequilateral triangle with width w and diameter d (w <= sqrt(3)d/2)."""
-    b2 = 2 * d * d - 2 * d * math.sqrt(max(d * d - w * w, 0.0))
-    b = math.sqrt(b2)
-    height = math.sqrt(max(d * d - b2 / 4, 0.0))
-    return triangle_functionals(b, height).cheeger
+def _triangle_h_from_wd(w, d):
+    """h of the subequilateral triangles with widths w and diameters d (w <= sqrt(3)d/2)."""
+    b2 = 2 * d * d - 2 * d * np.sqrt(np.maximum(d * d - w * w, 0.0))
+    height = np.sqrt(np.maximum(d * d - b2 / 4, 0.0))
+    return triangle_values(np.sqrt(b2), height)["h"]
 
 
-def _triangle_h_matched(fixed_id: str, fixed_val: float, target_id: str, target_val: float) -> float:
-    spec = shapes.solve_param("subequilateral_triangle", (target_id, target_val), (fixed_id, fixed_val))
-    assert isinstance(spec, SubequilateralTriangle)
-    return triangle_functionals(spec.base, spec.height).cheeger
+def _triangle_h_matched(fixed_id: str, fixed_val, target_id: str, target_val) -> np.ndarray:
+    """h of the subequilateral triangles matching a column of (fixed, target)
+    values, in one ``solve_param`` call; NaN where no triangle matches."""
+    specs = shapes.solve_param("subequilateral_triangle", (target_id, np.atleast_1d(target_val)),
+                               (fixed_id, fixed_val))
+    base, height = (np.array([np.nan if s is None else getattr(s, k) for s in specs])
+                    for k in ("base", "height"))
+    return triangle_values(base, height)["h"]
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +242,12 @@ class BoundResult:
         return self.status != "not-applicable"
 
 
-def _g_value(fam, **params):
-    try:
-        return 1.0 / smallest_crossing(implicit_g(fam, **params))
-    except NoRoot:
-        return None
+def _crossing_h(family: str, **params) -> np.ndarray:
+    return 1.0 / smallest_crossing(implicit_g(family, **params))
+
+
+# the six functionals of a column of records, one array each
+_Column = namedtuple("_Column", "area perimeter inradius circumradius diameter min_width")
 
 
 def _build_registry():
@@ -232,18 +256,18 @@ def _build_registry():
     def add(bid, direction, cond_str, formula_id, extremal, pred, value):
         reg.append((BoundDef(bid, direction, cond_str, formula_id, extremal), pred, value))
 
-    always = lambda f: True
+    always = lambda f: np.ones(f.area.shape, dtype=bool)
 
     add("HRA_LO", "lower", "", "h-r-area-lower", "stadiums", always,
         lambda f: 1 / f.inradius + PI * f.inradius / f.area)
     add("HRA_UP", "upper", "", "h-r-area-upper", "form-body homothets", always,
-        lambda f: 1 / f.inradius + math.sqrt(PI / f.area))
+        lambda f: 1 / f.inradius + np.sqrt(PI / f.area))
     add("HPA_LO", "lower", "", "h-perim-area-lower", "form-body homothets", always,
-        lambda f: (f.perimeter + math.sqrt(4 * PI * f.area)) / (2 * f.area))
+        lambda f: (f.perimeter + np.sqrt(4 * PI * f.area)) / (2 * f.area))
     add("HPA_UP", "upper", "", "h-perim-area-upper", "bodies Cheeger of themselves", always,
         lambda f: f.perimeter / f.area)
     add("ONEQ_A", "lower", "", "h-area-only", "balls", always,
-        lambda f: 2 * math.sqrt(PI / f.area))
+        lambda f: 2 * np.sqrt(PI / f.area))
     add("ONEQ_P", "lower", "", "h-perimeter-only", "balls", always,
         lambda f: 4 * PI / f.perimeter)
     add("ONEQ_D", "lower", "", "h-diameter-only", "balls", always,
@@ -255,37 +279,37 @@ def _build_registry():
     add("HRP_LO", "lower", "", "h-r-perim-lower", "stadiums", always,
         lambda f: 1 / f.inradius + PI / (f.perimeter - PI * f.inradius))
     add("HRP_UP", "upper", "", "h-r-perim-upper", "form-body homothets", always,
-        lambda f: 1 / f.inradius + math.sqrt(2 * PI / (f.perimeter * f.inradius)))
+        lambda f: 1 / f.inradius + np.sqrt(2 * PI / (f.perimeter * f.inradius)))
 
     def hdr_up(f):
         r, d = f.inradius, f.diameter
-        den = r * math.sqrt(max(d * d - 4 * r * r, 0.0)) \
-            + r * r * (PI - 2 * math.acos(min(1.0, 2 * r / d)))
-        return 1 / r + math.sqrt(PI / den)
+        den = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
+            + r * r * (PI - 2 * np.arccos(np.minimum(1.0, 2 * r / d)))
+        return 1 / r + np.sqrt(PI / den)
     add("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", always, hdr_up)
     add("HDR_LO_IMPLICIT", "lower", "", "g1-crossing", "slices / smoothed nonagons", always,
-        lambda f: _g_value("g1", d=f.diameter, r=f.inradius))
+        lambda f: _crossing_h("g1", d=f.diameter, r=f.inradius))
 
     def hdr_lo_exp(f):
         d, r = f.diameter, f.inradius
-        return (4 - PI) / (d + 2 * r - math.sqrt((d + 2 * r) ** 2 - 2 * (4 - PI) * d * r))
+        return (4 - PI) / (d + 2 * r - np.sqrt((d + 2 * r) ** 2 - 2 * (4 - PI) * d * r))
     add("HDR_LO_EXPLICIT", "lower", "", "h-d-r-lower-explicit", "thinning rectangles", always, hdr_lo_exp)
 
     def hrr_up(f):
         r, R = f.inradius, f.circumradius
-        den = 2 * r * (math.sqrt(max(R * R - r * r, 0.0)) + r * math.asin(min(1.0, r / R)))
-        return 1 / r + math.sqrt(PI / den)
+        den = 2 * r * (np.sqrt(np.maximum(R * R - r * r, 0.0)) + r * np.arcsin(np.minimum(1.0, r / R)))
+        return 1 / r + np.sqrt(PI / den)
     add("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", always, hrr_up)
     add("HRR_LO_IMPLICIT", "lower", "", "g2-crossing", "slices", always,
-        lambda f: _g_value("g2", R=f.circumradius, r=f.inradius))
+        lambda f: _crossing_h("g2", R=f.circumradius, r=f.inradius))
 
     def hrr_lo_exp(f):
         R, r = f.circumradius, f.inradius
-        return (4 - PI) / (2 * (R + r) - math.sqrt(4 * (R + r) ** 2 - 4 * (4 - PI) * R * r))
+        return (4 - PI) / (2 * (R + r) - np.sqrt(4 * (R + r) ** 2 - 4 * (4 - PI) * R * r))
     add("HRR_LO_EXPLICIT", "lower", "", "h-R-r-lower-explicit", "thinning rectangles", always, hrr_lo_exp)
 
     add("HDW_LO_IMPLICIT", "lower", "", "g3-crossing", "slices", always,
-        lambda f: _g_value("g3", d=f.diameter, w=f.min_width))
+        lambda f: _crossing_h("g3", d=f.diameter, w=f.min_width))
     add("HDW_UP_TRI", "upper", "omega <= sqrt(3)/2 * d", "h-w-d-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= SQRT3 / 2 * f.diameter,
@@ -293,9 +317,9 @@ def _build_registry():
 
     def hdw_up_yam(f):
         w, d = f.min_width, f.diameter
-        ac = math.acos(min(1.0, w / d))
-        den = PI * w * w - SQRT3 * d * d + 6 * w * w * (math.tan(ac) - ac)
-        return SQRT3 / (SQRT3 * w - d) + math.sqrt(2 * PI / den)
+        ac = np.arccos(np.minimum(1.0, w / d))
+        den = PI * w * w - SQRT3 * d * d + 6 * w * w * (np.tan(ac) - ac)
+        return SQRT3 / (SQRT3 * w - d) + np.sqrt(2 * PI / den)
     add("HDW_UP_YAM", "upper", "sqrt(3)/2 * d <= omega <= d", "h-w-d-upper-yamanouti",
         "equilateral triangles",
         lambda f: SQRT3 / 2 * f.diameter <= f.min_width,
@@ -304,21 +328,21 @@ def _build_registry():
     def hdw_lo_exp(f):
         w, d = f.min_width, f.diameter
         inv = 1 / w + 1 / d
-        return inv + math.sqrt(inv * inv - (4 - PI) / (w * d))
+        return inv + np.sqrt(inv * inv - (4 - PI) / (w * d))
     add("HDW_LO_EXPLICIT", "lower", "", "h-w-d-lower-explicit", "thinning rectangles", always, hdw_lo_exp)
 
     add("HRW_LO_IMPLICIT", "lower", "", "g4-crossing", "slices", always,
-        lambda f: _g_value("g4", w=f.min_width, R=f.circumradius))
+        lambda f: _crossing_h("g4", w=f.min_width, R=f.circumradius))
     add("HRW_UP_TRI", "upper", "omega <= 3R/2", "h-w-R-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= 1.5 * f.circumradius,
         lambda f: _triangle_h_matched("R", f.circumradius, "w", f.min_width))
     add("HRW_UP_EXPLICIT", "upper", "", "h-w-R-upper-explicit", "equilateral triangles", always,
-        lambda f: 3 / f.min_width + math.sqrt(2 * PI / (SQRT3 * f.circumradius * f.min_width)))
+        lambda f: 3 / f.min_width + np.sqrt(2 * PI / (SQRT3 * f.circumradius * f.min_width)))
 
     def hrw_lo_exp(f):
         R, w = f.circumradius, f.min_width
-        return (4 - PI) / ((2 * R + w) - math.sqrt((2 * R + w) ** 2 - 2 * (4 - PI) * R * w))
+        return (4 - PI) / ((2 * R + w) - np.sqrt((2 * R + w) ** 2 - 2 * (4 - PI) * R * w))
     add("HRW_LO_EXPLICIT", "lower", "", "h-w-R-lower-explicit", "thinning rectangles", always, hrw_lo_exp)
 
     add("HAW_LO", "lower", "", "h-w-area-lower", "stadiums", always,
@@ -328,9 +352,9 @@ def _build_registry():
         lambda f: SQRT3 * f.area >= f.min_width ** 2 * (1 - 1e-12),
         lambda f: _triangle_h_matched("w", f.min_width, "A", f.area))
     add("HAW_UP1", "upper", "", "h-w-area-upper-1", "equilateral triangles", always,
-        lambda f: 2 / f.min_width + f.min_width / (SQRT3 * f.area) + math.sqrt(PI / f.area))
+        lambda f: 2 / f.min_width + f.min_width / (SQRT3 * f.area) + np.sqrt(PI / f.area))
     add("HAW_UP2", "upper", "", "h-w-area-upper-2", "thin subequilateral triangles", always,
-        lambda f: 2 / (f.min_width - f.min_width ** 3 / (4 * f.area)) + math.sqrt(PI / f.area))
+        lambda f: 2 / (f.min_width - f.min_width ** 3 / (4 * f.area)) + np.sqrt(PI / f.area))
 
     add("HWP_LO", "lower", "", "h-w-perim-lower", "stadiums", always,
         lambda f: 2 / f.min_width + 2 * PI / (2 * f.perimeter - PI * f.min_width))
@@ -341,15 +365,15 @@ def _build_registry():
 
     def hrd_up(f):
         R, d = f.circumradius, f.diameter
-        root = math.sqrt(max(4 * R * R - d * d, 0.0))
-        return 2 * R * (2 * R + root) / (d * d * root) + math.sqrt(4 * PI * R * R / (d ** 3 * root))
+        root = np.sqrt(np.maximum(4 * R * R - d * d, 0.0))
+        return 2 * R * (2 * R + root) / (d * d * root) + np.sqrt(4 * PI * R * R / (d ** 3 * root))
     add("HRD_UP", "upper", "sqrt(3)*R <= d < 2R", "h-R-d-upper", "subequilateral triangles",
         lambda f: f.diameter < 2 * f.circumradius, hrd_up)
 
     def hwr_lo(f):
         r, w = f.inradius, f.min_width
-        inner = PI * max(1 - 2 * r / w, 0.0) * math.sqrt(max(4 * r / w - 1, 0.0))
-        return 1 / r + math.sqrt(inner) / r
+        inner = PI * np.maximum(1 - 2 * r / w, 0.0) * np.sqrt(np.maximum(4 * r / w - 1, 0.0))
+        return 1 / r + np.sqrt(inner) / r
     add("HWR_LO", "lower", "", "h-w-r-lower", "subequilateral triangles", always, hwr_lo)
     add("HWR_UP", "upper", "", "h-w-r-upper", "equilateral triangles", always,
         lambda f: 1 / f.inradius + math.sqrt(PI * SQRT3) / f.min_width)
@@ -358,7 +382,7 @@ def _build_registry():
         lambda f: 1 / f.circumradius + 4 * f.circumradius / f.area)
     add("RHA_LO", "lower", "", "h-R-area-lower", "balls", always,
         lambda f: 1 / (2 * f.circumradius) + PI * f.circumradius / (2 * f.area)
-        + math.sqrt(PI / f.area))
+        + np.sqrt(PI / f.area))
 
     add("PHR_UP", "upper", "P > 4R", "h-P-R-upper", "thinning rectangles",
         lambda f: f.perimeter > 4 * f.circumradius,
@@ -366,36 +390,36 @@ def _build_registry():
 
     def phr_lo(f):
         P, R = f.perimeter, f.circumradius
-        x = arcsinc(min(1.0, 4 * R / P))
-        den = P - 4 * R * math.cos(x)
-        return 4 * x / den + math.sqrt(8 * PI * x / (P * den))
+        x = arcsinc(np.minimum(1.0, 4 * R / P))
+        den = P - 4 * R * np.cos(x)
+        return 4 * x / den + np.sqrt(8 * PI * x / (P * den))
     add("PHR_LO", "lower", "P > 4R", "h-P-R-lower", "balls",
         lambda f: f.perimeter > 4 * f.circumradius, phr_lo)
 
     add("PHD_UP1", "upper", "2d < P < 3d", "h-P-d-upper-1", "",
-        lambda f: 2 * f.diameter < f.perimeter < 3 * f.diameter,
-        lambda f: 4 / (f.perimeter - 2 * f.diameter) + math.sqrt(
+        lambda f: (2 * f.diameter < f.perimeter) & (f.perimeter < 3 * f.diameter),
+        lambda f: 4 / (f.perimeter - 2 * f.diameter) + np.sqrt(
             4 * PI / ((f.perimeter - 2 * f.diameter)
-                      * math.sqrt(f.perimeter * (4 * f.diameter - f.perimeter)))))
+                      * np.sqrt(f.perimeter * (4 * f.diameter - f.perimeter)))))
     add("PHD_UP2", "upper", "3d <= P <= pi*d", "h-P-d-upper-2", "",
-        lambda f: 3 * f.diameter <= f.perimeter <= PI * f.diameter * (1 + 1e-12),
-        lambda f: 4 / (f.perimeter - 2 * f.diameter) + math.sqrt(
+        lambda f: (3 * f.diameter <= f.perimeter) & (f.perimeter <= PI * f.diameter * (1 + 1e-12)),
+        lambda f: 4 / (f.perimeter - 2 * f.diameter) + np.sqrt(
             4 * PI / (SQRT3 * f.diameter * (f.perimeter - 2 * f.diameter))))
 
     def phd_lo(f):
         P, d = f.perimeter, f.diameter
-        y = arcsinc(min(1.0, 2 * d / P))
-        den = P - 2 * d * math.cos(y)
-        return 4 * y / den + math.sqrt(8 * PI * y / (P * den))
+        y = arcsinc(np.minimum(1.0, 2 * d / P))
+        den = P - 2 * d * np.cos(y)
+        return 4 * y / den + np.sqrt(8 * PI * y / (P * den))
     add("PHD_LO", "lower", "P > 2d", "h-P-d-lower", "balls",
         lambda f: f.perimeter > 2 * f.diameter, phd_lo)
 
     add("DHA_UP1", "upper", "", "h-d-area-upper-1", "", always,
         lambda f: 4 / f.diameter + 2 * f.diameter / f.area)
     add("DHA_UP2", "upper", "", "h-d-area-upper-2", "", always,
-        lambda f: 2 * f.diameter / f.area + math.sqrt(PI / f.area))
+        lambda f: 2 * f.diameter / f.area + np.sqrt(PI / f.area))
     add("DHA_LO", "lower", "", "h-d-area-lower", "thinning two-cup bodies", always,
-        lambda f: f.diameter / f.area + math.sqrt(PI / f.area))
+        lambda f: f.diameter / f.area + np.sqrt(PI / f.area))
 
     return reg
 
@@ -404,35 +428,49 @@ _REGISTRY = _build_registry()
 BOUND_IDS = tuple(d.id for d, _, _ in _REGISTRY)
 
 
-def bound_defs() -> list[BoundDef]:
-    return [d for d, _, _ in _REGISTRY]
+def evaluate_all(*records: Functionals) -> list[BoundResult]:
+    """Evaluate every registered inequality against one or more Functionals records.
 
-
-def evaluate_all(f: Functionals) -> list[BoundResult]:
-    """Evaluate every registered inequality against one Functionals record.
-
-    Applicability predicates are honored; per-entry failures surface as
-    not-applicable / no-root results, never as exceptions.  When ``f``
-    carries the Cheeger constant each result also reports its slack
-    (nonnegative slack = the inequality holds).
+    The records form one column: each predicate and each value is computed
+    once, on numpy arrays over the records (values only over the records
+    the predicate admits).  The result is record-major, ``len(BOUND_IDS)``
+    results per record in ``BOUND_IDS`` order.  Per-record failures (a
+    non-finite value, a missing crossing, an unmatched triangle) surface as
+    no-root results, never as exceptions, and leave the other records'
+    values untouched.  When a record carries the Cheeger constant each of
+    its results also reports its slack (nonnegative slack = the inequality
+    holds).
     """
-    h = f.cheeger
+    n = len(records)
+    cols = _Column(*(np.array([getattr(f, k) for f in records], dtype=float)
+                     for k in _Column._fields))
+    table = []
+    with np.errstate(all="ignore"):
+        for bdef, pred, value_fn in _REGISTRY:
+            admitted = pred(cols)
+            vals = np.full(n, np.nan)
+            if admitted.any():
+                sub = cols if admitted.all() else _Column(*(c[admitted] for c in cols))
+                try:
+                    vals[admitted] = value_fn(sub)
+                except (NoRoot, NoConvergence, Unreachable, NonMonotone, DomainError, ValueError):
+                    pass
+            table.append((bdef, admitted, vals))
     out = []
-    for bdef, pred, value_fn in _REGISTRY:
-        if not pred(f):
-            out.append(BoundResult(bdef.id, bdef.direction, None, "not-applicable", None))
-            continue
-        try:
-            val = value_fn(f)
-        except (NoRoot, NoConvergence, Unreachable, NonMonotone, DomainError, ValueError):
-            val = None
-        if val is None or not math.isfinite(val):
-            out.append(BoundResult(bdef.id, bdef.direction, None, "no-root", None))
-            continue
-        slack = None
-        if h is not None:
-            slack = (h - val) if bdef.direction == "lower" else (val - h)
-        out.append(BoundResult(bdef.id, bdef.direction, float(val), "ok", slack))
+    for i, f in enumerate(records):
+        h = f.cheeger
+        for bdef, admitted, vals in table:
+            if not admitted[i]:
+                out.append(BoundResult(bdef.id, bdef.direction, None, "not-applicable", None))
+                continue
+            val = float(vals[i])
+            if not math.isfinite(val):
+                out.append(BoundResult(bdef.id, bdef.direction, None, "no-root", None))
+                continue
+            slack = None
+            if h is not None:
+                slack = (h - val) if bdef.direction == "lower" else (val - h)
+            out.append(BoundResult(bdef.id, bdef.direction, val, "ok", slack))
     return out
 
 

@@ -11,8 +11,10 @@ quadratic rather than bisecting.
 
 The module also holds the package's one root finder for monotone scalar
 equations: ``_bracketed_root`` starts from a sign bracket and shrinks it
-with Illinois (modified regula falsi) steps.  ``smallest_crossing`` uses it
-for the implicit inequalities g(t) = pi t^2 of the bound registry; the
+with Illinois (modified regula falsi) steps, for one bracket or for an
+array of brackets at once, each element taking the steps it would take
+alone.  ``smallest_crossing`` uses it for the implicit inequalities
+g(t) = pi t^2 of the bound registry, a whole column of them per call; the
 bound constants and the shape-parameter solve use it too.
 """
 
@@ -77,14 +79,16 @@ class ImplicitRootProblem:
     """The equation g(t) = pi t^2 on [0, upper].
 
     ``g`` must accept numpy arrays and scalars.  It is the caller's job to
-    make g(t) - pi t^2 continuous and non-increasing on the domain.
+    make g(t) - pi t^2 continuous and non-increasing on the domain.  An
+    array ``upper`` makes a column of problems: g then maps t of the
+    column's shape (or of shape (2, n), both ends at once) elementwise.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
-    upper: float
+    upper: float | np.ndarray
 
     def __post_init__(self):
-        if self.upper <= 0:
+        if np.any(np.asarray(self.upper) <= 0):
             raise ValueError("domain upper end must be positive")
 
 
@@ -169,48 +173,66 @@ def cheeger_constant(poly: ConvexPolygon,
                          diagnostics=SolveDiagnostics(evals, bisections, nudges, width, residual))
 
 
-def _bracketed_root(f: Callable[[float], float], a: float, fa: float,
-                    b: float, fb: float, xtol: float) -> float:
-    """Root of a continuous f between a and b, where fa = f(a) and fb = f(b).
+def _bracketed_root(f: Callable, a, fa, b, fb, xtol):
+    """Roots of continuous functions between a and b, where fa = f(a) and fb = f(b).
 
-    fa and fb must not share a strict sign; either may be the positive one.
-    Illinois steps (regula falsi that halves the value kept at an end that
-    survives twice running) shrink the bracket; a step that leaves the open
-    bracket bisects instead.  Returns the midpoint once the bracket is at
-    most ``xtol`` wide, and raises NoConvergence after MAX_ROOT_STEPS
-    evaluations of f.
+    The arguments are floats, or arrays (broadcast together) with one
+    bracket per element; f maps an array of points, one per element, to
+    the values there.  fa and fb must not share a strict sign; either may
+    be the positive one.  Illinois steps (regula falsi that halves the
+    value kept at an end that survives twice running) shrink every
+    unconverged bracket at once; a step that leaves the open bracket
+    bisects instead.  An element's result is the midpoint once its bracket
+    is at most ``xtol`` wide, and it takes exactly the steps it would take
+    alone: a finished element is held at the midpoint of its bracket, and
+    the values f returns there are ignored.
+
+    For float arguments f is called with floats and the root is returned
+    as a float; NoRoot is raised without a sign change and NoConvergence
+    after MAX_ROOT_STEPS evaluations of f.  For arrays those elements come
+    back as NaN.
     """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoRoot(f"no sign change between {a!r} and {b!r}")
-    kept = 0  # +1 when the last step kept a, -1 when it kept b
-    for _ in range(MAX_ROOT_STEPS):
-        if abs(b - a) <= xtol:
-            return 0.5 * (a + b)
-        x = (a * fb - b * fa) / (fb - fa)
-        if not min(a, b) < x < max(a, b):
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
-            if kept == 1:
-                fa *= 0.5
-            kept = 1
-        else:
-            a, fa = x, fx
-            if kept == -1:
-                fb *= 0.5
-            kept = -1
-    raise NoConvergence(f"root bracket [{a!r}, {b!r}] still wider than {xtol!r} "
-                        f"after {MAX_ROOT_STEPS} steps")
+    scalar = all(np.ndim(v) == 0 for v in (a, fa, b, fb, xtol))
+    a, fa, b, fb, xtol = (np.array(v, dtype=float).reshape(-1) if scalar else np.array(v, dtype=float)
+                          for v in np.broadcast_arrays(a, fa, b, fb, xtol))
+    root = np.full(a.shape, np.nan)
+    root[fb == 0.0] = b[fb == 0.0]
+    root[fa == 0.0] = a[fa == 0.0]
+    active = np.isnan(root) & ((fa > 0.0) != (fb > 0.0)) & np.isfinite(fa) & np.isfinite(fb)
+    if scalar and np.isnan(root[0]) and not active[0]:
+        raise NoRoot(f"no sign change between {a[0]!r} and {b[0]!r}")
+    kept = np.zeros(a.shape)  # +1 where the last step kept a, -1 where it kept b
+    with np.errstate(divide="ignore", invalid="ignore"):  # finished elements may divide 0 by 0
+        for _ in range(MAX_ROOT_STEPS):
+            done = active & (np.abs(b - a) <= xtol)
+            root[done] = 0.5 * (a[done] + b[done])
+            active &= ~done
+            if not active.any():
+                break
+            x = (a * fb - b * fa) / (fb - fa)
+            x = np.where(active & (np.minimum(a, b) < x) & (x < np.maximum(a, b)), x, 0.5 * (a + b))
+            fx = np.asarray(f(float(x[0])) if scalar else f(x), dtype=float).reshape(a.shape)
+            hit = active & (fx == 0.0)
+            root[hit] = x[hit]
+            active &= ~hit
+            to_b = active & ((fx > 0.0) == (fb > 0.0))
+            to_a = active ^ to_b
+            np.multiply(fa, 0.5, out=fa, where=to_b & (kept == 1))
+            np.multiply(fb, 0.5, out=fb, where=to_a & (kept == -1))
+            for end, f_end, moved in ((a, fa, to_a), (b, fb, to_b)):
+                np.copyto(end, x, where=moved)
+                np.copyto(f_end, fx, where=moved)
+            kept[to_b] = 1
+            kept[to_a] = -1
+    if scalar:
+        if active[0]:
+            raise NoConvergence(f"root bracket [{a[0]!r}, {b[0]!r}] still wider than "
+                                f"{xtol[0]!r} after {MAX_ROOT_STEPS} steps")
+        return float(root[0])
+    return root
 
 
-def smallest_crossing(problem: ImplicitRootProblem) -> float:
+def smallest_crossing(problem: ImplicitRootProblem):
     """The crossing t in (0, upper] of g(t) = pi t^2.
 
     F(t) = g(t) - pi t^2 is read at both ends of the domain in one call of
@@ -218,14 +240,19 @@ def smallest_crossing(problem: ImplicitRootProblem) -> float:
     at t = 0 carries no information, since 1/t blows up).  F is
     non-increasing, so the crossing is unique; it is solved to
     CROSSING_REL_TOL * upper.
+
+    With an array ``upper`` (a column of problems, which g evaluates
+    elementwise) every crossing is solved in one call and an array is
+    returned, with NaN where the sign change is missing or the solve fails.
     """
-    upper = problem.upper
-    ends = np.array([0.0, upper])
+    upper = np.asarray(problem.upper, dtype=float)
+    ends = np.stack((np.zeros_like(upper), upper))
     f0, f1 = np.asarray(problem.g(ends), dtype=float) - np.pi * ends * ends
-    if not f0 > 0.0 >= f1:
+    falls = (f0 > 0.0) & (f1 <= 0.0)
+    if upper.ndim == 0 and not falls:
         raise NoRoot("g(t) - pi t^2 does not fall from positive to nonpositive on the domain")
 
     def F(t):
-        return np.asarray(problem.g(t), dtype=float).item() - np.pi * t * t
+        return np.asarray(problem.g(t), dtype=float) - np.pi * t * t
 
-    return _bracketed_root(F, 0.0, float(f0), upper, float(f1), CROSSING_REL_TOL * upper)
+    return _bracketed_root(F, 0.0, np.where(falls, f0, np.nan), upper, f1, CROSSING_REL_TOL * upper)

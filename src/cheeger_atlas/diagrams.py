@@ -3,7 +3,9 @@
 The three solved diagrams (P, h, r), (R, h, r) and (d, h, r) have complete
 lower/upper curves; the partially solved width diagrams expose only their
 proven pieces and answer "unknown" in between.  All curves are produced at
-unit normalization of the third functional.
+unit normalization of the third functional, on a whole grid of abscissae
+at once: an implicit lower curve is one column crossing, a triangle upper
+curve one column ``solve_param``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .cheeger import smallest_crossing
 from .errors import CheegerAtlasError, DomainError
 
 PI = math.pi
@@ -79,88 +80,90 @@ class DiagramPoint:
     provenance: str = ""
 
 
-def _lower_y(diagram_id: str, x: float) -> float | None:
-    """Proven lower boundary/bound value at abscissa x (None where none)."""
-    if diagram_id == "D1_PHR":
-        return 1.0 + PI / (x - PI)
-    if diagram_id == "D2_RHR":
-        return 1.0 / smallest_crossing(bounds.implicit_g("g2", R=x, r=1.0))
-    if diagram_id == "D3_DHR":
-        return 1.0 / smallest_crossing(bounds.implicit_g("g1", d=x, r=1.0))
-    if diagram_id == "HWD":
-        return 1.0 / smallest_crossing(bounds.implicit_g("g3", d=1.0, w=x))
-    if diagram_id == "HWR_CIRC":
-        return 1.0 / smallest_crossing(bounds.implicit_g("g4", w=x, R=1.0))
-    if diagram_id == "HWP":
-        return 2.0 / x + 2 * PI / (2.0 - PI * x)
-    if diagram_id == "HWA":
-        return 2.0 / x + PI * x / 2.0
-    if diagram_id == "HRD":
-        return None
-    if diagram_id == "HWR_IN":
-        inner = PI * max(1 - 2 / x, 0.0) * math.sqrt(max(4 / x - 1, 0.0))
-        return 1.0 + math.sqrt(inner)
-    return None
+def _hwd_yamanouti(x):
+    ac = np.arccos(np.minimum(1.0, x))
+    den = PI * x * x - SQRT3 + 6 * x * x * (np.tan(ac) - ac)
+    return SQRT3 / (SQRT3 * x - 1.0) + np.sqrt(2 * PI / den)
 
 
-def _upper_y(diagram_id: str, x: float) -> float | None:
-    """Proven upper boundary/bound value at abscissa x (None where none)."""
-    if diagram_id == "D1_PHR":
-        return 1.0 + math.sqrt(2 * PI / x)
-    if diagram_id == "D2_RHR":
-        den = 2 * (math.sqrt(max(x * x - 1, 0.0)) + math.asin(min(1.0, 1 / x)))
-        return 1.0 + math.sqrt(PI / den)
-    if diagram_id == "D3_DHR":
-        den = math.sqrt(max(x * x - 4, 0.0)) + (PI - 2 * math.acos(min(1.0, 2 / x)))
-        return 1.0 + math.sqrt(PI / den)
-    if diagram_id == "HWD":
-        if x <= SQRT3 / 2:
-            return bounds._triangle_h_from_wd(x, 1.0)
-        ac = math.acos(min(1.0, x))
-        den = PI * x * x - SQRT3 + 6 * x * x * (math.tan(ac) - ac)
-        return SQRT3 / (SQRT3 * x - 1.0) + math.sqrt(2 * PI / den)
-    if diagram_id == "HWR_CIRC":
-        if x <= 1.5:
-            return bounds._triangle_h_matched("R", 1.0, "w", x)
-        return None
-    if diagram_id == "HWP":
-        if x <= 1.0 / (2 * SQRT3):
-            return bounds._triangle_h_matched("P", 1.0, "w", x)
-        return None
-    if diagram_id == "HWA":
-        if SQRT3 >= x * x:
-            return bounds._triangle_h_matched("A", 1.0, "w", x)
-        return None
-    if diagram_id == "HRD":
-        root = math.sqrt(max(4 * x * x - 1.0, 0.0))
-        if root == 0.0:
-            return None
-        return 2 * x * (2 * x + root) / root + math.sqrt(4 * PI * x * x / root)
-    if diagram_id == "HWR_IN":
-        return 1.0 + math.sqrt(PI * SQRT3) / x
-    return None
+def _hrd_upper(x):
+    root = np.sqrt(np.maximum(4 * x * x - 1.0, 0.0))
+    return np.where(root == 0.0, np.nan,
+                    2 * x * (2 * x + root) / root + np.sqrt(4 * PI * x * x / root))
 
 
-def _curve(diagram_id: str, xs: np.ndarray, fn) -> np.ndarray:
-    pts = []
-    for x in xs:
-        try:
-            y = fn(diagram_id, float(x))
-        except (CheegerAtlasError, ValueError):
-            y = None
-        if y is not None and math.isfinite(y):
-            pts.append((float(x), float(y)))
-    return np.array(pts) if pts else np.empty((0, 2))
+# diagram id -> proven lower / upper boundary on an array of abscissae
+_LOWER = {
+    "D1_PHR": lambda x: 1.0 + PI / (x - PI),
+    "D2_RHR": lambda x: bounds._crossing_h("g2", R=x, r=1.0),
+    "D3_DHR": lambda x: bounds._crossing_h("g1", d=x, r=1.0),
+    "HWD": lambda x: bounds._crossing_h("g3", d=1.0, w=x),
+    "HWR_CIRC": lambda x: bounds._crossing_h("g4", w=x, R=1.0),
+    "HWP": lambda x: 2.0 / x + 2 * PI / (2.0 - PI * x),
+    "HWA": lambda x: 2.0 / x + PI * x / 2.0,
+    "HWR_IN": lambda x: 1.0 + np.sqrt(PI * np.maximum(1 - 2 / x, 0.0)
+                                      * np.sqrt(np.maximum(4 / x - 1, 0.0))),
+}
+_UPPER = {
+    "D1_PHR": lambda x: 1.0 + np.sqrt(2 * PI / x),
+    "D2_RHR": lambda x: 1.0 + np.sqrt(PI / (2 * (np.sqrt(np.maximum(x * x - 1, 0.0))
+                                                  + np.arcsin(np.minimum(1.0, 1 / x))))),
+    "D3_DHR": lambda x: 1.0 + np.sqrt(PI / (np.sqrt(np.maximum(x * x - 4, 0.0))
+                                            + (PI - 2 * np.arccos(np.minimum(1.0, 2 / x))))),
+    "HWD": lambda x: np.where(x <= SQRT3 / 2, bounds._triangle_h_from_wd(x, 1.0), _hwd_yamanouti(x)),
+    "HWR_CIRC": lambda x: np.where(x <= 1.5, bounds._triangle_h_matched("R", 1.0, "w", x), np.nan),
+    "HWP": lambda x: np.where(x <= 1.0 / (2 * SQRT3),
+                              bounds._triangle_h_matched("P", 1.0, "w", x), np.nan),
+    "HWA": lambda x: np.where(SQRT3 >= x * x, bounds._triangle_h_matched("A", 1.0, "w", x), np.nan),
+    "HRD": _hrd_upper,
+    "HWR_IN": lambda x: 1.0 + math.sqrt(PI * SQRT3) / x,
+}
+
+
+def _curve_y(curves: dict, diagram_id: str, x):
+    """The curve at x, a float or an array; NaN (None for a float) where there is none."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ys = np.full(xs.shape, np.nan)
+    if diagram_id in curves:
+        with np.errstate(all="ignore"):
+            ys = np.asarray(curves[diagram_id](xs), dtype=float)
+    if np.ndim(x):
+        return ys
+    return float(ys[0]) if math.isfinite(ys[0]) else None
+
+
+def _lower_y(diagram_id: str, x):
+    """Proven lower boundary/bound value at abscissa x (None where none).
+
+    An array x (a grid) gives an array, NaN where there is no value; the
+    implicit curves are then one column crossing.
+    """
+    return _curve_y(_LOWER, diagram_id, x)
+
+
+def _upper_y(diagram_id: str, x):
+    """Proven upper boundary/bound value at abscissa x (None where none).
+
+    An array x gives an array, NaN where there is no value; the triangle
+    curves are then one column ``solve_param``.
+    """
+    return _curve_y(_UPPER, diagram_id, x)
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    keep = np.isfinite(ys)
+    return np.column_stack((xs[keep], ys[keep]))
 
 
 def boundary(spec: DiagramSpec) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) curves as (k, 2) arrays of samples; empty where unproven.
 
-    For D3 the implicit lower curve automatically realizes the smoothed
-    nonagon branch below d0() and the slice branch above it.
+    Each curve is computed on the whole grid at once.  For D3 the implicit
+    lower curve automatically realizes the smoothed nonagon branch below
+    d0() and the slice branch above it.
     """
     xs = spec.xs()
-    return _curve(spec.id, xs, _lower_y), _curve(spec.id, xs, _upper_y)
+    return _points(xs, _lower_y(spec.id, xs)), _points(xs, _upper_y(spec.id, xs))
 
 
 def membership(spec: DiagramSpec | str, x: float, y: float,

@@ -154,22 +154,20 @@ def min_width_brute(poly: ConvexPolygon):
 def inradius(poly: ConvexPolygon):
     """Largest inscribed disc; returns (r, center).
 
-    r is the offset at which the inner parallel set vanishes, reached by
-    walking the straight skeleton (``OffsetMachine.collapse``).  The centre
-    and r are then polished by re-solving the active constraint set
-    n_i . x + r = c_i exactly, so the result is accurate to machine
-    precision in regular cases.  The polish's tolerances follow the
-    polygon's extent about its vertex mean, not its distance from the
-    origin.
+    The centre comes from walking the straight skeleton
+    (``OffsetMachine.collapse``) to the offset at which the inner parallel
+    set vanishes.  It is then polished: the points equidistant from three
+    (or two antiparallel) of the edges nearest to it are candidates too, the
+    deepest candidate is returned, and r is its depth min(c_i - n_i . x).
+    So the disc returned always lies in the polygon, and it is accurate to
+    machine precision in regular cases.  Which edges count as nearest
+    follows the polygon's extent about its vertex mean, not its distance
+    from the origin.
     """
     machine = OffsetMachine(poly)
     t, x = machine.collapse()
-    x = x + machine.origin
     scale = max(1.0, float(np.max(np.abs(machine.local))))
-    polished = _polish_chebyshev(poly.edge_normals, poly.edge_offsets, x, t, scale)
-    if polished is not None:
-        x, t = polished
-    return float(t), np.asarray(x, dtype=float)
+    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, x + machine.origin, t, scale)
 
 
 def inradius_brute(poly: ConvexPolygon):
@@ -189,30 +187,27 @@ def inradius_brute(poly: ConvexPolygon):
 
 
 def _polish_chebyshev(ns, cs, x, t, scale):
+    """The deepest of x and the points equidistant from three, or from two
+    antiparallel, of the (at most four) edges within 1e-6*scale of depth t
+    at x; returns (depth, point)."""
     resid = cs - ns @ x - t
     cand = [int(i) for i in np.argsort(resid)[:4] if resid[i] < 1e-6 * scale]
-    best = None
-    for combo in list(itertools.combinations(cand, 3)) + list(itertools.combinations(cand, 2)):
-        if len(combo) == 3:
-            M = np.column_stack((ns[list(combo)], np.ones(3)))
-            try:
-                sol = np.linalg.solve(M, cs[list(combo)])
-            except np.linalg.LinAlgError:
-                continue
-            xx, tt = sol[:2], sol[2]
-        else:
-            i, j = combo
-            cross = ns[i, 0] * ns[j, 1] - ns[i, 1] * ns[j, 0]
-            if abs(cross) > 1e-9 or float(ns[i] @ ns[j]) > 0.0:
-                continue  # only an antiparallel pair pins t by itself
-            tt = (cs[i] + cs[j]) / 2.0
-            xx = x + (cs[i] - tt - float(ns[i] @ x)) * ns[i]
-        if tt < t - 1e-9 * scale:
+    points = [x]
+    for combo in itertools.combinations(cand, 3):
+        M = np.column_stack((ns[list(combo)], np.ones(3)))
+        try:
+            points.append(np.linalg.solve(M, cs[list(combo)])[:2])
+        except np.linalg.LinAlgError:
             continue
-        if np.all(ns @ xx + tt <= cs + 1e-11 * scale):
-            if best is None or tt > best[1]:
-                best = (xx, tt)
-    return best
+    for i, j in itertools.combinations(cand, 2):
+        cross = ns[i, 0] * ns[j, 1] - ns[i, 1] * ns[j, 0]
+        if abs(cross) <= 1e-9 and float(ns[i] @ ns[j]) <= 0.0:
+            # an antiparallel pair pins the depth by itself
+            tt = (cs[i] + cs[j]) / 2.0
+            points.append(x + (cs[i] - tt - float(ns[i] @ x)) * ns[i])
+    depths = [float(np.min(cs - ns @ p)) for p in points]
+    k = int(np.argmax(depths))
+    return depths[k], np.asarray(points[k], dtype=float)
 
 
 def circumradius(poly: ConvexPolygon):

@@ -61,7 +61,9 @@ class ConvexPolygon:
             raise DegenerateInput("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise DegenerateInput("vertex coordinates must be finite")
-        if shoelace(v) < 0.0:
+        # orientation from coordinates relative to a vertex: far from the
+        # origin the absolute shoelace cancels beyond a thin polygon's area
+        if shoelace(v - v[0]) < 0.0:
             v = v[::-1]
         cross = _turn_cross(v)
         if np.any(cross <= 0.0):

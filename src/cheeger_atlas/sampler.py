@@ -140,7 +140,8 @@ def _make_record(args) -> SampleRecord:
     return SampleRecord(index, rec_seed, n, f, tag, f.value(x_key), f.value(y_key))
 
 
-def _worker_count(jobs: int) -> int:
+def worker_count(jobs: int) -> int:
+    """Pool size for ``jobs`` items: CHEEGER_ATLAS_THREADS, else the core count."""
     cap = os.environ.get("CHEEGER_ATLAS_THREADS")
     workers = int(cap) if cap else (os.cpu_count() or 1)
     return max(1, min(workers, jobs))
@@ -148,7 +149,7 @@ def _worker_count(jobs: int) -> int:
 
 def parallel_map(fn, items: list, workers: int | None = None) -> list:
     """Order-preserving map over a process pool (size from CHEEGER_ATLAS_THREADS)."""
-    workers = workers or _worker_count(len(items))
+    workers = workers or worker_count(len(items))
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     ctx = get_context("fork")

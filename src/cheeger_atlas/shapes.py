@@ -366,19 +366,26 @@ def closed_form(spec: ShapeSpec) -> Functionals:
     raise Unsupported(f"no closed form for {_FAMILY_NAMES.get(type(spec), '?')}")
 
 
-def triangle_functionals(base: float, height: float) -> Functionals:
-    """Exact functionals of the isosceles triangle, Cheeger constant included.
+def triangle_values(base, height) -> dict:
+    """Exact functionals of isosceles triangles by id (A, P, r, R, d, w, h).
 
-    Valid for the subequilateral regime (legs at least as long as the base).
+    Accepts arrays.  Valid for the subequilateral regime (legs at least as
+    long as the base); triangles are form-body homothets, so
+    h = 1/r + sqrt(pi/A).
     """
-    b, hh = float(base), float(height)
-    s = math.hypot(hh, b / 2)
+    b, hh = np.asarray(base, dtype=float), np.asarray(height, dtype=float)
+    s = np.hypot(hh, b / 2)
     A = b * hh / 2
-    P = b + 2 * s
     r = b * hh / (b + 2 * s)
-    h = 1 / r + math.sqrt(math.pi / A)  # triangles are form-body homothets
-    return Functionals(A, P, r, s * s / (2 * hh), s, b * hh / s,
-                       cheeger=h, cheeger_t=1 / h)
+    return {"A": A, "P": b + 2 * s, "r": r, "R": s * s / (2 * hh), "d": s,
+            "w": b * hh / s, "h": 1 / r + np.sqrt(math.pi / A)}
+
+
+def triangle_functionals(base: float, height: float) -> Functionals:
+    """Exact functionals of the isosceles triangle, Cheeger constant included."""
+    v = {k: float(x) for k, x in triangle_values(base, height).items()}
+    return Functionals(v["A"], v["P"], v["r"], v["R"], v["d"], v["w"],
+                       cheeger=v["h"], cheeger_t=1 / v["h"])
 
 
 # ---------------------------------------------------------------------------
@@ -411,68 +418,109 @@ def _unit_functionals(family: str, sigma: float, res: int) -> Functionals:
     try:
         return closed_form(spec)
     except Unsupported:
-        if isinstance(spec, SubequilateralTriangle):
-            return triangle_functionals(spec.base, spec.height)
         return measure(build(spec, Resolution(res)))
 
 
-def solve_param(family, target, fixed, res: int = 8192,
-                scan_points: int = 65) -> ShapeSpec:
+def _unit_values(family: str, sigmas, res: int) -> dict:
+    """Functionals by id of the unit members at shape parameters ``sigmas``,
+    as arrays shaped like ``sigmas`` (the triangles in closed form; NaN at
+    a NaN shape parameter)."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    if family == "subequilateral_triangle":
+        return triangle_values(1.0, sigmas)
+    out = {k: np.full(sigmas.shape, np.nan) for k in _EXPONENT}
+    for idx, s in np.ndenumerate(sigmas):
+        if math.isfinite(s):
+            f = _unit_functionals(family, float(s), res)
+            for k, col in out.items():
+                col[idx] = f.value(k)
+    return out
+
+
+def solve_param(family, target, fixed, res: int = 8192, scan_points: int = 65):
     """Find the family member matching ``target`` once ``fixed`` is imposed.
 
     ``target`` and ``fixed`` are (functional id, value) pairs with ids from
     {A, P, r, R, d, w}.  The family is reduced to one dimensionless shape
-    parameter; for each trial value the ``fixed`` functional pins the scale
-    and the target functional is driven to its value by the bracketed root
-    finder, to 1e-13 in the shape parameter.  Raises Unreachable when the
-    target lies outside the family's range and NonMonotone when the sampled
-    scan is not monotone.
+    parameter sigma; for each trial value the ``fixed`` functional pins the
+    scale and the target functional is driven to its value by the bracketed
+    root finder, to 1e-13 in the shape parameter.
+
+    Values may be arrays (broadcast together): a column of matches.  The
+    scale cancels in the target functional of the members scaled to a unit
+    fixed functional, which depends on sigma alone, so one scan of sigma
+    (a grid of ``scan_points``, whose far end grows fourfold for unbounded
+    families while targets lie beyond it) serves every element.  Each
+    element takes its bracket from the scan at the first growth that
+    reaches it, exactly as it would alone, and one vectorised root loop
+    then solves all elements.  NonMonotone is raised when the scan is not
+    monotone.  A float call returns the spec and raises Unreachable when
+    the target lies outside the family's range; a column call returns a
+    list of specs, with None for each unreachable or unsolved element.
     """
     fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
     if fam not in _SIGMA:
         raise InvalidParam(f"family {fam!r} has no parameter solver")
     tid, tval = target
     fid, fval = fixed
-    if fval <= 0 or tval <= 0:
+    scalar = np.ndim(tval) == 0 and np.ndim(fval) == 0
+    tval, fval = (np.array(v, dtype=float).reshape(-1)
+                  for v in np.broadcast_arrays(np.asarray(tval), np.asarray(fval)))
+    if np.any(fval <= 0) or np.any(tval <= 0):
         raise InvalidParam("target and fixed values must be positive")
     a_t, a_f = _EXPONENT[tid], _EXPONENT[fid]
 
-    def g(sigma: float) -> float:
-        f = _unit_functionals(fam, sigma, res)
-        scale = (fval / f.value(fid)) ** (1.0 / a_f)
-        return f.value(tid) * scale ** a_t
+    def scaled(u, fv):
+        """Target functional of the unit members ``u`` scaled to fixed value ``fv``."""
+        return u[tid] * ((fv / u[fid]) ** (1.0 / a_f)) ** a_t
 
-    lo, hi, unbounded, _ = _SIGMA[fam]
+    lo, hi, unbounded, make = _SIGMA[fam]
+    a, fa, b, fb, xtol = (np.full(tval.shape, np.nan) for _ in range(5))
+    pending = np.arange(tval.size)
     for _ in range(12):
         grid = np.linspace(lo, hi, scan_points)
-        vals = np.array([g(s) for s in grid])
-        diffs = np.diff(vals)
-        tol = 1e-12 * float(np.max(np.abs(vals)))
-        if np.any(diffs > tol) and np.any(diffs < -tol):
+        u = _unit_values(fam, grid, res)
+        unit = scaled(u, 1.0)
+        tol = 1e-12 * float(np.max(np.abs(unit)))
+        if np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol):
             raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
-        vmin, vmax = float(np.min(vals)), float(np.max(vals))
-        if vmin - 1e-12 * vmax <= tval <= vmax + 1e-12 * vmax:
+        t = tval[pending]
+        row = scaled(u, fval[pending, None])  # one row per pending element
+        vmin, vmax = row.min(axis=1), row.max(axis=1)
+        vals = row - t[:, None]
+        inside = (vmin - 1e-12 * vmax <= t) & (t <= vmax + 1e-12 * vmax)
+        # the first sign change; a target within the scan's relative slack
+        # of an end has none and is taken at the nearest grid point
+        change = vals[:, :-1] * vals[:, 1:] <= 0.0
+        has = change.any(axis=1)
+        i = np.where(has, change.argmax(axis=1), np.abs(vals).argmin(axis=1))
+        j = np.where(has, i + 1, i)
+        rows = np.arange(len(pending))
+        k = pending[inside]
+        a[k], b[k] = grid[i[inside]], grid[j[inside]]
+        fa[k] = np.where(has, vals[rows, i], 0.0)[inside]
+        fb[k] = np.where(has, vals[rows, j], 0.0)[inside]
+        xtol[k] = 1e-13 * np.maximum(1.0, np.abs(b[k]))
+        increasing = vals[:, -1] >= vals[:, 0]
+        beyond_far_end = np.where(increasing, vals[:, -1] < 0.0, vals[:, -1] > 0.0)
+        grows = ~inside & beyond_far_end & unbounded
+        if scalar and not inside[0] and not grows[0]:
+            raise Unreachable(f"target {tid}={t[0]} outside scanned range "
+                              f"[{vmin[0]}, {vmax[0]}]")
+        pending = pending[grows]
+        if pending.size == 0:
             break
-        increasing = vals[-1] >= vals[0]
-        beyond_far_end = tval > vals[-1] if increasing else tval < vals[-1]
-        if unbounded and beyond_far_end:
-            hi *= 4.0
-            if hi > 1e12:
-                raise Unreachable(f"target {tid}={tval} beyond family range")
-            continue
-        raise Unreachable(f"target {tid}={tval} outside scanned range [{vmin}, {vmax}]")
-    else:
-        raise Unreachable(f"target {tid}={tval} beyond family range")
+        hi *= 4.0
+    if scalar and pending.size:
+        raise Unreachable(f"target {tid}={tval[0]} beyond family range")
 
-    idx = np.nonzero((vals[:-1] - tval) * (vals[1:] - tval) <= 0.0)[0]
-    if idx.size == 0:
-        # the target sits within the scan's relative slack of an end
-        sigma = float(grid[int(np.argmin(np.abs(vals - tval)))])
-    else:
-        i = int(idx[0])
-        sigma = _bracketed_root(lambda s: g(s) - tval, float(grid[i]), float(vals[i] - tval),
-                                float(grid[i + 1]), float(vals[i + 1] - tval),
-                                1e-13 * max(1.0, abs(float(grid[i + 1]))))
-    f = _unit_functionals(fam, sigma, res)
-    scale = (fval / f.value(fid)) ** (1.0 / a_f)
-    return _scale_spec(_SIGMA[fam][3](sigma), scale)
+    fv, tv = (fval[0], tval[0]) if scalar else (fval, tval)
+    sigma = _bracketed_root(lambda s: scaled(_unit_values(fam, s, res), fv) - tv,
+                            *(v[0] if scalar else v for v in (a, fa, b, fb, xtol)))
+    sigma = np.atleast_1d(sigma)
+    specs = [None] * sigma.size
+    solved = np.flatnonzero(np.isfinite(sigma))
+    scale = (fval[solved] / _unit_values(fam, sigma[solved], res)[fid]) ** (1.0 / a_f)
+    for k, c in zip(solved, scale):
+        specs[k] = _scale_spec(make(float(sigma[k])), float(c))
+    return specs[0] if scalar else specs

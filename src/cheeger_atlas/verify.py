@@ -17,7 +17,7 @@ from . import bounds as bounds_mod
 from . import diagrams
 from .bounds import evaluate_all
 from .functionals import measure_with_cheeger
-from .sampler import parallel_map, seeded_polygon
+from .sampler import parallel_map, seeded_polygon, worker_count
 from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
 
 SCHEMA = "cheeger-atlas-verify/1"
@@ -37,24 +37,38 @@ SUBEQ_BOUNDS = ("HWR_LO", "HRD_UP", "HDW_UP_TRI", "HRW_UP_TRI", "HAW_UP_TRI", "H
 EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
 
 
-def _census_record(args) -> tuple[int, int, list[tuple[str, str, float | None]]]:
-    index, master_seed, n_min, n_max = args
-    rec_seed, _, poly = seeded_polygon(master_seed, index, n_min, n_max, "area")
-    f = measure_with_cheeger(poly)
-    return index, rec_seed, [(r.id, r.status, r.slack) for r in evaluate_all(f)]
+def _census_block(args) -> list[tuple[int, list[tuple[str, str, float | None]]]]:
+    """Records start..stop-1 of a census: drawn and measured, then the
+    registry in one column; (record seed, [(id, status, slack)]) each."""
+    start, stop, master_seed, n_min, n_max = args
+    seeds, fs = [], []
+    for index in range(start, stop):
+        rec_seed, _, poly = seeded_polygon(master_seed, index, n_min, n_max, "area")
+        seeds.append(rec_seed)
+        fs.append(measure_with_cheeger(poly))
+    results = [(r.id, r.status, r.slack) for r in evaluate_all(*fs)]
+    k = len(bounds_mod.BOUND_IDS)
+    return [(rec_seed, results[i * k:(i + 1) * k]) for i, rec_seed in enumerate(seeds)]
 
 
 def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
            workers: int | None = None) -> dict:
-    """Min slack per bound id over ``samples`` unit-area random polygons."""
-    rows = parallel_map(_census_record, [(i, seed, n_min, n_max) for i in range(samples)],
-                        workers=workers)
+    """Min slack per bound id over ``samples`` unit-area random polygons.
+
+    The records are split into one contiguous block per worker, and each
+    block evaluates the registry as one column; a record's results do not
+    depend on the block it lands in.
+    """
+    workers = workers or worker_count(samples)
+    edges = [samples * k // workers for k in range(workers + 1)]
+    blocks = [(lo, hi, seed, n_min, n_max) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    rows = [row for block in parallel_map(_census_block, blocks, workers=workers) for row in block]
     agg: dict[str, dict] = {
         bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
               "not_applicable": 0, "no_root": 0}
         for bid in bounds_mod.BOUND_IDS
     }
-    for _, rec_seed, results in rows:
+    for rec_seed, results in rows:
         for bid, status, slack in results:
             a = agg[bid]
             if status == "not-applicable":
@@ -69,48 +83,53 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     return agg
 
 
-def _bound_residuals(f, ids) -> dict[str, float]:
-    by_id = {r.id: r for r in evaluate_all(f)}
-    out = {}
-    for bid in ids:
-        r = by_id[bid]
-        out[bid] = math.inf if r.slack is None else abs(r.slack) / f.cheeger
-    return out
+def _two_cup_curves(f) -> list[tuple[str, float]]:
+    h = f.cheeger
+    return [(f"{did}:upper", abs(h * f.inradius - diagrams._upper_y(did, x / f.inradius)) / h)
+            for did, x in (("D1_PHR", f.perimeter), ("D2_RHR", f.circumradius),
+                           ("D3_DHR", f.diameter))]
+
+
+def _slice_curve(f) -> list[tuple[str, float]]:
+    y = diagrams._lower_y("D2_RHR", f.circumradius / f.inradius)
+    return [("D2_RHR:lower", abs(f.cheeger * f.inradius - y) / f.cheeger)]
+
+
+def _sharpness_bodies() -> list[tuple[str, object, tuple[str, ...], object]]:
+    """The extremal bodies of the sharpness suite:
+    (label, shape spec, saturated bound ids, diagram-curve residuals or None)."""
+    specs = [(f"stadium(r=1,l={gap:g})", Stadium(1.0, gap), STADIUM_BOUNDS, None)
+             for gap in STADIUM_GAPS]
+    specs += [(f"two_cup(r=1,k={tip:g})", TwoCup(1.0, tip), TWOCUP_BOUNDS, _two_cup_curves)
+              for tip in TWOCUP_TIPS]
+    specs += [(f"slice(r=1,d={dia:g})", Slice(1.0, dia), SLICE_BOUNDS, _slice_curve)
+              for dia in SLICE_DIAMETERS]
+    specs += [(f"subeq_triangle(w=1,d={dia:g})",
+               solve_param("subequilateral_triangle", ("w", 1.0), ("d", dia)), SUBEQ_BOUNDS, None)
+              for dia in SUBEQ_DIAMETERS]
+    specs.append(("equilateral_triangle(side=1)", SubequilateralTriangle(1.0, math.sqrt(3) / 2),
+                  EQUILATERAL_BOUNDS, None))
+    return specs
 
 
 def sharpness(res: int = 8192) -> list[dict]:
-    """Relative equality residuals of every extremal family at resolution res."""
+    """Relative equality residuals of every extremal family at resolution res.
+
+    The bodies are measured first and the registry runs once, on all of them.
+    """
+    bodies = [(label, measure_with_cheeger(build(spec, res)), ids, curves)
+              for label, spec, ids, curves in _sharpness_bodies()]
+    results = evaluate_all(*(f for _, f, _, _ in bodies))
+    k = len(bounds_mod.BOUND_IDS)
     rows = []
-
-    def push(shape_name, bid, residual):
-        rows.append({"shape": shape_name, "bound": bid, "residual": residual})
-
-    for gap in STADIUM_GAPS:
-        f = measure_with_cheeger(build(Stadium(1.0, gap), res))
-        for bid, resid in _bound_residuals(f, STADIUM_BOUNDS).items():
-            push(f"stadium(r=1,l={gap:g})", bid, resid)
-    for tip in TWOCUP_TIPS:
-        f = measure_with_cheeger(build(TwoCup(1.0, tip), res))
-        for bid, resid in _bound_residuals(f, TWOCUP_BOUNDS).items():
-            push(f"two_cup(r=1,k={tip:g})", bid, resid)
-        h = f.cheeger
-        for did, x in (("D1_PHR", f.perimeter), ("D2_RHR", f.circumradius), ("D3_DHR", f.diameter)):
-            y = diagrams._upper_y(did, x / f.inradius)
-            push(f"two_cup(r=1,k={tip:g})", f"{did}:upper", abs(h * f.inradius - y) / h)
-    for dia in SLICE_DIAMETERS:
-        f = measure_with_cheeger(build(Slice(1.0, dia), res))
-        for bid, resid in _bound_residuals(f, SLICE_BOUNDS).items():
-            push(f"slice(r=1,d={dia:g})", bid, resid)
-        y = diagrams._lower_y("D2_RHR", f.circumradius / f.inradius)
-        push(f"slice(r=1,d={dia:g})", "D2_RHR:lower", abs(f.cheeger * f.inradius - y) / f.cheeger)
-    for dia in SUBEQ_DIAMETERS:
-        spec = solve_param("subequilateral_triangle", ("w", 1.0), ("d", dia))
-        f = measure_with_cheeger(build(spec, res))
-        for bid, resid in _bound_residuals(f, SUBEQ_BOUNDS).items():
-            push(f"subeq_triangle(w=1,d={dia:g})", bid, resid)
-    f = measure_with_cheeger(build(SubequilateralTriangle(1.0, math.sqrt(3) / 2), res))
-    for bid, resid in _bound_residuals(f, EQUILATERAL_BOUNDS).items():
-        push("equilateral_triangle(side=1)", bid, resid)
+    for i, (label, f, ids, curves) in enumerate(bodies):
+        by_id = {r.id: r for r in results[i * k:(i + 1) * k]}
+        for bid in ids:
+            slack = by_id[bid].slack
+            rows.append({"shape": label, "bound": bid,
+                         "residual": math.inf if slack is None else abs(slack) / f.cheeger})
+        for bid, residual in curves(f) if curves else ():
+            rows.append({"shape": label, "bound": bid, "residual": residual})
     return rows
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas import bounds
+from cheeger_atlas import bounds, verify
 from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_all,
                                   implicit_g, phi, psi, registry_csv)
-from cheeger_atlas.cheeger import cheeger_constant, smallest_crossing
-from cheeger_atlas.diagrams import DiagramSpec
+from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
+from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, _lower_y, _upper_y, boundary
 from cheeger_atlas.errors import DomainError, Unreachable
-from cheeger_atlas.functionals import measure
+from cheeger_atlas.functionals import Functionals, measure, measure_with_cheeger
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
                                   solve_param, triangle_functionals)
@@ -125,30 +125,35 @@ class TestD0:
         assert 3 <= len(solves) <= 10
 
 
-def _census_problems(count=100, seed=1):
-    """g1..g4 at the functionals of seeded unit-area census polygons."""
-    problems = []
-    for i in range(count):
-        f = measure(seeded_polygon(seed, i, 3, 30, "area")[2])
-        problems += [implicit_g("g1", d=f.diameter, r=f.inradius),
-                     implicit_g("g2", R=f.circumradius, r=f.inradius),
-                     implicit_g("g3", d=f.diameter, w=f.min_width),
-                     implicit_g("g4", w=f.min_width, R=f.circumradius)]
-    return problems
+def _crossing_columns(count=100, seed=1):
+    """(family, parameter columns) of g1..g4 at the functionals of seeded
+    unit-area census polygons and on the implicit lower curves' diagram grids."""
+    fs = [measure(seeded_polygon(seed, i, 3, 30, "area")[2]) for i in range(count)]
+    d, r, R, w = (np.array([getattr(f, k) for f in fs])
+                  for k in ("diameter", "inradius", "circumradius", "min_width"))
+    return [("g1", dict(d=d, r=r)), ("g2", dict(R=R, r=r)), ("g3", dict(d=d, w=w)),
+            ("g4", dict(w=w, R=R)),
+            ("g2", dict(R=DiagramSpec("D2_RHR").xs(), r=1.0)),
+            ("g1", dict(d=DiagramSpec("D3_DHR").xs(), r=1.0)),
+            ("g3", dict(d=1.0, w=DiagramSpec("HWD").xs())),
+            ("g4", dict(w=DiagramSpec("HWR_CIRC").xs(), R=1.0))]
 
 
-def _diagram_problems():
-    """The implicit lower curves of the diagrams, one problem per grid abscissa."""
-    families = {"D2_RHR": lambda x: implicit_g("g2", R=x, r=1.0),
-                "D3_DHR": lambda x: implicit_g("g1", d=x, r=1.0),
-                "HWD": lambda x: implicit_g("g3", d=1.0, w=x),
-                "HWR_CIRC": lambda x: implicit_g("g4", w=x, R=1.0)}
-    return [make(float(x)) for did, make in families.items() for x in DiagramSpec(did).xs()]
+def _elements(params):
+    """The float parameters of each element of a parameter column."""
+    n = max(np.size(v) for v in params.values())
+    cols = {k: np.broadcast_to(v, (n,)) for k, v in params.items()}
+    return [{k: float(v[i]) for k, v in cols.items()} for i in range(n)]
 
 
 @pytest.fixture(scope="module")
-def crossing_problems():
-    return _census_problems() + _diagram_problems()
+def crossing_columns():
+    return _crossing_columns()
+
+
+@pytest.fixture(scope="module")
+def crossing_problems(crossing_columns):
+    return [implicit_g(fam, **kw) for fam, params in crossing_columns for kw in _elements(params)]
 
 
 def _scan_crossing(problem, points=1025):
@@ -175,6 +180,26 @@ class TestCrossingContract:
         for problem in crossing_problems:
             got = smallest_crossing(problem)
             assert abs(got - _scan_crossing(problem)) <= 1e-12 * problem.upper
+
+    def test_column_matches_elementwise(self, crossing_columns):
+        # each element of a column takes exactly the steps it takes alone
+        for fam, params in crossing_columns:
+            got = smallest_crossing(implicit_g(fam, **params))
+            want = [smallest_crossing(implicit_g(fam, **kw)) for kw in _elements(params)]
+            assert np.array_equal(got, want), fam
+
+    def test_column_reports_missing_crossings_as_nan(self):
+        # an element outside g1's domain, and one whose F never turns
+        # nonpositive, come back NaN without disturbing their neighbours
+        d, r = np.array([3.0, 1.0, 4.0]), np.array([1.0, 1.0, 1.0])
+        got = smallest_crossing(implicit_g("g1", d=d, r=r))
+        assert np.isnan(got[1])
+        assert got[0] == smallest_crossing(implicit_g("g1", d=3.0, r=1.0))
+        assert got[2] == smallest_crossing(implicit_g("g1", d=4.0, r=1.0))
+        flat = ImplicitRootProblem(lambda t: np.where(np.arange(2) == 0, PI * (1 - t) ** 2, 10.0),
+                                   np.array([1.0, 1.0]))
+        got = smallest_crossing(flat)
+        assert got[0] == pytest.approx(0.5, abs=1e-13) and np.isnan(got[1])
 
 
 class TestImplicitG:
@@ -246,12 +271,37 @@ class TestSubeqInverse:
         with pytest.raises(Unreachable):
             _subeq_inradius("A", 1.0, 0.5 / SQRT3)
 
+    @pytest.mark.parametrize("target,fixed", [("w", "R"), ("A", "w"), ("P", "w")])
+    def test_column_matches_elementwise(self, target, fixed):
+        # the matches of HRW_UP_TRI, HAW_UP_TRI and HWP_UP_TRI on census
+        # records, with targets grown past the first scan; the last element
+        # lies beyond the equilateral end
+        fs = [measure(seeded_polygon(3, i, 3, 30, "area")[2]) for i in range(60)]
+        tval = np.array([f.value(target) for f in fs] + [2.0 if target == "w" else 0.1])
+        fval = np.array([f.value(fixed) for f in fs] + [1.0])
+        if target == "w":
+            tval[:3] = fval[:3] * np.array([1e-3, 1e-5, 1e-7])
+        got = solve_param("subequilateral_triangle", (target, tval), (fixed, fval))
+        for spec, t, f in zip(got, tval, fval):
+            try:
+                want = solve_param("subequilateral_triangle", (target, float(t)), (fixed, float(f)))
+            except Unreachable:
+                want = None
+            assert spec == want
+        assert got[-1] is None and sum(s is None for s in got) < len(got) // 2
+
     @pytest.mark.parametrize("kind,key", [("area_from", "A"), ("perim_from", "P")])
     def test_round_trip_on_triangles(self, kind, key):
         for height in (1.0, 2.0, 5.0):
             f = triangle_functionals(1.0, height)
             r = _subeq_inradius(key, f.min_width, f.value(key))
             assert r == pytest.approx(f.inradius, rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def column_records():
+    fs = [measure_with_cheeger(seeded_polygon(7, i, 3, 30, "area")[2]) for i in range(200)]
+    return fs + [measure_with_cheeger(build(spec, 8192)) for _, spec, _, _ in verify._sharpness_bodies()]
 
 
 class TestEvaluateAll:
@@ -305,6 +355,27 @@ class TestEvaluateAll:
             if r.status == "ok":
                 assert r.slack >= -1e-7, (r.id, seed, n)
 
+    def test_column_matches_records(self, column_records):
+        # 200 census polygons and the 13 sharpness bodies as one column
+        got = evaluate_all(*column_records)
+        want = [r for f in column_records for r in evaluate_all(f)]
+        assert [(r.id, r.status) for r in got] == [(r.id, r.status) for r in want]
+        assert [r.id for r in got[:len(BOUND_IDS)]] == list(BOUND_IDS)
+        for a, b in zip(got, want):
+            if a.status == "ok":
+                assert a.value == pytest.approx(b.value, rel=1e-12), a.id
+
+    def test_failing_record_leaves_others_alone(self, column_records):
+        # width 1e-9 at circumradius 1 needs a triangle taller than the
+        # scan ever reaches, so its HRW_UP_TRI match is unreachable
+        thin = Functionals(area=1e-9, perimeter=4.0, inradius=4e-10, circumradius=1.0,
+                           diameter=2.0, min_width=1e-9)
+        a, b = column_records[:2]
+        k = len(BOUND_IDS)
+        got = evaluate_all(a, thin, b)
+        assert {r.id: r.status for r in got[k:2 * k]}["HRW_UP_TRI"] == "no-root"
+        assert got[:k] + got[2 * k:] == evaluate_all(a, b)
+
     def test_csv_export(self):
         f = ball_functionals()
         text = registry_csv(f)
@@ -312,3 +383,21 @@ class TestEvaluateAll:
         assert lines[0] == "id,direction,condition,formula-id,value,slack"
         assert len(lines) == 1 + len(BOUND_IDS)
         assert text.endswith("\n") and "\r" not in text
+
+
+class TestBoundaryColumns:
+    @pytest.mark.parametrize("did", list(DIAGRAM_IDS))
+    def test_grid_matches_pointwise(self, did):
+        spec = DiagramSpec(did, grid=64)
+        for got, curve_y in zip(boundary(spec), (_lower_y, _upper_y)):
+            want = [(x, y) for x in spec.xs() if (y := curve_y(did, float(x))) is not None]
+            assert got.shape == (len(want), 2)
+            if want:
+                assert np.array_equal(got[:, 0], [x for x, _ in want])
+                assert np.allclose(got[:, 1], [y for _, y in want], rtol=1e-12, atol=0.0)
+
+
+class TestCensusBlocks:
+    def test_grouping_does_not_matter(self):
+        # one block of 40 records against two blocks of 20 in a pool
+        assert verify.census(40, 31, workers=1) == verify.census(40, 31, workers=2)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cheeger_atlas import cheeger as cheeger_mod
 from cheeger_atlas.bounds import implicit_g
@@ -107,6 +107,9 @@ class TestRobustness:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
            vx=st.floats(-1e6, 1e6), vy=st.floats(-1e6, 1e6))
+    # a thin triangle whose core at t* is 3.3e-5 in area: at 1e6 the
+    # shoelace of the absolute coordinates once read it as clockwise
+    @example(seed=36740072, n=3, vx=865761.25, vy=662398.53125)
     def test_translation_invariant(self, seed, n, vx, vy):
         # shifting back is exact, so both solves see one shape and only the
         # solver's own dependence on position is measured
@@ -227,9 +230,20 @@ class TestBracketedRoot:
             assert root == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_zero_at_an_end(self):
-        f = lambda x: x - 1.0
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
         assert _bracketed_root(f, 1.0, 0.0, 2.0, 1.0, 1e-12) == 1.0
         assert _bracketed_root(f, 0.0, -1.0, 1.0, 0.0, 1e-12) == 1.0
+        assert calls == []
+        # a step that lands on the root exactly is the last evaluation
+        assert _bracketed_root(f, 0.0, -1.0, 2.0, 1.0, 1e-12) == 1.0
+        assert calls == [1.0]
+        got = _bracketed_root(lambda x: np.asarray(f(x)), np.array([1.0, 0.0]), np.array([0.0, -1.0]),
+                              np.array([2.0, 2.0]), np.array([1.0, 1.0]), 1e-12)
+        assert list(got) == [1.0, 1.0] and len(calls) == 2
 
     def test_no_sign_change(self):
         with pytest.raises(NoRoot):

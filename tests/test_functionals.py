@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import cheeger_atlas
-from cheeger_atlas import functionals, geom
+from cheeger_atlas import functionals, geom, verify
 from cheeger_atlas.bounds import evaluate_all
 from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, area, circumradius, circumradius_brute,
@@ -16,6 +16,7 @@ from cheeger_atlas.functionals import (Functionals, area, circumradius, circumra
                                        min_width, min_width_brute, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
 from cheeger_atlas.sampler import mix, normalize, seeded_polygon, valtr
+from cheeger_atlas.shapes import build
 from conftest import random_polygons, regular_ngon
 
 SQRT3 = math.sqrt(3.0)
@@ -214,6 +215,17 @@ class TestAgainstBruteForce:
         for p in (poly, moved(poly, shift, angle), THIN_FAR):
             tol = 1e-12 * max(1.0, 1e-3 * float(np.abs(p.vertices).max()))
             assert inradius(p)[0] == pytest.approx(inradius_brute(p)[0], abs=tol)
+
+    def test_inradius_no_deeper_than_centre(self):
+        # the disc of the returned r about the returned centre lies in the
+        # polygon; the polish once reported the res-8192 two-cup (k = 1.2)
+        # 6.3e-13 deeper than its centre
+        polys = [build(spec, 8192) for _, spec, _, _ in verify._sharpness_bodies()]
+        polys += [seeded_polygon(1, i, 3, 30, "area")[2] for i in range(200)]
+        for poly in polys:
+            r, center = inradius(poly)
+            depth = float(np.min(poly.edge_offsets - poly.edge_normals @ center))
+            assert r <= depth + 1e-15 * r
 
     def test_inradius_step_bound(self, monkeypatch):
         # the short right edge vanishes at the first step, the triangle of
