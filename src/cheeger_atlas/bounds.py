@@ -24,7 +24,7 @@ import numpy as np
 
 from . import shapes
 from .cheeger import ImplicitRootProblem, _bracketed_root, cheeger_constant, smallest_crossing
-from .errors import DomainError, NoConvergence, NoRoot, NonMonotone, Unreachable
+from .errors import DomainError
 from .functionals import Functionals
 from .shapes import Resolution, SmoothedNonagon, triangle_values
 
@@ -434,12 +434,13 @@ def evaluate_all(*records: Functionals) -> list[BoundResult]:
     The records form one column: each predicate and each value is computed
     once, on numpy arrays over the records (values only over the records
     the predicate admits).  The result is record-major, ``len(BOUND_IDS)``
-    results per record in ``BOUND_IDS`` order.  Per-record failures (a
-    non-finite value, a missing crossing, an unmatched triangle) surface as
-    no-root results, never as exceptions, and leave the other records'
-    values untouched.  When a record carries the Cheeger constant each of
-    its results also reports its slack (nonnegative slack = the inequality
-    holds).
+    results per record in ``BOUND_IDS`` order.  The column solves mark a
+    record they cannot serve with NaN instead of raising, so per-record
+    failures (a non-finite value, a missing crossing, an unmatched
+    triangle) surface as that record's no-root results and leave the other
+    records' values untouched.  When a record carries the Cheeger constant
+    each of its results also reports its slack (nonnegative slack = the
+    inequality holds).
     """
     n = len(records)
     cols = _Column(*(np.array([getattr(f, k) for f in records], dtype=float)
@@ -451,10 +452,7 @@ def evaluate_all(*records: Functionals) -> list[BoundResult]:
             vals = np.full(n, np.nan)
             if admitted.any():
                 sub = cols if admitted.all() else _Column(*(c[admitted] for c in cols))
-                try:
-                    vals[admitted] = value_fn(sub)
-                except (NoRoot, NoConvergence, Unreachable, NonMonotone, DomainError, ValueError):
-                    pass
+                vals[admitted] = value_fn(sub)
             table.append((bdef, admitted, vals))
     out = []
     for i, f in enumerate(records):

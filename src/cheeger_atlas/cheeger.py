@@ -82,13 +82,15 @@ class ImplicitRootProblem:
     make g(t) - pi t^2 continuous and non-increasing on the domain.  An
     array ``upper`` makes a column of problems: g then maps t of the
     column's shape (or of shape (2, n), both ends at once) elementwise.
+    A float ``upper`` must be positive; in a column an element whose
+    ``upper`` is not positive has no crossing.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     upper: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.upper) <= 0):
+        if np.ndim(self.upper) == 0 and self.upper <= 0:
             raise ValueError("domain upper end must be positive")
 
 
@@ -243,16 +245,18 @@ def smallest_crossing(problem: ImplicitRootProblem):
 
     With an array ``upper`` (a column of problems, which g evaluates
     elementwise) every crossing is solved in one call and an array is
-    returned, with NaN where the sign change is missing or the solve fails.
+    returned, with NaN where the domain is empty, the sign change is
+    missing or the solve fails.
     """
     upper = np.asarray(problem.upper, dtype=float)
     ends = np.stack((np.zeros_like(upper), upper))
     f0, f1 = np.asarray(problem.g(ends), dtype=float) - np.pi * ends * ends
-    falls = (f0 > 0.0) & (f1 <= 0.0)
+    falls = (upper > 0.0) & (f0 > 0.0) & (f1 <= 0.0)
     if upper.ndim == 0 and not falls:
         raise NoRoot("g(t) - pi t^2 does not fall from positive to nonpositive on the domain")
 
     def F(t):
         return np.asarray(problem.g(t), dtype=float) - np.pi * t * t
 
-    return _bracketed_root(F, 0.0, np.where(falls, f0, np.nan), upper, f1, CROSSING_REL_TOL * upper)
+    f0, f1 = (np.where(falls, f, np.nan) for f in (f0, f1))  # NaN ends: no root, no steps
+    return _bracketed_root(F, 0.0, f0, upper, f1, CROSSING_REL_TOL * upper)

@@ -158,9 +158,10 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def boundary(spec: DiagramSpec) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) curves as (k, 2) arrays of samples; empty where unproven.
 
-    Each curve is computed on the whole grid at once.  For D3 the implicit
-    lower curve automatically realizes the smoothed nonagon branch below
-    d0() and the slice branch above it.
+    Each curve is computed on the whole grid at once, and the grid points
+    where it has no value (such as x = 0 of a width diagram) are left out.
+    For D3 the implicit lower curve automatically realizes the smoothed
+    nonagon branch below d0() and the slice branch above it.
     """
     xs = spec.xs()
     return _points(xs, _lower_y(spec.id, xs)), _points(xs, _upper_y(spec.id, xs))

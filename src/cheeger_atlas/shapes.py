@@ -453,10 +453,12 @@ def solve_param(family, target, fixed, res: int = 8192, scan_points: int = 65):
     families while targets lie beyond it) serves every element.  Each
     element takes its bracket from the scan at the first growth that
     reaches it, exactly as it would alone, and one vectorised root loop
-    then solves all elements.  NonMonotone is raised when the scan is not
-    monotone.  A float call returns the spec and raises Unreachable when
-    the target lies outside the family's range; a column call returns a
-    list of specs, with None for each unreachable or unsolved element.
+    then solves all elements.  A float call returns the spec; it raises
+    InvalidParam for a value that is not positive, NonMonotone when a scan
+    it needs is not monotone, and Unreachable when the target lies outside
+    the family's range.  A column call returns a list of specs, with None
+    for each element that one of those would have failed, or whose root
+    solve did not converge; the other elements are unaffected.
     """
     fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
     if fam not in _SIGMA:
@@ -466,7 +468,8 @@ def solve_param(family, target, fixed, res: int = 8192, scan_points: int = 65):
     scalar = np.ndim(tval) == 0 and np.ndim(fval) == 0
     tval, fval = (np.array(v, dtype=float).reshape(-1)
                   for v in np.broadcast_arrays(np.asarray(tval), np.asarray(fval)))
-    if np.any(fval <= 0) or np.any(tval <= 0):
+    bad = (fval <= 0) | (tval <= 0)
+    if scalar and bad[0]:
         raise InvalidParam("target and fixed values must be positive")
     a_t, a_f = _EXPONENT[tid], _EXPONENT[fid]
 
@@ -476,14 +479,16 @@ def solve_param(family, target, fixed, res: int = 8192, scan_points: int = 65):
 
     lo, hi, unbounded, make = _SIGMA[fam]
     a, fa, b, fb, xtol = (np.full(tval.shape, np.nan) for _ in range(5))
-    pending = np.arange(tval.size)
+    pending = np.flatnonzero(~bad)
     for _ in range(12):
         grid = np.linspace(lo, hi, scan_points)
         u = _unit_values(fam, grid, res)
         unit = scaled(u, 1.0)
         tol = 1e-12 * float(np.max(np.abs(unit)))
         if np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol):
-            raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
+            if scalar:
+                raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
+            break  # the elements that need this scan stay unsolved
         t = tval[pending]
         row = scaled(u, fval[pending, None])  # one row per pending element
         vmin, vmax = row.min(axis=1), row.max(axis=1)

@@ -23,6 +23,10 @@ from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve
 SCHEMA = "cheeger-atlas-verify/1"
 CENSUS_SLACK_FLOOR = -1e-7
 SHARPNESS_CEIL = 1e-4
+# fewest records in a census block: for shorter blocks, starting a worker
+# pool and the registry's higher cost per record on a short column outweigh
+# what a second worker saves (measured on a 2-core VM)
+CENSUS_MIN_BLOCK = 16
 
 # extremal families exercised by the sharpness suite, with the bounds each
 # family saturates and the diagram curves it traces
@@ -55,14 +59,15 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
            workers: int | None = None) -> dict:
     """Min slack per bound id over ``samples`` unit-area random polygons.
 
-    The records are split into one contiguous block per worker, and each
-    block evaluates the registry as one column; a record's results do not
-    depend on the block it lands in.
+    The records are split into contiguous blocks, one per worker but at
+    most one per CENSUS_MIN_BLOCK records, and each block evaluates the
+    registry as one column; a record's results do not depend on the block
+    it lands in.
     """
-    workers = workers or worker_count(samples)
-    edges = [samples * k // workers for k in range(workers + 1)]
+    count = max(1, min(workers or worker_count(samples), samples // CENSUS_MIN_BLOCK))
+    edges = [samples * k // count for k in range(count + 1)]
     blocks = [(lo, hi, seed, n_min, n_max) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    rows = [row for block in parallel_map(_census_block, blocks, workers=workers) for row in block]
+    rows = [row for block in parallel_map(_census_block, blocks, workers=count) for row in block]
     agg: dict[str, dict] = {
         bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
               "not_applicable": 0, "no_root": 0}

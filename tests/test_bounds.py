@@ -9,7 +9,7 @@ from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_a
                                   implicit_g, phi, psi, registry_csv)
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
 from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, _lower_y, _upper_y, boundary
-from cheeger_atlas.errors import DomainError, Unreachable
+from cheeger_atlas.errors import DomainError, InvalidParam, Unreachable
 from cheeger_atlas.functionals import Functionals, measure, measure_with_cheeger
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
@@ -201,6 +201,17 @@ class TestCrossingContract:
         got = smallest_crossing(flat)
         assert got[0] == pytest.approx(0.5, abs=1e-13) and np.isnan(got[1])
 
+    def test_column_empty_domain_is_nan(self):
+        # r = 0 (g1) and w = 0 (g3) leave the domain [0, 0]: a float problem
+        # raises, the element of a column comes back NaN
+        for family, params in (("g1", {"d": [3.0, 2.0], "r": [1.0, 0.0]}),
+                               ("g3", {"d": [1.0, 1.0], "w": [0.5, 0.0]})):
+            got = smallest_crossing(implicit_g(family, **{k: np.array(v) for k, v in params.items()}))
+            assert np.isnan(got[1])
+            assert got[0] == smallest_crossing(implicit_g(family, **{k: v[0] for k, v in params.items()}))
+            with pytest.raises(ValueError):
+                implicit_g(family, **{k: v[1] for k, v in params.items()})
+
 
 class TestImplicitG:
     def test_g2_ball_reduction(self):
@@ -289,6 +300,17 @@ class TestSubeqInverse:
                 want = None
             assert spec == want
         assert got[-1] is None and sum(s is None for s in got) < len(got) // 2
+
+    def test_column_marks_invalid_values(self):
+        # a value that is not positive raises for a float call and leaves
+        # only its own element unsolved in a column
+        tval, fval = np.array([0.5, 0.0, 0.5]), np.array([1.0, 1.0, -1.0])
+        got = solve_param("subequilateral_triangle", ("w", tval), ("R", fval))
+        assert got[1] is None and got[2] is None
+        assert got[0] == solve_param("subequilateral_triangle", ("w", 0.5), ("R", 1.0))
+        for t, f in zip(tval[1:], fval[1:]):
+            with pytest.raises(InvalidParam):
+                solve_param("subequilateral_triangle", ("w", float(t)), ("R", float(f)))
 
     @pytest.mark.parametrize("kind,key", [("area_from", "A"), ("perim_from", "P")])
     def test_round_trip_on_triangles(self, kind, key):
@@ -386,9 +408,14 @@ class TestEvaluateAll:
 
 
 class TestBoundaryColumns:
-    @pytest.mark.parametrize("did", list(DIAGRAM_IDS))
-    def test_grid_matches_pointwise(self, did):
-        spec = DiagramSpec(did, grid=64)
+    # the default grids, and the width diagrams on grids that start at
+    # x = 0, where no curve has a value
+    @pytest.mark.parametrize("spec", [DiagramSpec(did, grid=64) for did in DIAGRAM_IDS]
+                             + [DiagramSpec(did, (0.0, DIAGRAM_IDS[did][3][1]), grid=64)
+                                for did in ("HWD", "HWR_CIRC", "HWP", "HWA")],
+                             ids=lambda spec: f"{spec.id}{'' if spec.x_range is None else '-from-0'}")
+    def test_grid_matches_pointwise(self, spec):
+        did = spec.id
         for got, curve_y in zip(boundary(spec), (_lower_y, _upper_y)):
             want = [(x, y) for x in spec.xs() if (y := curve_y(did, float(x))) is not None]
             assert got.shape == (len(want), 2)
