@@ -426,6 +426,13 @@ def _build_registry():
 
 _REGISTRY = _build_registry()
 BOUND_IDS = tuple(d.id for d, _, _ in _REGISTRY)
+_VALUES = {d.id: value for d, _, value in _REGISTRY}
+
+
+def bound_value(bid: str, **column) -> np.ndarray:
+    """Value formula of bound ``bid`` (no applicability test) on functionals
+    given by keyword, such as ``inradius=1.0``; unread ones may be left out."""
+    return _VALUES[bid](_Column(*(np.asarray(column.get(k, np.nan), dtype=float) for k in _Column._fields)))
 
 
 def evaluate_all(*records: Functionals) -> list[BoundResult]:

@@ -39,10 +39,6 @@ DEFAULT_ARC_SEGMENTS = 4096
 STEP_REL_TOL = 1e-14
 # Offset-chain evaluations one Cheeger solve may make before it gives up.
 MAX_EVALS = 64
-# Inward retries of t* (each by the factor 1 - NUDGE_REL) for a core that
-# does not survive as a strictly convex polygon.
-MAX_NUDGES = 16
-NUDGE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,15 +46,15 @@ class SolveDiagnostics:
     """How one Cheeger solve went; never part of a deterministic output.
 
     ``evaluations`` counts offset-chain evaluations (calls of
-    ``OffsetMachine.area_at``), ``bisections`` the steps that left the sign
-    bracket and halved it instead, and ``nudges`` the inward retries of t*.
-    ``bracket_width`` is hi - lo of the sign bracket when the solve ended,
-    and ``residual`` is |A(t*) - pi t*^2| on the returned core.
+    ``OffsetMachine.area_at`` on the polygon's machine, which the inradius
+    shares) and ``bisections`` the steps that left the sign bracket and
+    halved it instead.  ``bracket_width`` is hi - lo of the sign bracket
+    when the solve ended, and ``residual`` is |A(t*) - pi t*^2| on the
+    returned core.
     """
 
     evaluations: int
     bisections: int
-    nudges: int
     bracket_width: float
     residual: float
 
@@ -149,30 +145,25 @@ def cheeger_constant(poly: ConvexPolygon,
                      with_set: bool = True) -> CheegerResult:
     """Cheeger constant from guarded quadratic steps on |poly_{-t}| - pi t^2.
 
-    Each step evaluates the offset chain once and moves to the root of the
-    exact local quadratic (see ``_solve``); the sign bracket starts as
-    [0, 2A/P] and catches steps that would leave it.  A core at t* that
-    does not survive as a strictly convex polygon moves t* inward by at most
-    MAX_NUDGES relative steps of NUDGE_REL before NoConvergence is raised.
-    ``with_set=False`` skips building the discretized Cheeger set (the
-    ``cheeger_set`` field then repeats the inner core).
+    Each step evaluates the offset chain of the polygon's one
+    ``OffsetMachine`` (``poly.offset_machine``, shared with the inradius)
+    once and moves to the root of the exact local quadratic (see
+    ``_solve``); the sign bracket starts as [0, 2A/P] and catches steps
+    that would leave it.  NoConvergence is raised when the core at t* does
+    not survive as a strictly convex polygon.  ``with_set=False`` skips
+    building the discretized Cheeger set (the ``cheeger_set`` field then
+    repeats the inner core).
     """
-    machine = OffsetMachine(poly)
+    machine = poly.offset_machine
     t_star, evals, bisections, width = _solve(machine)
     core = machine.polygon_at(t_star)
-    nudges = 0
-    while core is None:
-        if nudges == MAX_NUDGES:
-            raise NoConvergence(f"no strictly convex core within {MAX_NUDGES} nudges "
-                                f"of t* = {t_star!r}")
-        t_star *= 1.0 - NUDGE_REL
-        nudges += 1
-        core = machine.polygon_at(t_star)
+    if core is None:
+        raise NoConvergence(f"the inner core at t* = {t_star!r} is not a strictly convex polygon")
     residual = abs(shoelace(core.vertices - machine.origin) - math.pi * t_star * t_star)
     cheeger_set = dilate(core, t_star, arc_segments) if with_set else core
     return CheegerResult(h=1.0 / t_star, t_star=t_star, cheeger_set=cheeger_set,
                          inner_core=core,
-                         diagnostics=SolveDiagnostics(evals, bisections, nudges, width, residual))
+                         diagnostics=SolveDiagnostics(evals, bisections, width, residual))
 
 
 def _bracketed_root(f: Callable, a, fa, b, fb, xtol):

@@ -80,43 +80,35 @@ class DiagramPoint:
     provenance: str = ""
 
 
-def _hwd_yamanouti(x):
-    ac = np.arccos(np.minimum(1.0, x))
-    den = PI * x * x - SQRT3 + 6 * x * x * (np.tan(ac) - ac)
-    return SQRT3 / (SQRT3 * x - 1.0) + np.sqrt(2 * PI / den)
-
-
-def _hrd_upper(x):
-    root = np.sqrt(np.maximum(4 * x * x - 1.0, 0.0))
-    return np.where(root == 0.0, np.nan,
-                    2 * x * (2 * x + root) / root + np.sqrt(4 * PI * x * x / root))
+def _bound(bid: str, x_name: str, **fixed):
+    """Registry bound ``bid`` as a curve: its value with the functional
+    ``x_name`` on the abscissae and the others ``fixed``."""
+    return lambda x: bounds.bound_value(bid, **{x_name: x}, **fixed)
 
 
 # diagram id -> proven lower / upper boundary on an array of abscissae
 _LOWER = {
-    "D1_PHR": lambda x: 1.0 + PI / (x - PI),
+    "D1_PHR": _bound("HRP_LO", "perimeter", inradius=1.0),
     "D2_RHR": lambda x: bounds._crossing_h("g2", R=x, r=1.0),
     "D3_DHR": lambda x: bounds._crossing_h("g1", d=x, r=1.0),
     "HWD": lambda x: bounds._crossing_h("g3", d=1.0, w=x),
     "HWR_CIRC": lambda x: bounds._crossing_h("g4", w=x, R=1.0),
-    "HWP": lambda x: 2.0 / x + 2 * PI / (2.0 - PI * x),
-    "HWA": lambda x: 2.0 / x + PI * x / 2.0,
-    "HWR_IN": lambda x: 1.0 + np.sqrt(PI * np.maximum(1 - 2 / x, 0.0)
-                                      * np.sqrt(np.maximum(4 / x - 1, 0.0))),
+    "HWP": _bound("HWP_LO", "min_width", perimeter=1.0),
+    "HWA": _bound("HAW_LO", "min_width", area=1.0),
+    "HWR_IN": _bound("HWR_LO", "min_width", inradius=1.0),
 }
 _UPPER = {
-    "D1_PHR": lambda x: 1.0 + np.sqrt(2 * PI / x),
-    "D2_RHR": lambda x: 1.0 + np.sqrt(PI / (2 * (np.sqrt(np.maximum(x * x - 1, 0.0))
-                                                  + np.arcsin(np.minimum(1.0, 1 / x))))),
-    "D3_DHR": lambda x: 1.0 + np.sqrt(PI / (np.sqrt(np.maximum(x * x - 4, 0.0))
-                                            + (PI - 2 * np.arccos(np.minimum(1.0, 2 / x))))),
-    "HWD": lambda x: np.where(x <= SQRT3 / 2, bounds._triangle_h_from_wd(x, 1.0), _hwd_yamanouti(x)),
+    "D1_PHR": _bound("HRP_UP", "perimeter", inradius=1.0),
+    "D2_RHR": _bound("HRR_UP", "circumradius", inradius=1.0),
+    "D3_DHR": _bound("HDR_UP", "diameter", inradius=1.0),
+    "HWD": lambda x: np.where(x <= SQRT3 / 2, bounds._triangle_h_from_wd(x, 1.0),
+                              bounds.bound_value("HDW_UP_YAM", min_width=x, diameter=1.0)),
     "HWR_CIRC": lambda x: np.where(x <= 1.5, bounds._triangle_h_matched("R", 1.0, "w", x), np.nan),
     "HWP": lambda x: np.where(x <= 1.0 / (2 * SQRT3),
                               bounds._triangle_h_matched("P", 1.0, "w", x), np.nan),
     "HWA": lambda x: np.where(SQRT3 >= x * x, bounds._triangle_h_matched("A", 1.0, "w", x), np.nan),
-    "HRD": _hrd_upper,
-    "HWR_IN": lambda x: 1.0 + math.sqrt(PI * SQRT3) / x,
+    "HRD": _bound("HRD_UP", "circumradius", diameter=1.0),
+    "HWR_IN": _bound("HWR_UP", "min_width", inradius=1.0),
 }
 
 

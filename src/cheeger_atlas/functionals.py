@@ -21,7 +21,7 @@ import numpy as np
 
 from .cheeger import cheeger_constant
 from .errors import NoConvergence
-from .geom import ConvexPolygon, OffsetMachine, shoelace
+from .geom import ConvexPolygon, shoelace
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
@@ -156,7 +156,8 @@ def inradius(poly: ConvexPolygon):
 
     The centre comes from walking the straight skeleton
     (``OffsetMachine.collapse``) to the offset at which the inner parallel
-    set vanishes.  It is then polished: the points equidistant from three
+    set vanishes, on the polygon's one machine, which the Cheeger solve
+    reuses.  It is then polished: the points equidistant from three
     (or two antiparallel) of the edges nearest to it are candidates too, the
     deepest candidate is returned, and r is its depth min(c_i - n_i . x).
     So the disc returned always lies in the polygon, and it is accurate to
@@ -164,7 +165,7 @@ def inradius(poly: ConvexPolygon):
     follows the polygon's extent about its vertex mean, not its distance
     from the origin.
     """
-    machine = OffsetMachine(poly)
+    machine = poly.offset_machine
     t, x = machine.collapse()
     scale = max(1.0, float(np.max(np.abs(machine.local))))
     return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, x + machine.origin, t, scale)

@@ -13,6 +13,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +87,11 @@ class ConvexPolygon:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def offset_machine(self) -> "OffsetMachine":
+        """The polygon's one ``OffsetMachine``, built on first use."""
+        return OffsetMachine(self)
 
     @property
     def edge_normals(self) -> np.ndarray:
@@ -169,78 +175,6 @@ def support(poly: ConvexPolygon, direction) -> float:
     return float(np.max(poly.vertices @ d))
 
 
-def _clip_chain(start_vertices, start_ids, planes, id_offset=0, tol_rel=1e-14):
-    """Sutherland-Hodgman clip tracking which plane supports each edge.
-
-    ``start_ids[i]`` is the plane id of the edge from vertex i to i+1; ids
-    below ``id_offset`` refer to the seed polygon (exempt from provenance
-    refinement).  Returns (vertices, edge_ids) or None when the region is
-    empty.  Final vertices are recomputed from their two supporting lines so
-    clipping at a large scale does not pollute the result.
-    """
-    verts = [np.asarray(p, dtype=float) for p in start_vertices]
-    ids = list(start_ids)
-    all_planes = {i + id_offset: (np.asarray(n, dtype=float), float(c)) for i, (n, c) in enumerate(planes)}
-    seed_lines = {}
-    for i, p in enumerate(start_vertices):
-        q = start_vertices[(i + 1) % len(start_vertices)]
-        e = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-        ln = np.hypot(e[0], e[1])
-        n = np.array([e[1], -e[0]]) / ln
-        seed_lines[ids[i]] = (n, float(n @ p))
-
-    def line_of(i):
-        return all_planes[i] if i in all_planes else seed_lines[i]
-
-    for k, (n, c) in enumerate(planes):
-        pid = k + id_offset
-        m = len(verts)
-        if m == 0:
-            return None
-        scale = max(1.0, abs(c))
-        dist = np.asarray([c - float(n @ v) for v in verts])
-        tol = scale * tol_rel
-        if np.all(dist >= -tol):
-            continue
-        new_verts: list[np.ndarray] = []
-        new_ids: list[int] = []
-        for i in range(m):
-            j = (i + 1) % m
-            di, dj = dist[i], dist[j]
-            inside_i, inside_j = di >= 0.0, dj >= 0.0
-            if inside_i:
-                new_verts.append(verts[i])
-                new_ids.append(ids[i])
-            if inside_i != inside_j:
-                n_edge, c_edge = line_of(ids[i])
-                det = n_edge[0] * n[1] - n_edge[1] * n[0]
-                if abs(det) > 1e-300:
-                    x = (c_edge * n[1] - c * n_edge[1]) / det
-                    y = (n_edge[0] * c - n[0] * c_edge) / det
-                    pt = np.array([x, y])
-                else:
-                    t = di / (di - dj)
-                    pt = verts[i] + t * (verts[j] - verts[i])
-                new_verts.append(pt)
-                new_ids.append(ids[i] if inside_j else pid)
-        if len(new_verts) < 3:
-            return None
-        # a vertex whose incoming and outgoing edge share a plane is interior
-        # to that line: keep the edge's first vertex only
-        verts, ids = [], []
-        for v, i_ in zip(new_verts, new_ids):
-            if verts and ids[-1] == i_:
-                continue
-            verts.append(v)
-            ids.append(i_)
-        while len(verts) >= 2 and ids[0] == ids[-1]:
-            verts.pop(0)
-            ids.pop(0)
-        if len(verts) < 3:
-            return None
-    return np.array(verts), ids
-
-
 def _strictify(vertices: np.ndarray, scale: float) -> np.ndarray | None:
     """Drop duplicate / non-left-turn vertices so the chain is strictly convex."""
     v = vertices
@@ -262,20 +196,23 @@ def _strictify(vertices: np.ndarray, scale: float) -> np.ndarray | None:
 def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
     """Bounded intersection of half-planes; None when the interior is empty.
 
-    Raises UnboundedRegion when the intersection is unbounded.  Boundedness
-    is decided by clipping a huge seed square: a surviving synthetic edge
-    means escape to infinity at the working scale.
+    Raises UnboundedRegion when the intersection is unbounded.  The planes
+    and the sides of a huge square go through the offset chain's fan peel
+    (``_merge_parallel``, ``_offset_chain``): a side that survives means
+    escape to infinity at the working scale.
     """
     if not planes:
         raise DegenerateInput("need at least one half-plane")
-    ncs = [(p.n, p.c) for p in planes]
-    big = 1e8 * max(1.0, max(abs(c) for _, c in ncs))
-    box = [np.array([-big, -big]), np.array([big, -big]), np.array([big, big]), np.array([-big, big])]
-    clipped = _clip_chain(box, [-1, -2, -3, -4], ncs, id_offset=0)
-    if clipped is None:
+    normals = np.concatenate(([p.n for p in planes], [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    offsets = np.array([p.c for p in planes])
+    size = max(1.0, float(np.max(np.abs(offsets))))
+    offsets = np.concatenate((offsets, np.full(4, 1e8 * size)))
+    fan = _merge_parallel(normals, offsets)
+    chain = _offset_chain(normals[fan], offsets[fan], fan, size * 1e-14)
+    if chain is None:
         return None
-    verts, ids = clipped
-    if any(i < 0 for i in ids):
+    verts, kept = chain[0], chain[4]
+    if np.any(kept >= len(planes)):
         raise UnboundedRegion("half-plane intersection is unbounded")
     scale = float(np.max(np.abs(verts))) or 1.0
     verts = _strictify(verts, scale)
@@ -284,8 +221,9 @@ def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
     return ConvexPolygon(verts)
 
 
-def _merge_parallel(normals, offsets):
-    """Merge half-planes whose normals agree within PARALLEL_EPS (keep tighter).
+def _merge_parallel(normals, offsets) -> np.ndarray:
+    """Indices, in angle order, of the half-planes left once those whose
+    normals agree within PARALLEL_EPS are merged (the tighter one kept).
 
     Normals are sorted by angle; a gap of PARALLEL_EPS or more between
     neighbours starts a new group, and the last group joins the first when
@@ -294,13 +232,13 @@ def _merge_parallel(normals, offsets):
     """
     angles = np.arctan2(normals[:, 1], normals[:, 0])
     order = np.argsort(angles, kind="stable")
-    ns, cs, angs = normals[order], offsets[order], angles[order]
+    cs, angs = offsets[order], angles[order]
     group = np.cumsum(np.concatenate(([False], np.diff(angs) >= PARALLEL_EPS)))
     if group[-1] > 0 and (angs[0] + 2 * np.pi) - angs[-1] < PARALLEL_EPS:
         group[group == group[-1]] = 0
     by_offset = np.lexsort((cs, group))
     first = by_offset[np.concatenate(([True], np.diff(group[by_offset]) != 0))]
-    return ns[first], cs[first]
+    return order[first]
 
 
 def _deque_peel(ns: np.ndarray, cs: np.ndarray) -> list[int] | None:
@@ -399,16 +337,24 @@ def _fan_det(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0]
 
 
-def _offset_chain(ns: np.ndarray, cs: np.ndarray, eps: float):
+def _bisector_velocity(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """The d with n . d = n2 . d = 1, at which lines with normals n and n2 moving
+    in at unit speed meet; (n + n2) / (|n + n2|^2 / 2) keeps needle tips exact."""
+    s = ns + n2
+    return s / (0.5 * np.einsum("ij,ij->i", s, s))[:, None]
+
+
+def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float):
     """Consecutive-intersection chain of the half-planes n_k . x <= c_k.
 
-    The normals are sorted by angle and pairwise non-parallel.  Planes whose
-    edge is not longer than ``eps`` are peeled off; a plane whose
-    neighbour-pair vertex already satisfies it is globally redundant, so the
-    peeling is exact.  Returns (vertices, normals, edge lengths, offsets) of
-    the surviving planes, edge k ending at vertex k, or None once the region
-    is empty: fewer than 3 planes survive, or the normal fan has a gap (the
-    planes then hold no bounded region).
+    The normals are sorted by angle and pairwise non-parallel; ``fan``
+    labels the planes.  Planes whose edge is not longer than ``eps`` are
+    peeled off; a plane whose neighbour-pair vertex already satisfies it is
+    globally redundant, so the peeling is exact.  Returns (vertices,
+    normals, edge lengths, offsets, labels) of the surviving planes, edge k
+    ending at vertex k, or None once the region is empty: fewer than 3
+    planes survive, or the normal fan has a gap (the planes then hold no
+    bounded region).
     """
     passes = 0
     while True:
@@ -425,9 +371,9 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, eps: float):
             + (vy - np.concatenate((vy[-1:], vy[:-1]))) * ns[:, 0]
         dead = adv <= eps
         if not dead.any():
-            return np.column_stack((vx, vy)), ns, adv, cs
+            return np.column_stack((vx, vy)), ns, adv, cs, fan
         keep = ~dead
-        ns, cs = ns[keep], cs[keep]
+        ns, cs, fan = ns[keep], cs[keep], fan[keep]
         passes += 1
         if passes >= 6:
             # long removal cascades (fine arcs eaten by long edges):
@@ -435,28 +381,40 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, eps: float):
             survivors = _deque_peel(ns, cs)
             if survivors is None:
                 return None
-            ns, cs = ns[survivors], cs[survivors]
+            ns, cs, fan = ns[survivors], cs[survivors], fan[survivors]
             passes = 0
 
 
 class OffsetMachine:
-    """Repeated inward offsets of one polygon.
+    """Repeated inward offsets of one polygon, which holds it as ``offset_machine``.
 
-    Both the Cheeger solve (``area_at``) and the inradius (``collapse``)
-    read the inner parallel sets through it.  Normal merging happens once;
-    each query reruns only the consecutive-intersection chain with
-    redundant planes peeled off (``_offset_chain``).  The chain runs in a
-    frame centred on the vertex mean, and its tolerances scale with the
-    intrinsic size ``2A/P`` (between the inradius and twice it), so that
-    neither where the polygon sits nor how thin it is moves the result.
+    The inradius (``collapse``), the Cheeger solve (``area_at``) and the
+    inner parallel sets (``polygon_at``) read the polygon through it.  Normal
+    merging happens once; each query reruns only the chain of neighbouring
+    planes with redundant ones peeled off (``_chain``).  Where two planes are
+    neighbours in the polygon, their vertex is the polygon's own moved along
+    the bisector, which is exact; only planes that became neighbours when the
+    edges between them vanished (or merged) are intersected, and the edge
+    lengths (so perimeter and reach) always come from the intersections.
+    The chain runs in a frame centred on the vertex mean, with tolerances
+    scaled by the intrinsic size ``2A/P`` (between the inradius and twice
+    it), so neither where the polygon sits nor how thin it is moves the result.
     """
 
     def __init__(self, poly: ConvexPolygon):
-        self.poly = poly
+        # no reference back to poly, whose cache would then hold a cycle
         self.origin = poly.vertices.mean(axis=0)
         self.local = poly.vertices - self.origin
         normals = poly.edge_normals
-        self.ns, self.cs = _merge_parallel(normals, np.einsum("ij,ij->i", normals, self.local))
+        offsets = np.einsum("ij,ij->i", normals, self.local)
+        edge = _merge_parallel(normals, offsets)
+        self.ns, self.cs, self.fan = normals[edge], offsets[edge], np.arange(len(edge))
+        # planes k and k + 1 that are neighbours in the polygon meet at its
+        # vertex edge[k] + 1, which moves along their bisector
+        following = np.concatenate((edge[1:], edge[:1]))
+        self.kinetic = following == (edge + 1) % len(normals)
+        self.corner = self.local[following].T.copy()
+        self.speed = _bisector_velocity(self.ns, np.concatenate((self.ns[1:], self.ns[:1]))).T.copy()
         self.area0 = shoelace(self.local)
         edges = np.roll(self.local, -1, axis=0) - self.local
         self.size = 2.0 * self.area0 / float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
@@ -464,9 +422,21 @@ class OffsetMachine:
         self.chain0 = self._chain(0.0)
         self.measure0 = _chain_measure(*self.chain0[:3])._replace(area=self.area0)
 
-    def _chain(self, t: float):
-        """Local-frame chain of the inner parallel set at t; None once empty."""
-        return _offset_chain(self.ns, self.cs - t, self.eps)
+    def _chain(self, t: float, prev=None, step: float = 0.0):
+        """Local-frame chain of the inner parallel set at t; None once empty.
+        From ``prev``, the chain at t - step, only its planes are shifted, by
+        the step itself (added to t, a step below t's last bit is lost)."""
+        ns, cs, fan = ((self.ns, self.cs - t, self.fan) if prev is None
+                       else (prev[1], prev[3] - step, prev[4]))
+        chain = _offset_chain(ns, cs, fan, self.eps)
+        if chain is None:
+            return None
+        verts, ns, adv, cs, fan = chain
+        corner, speed, kinetic = self.corner, self.speed, self.kinetic
+        if len(fan) < len(self.cs):
+            corner, speed = corner[:, fan], speed[:, fan]
+            kinetic = kinetic[fan] & (np.concatenate((fan[1:], fan[:1])) == (fan + 1) % len(self.cs))
+        return np.where(kinetic, corner - t * speed, verts.T).T, ns, adv, cs, fan
 
     def collapse(self):
         """(r, local centre): the offset r at which the inner parallel set vanishes.
@@ -485,14 +455,13 @@ class OffsetMachine:
         floor = self.area0 * DEGENERATE_AREA_REL
         t, chain, m = 0.0, self.chain0, self.measure0
         for _ in range(MAX_COLLAPSE_STEPS):
-            verts, ns, _, cs = chain
             step = max(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
-            nxt = _offset_chain(ns, cs - step, self.eps)
+            nxt = self._chain(t + step, chain, step)
             m = None if nxt is None else _chain_measure(*nxt[:3])
             if m is None or m.area <= floor:
-                n2 = np.concatenate((ns[1:], ns[:1]))
-                bisectors = (ns + n2) / (1.0 + np.einsum("ij,ij->i", ns, n2))[:, None]
-                return t + step, (verts - step * bisectors).mean(axis=0)
+                verts, ns = chain[:2]
+                velocity = _bisector_velocity(ns, np.concatenate((ns[1:], ns[:1])))
+                return t + step, (verts - step * velocity).mean(axis=0)
             t, chain = t + step, nxt
         raise NoConvergence(f"inner parallel set did not vanish in {MAX_COLLAPSE_STEPS} "
                             f"skeleton steps (t = {t!r})")
@@ -507,20 +476,14 @@ class OffsetMachine:
         m = _chain_measure(*chain[:3])
         return _EMPTY if m.area <= self.area0 * DEGENERATE_AREA_REL else m
 
-    def vertices_at(self, t: float) -> np.ndarray | None:
-        if t == 0.0:
-            return self.poly.vertices
+    def polygon_at(self, t: float) -> ConvexPolygon | None:
+        """The inner parallel set at t in the caller's frame; None once it is
+        empty or does not survive as a strictly convex polygon."""
         chain = self._chain(t)
         verts = None if chain is None else _strictify(chain[0], self.size)
         if verts is None or shoelace(verts) <= self.area0 * DEGENERATE_AREA_REL:
             return None
-        return verts + self.origin
-
-    def polygon_at(self, t: float) -> ConvexPolygon | None:
-        verts = self.vertices_at(t)
-        if verts is None:
-            return None
-        return self.poly if verts is self.poly.vertices else ConvexPolygon(verts)
+        return ConvexPolygon(verts + self.origin)
 
 
 def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:
@@ -529,12 +492,12 @@ def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:
         raise DegenerateInput("offset distance must be nonnegative")
     if t == 0.0:
         return poly
-    return OffsetMachine(poly).polygon_at(t)
+    return poly.offset_machine.polygon_at(t)
 
 
 def inner_parallel_area(poly: ConvexPolygon, t: float) -> float:
     """Area of the inner parallel set (0 once empty); avoids reconstruction."""
-    return OffsetMachine(poly).area_at(t).area
+    return poly.offset_machine.area_at(t).area
 
 
 def _edge_vectors_from_lowest(poly: ConvexPolygon):
