@@ -31,12 +31,12 @@ def main():
     print("\n== disk (256-gon) ==")
     ang = 2 * np.pi * np.arange(256) / 256
     disk = ConvexPolygon(np.column_stack((np.cos(ang), np.sin(ang))))
-    res = cheeger_constant(disk, with_set=False)
+    res = cheeger_constant(disk)
     print(f"h = {res.h:.6f}   (a disk of radius r has h = 2/r; it is its own Cheeger set)")
 
     print("\n== equilateral triangle, side 1 ==")
     tri = ConvexPolygon([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
-    res = cheeger_constant(tri, with_set=False)
+    res = cheeger_constant(tri)
     f = measure(tri)
     print(f"h measured    = {res.h:.12f}")
     print(f"1/r + sqrt(pi/A) = {1 / f.inradius + math.sqrt(math.pi / f.area):.12f}")

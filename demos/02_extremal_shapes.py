@@ -28,7 +28,7 @@ def show(name, spec, with_h=True):
     line = (f"{name:34s} A={f.area:9.5f} P={f.perimeter:9.5f} r={f.inradius:7.5f} "
             f"R={f.circumradius:7.5f} d={f.diameter:8.5f} w={f.min_width:7.5f}")
     if with_h:
-        h = cheeger_constant(poly, with_set=False).h
+        h = cheeger_constant(poly).h
         line += f" h={h:9.6f}"
     print(line)
     return f

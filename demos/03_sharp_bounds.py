@@ -31,7 +31,7 @@ def main():
     # a random polygon: every bound holds with positive slack
     poly = normalize(valtr(12, 2024), "area")
     f = measure(poly)
-    res = cheeger_constant(poly, with_set=False)
+    res = cheeger_constant(poly)
     print_registry(f.with_cheeger(res.h, res.t_star), "random unit-area 12-gon")
 
     # a stadium: the stadium-extremal bounds are tight

@@ -139,7 +139,7 @@ def d0(res: int = 4096) -> float:
 
     def q(x):
         poly = shapes.build(SmoothedNonagon(1.0, x), Resolution(res))
-        h = cheeger_constant(poly, with_set=False).h
+        h = cheeger_constant(poly).h
         return (ds - x) / (ds - 2.0) - 1.0 / h
 
     lo, hi = 2.0 + 1e-9, ds - 1e-9

@@ -6,8 +6,10 @@ constant is h = 1/t*, and the Cheeger set is the inner core dilated back by
 t*.  Between the edge-vanishing events of the straight skeleton the inner
 parallel area is exactly quadratic, |poly_{-t-s}| = A - P s + T s^2 with
 T = sum of tan(theta/2) over the exterior angles (Kawohl & Lachand-Robert,
-Pacific J. Math. 225 (2006)), so the solve steps to the root of that
-quadratic rather than bisecting.
+Pacific J. Math. 225 (2006)), so t* is read off the one skeleton walk per
+polygon (``geom.OffsetMachine.walk``) that also gives the inradius, on the
+piece where |poly_{-t}| - pi t^2 changes sign, with no bracket and no
+bisection.
 
 The module also holds the package's one root finder for monotone scalar
 equations: ``_bracketed_root`` starts from a sign bracket and shrinks it
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import NoConvergence, NoRoot
-from .geom import ConvexPolygon, OffsetMachine, dilate, falling_root, shoelace
+from .geom import ConvexPolygon, OffsetMachine, dilate, shoelace
 
 # A crossing is solved until its bracket is below this fraction of the domain.
 CROSSING_REL_TOL = 1e-13
@@ -35,39 +38,47 @@ CROSSING_REL_TOL = 1e-13
 MAX_ROOT_STEPS = 100
 # Chords per full circle when discretizing the Cheeger set boundary.
 DEFAULT_ARC_SEGMENTS = 4096
-# The Cheeger solve ends once a step moves t by less than this fraction of t.
-STEP_REL_TOL = 1e-14
-# Offset-chain evaluations one Cheeger solve may make before it gives up.
-MAX_EVALS = 64
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """How one Cheeger solve went; never part of a deterministic output.
 
-    ``evaluations`` counts offset-chain evaluations (calls of
-    ``OffsetMachine.area_at`` on the polygon's machine, which the inradius
-    shares) and ``bisections`` the steps that left the sign bracket and
-    halved it instead.  ``bracket_width`` is hi - lo of the sign bracket
-    when the solve ended, and ``residual`` is |A(t*) - pi t*^2| on the
-    returned core.
+    ``evaluations`` counts the offset-chain evaluations (``area_at`` calls)
+    of the polygon's skeleton walk, shared with the inradius, before it knew
+    t*; ``residual`` is |A - pi t*^2| over the core's vertices there.
     """
 
     evaluations: int
-    bisections: int
-    bracket_width: float
     residual: float
 
 
 @dataclass(frozen=True)
 class CheegerResult:
-    """Cheeger data of one polygon: h = 1/t_star and the two witness bodies."""
+    """Cheeger data of one polygon: h = 1/t_star, and the two witness bodies
+    built on first read, the inner core at t_star and the Cheeger set (the
+    core dilated back by t_star, ``arc_segments`` chords per circle).
+    Reading a core that is no strictly convex polygon raises NoConvergence,
+    or DegenerateInput when it is thinner than the rounding of the caller's
+    coordinates.
+    """
 
     h: float
     t_star: float
-    cheeger_set: ConvexPolygon
-    inner_core: ConvexPolygon
     diagnostics: SolveDiagnostics = field(compare=False)
+    _machine: OffsetMachine = field(repr=False, compare=False)
+    _arc_segments: int = field(repr=False, compare=False)
+
+    @cached_property
+    def inner_core(self) -> ConvexPolygon:
+        core = self._machine.as_polygon(self._machine.walk.core)
+        if core is None:
+            raise NoConvergence(f"the inner core at t* = {self.t_star!r} is not a strictly convex polygon")
+        return core
+
+    @cached_property
+    def cheeger_set(self) -> ConvexPolygon:
+        return dilate(self.inner_core, self.t_star, self._arc_segments)
 
 
 @dataclass(frozen=True)
@@ -90,80 +101,16 @@ class ImplicitRootProblem:
             raise ValueError("domain upper end must be positive")
 
 
-def _model_step(t: float, m) -> float:
-    """Smaller root s of (T - pi) s^2 - (P + 2 pi t) s + (A - pi t^2) = 0.
-
-    The quadratic is F(t + s) on the skeleton piece that holds t; the root
-    is taken in the form that does not cancel (``geom.falling_root``).
-    """
-    return falling_root(m.tan_sum - np.pi, m.perimeter + 2.0 * np.pi * t,
-                        m.area - np.pi * t * t)
-
-
-def _solve(machine: OffsetMachine):
-    """Root t* of F(t) = |poly_{-t}| - pi t^2; returns (t*, evals, bisections, width).
-
-    F(0) > 0, and F(2A/P) < 0 because 2A/P is at least the inradius, where
-    the body vanishes.  T only grows at skeleton events, so the quadratic
-    model from t under-estimates F ahead of t and over-estimates it behind:
-    model steps approach the root from either side without crossing it, and
-    a forward step within the reach of the current piece lands on the root
-    exactly.  A step that leaves the sign bracket [lo, hi], or starts from an
-    empty chain, bisects instead.
-    """
-    lo, hi = 0.0, machine.size
-    t, m = 0.0, machine.measure0
-    evals = bisections = 0
-    while True:
-        f = m.area - np.pi * t * t
-        if f > 0.0:
-            lo = t
-        elif f < 0.0:
-            hi = t
-        else:
-            return t, evals, bisections, hi - lo
-        nxt = None
-        if m.area > 0.0:
-            s = _model_step(t, m)
-            if 0.0 <= s <= m.reach:
-                return t + s, evals, bisections, hi - lo
-            nxt = t + s
-        if nxt is None or not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            bisections += 1
-        if abs(nxt - t) <= STEP_REL_TOL * nxt:
-            return nxt, evals, bisections, hi - lo
-        if evals == MAX_EVALS:
-            raise NoConvergence(f"Cheeger solve took {MAX_EVALS} chain evaluations "
-                                f"without converging (bracket [{lo!r}, {hi!r}])")
-        t, m = nxt, machine.area_at(nxt)
-        evals += 1
-
-
 def cheeger_constant(poly: ConvexPolygon,
-                     arc_segments: int = DEFAULT_ARC_SEGMENTS,
-                     with_set: bool = True) -> CheegerResult:
-    """Cheeger constant from guarded quadratic steps on |poly_{-t}| - pi t^2.
-
-    Each step evaluates the offset chain of the polygon's one
-    ``OffsetMachine`` (``poly.offset_machine``, shared with the inradius)
-    once and moves to the root of the exact local quadratic (see
-    ``_solve``); the sign bracket starts as [0, 2A/P] and catches steps
-    that would leave it.  NoConvergence is raised when the core at t* does
-    not survive as a strictly convex polygon.  ``with_set=False`` skips
-    building the discretized Cheeger set (the ``cheeger_set`` field then
-    repeats the inner core).
-    """
+                     arc_segments: int = DEFAULT_ARC_SEGMENTS) -> CheegerResult:
+    """Cheeger constant read off the polygon's one straight-skeleton walk
+    (``OffsetMachine.walk``), which also gives the inradius; the inner core
+    and the Cheeger set are built only when read."""
     machine = poly.offset_machine
-    t_star, evals, bisections, width = _solve(machine)
-    core = machine.polygon_at(t_star)
-    if core is None:
-        raise NoConvergence(f"the inner core at t* = {t_star!r} is not a strictly convex polygon")
-    residual = abs(shoelace(core.vertices - machine.origin) - math.pi * t_star * t_star)
-    cheeger_set = dilate(core, t_star, arc_segments) if with_set else core
-    return CheegerResult(h=1.0 / t_star, t_star=t_star, cheeger_set=cheeger_set,
-                         inner_core=core,
-                         diagnostics=SolveDiagnostics(evals, bisections, width, residual))
+    walk = machine.walk
+    residual = abs(shoelace(walk.core) - math.pi * walk.t_star * walk.t_star)
+    return CheegerResult(1.0 / walk.t_star, walk.t_star, SolveDiagnostics(walk.evaluations, residual),
+                         machine, arc_segments)
 
 
 def _bracketed_root(f: Callable, a, fa, b, fb, xtol):

@@ -154,21 +154,22 @@ def min_width_brute(poly: ConvexPolygon):
 def inradius(poly: ConvexPolygon):
     """Largest inscribed disc; returns (r, center).
 
-    The centre comes from walking the straight skeleton
-    (``OffsetMachine.collapse``) to the offset at which the inner parallel
-    set vanishes, on the polygon's one machine, which the Cheeger solve
-    reuses.  It is then polished: the points equidistant from three
-    (or two antiparallel) of the edges nearest to it are candidates too, the
-    deepest candidate is returned, and r is its depth min(c_i - n_i . x).
+    The centre comes from the polygon's one straight-skeleton walk
+    (``OffsetMachine.walk``, which also gives the Cheeger solve its t*) to
+    the offset at which the inner parallel set vanishes.  It is then
+    polished: the points equidistant from three (or two antiparallel) of
+    the edges nearest to it are candidates too, the deepest candidate is
+    returned, and r is its depth min(c_i - n_i . x).
     So the disc returned always lies in the polygon, and it is accurate to
     machine precision in regular cases.  Which edges count as nearest
     follows the polygon's extent about its vertex mean, not its distance
     from the origin.
     """
     machine = poly.offset_machine
-    t, x = machine.collapse()
+    walk = machine.walk
     scale = max(1.0, float(np.max(np.abs(machine.local))))
-    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, x + machine.origin, t, scale)
+    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, walk.centre + machine.origin,
+                             walk.r, scale)
 
 
 def inradius_brute(poly: ConvexPolygon):
@@ -289,5 +290,5 @@ def measure(poly: ConvexPolygon) -> Functionals:
 def measure_with_cheeger(poly: ConvexPolygon) -> Functionals:
     """All six functionals of a polygon and its Cheeger constant."""
     f = measure(poly)
-    res = cheeger_constant(poly, with_set=False)
+    res = cheeger_constant(poly)
     return f.with_cheeger(res.h, res.t_star)

@@ -26,8 +26,8 @@ PARALLEL_EPS = 1e-10
 DEGENERATE_AREA_REL = 1e-18
 # Unit-norm check for half-plane normals.
 UNIT_EPS = 1e-12
-# Skeleton steps ``OffsetMachine.collapse`` may take before it gives up.
-MAX_COLLAPSE_STEPS = 64
+# Chain evaluations ``OffsetMachine.walk`` may make before it gives up.
+MAX_WALK_STEPS = 64
 
 
 def _as_vertex_array(vertices) -> np.ndarray:
@@ -332,6 +332,37 @@ def falling_root(a: float, b: float, f: float) -> float:
     return 2.0 * f / (b + math.sqrt(max(b * b - 4.0 * a * f, 0.0)))
 
 
+def _lhuilier_gap(ns: np.ndarray, cs: np.ndarray, m: ChainMeasure) -> float:
+    """P^2 - 4 T A of the chain of planes n_k . x <= c_k measured by ``m``,
+    without the cancellation of forming it from P, T and A.
+
+    The gap is 0 for tangential polygons (Lhuilier), where P^2 and 4 T A
+    agree to all their digits but T, a sum of tangents, carries the
+    rounding of the sharpest angle.  It does not change when every plane
+    moves in by the same rho (Steiner), so it is read off the planes moved
+    in by rho = P / (2T): there the consecutive-intersection polygon
+    (signed, possibly self-crossing) has perimeter near 0 and area
+    -gap / (4T) <= 0, and the gap is a sum of two nonnegative terms.  The
+    planes are taken about the mean of that polygon's vertices, so a thin
+    body's sliver is measured at its own size.
+    """
+    n2 = np.concatenate((ns[1:], ns[:1]))
+    det = _fan_det(ns, n2)
+
+    def vertices(c):
+        c2 = np.concatenate((c[1:], c[:1]))
+        return np.column_stack(((c * n2[:, 1] - c2 * ns[:, 1]) / det,
+                                (ns[:, 0] * c2 - n2[:, 0] * c) / det))
+
+    c = cs - m.perimeter / (2.0 * m.tan_sum)
+    c = c - ns @ vertices(c).mean(axis=0)
+    v = vertices(c)
+    d = v - np.concatenate((v[-1:], v[:-1]))
+    lengths = d[:, 1] * ns[:, 0] - d[:, 0] * ns[:, 1]
+    p, a = float(np.sum(lengths)), 0.5 * float(np.dot(c, lengths))
+    return max(p * p - 4.0 * m.tan_sum * a, 0.0)
+
+
 def _fan_det(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """Cross product of each normal of a fan with the next one, ``n2``."""
     return ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0]
@@ -385,11 +416,31 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float):
             passes = 0
 
 
+class SkeletonWalk(NamedTuple):
+    """What ``OffsetMachine.walk`` reads off the straight skeleton, in the
+    machine's centred frame: t*, the core's vertices there, the chain
+    evaluations made before t* was known, r and the centre."""
+
+    t_star: float
+    core: np.ndarray
+    evaluations: int
+    r: float
+    centre: np.ndarray
+
+
+def _moved(chain, s: float) -> np.ndarray:
+    """The chain's vertices, each moved by s along its bisector: the chain
+    at s further in, exactly while s is within its reach."""
+    verts, ns = chain[:2]
+    return verts - s * _bisector_velocity(ns, np.concatenate((ns[1:], ns[:1])))
+
+
 class OffsetMachine:
     """Repeated inward offsets of one polygon, which holds it as ``offset_machine``.
 
-    The inradius (``collapse``), the Cheeger solve (``area_at``) and the
-    inner parallel sets (``polygon_at``) read the polygon through it.  Normal
+    The inradius and the Cheeger solve read its one skeleton walk
+    (``walk``); the inner parallel sets (``polygon_at``) and their areas
+    (``area_at``) read the polygon through it too.  Normal
     merging happens once; each query reruns only the chain of neighbouring
     planes with redundant ones peeled off (``_chain``).  Where two planes are
     neighbours in the polygon, their vertex is the polygon's own moved along
@@ -417,10 +468,12 @@ class OffsetMachine:
         self.speed = _bisector_velocity(self.ns, np.concatenate((self.ns[1:], self.ns[:1]))).T.copy()
         self.area0 = shoelace(self.local)
         edges = np.roll(self.local, -1, axis=0) - self.local
-        self.size = 2.0 * self.area0 / float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
+        perimeter0 = float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
+        self.size = 2.0 * self.area0 / perimeter0
         self.eps = self.size * 1e-14
         self.chain0 = self._chain(0.0)
-        self.measure0 = _chain_measure(*self.chain0[:3])._replace(area=self.area0)
+        # the polygon's own area and edge lengths, not the lines' intersections
+        self.measure0 = _chain_measure(*self.chain0[:3])._replace(area=self.area0, perimeter=perimeter0)
 
     def _chain(self, t: float, prev=None, step: float = 0.0):
         """Local-frame chain of the inner parallel set at t; None once empty.
@@ -438,52 +491,72 @@ class OffsetMachine:
             kinetic = kinetic[fan] & (np.concatenate((fan[1:], fan[:1])) == (fan + 1) % len(self.cs))
         return np.where(kinetic, corner - t * speed, verts.T).T, ns, adv, cs, fan
 
-    def collapse(self):
-        """(r, local centre): the offset r at which the inner parallel set vanishes.
+    @cached_property
+    def walk(self) -> SkeletonWalk:
+        """One walk up the straight skeleton from t = 0, to t* and on to r.
 
-        Walks the straight skeleton from t = 0.  Up to the reach of the
-        chain at t the area is A - P s + T s^2, and T only grows at skeleton
-        events, so the smaller root of that quadratic is at most r - t, as
-        is the reach.  Each step moves by the larger of the two, the root
-        taken just short so that it does not pass the collapse on rounding,
-        and continues from the surviving planes only: a plane redundant at t
-        stays redundant beyond it.  The first step that leaves an empty
-        chain ends at r; the centre, in the machine's centred frame, is the
-        mean of the last chain's vertices, each moved along its bisector by
-        that step.
+        Up to the reach of the chain at t the area is A - P s + T s^2, and T
+        only grows at skeleton events, so that quadratic under-estimates the
+        area ahead of t and over-estimates it behind.  Until t* is known a
+        step goes to the smaller root s of (T - pi) s^2 - (P + 2 pi t) s +
+        (A - pi t^2), which passes t* by rounding at most (a step back then
+        drops no plane that matters).  Once 0 <= s <= reach, or |s| is below
+        1e-14 of t + s, t* = t + s and the core is the chain moved by s.
+        Then each step is the larger of the reach and the root of the area
+        quadratic, taken just short so that it does not pass the collapse
+        on rounding; the step that empties the chain ends at r, and the
+        centre is the mean of the last chain moved by it.  Each step
+        continues from the planes left (``area_at``).  Nothing bisects:
+        NoConvergence is raised when the chain empties before t*, and after
+        MAX_WALK_STEPS evaluations.
         """
-        floor = self.area0 * DEGENERATE_AREA_REL
         t, chain, m = 0.0, self.chain0, self.measure0
-        for _ in range(MAX_COLLAPSE_STEPS):
-            step = max(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
-            nxt = self._chain(t + step, chain, step)
-            m = None if nxt is None else _chain_measure(*nxt[:3])
-            if m is None or m.area <= floor:
-                verts, ns = chain[:2]
-                velocity = _bisector_velocity(ns, np.concatenate((ns[1:], ns[:1])))
-                return t + step, (verts - step * velocity).mean(axis=0)
-            t, chain = t + step, nxt
-        raise NoConvergence(f"inner parallel set did not vanish in {MAX_COLLAPSE_STEPS} "
+        found = None  # (t*, core, evaluations) once t* is known
+        for evals in range(MAX_WALK_STEPS):
+            if found is None:
+                # b^2 - 4af = (P^2 - 4 T A) + 4 pi (A + P t + T t^2)
+                disc = _lhuilier_gap(chain[1], chain[3], m) \
+                    + 4.0 * math.pi * (m.area + t * (m.perimeter + t * m.tan_sum))
+                s = 2.0 * (m.area - math.pi * t * t) / (m.perimeter + 2.0 * math.pi * t + math.sqrt(disc))
+                if 0.0 <= s <= m.reach or abs(s) <= 1e-14 * (t + s):
+                    found = (t + s, _moved(chain, s), evals)
+            if found is not None:
+                s = max(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
+            m, nxt = self.area_at(t + s, chain, s)
+            if nxt is None:
+                if found is None:
+                    raise NoConvergence(f"inner parallel set vanished at t = {t + s!r} before t*")
+                return SkeletonWalk(*found, t + s, _moved(chain, s).mean(axis=0))
+            t, chain = t + s, nxt
+        raise NoConvergence(f"inner parallel set did not vanish in {MAX_WALK_STEPS} "
                             f"skeleton steps (t = {t!r})")
 
-    def area_at(self, t: float) -> ChainMeasure:
-        """Area, perimeter, tan sum and reach of the inner parallel set at t."""
-        if t == 0.0:
+    def area_at(self, t: float, prev=None, step: float = 0.0):
+        """Area, perimeter, tan sum and reach of the inner parallel set at t.
+
+        From ``prev``, the chain at t - step, returns (measure, chain), the
+        chain None once the set is empty."""
+        if t == 0.0 and prev is None:
             return self.measure0
-        chain = self._chain(t)
-        if chain is None:
-            return _EMPTY
-        m = _chain_measure(*chain[:3])
-        return _EMPTY if m.area <= self.area0 * DEGENERATE_AREA_REL else m
+        chain = self._chain(t, prev, step)
+        m = None if chain is None else _chain_measure(*chain[:3])
+        if m is None or m.area <= self.area0 * DEGENERATE_AREA_REL:
+            m, chain = _EMPTY, None
+        return m if prev is None else (m, chain)
+
+    def as_polygon(self, local: np.ndarray) -> ConvexPolygon | None:
+        """Centred-frame vertices as a polygon in the caller's frame; None
+        when they hold no strictly convex polygon."""
+        verts = _strictify(local, self.size)
+        if verts is None or shoelace(verts) <= self.area0 * DEGENERATE_AREA_REL:
+            return None
+        return ConvexPolygon(verts + self.origin)
 
     def polygon_at(self, t: float) -> ConvexPolygon | None:
         """The inner parallel set at t in the caller's frame; None once it is
         empty or does not survive as a strictly convex polygon."""
         chain = self._chain(t)
-        verts = None if chain is None else _strictify(chain[0], self.size)
-        if verts is None or shoelace(verts) <= self.area0 * DEGENERATE_AREA_REL:
-            return None
-        return ConvexPolygon(verts + self.origin)
+        return None if chain is None else self.as_polygon(chain[0])
 
 
 def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:

@@ -34,8 +34,8 @@ def _report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_ball_identities():
     t0 = time.perf_counter()
-    h256 = cheeger_constant(regular_ngon(256), with_set=False).h
-    h8192 = cheeger_constant(regular_ngon(8192), with_set=False).h
+    h256 = cheeger_constant(regular_ngon(256)).h
+    h8192 = cheeger_constant(regular_ngon(8192)).h
     dt = time.perf_counter() - t0
     ok = abs(h256 - 2.0) < 2e-3 and abs(h8192 - 2.0) < 5e-4 and dt < 1.0
     _report(1, "h(ball) = 2 at res 256 (2e-3) and 8192 (5e-4), < 1 s", ok,
@@ -44,7 +44,7 @@ def test_criterion_01_ball_identities():
 
 def test_criterion_02_square_closed_form(unit_square):
     t0 = time.perf_counter()
-    res = cheeger_constant(unit_square, with_set=False)
+    res = cheeger_constant(unit_square)
     dt = time.perf_counter() - t0
     expect = 2.0 + math.sqrt(PI)  # analytic: (1 - 2t)^2 = pi t^2
     ok = abs(res.h - expect) < 1e-9 and dt < 0.1
@@ -148,7 +148,7 @@ def test_criterion_08_d1_vertical_paths():
         for t in np.linspace(0.0, 1.0, 11):
             k = interpolate(stad, cup, float(t))
             f = measure(k)
-            h = cheeger_constant(k, with_set=False).h
+            h = cheeger_constant(k).h
             worst_p = max(worst_p, abs(f.perimeter - x0))
             worst_r = max(worst_r, abs(f.inradius - 1.0))
             assert membership("D1_PHR", f.perimeter / f.inradius, h * f.inradius) == "inside"

@@ -246,7 +246,7 @@ class TestImplicitG:
         problem = implicit_g("g1", d=d, r=1.0)
         t = smallest_crossing(problem)
         poly = build(Slice(1.0, d), Resolution(4096))
-        h = cheeger_constant(poly, with_set=False).h
+        h = cheeger_constant(poly).h
         if d >= dstar():
             assert 1 / t == pytest.approx(h, rel=1e-6)
         else:
@@ -257,7 +257,7 @@ class TestImplicitG:
         # that saturates it
         for d in (2.5, 4.0):
             poly = build(Slice(1.0, d), Resolution(4096))
-            h = cheeger_constant(poly, with_set=False).h
+            h = cheeger_constant(poly).h
             f = measure(poly)
             for fam, kw in [("g2", dict(R=f.circumradius, r=f.inradius)),
                             ("g3", dict(d=f.diameter, w=f.min_width)),
@@ -371,7 +371,7 @@ class TestEvaluateAll:
         from cheeger_atlas.sampler import normalize
         poly = normalize(valtr(n, seed), "area")
         f = measure(poly)
-        res = cheeger_constant(poly, with_set=False)
+        res = cheeger_constant(poly)
         f = f.with_cheeger(res.h, res.t_star)
         for r in evaluate_all(f):
             if r.status == "ok":

@@ -81,7 +81,7 @@ class TestExtremalSweeps:
         for k in (1.5, 3.0):
             poly = build(TwoCup(1.0, k), Resolution(4096))
             f = measure(poly)
-            h = cheeger_constant(poly, with_set=False).h
+            h = cheeger_constant(poly).h
             r = f.inradius
             for did, x in (("D1_PHR", f.perimeter), ("D2_RHR", f.circumradius),
                            ("D3_DHR", f.diameter)):
@@ -93,7 +93,7 @@ class TestExtremalSweeps:
         for d in (2.4, 4.0):
             poly = build(Slice(1.0, d), Resolution(4096))
             f = measure(poly)
-            h = cheeger_constant(poly, with_set=False).h
+            h = cheeger_constant(poly).h
             y = dg._lower_y("D2_RHR", f.circumradius / f.inradius)
             assert abs(h * f.inradius - y) / h < 1e-4
 
@@ -104,7 +104,7 @@ class TestExtremalSweeps:
         cutoff = d0(1024)
         for x in (2.05, cutoff - 0.05):
             poly = build(SmoothedNonagon(1.0, x), Resolution(2048))
-            h = cheeger_constant(poly, with_set=False).h
+            h = cheeger_constant(poly).h
             y = dg._lower_y("D3_DHR", x)
             assert abs(h - y) / h < 1e-3
 
@@ -113,7 +113,7 @@ class TestExtremalSweeps:
         from cheeger_atlas.bounds import d0
         for x in (d0(1024) + 0.1, 3.5):
             poly = build(Slice(1.0, x), Resolution(4096))
-            h = cheeger_constant(poly, with_set=False).h
+            h = cheeger_constant(poly).h
             y = dg._lower_y("D3_DHR", x)
             assert abs(h - y) / h < 1e-4
 
@@ -127,7 +127,7 @@ class TestExtremalSweeps:
         for t in np.linspace(0.0, 1.0, 5):
             k = interpolate(ps, pc, float(t))
             f = measure(k)
-            h = cheeger_constant(k, with_set=False).h
+            h = cheeger_constant(k).h
             assert f.perimeter == pytest.approx(x0, abs=1e-5)
             assert f.inradius == pytest.approx(1.0, abs=1e-5)
             assert membership("D1_PHR", f.perimeter / f.inradius, h * f.inradius) == "inside"

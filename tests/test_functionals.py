@@ -228,14 +228,14 @@ class TestAgainstBruteForce:
             assert r <= depth + 1e-15 * r
 
     def test_inradius_step_bound(self, monkeypatch):
-        # the short right edge vanishes at the first step, the triangle of
-        # the other three planes at the second; the incircle touches the
-        # axes and the line x + 2y = 6
+        # the walk's first step reaches the piece that holds t*, its second
+        # empties the chain; the incircle touches the axes and the line
+        # x + 2y = 6
         quad = ConvexPolygon([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [0.0, 3.0]])
         assert inradius(quad)[0] == pytest.approx(6 / (3 + math.sqrt(5)), abs=1e-15)
-        monkeypatch.setattr(geom, "MAX_COLLAPSE_STEPS", 1)
+        monkeypatch.setattr(geom, "MAX_WALK_STEPS", 1)
         with pytest.raises(NoConvergence):
-            inradius(quad)
+            inradius(ConvexPolygon(quad.vertices))  # a new polygon: the walk is cached
 
 
 class TestFunctionalsRecord:

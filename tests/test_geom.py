@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cheeger_atlas import geom
+from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import DegenerateInput, PolygonJsonError, UnboundedRegion
 from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, measure_with_cheeger,
                                       min_width, perimeter)
@@ -196,6 +197,31 @@ class TestInnerParallel:
         assert inner_parallel(other, 0.1) is not None
         assert inner_parallel(other, 0.3) is not None
         assert len(built) == 2 and built[1] is other
+
+    def test_one_walk_per_polygon(self, monkeypatch):
+        # one walk, its offsets increasing, gives r and t*; the core is built
+        # only when read, and later reads evaluate no chain
+        offsets, built = [], []
+        area_at, polygon_at = OffsetMachine.area_at, OffsetMachine.polygon_at
+
+        def counted_area(self, t, *args):
+            offsets.append(t)
+            return area_at(self, t, *args)
+
+        def counted_polygon(self, t):
+            built.append(t)
+            return polygon_at(self, t)
+        monkeypatch.setattr(OffsetMachine, "area_at", counted_area)
+        monkeypatch.setattr(OffsetMachine, "polygon_at", counted_polygon)
+        poly = valtr(12, 3)
+        f = measure_with_cheeger(poly)
+        assert len(offsets) >= 1 and built == []
+        assert offsets[-1] == pytest.approx(f.inradius, rel=1e-12)
+        assert all(b > a for a, b in zip(offsets, offsets[1:]))
+        walked = len(offsets)
+        assert cheeger_constant(poly).h == f.cheeger
+        assert inradius(poly)[0] == f.inradius
+        assert len(offsets) == walked and built == []
 
     def test_near_parallel_edges_merged(self):
         # a midpoint vertex pushed out by 1e-12 creates two half-planes with

@@ -110,7 +110,7 @@ class TestTriangle:
         # triangles are form-body homothets: h = 1/r + sqrt(pi/A)
         f = triangle_functionals(1.0, 3.0)
         poly = build(SubequilateralTriangle(1.0, 3.0), Resolution(16))
-        res = cheeger_constant(poly, with_set=False)
+        res = cheeger_constant(poly)
         assert res.h == pytest.approx(f.cheeger, rel=1e-11)
 
     def test_param_validation(self):
