@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -28,6 +27,8 @@ DEGENERATE_AREA_REL = 1e-18
 UNIT_EPS = 1e-12
 # Chain evaluations ``OffsetMachine.walk`` may make before it gives up.
 MAX_WALK_STEPS = 64
+# Peel pass of ``_offset_chain`` from which planes eaten by a long edge go too.
+CASCADE_PASS = 6
 
 
 def _as_vertex_array(vertices) -> np.ndarray:
@@ -208,10 +209,10 @@ def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
     size = max(1.0, float(np.max(np.abs(offsets))))
     offsets = np.concatenate((offsets, np.full(4, 1e8 * size)))
     fan = _merge_parallel(normals, offsets)
-    chain = _offset_chain(normals[fan], offsets[fan], fan, size * 1e-14)
+    chain = _offset_chain(normals[fan], offsets[fan], np.arange(len(fan)), size * 1e-14)
     if chain is None:
         return None
-    verts, kept = chain[0], chain[4]
+    verts, kept = chain[0], fan[chain[4]]
     if np.any(kept >= len(planes)):
         raise UnboundedRegion("half-plane intersection is unbounded")
     scale = float(np.max(np.abs(verts))) or 1.0
@@ -239,48 +240,6 @@ def _merge_parallel(normals, offsets) -> np.ndarray:
     by_offset = np.lexsort((cs, group))
     first = by_offset[np.concatenate(([True], np.diff(group[by_offset]) != 0))]
     return order[first]
-
-
-def _deque_peel(ns: np.ndarray, cs: np.ndarray) -> list[int] | None:
-    """Surviving plane indices of a cyclically sorted half-plane fan.
-
-    Classic deque sweep: a plane pops once the vertex of its two neighbours
-    already violates the incoming plane.  Amortized linear; returns None
-    when fewer than 3 planes survive.
-    """
-    k = len(cs)
-    nx = ns[:, 0].tolist()
-    ny = ns[:, 1].tolist()
-    cl = cs.tolist()
-
-    def violates(w, i, j):
-        det = nx[i] * ny[j] - ny[i] * nx[j]
-        if det <= 0.0:
-            return False
-        x = (cl[i] * ny[j] - cl[j] * ny[i]) / det
-        y = (nx[i] * cl[j] - nx[j] * cl[i]) / det
-        return nx[w] * x + ny[w] * y > cl[w]
-
-    dq = deque()
-    for i in range(k):
-        while len(dq) >= 2 and violates(i, dq[-2], dq[-1]):
-            dq.pop()
-        while len(dq) >= 2 and violates(i, dq[0], dq[1]):
-            dq.popleft()
-        dq.append(i)
-    while True:
-        changed = False
-        if len(dq) >= 3 and violates(dq[0], dq[-2], dq[-1]):
-            dq.pop()
-            changed = True
-        if len(dq) >= 3 and violates(dq[-1], dq[0], dq[1]):
-            dq.popleft()
-            changed = True
-        if not changed:
-            break
-    if len(dq) < 3:
-        return None
-    return list(dq)
 
 
 class ChainMeasure(NamedTuple):
@@ -375,26 +334,43 @@ def _bisector_velocity(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return s / (0.5 * np.einsum("ij,ij->i", s, s))[:, None]
 
 
-def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float):
-    """Consecutive-intersection chain of the half-planes n_k . x <= c_k.
+def _eaten(dead: np.ndarray, vx: np.ndarray, vy: np.ndarray, ns: np.ndarray,
+           cs: np.ndarray, eps: float) -> np.ndarray:
+    """Planes of a peel pass that a plane across a dead run has cut off.
 
-    The normals are sorted by angle and pairwise non-parallel; ``fan``
-    labels the planes.  Planes whose edge is not longer than ``eps`` are
-    peeled off; a plane whose neighbour-pair vertex already satisfies it is
-    globally redundant, so the peeling is exact.  Returns (vertices,
-    normals, edge lengths, offsets, labels) of the surviving planes, edge k
-    ending at vertex k, or None once the region is empty: fewer than 3
-    planes survive, or the normal fan has a gap (the planes then hold no
-    bounded region).
+    A live plane between live neighbours is eaten when its edge, from
+    vertex k - 1 to vertex k, lies more than ``eps`` outside the half-plane
+    of the first live plane past the next dead run ahead of it, or of the
+    last one before the dead run behind it.  Its line then misses the
+    region, so it is redundant unless the region is empty.
     """
-    passes = 0
-    while True:
+    live, k, at = ~dead, len(dead), np.arange(2 * len(dead))
+    after = live & np.concatenate((dead[-1:], dead[:-1]))  # live planes just past a dead run
+    before = live & np.concatenate((dead[1:], dead[:1]))  # and just before one
+    ahead = np.minimum.accumulate(np.where(np.tile(after, 2), at, 2 * k)[::-1])[::-1][1:k + 1] % k
+    behind = np.maximum.accumulate(np.where(np.tile(before, 2), at, -1))[k - 1:-1] % k
+    px, py = np.concatenate((vx[-1:], vx[:-1])), np.concatenate((vy[-1:], vy[:-1]))
+
+    def outside(e):
+        nx, ny, c = ns[e, 0], ns[e, 1], cs[e] + eps
+        return (nx * px + ny * py > c) & (nx * vx + ny * vy > c)
+
+    return live & ~after & ~before & (outside(ahead) | outside(behind))
+
+
+def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float, cascade: int):
+    """Peel passes over a fan of planes; from pass ``cascade`` on, eaten
+    planes (``_eaten``) leave with the dead ones.  Returns the chain (see
+    ``_offset_chain``) and a list of arrays of the labels eaten.
+    """
+    eaten = []
+    for passes in range(len(cs)):  # every pass but the last removes a plane
         if len(cs) < 3:
-            return None
+            return None, eaten
         n2 = np.concatenate((ns[1:], ns[:1]))
         det = _fan_det(ns, n2)
         if float(np.min(det)) <= 0.0:
-            return None
+            return None, eaten
         c2 = np.concatenate((cs[1:], cs[:1]))
         vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
         vy = (ns[:, 0] * c2 - n2[:, 0] * cs) / det
@@ -402,18 +378,44 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float):
             + (vy - np.concatenate((vy[-1:], vy[:-1]))) * ns[:, 0]
         dead = adv <= eps
         if not dead.any():
-            return np.column_stack((vx, vy)), ns, adv, cs, fan
+            return (np.column_stack((vx, vy)), ns, adv, cs, fan), eaten
+        if passes >= cascade:
+            gone = _eaten(dead, vx, vy, ns, cs, eps)
+            eaten.append(fan[gone])
+            dead |= gone
         keep = ~dead
         ns, cs, fan = ns[keep], cs[keep], fan[keep]
-        passes += 1
-        if passes >= 6:
-            # long removal cascades (fine arcs eaten by long edges):
-            # switch to the linear-time deque peel
-            survivors = _deque_peel(ns, cs)
-            if survivors is None:
-                return None
-            ns, cs, fan = ns[survivors], cs[survivors], fan[survivors]
-            passes = 0
+
+
+def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float):
+    """Consecutive-intersection chain of the half-planes n_k . x <= c_k.
+
+    The normals are sorted by angle and pairwise non-parallel; ``fan``
+    labels the planes in increasing order.  Each pass peels off the planes
+    whose edge is not longer than ``eps``; a plane whose neighbour-pair
+    vertex already satisfies it is redundant, so this peeling is exact.  A
+    long edge that eats a fine arc kills one arc plane per pass, so from
+    pass CASCADE_PASS on the arc planes it has cut off (``_eaten``) leave
+    too, the whole arc in one pass.  That is sound only when the region is
+    not empty, so the result is certified: every eaten plane must hold the
+    chain's vertex between the survivors around it, its support point in
+    that plane's normal direction.  Otherwise the region is the survivors'
+    cut by the eaten planes that fail, and plain passes alone peel that
+    short list exactly.  Returns (vertices, normals, edge lengths, offsets,
+    labels) of the surviving planes, edge k ending at vertex k, or None
+    once the region is empty: fewer than 3 planes survive, or the normal
+    fan has a gap (the planes then hold no bounded region).
+    """
+    chain, eaten = _peel(ns, cs, fan, eps, CASCADE_PASS)
+    if chain is not None and eaten:
+        labels = np.concatenate(eaten)
+        gone = np.searchsorted(fan, labels)
+        support = chain[0][np.searchsorted(chain[4], labels) - 1]
+        cut = np.einsum("ij,ij->i", ns[gone], support) > cs[gone]
+        if cut.any():
+            keep = np.sort(np.concatenate((np.searchsorted(fan, chain[4]), gone[cut])))
+            chain = _peel(ns[keep], cs[keep], fan[keep], eps, len(cs))[0]
+    return chain
 
 
 class SkeletonWalk(NamedTuple):
@@ -582,30 +584,16 @@ def _edge_vectors_from_lowest(poly: ConvexPolygon):
 
 
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """Minkowski sum by merging the two edge fans (O(n + m))."""
+    """Minkowski sum: the two edge fans merged by angle, edges within 1e-12
+    rad of each other added into one."""
     p0, pe = _edge_vectors_from_lowest(p)
     q0, qe = _edge_vectors_from_lowest(q)
-
-    def keyed(edges):
-        ang = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * np.pi)
-        return list(zip(ang, map(np.asarray, edges)))
-
-    ep, eq = keyed(pe), keyed(qe)
-    merged: list[np.ndarray] = []
-    i = j = 0
-    while i < len(ep) or j < len(eq):
-        if j >= len(eq):
-            take = ep[i][1]; i += 1
-        elif i >= len(ep):
-            take = eq[j][1]; j += 1
-        elif abs(ep[i][0] - eq[j][0]) < 1e-12:
-            take = ep[i][1] + eq[j][1]; i += 1; j += 1
-        elif ep[i][0] < eq[j][0]:
-            take = ep[i][1]; i += 1
-        else:
-            take = eq[j][1]; j += 1
-        merged.append(take)
-    verts = (p0 + q0) + np.concatenate(([np.zeros(2)], np.cumsum(merged[:-1], axis=0)))
+    edges = np.concatenate((pe, qe))
+    ang = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * np.pi)
+    order = np.argsort(ang, kind="stable")
+    first = np.concatenate(([True], np.diff(ang[order]) >= 1e-12))
+    edges = np.add.reduceat(edges[order], np.flatnonzero(first))
+    verts = (p0 + q0) + np.concatenate((np.zeros((1, 2)), np.cumsum(edges[:-1], axis=0)))
     scale = float(np.max(np.abs(verts))) or 1.0
     verts = _strictify(verts, scale)
     if verts is None:
@@ -635,20 +623,18 @@ def dilate(poly: ConvexPolygon, t: float, arc_segments: int = 4096) -> ConvexPol
         raise DegenerateInput("dilation radius must be positive")
     if arc_segments < 8:
         raise DegenerateInput("arc_segments must be at least 8")
-    v = poly.vertices
     ns = poly.edge_normals
-    step = 2.0 * np.pi / arc_segments
     angles = np.arctan2(ns[:, 1], ns[:, 0])
-    pieces = []
-    for i in range(len(v)):
-        a_prev = angles[i - 1]
-        a_here = angles[i]
-        turn = np.mod(a_here - a_prev, 2.0 * np.pi)
-        k = max(1, int(np.ceil(turn / step)))
-        phis = a_prev + turn * np.arange(k + 1) / k
-        pieces.append(v[i] + t * np.column_stack((np.cos(phis), np.sin(phis))))
+    # the arc at vertex i turns from the normal of edge i - 1 to that of edge i
+    start = np.concatenate((angles[-1:], angles[:-1]))
+    turn = np.mod(angles - start, 2.0 * np.pi)
+    chords = np.maximum(1, np.ceil(turn / (2.0 * np.pi / arc_segments)).astype(int))
+    points = chords + 1  # on each arc, both ends included
+    arc = np.repeat(np.arange(len(ns)), points)
+    j = np.arange(len(arc)) - np.repeat(np.cumsum(points) - points, points)
+    phis = start[arc] + turn[arc] * j / chords[arc]
     # the dilation holds a disk of radius t, so t is its intrinsic size
-    verts = _strictify(np.concatenate(pieces), t)
+    verts = _strictify(poly.vertices[arc] + t * np.column_stack((np.cos(phis), np.sin(phis))), t)
     if verts is None:
         raise DegenerateInput("degenerate dilation")
     return ConvexPolygon(verts)

@@ -1,5 +1,7 @@
 import math
+from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, HalfPlane, OffsetMa
                                 interpolate, minkowski_sum, polygon_from_json,
                                 polygon_to_json, support)
 from cheeger_atlas.sampler import seeded_polygon, valtr
-from cheeger_atlas.shapes import (Resolution, Slice, Stadium, SubequilateralTriangle, TwoCup,
-                                  build, solve_param)
+from cheeger_atlas.shapes import (Resolution, Slice, SmoothedNonagon, Stadium,
+                                  SubequilateralTriangle, TwoCup, build, solve_param)
 from cheeger_atlas.verify import SLICE_DIAMETERS, STADIUM_GAPS, SUBEQ_DIAMETERS, TWOCUP_TIPS
 from conftest import random_polygons, regular_ngon
 
@@ -418,7 +420,158 @@ class TestOffsetOracle:
                 assert inner_parallel_area(poly.translate(v), t) == pytest.approx(a, rel=1e-7)
 
 
+def _deque_oracle(ns, cs):
+    """Surviving plane positions of a cyclically sorted half-plane fan, or
+    None when fewer than 3 survive.
+
+    Classic deque sweep, one plane at a time: a plane pops once the vertex
+    of its two neighbours already violates the incoming plane.  An oracle
+    that shares no code with the offset chain's vectorised passes."""
+    nx, ny, cl = ns[:, 0].tolist(), ns[:, 1].tolist(), cs.tolist()
+
+    def violates(w, i, j):
+        det = nx[i] * ny[j] - ny[i] * nx[j]
+        if det <= 0.0:
+            return False
+        x = (cl[i] * ny[j] - cl[j] * ny[i]) / det
+        y = (nx[i] * cl[j] - nx[j] * cl[i]) / det
+        return nx[w] * x + ny[w] * y > cl[w]
+
+    dq = deque()
+    for i in range(len(cl)):
+        while len(dq) >= 2 and violates(i, dq[-2], dq[-1]):
+            dq.pop()
+        while len(dq) >= 2 and violates(i, dq[0], dq[1]):
+            dq.popleft()
+        dq.append(i)
+    while True:
+        changed = False
+        if len(dq) >= 3 and violates(dq[0], dq[-2], dq[-1]):
+            dq.pop()
+            changed = True
+        if len(dq) >= 3 and violates(dq[-1], dq[0], dq[1]):
+            dq.popleft()
+            changed = True
+        if not changed:
+            break
+    return list(dq) if len(dq) >= 3 else None
+
+
+CASCADE_SPECS = {
+    "stadium": Stadium(1.0, 1.0),
+    "two_cup": TwoCup(1.0, 1.2),
+    "slice": Slice(1.0, 2.5),
+    "smoothed_nonagon": SmoothedNonagon(1.0, 2.2),
+}
+
+
+@lru_cache(maxsize=None)
+def _cascade_body(family, res):
+    poly = build(CASCADE_SPECS[family], res)
+    return poly, OffsetMachine(poly), inradius(poly)[0]
+
+
+class TestCascade:
+    """Arcs eaten by long edges leave the offset chain a pass at a time until
+    pass CASCADE_PASS, then all at once (``geom._eaten``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(sorted(CASCADE_SPECS)), res=st.sampled_from([1024, 2048, 4096]),
+           frac=st.sampled_from([0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.001, 1.05]))
+    def test_fans_match_deque(self, family, res, frac):
+        # the extremal bodies' planes, moved in across many skeleton events,
+        # to just short of r and just past it
+        poly, machine, r = _cascade_body(family, res)
+        ns, cs, fan = machine.ns, machine.cs - frac * r, machine.fan
+        got = geom._offset_chain(ns, cs, fan, machine.eps)
+        # the deque's survivors, with edges not longer than eps peeled off
+        # by plain passes (no cascade)
+        kept = _deque_oracle(ns, cs)
+        want = None if kept is None else geom._peel(ns[kept], cs[kept], fan[kept], machine.eps,
+                                                    len(cs))[0]
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got[4], want[4])
+        if len(poly) <= 800:  # the clip is quadratic in the plane count
+            t = frac * r
+            planes = [(n, c - t) for n, c in zip(poly.edge_normals, poly.edge_offsets)]
+            mine = halfplane_intersection([HalfPlane(n, c) for n, c in planes])
+            clipped = _clip_oracle(planes)
+            assert (mine is None) == (clipped is None)
+            if clipped is not None:
+                k = int(np.argmin(np.hypot(*(mine.vertices - clipped.vertices[0]).T)))
+                assert np.allclose(np.roll(mine.vertices, -k, axis=0), clipped.vertices,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_empty_region_recovered(self, monkeypatch):
+        # past r of valtr(100, 1708) the eaten planes leave a region the
+        # certificate rejects; taken at face value it moved the bisected r
+        # from 0.4680 to 0.4731
+        peels = []
+        peel = geom._peel
+
+        def spied(ns, cs, fan, eps, cascade):
+            out = peel(ns, cs, fan, eps, cascade)
+            peels.append((cascade, out[0] is None))
+            return out
+        monkeypatch.setattr(geom, "_peel", spied)
+        poly = valtr(100, 1708)
+        r = inradius(poly)[0]
+        for t in r * (1.0 + 0.01 * 2.0 ** -np.arange(45)):  # in (r, 1.01 r]
+            assert inner_parallel_area(poly, t) == 0.0
+            assert poly.offset_machine.polygon_at(t) is None
+        # a cascade that found a region, recomputed as empty by plain passes
+        assert (geom.CASCADE_PASS, False) in peels
+        assert any(cascade > geom.CASCADE_PASS and empty for cascade, empty in peels)
+
+    def test_walk_reaches_cascade(self, monkeypatch):
+        # the d0 nonagons eat their arcs a few hundred planes at a time
+        eaten = []
+        rule = geom._eaten
+
+        def spied(*args):
+            out = rule(*args)
+            eaten.append(int(out.sum()))
+            return out
+        monkeypatch.setattr(geom, "_eaten", spied)
+        walk = OffsetMachine(build(SmoothedNonagon(1.0, 2.2), 4096)).walk
+        assert max(eaten, default=0) > 100
+        assert 0.0 < walk.t_star < walk.r
+
+
+def _minkowski_loop(p, q):
+    """The vertices of ``minkowski_sum``, the two edge fans merged one edge
+    at a time, edges within 1e-12 rad of each other added."""
+    def keyed(poly):
+        start = int(np.lexsort((poly.vertices[:, 0], poly.vertices[:, 1]))[0])
+        v = np.roll(poly.vertices, -start, axis=0)
+        edges = np.roll(v, -1, axis=0) - v
+        return v[0], list(zip(np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * np.pi), edges))
+
+    (p0, ep), (q0, eq) = keyed(p), keyed(q)
+    merged, i, j = [], 0, 0
+    while i < len(ep) or j < len(eq):
+        if j < len(eq) and i < len(ep) and abs(ep[i][0] - eq[j][0]) < 1e-12:
+            merged.append(ep[i][1] + eq[j][1])
+            i, j = i + 1, j + 1
+        elif j >= len(eq) or (i < len(ep) and ep[i][0] < eq[j][0]):
+            merged.append(ep[i][1])
+            i += 1
+        else:
+            merged.append(eq[j][1])
+            j += 1
+    verts = (p0 + q0) + np.concatenate(([np.zeros(2)], np.cumsum(merged[:-1], axis=0)))
+    return geom._strictify(verts, float(np.max(np.abs(verts))) or 1.0)
+
+
 class TestMinkowski:
+    def test_matches_loop(self, unit_square, right_triangle):
+        polys = [unit_square, right_triangle, regular_ngon(6), build(Stadium(1.0, 1.0), 256),
+                 build(Slice(1.0, 2.5), 256)] + list(random_polygons(40, seed=12))
+        for p, q in zip(polys, polys[1:] + polys[:1]):
+            for a, b in ((p, q), (p, p), (p, q.scale(0.5))):
+                assert np.array_equal(minkowski_sum(a, b).vertices, _minkowski_loop(a, b))
+
     def test_square_doubling(self, unit_square):
         s = minkowski_sum(unit_square, unit_square)
         assert area(s) == pytest.approx(4.0, abs=1e-12)
@@ -465,7 +618,26 @@ class TestInterpolate:
         assert perimeter(s) == pytest.approx(expect, rel=1e-12)
 
 
+def _dilate_loop(poly, t, arc_segments):
+    """The vertices of ``dilate``, one vertex arc at a time."""
+    step = 2.0 * np.pi / arc_segments
+    angles = np.arctan2(poly.edge_normals[:, 1], poly.edge_normals[:, 0])
+    pieces = []
+    for i, v in enumerate(poly.vertices):
+        turn = np.mod(angles[i] - angles[i - 1], 2.0 * np.pi)
+        k = max(1, int(np.ceil(turn / step)))
+        phis = angles[i - 1] + turn * np.arange(k + 1) / k
+        pieces.append(v + t * np.column_stack((np.cos(phis), np.sin(phis))))
+    return geom._strictify(np.concatenate(pieces), t)
+
+
 class TestDilate:
+    def test_matches_loop(self, unit_square, right_triangle):
+        core = cheeger_constant(build(Stadium(1.0, 1.0), 4096)).inner_core
+        for poly in (unit_square, right_triangle, core):
+            for t, m in ((1.0, 4096), (0.3, 512), (1e-7, 8)):
+                assert np.array_equal(dilate(poly, t, m).vertices, _dilate_loop(poly, t, m))
+
     def test_steiner_area_square(self, unit_square):
         # inscribed chords under-cover by at most (pi t^2/6)(2 pi/m)^2
         for m in (512, 4096):
