@@ -4,7 +4,10 @@ Each inequality gets a symbolic id, a direction (lower/upper bound on h), an
 applicability predicate on the six functionals, and an evaluator.  The
 registry is evaluated on columns: ``evaluate_all(*records)`` gathers each
 functional of all records into one numpy array, and every predicate and
-value is computed once on those arrays.  Implicit bounds solve the column's
+value is computed once on those arrays.  The areas of the extremal bodies
+(slice, smoothed nonagon, two-cup) come from their closed forms in
+``shapes``: psi, chi, phi and g1..g4 are such areas, and the two-cup
+bounds the h of a two-cup.  Implicit bounds solve the column's
 equations g(t) = pi t^2 in one ``smallest_crossing`` call; triangle-valued
 bounds match the column's subequilateral triangles in one
 ``shapes.solve_param`` call and use the triangle identity
@@ -26,7 +29,8 @@ from . import shapes
 from .cheeger import ImplicitRootProblem, _bracketed_root, cheeger_constant, smallest_crossing
 from .errors import DomainError
 from .functionals import Functionals
-from .shapes import Resolution, SmoothedNonagon, triangle_values
+from .shapes import (Resolution, SmoothedNonagon, nonagon_area, slice_area, triangle_values,
+                     two_cup_area)
 
 SQRT3 = math.sqrt(3.0)
 PI = math.pi
@@ -57,14 +61,7 @@ def psi(d, r):
     the degenerate limit (area 0).
     """
     (d, r), scalar = _to_arrays(d, r)
-    ds = dstar()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_d = np.where(d <= 0.0, 1.0, d)
-        f_branch = (3 * SQRT3 * r / 2) * (np.sqrt(np.maximum(d * d - 3 * r * r, 0.0)) - r) \
-            + (3 * d * d / 2) * (PI / 3 - np.arccos(np.clip(SQRT3 * r / safe_d, -1.0, 1.0)))
-        g_branch = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
-            + (d * d / 2) * np.arcsin(np.clip(2 * r / safe_d, -1.0, 1.0))
-    out = np.where(d <= 0.0, 0.0, np.where(d <= r * ds, f_branch, g_branch))
+    out = np.where(d <= r * dstar(), nonagon_area(d, r), slice_area(d, 2 * r))
     bad = (r < -0.0) | (d + _DOMAIN_TOL * np.maximum(1.0, d) < 2 * r)
     return _in_domain(out, bad, scalar, "psi needs d >= 2r >= 0")
 
@@ -72,25 +69,15 @@ def psi(d, r):
 def chi(omega, R):
     """Largest area of a convex body with minimal width omega and circumradius R."""
     (w, R), scalar = _to_arrays(omega, R)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_R = np.where(R <= 0.0, 1.0, R)
-        val = (w / 2) * np.sqrt(np.maximum(4 * R * R - w * w, 0.0)) \
-            + 2 * R * R * np.arcsin(np.clip(w / (2 * safe_R), -1.0, 1.0))
-    out = np.where(R <= 0.0, 0.0, val)
     bad = (w < -0.0) | (w > 2 * R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL)
-    return _in_domain(out, bad, scalar, "chi needs 0 <= omega <= 2R")
+    return _in_domain(slice_area(2 * R, w), bad, scalar, "chi needs 0 <= omega <= 2R")
 
 
 def phi(R, r):
     """Largest area of a convex body with circumradius R and inradius r."""
     (R, r), scalar = _to_arrays(R, r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_R = np.where(R <= 0.0, 1.0, R)
-        val = 2 * (r * np.sqrt(np.maximum(R * R - r * r, 0.0))
-                   + R * R * np.arcsin(np.clip(r / safe_R, -1.0, 1.0)))
-    out = np.where(R <= 0.0, 0.0, val)
     bad = (r < -0.0) | (r > R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL)
-    return _in_domain(out, bad, scalar, "phi needs 0 <= r <= R")
+    return _in_domain(slice_area(2 * R, 2 * r), bad, scalar, "phi needs 0 <= r <= R")
 
 
 def arcsinc(x):
@@ -113,10 +100,7 @@ def dstar() -> float:
     """
 
     def gap(x):
-        f = (3 * SQRT3 / 2) * (math.sqrt(x * x - 3) - 1) \
-            + (3 * x * x / 2) * (PI / 3 - math.acos(SQRT3 / x))
-        g = math.sqrt(x * x - 4) + (x * x / 2) * math.asin(2 / x)
-        return f - g
+        return nonagon_area(x, 1.0) - slice_area(x, 2.0)
 
     lo, hi = 2.05, 2 * SQRT3
     return _bracketed_root(gap, lo, gap(lo), hi, gap(hi), 1e-13)
@@ -147,51 +131,46 @@ def d0(res: int = 4096) -> float:
     return _D0_CACHE[res]
 
 
+def _slice_g(D, W):
+    """g(t) = area of the slice of diameter D - 2t and width W - 2t, on [0, W/2]."""
+    return lambda t: slice_area(D - 2 * t, np.maximum(W - 2 * t, 0.0)), W / 2
+
+
+# family -> (parameter names, domain message, outside-domain test, (g, upper) maker)
+_IMPLICIT = {
+    "g1": (("d", "r"), "g1 needs d >= 2r", lambda d, r: d < 2 * r - _DOMAIN_TOL,
+           lambda d, r: (lambda t: psi(d - 2 * t, np.maximum(r - t, 0.0)), r)),
+    "g2": (("R", "r"), "g2 needs R >= r", lambda R, r: R < r - _DOMAIN_TOL,
+           lambda R, r: _slice_g(2 * R, 2 * r)),
+    "g3": (("d", "w"), "g3 needs d >= omega", lambda d, w: d < w - _DOMAIN_TOL,
+           lambda d, w: _slice_g(d, w)),
+    "g4": (("w", "R"), "g4 needs 2R >= omega", lambda w, R: 2 * R < w - _DOMAIN_TOL,
+           lambda w, R: _slice_g(2 * R, w)),
+}
+
+
 def implicit_g(family: str, **params) -> ImplicitRootProblem:
     """The four implicit envelope problems g1..g4 from the lower bounds.
 
-    g1(d, r):  psi(d - 2t, r - t)      on [0, r]
-    g2(R, r):  phi(R - t, r - t)       on [0, r]
-    g3(d, w):  slice area f(d-2t,w-2t) on [0, w/2]
-    g4(w, R):  chi(w - 2t, R - t)      on [0, w/2]
+    g1(d, r):  psi(d - 2t, r - t)                   on [0, r]
+    g2(R, r):  slice_area(2R - 2t, 2r - 2t) = phi   on [0, r]
+    g3(d, w):  slice_area(d - 2t, w - 2t)           on [0, w/2]
+    g4(w, R):  slice_area(2R - 2t, w - 2t) = chi    on [0, w/2]
 
-    Array parameters (broadcast together) give a column of problems; an
-    element outside the family's domain gets a NaN domain end, so its
-    crossing comes back NaN instead of raising DomainError.
+    g2..g4 are the areas of the slices with the shrunk functionals.  Array
+    parameters (broadcast together) give a column of problems; an element
+    outside the family's domain gets a NaN domain end, so its crossing
+    comes back NaN instead of raising DomainError.
     """
-    if family not in ("g1", "g2", "g3", "g4"):
+    if family not in _IMPLICIT:
         raise DomainError(f"unknown implicit family {family!r}")
-    names = {"g1": ("d", "r"), "g2": ("R", "r"), "g3": ("d", "w"), "g4": ("w", "R")}[family]
+    names, message, outside, make = _IMPLICIT[family]
     p, q = np.broadcast_arrays(*(np.asarray(params[k], dtype=float) for k in names))
     scalar = p.ndim == 0
     if scalar:
         p, q = float(p), float(q)
-    if family == "g1":
-        d, r = p, q
-        upper = _in_domain(r, d < 2 * r - _DOMAIN_TOL, scalar, "g1 needs d >= 2r")
-        return ImplicitRootProblem(lambda t: psi(d - 2 * t, np.maximum(r - t, 0.0)), upper)
-    if family == "g2":
-        R, r = p, q
-        upper = _in_domain(r, R < r - _DOMAIN_TOL, scalar, "g2 needs R >= r")
-        return ImplicitRootProblem(lambda t: phi(np.maximum(R - t, 0.0), np.maximum(r - t, 0.0)), upper)
-    if family == "g3":
-        d, w = p, q
-        upper = _in_domain(w / 2, d < w - _DOMAIN_TOL, scalar, "g3 needs d >= omega")
-        return ImplicitRootProblem(lambda t: _slice_area(d - 2 * t, np.maximum(w - 2 * t, 0.0)), upper)
-    w, R = p, q
-    upper = _in_domain(w / 2, 2 * R < w - _DOMAIN_TOL, scalar, "g4 needs 2R >= omega")
-    return ImplicitRootProblem(lambda t: chi(np.maximum(w - 2 * t, 0.0), np.maximum(R - t, 0.0)), upper)
-
-
-def _slice_area(d, w):
-    """Area of the spherical slice with diameter d and width w (w <= d)."""
-    (d, w), scalar = _to_arrays(d, w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_d = np.where(d <= 0.0, 1.0, d)
-        val = (w / 2) * np.sqrt(np.maximum(d * d - w * w, 0.0)) \
-            + (d * d / 2) * np.arcsin(np.clip(w / safe_d, -1.0, 1.0))
-    out = np.where(d <= 0.0, 0.0, val)
-    return float(out) if scalar else out
+    g, upper = make(p, q)
+    return ImplicitRootProblem(g, _in_domain(upper, outside(p, q), scalar, message))
 
 
 def _triangle_h_from_wd(w, d):
@@ -281,12 +260,8 @@ def _build_registry():
     add("HRP_UP", "upper", "", "h-r-perim-upper", "form-body homothets", always,
         lambda f: 1 / f.inradius + np.sqrt(2 * PI / (f.perimeter * f.inradius)))
 
-    def hdr_up(f):
-        r, d = f.inradius, f.diameter
-        den = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
-            + r * r * (PI - 2 * np.arccos(np.minimum(1.0, 2 * r / d)))
-        return 1 / r + np.sqrt(PI / den)
-    add("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", always, hdr_up)
+    add("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", always,
+        lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.diameter / 2)))
     add("HDR_LO_IMPLICIT", "lower", "", "g1-crossing", "slices / smoothed nonagons", always,
         lambda f: _crossing_h("g1", d=f.diameter, r=f.inradius))
 
@@ -295,11 +270,8 @@ def _build_registry():
         return (4 - PI) / (d + 2 * r - np.sqrt((d + 2 * r) ** 2 - 2 * (4 - PI) * d * r))
     add("HDR_LO_EXPLICIT", "lower", "", "h-d-r-lower-explicit", "thinning rectangles", always, hdr_lo_exp)
 
-    def hrr_up(f):
-        r, R = f.inradius, f.circumradius
-        den = 2 * r * (np.sqrt(np.maximum(R * R - r * r, 0.0)) + r * np.arcsin(np.minimum(1.0, r / R)))
-        return 1 / r + np.sqrt(PI / den)
-    add("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", always, hrr_up)
+    add("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", always,
+        lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.circumradius)))
     add("HRR_LO_IMPLICIT", "lower", "", "g2-crossing", "slices", always,
         lambda f: _crossing_h("g2", R=f.circumradius, r=f.inradius))
 

@@ -23,7 +23,7 @@ from .cheeger import cheeger_constant
 from .errors import CheegerAtlasError, InvalidParam, NoRoot, PolygonJsonError, Unreachable
 from .functionals import Functionals, measure, measure_with_cheeger
 from .geom import polygon_from_json, polygon_to_json
-from .sampler import NORMALIZE_TAGS, cloud_csv, sample_cloud
+from .sampler import _TAG_OF_FUNCTIONAL, NORMALIZE_TAGS, cloud_csv, sample_cloud
 
 G17 = lambda v: format(v, ".17g")
 
@@ -38,8 +38,6 @@ TRIPLETS = {
     "hrd": ("HRD", ("R", "h", "d")),
     "hwr-in": ("HWR_IN", ("w", "h", "r")),
 }
-
-_TAG_OF = {"A": "area", "r": "inradius", "d": "diameter", "P": "none", "R": "none", "w": "none"}
 
 # family alias -> (class, [(flag, param name)])
 FAMILIES = {
@@ -112,7 +110,7 @@ def _cmd_shape(args) -> int:
     cls, flags = FAMILIES[args.family]
     kwargs = {}
     for flag, param in flags:
-        val = getattr(args, flag if flag != "height" else "height")
+        val = getattr(args, flag)
         if val is None:
             raise InvalidParam(f"--family {args.family} requires --{flag}")
         kwargs[param] = val
@@ -174,19 +172,12 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _resolve_tag(args) -> str:
-    _, triplet = TRIPLETS[args.triplet]
-    default = _TAG_OF[triplet[2]]
-    tag = args.normalize if getattr(args, "normalize", None) else default
-    return tag
-
-
 def _cmd_sample(args) -> int:
     if args.samples < 1:
         raise InvalidParam("--samples must be at least 1")
     _, triplet = TRIPLETS[args.triplet]
-    records = sample_cloud(args.samples, args.n_min, args.n_max, _resolve_tag(args),
-                           triplet, args.seed)
+    tag = args.normalize or _TAG_OF_FUNCTIONAL.get(triplet[2], "none")
+    records = sample_cloud(args.samples, args.n_min, args.n_max, tag, triplet, args.seed)
     with open(args.out, "w", newline="") as fh:
         fh.write(cloud_csv(records))
     return 0
@@ -195,8 +186,7 @@ def _cmd_sample(args) -> int:
 def _diagram_point(f: Functionals, triplet) -> tuple[float, float]:
     """Scale-invariant diagram coordinates: x and h after J3 is set to 1."""
     x_key, _, norm_key = triplet
-    exponent = {"A": 2.0}.get(norm_key, 1.0)
-    s = f.value(norm_key) ** (1.0 / exponent)  # body / s has J3 = 1
+    s = f.value(norm_key) ** (1.0 / shapes_mod._EXPONENT[norm_key])  # body / s has J3 = 1
     return f.value(x_key) / s, f.value("h") * s
 
 

@@ -656,15 +656,17 @@ def polygon_to_json(poly: ConvexPolygon) -> str:
 def polygon_from_json(text: str) -> ConvexPolygon:
     """Parse {"vertices": [[x, y], ...]}, validating all polygon invariants."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)  # a too-large integer reads as inf
     except json.JSONDecodeError as exc:
         raise PolygonJsonError("bad-json", f"not valid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise PolygonJsonError("missing-vertices", "document must be an object with a 'vertices' key")
     raw = doc["vertices"]
     if (not isinstance(raw, list) or len(raw) < 3
-            or not all(isinstance(p, list) and len(p) == 2 for p in raw)):
-        raise PolygonJsonError("bad-vertex-list", "'vertices' must be a list of [x, y] pairs, length >= 3")
+            or not all(isinstance(p, list) and len(p) == 2
+                       and all(type(c) is float and math.isfinite(c) for c in p) for p in raw)):
+        raise PolygonJsonError("bad-vertex-list",
+                               "'vertices' must be a list of [x, y] pairs of finite numbers, length >= 3")
     try:
         return ConvexPolygon(np.array(raw, dtype=float))
     except (DegenerateInput, ValueError) as exc:

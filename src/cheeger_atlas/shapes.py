@@ -336,6 +336,42 @@ def _build_cw_nonagon(spec: ConstantWidthNonagon, step: float) -> ConvexPolygon:
     return ConvexPolygon(_dedupe(chunks, w))
 
 
+def slice_area(d, w):
+    """Area of the spherical slice with diameter d and width w (w <= d).
+
+    Accepts arrays; d <= 0 gives area 0.
+    """
+    d, w = np.asarray(d, dtype=float), np.asarray(w, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_d = np.where(d <= 0.0, 1.0, d)
+        val = (w / 2) * np.sqrt(np.maximum(d * d - w * w, 0.0)) \
+            + (d * d / 2) * np.arcsin(np.clip(w / safe_d, -1.0, 1.0))
+    out = np.where(d <= 0.0, 0.0, val)
+    return float(out) if out.ndim == 0 else out
+
+
+def nonagon_area(d, r):
+    """Area of the smoothed nonagon with diameter d and inradius r
+    (2r <= d <= 2*sqrt(3)*r).  Accepts arrays; d <= 0 gives area 0."""
+    d, r = np.asarray(d, dtype=float), np.asarray(r, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_d = np.where(d <= 0.0, 1.0, d)
+        val = (3 * SQRT3 * r / 2) * (np.sqrt(np.maximum(d * d - 3 * r * r, 0.0)) - r) \
+            + (3 * d * d / 2) * (math.pi / 3 - np.arccos(np.clip(SQRT3 * r / safe_d, -1.0, 1.0)))
+    out = np.where(d <= 0.0, 0.0, val)
+    return float(out) if out.ndim == 0 else out
+
+
+def two_cup_area(r, k):
+    """Area of the two-cup body with inradius r and tip distance k (k >= r).
+    Accepts arrays."""
+    r, k = np.asarray(r, dtype=float), np.asarray(k, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = r * np.sqrt(np.maximum(4 * k * k - 4 * r * r, 0.0)) \
+            + r * r * (math.pi - 2 * np.arccos(np.minimum(1.0, r / k)))
+    return float(out) if out.ndim == 0 else out
+
+
 def closed_form(spec: ShapeSpec) -> Functionals:
     """Exact functionals where the family admits them (ball, stadium,
     two-cup, slice); the first three also carry the exact Cheeger constant."""
@@ -352,17 +388,14 @@ def closed_form(spec: ShapeSpec) -> Functionals:
                            cheeger=h, cheeger_t=1 / h)
     if isinstance(spec, TwoCup):
         r, k = spec.radius, spec.tip_dist
-        A = r * math.sqrt(max(0.0, 4 * k * k - 4 * r * r)) + r * r * (math.pi - 2 * math.acos(min(1.0, r / k)))
+        A = two_cup_area(r, k)
         P = 2 * A / r  # homothetic to its form body
         h = 1 / r + math.sqrt(math.pi / A)
         return Functionals(A, P, r, k, 2 * k, 2 * r, cheeger=h, cheeger_t=1 / h)
     if isinstance(spec, Slice):
         r, d = spec.inradius, spec.diameter
-        root = math.sqrt(max(0.0, d * d - 4 * r * r))
-        asr = math.asin(min(1.0, 2 * r / d))
-        A = r * root + (d * d / 2) * asr
-        P = 2 * root + 2 * d * asr
-        return Functionals(A, P, r, d / 2, d, 2 * r)
+        P = 2 * math.sqrt(max(0.0, d * d - 4 * r * r)) + 2 * d * math.asin(min(1.0, 2 * r / d))
+        return Functionals(slice_area(d, 2 * r), P, r, d / 2, d, 2 * r)
     raise Unsupported(f"no closed form for {_FAMILY_NAMES.get(type(spec), '?')}")
 
 
@@ -392,15 +425,26 @@ def triangle_functionals(base: float, height: float) -> Functionals:
 # parameter solving: one dimensionless shape parameter + one scale
 # ---------------------------------------------------------------------------
 
-# family name -> (sigma range (lo, hi, hi_unbounded), unit spec builder)
+SCAN_POINTS = 65  # points of each family's one scan of its shape parameter
+SCAN_RES = 8192  # arc segments of the members measured off a built polygon
+_FAR_SIGMA = 64 * 4.0 ** 11  # far end of the scan of an unbounded shape parameter
+
+
+def _far_scan(lo):
+    """Scan from lo to _FAR_SIGMA, geometrically spaced in 1 + sigma - lo."""
+    return lo + (np.geomspace(1.0, _FAR_SIGMA - lo + 1.0, SCAN_POINTS) - 1.0)
+
+
+# family name -> (scan of the shape parameter sigma, unit spec builder)
 _SIGMA = {
-    "stadium": (0.0, 64.0, True, lambda s: Stadium(1.0, s)),
-    "two_cup": (1.0, 64.0, True, lambda s: TwoCup(1.0, s)),
-    "slice": (1.0, 64.0, True, lambda s: Slice(1.0, 2.0 * s)),
-    "subequilateral_triangle": (SQRT3 / 2, 64.0, True, lambda s: SubequilateralTriangle(1.0, s)),
-    "yamanouti": (1e-6, 1.0, False, lambda s: Yamanouti(1.0, s)),
-    "smoothed_nonagon": (2.0 + 1e-9, 2 * SQRT3 - 1e-9, False, lambda s: SmoothedNonagon(1.0, s)),
-    "constant_width_nonagon": ((1 - 1 / SQRT3), 0.5 - 1e-9, False,
+    "stadium": (_far_scan(0.0), lambda s: Stadium(1.0, s)),
+    "two_cup": (_far_scan(1.0), lambda s: TwoCup(1.0, s)),
+    "slice": (_far_scan(1.0), lambda s: Slice(1.0, 2.0 * s)),
+    "subequilateral_triangle": (_far_scan(SQRT3 / 2), lambda s: SubequilateralTriangle(1.0, s)),
+    "yamanouti": (np.linspace(1e-6, 1.0, SCAN_POINTS), lambda s: Yamanouti(1.0, s)),
+    "smoothed_nonagon": (np.linspace(2.0 + 1e-9, 2 * SQRT3 - 1e-9, SCAN_POINTS),
+                         lambda s: SmoothedNonagon(1.0, s)),
+    "constant_width_nonagon": (np.linspace(1 - 1 / SQRT3, 0.5 - 1e-9, SCAN_POINTS),
                                lambda s: ConstantWidthNonagon(1.0, s)),
 }
 
@@ -413,15 +457,15 @@ def _scale_spec(spec: ShapeSpec, factor: float) -> ShapeSpec:
 
 
 @lru_cache(maxsize=16384)
-def _unit_functionals(family: str, sigma: float, res: int) -> Functionals:
-    spec = _SIGMA[family][3](sigma)
+def _unit_functionals(family: str, sigma: float) -> Functionals:
+    spec = _SIGMA[family][1](sigma)
     try:
         return closed_form(spec)
     except Unsupported:
-        return measure(build(spec, Resolution(res)))
+        return measure(build(spec, Resolution(SCAN_RES)))
 
 
-def _unit_values(family: str, sigmas, res: int) -> dict:
+def _unit_values(family: str, sigmas) -> dict:
     """Functionals by id of the unit members at shape parameters ``sigmas``,
     as arrays shaped like ``sigmas`` (the triangles in closed form; NaN at
     a NaN shape parameter)."""
@@ -431,13 +475,13 @@ def _unit_values(family: str, sigmas, res: int) -> dict:
     out = {k: np.full(sigmas.shape, np.nan) for k in _EXPONENT}
     for idx, s in np.ndenumerate(sigmas):
         if math.isfinite(s):
-            f = _unit_functionals(family, float(s), res)
+            f = _unit_functionals(family, float(s))
             for k, col in out.items():
                 col[idx] = f.value(k)
     return out
 
 
-def solve_param(family, target, fixed, res: int = 8192, scan_points: int = 65):
+def solve_param(family, target, fixed):
     """Find the family member matching ``target`` once ``fixed`` is imposed.
 
     ``target`` and ``fixed`` are (functional id, value) pairs with ids from
@@ -448,17 +492,16 @@ def solve_param(family, target, fixed, res: int = 8192, scan_points: int = 65):
 
     Values may be arrays (broadcast together): a column of matches.  The
     scale cancels in the target functional of the members scaled to a unit
-    fixed functional, which depends on sigma alone, so one scan of sigma
-    (a grid of ``scan_points``, whose far end grows fourfold for unbounded
-    families while targets lie beyond it) serves every element.  Each
-    element takes its bracket from the scan at the first growth that
-    reaches it, exactly as it would alone, and one vectorised root loop
-    then solves all elements.  A float call returns the spec; it raises
-    InvalidParam for a value that is not positive, NonMonotone when a scan
-    it needs is not monotone, and Unreachable when the target lies outside
-    the family's range.  A column call returns a list of specs, with None
-    for each element that one of those would have failed, or whose root
-    solve did not converge; the other elements are unaffected.
+    fixed functional, which depends on sigma alone, so one fixed scan of
+    sigma (SCAN_POINTS points: linear over a bounded range, geometric up to
+    sigma = 64 * 4**11 for an unbounded one) brackets every element, and
+    one vectorised root loop then solves all elements.  A float call
+    returns the spec; it raises InvalidParam for a value that is not
+    positive, NonMonotone when the scan is not monotone, and Unreachable
+    when the target lies outside the scanned range.  A column call returns
+    a list of specs, with None for each element that one of those would
+    have failed, or whose root solve did not converge; the other elements
+    are unaffected.
     """
     fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
     if fam not in _SIGMA:
@@ -477,55 +520,39 @@ def solve_param(family, target, fixed, res: int = 8192, scan_points: int = 65):
         """Target functional of the unit members ``u`` scaled to fixed value ``fv``."""
         return u[tid] * ((fv / u[fid]) ** (1.0 / a_f)) ** a_t
 
-    lo, hi, unbounded, make = _SIGMA[fam]
+    grid, make = _SIGMA[fam]
+    u = _unit_values(fam, grid)
+    unit = scaled(u, 1.0)
+    tol = 1e-12 * float(np.max(np.abs(unit)))
+    monotone = not (np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol))
+    if scalar and not monotone:
+        raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
+    k = np.flatnonzero(~bad & monotone)  # the elements the scan can bracket
+    t = tval[k]
+    row = scaled(u, fval[k, None])  # one row per element
+    vmin, vmax = row.min(axis=1), row.max(axis=1)
+    inside = (vmin - 1e-12 * vmax <= t) & (t <= vmax + 1e-12 * vmax)
+    if scalar and not inside[0]:
+        raise Unreachable(f"target {tid}={t[0]} outside scanned range [{vmin[0]}, {vmax[0]}]")
+    k, vals = k[inside], (row - t[:, None])[inside]
+    # the first sign change; a target within the scan's relative slack
+    # of an end has none and is taken at the nearest grid point
+    change = vals[:, :-1] * vals[:, 1:] <= 0.0
+    has = change.any(axis=1)
+    i = np.where(has, change.argmax(axis=1), np.abs(vals).argmin(axis=1))
+    j = np.where(has, i + 1, i)
     a, fa, b, fb, xtol = (np.full(tval.shape, np.nan) for _ in range(5))
-    pending = np.flatnonzero(~bad)
-    for _ in range(12):
-        grid = np.linspace(lo, hi, scan_points)
-        u = _unit_values(fam, grid, res)
-        unit = scaled(u, 1.0)
-        tol = 1e-12 * float(np.max(np.abs(unit)))
-        if np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol):
-            if scalar:
-                raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
-            break  # the elements that need this scan stay unsolved
-        t = tval[pending]
-        row = scaled(u, fval[pending, None])  # one row per pending element
-        vmin, vmax = row.min(axis=1), row.max(axis=1)
-        vals = row - t[:, None]
-        inside = (vmin - 1e-12 * vmax <= t) & (t <= vmax + 1e-12 * vmax)
-        # the first sign change; a target within the scan's relative slack
-        # of an end has none and is taken at the nearest grid point
-        change = vals[:, :-1] * vals[:, 1:] <= 0.0
-        has = change.any(axis=1)
-        i = np.where(has, change.argmax(axis=1), np.abs(vals).argmin(axis=1))
-        j = np.where(has, i + 1, i)
-        rows = np.arange(len(pending))
-        k = pending[inside]
-        a[k], b[k] = grid[i[inside]], grid[j[inside]]
-        fa[k] = np.where(has, vals[rows, i], 0.0)[inside]
-        fb[k] = np.where(has, vals[rows, j], 0.0)[inside]
-        xtol[k] = 1e-13 * np.maximum(1.0, np.abs(b[k]))
-        increasing = vals[:, -1] >= vals[:, 0]
-        beyond_far_end = np.where(increasing, vals[:, -1] < 0.0, vals[:, -1] > 0.0)
-        grows = ~inside & beyond_far_end & unbounded
-        if scalar and not inside[0] and not grows[0]:
-            raise Unreachable(f"target {tid}={t[0]} outside scanned range "
-                              f"[{vmin[0]}, {vmax[0]}]")
-        pending = pending[grows]
-        if pending.size == 0:
-            break
-        hi *= 4.0
-    if scalar and pending.size:
-        raise Unreachable(f"target {tid}={tval[0]} beyond family range")
+    a[k], b[k] = grid[i], grid[j]
+    fa[k], fb[k] = (np.where(has, vals[np.arange(k.size), x], 0.0) for x in (i, j))
+    xtol[k] = 1e-13 * np.maximum(1.0, np.abs(b[k]))
 
     fv, tv = (fval[0], tval[0]) if scalar else (fval, tval)
-    sigma = _bracketed_root(lambda s: scaled(_unit_values(fam, s, res), fv) - tv,
+    sigma = _bracketed_root(lambda s: scaled(_unit_values(fam, s), fv) - tv,
                             *(v[0] if scalar else v for v in (a, fa, b, fb, xtol)))
     sigma = np.atleast_1d(sigma)
     specs = [None] * sigma.size
     solved = np.flatnonzero(np.isfinite(sigma))
-    scale = (fval[solved] / _unit_values(fam, sigma[solved], res)[fid]) ** (1.0 / a_f)
+    scale = (fval[solved] / _unit_values(fam, sigma[solved])[fid]) ** (1.0 / a_f)
     for k, c in zip(solved, scale):
         specs[k] = _scale_spec(make(float(sigma[k])), float(c))
     return specs[0] if scalar else specs

@@ -13,7 +13,8 @@ from cheeger_atlas.errors import DomainError, InvalidParam, Unreachable
 from cheeger_atlas.functionals import Functionals, measure, measure_with_cheeger
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
-                                  solve_param, triangle_functionals)
+                                  solve_param, triangle_functionals, triangle_values,
+                                  two_cup_area)
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -80,6 +81,157 @@ class TestChiPhi:
             chi(3.0, 1.0)
         with pytest.raises(DomainError):
             phi(1.0, 2.0)
+
+
+# Oracles: the formulas that chi, phi, psi, g1-g4 and the two-cup bounds
+# typed out before they read the closed forms in ``shapes``.
+def _oracle_slice_area(d, w):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_d = np.where(d <= 0.0, 1.0, d)
+        val = (w / 2) * np.sqrt(np.maximum(d * d - w * w, 0.0)) \
+            + (d * d / 2) * np.arcsin(np.clip(w / safe_d, -1.0, 1.0))
+    return np.where(d <= 0.0, 0.0, val)
+
+
+def _oracle_chi(w, R):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_R = np.where(R <= 0.0, 1.0, R)
+        val = (w / 2) * np.sqrt(np.maximum(4 * R * R - w * w, 0.0)) \
+            + 2 * R * R * np.arcsin(np.clip(w / (2 * safe_R), -1.0, 1.0))
+    bad = (w < -0.0) | (w > 2 * R * (1 + 1e-9) + 1e-9)
+    return np.where(bad, np.nan, np.where(R <= 0.0, 0.0, val))
+
+
+def _oracle_phi(R, r):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_R = np.where(R <= 0.0, 1.0, R)
+        val = 2 * (r * np.sqrt(np.maximum(R * R - r * r, 0.0))
+                   + R * R * np.arcsin(np.clip(r / safe_R, -1.0, 1.0)))
+    bad = (r < -0.0) | (r > R * (1 + 1e-9) + 1e-9)
+    return np.where(bad, np.nan, np.where(R <= 0.0, 0.0, val))
+
+
+def _oracle_psi(d, r):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_d = np.where(d <= 0.0, 1.0, d)
+        f_branch = (3 * SQRT3 * r / 2) * (np.sqrt(np.maximum(d * d - 3 * r * r, 0.0)) - r) \
+            + (3 * d * d / 2) * (PI / 3 - np.arccos(np.clip(SQRT3 * r / safe_d, -1.0, 1.0)))
+        g_branch = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
+            + (d * d / 2) * np.arcsin(np.clip(2 * r / safe_d, -1.0, 1.0))
+    out = np.where(d <= 0.0, 0.0, np.where(d <= r * dstar(), f_branch, g_branch))
+    bad = (r < -0.0) | (d + 1e-9 * np.maximum(1.0, d) < 2 * r)
+    return np.where(bad, np.nan, out)
+
+
+# family -> (parameter names, outside-domain test, domain end, g(t) of the parameters)
+_ORACLE_G = {
+    "g1": (("d", "r"), lambda d, r: d < 2 * r - 1e-9, lambda d, r: r,
+           lambda d, r, t: _oracle_psi(d - 2 * t, np.maximum(r - t, 0.0))),
+    "g2": (("R", "r"), lambda R, r: R < r - 1e-9, lambda R, r: r,
+           lambda R, r, t: _oracle_phi(np.maximum(R - t, 0.0), np.maximum(r - t, 0.0))),
+    "g3": (("d", "w"), lambda d, w: d < w - 1e-9, lambda d, w: w / 2,
+           lambda d, w, t: _oracle_slice_area(d - 2 * t, np.maximum(w - 2 * t, 0.0))),
+    "g4": (("w", "R"), lambda w, R: 2 * R < w - 1e-9, lambda w, R: w / 2,
+           lambda w, R, t: _oracle_chi(np.maximum(w - 2 * t, 0.0), np.maximum(R - t, 0.0))),
+}
+
+
+def _edge_grid(ratios):
+    """(big, small) columns, small = big * ratio for each ratio and each
+    scale of big, the zero scale included."""
+    big, ratio = np.meshgrid([0.0, 0.3, 1.0, 2.7, 7.1], ratios)
+    return big.ravel(), (big * ratio).ravel()
+
+
+# ratios of a functional to its upper limit (r / R, w / d, w / 2R), at and
+# just past the edges of the domain: zero, a negative zero, 1e-6 below zero,
+# the limit, 5e-10 past it (tolerated on the smaller scales) and 1e-6 past it
+_EDGE = [-1e-6, -0.0, 0.0, 0.25, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 5e-10, 1.0 + 1e-6, 1.2]
+# the same for r / d, through both branches of psi
+_EDGE_RD = [-1e-6, 0.0, 0.1, 1 / 3, 1 / (dstar() * (1 + 1e-9)), 1 / (dstar() * (1 - 1e-9)),
+            0.42, 0.43, 0.45, 1 / 2.1, 0.48, 0.49, 0.5 - 1e-12, 0.5, 0.5 + 2e-10, 0.5 + 1e-6]
+
+
+def _same(got, want):
+    return np.array_equal(np.asarray(got), np.asarray(want), equal_nan=True)
+
+
+def _scalar_matches(fn, args, want):
+    """A float call raises DomainError where the oracle column is NaN, and
+    gives the oracle's value bit for bit elsewhere."""
+    for *xs, w in zip(*args, want):
+        if math.isnan(w):
+            with pytest.raises(DomainError):
+                fn(*map(float, xs))
+        else:
+            assert fn(*map(float, xs)) == w
+
+
+class TestClosedFormOracles:
+    def test_chi_phi_psi_bit_for_bit(self):
+        R, w = _edge_grid([2 * x for x in _EDGE])
+        assert _same(chi(w, R), _oracle_chi(w, R))
+        _scalar_matches(chi, (w, R), _oracle_chi(w, R))
+        R, r = _edge_grid(_EDGE)
+        assert _same(phi(R, r), _oracle_phi(R, r))
+        _scalar_matches(phi, (R, r), _oracle_phi(R, r))
+        d, r = _edge_grid(_EDGE_RD)
+        assert _same(psi(d, r), _oracle_psi(d, r))
+        _scalar_matches(psi, (d, r), _oracle_psi(d, r))
+
+    @pytest.mark.parametrize("family", ["g1", "g2", "g3", "g4"])
+    def test_implicit_g_bit_for_bit(self, family):
+        names, outside, end, oracle = _ORACLE_G[family]
+        if family == "g1":
+            p, q = _edge_grid(_EDGE_RD)
+        elif family == "g4":
+            q, p = _edge_grid([2 * x for x in _EDGE])
+        else:
+            p, q = _edge_grid(_EDGE)
+        bad = outside(p, q)
+        assert bad.any() and not bad.all()
+        problem = implicit_g(family, **{names[0]: p, names[1]: q})
+        assert _same(np.isnan(problem.upper), bad)
+        assert _same(problem.upper[~bad], end(p, q)[~bad])
+        for s in (0.0, 0.3, 0.5, 0.9, 1.0):
+            t = s * end(p, q)
+            assert _same(problem.g(t)[~bad], oracle(p, q, t)[~bad]), s
+        for x, y, out in zip(p, q, bad):
+            kw = {names[0]: float(x), names[1]: float(y)}
+            if out:
+                with pytest.raises(DomainError):
+                    implicit_g(family, **kw)
+            elif end(x, y) > 0:
+                t = 0.3 * float(end(x, y))
+                assert implicit_g(family, **kw).g(t) == float(oracle(x, y, t))
+
+    def test_two_cup_bounds(self):
+        r, big = _edge_grid([1.0, 1.0 + 1e-12, 1.01, 1.5, 3.0, 40.0])
+        r, big = r[r > 0], big[r > 0]
+        d = 2 * big
+        den = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
+            + r * r * (PI - 2 * np.arccos(np.minimum(1.0, 2 * r / d)))
+        assert _same(two_cup_area(r, d / 2), den)
+        assert _same(bounds.bound_value("HDR_UP", inradius=r, diameter=d), 1 / r + np.sqrt(PI / den))
+        R = big
+        den = 2 * r * (np.sqrt(np.maximum(R * R - r * r, 0.0)) + r * np.arcsin(np.minimum(1.0, r / R)))
+        assert np.allclose(two_cup_area(r, R), den, rtol=1e-15, atol=0.0)
+        got = bounds.bound_value("HRR_UP", inradius=r, circumradius=R)
+        assert np.allclose(got, 1 / r + np.sqrt(PI / den), rtol=1e-15, atol=0.0)
+
+    def test_closed_forms_of_slice_and_two_cup(self):
+        for r, k in [(1.0, 1.0), (1.0, 1.0 + 1e-12), (0.5, 0.7), (2.0, 9.0), (1.0, 1e6)]:
+            f = closed_form(TwoCup(r, k))
+            A = r * math.sqrt(max(0.0, 4 * k * k - 4 * r * r)) \
+                + r * r * (math.pi - 2 * math.acos(min(1.0, r / k)))
+            assert f.area == pytest.approx(A, rel=1e-15, abs=0.0)
+            assert f.cheeger == pytest.approx(1 / r + math.sqrt(math.pi / A), rel=1e-15, abs=0.0)
+            d = 2 * k
+            root = math.sqrt(max(0.0, d * d - 4 * r * r))
+            asr = math.asin(min(1.0, 2 * r / d))
+            f = closed_form(Slice(r, d))
+            assert f.area == pytest.approx(r * root + (d * d / 2) * asr, rel=1e-15, abs=0.0)
+            assert f.perimeter == 2 * root + 2 * d * asr
 
 
 class TestArcsinc:
@@ -285,8 +437,8 @@ class TestSubeqInverse:
     @pytest.mark.parametrize("target,fixed", [("w", "R"), ("A", "w"), ("P", "w")])
     def test_column_matches_elementwise(self, target, fixed):
         # the matches of HRW_UP_TRI, HAW_UP_TRI and HWP_UP_TRI on census
-        # records, with targets grown past the first scan; the last element
-        # lies beyond the equilateral end
+        # records, with targets far along the scan of the shape parameter;
+        # the last element lies beyond the equilateral end
         fs = [measure(seeded_polygon(3, i, 3, 30, "area")[2]) for i in range(60)]
         tval = np.array([f.value(target) for f in fs] + [2.0 if target == "w" else 0.1])
         fval = np.array([f.value(fixed) for f in fs] + [1.0])
@@ -300,6 +452,21 @@ class TestSubeqInverse:
                 want = None
             assert spec == want
         assert got[-1] is None and sum(s is None for s in got) < len(got) // 2
+
+    def test_column_reaches_the_far_end(self):
+        # areas at unit width of triangles with height / base up to 2e8 are
+        # matched in one column; the last one, past the scan's far end
+        # sigma = 64 * 4**11, is unreachable
+        sigma = np.array([3.0, 1e4, 1e7, 1e8, 2e8, 1e9])
+        f = triangle_values(1.0, sigma)
+        area = f["A"] / f["w"] ** 2
+        got = solve_param("subequilateral_triangle", ("A", area), ("w", 1.0))
+        for spec, a in zip(got[:-1], area[:-1]):
+            assert spec == solve_param("subequilateral_triangle", ("A", float(a)), ("w", 1.0))
+        assert [s.height / s.base for s in got[:-1]] == pytest.approx(sigma[:-1], rel=1e-12)
+        assert got[-1] is None
+        with pytest.raises(Unreachable):
+            solve_param("subequilateral_triangle", ("A", float(area[-1])), ("w", 1.0))
 
     def test_column_marks_invalid_values(self):
         # a value that is not positive raises for a float call and leaves

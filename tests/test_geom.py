@@ -726,6 +726,15 @@ class TestPolygonJson:
         ("{}", "missing-vertices"),
         ('{"vertices": [[0,0],[1,0]]}', "bad-vertex-list"),
         ('{"vertices": [[0,0],[1,0],[2,0]]}', "not-convex"),
+        # coordinates must be finite JSON numbers, and not booleans
+        ('{"vertices": [[0,0],[true,0],[0,true]]}', "bad-vertex-list"),
+        ('{"vertices": [[0,0],["1",0],[0,1]]}', "bad-vertex-list"),
+        ('{"vertices": [[0,0],[null,0],[0,1]]}', "bad-vertex-list"),
+        ('{"vertices": [[0,0],[NaN,0],[0,1]]}', "bad-vertex-list"),
+        ('{"vertices": [[0,0],[Infinity,0],[0,1]]}', "bad-vertex-list"),
+        ('{"vertices": [[0,0],[1e400,0],[0,1]]}', "bad-vertex-list"),
+        pytest.param('{"vertices": [[0,0],[1%s,0],[0,1]]}' % ("0" * 400), "bad-vertex-list",
+                     id="integer-beyond-float-range"),
     ])
     def test_structured_rejection(self, doc, code):
         with pytest.raises(PolygonJsonError) as err:

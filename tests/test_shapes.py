@@ -11,8 +11,8 @@ from cheeger_atlas.geom import support
 from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Polygon, Resolution,
                                   Slice, SmoothedNonagon, Stadium,
                                   SubequilateralTriangle, TwoCup, Yamanouti, build,
-                                  closed_form, solve_param, spec_from_json, spec_to_json,
-                                  triangle_functionals)
+                                  closed_form, nonagon_area, solve_param, spec_from_json,
+                                  spec_to_json, triangle_functionals)
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -72,6 +72,12 @@ class TestBuildMatchesClosedForm:
         m = measure(build(spec, Resolution(8192)))
         for key in ("A", "P", "r", "R", "d", "w"):
             assert rel(m.value(key), cf.value(key)) < max(tol, 5e-5), key
+
+    @pytest.mark.parametrize("d", [2.1, 2.3, 3.0, 3.4])
+    def test_nonagon_area(self, d):
+        # the closed form behind psi's nonagon branch is the built body's area
+        m = measure(build(SmoothedNonagon(1.5, 1.5 * d), Resolution(8192)))
+        assert rel(m.area, nonagon_area(1.5 * d, 1.5)) < 5e-7
 
     def test_degenerate_two_cup_is_ball(self):
         m = measure(build(TwoCup(1.0, 1.0), Resolution(1024)))
