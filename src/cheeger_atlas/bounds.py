@@ -7,9 +7,12 @@ functional of all records into one numpy array, and every predicate and
 value is computed once on those arrays.  The areas of the extremal bodies
 (slice, smoothed nonagon, two-cup) come from their closed forms in
 ``shapes``: psi, chi, phi and g1..g4 are such areas, and the two-cup
-bounds the h of a two-cup.  Implicit bounds solve the column's
-equations g(t) = pi t^2 in one ``smallest_crossing`` call; triangle-valued
-bounds match the column's subequilateral triangles in one
+bounds the h of a two-cup.  The four implicit bounds are the crossings
+g(t) = pi t^2 of g1..g4, solved for a column in one ``smallest_crossing``
+call over the 4n elements stacked from the four families (g1 through psi,
+g2..g4 through one slice_area call per step), each bound reading its own
+quarter; a diagram curve (``bound_value``) solves only its own family.
+Triangle-valued bounds match the column's subequilateral triangles in one
 ``shapes.solve_param`` call and use the triangle identity
 h = 1/r + sqrt(pi/A).
 """
@@ -84,11 +87,26 @@ def arcsinc(x):
     """Inverse of sin(y)/y on [0, pi): the unique y with sinc(y) = x.
 
     Accepts an array, solved in one root loop, with NaN outside (0, 1].
+    The loop starts from the Taylor bracket of the root: sinc falls on
+    [0, pi], and 1 - y^2/6 <= sinc y <= 1 - y^2/6 + y^4/120 puts the root
+    between sqrt(6(1 - x)) and min(pi, sqrt(10 - sqrt(100 - 120(1 - x))))
+    (pi for x < 1/6).  Both ends are read in one call; an end whose value
+    rounds to the wrong sign (x within about 1e-5 of 1) falls back to 0
+    or pi, where sinc is known.
     """
     (x,), scalar = _to_arrays(x)
     x = _in_domain(x, ~((0.0 < x) & (x <= 1.0)), scalar, "arcsinc is defined on (0, 1]")
-    # sinc falls from 1 at y = 0 to 0 at y = pi; the ends are never evaluated
-    return _bracketed_root(lambda y: np.sin(y) / y - x, 0.0, 1.0 - x, PI, -x, 1e-14)
+
+    def f(y):
+        return np.sin(y) / y - x
+
+    with np.errstate(invalid="ignore"):  # at x = 1 both ends are 0, where sinc is 0/0
+        ends = np.stack((np.sqrt(6 * (1 - x)),
+                         np.minimum(PI, np.sqrt(10 - np.sqrt(np.maximum(100 - 120 * (1 - x), 0.0))))))
+        fa, fb = f(ends)
+    a, fa = np.where(fa >= 0.0, ends[0], 0.0), np.where(fa >= 0.0, fa, 1.0 - x)
+    b, fb = np.where(fb <= 0.0, ends[1], PI), np.where(fb <= 0.0, fb, -x)
+    return _bracketed_root(f, a, fa, b, fb, 1e-14)
 
 
 @lru_cache(maxsize=1)
@@ -131,22 +149,29 @@ def d0(res: int = 4096) -> float:
     return _D0_CACHE[res]
 
 
-def _slice_g(D, W):
-    """g(t) = area of the slice of diameter D - 2t and width W - 2t, on [0, W/2]."""
-    return lambda t: slice_area(D - 2 * t, np.maximum(W - 2 * t, 0.0)), W / 2
-
-
-# family -> (parameter names, domain message, outside-domain test, (g, upper) maker)
+# family -> (parameter names, the column fields they are, domain message,
+# outside-domain test, (x, y, upper) maker: the body at t = 0, (d, r) of
+# psi for g1 and (D, W) of the slice for g2..g4, and the domain's end)
 _IMPLICIT = {
-    "g1": (("d", "r"), "g1 needs d >= 2r", lambda d, r: d < 2 * r - _DOMAIN_TOL,
-           lambda d, r: (lambda t: psi(d - 2 * t, np.maximum(r - t, 0.0)), r)),
-    "g2": (("R", "r"), "g2 needs R >= r", lambda R, r: R < r - _DOMAIN_TOL,
-           lambda R, r: _slice_g(2 * R, 2 * r)),
-    "g3": (("d", "w"), "g3 needs d >= omega", lambda d, w: d < w - _DOMAIN_TOL,
-           lambda d, w: _slice_g(d, w)),
-    "g4": (("w", "R"), "g4 needs 2R >= omega", lambda w, R: 2 * R < w - _DOMAIN_TOL,
-           lambda w, R: _slice_g(2 * R, w)),
+    "g1": (("d", "r"), ("diameter", "inradius"), "g1 needs d >= 2r",
+           lambda d, r: d < 2 * r - _DOMAIN_TOL, lambda d, r: (d, r, r)),
+    "g2": (("R", "r"), ("circumradius", "inradius"), "g2 needs R >= r",
+           lambda R, r: R < r - _DOMAIN_TOL, lambda R, r: (2 * R, 2 * r, r)),
+    "g3": (("d", "w"), ("diameter", "min_width"), "g3 needs d >= omega",
+           lambda d, w: d < w - _DOMAIN_TOL, lambda d, w: (d, w, w / 2)),
+    "g4": (("w", "R"), ("min_width", "circumradius"), "g4 needs 2R >= omega",
+           lambda w, R: 2 * R < w - _DOMAIN_TOL, lambda w, R: (2 * R, w, w / 2)),
 }
+
+
+def _psi_g(d, r):
+    """g1(t) = psi(d - 2t, r - t)."""
+    return lambda t: psi(d - 2 * t, np.maximum(r - t, 0.0))
+
+
+def _slice_g(D, W):
+    """g(t) = area of the slice of diameter D - 2t and width W - 2t."""
+    return lambda t: slice_area(D - 2 * t, np.maximum(W - 2 * t, 0.0))
 
 
 def implicit_g(family: str, **params) -> ImplicitRootProblem:
@@ -164,13 +189,41 @@ def implicit_g(family: str, **params) -> ImplicitRootProblem:
     """
     if family not in _IMPLICIT:
         raise DomainError(f"unknown implicit family {family!r}")
-    names, message, outside, make = _IMPLICIT[family]
+    names, _, message, outside, body = _IMPLICIT[family]
     p, q = np.broadcast_arrays(*(np.asarray(params[k], dtype=float) for k in names))
     scalar = p.ndim == 0
     if scalar:
         p, q = float(p), float(q)
-    g, upper = make(p, q)
+    x, y, upper = body(p, q)
+    g = _psi_g(x, y) if family == "g1" else _slice_g(x, y)
     return ImplicitRootProblem(g, _in_domain(upper, outside(p, q), scalar, message))
+
+
+def _crossing_h(f, families) -> dict:
+    """h = 1/t at the crossings g(t) = pi t^2 of ``families`` (of g1..g4)
+    over the column ``f``, by family, NaN where there is none.
+
+    All are solved in one ``smallest_crossing`` call over the column stacked
+    from the families: g1, first, through psi on its part, and the slice
+    families through one slice_area call on the rest.
+    """
+    families = sorted(families)
+    dims, xs, ys, uppers = [], [], [], []
+    for fam in families:
+        _, fields, _, outside, body = _IMPLICIT[fam]
+        p, q = np.broadcast_arrays(*(getattr(f, k) for k in fields))
+        x, y, upper = body(p.ravel(), q.ravel())
+        dims.append(p.shape)
+        xs.append(x)
+        ys.append(y)
+        uppers.append(np.where(outside(p, q).ravel(), np.nan, upper))
+    k = xs[0].size if families[0] == "g1" else 0
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    g1, slices = _psi_g(x[:k], y[:k]), _slice_g(x[k:], y[k:])
+    t = smallest_crossing(ImplicitRootProblem(
+        lambda t: np.concatenate((g1(t[..., :k]), slices(t[..., k:])), axis=-1), np.concatenate(uppers)))
+    cuts = np.cumsum([a.size for a in xs])[:-1]
+    return {fam: 1.0 / part.reshape(dim) for fam, part, dim in zip(families, np.split(t, cuts), dims)}
 
 
 def _triangle_h_from_wd(w, d):
@@ -221,12 +274,16 @@ class BoundResult:
         return self.status != "not-applicable"
 
 
-def _crossing_h(family: str, **params) -> np.ndarray:
-    return 1.0 / smallest_crossing(implicit_g(family, **params))
+# the six functionals of a column of records, one array each, and the h of
+# its g1..g4 crossings by family once evaluate_all has solved them
+_Column = namedtuple("_Column", "area perimeter inradius circumradius diameter min_width crossings",
+                     defaults=(None,))
+_FUNCTIONALS = _Column._fields[:6]
 
 
-# the six functionals of a column of records, one array each
-_Column = namedtuple("_Column", "area perimeter inradius circumradius diameter min_width")
+def _implicit_h(f: _Column, family: str) -> np.ndarray:
+    """h of the ``family`` crossings over the column ``f``."""
+    return (f.crossings or _crossing_h(f, [family]))[family]
 
 
 def _build_registry():
@@ -263,7 +320,7 @@ def _build_registry():
     add("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", always,
         lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.diameter / 2)))
     add("HDR_LO_IMPLICIT", "lower", "", "g1-crossing", "slices / smoothed nonagons", always,
-        lambda f: _crossing_h("g1", d=f.diameter, r=f.inradius))
+        lambda f: _implicit_h(f, "g1"))
 
     def hdr_lo_exp(f):
         d, r = f.diameter, f.inradius
@@ -273,7 +330,7 @@ def _build_registry():
     add("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", always,
         lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.circumradius)))
     add("HRR_LO_IMPLICIT", "lower", "", "g2-crossing", "slices", always,
-        lambda f: _crossing_h("g2", R=f.circumradius, r=f.inradius))
+        lambda f: _implicit_h(f, "g2"))
 
     def hrr_lo_exp(f):
         R, r = f.circumradius, f.inradius
@@ -281,7 +338,7 @@ def _build_registry():
     add("HRR_LO_EXPLICIT", "lower", "", "h-R-r-lower-explicit", "thinning rectangles", always, hrr_lo_exp)
 
     add("HDW_LO_IMPLICIT", "lower", "", "g3-crossing", "slices", always,
-        lambda f: _crossing_h("g3", d=f.diameter, w=f.min_width))
+        lambda f: _implicit_h(f, "g3"))
     add("HDW_UP_TRI", "upper", "omega <= sqrt(3)/2 * d", "h-w-d-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= SQRT3 / 2 * f.diameter,
@@ -304,7 +361,7 @@ def _build_registry():
     add("HDW_LO_EXPLICIT", "lower", "", "h-w-d-lower-explicit", "thinning rectangles", always, hdw_lo_exp)
 
     add("HRW_LO_IMPLICIT", "lower", "", "g4-crossing", "slices", always,
-        lambda f: _crossing_h("g4", w=f.min_width, R=f.circumradius))
+        lambda f: _implicit_h(f, "g4"))
     add("HRW_UP_TRI", "upper", "omega <= 3R/2", "h-w-R-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= 1.5 * f.circumradius,
@@ -404,7 +461,7 @@ _VALUES = {d.id: value for d, _, value in _REGISTRY}
 def bound_value(bid: str, **column) -> np.ndarray:
     """Value formula of bound ``bid`` (no applicability test) on functionals
     given by keyword, such as ``inradius=1.0``; unread ones may be left out."""
-    return _VALUES[bid](_Column(*(np.asarray(column.get(k, np.nan), dtype=float) for k in _Column._fields)))
+    return _VALUES[bid](_Column(*(np.asarray(column.get(k, np.nan), dtype=float) for k in _FUNCTIONALS)))
 
 
 def evaluate_all(*records: Functionals) -> list[BoundResult]:
@@ -423,14 +480,15 @@ def evaluate_all(*records: Functionals) -> list[BoundResult]:
     """
     n = len(records)
     cols = _Column(*(np.array([getattr(f, k) for f in records], dtype=float)
-                     for k in _Column._fields))
+                     for k in _FUNCTIONALS))
     table = []
     with np.errstate(all="ignore"):
+        cols = cols._replace(crossings=_crossing_h(cols, _IMPLICIT))  # g1..g4 in one loop
         for bdef, pred, value_fn in _REGISTRY:
             admitted = pred(cols)
             vals = np.full(n, np.nan)
             if admitted.any():
-                sub = cols if admitted.all() else _Column(*(c[admitted] for c in cols))
+                sub = cols if admitted.all() else _Column(*(c[admitted] for c in cols[:6]))
                 vals[admitted] = value_fn(sub)
             table.append((bdef, admitted, vals))
     out = []

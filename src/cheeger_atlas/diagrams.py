@@ -89,10 +89,10 @@ def _bound(bid: str, x_name: str, **fixed):
 # diagram id -> proven lower / upper boundary on an array of abscissae
 _LOWER = {
     "D1_PHR": _bound("HRP_LO", "perimeter", inradius=1.0),
-    "D2_RHR": lambda x: bounds._crossing_h("g2", R=x, r=1.0),
-    "D3_DHR": lambda x: bounds._crossing_h("g1", d=x, r=1.0),
-    "HWD": lambda x: bounds._crossing_h("g3", d=1.0, w=x),
-    "HWR_CIRC": lambda x: bounds._crossing_h("g4", w=x, R=1.0),
+    "D2_RHR": _bound("HRR_LO_IMPLICIT", "circumradius", inradius=1.0),
+    "D3_DHR": _bound("HDR_LO_IMPLICIT", "diameter", inradius=1.0),
+    "HWD": _bound("HDW_LO_IMPLICIT", "min_width", diameter=1.0),
+    "HWR_CIRC": _bound("HRW_LO_IMPLICIT", "min_width", circumradius=1.0),
     "HWP": _bound("HWP_LO", "min_width", perimeter=1.0),
     "HWA": _bound("HAW_LO", "min_width", area=1.0),
     "HWR_IN": _bound("HWR_LO", "min_width", inradius=1.0),

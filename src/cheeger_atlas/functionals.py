@@ -141,16 +141,6 @@ def min_width(poly: ConvexPolygon):
     return float(widths[i]), ns[i].copy()
 
 
-def min_width_brute(poly: ConvexPolygon):
-    """O(n^2) minimax oracle: min over edges, max over vertices."""
-    v = poly.vertices
-    ns, cs = poly.edge_normals, poly.edge_offsets
-    depths = cs[:, None] - ns @ v.T
-    widths = depths.max(axis=1)
-    i = int(np.argmin(widths))
-    return float(widths[i]), ns[i].copy()
-
-
 def inradius(poly: ConvexPolygon):
     """Largest inscribed disc; returns (r, center).
 
@@ -170,22 +160,6 @@ def inradius(poly: ConvexPolygon):
     scale = max(1.0, float(np.max(np.abs(machine.local))))
     return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, walk.centre + machine.origin,
                              walk.r, scale)
-
-
-def inradius_brute(poly: ConvexPolygon):
-    """Oracle: the deepest of the points equidistant from three edge lines.
-
-    Every edge triple gives one such point, solved in one batch of 3x3
-    systems; the Chebyshev centre is among them.  Returns (r, center).
-    """
-    ns, cs = poly.edge_normals, poly.edge_offsets
-    triples = np.array(list(itertools.combinations(range(len(cs)), 3)))
-    M = np.concatenate((ns[triples], np.ones(triples.shape + (1,))), axis=2)
-    centers = np.linalg.solve(M, cs[triples][..., None])[:, :2, 0]
-    depth = np.concatenate([np.min(cs - part @ ns.T, axis=1)
-                            for part in np.array_split(centers, len(centers) // 4096 + 1)])
-    k = int(np.argmax(depth))
-    return float(depth[k]), centers[k]
 
 
 def _polish_chebyshev(ns, cs, x, t, scale):
@@ -269,13 +243,6 @@ def _circle(p, q, s=None):
     bb, cc = bx * bx + by * by, cx * cx + cy * cy
     ux, uy = (cy * bb - by * cc) / den, (bx * cc - cx * bb) / den
     return p[0] + ux, p[1] + uy, math.hypot(ux, uy)
-
-
-def circumradius_brute(poly: ConvexPolygon):
-    """Oracle: the smallest enclosing circle over all vertex pairs and triples."""
-    v = poly.vertices
-    (cx, cy, R), _ = _smallest_circle(v - v[0])
-    return float(R), np.array([cx, cy]) + v[0]
 
 
 def measure(poly: ConvexPolygon) -> Functionals:

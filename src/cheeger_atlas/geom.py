@@ -112,12 +112,6 @@ class ConvexPolygon:
             raise DegenerateInput("scale factor must be positive")
         return ConvexPolygon(self.vertices * float(factor))
 
-    def contains_points(self, points, tol: float = 0.0) -> np.ndarray:
-        """Vectorized membership test against the edge half-planes."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        slack = self._offsets[None, :] - p @ self._normals.T
-        return np.all(slack >= -tol, axis=1)
-
 
 @dataclass(frozen=True)
 class HalfPlane:

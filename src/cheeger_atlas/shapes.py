@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -34,8 +35,16 @@ class Resolution:
             raise InvalidParam("arc_segments must be at least 16")
 
 
-def _positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+def _number(name, value) -> float:
+    """``value`` as a float; InvalidParam unless it is a finite real number
+    (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidParam(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(name, value) -> float:
+    if _number(name, value) <= 0:
         raise InvalidParam(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -57,7 +66,7 @@ class Stadium:
 
     def __post_init__(self):
         _positive("radius", self.radius)
-        if self.center_gap < 0:
+        if _number("center_gap", self.center_gap) < 0:
             raise InvalidParam("center_gap must be nonnegative")
 
 
@@ -70,7 +79,7 @@ class TwoCup:
 
     def __post_init__(self):
         _positive("radius", self.radius)
-        if self.tip_dist < self.radius:
+        if _number("tip_dist", self.tip_dist) < self.radius:
             raise InvalidParam("tip_dist must be at least the radius")
 
 
@@ -83,7 +92,7 @@ class Slice:
 
     def __post_init__(self):
         _positive("inradius", self.inradius)
-        if self.diameter < 2 * self.inradius:
+        if _number("diameter", self.diameter) < 2 * self.inradius:
             raise InvalidParam("diameter must be at least twice the inradius")
 
 
@@ -96,7 +105,7 @@ class SubequilateralTriangle:
 
     def __post_init__(self):
         _positive("base", self.base)
-        if self.height < SQRT3 * self.base / 2 * (1 - 1e-12):
+        if _number("height", self.height) < SQRT3 * self.base / 2 * (1 - 1e-12):
             raise InvalidParam("height must be at least sqrt(3)/2 times the base")
 
 
@@ -114,7 +123,7 @@ class Yamanouti:
 
     def __post_init__(self):
         _positive("side", self.side)
-        if not 0 < self.arc_radius <= self.side:
+        if not 0 < _number("arc_radius", self.arc_radius) <= self.side:
             raise InvalidParam("arc_radius must lie in (0, side]")
 
 
@@ -127,7 +136,7 @@ class SmoothedNonagon:
 
     def __post_init__(self):
         _positive("inradius", self.inradius)
-        r, d = self.inradius, self.diameter
+        r, d = self.inradius, _number("diameter", self.diameter)
         if not 2 * r < d < 2 * SQRT3 * r:
             raise InvalidParam("diameter must lie in (2r, 2*sqrt(3)*r)")
 
@@ -145,7 +154,7 @@ class ConstantWidthNonagon:
 
     def __post_init__(self):
         _positive("width", self.width)
-        w, r = self.width, self.inner_radius
+        w, r = self.width, _number("inner_radius", self.inner_radius)
         if not w * (1 - 1 / SQRT3) - 1e-15 * w <= r < w / 2:
             raise InvalidParam("inner_radius must lie in [width*(1-1/sqrt 3), width/2)")
 
@@ -155,6 +164,9 @@ class Polygon:
     vertices: tuple
 
     def __post_init__(self):
+        for p in self.vertices:
+            for c in p:
+                _number("a vertex coordinate", c)
         ConvexPolygon(np.asarray(self.vertices, dtype=float))
 
 
@@ -178,13 +190,23 @@ def spec_to_json(spec: ShapeSpec) -> str:
 
 
 def spec_from_json(text: str) -> ShapeSpec:
-    doc = json.loads(text)
-    cls = _FAMILY_BY_NAME.get(doc.get("family"))
+    """The spec of {"family": name, "params": {...}}, with the same rule for
+    numbers as polygon JSON: every parameter (every vertex coordinate of a
+    polygon) must be a finite JSON number, not a boolean.  A bad number, a
+    missing or unknown parameter, or an unknown family raises InvalidParam."""
+    doc = json.loads(text, parse_int=float)  # a too-large integer reads as inf
+    family = doc.get("family") if isinstance(doc, dict) else None
+    cls = _FAMILY_BY_NAME.get(family)
     if cls is None:
-        raise InvalidParam(f"unknown family {doc.get('family')!r}")
-    params = dict(doc["params"])
+        raise InvalidParam(f"unknown family {family!r}")
+    params, names = doc.get("params"), {f.name for f in fields(cls)}
+    if not isinstance(params, dict) or set(params) != names:
+        raise InvalidParam(f"{family} takes the parameters {sorted(names)}, got {params!r}")
     if cls is Polygon:
-        params["vertices"] = tuple(tuple(p) for p in params["vertices"])
+        raw = params["vertices"]
+        if not (isinstance(raw, list) and all(isinstance(p, list) and len(p) == 2 for p in raw)):
+            raise InvalidParam("'vertices' must be a list of [x, y] pairs")
+        params["vertices"] = tuple(tuple(p) for p in raw)
     return cls(**params)
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas import bounds, verify
+from cheeger_atlas import bounds, cheeger, verify
 from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_all,
                                   implicit_g, phi, psi, registry_csv)
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
@@ -363,6 +364,75 @@ class TestCrossingContract:
             assert got[0] == smallest_crossing(implicit_g(family, **{k: v[0] for k, v in params.items()}))
             with pytest.raises(ValueError):
                 implicit_g(family, **{k: v[1] for k, v in params.items()})
+
+
+def _g_points(family, **kw):
+    """(g points, crossing) of one float crossing problem; the two ends are two points."""
+    problem = implicit_g(family, **kw)
+    seen = []
+
+    def g(t):
+        seen.append(np.size(t))
+        return problem.g(t)
+    t = smallest_crossing(dataclasses.replace(problem, g=g))
+    return sum(seen), t
+
+
+class TestRootSteps:
+    def test_secant_rounding_onto_an_end(self):
+        # the fifth step is within 2.6e-14 of the domain; the next secant
+        # rounds onto that end (37 g points when it bisected from there)
+        points, t = _g_points("g3", d=1.387081534670557, w=1.0312794713830942)
+        assert points <= 8
+        assert t == pytest.approx(_scan_crossing(implicit_g("g3", d=1.387081534670557,
+                                                            w=1.0312794713830942)), abs=1e-13)
+
+    def test_one_ulp_apart_takes_the_same_steps(self):
+        # R values 7e-16 apart took 9 and 15 g points while a secant on an end bisected
+        counts = [_g_points("g4", w=1.0377798615857556, R=R)[0]
+                  for R in (0.6434986189970329, 0.6434986189970322)]
+        assert counts[0] == counts[1] <= 8
+
+    def test_census_column_steps(self, monkeypatch):
+        # 30 census records as one column: one crossing loop for g1..g4, each
+        # of its elements done in 7 steps, and arcsinc elements in 6
+        records = [measure_with_cheeger(seeded_polygon(1, i, 3, 30, "area")[2]) for i in range(30)]
+        dstar()  # cached before the count, so that only arcsinc runs bounds' root loop
+        crossing_calls, arcsinc_steps = [], []
+
+        def counted_crossing(problem):
+            calls = []
+
+            def g(t):
+                calls.append(np.shape(t))
+                return problem.g(t)
+            t = smallest_crossing(dataclasses.replace(problem, g=g))
+            crossing_calls.append(calls)
+            return t
+
+        def counted_root(f, *args):
+            steps = []
+            root = cheeger._bracketed_root(lambda y: steps.append(1) or f(y), *args)
+            arcsinc_steps.append(len(steps))
+            return root
+        monkeypatch.setattr(bounds, "smallest_crossing", counted_crossing)
+        monkeypatch.setattr(bounds, "_bracketed_root", counted_root)
+        results = evaluate_all(*records)
+        assert len(crossing_calls) == 1
+        calls = crossing_calls[0]
+        assert calls[0] == (2, 4 * len(records)) and 1 <= len(calls) - 1 <= 7
+        assert len(arcsinc_steps) == 2 and max(arcsinc_steps) <= 6
+        # the stacked loop gives each family's crossings bit for bit
+        k = len(BOUND_IDS)
+        for fam, bid, kw in (("g1", "HDR_LO_IMPLICIT", ("d", "diameter", "r", "inradius")),
+                             ("g2", "HRR_LO_IMPLICIT", ("R", "circumradius", "r", "inradius")),
+                             ("g3", "HDW_LO_IMPLICIT", ("d", "diameter", "w", "min_width")),
+                             ("g4", "HRW_LO_IMPLICIT", ("w", "min_width", "R", "circumradius"))):
+            column = {kw[0]: np.array([getattr(f, kw[1]) for f in records]),
+                      kw[2]: np.array([getattr(f, kw[3]) for f in records])}
+            want = 1.0 / smallest_crossing(implicit_g(fam, **column))
+            j = BOUND_IDS.index(bid)
+            assert [results[i * k + j].value for i in range(len(records))] == list(want), fam
 
 
 class TestImplicitG:

@@ -262,7 +262,7 @@ class TestSmallestCrossing:
         problem = ImplicitRootProblem(g, base.upper)
         t = smallest_crossing(dataclasses.replace(problem, g=counting_g))
         assert t == smallest_crossing(base)
-        assert sum(outer) == sum(inner) <= 16
+        assert sum(outer) == sum(inner) <= 8
 
 
 class TestBracketedRoot:
@@ -288,6 +288,28 @@ class TestBracketedRoot:
         got = _bracketed_root(lambda x: np.asarray(f(x)), np.array([1.0, 0.0]), np.array([0.0, -1.0]),
                               np.array([2.0, 2.0]), np.array([1.0, 1.0]), 1e-12)
         assert list(got) == [1.0, 1.0] and len(calls) == 2
+
+    def test_secant_on_an_end_steps_inside(self):
+        # F(1) = 1e-20 against F = -1 at the other end: the secant rounds
+        # onto x = 1, so the step goes xtol/2 inside that end and the bracket
+        # closes at once, where bisecting it down to xtol takes 40 steps
+        for s in (1.0, -1.0):
+            calls = []
+
+            def f(x):
+                calls.append(x)
+                return 1e-20 - s * (x - 1.0)
+            root = _bracketed_root(f, 1.0, f(1.0), 1.0 + s, f(1.0 + s), 1e-12)
+            assert calls[2:] == [1.0 + s * 0.5e-12]
+            assert abs(root - 1.0) <= 0.5e-12
+        signs = np.array([1.0, -1.0])
+        calls = []
+
+        def column(x):
+            calls.append(x)
+            return 1e-20 - signs * (x - 1.0)
+        got = _bracketed_root(column, 1.0, 1e-20, 1.0 + signs, 1e-20 - 1.0, 1e-12)
+        assert len(calls) == 1 and np.all(np.abs(got - 1.0) <= 0.5e-12)
 
     def test_no_sign_change(self):
         with pytest.raises(NoRoot):

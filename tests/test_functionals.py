@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,15 +12,47 @@ import cheeger_atlas
 from cheeger_atlas import functionals, geom, verify
 from cheeger_atlas.bounds import evaluate_all
 from cheeger_atlas.errors import DegenerateInput, NoConvergence
-from cheeger_atlas.functionals import (Functionals, area, circumradius, circumradius_brute,
-                                       diameter, inradius, inradius_brute, measure,
-                                       min_width, min_width_brute, perimeter)
+from cheeger_atlas.functionals import (Functionals, _smallest_circle, area, circumradius, diameter,
+                                       inradius, measure, min_width, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
 from cheeger_atlas.sampler import mix, normalize, seeded_polygon, valtr
 from cheeger_atlas.shapes import build
 from conftest import random_polygons, regular_ngon
 
 SQRT3 = math.sqrt(3.0)
+
+
+def min_width_brute(poly: ConvexPolygon):
+    """O(n^2) minimax oracle: min over edges, max over vertices."""
+    v = poly.vertices
+    ns, cs = poly.edge_normals, poly.edge_offsets
+    depths = cs[:, None] - ns @ v.T
+    widths = depths.max(axis=1)
+    i = int(np.argmin(widths))
+    return float(widths[i]), ns[i].copy()
+
+
+def inradius_brute(poly: ConvexPolygon):
+    """Oracle: the deepest of the points equidistant from three edge lines.
+
+    Every edge triple gives one such point, solved in one batch of 3x3
+    systems; the Chebyshev centre is among them.  Returns (r, center).
+    """
+    ns, cs = poly.edge_normals, poly.edge_offsets
+    triples = np.array(list(itertools.combinations(range(len(cs)), 3)))
+    M = np.concatenate((ns[triples], np.ones(triples.shape + (1,))), axis=2)
+    centers = np.linalg.solve(M, cs[triples][..., None])[:, :2, 0]
+    depth = np.concatenate([np.min(cs - part @ ns.T, axis=1)
+                            for part in np.array_split(centers, len(centers) // 4096 + 1)])
+    k = int(np.argmax(depth))
+    return float(depth[k]), centers[k]
+
+
+def circumradius_brute(poly: ConvexPolygon):
+    """Oracle: the smallest enclosing circle over all vertex pairs and triples."""
+    v = poly.vertices
+    (cx, cy, R), _ = _smallest_circle(v - v[0])
+    return float(R), np.array([cx, cy]) + v[0]
 
 
 class TestBasics:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -229,19 +230,66 @@ class TestSolveParam:
         assert cf.perimeter == pytest.approx(12.0, rel=1e-10)
 
 
+_SPECS = [
+    Ball(1.5), Stadium(1.0, 2.0), TwoCup(1.0, 3.0), Slice(1.0, 2.5),
+    SubequilateralTriangle(1.0, 2.0), Yamanouti(2.0, 1.5),
+    SmoothedNonagon(1.0, 2.5), ConstantWidthNonagon(1.0, 0.45),
+    Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+]
+# JSON tokens that are no finite number, or a boolean
+_BAD_NUMBERS = ["true", "false", '"1"', "null", "[1]", "NaN", "Infinity", "-Infinity", "1e400",
+                pytest.param("1" + "0" * 400, id="integer-beyond-float-range")]
+
+
+def _spec_docs_with(token):
+    """For each parameter of each spec in _SPECS (the first vertex's x of the
+    polygon), the spec's JSON with that parameter's value replaced by ``token``."""
+    docs = []
+    for spec in _SPECS:
+        doc = json.loads(spec_to_json(spec))
+        for name in doc["params"]:
+            params = dict(doc["params"], **{name: "@"})
+            if name == "vertices":
+                params[name] = [["@", 0.0]] + doc["params"][name][1:]
+            docs.append(json.dumps(dict(doc, params=params)).replace('"@"', token))
+    return docs
+
+
 class TestSpecJson:
-    @pytest.mark.parametrize("spec", [
-        Ball(1.5), Stadium(1.0, 2.0), TwoCup(1.0, 3.0), Slice(1.0, 2.5),
-        SubequilateralTriangle(1.0, 2.0), Yamanouti(2.0, 1.5),
-        SmoothedNonagon(1.0, 2.5), ConstantWidthNonagon(1.0, 0.45),
-        Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
-    ])
+    @pytest.mark.parametrize("spec", _SPECS)
     def test_round_trip(self, spec):
         assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_unknown_family(self):
         with pytest.raises(InvalidParam):
             spec_from_json('{"family": "torus", "params": {}}')
+
+    @pytest.mark.parametrize("token", _BAD_NUMBERS)
+    def test_rejects_a_bad_number_in_every_family(self, token):
+        docs = _spec_docs_with(token)
+        assert len(docs) == 16
+        for doc in docs:
+            with pytest.raises(InvalidParam):
+                spec_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        '{"family": "ball", "params": {}}',
+        '{"family": "ball", "params": {"radius": 1, "centre": 0}}',
+        '{"family": "ball"}',
+        '{"family": "polygon", "params": {"vertices": [0, 1, 2]}}',
+        '{"family": "polygon", "params": {"vertices": [[0, 0], [1, 0, 0], [0, 1]]}}',
+        '[]',
+    ])
+    def test_rejects_a_bad_shape(self, doc):
+        with pytest.raises(InvalidParam):
+            spec_from_json(doc)
+
+    def test_bool_is_no_number(self):
+        # bool is an int subclass; direct construction follows the JSON rule
+        for make in (lambda: Ball(True), lambda: Stadium(1.0, False), lambda: Slice(1.0, math.nan),
+                     lambda: Polygon(((0.0, 0.0), (True, 0.0), (0.0, 1.0)))):
+            with pytest.raises(InvalidParam):
+                make()
 
 
 class TestTwoCupAreaIdentity:
