@@ -29,6 +29,9 @@ UNIT_EPS = 1e-12
 MAX_WALK_STEPS = 64
 # Peel pass of ``_offset_chain`` from which planes eaten by a long edge go too.
 CASCADE_PASS = 6
+# Cross product of neighbouring unit normals at or below which an offset chain's
+# fan has a gap: a few roundings of 1, so antiparallel neighbours count as one
+FAN_GAP_DET = 1e-15
 
 
 def _as_vertex_array(vertices) -> np.ndarray:
@@ -363,7 +366,7 @@ def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float, cascade: 
             return None, eaten
         n2 = np.concatenate((ns[1:], ns[:1]))
         det = _fan_det(ns, n2)
-        if float(np.min(det)) <= 0.0:
+        if float(np.min(det)) <= FAN_GAP_DET:
             return None, eaten
         c2 = np.concatenate((cs[1:], cs[:1]))
         vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
@@ -398,7 +401,10 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float):
     short list exactly.  Returns (vertices, normals, edge lengths, offsets,
     labels) of the surviving planes, edge k ending at vertex k, or None
     once the region is empty: fewer than 3 planes survive, or the normal
-    fan has a gap (the planes then hold no bounded region).
+    fan has a gap (the planes then hold no bounded region).  Neighbours
+    whose cross product is at most FAN_GAP_DET make a gap too: normals
+    antiparallel up to rounding leave a strip thinner than the rounding of
+    its length, whose far vertex would be noise.
     """
     chain, eaten = _peel(ns, cs, fan, eps, CASCADE_PASS)
     if chain is not None and eaten:

@@ -176,6 +176,15 @@ def moved(poly, shift, angle):
 
 
 # |shift| <= 1e6
+def turned(vertices, angle, scale):
+    """The vertices rotated by ``angle`` about the origin, then scaled."""
+    c, s = math.cos(angle), math.sin(angle)
+    return ConvexPolygon(np.asarray(vertices, dtype=float) @ np.array([[c, s], [-s, c]]) * scale)
+
+
+CHAMFERED_STRIP = [[0, 0], [1, 0], [1, .006], [0.996, .01], [0, .01]]
+THIN_HEPTAGON = [[0, 0], [1, 0], [1.0004, 0.0005], [1.0005, 0.0018], [1, 0.002], [0, 0.002],
+                 [-0.0002, 0.0001]]
 SHIFTS = st.tuples(st.floats(-7e5, 7e5), st.floats(-7e5, 7e5))
 THIN_FAR = ConvexPolygon([[1e6, 1e6], [1e6 + 1, 1e6], [1e6 + 1, 1e6 + 1e-9], [1e6, 1e6 + 1e-9]])
 
@@ -269,6 +278,34 @@ class TestAgainstBruteForce:
         monkeypatch.setattr(geom, "MAX_WALK_STEPS", 1)
         with pytest.raises(NoConvergence):
             inradius(ConvexPolygon(quad.vertices))  # a new polygon: the walk is cached
+
+    # rotated and scaled copies of a 1 x 0.01 strip with one corner cut and of
+    # a 7-gon of width 0.002: the last chain of their walks once held two
+    # antiparallel neighbours, whose vertex lay about 1 away; the centre
+    # followed it, and r came out -0.2186, -0.098 and -0.186 times the scale
+    @pytest.mark.parametrize("vertices, degrees, scale", [
+        (CHAMFERED_STRIP, 120, 1.0),
+        (THIN_HEPTAGON, 322, 1e3),
+        (THIN_HEPTAGON, 322, 1e-3),
+    ])
+    def test_inradius_thin_turned(self, vertices, degrees, scale):
+        poly = turned(vertices, math.radians(degrees), scale)
+        r, center = inradius(poly)
+        assert r == pytest.approx(inradius_brute(poly)[0], rel=1e-12)
+        assert float(np.min(poly.edge_offsets - poly.edge_normals @ center)) >= r
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.floats(-3.0, -1.0), cut=st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9)),
+           angle=st.floats(0.0, 2 * math.pi), scale=st.floats(-3.0, 3.0))
+    @example(width=-2.0, cut=(0.4, 0.4), angle=math.radians(120), scale=0.0)
+    def test_inradius_thin_strips(self, width, cut, angle, scale):
+        # r and the centre do not depend on how a thin strip is turned or scaled
+        w = 10.0 ** width
+        strip = [[0, 0], [1, 0], [1, w * (1 - cut[1])], [1 - w * cut[0], w], [0, w]]
+        poly = turned(strip, angle, 10.0 ** scale)
+        r, center = inradius(poly)
+        assert r == pytest.approx(inradius_brute(poly)[0], rel=1e-12)
+        assert float(np.min(poly.edge_offsets - poly.edge_normals @ center)) >= r
 
 
 class TestFunctionalsRecord:

@@ -392,7 +392,7 @@ class TestOffsetOracle:
 
         def no_gap(ns, n2):
             det = fan_det(ns, n2)
-            assert float(np.min(det)) > 0.0, "gap in the normal fan"
+            assert float(np.min(det)) > geom.FAN_GAP_DET, "gap in the normal fan"
             return det
 
         bodies = [seeded_polygon(5, i, 3, 30, "none")[2] for i in range(2000)]
