@@ -50,11 +50,17 @@ class SolveDiagnostics:
 
     ``evaluations`` counts the offset-chain evaluations (``area_at`` calls)
     of the polygon's skeleton walk, shared with the inradius, before it knew
-    t*; ``residual`` is |A - pi t*^2| over the core's vertices there.
+    t*; ``residual`` is |A - pi t*^2| over the core's vertices there.  The
+    counts of the rest of the walk follow: its steps after t* (on to r), the
+    peel passes that ran the cascade rule (``geom.CASCADE_PASS``) and the
+    chains recomputed by plain passes after a failed certificate.
     """
 
     evaluations: int
     residual: float
+    steps_after: int = 0
+    cascade_passes: int = 0
+    recomputes: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,9 @@ def cheeger_constant(poly: ConvexPolygon,
     machine = poly.offset_machine
     walk = machine.walk
     residual = abs(shoelace(walk.core) - math.pi * walk.t_star * walk.t_star)
-    return CheegerResult(1.0 / walk.t_star, walk.t_star, SolveDiagnostics(walk.evaluations, residual),
-                         machine, arc_segments)
+    diagnostics = SolveDiagnostics(walk.evaluations, residual, walk.steps_after, walk.cascade_passes,
+                                   walk.recomputes)
+    return CheegerResult(1.0 / walk.t_star, walk.t_star, diagnostics, machine, arc_segments)
 
 
 def _bracketed_root(f: Callable, a, fa, b, fb, xtol):

@@ -156,10 +156,9 @@ def inradius(poly: ConvexPolygon):
     from the origin.
     """
     machine = poly.offset_machine
-    walk = machine.walk
-    scale = max(1.0, float(np.max(np.abs(machine.local))))
-    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, walk.centre + machine.origin,
-                             walk.r, scale)
+    walk, (origin,) = machine.walk, machine.origin
+    scale = max(1.0, float(np.max(np.abs(poly.vertices - origin))))
+    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, walk.centre + origin, walk.r, scale)
 
 
 def _polish_chebyshev(ns, cs, x, t, scale):

@@ -95,7 +95,7 @@ class ConvexPolygon:
     @cached_property
     def offset_machine(self) -> "OffsetMachine":
         """The polygon's one ``OffsetMachine``, built on first use."""
-        return OffsetMachine(self)
+        return OffsetMachine([self])
 
     @property
     def edge_normals(self) -> np.ndarray:
@@ -206,10 +206,12 @@ def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
     size = max(1.0, float(np.max(np.abs(offsets))))
     offsets = np.concatenate((offsets, np.full(4, 1e8 * size)))
     fan = _merge_parallel(normals, offsets)
-    chain = _offset_chain(normals[fan], offsets[fan], np.arange(len(fan)), size * 1e-14)
-    if chain is None:
+    chain = _offset_chain(normals[fan], offsets[fan], np.arange(len(fan)), np.array([0, len(fan)]),
+                          np.array([size * 1e-14]))
+    alive, = chain.alive
+    if not alive:
         return None
-    verts, kept = chain[0], fan[chain[4]]
+    verts, kept = chain.verts, fan[chain.fan]
     if np.any(kept >= len(planes)):
         raise UnboundedRegion("half-plane intersection is unbounded")
     scale = float(np.max(np.abs(verts))) or 1.0
@@ -246,51 +248,100 @@ class ChainMeasure(NamedTuple):
     ``area - perimeter * s + tan_sum * s**2``, where ``tan_sum`` sums
     tan(theta / 2) over the exterior angles theta of the chain.  ``reach``
     is the s at which the first edge vanishes.  All four are 0 once the set
-    is empty.
+    is empty.  In a column each field holds one value per polygon.
     """
 
-    area: float
-    perimeter: float
-    tan_sum: float
-    reach: float
+    area: float | np.ndarray
+    perimeter: float | np.ndarray
+    tan_sum: float | np.ndarray
+    reach: float | np.ndarray
 
 
-_EMPTY = ChainMeasure(0.0, 0.0, 0.0, 0.0)
+def _links(start: np.ndarray):
+    """(segment, next, previous) index of each entry of a column cut at
+    ``start``; next and previous run cyclically within the segment."""
+    count = start[1:] - start[:-1]
+    at = np.arange(start[-1])
+    nxt, prv = at + 1, at - 1
+    nxt[start[1:] - 1] = start[:-1]
+    prv[start[:-1]] = start[1:] - 1
+    return np.repeat(np.arange(len(count)), count), nxt, prv
 
 
-def _chain_measure(verts: np.ndarray, ns: np.ndarray, lengths: np.ndarray) -> ChainMeasure:
-    """Measure a closed chain whose edge k ends at verts[k] with normal ns[k].
+def _seg_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per-segment sums, by ``reduceat``: a segment's sum has the same bits
+    wherever the segment sits in the column (a zero-padded row sum does not)."""
+    return np.add.reduceat(x, start[:-1], axis=0)
+
+
+class _Chain(NamedTuple):
+    """The consecutive-intersection chains of a column of plane fans, one
+    segment [start[j], start[j + 1]) per region that is not empty: per
+    plane the vertex at the end of its edge, the normal, the edge length,
+    the offset and the label, and its segment, next and previous plane
+    (``_links``).  ``alive`` marks the input fans whose region is not
+    empty, ``passes`` counts the peel passes in which each input fan lost
+    planes, and ``recomputed`` marks the input fans whose cascade failed
+    its certificate."""
+
+    verts: np.ndarray
+    ns: np.ndarray
+    adv: np.ndarray
+    cs: np.ndarray
+    fan: np.ndarray
+    start: np.ndarray
+    seg: np.ndarray
+    nxt: np.ndarray
+    prv: np.ndarray
+    alive: np.ndarray
+    passes: np.ndarray
+    recomputed: np.ndarray
+
+    def select(self, keep: np.ndarray) -> "_Chain":
+        """The chain of the segments that ``keep`` marks; the counts stay
+        per input fan."""
+        planes = keep[self.seg]
+        start = np.concatenate(([0], np.cumsum((self.start[1:] - self.start[:-1])[keep])))
+        alive = self.alive.copy()
+        alive[alive] = keep
+        return _Chain(self.verts[planes], self.ns[planes], self.adv[planes], self.cs[planes],
+                      self.fan[planes], start, *_links(start), alive, self.passes, self.recomputed)
+
+
+def _chain_measure(chain: _Chain) -> ChainMeasure:
+    """Measure each chain of a column; edge k ends at verts[k] with normal
+    ns[k] and has length adv[k].
 
     The shoelace runs about the vertex mean: its rounding is then of the
     chain's own size, not of its distance from the frame origin, and stays
     below the emptiness floor as the chain shrinks to a point.
     """
-    centred = verts - verts.sum(axis=0) / len(verts)
+    start, ns, nxt = chain.start, chain.ns, chain.nxt
+    centred = chain.verts - (_seg_sum(chain.verts, start) / (start[1:] - start[:-1])[:, None])[chain.seg]
     vx, vy = centred[:, 0], centred[:, 1]
-    a = 0.5 * (np.dot(vx, np.concatenate((vy[1:], vy[:1])))
-               - np.dot(vy, np.concatenate((vx[1:], vx[:1]))))
-    n2 = np.concatenate((ns[1:], ns[:1]))
+    a = 0.5 * (_seg_sum(vx * vy[nxt], start) - _seg_sum(vy * vx[nxt], start))
+    n2 = ns[nxt]
     # exterior angle at vertex k, between edges k and k + 1
     theta = np.arctan2(ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0],
                        ns[:, 0] * n2[:, 0] + ns[:, 1] * n2[:, 1])
     tans = np.tan(0.5 * theta)
     # edge k shortens at the rate of the tangents at both of its ends
-    rates = tans + np.concatenate((tans[-1:], tans[:-1]))
-    return ChainMeasure(float(a), float(np.sum(lengths)), float(np.sum(tans)),
-                        float(np.min(lengths / rates)))
+    rates = tans + tans[chain.prv]
+    return ChainMeasure(a, _seg_sum(chain.adv, start), _seg_sum(tans, start),
+                        np.minimum.reduceat(chain.adv / rates, start[:-1]))
 
 
-def falling_root(a: float, b: float, f: float) -> float:
-    """Root s nearest 0 of a s^2 - b s + f = 0, for b > 0.
+def falling_root(a, b, f):
+    """Root s nearest 0 of a s^2 - b s + f = 0, for b > 0 (elementwise).
 
     Taken in the form 2f / (b + sqrt(b^2 - 4af)), which does not cancel.
     """
-    return 2.0 * f / (b + math.sqrt(max(b * b - 4.0 * a * f, 0.0)))
+    return 2.0 * f / (b + np.sqrt(np.maximum(b * b - 4.0 * a * f, 0.0)))
 
 
-def _lhuilier_gap(ns: np.ndarray, cs: np.ndarray, m: ChainMeasure) -> float:
-    """P^2 - 4 T A of the chain of planes n_k . x <= c_k measured by ``m``,
-    without the cancellation of forming it from P, T and A.
+def _lhuilier_gap(chain: _Chain, m: ChainMeasure) -> np.ndarray:
+    """P^2 - 4 T A of each chain of planes n_k . x <= c_k in a column,
+    measured by ``m``, without the cancellation of forming it from P, T and A.
 
     The gap is 0 for tangential polygons (Lhuilier), where P^2 and 4 T A
     agree to all their digits but T, a sum of tangents, carries the
@@ -302,21 +353,23 @@ def _lhuilier_gap(ns: np.ndarray, cs: np.ndarray, m: ChainMeasure) -> float:
     planes are taken about the mean of that polygon's vertices, so a thin
     body's sliver is measured at its own size.
     """
-    n2 = np.concatenate((ns[1:], ns[:1]))
+    ns, start, seg, nxt = chain.ns, chain.start, chain.seg, chain.nxt
+    n2 = ns[nxt]
     det = _fan_det(ns, n2)
 
     def vertices(c):
-        c2 = np.concatenate((c[1:], c[:1]))
+        c2 = c[nxt]
         return np.column_stack(((c * n2[:, 1] - c2 * ns[:, 1]) / det,
                                 (ns[:, 0] * c2 - n2[:, 0] * c) / det))
 
-    c = cs - m.perimeter / (2.0 * m.tan_sum)
-    c = c - ns @ vertices(c).mean(axis=0)
+    c = chain.cs - (m.perimeter / (2.0 * m.tan_sum))[seg]
+    mean = _seg_sum(vertices(c), start) / (start[1:] - start[:-1])[:, None]
+    c = c - np.einsum("ij,ij->i", ns, mean[seg])
     v = vertices(c)
-    d = v - np.concatenate((v[-1:], v[:-1]))
+    d = v - v[chain.prv]
     lengths = d[:, 1] * ns[:, 0] - d[:, 0] * ns[:, 1]
-    p, a = float(np.sum(lengths)), 0.5 * float(np.dot(c, lengths))
-    return max(p * p - 4.0 * m.tan_sum * a, 0.0)
+    p, a = _seg_sum(lengths, start), 0.5 * _seg_sum(c * lengths, start)
+    return np.maximum(p * p - 4.0 * m.tan_sum * a, 0.0)
 
 
 def _fan_det(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
@@ -331,9 +384,24 @@ def _bisector_velocity(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return s / (0.5 * np.einsum("ij,ij->i", s, s))[:, None]
 
 
-def _eaten(dead: np.ndarray, vx: np.ndarray, vy: np.ndarray, ns: np.ndarray,
-           cs: np.ndarray, eps: float) -> np.ndarray:
-    """Planes of a peel pass that a plane across a dead run has cut off.
+def _flagged(flag: np.ndarray, start: np.ndarray, seg: np.ndarray, later: bool) -> np.ndarray:
+    """For each entry, the nearest other flagged entry of its segment after
+    it (``later``) or before it, cyclically; the entry itself when it is
+    its segment's one flag.  Meaningless in a segment without flags."""
+    n, at = len(flag), np.arange(len(flag))
+    if later:
+        incl = np.minimum.accumulate(np.where(flag, at, n)[::-1])[::-1]
+        excl = np.concatenate((incl[1:], [n]))
+        return np.where(excl < start[1:][seg], excl, incl[start[:-1]][seg]) % n
+    incl = np.maximum.accumulate(np.where(flag, at, -1))
+    excl = np.concatenate(([-1], incl[:-1]))
+    return np.where(excl >= start[:-1][seg], excl, incl[start[1:] - 1][seg]) % n
+
+
+def _eaten(dead: np.ndarray, vx: np.ndarray, vy: np.ndarray, ns: np.ndarray, cs: np.ndarray,
+           eps: np.ndarray, start: np.ndarray, links: tuple) -> np.ndarray:
+    """Planes of a peel pass over a column that a plane across a dead run
+    of their own segment has cut off.
 
     A live plane between live neighbours is eaten when its edge, from
     vertex k - 1 to vertex k, lies more than ``eps`` outside the half-plane
@@ -341,161 +409,236 @@ def _eaten(dead: np.ndarray, vx: np.ndarray, vy: np.ndarray, ns: np.ndarray,
     last one before the dead run behind it.  Its line then misses the
     region, so it is redundant unless the region is empty.
     """
-    live, k, at = ~dead, len(dead), np.arange(2 * len(dead))
-    after = live & np.concatenate((dead[-1:], dead[:-1]))  # live planes just past a dead run
-    before = live & np.concatenate((dead[1:], dead[:1]))  # and just before one
-    ahead = np.minimum.accumulate(np.where(np.tile(after, 2), at, 2 * k)[::-1])[::-1][1:k + 1] % k
-    behind = np.maximum.accumulate(np.where(np.tile(before, 2), at, -1))[k - 1:-1] % k
-    px, py = np.concatenate((vx[-1:], vx[:-1])), np.concatenate((vy[-1:], vy[:-1]))
+    seg, nxt, prv = links
+    live = ~dead
+    after = live & dead[prv]  # live planes just past a dead run
+    before = live & dead[nxt]  # and just before one
+    px, py = vx[prv], vy[prv]
 
     def outside(e):
         nx, ny, c = ns[e, 0], ns[e, 1], cs[e] + eps
         return (nx * px + ny * py > c) & (nx * vx + ny * vy > c)
 
-    return live & ~after & ~before & (outside(ahead) | outside(behind))
+    return live & ~after & ~before & (outside(_flagged(after, start, seg, True))
+                                      | outside(_flagged(before, start, seg, False)))
 
 
-def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float, cascade: int):
-    """Peel passes over a fan of planes; from pass ``cascade`` on, eaten
-    planes (``_eaten``) leave with the dead ones.  Returns the chain (see
+def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
+          eps: np.ndarray, cascade: int) -> tuple[_Chain, list]:
+    """Peel passes over a column of plane fans, one segment and one ``eps``
+    per fan; from pass ``cascade`` on, eaten planes (``_eaten``) leave with
+    the dead ones.  Each pass runs once over the fans still in the column,
+    and a fan leaves it once it is empty.  Returns the chain (see
     ``_offset_chain``) and a list of arrays of the labels eaten.
     """
+    ids = np.arange(len(start) - 1)  # the input fan of each segment
+    passes = np.zeros(len(ids), dtype=int)
     eaten = []
-    for passes in range(len(cs)):  # every pass but the last removes a plane
-        if len(cs) < 3:
-            return None, eaten
-        n2 = np.concatenate((ns[1:], ns[:1]))
-        det = _fan_det(ns, n2)
-        if float(np.min(det)) <= FAN_GAP_DET:
-            return None, eaten
-        c2 = np.concatenate((cs[1:], cs[:1]))
-        vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
-        vy = (ns[:, 0] * c2 - n2[:, 0] * cs) / det
-        adv = -(vx - np.concatenate((vx[-1:], vx[:-1]))) * ns[:, 1] \
-            + (vy - np.concatenate((vy[-1:], vy[:-1]))) * ns[:, 0]
-        dead = adv <= eps
-        if not dead.any():
-            return (np.column_stack((vx, vy)), ns, adv, cs, fan), eaten
-        if passes >= cascade:
-            gone = _eaten(dead, vx, vy, ns, cs, eps)
-            eaten.append(fan[gone])
-            dead |= gone
-        keep = ~dead
-        ns, cs, fan = ns[keep], cs[keep], fan[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):  # fans with a gap divide by 0
+        for at in range(len(cs)):  # every pass but the last removes a plane from each fan it changes
+            seg, nxt, prv = _links(start)
+            n2 = ns[nxt]
+            det = _fan_det(ns, n2)
+            gap = (start[1:] - start[:-1] < 3) | (np.minimum.reduceat(det, start[:-1]) <= FAN_GAP_DET)
+            c2 = cs[nxt]
+            vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
+            vy = (ns[:, 0] * c2 - n2[:, 0] * cs) / det
+            adv = -(vx - vx[prv]) * ns[:, 1] + (vy - vy[prv]) * ns[:, 0]
+            dead = (adv <= eps[ids][seg]) & ~gap[seg]
+            peeling = np.logical_or.reduceat(dead, start[:-1])
+            if not peeling.any():
+                alive = np.zeros(len(passes), dtype=bool)
+                alive[ids] = True
+                chain = _Chain(np.column_stack((vx, vy)), ns, adv, cs, fan, start, seg, nxt, prv,
+                               alive, passes, np.zeros(len(passes), dtype=bool))
+                return (chain.select(~gap) if gap.any() else chain), eaten
+            passes[ids[peeling]] += 1
+            if at >= cascade:
+                gone = _eaten(dead, vx, vy, ns, cs, eps[ids][seg], start, (seg, nxt, prv)) & peeling[seg]
+                eaten.append(fan[gone])
+                dead |= gone
+            keep = ~dead & ~gap[seg]
+            count = np.bincount(seg[keep], minlength=len(ids))
+            full = count >= 3  # a fan left with fewer planes is empty
+            keep &= full[seg]
+            ns, cs, fan, ids = ns[keep], cs[keep], fan[keep], ids[full]
+            start = np.concatenate(([0], np.cumsum(count[full])))
+    raise AssertionError("a peel pass removed no plane")  # pragma: no cover
 
 
-def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, eps: float):
-    """Consecutive-intersection chain of the half-planes n_k . x <= c_k.
+def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
+                  eps: np.ndarray) -> _Chain:
+    """Consecutive-intersection chains of a column of fans of half-planes
+    n_k . x <= c_k, fan j holding the planes start[j] to start[j + 1] - 1.
 
-    The normals are sorted by angle and pairwise non-parallel; ``fan``
-    labels the planes in increasing order.  Each pass peels off the planes
-    whose edge is not longer than ``eps``; a plane whose neighbour-pair
-    vertex already satisfies it is redundant, so this peeling is exact.  A
-    long edge that eats a fine arc kills one arc plane per pass, so from
-    pass CASCADE_PASS on the arc planes it has cut off (``_eaten``) leave
-    too, the whole arc in one pass.  That is sound only when the region is
-    not empty, so the result is certified: every eaten plane must hold the
-    chain's vertex between the survivors around it, its support point in
-    that plane's normal direction.  Otherwise the region is the survivors'
-    cut by the eaten planes that fail, and plain passes alone peel that
-    short list exactly.  Returns (vertices, normals, edge lengths, offsets,
-    labels) of the surviving planes, edge k ending at vertex k, or None
-    once the region is empty: fewer than 3 planes survive, or the normal
-    fan has a gap (the planes then hold no bounded region).  Neighbours
-    whose cross product is at most FAN_GAP_DET make a gap too: normals
-    antiparallel up to rounding leave a strip thinner than the rounding of
-    its length, whose far vertex would be noise.
+    Each fan's normals are sorted by angle and pairwise non-parallel;
+    ``fan`` labels the planes in increasing order over the whole column.
+    Each pass peels off the planes whose edge is not longer than their
+    fan's ``eps``; a plane whose neighbour-pair vertex already satisfies it
+    is redundant, so this peeling is exact.  A long edge that eats a fine
+    arc kills one arc plane per pass, so from pass CASCADE_PASS on the arc
+    planes it has cut off (``_eaten``) leave too, the whole arc in one
+    pass.  That is sound only when the region is not empty, so the result
+    is certified: every eaten plane must hold the chain's vertex between
+    the survivors around it, its support point in that plane's normal
+    direction.  Otherwise the region is the survivors' cut by the eaten
+    planes that fail, and plain passes alone peel that short list exactly.
+    A fan's region is empty (not ``alive``) when fewer than 3 planes
+    survive or the normal fan has a gap (the planes then hold no bounded
+    region).  Neighbours whose cross product is at most FAN_GAP_DET make a
+    gap too: normals antiparallel up to rounding leave a strip thinner than
+    the rounding of its length, whose far vertex would be noise.  Every
+    fan's result, and its failure, is its own: the other fans of the
+    column do not change it.
     """
-    chain, eaten = _peel(ns, cs, fan, eps, CASCADE_PASS)
-    if chain is not None and eaten:
-        labels = np.concatenate(eaten)
-        gone = np.searchsorted(fan, labels)
-        support = chain[0][np.searchsorted(chain[4], labels) - 1]
-        cut = np.einsum("ij,ij->i", ns[gone], support) > cs[gone]
-        if cut.any():
-            keep = np.sort(np.concatenate((np.searchsorted(fan, chain[4]), gone[cut])))
-            chain = _peel(ns[keep], cs[keep], fan[keep], eps, len(cs))[0]
-    return chain
+    chain, eaten = _peel(ns, cs, fan, start, eps, CASCADE_PASS)
+    if not eaten:
+        return chain
+    labels = np.concatenate(eaten)
+    gone = np.searchsorted(fan, labels)
+    owner = np.searchsorted(start, gone, "right") - 1
+    held = chain.alive[owner]
+    labels, gone, owner = labels[held], gone[held], owner[held]
+    # the chain vertex between the survivors around each eaten plane
+    seg = (np.cumsum(chain.alive) - 1)[owner]
+    at = np.searchsorted(chain.fan, labels)
+    support = chain.verts[np.where(at > chain.start[seg], at, chain.start[seg + 1]) - 1]
+    cut = np.einsum("ij,ij->i", ns[gone], support) > cs[gone]
+    if not cut.any():
+        return chain
+    keep = np.zeros(len(cs), dtype=bool)
+    keep[np.searchsorted(fan, chain.fan)] = True
+    keep[gone[cut]] = True
+    count = np.bincount(_links(start)[0][keep], minlength=len(start) - 1)[chain.alive]
+    again = _peel(ns[keep], cs[keep], fan[keep], np.concatenate(([0], np.cumsum(count))),
+                  eps[chain.alive], len(cs))[0]
+    alive = chain.alive.copy()
+    alive[alive] = again.alive
+    recomputed = np.bincount(owner[cut], minlength=len(start) - 1) > 0
+    return again._replace(alive=alive, passes=chain.passes, recomputed=recomputed)
 
 
 class SkeletonWalk(NamedTuple):
-    """What ``OffsetMachine.walk`` reads off the straight skeleton, in the
-    machine's centred frame: t*, the core's vertices there, the chain
-    evaluations made before t* was known, r and the centre."""
+    """What ``OffsetMachine.walks`` reads off one polygon's straight
+    skeleton, in the machine's centred frame: t*, the core's vertices
+    there, the chain evaluations made before t* was known, r and the
+    centre; then how the walk ran: its steps after t*, the peel passes
+    that ran the cascade rule and the chains whose cascade was recomputed
+    after a failed certificate."""
 
     t_star: float
     core: np.ndarray
     evaluations: int
     r: float
     centre: np.ndarray
+    steps_after: int
+    cascade_passes: int
+    recomputes: int
 
 
-def _moved(chain, s: float) -> np.ndarray:
-    """The chain's vertices, each moved by s along its bisector: the chain
-    at s further in, exactly while s is within its reach."""
-    verts, ns = chain[:2]
-    return verts - s * _bisector_velocity(ns, np.concatenate((ns[1:], ns[:1])))
+def _moved(chain: _Chain, s: np.ndarray) -> np.ndarray:
+    """The chain's vertices, each moved by its segment's s along its
+    bisector: the chain at s further in, exactly while s is within its reach."""
+    return chain.verts - s[chain.seg][:, None] * _bisector_velocity(chain.ns, chain.ns[chain.nxt])
 
 
 class OffsetMachine:
-    """Repeated inward offsets of one polygon, which holds it as ``offset_machine``.
+    """Repeated inward offsets of a column of k polygons; a polygon holds
+    its own, k = 1, as ``offset_machine``.
 
-    The inradius and the Cheeger solve read its one skeleton walk
-    (``walk``); the inner parallel sets (``polygon_at``) and their areas
-    (``area_at``) read the polygon through it too.  Normal
-    merging happens once; each query reruns only the chain of neighbouring
-    planes with redundant ones peeled off (``_chain``).  Where two planes are
-    neighbours in the polygon, their vertex is the polygon's own moved along
-    the bisector, which is exact; only planes that became neighbours when the
-    edges between them vanished (or merged) are intersected, and the edge
+    The column is ragged: the polygons' planes lie end to end in flat
+    arrays, polygon i's from start[i] to start[i + 1] - 1, each plane's
+    neighbours found by index within its segment, with no padding.  Every
+    per-polygon sum, minimum or mean is a ``reduceat`` over the segments,
+    so a polygon's numbers have the same bits in any column, alone
+    included.  The inradius and the Cheeger solve read one skeleton walk
+    per polygon (``walks``), all taken together; the inner parallel sets
+    (``polygon_at``) and their areas (``area_at``) read the polygons
+    through it too.  Normal merging happens once per polygon; each query
+    reruns only the chains of neighbouring planes with redundant ones
+    peeled off (``_chain``).  Where two planes are neighbours in the
+    polygon, their vertex is the polygon's own moved along the bisector,
+    which is exact; only planes that became neighbours when the edges
+    between them vanished (or merged) are intersected, and the edge
     lengths (so perimeter and reach) always come from the intersections.
-    The chain runs in a frame centred on the vertex mean, with tolerances
-    scaled by the intrinsic size ``2A/P`` (between the inradius and twice
-    it), so neither where the polygon sits nor how thin it is moves the result.
+    Each chain runs in a frame centred on its polygon's vertex mean, with
+    tolerances scaled by the intrinsic size ``2A/P`` (between the inradius
+    and twice it), so neither where a polygon sits nor how thin it is
+    moves the result.
     """
 
-    def __init__(self, poly: ConvexPolygon):
-        # no reference back to poly, whose cache would then hold a cycle
-        self.origin = poly.vertices.mean(axis=0)
-        self.local = poly.vertices - self.origin
-        normals = poly.edge_normals
-        offsets = np.einsum("ij,ij->i", normals, self.local)
-        edge = _merge_parallel(normals, offsets)
-        self.ns, self.cs, self.fan = normals[edge], offsets[edge], np.arange(len(edge))
-        # planes k and k + 1 that are neighbours in the polygon meet at its
+    def __init__(self, polys):
+        polys = list(polys)
+        count = np.array([len(p) for p in polys])
+        vstart = np.concatenate(([0], np.cumsum(count)))
+        vertices = np.concatenate([p.vertices for p in polys])
+        normals = np.concatenate([p.edge_normals for p in polys])
+        # no reference back to the polygons, whose caches would then hold a cycle
+        vseg, vnxt, _ = _links(vstart)
+        self.origin = _seg_sum(vertices, vstart) / count[:, None]
+        local = vertices - self.origin[vseg]
+        offsets = np.einsum("ij,ij->i", normals, local)
+        merged = [_merge_parallel(normals[a:b], offsets[a:b]) + a for a, b in zip(vstart[:-1], vstart[1:])]
+        edge = np.concatenate(merged)
+        self.start = np.concatenate(([0], np.cumsum([len(e) for e in merged])))
+        self.owner, self.succ, _ = _links(self.start)
+        self.ns, self.cs = normals[edge], offsets[edge]
+        # planes k and k + 1 that are neighbours in a polygon meet at its
         # vertex edge[k] + 1, which moves along their bisector
-        following = np.concatenate((edge[1:], edge[:1]))
-        self.kinetic = following == (edge + 1) % len(normals)
-        self.corner = self.local[following].T.copy()
-        self.speed = _bisector_velocity(self.ns, np.concatenate((self.ns[1:], self.ns[:1]))).T.copy()
-        self.area0 = shoelace(self.local)
-        edges = np.roll(self.local, -1, axis=0) - self.local
-        perimeter0 = float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
+        following = edge[self.succ]
+        self.kinetic = following == vnxt[edge]
+        self.corner = local[following]
+        self.speed = _bisector_velocity(self.ns, self.ns[self.succ])
+        x, y = local[:, 0], local[:, 1]
+        self.area0 = 0.5 * (_seg_sum(x * y[vnxt], vstart) - _seg_sum(y * x[vnxt], vstart))
+        edges = local[vnxt] - local
+        perimeter0 = _seg_sum(np.hypot(edges[:, 0], edges[:, 1]), vstart)
         self.size = 2.0 * self.area0 / perimeter0
         self.eps = self.size * 1e-14
         self.chain0 = self._chain(0.0)
-        # the polygon's own area and edge lengths, not the lines' intersections
-        self.measure0 = _chain_measure(*self.chain0[:3])._replace(area=self.area0, perimeter=perimeter0)
+        # the polygons' own areas and edge lengths, not the lines' intersections
+        m = self._measure(self.chain0)[0]
+        self.measure0 = m._replace(area=self.area0, perimeter=perimeter0)
 
-    def _chain(self, t: float, prev=None, step: float = 0.0):
-        """Local-frame chain of the inner parallel set at t; None once empty.
-        From ``prev``, the chain at t - step, only its planes are shifted, by
-        the step itself (added to t, a step below t's last bit is lost)."""
-        ns, cs, fan = ((self.ns, self.cs - t, self.fan) if prev is None
-                       else (prev[1], prev[3] - step, prev[4]))
-        chain = _offset_chain(ns, cs, fan, self.eps)
-        if chain is None:
-            return None
-        verts, ns, adv, cs, fan = chain
+    def _chain(self, t, prev: _Chain | None = None, step=0.0) -> _Chain:
+        """Local-frame chains of the inner parallel sets at t, one per polygon,
+        or, from ``prev``, the chains at t - step, one per segment of prev;
+        t and ``step`` are one value or one per chain.  From ``prev`` only
+        its planes are shifted, by the step itself (added to t, a step
+        below t's last bit is lost)."""
+        if prev is None:
+            start, ns, fan = self.start, self.ns, np.arange(len(self.cs))
+            t = t + np.zeros(len(start) - 1)
+            cs = self.cs - t[self.owner]
+        else:
+            start, ns, fan = prev.start, prev.ns, prev.fan
+            cs = prev.cs - step[prev.seg]
+        chain = _offset_chain(ns, cs, fan, start, self.eps[self.owner[fan[start[:-1]]]])
         corner, speed, kinetic = self.corner, self.speed, self.kinetic
-        if len(fan) < len(self.cs):
-            corner, speed = corner[:, fan], speed[:, fan]
-            kinetic = kinetic[fan] & (np.concatenate((fan[1:], fan[:1])) == (fan + 1) % len(self.cs))
-        return np.where(kinetic, corner - t * speed, verts.T).T, ns, adv, cs, fan
+        if len(chain.fan) < len(self.cs):
+            corner, speed = corner[chain.fan], speed[chain.fan]
+            kinetic = kinetic[chain.fan] & (chain.fan[chain.nxt] == self.succ[chain.fan])
+        t = t[chain.alive][chain.seg]
+        return chain._replace(verts=np.where(kinetic[:, None], corner - t[:, None] * speed, chain.verts))
+
+    def _measure(self, chain: _Chain):
+        """(measure of each input segment of ``chain``, the chain of the sets
+        that are not empty): a set is empty once its chain is, or its area
+        is below DEGENERATE_AREA_REL of its polygon's."""
+        m = np.zeros((4, len(chain.alive)))
+        if len(chain.fan):
+            measured = np.array(_chain_measure(chain))
+            full = measured[0] > self.area0[self.owner[chain.fan[chain.start[:-1]]]] * DEGENERATE_AREA_REL
+            m[:, chain.alive] = np.where(full, measured, 0.0)
+            if not full.all():
+                chain = chain.select(full)
+        return ChainMeasure(*m), chain
 
     @cached_property
-    def walk(self) -> SkeletonWalk:
-        """One walk up the straight skeleton from t = 0, to t* and on to r.
+    def walks(self) -> list:
+        """Each polygon's one walk up its straight skeleton from t = 0, to t*
+        and on to r: a SkeletonWalk, or the NoConvergence it ran into, which
+        ``walk`` raises when it is read.
 
         Up to the reach of the chain at t the area is A - P s + T s^2, and T
         only grows at skeleton events, so that quadratic under-estimates the
@@ -511,54 +654,116 @@ class OffsetMachine:
         continues from the planes left (``area_at``).  Nothing bisects:
         NoConvergence is raised when the chain empties before t*, and after
         MAX_WALK_STEPS evaluations.
+
+        The polygons walk as one column: each step evaluates the chains of
+        all the polygons still walking in one ``area_at`` call, and a
+        polygon leaves the column when its chain empties.  Every count and
+        failure is the polygon's own, MAX_WALK_STEPS included.
         """
-        t, chain, m = 0.0, self.chain0, self.measure0
-        found = None  # (t*, core, evaluations) once t* is known
-        for evals in range(MAX_WALK_STEPS):
-            if found is None:
+        k = len(self.area0)
+        out: list = [NoConvergence("the polygon's own offset chain is empty")] * k
+        live = np.flatnonzero(self.chain0.alive)
+        t, chain = np.zeros(len(live)), self.chain0
+        m = ChainMeasure(*(x[live] for x in self.measure0))
+        found, t_star, evals, core = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k, dtype=int), [None] * k
+        cascades = np.maximum(chain.passes - CASCADE_PASS, 0)
+        recomputes = chain.recomputed.astype(int)
+        for steps in range(MAX_WALK_STEPS):
+            s = np.maximum(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
+            seek = ~found[live]
+            if seek.any():
                 # b^2 - 4af = (P^2 - 4 T A) + 4 pi (A + P t + T t^2)
-                disc = _lhuilier_gap(chain[1], chain[3], m) \
+                disc = _lhuilier_gap(chain, m) \
                     + 4.0 * math.pi * (m.area + t * (m.perimeter + t * m.tan_sum))
-                s = 2.0 * (m.area - math.pi * t * t) / (m.perimeter + 2.0 * math.pi * t + math.sqrt(disc))
-                if 0.0 <= s <= m.reach or abs(s) <= 1e-14 * (t + s):
-                    found = (t + s, _moved(chain, s), evals)
-            if found is not None:
-                s = max(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
+                root = 2.0 * (m.area - math.pi * t * t) / (m.perimeter + 2.0 * math.pi * t + np.sqrt(disc))
+                hit = seek & (((0.0 <= root) & (root <= m.reach)) | (np.abs(root) <= 1e-14 * (t + root)))
+                if hit.any():
+                    cores = np.split(_moved(chain, root), chain.start[1:-1])
+                    for j in np.flatnonzero(hit):
+                        core[live[j]] = cores[j]
+                    found[live[hit]], t_star[live[hit]], evals[live[hit]] = True, (t + root)[hit], steps
+                s = np.where(seek & ~hit, root, s)
             m, nxt = self.area_at(t + s, chain, s)
-            if nxt is None:
-                if found is None:
-                    raise NoConvergence(f"inner parallel set vanished at t = {t + s!r} before t*")
-                return SkeletonWalk(*found, t + s, _moved(chain, s).mean(axis=0))
-            t, chain = t + s, nxt
-        raise NoConvergence(f"inner parallel set did not vanish in {MAX_WALK_STEPS} "
-                            f"skeleton steps (t = {t!r})")
+            cascades[live] += np.maximum(nxt.passes - CASCADE_PASS, 0)
+            recomputes[live] += nxt.recomputed
+            done = ~nxt.alive
+            if done.any():
+                centres = _seg_sum(_moved(chain, s), chain.start) / np.diff(chain.start)[:, None]
+                for j in np.flatnonzero(done):
+                    i, r = live[j], float(t[j] + s[j])
+                    out[i] = (SkeletonWalk(float(t_star[i]), core[i], int(evals[i]), r, centres[j],
+                                           steps + 1 - int(evals[i]), int(cascades[i]), int(recomputes[i]))
+                              if found[i] else
+                              NoConvergence(f"inner parallel set vanished at t = {r!r} before t*"))
+            live, t, chain = live[~done], (t + s)[~done], nxt
+            m = ChainMeasure(*(x[~done] for x in m))
+            if not len(live):
+                return out
+        for j, i in enumerate(live):
+            out[i] = NoConvergence(f"inner parallel set did not vanish in {MAX_WALK_STEPS} "
+                                   f"skeleton steps (t = {float(t[j])!r})")
+        return out
 
-    def area_at(self, t: float, prev=None, step: float = 0.0):
-        """Area, perimeter, tan sum and reach of the inner parallel set at t.
+    @property
+    def walk(self) -> SkeletonWalk:
+        """The walk of a one-polygon machine; raises the NoConvergence it ran into."""
+        walk, = self.walks
+        if isinstance(walk, NoConvergence):
+            raise walk
+        return walk
 
-        From ``prev``, the chain at t - step, returns (measure, chain), the
-        chain None once the set is empty."""
-        if t == 0.0 and prev is None:
+    def area_at(self, t, prev: _Chain | None = None, step=0.0):
+        """Area, perimeter, tan sum and reach of the inner parallel sets at t,
+        one per polygon, each field an array.
+
+        From ``prev``, the chains at t - step (t and ``step`` one value per
+        chain), returns (measure, chain): one measure per chain of prev, and
+        the chains of the sets that are not empty, ``alive`` marking them."""
+        if prev is None and np.all(np.asarray(t) == 0.0):
             return self.measure0
-        chain = self._chain(t, prev, step)
-        m = None if chain is None else _chain_measure(*chain[:3])
-        if m is None or m.area <= self.area0 * DEGENERATE_AREA_REL:
-            m, chain = _EMPTY, None
+        m, chain = self._measure(self._chain(t, prev, step))
         return m if prev is None else (m, chain)
 
     def as_polygon(self, local: np.ndarray) -> ConvexPolygon | None:
-        """Centred-frame vertices as a polygon in the caller's frame; None
-        when they hold no strictly convex polygon."""
-        verts = _strictify(local, self.size)
-        if verts is None or shoelace(verts) <= self.area0 * DEGENERATE_AREA_REL:
+        """Centred-frame vertices of a one-polygon machine as a polygon in the
+        caller's frame; None when they hold no strictly convex polygon."""
+        (size,), (area0,), (origin,) = self.size, self.area0, self.origin
+        verts = _strictify(local, size)
+        if verts is None or shoelace(verts) <= area0 * DEGENERATE_AREA_REL:
             return None
-        return ConvexPolygon(verts + self.origin)
+        return ConvexPolygon(verts + origin)
 
     def polygon_at(self, t: float) -> ConvexPolygon | None:
-        """The inner parallel set at t in the caller's frame; None once it is
-        empty or does not survive as a strictly convex polygon."""
+        """The inner parallel set at t of a one-polygon machine, in the
+        caller's frame; None once it is empty or does not survive as a
+        strictly convex polygon."""
         chain = self._chain(t)
-        return None if chain is None else self.as_polygon(chain[0])
+        alive, = chain.alive
+        return self.as_polygon(chain.verts) if alive else None
+
+    def _element(self, i: int) -> "OffsetMachine":
+        """Polygon i as a one-polygon machine on slices of this one's arrays,
+        holding its walk."""
+        a, b = self.start[i:i + 2]
+        one = object.__new__(OffsetMachine)
+        for name in ("ns", "cs", "kinetic", "corner", "speed"):
+            setattr(one, name, getattr(self, name)[a:b])
+        for name in ("origin", "area0", "size", "eps"):
+            setattr(one, name, getattr(self, name)[i:i + 1])
+        one.start, one.owner, one.succ = np.array([0, b - a]), self.owner[a:b] - i, self.succ[a:b] - a
+        one.measure0 = ChainMeasure(*(x[i:i + 1] for x in self.measure0))
+        one.walks = self.walks[i:i + 1]
+        return one
+
+
+def walk_block(polys: list[ConvexPolygon]) -> None:
+    """Walk the straight skeletons of ``polys`` as one column
+    (``OffsetMachine.walks``): each polygon's ``offset_machine`` becomes
+    its own element of one machine, walk included.  A polygon whose walk
+    failed raises when its own walk is read; the others are unaffected."""
+    machine = OffsetMachine(polys)
+    for i, poly in enumerate(polys):
+        poly.__dict__["offset_machine"] = machine._element(i)
 
 
 def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:
@@ -572,7 +777,7 @@ def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:
 
 def inner_parallel_area(poly: ConvexPolygon, t: float) -> float:
     """Area of the inner parallel set (0 once empty); avoids reconstruction."""
-    return poly.offset_machine.area_at(t).area
+    return float(poly.offset_machine.area_at(t).area[0])
 
 
 def _edge_vectors_from_lowest(poly: ConvexPolygon):

@@ -20,12 +20,16 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .functionals import Functionals, area, diameter, inradius, measure_with_cheeger
-from .geom import ConvexPolygon
+from .geom import ConvexPolygon, walk_block
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 NORMALIZE_TAGS = ("area", "inradius", "diameter", "none")
+# fewest records in a block of a batch: for shorter blocks, starting a worker
+# pool and the registry's higher cost per record on a short column outweigh
+# what a second worker saves (measured on a 2-core VM)
+MIN_BLOCK = 16
 
 
 def splitmix64(z: int) -> int:
@@ -133,11 +137,37 @@ def seeded_polygon(master_seed: int, index: int, n_min: int, n_max: int,
     return rec_seed, n, normalize(valtr(n, rec_seed), tag)
 
 
-def _make_record(args) -> SampleRecord:
-    index, master_seed, n_min, n_max, tag, x_key, y_key = args
-    rec_seed, n, poly = seeded_polygon(master_seed, index, n_min, n_max, tag)
-    f = measure_with_cheeger(poly)
-    return SampleRecord(index, rec_seed, n, f, tag, f.value(x_key), f.value(y_key))
+def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: int,
+                   tag: str) -> list[tuple[int, int, Functionals]]:
+    """Records start..stop-1 of a batch: (record seed, vertex count, functionals
+    with the Cheeger constant) each.
+
+    The block's polygons walk their straight skeletons as one column
+    (``geom.walk_block``); the unnormalized ones walk first, as another,
+    when the inradius normalizes them.  A record's numbers do not depend
+    on the block it lands in.
+    """
+    drawn = [seeded_polygon(master_seed, index, n_min, n_max, "none") for index in range(start, stop)]
+    if tag == "inradius":
+        walk_block([poly for _, _, poly in drawn])
+    polys = [normalize(poly, tag) for _, _, poly in drawn]
+    walk_block(polys)
+    return [(rec_seed, n, measure_with_cheeger(poly)) for (rec_seed, n, _), poly in zip(drawn, polys)]
+
+
+def _sample_block(args) -> list[SampleRecord]:
+    start, stop, master_seed, n_min, n_max, tag, x_key, y_key = args
+    return [SampleRecord(index, rec_seed, n, f, tag, f.value(x_key), f.value(y_key))
+            for index, (rec_seed, n, f) in enumerate(measured_block(master_seed, start, stop, n_min, n_max, tag),
+                                                     start)]
+
+
+def blocks(count: int, workers: int | None = None) -> tuple[int, list[tuple[int, int]]]:
+    """(pool size, contiguous [start, stop) blocks) for ``count`` records:
+    one block per worker, but at most one per MIN_BLOCK records."""
+    pool = max(1, min(workers or worker_count(count), count // MIN_BLOCK))
+    edges = [count * k // pool for k in range(pool + 1)]
+    return pool, [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def worker_count(jobs: int) -> int:
@@ -165,7 +195,10 @@ def sample_cloud(count: int, n_min: int, n_max: int, tag: str,
     ``triplet`` = (x functional, y functional, normalizing functional); the
     normalizing functional must agree with ``tag`` when both are given.
     Vertex counts are uniform on [n_min, n_max]; record i uses the derived
-    seed mix(seed, i), so output is order-independent and replayable.
+    seed mix(seed, i), so output is order-independent and replayable.  The
+    records are split into contiguous blocks as the census splits them
+    (``blocks``), and each block's polygons walk their skeletons as one
+    column (``measured_block``).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -177,8 +210,9 @@ def sample_cloud(count: int, n_min: int, n_max: int, tag: str,
     expect = _TAG_OF_FUNCTIONAL.get(norm_key)
     if expect is not None and tag not in (expect, "none"):
         raise ValueError(f"tag {tag!r} conflicts with triplet normalizer {norm_key!r}")
-    args = [(i, seed, n_min, n_max, tag, x_key, y_key) for i in range(count)]
-    return parallel_map(_make_record, args, workers=workers)
+    pool, spans = blocks(count, workers)
+    args = [(lo, hi, seed, n_min, n_max, tag, x_key, y_key) for lo, hi in spans]
+    return [rec for block in parallel_map(_sample_block, args, workers=pool) for rec in block]
 
 
 def cloud_csv(records: list[SampleRecord]) -> str:

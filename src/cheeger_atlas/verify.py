@@ -17,16 +17,13 @@ from . import bounds as bounds_mod
 from . import diagrams
 from .bounds import evaluate_all
 from .functionals import measure_with_cheeger
-from .sampler import parallel_map, seeded_polygon, worker_count
+from .geom import walk_block
+from .sampler import blocks, measured_block, parallel_map
 from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
 
 SCHEMA = "cheeger-atlas-verify/1"
 CENSUS_SLACK_FLOOR = -1e-7
 SHARPNESS_CEIL = 1e-4
-# fewest records in a census block: for shorter blocks, starting a worker
-# pool and the registry's higher cost per record on a short column outweigh
-# what a second worker saves (measured on a 2-core VM)
-CENSUS_MIN_BLOCK = 16
 
 # extremal families exercised by the sharpness suite, with the bounds each
 # family saturates and the diagram curves it traces
@@ -42,32 +39,30 @@ EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
 
 
 def _census_block(args) -> list[tuple[int, list[tuple[str, str, float | None]]]]:
-    """Records start..stop-1 of a census: drawn and measured, then the
-    registry in one column; (record seed, [(id, status, slack)]) each."""
+    """Records start..stop-1 of a census: drawn and measured, their
+    polygons walking their straight skeletons as one column
+    (``sampler.measured_block``), then the registry in one column; (record
+    seed, [(id, status, slack)]) each.  A polygon whose walk fails raises
+    when its record is measured, as it would alone."""
     start, stop, master_seed, n_min, n_max = args
-    seeds, fs = [], []
-    for index in range(start, stop):
-        rec_seed, _, poly = seeded_polygon(master_seed, index, n_min, n_max, "area")
-        seeds.append(rec_seed)
-        fs.append(measure_with_cheeger(poly))
-    results = [(r.id, r.status, r.slack) for r in evaluate_all(*fs)]
+    records = measured_block(master_seed, start, stop, n_min, n_max, "area")
+    results = [(r.id, r.status, r.slack) for r in evaluate_all(*(f for _, _, f in records))]
     k = len(bounds_mod.BOUND_IDS)
-    return [(rec_seed, results[i * k:(i + 1) * k]) for i, rec_seed in enumerate(seeds)]
+    return [(rec_seed, results[i * k:(i + 1) * k]) for i, (rec_seed, _, _) in enumerate(records)]
 
 
 def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
            workers: int | None = None) -> dict:
     """Min slack per bound id over ``samples`` unit-area random polygons.
 
-    The records are split into contiguous blocks, one per worker but at
-    most one per CENSUS_MIN_BLOCK records, and each block evaluates the
-    registry as one column; a record's results do not depend on the block
-    it lands in.
+    The records are split into contiguous blocks (``sampler.blocks``: one
+    per worker, but at most one per MIN_BLOCK records); each block walks
+    its polygons' skeletons as one column and evaluates the registry as
+    one column.  A record's results do not depend on the block it lands in.
     """
-    count = max(1, min(workers or worker_count(samples), samples // CENSUS_MIN_BLOCK))
-    edges = [samples * k // count for k in range(count + 1)]
-    blocks = [(lo, hi, seed, n_min, n_max) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    rows = [row for block in parallel_map(_census_block, blocks, workers=count) for row in block]
+    pool, spans = blocks(samples, workers)
+    args = [(lo, hi, seed, n_min, n_max) for lo, hi in spans]
+    rows = [row for block in parallel_map(_census_block, args, workers=pool) for row in block]
     agg: dict[str, dict] = {
         bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
               "not_applicable": 0, "no_root": 0}
@@ -120,10 +115,15 @@ def _sharpness_bodies() -> list[tuple[str, object, tuple[str, ...], object]]:
 def sharpness(res: int = 8192) -> list[dict]:
     """Relative equality residuals of every extremal family at resolution res.
 
-    The bodies are measured first and the registry runs once, on all of them.
+    The bodies walk their straight skeletons as one column
+    (``geom.walk_block``) and are measured, then the registry runs once, on
+    all of them.
     """
-    bodies = [(label, measure_with_cheeger(build(spec, res)), ids, curves)
-              for label, spec, ids, curves in _sharpness_bodies()]
+    specs = _sharpness_bodies()
+    polys = [build(spec, res) for _, spec, _, _ in specs]
+    walk_block(polys)
+    bodies = [(label, measure_with_cheeger(poly), ids, curves)
+              for (label, _, ids, curves), poly in zip(specs, polys)]
     results = evaluate_all(*(f for _, f, _, _ in bodies))
     k = len(bounds_mod.BOUND_IDS)
     rows = []

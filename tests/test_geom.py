@@ -1,4 +1,5 @@
 import math
+import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -9,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cheeger_atlas import geom
 from cheeger_atlas.cheeger import cheeger_constant
-from cheeger_atlas.errors import DegenerateInput, PolygonJsonError, UnboundedRegion
+from cheeger_atlas.errors import DegenerateInput, NoConvergence, PolygonJsonError, UnboundedRegion
 from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, measure_with_cheeger,
                                       min_width, perimeter)
 from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, HalfPlane, OffsetMachine,
                                 _merge_parallel, convex_hull, dilate, form_body,
                                 halfplane_intersection, inner_parallel, inner_parallel_area,
                                 interpolate, minkowski_sum, polygon_from_json,
-                                polygon_to_json, support)
+                                polygon_to_json, support, walk_block)
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, SmoothedNonagon, Stadium,
                                   SubequilateralTriangle, TwoCup, build, solve_param)
@@ -188,17 +189,17 @@ class TestInnerParallel:
         built = []
         init = OffsetMachine.__init__
 
-        def counted(self, poly):
-            built.append(poly)
-            init(self, poly)
+        def counted(self, polys):
+            built.append(polys)
+            init(self, polys)
         monkeypatch.setattr(OffsetMachine, "__init__", counted)
         poly = valtr(12, 3)
         measure_with_cheeger(poly)
-        assert len(built) == 1 and built[0] is poly
+        assert len(built) == 1 and built[0] == [poly]
         other = regular_ngon(9)
         assert inner_parallel(other, 0.1) is not None
         assert inner_parallel(other, 0.3) is not None
-        assert len(built) == 2 and built[1] is other
+        assert len(built) == 2 and built[1] == [other]
 
     def test_one_walk_per_polygon(self, monkeypatch):
         # one walk, its offsets increasing, gives r and t*; the core is built
@@ -362,7 +363,7 @@ class TestOffsetOracle:
     def test_measure_matches_clip(self, seed, n, frac):
         poly = valtr(n, seed)
         t = frac * inradius(poly)[0]
-        m = OffsetMachine(poly).area_at(t)
+        m = OffsetMachine([poly]).area_at(t)
         clipped = self._clip(poly, t)
         assert m.perimeter == pytest.approx(perimeter(clipped), abs=1e-12)
         # exterior angles from the original planes the clip keeps: normals
@@ -378,7 +379,7 @@ class TestOffsetOracle:
            frac=st.sampled_from([0.0, 0.2, 0.5]), share=st.sampled_from([0.3, 1.0]))
     def test_quadratic_within_reach(self, seed, n, frac, share):
         poly = valtr(n, seed)
-        machine = OffsetMachine(poly)
+        machine = OffsetMachine([poly])
         t = frac * inradius(poly)[0]
         m = machine.area_at(t)
         s = share * m.reach
@@ -398,7 +399,7 @@ class TestOffsetOracle:
         bodies = [seeded_polygon(5, i, 3, 30, "none")[2] for i in range(2000)]
         for poly in bodies + _sharpness_bodies(8192) + _sharpness_bodies(128):
             r = inradius(poly)[0]
-            machine = OffsetMachine(poly)
+            machine = OffsetMachine([poly])
             with monkeypatch.context() as m:
                 m.setattr(geom, "_fan_det", no_gap)
                 for frac in (0.5, 0.99, 1.0 - 1e-12):
@@ -468,7 +469,7 @@ CASCADE_SPECS = {
 @lru_cache(maxsize=None)
 def _cascade_body(family, res):
     poly = build(CASCADE_SPECS[family], res)
-    return poly, OffsetMachine(poly), inradius(poly)[0]
+    return poly, OffsetMachine([poly]), inradius(poly)[0]
 
 
 class TestCascade:
@@ -482,16 +483,16 @@ class TestCascade:
         # the extremal bodies' planes, moved in across many skeleton events,
         # to just short of r and just past it
         poly, machine, r = _cascade_body(family, res)
-        ns, cs, fan = machine.ns, machine.cs - frac * r, machine.fan
-        got = geom._offset_chain(ns, cs, fan, machine.eps)
+        ns, cs, fan = machine.ns, machine.cs - frac * r, np.arange(len(machine.cs))
+        got = geom._offset_chain(ns, cs, fan, machine.start, machine.eps)
         # the deque's survivors, with edges not longer than eps peeled off
         # by plain passes (no cascade)
         kept = _deque_oracle(ns, cs)
-        want = None if kept is None else geom._peel(ns[kept], cs[kept], fan[kept], machine.eps,
-                                                    len(cs))[0]
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got[4], want[4])
+        want = None if kept is None else geom._peel(ns[kept], cs[kept], fan[kept],
+                                                    np.array([0, len(kept)]), machine.eps, len(cs))[0]
+        assert got.alive[0] == (want is not None and want.alive[0])
+        if got.alive[0]:
+            assert np.array_equal(got.fan, want.fan)
         if len(poly) <= 800:  # the clip is quadratic in the plane count
             t = frac * r
             planes = [(n, c - t) for n, c in zip(poly.edge_normals, poly.edge_offsets)]
@@ -510,9 +511,9 @@ class TestCascade:
         peels = []
         peel = geom._peel
 
-        def spied(ns, cs, fan, eps, cascade):
-            out = peel(ns, cs, fan, eps, cascade)
-            peels.append((cascade, out[0] is None))
+        def spied(ns, cs, fan, start, eps, cascade):
+            out = peel(ns, cs, fan, start, eps, cascade)
+            peels.append((cascade, not out[0].alive[0]))
             return out
         monkeypatch.setattr(geom, "_peel", spied)
         poly = valtr(100, 1708)
@@ -534,9 +535,77 @@ class TestCascade:
             eaten.append(int(out.sum()))
             return out
         monkeypatch.setattr(geom, "_eaten", spied)
-        walk = OffsetMachine(build(SmoothedNonagon(1.0, 2.2), 4096)).walk
+        walk = build(SmoothedNonagon(1.0, 2.2), 4096).offset_machine.walk
         assert max(eaten, default=0) > 100
         assert 0.0 < walk.t_star < walk.r
+
+
+def _walk_alone(poly):
+    """The polygon's walk in a machine of its own."""
+    return OffsetMachine([ConvexPolygon(poly.vertices)]).walks[0]
+
+
+def _same(a, b):
+    """Two walks (or the errors they ran into) agree bit for bit."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _census_chunk(chunk_seed):
+    # the ten polygons of ``verify.census(10, chunk_seed)``
+    return [seeded_polygon(chunk_seed, i, 3, 30, "area")[2] for i in range(10)]
+
+
+def _turned(vertices, degrees):
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return ConvexPolygon(np.asarray(vertices, dtype=float) @ np.array([[c, s], [-s, c]]))
+
+
+class TestColumnWalk:
+    """A block of polygons walks its skeletons as one column
+    (``OffsetMachine.walks``); each polygon's walk is the one it takes alone."""
+
+    # the chunk seeds of the census benchmark at its seed 1 (perfbench/worker.py)
+    CHUNK_SEEDS = [random.Random(1).getrandbits(63) for _ in range(30)]
+
+    def test_census_chunks(self):
+        for chunk_seed in self.CHUNK_SEEDS:
+            polys = _census_chunk(chunk_seed)
+            alone = [_walk_alone(p) for p in polys]
+            assert all(_same(a, b) for a, b in zip(OffsetMachine(polys).walks, alone))
+            order = np.random.default_rng(chunk_seed).permutation(len(polys))
+            shuffled = OffsetMachine([polys[i] for i in order]).walks
+            assert all(_same(shuffled[j], alone[i]) for j, i in enumerate(order))
+            assert all(w.steps_after >= 1 and w.cascade_passes == 0 == w.recomputes for w in alone)
+
+    def test_mixed_block(self):
+        # a needle, the chamfered strip whose skeleton ends in a segment, a
+        # body far from the origin and a fine polygon in one column
+        needle = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-4]])
+        strip = _turned([[0, 0], [1, 0], [1, .006], [0.996, .01], [0, .01]], 120)
+        far = valtr(17, 5).translate([1e6, 1e6])
+        fine = build(Stadium(1.0, 2.0), 1024)
+        polys = [needle, strip, far, fine]
+        walks = OffsetMachine(polys).walks
+        assert all(_same(w, _walk_alone(p)) for w, p in zip(walks, polys))
+        walk_block(polys)
+        assert all(_same(p.offset_machine.walk, w) for p, w in zip(polys, walks))
+        assert inradius(strip)[0] == pytest.approx(0.005, rel=1e-12)
+
+    def test_walk_failures_stay_per_polygon(self, monkeypatch):
+        polys = _census_chunk(self.CHUNK_SEEDS[0]) + [build(Stadium(1.0, 2.0), 1024)]
+        alone = [_walk_alone(p) for p in polys]
+        monkeypatch.setattr(geom, "MAX_WALK_STEPS", 3)
+        walk_block(polys)
+        long = [w.evaluations + w.steps_after > 3 for w in alone]
+        assert any(long) and not all(long)
+        for poly, walk, fails in zip(polys, alone, long):
+            if fails:
+                with pytest.raises(NoConvergence):
+                    poly.offset_machine.walk
+            else:
+                assert _same(poly.offset_machine.walk, walk)
 
 
 def _minkowski_loop(p, q):
