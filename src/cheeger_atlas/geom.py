@@ -257,15 +257,18 @@ class ChainMeasure(NamedTuple):
     reach: float | np.ndarray
 
 
+def _segments(start: np.ndarray) -> np.ndarray:
+    """The segment of each entry of a column cut at ``start``."""
+    return np.repeat(np.arange(len(start) - 1), start[1:] - start[:-1])
+
+
 def _links(start: np.ndarray):
     """(segment, next, previous) index of each entry of a column cut at
     ``start``; next and previous run cyclically within the segment."""
-    count = start[1:] - start[:-1]
-    at = np.arange(start[-1])
-    nxt, prv = at + 1, at - 1
-    nxt[start[1:] - 1] = start[:-1]
-    prv[start[:-1]] = start[1:] - 1
-    return np.repeat(np.arange(len(count)), count), nxt, prv
+    n = start[-1]
+    nxt, prv = np.arange(1, n + 1), np.arange(-1, n - 1)
+    nxt[start[1:] - 1], prv[start[:-1]] = start[:-1], start[1:] - 1
+    return _segments(start), nxt, prv
 
 
 def _seg_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -280,8 +283,8 @@ class _Chain(NamedTuple):
     plane the vertex at the end of its edge, the normal, the edge length,
     the offset and the label, and its segment, next and previous plane
     (``_links``).  ``alive`` marks the input fans whose region is not
-    empty, ``passes`` counts the peel passes in which each input fan lost
-    planes, and ``recomputed`` marks the input fans whose cascade failed
+    empty, ``cascades`` counts the peel passes that ran the cascade rule on
+    each input fan, and ``recomputed`` marks the input fans whose cascade failed
     its certificate."""
 
     verts: np.ndarray
@@ -294,18 +297,18 @@ class _Chain(NamedTuple):
     nxt: np.ndarray
     prv: np.ndarray
     alive: np.ndarray
-    passes: np.ndarray
+    cascades: np.ndarray
     recomputed: np.ndarray
 
     def select(self, keep: np.ndarray) -> "_Chain":
         """The chain of the segments that ``keep`` marks; the counts stay
         per input fan."""
-        planes = keep[self.seg]
+        at = np.flatnonzero(keep[self.seg])
         start = np.concatenate(([0], np.cumsum((self.start[1:] - self.start[:-1])[keep])))
         alive = self.alive.copy()
         alive[alive] = keep
-        return _Chain(self.verts[planes], self.ns[planes], self.adv[planes], self.cs[planes],
-                      self.fan[planes], start, *_links(start), alive, self.passes, self.recomputed)
+        return _Chain(self.verts.take(at, axis=0), self.ns.take(at, axis=0), self.adv[at],
+                      self.cs[at], self.fan[at], start, *_links(start), alive, self.cascades, self.recomputed)
 
 
 def _chain_measure(chain: _Chain) -> ChainMeasure:
@@ -317,10 +320,11 @@ def _chain_measure(chain: _Chain) -> ChainMeasure:
     below the emptiness floor as the chain shrinks to a point.
     """
     start, ns, nxt = chain.start, chain.ns, chain.nxt
-    centred = chain.verts - (_seg_sum(chain.verts, start) / (start[1:] - start[:-1])[:, None])[chain.seg]
+    mean = _seg_sum(chain.verts, start) / (start[1:] - start[:-1])[:, None]
+    centred = chain.verts - mean.take(chain.seg, axis=0)
     vx, vy = centred[:, 0], centred[:, 1]
     a = 0.5 * (_seg_sum(vx * vy[nxt], start) - _seg_sum(vy * vx[nxt], start))
-    n2 = ns[nxt]
+    n2 = ns.take(nxt, axis=0)
     # exterior angle at vertex k, between edges k and k + 1
     theta = np.arctan2(ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0],
                        ns[:, 0] * n2[:, 0] + ns[:, 1] * n2[:, 1])
@@ -354,19 +358,18 @@ def _lhuilier_gap(chain: _Chain, m: ChainMeasure) -> np.ndarray:
     body's sliver is measured at its own size.
     """
     ns, start, seg, nxt = chain.ns, chain.start, chain.seg, chain.nxt
-    n2 = ns[nxt]
+    n2 = ns.take(nxt, axis=0)
     det = _fan_det(ns, n2)
 
     def vertices(c):
         c2 = c[nxt]
-        return np.column_stack(((c * n2[:, 1] - c2 * ns[:, 1]) / det,
-                                (ns[:, 0] * c2 - n2[:, 0] * c) / det))
+        return np.array(((c * n2[:, 1] - c2 * ns[:, 1]) / det, (ns[:, 0] * c2 - n2[:, 0] * c) / det)).T
 
     c = chain.cs - (m.perimeter / (2.0 * m.tan_sum))[seg]
     mean = _seg_sum(vertices(c), start) / (start[1:] - start[:-1])[:, None]
-    c = c - np.einsum("ij,ij->i", ns, mean[seg])
+    c = c - np.einsum("ij,ij->i", ns, mean.take(seg, axis=0))
     v = vertices(c)
-    d = v - v[chain.prv]
+    d = v - v.take(chain.prv, axis=0)
     lengths = d[:, 1] * ns[:, 0] - d[:, 0] * ns[:, 1]
     p, a = _seg_sum(lengths, start), 0.5 * _seg_sum(c * lengths, start)
     return np.maximum(p * p - 4.0 * m.tan_sum * a, 0.0)
@@ -379,9 +382,10 @@ def _fan_det(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
 
 def _bisector_velocity(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """The d with n . d = n2 . d = 1, at which lines with normals n and n2 moving
-    in at unit speed meet; (n + n2) / (|n + n2|^2 / 2) keeps needle tips exact."""
-    s = ns + n2
-    return s / (0.5 * np.einsum("ij,ij->i", s, s))[:, None]
+    in at unit speed meet, as a (2, N) array; (n + n2) / (|n + n2|^2 / 2)
+    keeps needle tips exact."""
+    s = (ns + n2).T
+    return s / (0.5 * (s[0] * s[0] + s[1] * s[1]))
 
 
 def _flagged(flag: np.ndarray, start: np.ndarray, seg: np.ndarray, later: bool) -> np.ndarray:
@@ -432,37 +436,48 @@ def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
     ``_offset_chain``) and a list of arrays of the labels eaten.
     """
     ids = np.arange(len(start) - 1)  # the input fan of each segment
-    passes = np.zeros(len(ids), dtype=int)
+    cascades = np.zeros(len(ids), dtype=int)
+    tol = np.repeat(eps, start[1:] - start[:-1])
     eaten = []
     with np.errstate(divide="ignore", invalid="ignore"):  # fans with a gap divide by 0
         for at in range(len(cs)):  # every pass but the last removes a plane from each fan it changes
-            seg, nxt, prv = _links(start)
-            n2 = ns[nxt]
+            nxt, prv = np.arange(1, len(cs) + 1), np.arange(-1, len(cs) - 1)
+            nxt[start[1:] - 1], prv[start[:-1]] = start[:-1], start[1:] - 1
+            n2 = ns.take(nxt, axis=0)
             det = _fan_det(ns, n2)
-            gap = (start[1:] - start[:-1] < 3) | (np.minimum.reduceat(det, start[:-1]) <= FAN_GAP_DET)
+            # fewer than 3 planes leave a gap too
+            gap = np.minimum.reduceat(det, start[:-1]) <= FAN_GAP_DET
             c2 = cs[nxt]
             vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
             vy = (ns[:, 0] * c2 - n2[:, 0] * cs) / det
             adv = -(vx - vx[prv]) * ns[:, 1] + (vy - vy[prv]) * ns[:, 0]
-            dead = (adv <= eps[ids][seg]) & ~gap[seg]
-            peeling = np.logical_or.reduceat(dead, start[:-1])
-            if not peeling.any():
-                alive = np.zeros(len(passes), dtype=bool)
+            dead = adv <= tol
+            seg = _segments(start) if gap.any() or at >= cascade else None
+            if gap.any():
+                dead &= ~gap[seg]
+            if not dead.any():
+                alive = np.zeros(len(cascades), dtype=bool)
                 alive[ids] = True
-                chain = _Chain(np.column_stack((vx, vy)), ns, adv, cs, fan, start, seg, nxt, prv,
-                               alive, passes, np.zeros(len(passes), dtype=bool))
+                chain = _Chain(np.array((vx, vy)).T, ns, adv, cs, fan, start, _segments(start), nxt, prv,
+                               alive, cascades, np.zeros(len(cascades), dtype=bool))
                 return (chain.select(~gap) if gap.any() else chain), eaten
-            passes[ids[peeling]] += 1
             if at >= cascade:
-                gone = _eaten(dead, vx, vy, ns, cs, eps[ids][seg], start, (seg, nxt, prv)) & peeling[seg]
+                peeling = np.logical_or.reduceat(dead, start[:-1])
+                cascades[ids] += peeling
+                gone = _eaten(dead, vx, vy, ns, cs, tol, start, (seg, nxt, prv)) & peeling[seg]
                 eaten.append(fan[gone])
                 dead |= gone
-            keep = ~dead & ~gap[seg]
-            count = np.bincount(seg[keep], minlength=len(ids))
+            keep = ~dead
+            if gap.any():
+                keep &= ~gap[seg]
+            count = np.add.reduceat(keep, start[:-1], dtype=np.intp)
             full = count >= 3  # a fan left with fewer planes is empty
-            keep &= full[seg]
-            ns, cs, fan, ids = ns[keep], cs[keep], fan[keep], ids[full]
-            start = np.concatenate(([0], np.cumsum(count[full])))
+            if not full.all():
+                keep &= full[_segments(start)]
+                count, ids = count[full], ids[full]
+            kept = np.flatnonzero(keep)
+            ns, cs, fan, tol = ns.take(kept, axis=0), cs[kept], fan[kept], tol[kept]
+            start = np.concatenate(([0], np.cumsum(count)))
     raise AssertionError("a peel pass removed no plane")  # pragma: no cover
 
 
@@ -509,13 +524,14 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.nda
     keep = np.zeros(len(cs), dtype=bool)
     keep[np.searchsorted(fan, chain.fan)] = True
     keep[gone[cut]] = True
-    count = np.bincount(_links(start)[0][keep], minlength=len(start) - 1)[chain.alive]
-    again = _peel(ns[keep], cs[keep], fan[keep], np.concatenate(([0], np.cumsum(count))),
+    count = np.add.reduceat(keep, start[:-1], dtype=np.intp)[chain.alive]
+    kept = np.flatnonzero(keep)
+    again = _peel(ns.take(kept, axis=0), cs[kept], fan[kept], np.concatenate(([0], np.cumsum(count))),
                   eps[chain.alive], len(cs))[0]
     alive = chain.alive.copy()
     alive[alive] = again.alive
     recomputed = np.bincount(owner[cut], minlength=len(start) - 1) > 0
-    return again._replace(alive=alive, passes=chain.passes, recomputed=recomputed)
+    return again._replace(alive=alive, cascades=chain.cascades, recomputed=recomputed)
 
 
 class SkeletonWalk(NamedTuple):
@@ -539,7 +555,8 @@ class SkeletonWalk(NamedTuple):
 def _moved(chain: _Chain, s: np.ndarray) -> np.ndarray:
     """The chain's vertices, each moved by its segment's s along its
     bisector: the chain at s further in, exactly while s is within its reach."""
-    return chain.verts - s[chain.seg][:, None] * _bisector_velocity(chain.ns, chain.ns[chain.nxt])
+    velocity = _bisector_velocity(chain.ns, chain.ns.take(chain.nxt, axis=0))
+    return (chain.verts.T - s[chain.seg] * velocity).T
 
 
 class OffsetMachine:
@@ -576,22 +593,22 @@ class OffsetMachine:
         # no reference back to the polygons, whose caches would then hold a cycle
         vseg, vnxt, _ = _links(vstart)
         self.origin = _seg_sum(vertices, vstart) / count[:, None]
-        local = vertices - self.origin[vseg]
+        local = vertices - self.origin.take(vseg, axis=0)
         offsets = np.einsum("ij,ij->i", normals, local)
         merged = [_merge_parallel(normals[a:b], offsets[a:b]) + a for a, b in zip(vstart[:-1], vstart[1:])]
         edge = np.concatenate(merged)
         self.start = np.concatenate(([0], np.cumsum([len(e) for e in merged])))
         self.owner, self.succ, _ = _links(self.start)
-        self.ns, self.cs = normals[edge], offsets[edge]
+        self.ns, self.cs = normals.take(edge, axis=0), offsets[edge]
         # planes k and k + 1 that are neighbours in a polygon meet at its
         # vertex edge[k] + 1, which moves along their bisector
         following = edge[self.succ]
         self.kinetic = following == vnxt[edge]
-        self.corner = local[following]
-        self.speed = _bisector_velocity(self.ns, self.ns[self.succ])
+        self.corner = local.take(following, axis=0).T.copy()
+        self.speed = _bisector_velocity(self.ns, self.ns.take(self.succ, axis=0))
         x, y = local[:, 0], local[:, 1]
         self.area0 = 0.5 * (_seg_sum(x * y[vnxt], vstart) - _seg_sum(y * x[vnxt], vstart))
-        edges = local[vnxt] - local
+        edges = local.take(vnxt, axis=0) - local
         perimeter0 = _seg_sum(np.hypot(edges[:, 0], edges[:, 1]), vstart)
         self.size = 2.0 * self.area0 / perimeter0
         self.eps = self.size * 1e-14
@@ -616,10 +633,10 @@ class OffsetMachine:
         chain = _offset_chain(ns, cs, fan, start, self.eps[self.owner[fan[start[:-1]]]])
         corner, speed, kinetic = self.corner, self.speed, self.kinetic
         if len(chain.fan) < len(self.cs):
-            corner, speed = corner[chain.fan], speed[chain.fan]
+            corner, speed = corner.take(chain.fan, axis=1), speed.take(chain.fan, axis=1)
             kinetic = kinetic[chain.fan] & (chain.fan[chain.nxt] == self.succ[chain.fan])
         t = t[chain.alive][chain.seg]
-        return chain._replace(verts=np.where(kinetic[:, None], corner - t[:, None] * speed, chain.verts))
+        return chain._replace(verts=np.where(kinetic, corner - t * speed, chain.verts.T).T)
 
     def _measure(self, chain: _Chain):
         """(measure of each input segment of ``chain``, the chain of the sets
@@ -666,9 +683,8 @@ class OffsetMachine:
         t, chain = np.zeros(len(live)), self.chain0
         m = ChainMeasure(*(x[live] for x in self.measure0))
         found, t_star, evals, core = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k, dtype=int), [None] * k
-        cascades = np.maximum(chain.passes - CASCADE_PASS, 0)
-        recomputes = chain.recomputed.astype(int)
-        for steps in range(MAX_WALK_STEPS):
+        cascades, recomputes = chain.cascades.copy(), chain.recomputed.astype(int)
+        for steps in range(MAX_WALK_STEPS if len(live) else 0):
             s = np.maximum(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
             seek = ~found[live]
             if seek.any():
@@ -684,21 +700,22 @@ class OffsetMachine:
                     found[live[hit]], t_star[live[hit]], evals[live[hit]] = True, (t + root)[hit], steps
                 s = np.where(seek & ~hit, root, s)
             m, nxt = self.area_at(t + s, chain, s)
-            cascades[live] += np.maximum(nxt.passes - CASCADE_PASS, 0)
+            cascades[live] += nxt.cascades
             recomputes[live] += nxt.recomputed
             done = ~nxt.alive
             if done.any():
-                centres = _seg_sum(_moved(chain, s), chain.start) / np.diff(chain.start)[:, None]
+                centres = _seg_sum(_moved(chain, s), chain.start) / (chain.start[1:] - chain.start[:-1])[:, None]
                 for j in np.flatnonzero(done):
                     i, r = live[j], float(t[j] + s[j])
                     out[i] = (SkeletonWalk(float(t_star[i]), core[i], int(evals[i]), r, centres[j],
                                            steps + 1 - int(evals[i]), int(cascades[i]), int(recomputes[i]))
                               if found[i] else
                               NoConvergence(f"inner parallel set vanished at t = {r!r} before t*"))
-            live, t, chain = live[~done], (t + s)[~done], nxt
-            m = ChainMeasure(*(x[~done] for x in m))
-            if not len(live):
-                return out
+                if done.all():
+                    return out
+                live, t, s = live[~done], t[~done], s[~done]
+                m = ChainMeasure(*(x[~done] for x in m))
+            t, chain = t + s, nxt
         for j, i in enumerate(live):
             out[i] = NoConvergence(f"inner parallel set did not vanish in {MAX_WALK_STEPS} "
                                    f"skeleton steps (t = {float(t[j])!r})")
@@ -746,8 +763,9 @@ class OffsetMachine:
         holding its walk."""
         a, b = self.start[i:i + 2]
         one = object.__new__(OffsetMachine)
-        for name in ("ns", "cs", "kinetic", "corner", "speed"):
+        for name in ("ns", "cs", "kinetic"):
             setattr(one, name, getattr(self, name)[a:b])
+        one.corner, one.speed = self.corner[:, a:b], self.speed[:, a:b]
         for name in ("origin", "area0", "size", "eps"):
             setattr(one, name, getattr(self, name)[i:i + 1])
         one.start, one.owner, one.succ = np.array([0, b - a]), self.owner[a:b] - i, self.succ[a:b] - a

@@ -17,7 +17,6 @@ from . import bounds as bounds_mod
 from . import diagrams
 from .bounds import evaluate_all
 from .functionals import measure_with_cheeger
-from .geom import walk_block
 from .sampler import blocks, measured_block, parallel_map
 from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
 
@@ -115,15 +114,14 @@ def _sharpness_bodies() -> list[tuple[str, object, tuple[str, ...], object]]:
 def sharpness(res: int = 8192) -> list[dict]:
     """Relative equality residuals of every extremal family at resolution res.
 
-    The bodies walk their straight skeletons as one column
-    (``geom.walk_block``) and are measured, then the registry runs once, on
-    all of them.
+    The bodies are measured first, one at a time: each walks its straight
+    skeleton as a column of one, since at thousands of planes a walk's
+    numpy calls are not short, and a column of all of them would hold
+    every body's planes at once.  Then the registry runs once, on all of
+    them.
     """
-    specs = _sharpness_bodies()
-    polys = [build(spec, res) for _, spec, _, _ in specs]
-    walk_block(polys)
-    bodies = [(label, measure_with_cheeger(poly), ids, curves)
-              for (label, _, ids, curves), poly in zip(specs, polys)]
+    bodies = [(label, measure_with_cheeger(build(spec, res)), ids, curves)
+              for label, spec, ids, curves in _sharpness_bodies()]
     results = evaluate_all(*(f for _, f, _, _ in bodies))
     k = len(bounds_mod.BOUND_IDS)
     rows = []
