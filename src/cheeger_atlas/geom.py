@@ -5,6 +5,16 @@ every operation is a pure function on immutable polygons.  Points are plain
 length-2 arrays (or anything ``np.asarray`` turns into one).  Offsets,
 Minkowski sums, form bodies and dilations all work on double precision
 coordinates; there is no exact arithmetic.
+
+Inward offsets run on an ``OffsetMachine``, which holds a block of k
+polygons as one ragged column: their planes lie end to end in flat arrays
+cut into one segment per polygon, with neighbours found by index within a
+segment and no padding.  Each peel pass and chain measure runs once for the
+whole column, every per-polygon reduction is a ``ufunc.reduceat`` over the
+segments (so a polygon's numbers have the same bits in any column), and a
+polygon's failure stays its own.  One polygon is the case k = 1
+(``ConvexPolygon.offset_machine``); ``walk_block`` walks a block's
+straight skeletons together.
 """
 
 from __future__ import annotations
@@ -566,12 +576,15 @@ class OffsetMachine:
     The column is ragged: the polygons' planes lie end to end in flat
     arrays, polygon i's from start[i] to start[i + 1] - 1, each plane's
     neighbours found by index within its segment, with no padding.  Every
-    per-polygon sum, minimum or mean is a ``reduceat`` over the segments,
-    so a polygon's numbers have the same bits in any column, alone
-    included.  The inradius and the Cheeger solve read one skeleton walk
-    per polygon (``walks``), all taken together; the inner parallel sets
-    (``polygon_at``) and their areas (``area_at``) read the polygons
-    through it too.  Normal merging happens once per polygon; each query
+    per-polygon sum, minimum or mean is a ``reduceat`` over the segments
+    (a row sum over zero padding would round differently), so a polygon's
+    numbers have the same bits in any column, alone included, and what
+    fails for one polygon fails for it alone.  The inradius and the Cheeger
+    solve read one skeleton walk per polygon (``walks``), all taken
+    together; the inner parallel sets (``polygon_at``) and their areas
+    (``area_at``) of a one-polygon machine read it the same way.  The
+    set-up is one set of array operations for the column, but for normal
+    merging, which happens once per polygon; each query
     reruns only the chains of neighbouring planes with redundant ones
     peeled off (``_chain``).  Where two planes are neighbours in the
     polygon, their vertex is the polygon's own moved along the bisector,
