@@ -58,9 +58,9 @@ class SolveDiagnostics:
 
     evaluations: int
     residual: float
-    steps_after: int = 0
-    cascade_passes: int = 0
-    recomputes: int = 0
+    steps_after: int
+    cascade_passes: int
+    recomputes: int
 
 
 @dataclass(frozen=True)

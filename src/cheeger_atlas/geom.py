@@ -269,7 +269,7 @@ class ChainMeasure(NamedTuple):
 
 def _segments(start: np.ndarray) -> np.ndarray:
     """The segment of each entry of a column cut at ``start``."""
-    return np.repeat(np.arange(len(start) - 1), start[1:] - start[:-1])
+    return np.arange(len(start) - 1).repeat(start[1:] - start[:-1])
 
 
 def _links(start: np.ndarray):
@@ -317,8 +317,8 @@ class _Chain(NamedTuple):
         start = np.concatenate(([0], np.cumsum((self.start[1:] - self.start[:-1])[keep])))
         alive = self.alive.copy()
         alive[alive] = keep
-        return _Chain(self.verts.take(at, axis=0), self.ns.take(at, axis=0), self.adv[at],
-                      self.cs[at], self.fan[at], start, *_links(start), alive, self.cascades, self.recomputed)
+        return _Chain(self.verts.take(at, axis=0), self.ns.take(at, axis=0), self.adv[at], self.cs[at],
+                      self.fan[at], start, *_links(start), alive, self.cascades, self.recomputed)
 
 
 def _chain_measure(chain: _Chain) -> ChainMeasure:
@@ -447,7 +447,7 @@ def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
     """
     ids = np.arange(len(start) - 1)  # the input fan of each segment
     cascades = np.zeros(len(ids), dtype=int)
-    tol = np.repeat(eps, start[1:] - start[:-1])
+    tol = eps.repeat(start[1:] - start[:-1])
     eaten = []
     with np.errstate(divide="ignore", invalid="ignore"):  # fans with a gap divide by 0
         for at in range(len(cs)):  # every pass but the last removes a plane from each fan it changes
@@ -457,20 +457,21 @@ def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
             det = _fan_det(ns, n2)
             # fewer than 3 planes leave a gap too
             gap = np.minimum.reduceat(det, start[:-1]) <= FAN_GAP_DET
+            gapped = gap.any()
             c2 = cs[nxt]
             vx = (cs * n2[:, 1] - c2 * ns[:, 1]) / det
             vy = (ns[:, 0] * c2 - n2[:, 0] * cs) / det
             adv = -(vx - vx[prv]) * ns[:, 1] + (vy - vy[prv]) * ns[:, 0]
             dead = adv <= tol
-            seg = _segments(start) if gap.any() or at >= cascade else None
-            if gap.any():
+            seg = _segments(start) if gapped or at >= cascade else None
+            if gapped:
                 dead &= ~gap[seg]
             if not dead.any():
                 alive = np.zeros(len(cascades), dtype=bool)
                 alive[ids] = True
                 chain = _Chain(np.array((vx, vy)).T, ns, adv, cs, fan, start, _segments(start), nxt, prv,
                                alive, cascades, np.zeros(len(cascades), dtype=bool))
-                return (chain.select(~gap) if gap.any() else chain), eaten
+                return (chain.select(~gap) if gapped else chain), eaten
             if at >= cascade:
                 peeling = np.logical_or.reduceat(dead, start[:-1])
                 cascades[ids] += peeling
@@ -478,7 +479,7 @@ def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
                 eaten.append(fan[gone])
                 dead |= gone
             keep = ~dead
-            if gap.any():
+            if gapped:
                 keep &= ~gap[seg]
             count = np.add.reduceat(keep, start[:-1], dtype=np.intp)
             full = count >= 3  # a fan left with fewer planes is empty
@@ -487,7 +488,7 @@ def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
                 count, ids = count[full], ids[full]
             kept = np.flatnonzero(keep)
             ns, cs, fan, tol = ns.take(kept, axis=0), cs[kept], fan[kept], tol[kept]
-            start = np.concatenate(([0], np.cumsum(count)))
+            start = np.concatenate(([0], count.cumsum()))
     raise AssertionError("a peel pass removed no plane")  # pragma: no cover
 
 
@@ -695,7 +696,8 @@ class OffsetMachine:
         live = np.flatnonzero(self.chain0.alive)
         t, chain = np.zeros(len(live)), self.chain0
         m = ChainMeasure(*(x[live] for x in self.measure0))
-        found, t_star, evals, core = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k, dtype=int), [None] * k
+        found, t_star, evals = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k, dtype=int)
+        core: list = [None] * k
         cascades, recomputes = chain.cascades.copy(), chain.recomputed.astype(int)
         for steps in range(MAX_WALK_STEPS if len(live) else 0):
             s = np.maximum(m.reach, (1.0 - 1e-6) * falling_root(m.tan_sum, m.perimeter, m.area))
@@ -717,7 +719,8 @@ class OffsetMachine:
             recomputes[live] += nxt.recomputed
             done = ~nxt.alive
             if done.any():
-                centres = _seg_sum(_moved(chain, s), chain.start) / (chain.start[1:] - chain.start[:-1])[:, None]
+                count = chain.start[1:] - chain.start[:-1]
+                centres = _seg_sum(_moved(chain, s), chain.start) / count[:, None]
                 for j in np.flatnonzero(done):
                     i, r = live[j], float(t[j] + s[j])
                     out[i] = (SkeletonWalk(float(t_star[i]), core[i], int(evals[i]), r, centres[j],

@@ -157,9 +157,9 @@ def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: i
 
 def _sample_block(args) -> list[SampleRecord]:
     start, stop, master_seed, n_min, n_max, tag, x_key, y_key = args
+    records = measured_block(master_seed, start, stop, n_min, n_max, tag)
     return [SampleRecord(index, rec_seed, n, f, tag, f.value(x_key), f.value(y_key))
-            for index, (rec_seed, n, f) in enumerate(measured_block(master_seed, start, stop, n_min, n_max, tag),
-                                                     start)]
+            for index, (rec_seed, n, f) in enumerate(records, start)]
 
 
 def blocks(count: int, workers: int | None = None) -> tuple[int, list[tuple[int, int]]]:
