@@ -104,7 +104,8 @@ class ConvexPolygon:
 
     @cached_property
     def offset_machine(self) -> "OffsetMachine":
-        """The polygon's one ``OffsetMachine``, built on first use."""
+        """The polygon's one ``OffsetMachine``, a column of one built on first
+        use, or its own element of a block that ``walk_block`` walked."""
         return OffsetMachine([self])
 
     @property
@@ -272,13 +273,18 @@ def _segments(start: np.ndarray) -> np.ndarray:
     return np.arange(len(start) - 1).repeat(start[1:] - start[:-1])
 
 
-def _links(start: np.ndarray):
-    """(segment, next, previous) index of each entry of a column cut at
-    ``start``; next and previous run cyclically within the segment."""
+def _neighbours(start: np.ndarray):
+    """(next, previous) index of each entry of a column cut at ``start``,
+    cyclically within its segment."""
     n = start[-1]
     nxt, prv = np.arange(1, n + 1), np.arange(-1, n - 1)
     nxt[start[1:] - 1], prv[start[:-1]] = start[:-1], start[1:] - 1
-    return _segments(start), nxt, prv
+    return nxt, prv
+
+
+def _links(start: np.ndarray):
+    """(segment, next, previous) index of each entry of a column cut at ``start``."""
+    return (_segments(start), *_neighbours(start))
 
 
 def _seg_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -451,8 +457,7 @@ def _peel(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.ndarray,
     eaten = []
     with np.errstate(divide="ignore", invalid="ignore"):  # fans with a gap divide by 0
         for at in range(len(cs)):  # every pass but the last removes a plane from each fan it changes
-            nxt, prv = np.arange(1, len(cs) + 1), np.arange(-1, len(cs) - 1)
-            nxt[start[1:] - 1], prv[start[:-1]] = start[:-1], start[1:] - 1
+            nxt, prv = _neighbours(start)
             n2 = ns.take(nxt, axis=0)
             det = _fan_det(ns, n2)
             # fewer than 3 planes leave a gap too
