@@ -581,12 +581,12 @@ class TestColumnWalk:
 
     def test_mixed_block(self):
         # a needle, the chamfered strip whose skeleton ends in a segment, a
-        # body far from the origin and a fine polygon in one column
+        # body far from the origin, a 1,024-gon whose walk runs cascade
+        # passes, and a stadium whose arcs vanish together, in one column
         needle = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-4]])
         strip = _turned([[0, 0], [1, 0], [1, .006], [0.996, .01], [0, .01]], 120)
         far = valtr(17, 5).translate([1e6, 1e6])
-        fine = build(Stadium(1.0, 2.0), 1024)
-        polys = [needle, strip, far, fine]
+        polys = [needle, strip, far, valtr(1024, 11), build(Stadium(1.0, 2.0), 1024)]
         walks = OffsetMachine(polys).walks
         assert all(_same(w, _walk_alone(p)) for w, p in zip(walks, polys))
         walk_block(polys)
