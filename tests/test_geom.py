@@ -593,6 +593,17 @@ class TestColumnWalk:
         assert all(_same(p.offset_machine.walk, w) for p, w in zip(polys, walks))
         assert inradius(strip)[0] == pytest.approx(0.005, rel=1e-12)
 
+    def test_flat_polygon_fails_alone(self):
+        # a triangle 1e-16 high: its own chain is empty (the normals at its
+        # tip are antiparallel up to rounding), so its walk raises on read
+        flat = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]])
+        polys = _census_chunk(self.CHUNK_SEEDS[1])[:3] + [flat]
+        alone = [_walk_alone(p) for p in polys[:3]]
+        walk_block(polys)
+        with pytest.raises(NoConvergence):
+            inradius(flat)
+        assert all(_same(p.offset_machine.walk, w) for p, w in zip(polys, alone))
+
     def test_walk_failures_stay_per_polygon(self, monkeypatch):
         polys = _census_chunk(self.CHUNK_SEEDS[0]) + [build(Stadium(1.0, 2.0), 1024)]
         alone = [_walk_alone(p) for p in polys]
