@@ -744,7 +744,11 @@ class OffsetMachine:
 
     @property
     def walk(self) -> SkeletonWalk:
-        """The walk of a one-polygon machine; raises the NoConvergence it ran into."""
+        """The walk of a one-polygon machine: its element of a column walk
+        (``walks``), which has the same bits alone or in any block, since
+        every per-polygon reduction is a ``reduceat`` over its own segment.
+        Raises the NoConvergence that this polygon's walk ran into; the other
+        polygons of its block are unaffected."""
         walk, = self.walks
         if isinstance(walk, NoConvergence):
             raise walk
