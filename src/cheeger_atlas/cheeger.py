@@ -7,7 +7,7 @@ t*.  Between the edge-vanishing events of the straight skeleton the inner
 parallel area is exactly quadratic, |poly_{-t-s}| = A - P s + T s^2 with
 T = sum of tan(theta/2) over the exterior angles (Kawohl & Lachand-Robert,
 Pacific J. Math. 225 (2006)), so t* is read off the one skeleton walk per
-polygon (``geom.OffsetMachine.walk``) that also gives the inradius, on the
+polygon (``geom.ConvexPolygon.walk``) that also gives the inradius, on the
 piece where |poly_{-t}| - pi t^2 changes sign, with no bracket and no
 bisection.
 
@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoConvergence, NoRoot
-from .geom import ConvexPolygon, OffsetMachine, dilate, shoelace
+from .geom import ConvexPolygon, dilate, shoelace
 
 # A crossing is solved until its bracket is below this fraction of the domain.
 CROSSING_REL_TOL = 1e-13
@@ -76,12 +76,13 @@ class CheegerResult:
     h: float
     t_star: float
     diagnostics: SolveDiagnostics = field(compare=False)
-    _machine: OffsetMachine = field(repr=False, compare=False)
+    _poly: ConvexPolygon = field(repr=False, compare=False)
     _arc_segments: int = field(repr=False, compare=False)
 
     @cached_property
     def inner_core(self) -> ConvexPolygon:
-        core = self._machine.as_polygon(self._machine.walk.core)
+        # the polygon's own machine has the frame and size its walk had in any block
+        core = self._poly.offset_machine.as_polygon(self._poly.walk.core)
         if core is None:
             raise NoConvergence(f"the inner core at t* = {self.t_star!r} is not a strictly convex polygon")
         return core
@@ -114,14 +115,13 @@ class ImplicitRootProblem:
 def cheeger_constant(poly: ConvexPolygon,
                      arc_segments: int = DEFAULT_ARC_SEGMENTS) -> CheegerResult:
     """Cheeger constant read off the polygon's one straight-skeleton walk
-    (``OffsetMachine.walk``), which also gives the inradius; the inner core
+    (``ConvexPolygon.walk``), which also gives the inradius; the inner core
     and the Cheeger set are built only when read."""
-    machine = poly.offset_machine
-    walk = machine.walk
+    walk = poly.walk
     residual = abs(shoelace(walk.core) - math.pi * walk.t_star * walk.t_star)
     diagnostics = SolveDiagnostics(walk.evaluations, residual, walk.steps_after, walk.cascade_passes,
                                    walk.recomputes)
-    return CheegerResult(1.0 / walk.t_star, walk.t_star, diagnostics, machine, arc_segments)
+    return CheegerResult(1.0 / walk.t_star, walk.t_star, diagnostics, poly, arc_segments)
 
 
 def _bracketed_root(f: Callable, a, fa, b, fb, xtol):

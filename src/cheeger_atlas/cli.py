@@ -183,13 +183,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _diagram_point(f: Functionals, triplet) -> tuple[float, float]:
-    """Scale-invariant diagram coordinates: x and h after J3 is set to 1."""
-    x_key, _, norm_key = triplet
-    s = f.value(norm_key) ** (1.0 / shapes_mod._EXPONENT[norm_key])  # body / s has J3 = 1
-    return f.value(x_key) / s, f.value("h") * s
-
-
 def _cmd_diagram(args) -> int:
     did, triplet = TRIPLETS[args.triplet]
     x_range = None
@@ -202,8 +195,8 @@ def _cmd_diagram(args) -> int:
     cloud = []
     if args.samples:
         for rec in sample_cloud(args.samples, 3, 30, "none", triplet, args.seed):
-            x, y = _diagram_point(rec.functionals, triplet)
-            cloud.append(diagrams_mod.DiagramPoint(x, y, f"seed:{rec.seed}"))
+            f = rec.functionals.normalized(triplet[2])  # the body with J3 = 1
+            cloud.append(diagrams_mod.DiagramPoint(f.value(triplet[0]), f.cheeger, f"seed:{rec.seed}"))
     diagrams_mod.render(cloud, [lower, upper], args.format, args.out)
     return 0
 

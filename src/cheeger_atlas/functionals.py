@@ -9,6 +9,10 @@ found by walking its straight-skeleton events (Aichholzer et al. 1995) on
 the offset chain the Cheeger solve uses. The circumradius is the minimal
 enclosing circle of the vertices, found by farthest-violator iteration over
 a support set of at most three points (Elzinga & Hearn 1972).
+
+A record scales with its body: ``Functionals.normalized`` gives the record
+of the body scaled so that one functional is 1, by the powers in
+``EXPONENT``, without building or measuring the scaled polygon.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .geom import ConvexPolygon, shoelace
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
+# Power of the scale factor in each functional: scaling a body by s multiplies
+# its area by s**2 and each length by s (and h by 1/s).
+EXPONENT = {"A": 2.0, "P": 1.0, "r": 1.0, "R": 1.0, "d": 1.0, "w": 1.0}
 # Bound on the farthest-violator steps of `circumradius`. Each step grows the
 # circle; 4,000 census polygons took at most 7, the sharpness bodies 16.
 MAX_CIRCLE_STEPS = 64
@@ -76,6 +83,17 @@ class Functionals:
         return Functionals(self.area, self.perimeter, self.inradius,
                            self.circumradius, self.diameter, self.min_width,
                            cheeger=h, cheeger_t=t_star)
+
+    def normalized(self, key: str) -> "Functionals":
+        """The record of the body scaled by 1/s so that functional ``key``
+        (A, P, r, R, d or w) is 1, where s = value(key) ** (1 / EXPONENT[key]):
+        each length is divided by s, the area by s * s, and h multiplied by s."""
+        s = self.value(key) ** (1.0 / EXPONENT[key])
+        h = None if self.cheeger is None else self.cheeger * s
+        t = None if self.cheeger_t is None else self.cheeger_t / s
+        return Functionals(self.area / (s * s), self.perimeter / s, self.inradius / s,
+                           self.circumradius / s, self.diameter / s, self.min_width / s,
+                           cheeger=h, cheeger_t=t)
 
     def value(self, key: str) -> float:
         """Look a functional up by its short id: A, P, r, R, d, w or h."""
@@ -145,7 +163,7 @@ def inradius(poly: ConvexPolygon):
     """Largest inscribed disc; returns (r, center).
 
     The centre comes from the polygon's one straight-skeleton walk
-    (``OffsetMachine.walk``, which also gives the Cheeger solve its t*) to
+    (``ConvexPolygon.walk``, which also gives the Cheeger solve its t*) to
     the offset at which the inner parallel set vanishes.  It is then
     polished: the points equidistant from three (or two antiparallel) of
     the edges nearest to it are candidates too, the deepest candidate is
@@ -155,10 +173,9 @@ def inradius(poly: ConvexPolygon):
     follows the polygon's extent about its vertex mean, not its distance
     from the origin.
     """
-    machine = poly.offset_machine
-    walk, (origin,) = machine.walk, machine.origin
-    scale = max(1.0, float(np.max(np.abs(poly.vertices - origin))))
-    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, walk.centre + origin, walk.r, scale)
+    walk = poly.walk
+    scale = max(1.0, float(np.max(np.abs(poly.vertices - walk.origin))))
+    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, walk.centre + walk.origin, walk.r, scale)
 
 
 def _polish_chebyshev(ns, cs, x, t, scale):

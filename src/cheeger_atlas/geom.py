@@ -14,7 +14,8 @@ whole column, every per-polygon reduction is a ``ufunc.reduceat`` over the
 segments (so a polygon's numbers have the same bits in any column), and a
 polygon's failure stays its own.  One polygon is the case k = 1
 (``ConvexPolygon.offset_machine``); ``walk_block`` walks a block's
-straight skeletons together.
+straight skeletons together, and each polygon keeps its own walk
+(``ConvexPolygon.walk``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ PARALLEL_EPS = 1e-10
 DEGENERATE_AREA_REL = 1e-18
 # Unit-norm check for half-plane normals.
 UNIT_EPS = 1e-12
-# Chain evaluations ``OffsetMachine.walk`` may make before it gives up.
+# Chain evaluations one polygon's skeleton walk may make before it gives up.
 MAX_WALK_STEPS = 64
 # Peel pass of ``_offset_chain`` from which planes eaten by a long edge go too.
 CASCADE_PASS = 6
@@ -104,9 +105,21 @@ class ConvexPolygon:
 
     @cached_property
     def offset_machine(self) -> "OffsetMachine":
-        """The polygon's one ``OffsetMachine``, a column of one built on first
-        use, or its own element of a block that ``walk_block`` walked."""
+        """The polygon's one-polygon ``OffsetMachine``, built on first use."""
         return OffsetMachine([self])
+
+    @cached_property
+    def _walk(self) -> "SkeletonWalk | NoConvergence":
+        return self.offset_machine.walks[0]
+
+    @property
+    def walk(self) -> "SkeletonWalk":
+        """The polygon's one straight-skeleton walk: its element of the
+        column that ``walk_block`` walked, else that of its own machine.
+        Raises the NoConvergence that the walk ran into."""
+        if isinstance(self._walk, NoConvergence):
+            raise self._walk
+        return self._walk
 
     @property
     def edge_normals(self) -> np.ndarray:
@@ -553,16 +566,17 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.nda
 class SkeletonWalk(NamedTuple):
     """What ``OffsetMachine.walks`` reads off one polygon's straight
     skeleton, in the machine's centred frame: t*, the core's vertices
-    there, the chain evaluations made before t* was known, r and the
-    centre; then how the walk ran: its steps after t*, the peel passes
-    that ran the cascade rule and the chains whose cascade was recomputed
-    after a failed certificate."""
+    there, the chain evaluations made before t* was known, r, the centre
+    and the frame's origin in the caller's frame; then how the walk ran:
+    its steps after t*, the peel passes that ran the cascade rule and the
+    chains whose cascade was recomputed after a failed certificate."""
 
     t_star: float
     core: np.ndarray
     evaluations: int
     r: float
     centre: np.ndarray
+    origin: np.ndarray
     steps_after: int
     cascade_passes: int
     recomputes: int
@@ -674,7 +688,7 @@ class OffsetMachine:
     def walks(self) -> list:
         """Each polygon's one walk up its straight skeleton from t = 0, to t*
         and on to r: a SkeletonWalk, or the NoConvergence it ran into, which
-        ``walk`` raises when it is read.
+        ``ConvexPolygon.walk`` raises when it is read.
 
         Up to the reach of the chain at t the area is A - P s + T s^2, and T
         only grows at skeleton events, so that quadratic under-estimates the
@@ -729,7 +743,8 @@ class OffsetMachine:
                 for j in np.flatnonzero(done):
                     i, r = live[j], float(t[j] + s[j])
                     out[i] = (SkeletonWalk(float(t_star[i]), core[i], int(evals[i]), r, centres[j],
-                                           steps + 1 - int(evals[i]), int(cascades[i]), int(recomputes[i]))
+                                           self.origin[i], steps + 1 - int(evals[i]), int(cascades[i]),
+                                           int(recomputes[i]))
                               if found[i] else
                               NoConvergence(f"inner parallel set vanished at t = {r!r} before t*"))
                 if done.all():
@@ -741,18 +756,6 @@ class OffsetMachine:
             out[i] = NoConvergence(f"inner parallel set did not vanish in {MAX_WALK_STEPS} "
                                    f"skeleton steps (t = {float(t[j])!r})")
         return out
-
-    @property
-    def walk(self) -> SkeletonWalk:
-        """The walk of a one-polygon machine: its element of a column walk
-        (``walks``), which has the same bits alone or in any block, since
-        every per-polygon reduction is a ``reduceat`` over its own segment.
-        Raises the NoConvergence that this polygon's walk ran into; the other
-        polygons of its block are unaffected."""
-        walk, = self.walks
-        if isinstance(walk, NoConvergence):
-            raise walk
-        return walk
 
     def area_at(self, t, prev: _Chain | None = None, step=0.0):
         """Area, perimeter, tan sum and reach of the inner parallel sets at t,
@@ -783,30 +786,14 @@ class OffsetMachine:
         alive, = chain.alive
         return self.as_polygon(chain.verts) if alive else None
 
-    def _element(self, i: int) -> "OffsetMachine":
-        """Polygon i as a one-polygon machine on slices of this one's arrays,
-        holding its walk."""
-        a, b = self.start[i:i + 2]
-        one = object.__new__(OffsetMachine)
-        for name in ("ns", "cs", "kinetic"):
-            setattr(one, name, getattr(self, name)[a:b])
-        one.corner, one.speed = self.corner[:, a:b], self.speed[:, a:b]
-        for name in ("origin", "area0", "size", "eps"):
-            setattr(one, name, getattr(self, name)[i:i + 1])
-        one.start, one.owner, one.succ = np.array([0, b - a]), self.owner[a:b] - i, self.succ[a:b] - a
-        one.measure0 = ChainMeasure(*(x[i:i + 1] for x in self.measure0))
-        one.walks = self.walks[i:i + 1]
-        return one
-
 
 def walk_block(polys: list[ConvexPolygon]) -> None:
-    """Walk the straight skeletons of ``polys`` as one column
-    (``OffsetMachine.walks``): each polygon's ``offset_machine`` becomes
-    its own element of one machine, walk included.  A polygon whose walk
+    """Walk the straight skeletons of ``polys`` as one column: each polygon's
+    ``walk`` becomes its own element of ``OffsetMachine(polys).walks``, which
+    has the same bits as the walk it takes alone.  A polygon whose walk
     failed raises when its own walk is read; the others are unaffected."""
-    machine = OffsetMachine(polys)
-    for i, poly in enumerate(polys):
-        poly.__dict__["offset_machine"] = machine._element(i)
+    for poly, walk in zip(polys, OffsetMachine(polys).walks):
+        poly.__dict__["_walk"] = walk
 
 
 def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:

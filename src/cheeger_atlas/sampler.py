@@ -109,7 +109,9 @@ def normalize(poly: ConvexPolygon, tag: str) -> ConvexPolygon:
     return poly.scale(1.0 / s)
 
 
-_TAG_OF_FUNCTIONAL = {"A": "area", "r": "inradius", "d": "diameter"}
+# the functional that each normalization tag but "none" scales to 1
+_FUNCTIONAL_OF_TAG = {"area": "A", "inradius": "r", "diameter": "d"}
+_TAG_OF_FUNCTIONAL = {key: tag for tag, key in _FUNCTIONAL_OF_TAG.items()}
 
 
 @dataclass(frozen=True)
@@ -142,17 +144,16 @@ def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: i
     """Records start..stop-1 of a batch: (record seed, vertex count, functionals
     with the Cheeger constant) each.
 
-    The block's polygons walk their straight skeletons as one column
-    (``geom.walk_block``); the unnormalized ones walk first, as another,
-    when the inradius normalizes them.  A record's numbers do not depend
-    on the block it lands in.
+    The block's drawn polygons walk their straight skeletons as one column
+    (``geom.walk_block``) and are measured once; a record is then scaled
+    as its polygon would be by ``normalize`` (``Functionals.normalized``).
+    A record's numbers do not depend on the block it lands in.
     """
     drawn = [seeded_polygon(master_seed, index, n_min, n_max, "none") for index in range(start, stop)]
-    if tag == "inradius":
-        walk_block([poly for _, _, poly in drawn])
-    polys = [normalize(poly, tag) for _, _, poly in drawn]
-    walk_block(polys)
-    return [(rec_seed, n, measure_with_cheeger(poly)) for (rec_seed, n, _), poly in zip(drawn, polys)]
+    walk_block([poly for _, _, poly in drawn])
+    key = _FUNCTIONAL_OF_TAG.get(tag)
+    records = [(rec_seed, n, measure_with_cheeger(poly)) for rec_seed, n, poly in drawn]
+    return records if key is None else [(rec_seed, n, f.normalized(key)) for rec_seed, n, f in records]
 
 
 def _sample_block(args) -> list[SampleRecord]:
@@ -162,12 +163,12 @@ def _sample_block(args) -> list[SampleRecord]:
             for index, (rec_seed, n, f) in enumerate(records, start)]
 
 
-def blocks(count: int, workers: int | None = None) -> tuple[int, list[tuple[int, int]]]:
-    """(pool size, contiguous [start, stop) blocks) for ``count`` records:
-    one block per worker, but at most one per MIN_BLOCK records."""
+def blocks(count: int, workers: int | None = None) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) blocks of ``count`` records: one per worker,
+    but at most one per MIN_BLOCK records."""
     pool = max(1, min(workers or worker_count(count), count // MIN_BLOCK))
     edges = [count * k // pool for k in range(pool + 1)]
-    return pool, [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def worker_count(jobs: int) -> int:
@@ -177,14 +178,13 @@ def worker_count(jobs: int) -> int:
     return max(1, min(workers, jobs))
 
 
-def parallel_map(fn, items: list, workers: int | None = None) -> list:
-    """Order-preserving map over a process pool (size from CHEEGER_ATLAS_THREADS)."""
-    workers = workers or worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
+def parallel_map(fn, items: list) -> list:
+    """Order-preserving map over a process pool of one worker per item (the
+    blocks of ``blocks``); one item runs in this process."""
+    if len(items) <= 1:
         return [fn(it) for it in items]
-    ctx = get_context("fork")
-    with ctx.Pool(workers) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
+    with get_context("fork").Pool(len(items)) as pool:
+        return pool.map(fn, items)
 
 
 def sample_cloud(count: int, n_min: int, n_max: int, tag: str,
@@ -210,9 +210,8 @@ def sample_cloud(count: int, n_min: int, n_max: int, tag: str,
     expect = _TAG_OF_FUNCTIONAL.get(norm_key)
     if expect is not None and tag not in (expect, "none"):
         raise ValueError(f"tag {tag!r} conflicts with triplet normalizer {norm_key!r}")
-    pool, spans = blocks(count, workers)
-    args = [(lo, hi, seed, n_min, n_max, tag, x_key, y_key) for lo, hi in spans]
-    return [rec for block in parallel_map(_sample_block, args, workers=pool) for rec in block]
+    args = [(lo, hi, seed, n_min, n_max, tag, x_key, y_key) for lo, hi in blocks(count, workers)]
+    return [rec for block in parallel_map(_sample_block, args) for rec in block]
 
 
 def cloud_csv(records: list[SampleRecord]) -> str:

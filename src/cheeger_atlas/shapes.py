@@ -18,7 +18,7 @@ import numpy as np
 
 from .cheeger import _bracketed_root
 from .errors import InvalidParam, NonMonotone, Unreachable, Unsupported
-from .functionals import Functionals, measure
+from .functionals import EXPONENT, Functionals, measure
 from .geom import ConvexPolygon, convex_hull
 
 SQRT3 = math.sqrt(3.0)
@@ -470,9 +470,6 @@ _SIGMA = {
                                lambda s: ConstantWidthNonagon(1.0, s)),
 }
 
-_EXPONENT = {"A": 2.0, "P": 1.0, "r": 1.0, "R": 1.0, "d": 1.0, "w": 1.0}
-
-
 def _scale_spec(spec: ShapeSpec, factor: float) -> ShapeSpec:
     vals = {f.name: getattr(spec, f.name) * factor for f in fields(spec)}
     return type(spec)(**vals)
@@ -494,7 +491,7 @@ def _unit_values(family: str, sigmas) -> dict:
     sigmas = np.asarray(sigmas, dtype=float)
     if family == "subequilateral_triangle":
         return triangle_values(1.0, sigmas)
-    out = {k: np.full(sigmas.shape, np.nan) for k in _EXPONENT}
+    out = {k: np.full(sigmas.shape, np.nan) for k in EXPONENT}
     for idx, s in np.ndenumerate(sigmas):
         if math.isfinite(s):
             f = _unit_functionals(family, float(s))
@@ -536,7 +533,7 @@ def solve_param(family, target, fixed):
     bad = (fval <= 0) | (tval <= 0)
     if scalar and bad[0]:
         raise InvalidParam("target and fixed values must be positive")
-    a_t, a_f = _EXPONENT[tid], _EXPONENT[fid]
+    a_t, a_f = EXPONENT[tid], EXPONENT[fid]
 
     def scaled(u, fv):
         """Target functional of the unit members ``u`` scaled to fixed value ``fv``."""

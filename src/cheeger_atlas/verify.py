@@ -59,9 +59,8 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     its polygons' skeletons as one column and evaluates the registry as
     one column.  A record's results do not depend on the block it lands in.
     """
-    pool, spans = blocks(samples, workers)
-    args = [(lo, hi, seed, n_min, n_max) for lo, hi in spans]
-    rows = [row for block in parallel_map(_census_block, args, workers=pool) for row in block]
+    args = [(lo, hi, seed, n_min, n_max) for lo, hi in blocks(samples, workers)]
+    rows = [row for block in parallel_map(_census_block, args) for row in block]
     agg: dict[str, dict] = {
         bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
               "not_applicable": 0, "no_root": 0}

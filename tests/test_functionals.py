@@ -11,9 +11,10 @@ from hypothesis import example, given, reject, settings, strategies as st
 import cheeger_atlas
 from cheeger_atlas import functionals, geom, verify
 from cheeger_atlas.bounds import evaluate_all
+from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, _smallest_circle, area, circumradius, diameter,
-                                       inradius, measure, min_width, perimeter)
+                                       inradius, measure, measure_with_cheeger, min_width, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
 from cheeger_atlas.sampler import mix, normalize, seeded_polygon, valtr
 from cheeger_atlas.shapes import build
@@ -318,6 +319,34 @@ class TestFunctionalsRecord:
         assert f.value("h") == 2.0
         with pytest.raises(ValueError):
             Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=2.0, cheeger_t=0.4)
+
+
+class TestNormalized:
+    """A record scales with its body: the measured record of a polygon,
+    normalized, is the measured record of the polygon scaled."""
+
+    FIELDS = ("area", "perimeter", "inradius", "circumradius", "diameter", "min_width",
+              "cheeger", "cheeger_t")
+
+    def test_matches_scaled_polygon(self):
+        for i in range(40):
+            poly = seeded_polygon(1, i, 3, 30, "none")[2]
+            f = measure_with_cheeger(poly)
+            for key in functionals.EXPONENT:
+                s = f.value(key) ** (1.0 / functionals.EXPONENT[key])
+                expect = measure_with_cheeger(poly.scale(1.0 / s))
+                got = f.normalized(key)
+                assert got.value(key) == pytest.approx(1.0, rel=1e-15)
+                for name in self.FIELDS:
+                    assert getattr(got, name) == pytest.approx(getattr(expect, name), rel=1e-12, abs=0.0)
+
+    def test_block_walked_inner_core(self):
+        polys = [seeded_polygon(2, i, 3, 30, "none")[2] for i in range(20)]
+        geom.walk_block(polys)
+        for poly in polys:
+            core = cheeger_constant(poly).inner_core
+            alone = cheeger_constant(ConvexPolygon(poly.vertices)).inner_core
+            assert np.array_equal(core.vertices, alone.vertices)
 
 
 class TestImport:

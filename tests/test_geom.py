@@ -535,7 +535,7 @@ class TestCascade:
             eaten.append(int(out.sum()))
             return out
         monkeypatch.setattr(geom, "_eaten", spied)
-        walk = build(SmoothedNonagon(1.0, 2.2), 4096).offset_machine.walk
+        walk = build(SmoothedNonagon(1.0, 2.2), 4096).walk
         assert max(eaten, default=0) > 100
         assert 0.0 < walk.t_star < walk.r
 
@@ -590,7 +590,7 @@ class TestColumnWalk:
         walks = OffsetMachine(polys).walks
         assert all(_same(w, _walk_alone(p)) for w, p in zip(walks, polys))
         walk_block(polys)
-        assert all(_same(p.offset_machine.walk, w) for p, w in zip(polys, walks))
+        assert all(_same(p.walk, w) for p, w in zip(polys, walks))
         assert inradius(strip)[0] == pytest.approx(0.005, rel=1e-12)
 
     def test_flat_polygon_fails_alone(self):
@@ -602,7 +602,7 @@ class TestColumnWalk:
         walk_block(polys)
         with pytest.raises(NoConvergence):
             inradius(flat)
-        assert all(_same(p.offset_machine.walk, w) for p, w in zip(polys, alone))
+        assert all(_same(p.walk, w) for p, w in zip(polys, alone))
 
     def test_walk_failures_stay_per_polygon(self, monkeypatch):
         polys = _census_chunk(self.CHUNK_SEEDS[0]) + [build(Stadium(1.0, 2.0), 1024)]
@@ -614,9 +614,9 @@ class TestColumnWalk:
         for poly, walk, fails in zip(polys, alone, long):
             if fails:
                 with pytest.raises(NoConvergence):
-                    poly.offset_machine.walk
+                    poly.walk
             else:
-                assert _same(poly.offset_machine.walk, walk)
+                assert _same(poly.walk, walk)
 
 
 def _minkowski_loop(p, q):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas.functionals import area, diameter, inradius
-from cheeger_atlas.geom import ConvexPolygon
+from cheeger_atlas.functionals import area, diameter, inradius, measure_with_cheeger
+from cheeger_atlas.geom import ConvexPolygon, OffsetMachine, walk_block
 from cheeger_atlas.sampler import (cloud_csv, mix, normalize, sample_cloud,
                                    splitmix64, valtr)
 
@@ -76,6 +76,27 @@ class TestSampleCloud:
             sample_cloud(1, 2, 30, "area", ("P", "h", "A"), seed=1)
         with pytest.raises(ValueError):
             sample_cloud(1, 3, 30, "area", ("P", "h", "r"), seed=1)
+
+    def test_one_machine_per_block(self, monkeypatch):
+        # the records of a block are measured once and scaled, so the
+        # inradius tag walks the skeletons no more often than the area tag
+        built = []
+        init = OffsetMachine.__init__
+
+        def counted(self, polys):
+            built.append(len(polys))
+            init(self, polys)
+        monkeypatch.setattr(OffsetMachine, "__init__", counted)
+        sample_cloud(40, 3, 30, "inradius", ("R", "h", "r"), seed=1, workers=1)
+        assert built == [40]
+        sample_cloud(40, 3, 30, "area", ("w", "h", "A"), seed=1, workers=1)
+        assert built == [40, 40]
+        polys = [valtr(n, n) for n in range(3, 9)]
+        walk_block(polys)
+        assert built == [40, 40, 6]
+        for poly in polys:
+            measure_with_cheeger(poly)
+        assert built == [40, 40, 6]
 
     def test_d1_membership(self):
         from cheeger_atlas.diagrams import membership
