@@ -7,10 +7,9 @@ slack would be a counterexample to a theorem; extremal shapes drive their
 inequality's slack to zero.
 """
 
-from cheeger_atlas import cheeger_constant
 from cheeger_atlas.bounds import d0, dstar, evaluate_all, registry_csv
-from cheeger_atlas.functionals import measure
-from cheeger_atlas.sampler import normalize, valtr
+from cheeger_atlas.functionals import measure_with_cheeger
+from cheeger_atlas.sampler import valtr
 from cheeger_atlas.shapes import Stadium, TwoCup, closed_form
 
 
@@ -29,10 +28,7 @@ def main():
     print(f"d0 (nonagon/slice switch of the (d,h,r) minimizer) = {d0(1024):.7f}")
 
     # a random polygon: every bound holds with positive slack
-    poly = normalize(valtr(12, 2024), "area")
-    f = measure(poly)
-    res = cheeger_constant(poly)
-    print_registry(f.with_cheeger(res.h, res.t_star), "random unit-area 12-gon")
+    print_registry(measure_with_cheeger(valtr(12, 2024)).normalized("A"), "random unit-area 12-gon")
 
     # a stadium: the stadium-extremal bounds are tight
     print_registry(closed_form(Stadium(1.0, 2.0)), "stadium r=1 gap=2 (exact)")

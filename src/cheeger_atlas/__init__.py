@@ -12,7 +12,7 @@ from .functionals import (Functionals, area, circumradius, diameter, inradius,
 from .geom import (ConvexPolygon, HalfPlane, convex_hull, dilate, form_body,
                    halfplane_intersection, inner_parallel, interpolate, minkowski_sum,
                    polygon_from_json, polygon_to_json, support)
-from .sampler import SampleRecord, cloud_csv, mix, normalize, sample_cloud, valtr
+from .sampler import SampleRecord, cloud_csv, mix, sample_cloud, valtr
 from .shapes import (Ball, ConstantWidthNonagon, Polygon, Resolution, ShapeSpec, Slice,
                      SmoothedNonagon, Stadium, SubequilateralTriangle, TwoCup, Yamanouti,
                      build, closed_form, solve_param, spec_from_json, spec_to_json,

@@ -1,14 +1,17 @@
 """The six geometric functionals of a convex polygon.
 
-Area and perimeter come straight from the vertex chain. Diameter and minimal
-width read the antipodal pairs (rotating calipers, Toussaint 1983): the
-vertex farthest from each edge is found at once for all edges by
-``searchsorted`` of the opposite normal angle among the increasing edge-normal
-angles. The inradius is the offset at which the inner parallel set vanishes,
-found by walking its straight-skeleton events (Aichholzer et al. 1995) on
-the offset chain the Cheeger solve uses. The circumradius is the minimal
-enclosing circle of the vertices, found by farthest-violator iteration over
-a support set of at most three points (Elzinga & Hearn 1972).
+Area comes straight from the vertex chain, and the perimeter sums the edge
+lengths that ``ConvexPolygon`` keeps from its construction. Diameter and
+minimal width read the antipodal pairs (rotating calipers, Toussaint 1983):
+the vertex farthest from each edge is found at once for all edges by
+``searchsorted`` of the opposite normal angle among the increasing
+edge-normal angles, in one pass per polygon (``ConvexPolygon.antipodes``,
+cached on the polygon, which both functionals read). The inradius is the
+offset at which the inner parallel set vanishes, found by walking its
+straight-skeleton events (Aichholzer et al. 1995) on the offset chain the
+Cheeger solve uses. The circumradius is the minimal enclosing circle of the
+vertices, found by farthest-violator iteration over a support set of at
+most three points (Elzinga & Hearn 1972).
 
 A record scales with its body: ``Functionals.normalized`` gives the record
 of the body scaled so that one functional is 1, by the powers in
@@ -111,22 +114,8 @@ def area(poly: ConvexPolygon) -> float:
 
 
 def perimeter(poly: ConvexPolygon) -> float:
-    edges = np.roll(poly.vertices, -1, axis=0) - poly.vertices
-    return float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
-
-
-def _antipodes(poly: ConvexPolygon) -> np.ndarray:
-    """Index of a vertex farthest from the line of each edge.
-
-    Vertex j's normal cone spans the unwrapped edge-normal angles
-    [a_(j-1), a_j], so the vertex whose cone holds -n_i is found by
-    ``searchsorted`` of a_i + pi.
-    """
-    ns = poly.edge_normals
-    angle = np.unwrap(np.arctan2(ns[:, 1], ns[:, 0]))
-    target = angle + np.pi
-    target[target >= angle[0] + 2 * np.pi] -= 2 * np.pi
-    return np.searchsorted(angle, target) % len(ns)
+    """Sum of the edge lengths the polygon kept from its construction."""
+    return float(np.sum(poly.edge_lengths))
 
 
 def diameter(poly: ConvexPolygon):
@@ -139,7 +128,7 @@ def diameter(poly: ConvexPolygon):
     v = poly.vertices
     n = len(v)
     a = ((np.arange(n)[:, None] + [0, 0, 0, 1, 1, 1]) % n).ravel()
-    b = ((_antipodes(poly)[:, None] + [-1, 0, 1, -1, 0, 1]) % n).ravel()
+    b = ((poly.antipodes[:, None] + [-1, 0, 1, -1, 0, 1]) % n).ravel()
     dist = np.hypot(*(v[a] - v[b]).T)
     k = int(np.argmax(dist))
     return float(dist[k]), v[a[k]].copy(), v[b[k]].copy()
@@ -153,7 +142,7 @@ def min_width(poly: ConvexPolygon):
     the smallest edge index.
     """
     v, ns, cs = poly.vertices, poly.edge_normals, poly.edge_offsets
-    far = v[(_antipodes(poly)[:, None] + np.arange(-1, 2)) % len(v)]
+    far = v[(poly.antipodes[:, None] + np.arange(-1, 2)) % len(v)]
     widths = (cs[:, None] - np.einsum("ik,ijk->ij", ns, far)).max(axis=1)
     i = int(np.argmin(widths))
     return float(widths[i]), ns[i].copy()

@@ -16,6 +16,11 @@ polygon's failure stays its own.  One polygon is the case k = 1
 (``ConvexPolygon.offset_machine``); ``walk_block`` walks a block's
 straight skeletons together, and each polygon keeps its own walk
 (``ConvexPolygon.walk``).
+
+A polygon derives its edge data once: construction keeps each edge's
+length, outward normal and offset, and the edges' antipodes are found on
+first use and cached (``ConvexPolygon.antipodes``).  Cyclic shifts of
+these small arrays slice (``shifted``) rather than call ``np.roll``.
 """
 
 from __future__ import annotations
@@ -52,10 +57,17 @@ def _as_vertex_array(vertices) -> np.ndarray:
     return v
 
 
+def shifted(a: np.ndarray, k: int = 1) -> np.ndarray:
+    """``a`` with its rows moved k places back, row i of the result being
+    row i + k (mod n): ``np.roll(a, -k, axis=0)`` for -n < k < n, by slicing,
+    at a fraction of np.roll's cost per call on a small array."""
+    return np.concatenate((a[k:], a[:k]))
+
+
 def shoelace(vertices: np.ndarray) -> float:
     """Signed area of a closed vertex chain (positive for counterclockwise)."""
     x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * float(np.dot(x, shifted(y)) - np.dot(y, shifted(x)))
 
 
 @dataclass(frozen=True)
@@ -65,9 +77,12 @@ class ConvexPolygon:
     Invariants: at least 3 vertices, finite coordinates, positive signed
     area, and every consecutive vertex triple makes a strict left turn.
     Clockwise input is reversed on construction; anything else is rejected.
+    Construction derives the edge vectors once, for the turn test and the
+    edge lengths, normals and offsets, and keeps the last three.
     """
 
     vertices: np.ndarray
+    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -81,7 +96,8 @@ class ConvexPolygon:
         # origin the absolute shoelace cancels beyond a thin polygon's area
         if shoelace(v - v[0]) < 0.0:
             v = v[::-1]
-        cross = _turn_cross(v)
+        edges = shifted(v) - v
+        cross = _turn_cross(edges)
         if np.any(cross <= 0.0):
             bad = int(np.argmin(cross))
             raise DegenerateInput(
@@ -89,16 +105,13 @@ class ConvexPolygon:
                 f"(turn cross product {cross[bad]:.3e})"
             )
         v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        edges = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, v)
-        normals.setflags(write=False)
-        offsets.setflags(write=False)
-        object.__setattr__(self, "_normals", normals)
-        object.__setattr__(self, "_offsets", offsets)
+        for name, a in (("vertices", v), ("_lengths", lengths), ("_normals", normals),
+                        ("_offsets", offsets)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -122,6 +135,11 @@ class ConvexPolygon:
         return self._walk
 
     @property
+    def edge_lengths(self) -> np.ndarray:
+        """Length of edge i (from vertex i to vertex i+1)."""
+        return self._lengths
+
+    @property
     def edge_normals(self) -> np.ndarray:
         """Outward unit normal of edge i (from vertex i to vertex i+1)."""
         return self._normals
@@ -130,6 +148,23 @@ class ConvexPolygon:
     def edge_offsets(self) -> np.ndarray:
         """Support value c_i so that the polygon satisfies n_i . x <= c_i."""
         return self._offsets
+
+    @cached_property
+    def antipodes(self) -> np.ndarray:
+        """Index of a vertex farthest from the line of each edge, found on
+        first use and then shared by ``diameter`` and ``min_width``.
+
+        Vertex j's normal cone spans the unwrapped edge-normal angles
+        [a_(j-1), a_j], so the vertex whose cone holds -n_i is found by
+        ``searchsorted`` of a_i + pi.
+        """
+        ns = self._normals
+        angle = np.unwrap(np.arctan2(ns[:, 1], ns[:, 0]))
+        target = angle + np.pi
+        target[target >= angle[0] + 2 * np.pi] -= 2 * np.pi
+        far = np.searchsorted(angle, target) % len(ns)
+        far.setflags(write=False)
+        return far
 
     def translate(self, delta) -> "ConvexPolygon":
         return ConvexPolygon(self.vertices + np.asarray(delta, dtype=float))
@@ -156,10 +191,9 @@ class HalfPlane:
         object.__setattr__(self, "c", float(self.c))
 
 
-def _turn_cross(v: np.ndarray) -> np.ndarray:
-    """Cross product of consecutive edge pairs (positive = strict left turn)."""
-    e = np.roll(v, -1, axis=0) - v
-    e_next = np.roll(e, -1, axis=0)
+def _turn_cross(e: np.ndarray) -> np.ndarray:
+    """Cross product of each edge vector with the next (positive = strict left turn)."""
+    e_next = shifted(e)
     return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
 
 
@@ -203,15 +237,15 @@ def _strictify(vertices: np.ndarray, scale: float) -> np.ndarray | None:
     for _ in range(64):
         if len(v) < 3:
             return None
-        d = np.roll(v, -1, axis=0) - v
+        d = shifted(v) - v
         keep = np.hypot(d[:, 0], d[:, 1]) > scale * 1e-13
         if not np.all(keep):
             v = v[keep]
             continue
-        cross = _turn_cross(v)
+        cross = _turn_cross(d)
         if np.all(cross > 0.0):
             return v
-        v = v[np.roll(cross > 0.0, 1)]
+        v = v[shifted(cross > 0.0, -1)]
     return None
 
 
@@ -814,8 +848,8 @@ def _edge_vectors_from_lowest(poly: ConvexPolygon):
     """Edge vectors in CCW order starting at the lowest (then leftmost) vertex."""
     v = poly.vertices
     start = int(np.lexsort((v[:, 0], v[:, 1]))[0])
-    v = np.roll(v, -start, axis=0)
-    return v[0], np.roll(v, -1, axis=0) - v
+    v = shifted(v, start)
+    return v[0], shifted(v) - v
 
 
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:

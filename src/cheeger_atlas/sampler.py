@@ -19,8 +19,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import DegenerateInput
-from .functionals import Functionals, area, diameter, inradius, measure_with_cheeger
-from .geom import ConvexPolygon, walk_block
+from .functionals import Functionals, measure_with_cheeger
+from .geom import ConvexPolygon, shifted, walk_block
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -90,23 +90,8 @@ def _valtr_draw(n: int, rng: np.random.Generator) -> ConvexPolygon:
     verts[:, 0] += xs[0] - verts[:, 0].min()
     verts[:, 1] += ys[0] - verts[:, 1].min()
     start = int(np.lexsort((verts[:, 0], verts[:, 1]))[0])
-    verts = np.roll(verts, -start, axis=0)
+    verts = shifted(verts, start)
     return ConvexPolygon(verts)
-
-
-def normalize(poly: ConvexPolygon, tag: str) -> ConvexPolygon:
-    """Scale the polygon so the tagged functional equals 1."""
-    if tag == "none":
-        return poly
-    if tag == "area":
-        s = np.sqrt(area(poly))
-    elif tag == "inradius":
-        s, _ = inradius(poly)
-    elif tag == "diameter":
-        s, _, _ = diameter(poly)
-    else:
-        raise ValueError(f"unknown normalization tag {tag!r}")
-    return poly.scale(1.0 / s)
 
 
 # the functional that each normalization tag but "none" scales to 1
@@ -127,16 +112,16 @@ class SampleRecord:
     y: float
 
 
-def seeded_polygon(master_seed: int, index: int, n_min: int, n_max: int,
-                   tag: str) -> tuple[int, int, ConvexPolygon]:
-    """Record ``index`` of a batch: (record seed, vertex count, normalized polygon).
+def seeded_polygon(master_seed: int, index: int, n_min: int,
+                   n_max: int) -> tuple[int, int, ConvexPolygon]:
+    """Record ``index`` of a batch: (record seed, vertex count, drawn polygon).
 
     The record seed is mix(master_seed, index); it draws the vertex count
     uniformly from [n_min, n_max] and then seeds the Valtr polygon.
     """
     rec_seed = mix(master_seed, index)
     n = int(_rng(rec_seed).integers(n_min, n_max + 1))
-    return rec_seed, n, normalize(valtr(n, rec_seed), tag)
+    return rec_seed, n, valtr(n, rec_seed)
 
 
 def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: int,
@@ -146,10 +131,10 @@ def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: i
 
     The block's drawn polygons walk their straight skeletons as one column
     (``geom.walk_block``) and are measured once; a record is then scaled
-    as its polygon would be by ``normalize`` (``Functionals.normalized``).
+    so that the tag's functional is 1 (``Functionals.normalized``).
     A record's numbers do not depend on the block it lands in.
     """
-    drawn = [seeded_polygon(master_seed, index, n_min, n_max, "none") for index in range(start, stop)]
+    drawn = [seeded_polygon(master_seed, index, n_min, n_max) for index in range(start, stop)]
     walk_block([poly for _, _, poly in drawn])
     key = _FUNCTIONAL_OF_TAG.get(tag)
     records = [(rec_seed, n, measure_with_cheeger(poly)) for rec_seed, n, poly in drawn]

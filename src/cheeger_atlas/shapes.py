@@ -500,6 +500,25 @@ def _unit_values(family: str, sigmas) -> dict:
     return out
 
 
+def _scaled(u, tid, fid, fv):
+    """Target functional ``tid`` of the unit members ``u`` scaled so that
+    functional ``fid`` is ``fv``."""
+    return u[tid] * ((fv / u[fid]) ** (1.0 / EXPONENT[fid])) ** EXPONENT[tid]
+
+
+@lru_cache(maxsize=None)
+def _scan(family: str, tid: str, fid: str):
+    """The family's one scan for a (target, fixed) pair of ids: the unit
+    members' functionals on the scan grid (read-only) and whether the target
+    functional of the members scaled to a unit fixed one is monotone there."""
+    u = _unit_values(family, _SIGMA[family][0])
+    for col in u.values():
+        col.setflags(write=False)
+    unit = _scaled(u, tid, fid, 1.0)
+    tol = 1e-12 * float(np.max(np.abs(unit)))
+    return u, not (np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol))
+
+
 def solve_param(family, target, fixed):
     """Find the family member matching ``target`` once ``fixed`` is imposed.
 
@@ -514,13 +533,15 @@ def solve_param(family, target, fixed):
     fixed functional, which depends on sigma alone, so one fixed scan of
     sigma (SCAN_POINTS points: linear over a bounded range, geometric up to
     sigma = 64 * 4**11 for an unbounded one) brackets every element, and
-    one vectorised root loop then solves all elements.  A float call
-    returns the spec; it raises InvalidParam for a value that is not
-    positive, NonMonotone when the scan is not monotone, and Unreachable
-    when the target lies outside the scanned range.  A column call returns
-    a list of specs, with None for each element that one of those would
-    have failed, or whose root solve did not converge; the other elements
-    are unaffected.
+    one vectorised root loop then solves all elements.  The scan and its
+    monotonicity test depend only on (family, target id, fixed id), so
+    each is computed once per triple and cached for the process
+    (``_scan``).  A float call returns the spec; it raises InvalidParam
+    for a value that is not positive, NonMonotone when the scan is not
+    monotone, and Unreachable when the target lies outside the scanned
+    range.  A column call returns a list of specs, with None for each
+    element that one of those would have failed, or whose root solve did
+    not converge; the other elements are unaffected.
     """
     fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
     if fam not in _SIGMA:
@@ -533,22 +554,13 @@ def solve_param(family, target, fixed):
     bad = (fval <= 0) | (tval <= 0)
     if scalar and bad[0]:
         raise InvalidParam("target and fixed values must be positive")
-    a_t, a_f = EXPONENT[tid], EXPONENT[fid]
-
-    def scaled(u, fv):
-        """Target functional of the unit members ``u`` scaled to fixed value ``fv``."""
-        return u[tid] * ((fv / u[fid]) ** (1.0 / a_f)) ** a_t
-
     grid, make = _SIGMA[fam]
-    u = _unit_values(fam, grid)
-    unit = scaled(u, 1.0)
-    tol = 1e-12 * float(np.max(np.abs(unit)))
-    monotone = not (np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol))
+    u, monotone = _scan(fam, tid, fid)
     if scalar and not monotone:
         raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
     k = np.flatnonzero(~bad & monotone)  # the elements the scan can bracket
     t = tval[k]
-    row = scaled(u, fval[k, None])  # one row per element
+    row = _scaled(u, tid, fid, fval[k, None])  # one row per element
     vmin, vmax = row.min(axis=1), row.max(axis=1)
     inside = (vmin - 1e-12 * vmax <= t) & (t <= vmax + 1e-12 * vmax)
     if scalar and not inside[0]:
@@ -566,12 +578,12 @@ def solve_param(family, target, fixed):
     xtol[k] = 1e-13 * np.maximum(1.0, np.abs(b[k]))
 
     fv, tv = (fval[0], tval[0]) if scalar else (fval, tval)
-    sigma = _bracketed_root(lambda s: scaled(_unit_values(fam, s), fv) - tv,
+    sigma = _bracketed_root(lambda s: _scaled(_unit_values(fam, s), tid, fid, fv) - tv,
                             *(v[0] if scalar else v for v in (a, fa, b, fb, xtol)))
     sigma = np.atleast_1d(sigma)
     specs = [None] * sigma.size
     solved = np.flatnonzero(np.isfinite(sigma))
-    scale = (fval[solved] / _unit_values(fam, sigma[solved])[fid]) ** (1.0 / a_f)
+    scale = (fval[solved] / _unit_values(fam, sigma[solved])[fid]) ** (1.0 / EXPONENT[fid])
     for k, c in zip(solved, scale):
         specs[k] = _scale_spec(make(float(sigma[k])), float(c))
     return specs[0] if scalar else specs

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cheeger_atlas.functionals import area
 from cheeger_atlas.geom import ConvexPolygon
 from cheeger_atlas.sampler import valtr
 
@@ -23,6 +24,11 @@ def equilateral():
 def regular_ngon(n: int, radius: float = 1.0) -> ConvexPolygon:
     ang = 2.0 * np.pi * np.arange(n) / n
     return ConvexPolygon(radius * np.column_stack((np.cos(ang), np.sin(ang))))
+
+
+def area_normalized(poly: ConvexPolygon) -> ConvexPolygon:
+    """The polygon scaled to unit area."""
+    return poly.scale(1 / np.sqrt(area(poly)))
 
 
 def random_polygons(count: int, seed: int = 0, n_min: int = 3, n_max: int = 16):

@@ -16,6 +16,7 @@ from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
                                   solve_param, triangle_functionals, triangle_values,
                                   two_cup_area)
+from conftest import area_normalized
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -281,7 +282,7 @@ class TestD0:
 def _crossing_columns(count=100, seed=1):
     """(family, parameter columns) of g1..g4 at the functionals of seeded
     unit-area census polygons and on the implicit lower curves' diagram grids."""
-    fs = [measure(seeded_polygon(seed, i, 3, 30, "area")[2]) for i in range(count)]
+    fs = [measure(area_normalized(seeded_polygon(seed, i, 3, 30)[2])) for i in range(count)]
     d, r, R, w = (np.array([getattr(f, k) for f in fs])
                   for k in ("diameter", "inradius", "circumradius", "min_width"))
     return [("g1", dict(d=d, r=r)), ("g2", dict(R=R, r=r)), ("g3", dict(d=d, w=w)),
@@ -396,7 +397,8 @@ class TestRootSteps:
     def test_census_column_steps(self, monkeypatch):
         # 30 census records as one column: one crossing loop for g1..g4, each
         # of its elements done in 7 steps, and arcsinc elements in 6
-        records = [measure_with_cheeger(seeded_polygon(1, i, 3, 30, "area")[2]) for i in range(30)]
+        records = [measure_with_cheeger(area_normalized(seeded_polygon(1, i, 3, 30)[2]))
+                   for i in range(30)]
         dstar()  # cached before the count, so that only arcsinc runs bounds' root loop
         crossing_calls, arcsinc_steps = [], []
 
@@ -509,7 +511,7 @@ class TestSubeqInverse:
         # the matches of HRW_UP_TRI, HAW_UP_TRI and HWP_UP_TRI on census
         # records, with targets far along the scan of the shape parameter;
         # the last element lies beyond the equilateral end
-        fs = [measure(seeded_polygon(3, i, 3, 30, "area")[2]) for i in range(60)]
+        fs = [measure(area_normalized(seeded_polygon(3, i, 3, 30)[2])) for i in range(60)]
         tval = np.array([f.value(target) for f in fs] + [2.0 if target == "w" else 0.1])
         fval = np.array([f.value(fixed) for f in fs] + [1.0])
         if target == "w":
@@ -559,7 +561,7 @@ class TestSubeqInverse:
 
 @pytest.fixture(scope="module")
 def column_records():
-    fs = [measure_with_cheeger(seeded_polygon(7, i, 3, 30, "area")[2]) for i in range(200)]
+    fs = [measure_with_cheeger(area_normalized(seeded_polygon(7, i, 3, 30)[2])) for i in range(200)]
     return fs + [measure_with_cheeger(build(spec, 8192)) for _, spec, _, _ in verify._sharpness_bodies()]
 
 
@@ -605,8 +607,7 @@ class TestEvaluateAll:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30))
     def test_soundness_random(self, seed, n):
-        from cheeger_atlas.sampler import normalize
-        poly = normalize(valtr(n, seed), "area")
+        poly = area_normalized(valtr(n, seed))
         f = measure(poly)
         res = cheeger_constant(poly)
         f = f.with_cheeger(res.h, res.t_star)

@@ -13,8 +13,8 @@ from cheeger_atlas.errors import DegenerateInput, NoConvergence, NoRoot
 from cheeger_atlas.functionals import area, diameter, inradius, measure, perimeter
 from cheeger_atlas.geom import (ConvexPolygon, OffsetMachine, inner_parallel, inner_parallel_area,
                                shoelace)
-from cheeger_atlas.sampler import normalize, seeded_polygon, valtr
-from conftest import random_polygons, regular_ngon
+from cheeger_atlas.sampler import seeded_polygon, valtr
+from conftest import area_normalized, random_polygons, regular_ngon
 
 PI = math.pi
 
@@ -111,7 +111,7 @@ class TestRobustness:
     # bisection steps on |K_-t| = pi t^2 (mpmath, 50 digits)
     @pytest.mark.parametrize("poly, h", [
         # census seed 1 record 1394, a 25-gon: line intersections left h 1.5e-13 low
-        (seeded_polygon(1, 1394, 3, 30, "area")[2], 3.708574461605630037),
+        (area_normalized(seeded_polygon(1, 1394, 3, 30)[2]), 3.708574461605630037),
         # two edges turning by 9.0e-8 rad: line intersections left h 1.8e-11 low
         (valtr(21, 5217), 4.2783184415090518534),
     ])
@@ -123,7 +123,7 @@ class TestRobustness:
     # P^2 - 4 T A formed from P, T and A left h 3.4e-10 high and 5.3e-9 low
     @pytest.mark.parametrize("seed", [187, 693])
     def test_thin_triangle_closed_form(self, seed):
-        poly = normalize(valtr(3, seed), "area")
+        poly = area_normalized(valtr(3, seed))
         v = [[Fraction(x) for x in p] for p in poly.vertices.tolist()]
         a = float(sum(v[i - 1][0] * v[i][1] - v[i][0] * v[i - 1][1] for i in range(3)) / 2)
         p = math.fsum(math.dist(poly.vertices[i - 1], poly.vertices[i]) for i in range(3))
@@ -197,7 +197,7 @@ class TestDiagnostics:
         # drawn as verify.census draws its records; blind bisection took 45
         worst = 0
         for i in range(200):
-            poly = seeded_polygon(2024, i, 3, 30, "area")[2]
+            poly = area_normalized(seeded_polygon(2024, i, 3, 30)[2])
             d = cheeger_constant(poly).diagnostics
             worst = max(worst, d.evaluations)
         assert worst <= 8

@@ -16,9 +16,9 @@ from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, _smallest_circle, area, circumradius, diameter,
                                        inradius, measure, measure_with_cheeger, min_width, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
-from cheeger_atlas.sampler import mix, normalize, seeded_polygon, valtr
+from cheeger_atlas.sampler import mix, seeded_polygon, valtr
 from cheeger_atlas.shapes import build
-from conftest import random_polygons, regular_ngon
+from conftest import area_normalized, random_polygons, regular_ngon
 
 SQRT3 = math.sqrt(3.0)
 
@@ -146,7 +146,7 @@ class TestMeasureInvariants:
         # so the "d < 2R" applicability of HRD_UP does not flip on rounding
         hits = 0
         for i in range(200):
-            f = measure(seeded_polygon(1, i, 3, 30, "area")[2])
+            f = measure(area_normalized(seeded_polygon(1, i, 3, 30)[2]))
             if abs(f.circumradius - f.diameter / 2) <= 1e-12 * f.diameter:
                 hits += 1
                 assert f.circumradius == f.diameter / 2
@@ -242,7 +242,7 @@ class TestAgainstBruteForce:
         # the offset-root method: r is where |poly_{-t}| hits zero; the
         # shoelace noise floor limits the root to ~sqrt(eps), so the oracle
         # itself only resolves r to about 1e-7
-        poly = normalize(valtr(n, seed), tag)
+        poly = area_normalized(valtr(n, seed)) if tag == "area" else valtr(n, seed)
         r, center = inradius(poly)
         lo, hi = 0.0, min_width(poly)[0] / 2 + 1e-9
         for _ in range(60):
@@ -264,7 +264,7 @@ class TestAgainstBruteForce:
         # polygon; the polish once reported the res-8192 two-cup (k = 1.2)
         # 6.3e-13 deeper than its centre
         polys = [build(spec, 8192) for _, spec, _, _ in verify._sharpness_bodies()]
-        polys += [seeded_polygon(1, i, 3, 30, "area")[2] for i in range(200)]
+        polys += [area_normalized(seeded_polygon(1, i, 3, 30)[2]) for i in range(200)]
         for poly in polys:
             r, center = inradius(poly)
             depth = float(np.min(poly.edge_offsets - poly.edge_normals @ center))
@@ -330,7 +330,7 @@ class TestNormalized:
 
     def test_matches_scaled_polygon(self):
         for i in range(40):
-            poly = seeded_polygon(1, i, 3, 30, "none")[2]
+            poly = seeded_polygon(1, i, 3, 30)[2]
             f = measure_with_cheeger(poly)
             for key in functionals.EXPONENT:
                 s = f.value(key) ** (1.0 / functionals.EXPONENT[key])
@@ -341,12 +341,77 @@ class TestNormalized:
                     assert getattr(got, name) == pytest.approx(getattr(expect, name), rel=1e-12, abs=0.0)
 
     def test_block_walked_inner_core(self):
-        polys = [seeded_polygon(2, i, 3, 30, "none")[2] for i in range(20)]
+        polys = [seeded_polygon(2, i, 3, 30)[2] for i in range(20)]
         geom.walk_block(polys)
         for poly in polys:
             core = cheeger_constant(poly).inner_core
             alone = cheeger_constant(ConvexPolygon(poly.vertices)).inner_core
             assert np.array_equal(core.vertices, alone.vertices)
+
+
+def _roll(a):
+    return np.roll(a, -1, axis=0)
+
+
+def _roll_edge_data(poly):
+    """Perimeter, diameter and width by the formulas that used ``np.roll``
+    and an ``np.unwrap`` per functional: (P, (d, p, q), (w, normal))."""
+    v = poly.vertices
+    edges = _roll(v) - v
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    ns = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
+    cs = np.einsum("ij,ij->i", ns, v)
+    angle = np.unwrap(np.arctan2(ns[:, 1], ns[:, 0]))
+    target = angle + np.pi
+    target[target >= angle[0] + 2 * np.pi] -= 2 * np.pi
+    far = np.searchsorted(angle, target) % len(ns)
+    n = len(v)
+    a = ((np.arange(n)[:, None] + [0, 0, 0, 1, 1, 1]) % n).ravel()
+    b = ((far[:, None] + [-1, 0, 1, -1, 0, 1]) % n).ravel()
+    dist = np.hypot(*(v[a] - v[b]).T)
+    k = int(np.argmax(dist))
+    near = v[(far[:, None] + np.arange(-1, 2)) % n]
+    widths = (cs[:, None] - np.einsum("ik,ijk->ij", ns, near)).max(axis=1)
+    i = int(np.argmin(widths))
+    return (float(np.sum(lengths)), (float(dist[k]), v[a[k]], v[b[k]]), (float(widths[i]), ns[i]))
+
+
+class TestEdgeData:
+    """A polygon derives its edge data once (edge vectors, lengths, the
+    antipodes) and shifts arrays by slicing; the bits are those of the
+    ``np.roll`` formulas."""
+
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    def test_shifted_is_roll(self, n):
+        rng = np.random.default_rng(n)
+        for a in (rng.random(n), rng.random((n, 2)), rng.random(n) > 0.5):
+            assert np.array_equal(geom.shifted(a), _roll(a))
+            for k in range(-n + 1, n):
+                assert np.array_equal(geom.shifted(a, k), np.roll(a, -k, axis=0))
+
+    def test_matches_roll_formulas(self):
+        polys = [seeded_polygon(1, i, 3, 30)[2] for i in range(200)]
+        polys += [turned(CHAMFERED_STRIP, math.radians(120), 1.0), valtr(1024, 11)]
+        for poly in polys:
+            P, (d, p, q), (w, normal) = _roll_edge_data(poly)
+            assert perimeter(poly) == P
+            got_d, got_p, got_q = diameter(poly)
+            assert got_d == d and np.array_equal(got_p, p) and np.array_equal(got_q, q)
+            got_w, got_normal = min_width(poly)
+            assert got_w == w and np.array_equal(got_normal, normal)
+
+    def test_numpy_call_counts(self, monkeypatch):
+        # a census record, from its draw to its Cheeger constant: no np.roll
+        # and one np.unwrap (the antipodes, shared by diameter and width);
+        # the np.roll formulas made 11 and 2
+        calls = {"roll": 0, "unwrap": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        measure_with_cheeger(seeded_polygon(1, 0, 3, 30)[2])
+        assert calls == {"roll": 0, "unwrap": 1}
 
 
 class TestImport:

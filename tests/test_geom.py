@@ -396,7 +396,7 @@ class TestOffsetOracle:
             assert float(np.min(det)) > geom.FAN_GAP_DET, "gap in the normal fan"
             return det
 
-        bodies = [seeded_polygon(5, i, 3, 30, "none")[2] for i in range(2000)]
+        bodies = [seeded_polygon(5, i, 3, 30)[2] for i in range(2000)]
         for poly in bodies + _sharpness_bodies(8192) + _sharpness_bodies(128):
             r = inradius(poly)[0]
             machine = OffsetMachine([poly])
@@ -554,7 +554,7 @@ def _same(a, b):
 
 def _census_chunk(chunk_seed):
     # the ten polygons of ``verify.census(10, chunk_seed)``
-    return [seeded_polygon(chunk_seed, i, 3, 30, "area")[2] for i in range(10)]
+    return [seeded_polygon(chunk_seed, i, 3, 30)[2] for i in range(10)]
 
 
 def _turned(vertices, degrees):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas.functionals import area, diameter, inradius, measure_with_cheeger
-from cheeger_atlas.geom import ConvexPolygon, OffsetMachine, walk_block
-from cheeger_atlas.sampler import (cloud_csv, mix, normalize, sample_cloud,
-                                   splitmix64, valtr)
+from cheeger_atlas.functionals import measure_with_cheeger
+from cheeger_atlas.geom import OffsetMachine, walk_block
+from cheeger_atlas.sampler import cloud_csv, mix, sample_cloud, splitmix64, valtr
 
 
 class TestValtr:
@@ -34,25 +33,6 @@ class TestValtr:
         seeds = {mix(7, i) for i in range(1000)}
         assert len(seeds) == 1000
         assert splitmix64(0) != splitmix64(1)
-
-
-class TestNormalize:
-    def test_unit_square_area_noop(self, unit_square):
-        p = normalize(unit_square, "area")
-        assert area(p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_side_two_square(self):
-        big = ConvexPolygon([[0, 0], [2, 0], [2, 2], [0, 2]])
-        p = normalize(big, "area")
-        assert area(p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_inradius_diameter_tags(self):
-        poly = valtr(11, 5)
-        assert inradius(normalize(poly, "inradius"))[0] == pytest.approx(1.0, abs=1e-12)
-        assert diameter(normalize(poly, "diameter"))[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_none_tag(self, unit_square):
-        assert normalize(unit_square, "none") is unit_square
 
 
 class TestSampleCloud:

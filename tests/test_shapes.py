@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cheeger_atlas.cheeger import cheeger_constant
-from cheeger_atlas.errors import InvalidParam, Unreachable, Unsupported
+from cheeger_atlas.errors import InvalidParam, NonMonotone, Unreachable, Unsupported
 from cheeger_atlas.functionals import measure
 from cheeger_atlas import shapes
 from cheeger_atlas.geom import support
@@ -222,6 +222,33 @@ class TestSolveParam:
         with pytest.raises(Unreachable):
             # below the area of the equilateral triangle of width 1
             solve_param("subequilateral_triangle", ("A", 0.5 / SQRT3), ("w", 1.0))
+
+    def test_scan_cache(self):
+        # the family's scan and its monotonicity test are computed once per
+        # (family, target id, fixed id); that changes no spec, and a float
+        # call still raises once the scan is warm
+        tri = "subequilateral_triangle"
+        tval, fval = np.array([1.2, 3.0, 1.0, 7.0]), np.array([1.0, 1.0, 1.0, 2.0])
+        shapes._scan.cache_clear()
+        first = solve_param(tri, ("d", tval), ("w", fval))
+        assert shapes._scan.cache_info().misses == 1
+        assert solve_param(tri, ("d", tval), ("w", fval)) == first
+        assert shapes._scan.cache_info().misses == 1
+        assert first[2] is None  # d < w: no triangle
+        for spec, t, f in zip(first, tval, fval):
+            if spec is None:
+                with pytest.raises(Unreachable):
+                    solve_param(tri, ("d", float(t)), ("w", float(f)))
+            else:
+                assert solve_param(tri, ("d", float(t)), ("w", float(f))) == spec
+        solve_param(tri, ("A", np.array([1.0])), ("w", 1.0))
+        with pytest.raises(Unreachable):
+            solve_param(tri, ("A", 0.5 / SQRT3), ("w", 1.0))
+        # perimeter and diameter of a constant-width body are pi apart
+        # whatever its shape, so the scan is flat up to rounding
+        for _ in range(2):
+            with pytest.raises(NonMonotone):
+                solve_param("constant_width_nonagon", ("P", 3.0), ("d", 1.0))
 
     def test_stadium_area_perimeter(self):
         spec = solve_param("stadium", ("A", 10.0), ("P", 12.0))
