@@ -8,25 +8,20 @@ unknown.  Outputs land in demos/out/.
 
 import os
 
-from cheeger_atlas.diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
+from cheeger_atlas.diagrams import (DIAGRAM_IDS, SOLVED, DiagramPoint, DiagramSpec, boundary,
+                                    membership, render)
 from cheeger_atlas.sampler import sample_cloud
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 
-CLOUDS = {
-    "D1_PHR": ("P", "h", "r"),
-    "D2_RHR": ("R", "h", "r"),
-    "D3_DHR": ("d", "h", "r"),
-}
-TAG = {"r": "inradius", "d": "diameter", "A": "area"}
-
 
 def main():
     os.makedirs(OUT, exist_ok=True)
-    for did, triplet in CLOUDS.items():
+    for did in SOLVED:
         spec = DiagramSpec(did, grid=256)
         lower, upper = boundary(spec)
-        records = sample_cloud(400, 3, 30, TAG[triplet[2]], triplet, seed=17)
+        # (x, y, unit) of the diagram: each record is scaled to the unit
+        records = sample_cloud(400, 3, 30, DIAGRAM_IDS[did][:3], seed=17)
         cloud = [DiagramPoint(r.x, r.y, f"seed:{r.seed}") for r in records]
         inside = sum(membership(did, p.x, p.y) == "inside" for p in cloud)
         path = os.path.join(OUT, f"{did.lower()}.svg")
@@ -36,7 +31,7 @@ def main():
     # a partially solved diagram: proven pieces only
     spec = DiagramSpec("HWD", grid=256)
     lower, upper = boundary(spec)
-    records = sample_cloud(300, 3, 30, "diameter", ("w", "h", "d"), seed=23)
+    records = sample_cloud(300, 3, 30, DIAGRAM_IDS["HWD"][:3], seed=23)
     cloud = [DiagramPoint(r.x, r.y, f"seed:{r.seed}") for r in records]
     verdicts = {v: 0 for v in ("inside", "outside", "unknown")}
     for p in cloud:

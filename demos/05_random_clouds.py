@@ -32,12 +32,12 @@ def main():
 
     print("\n-- a reproducible cloud --")
     t0 = time.time()
-    records = sample_cloud(300, 3, 30, "area", ("P", "h", "A"), seed=7)
+    records = sample_cloud(300, 3, 30, ("P", "h", "A"), seed=7)
     text = cloud_csv(records)
     path = os.path.join(OUT, "cloud_pha.csv")
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    again = cloud_csv(sample_cloud(300, 3, 30, "area", ("P", "h", "A"), seed=7))
+    again = cloud_csv(sample_cloud(300, 3, 30, ("P", "h", "A"), seed=7))
     print(f"300 records in {time.time() - t0:.1f}s -> {path}")
     print(f"byte-identical on replay: {text == again}")
     print("first rows:")

@@ -31,7 +31,7 @@ import numpy as np
 from . import shapes
 from .cheeger import ImplicitRootProblem, _bracketed_root, cheeger_constant, smallest_crossing
 from .errors import DomainError
-from .functionals import Functionals
+from .functionals import EXPONENT, Functionals
 from .shapes import (Resolution, SmoothedNonagon, nonagon_area, slice_area, triangle_values,
                      two_cup_area)
 
@@ -274,8 +274,9 @@ class BoundResult:
         return self.status != "not-applicable"
 
 
-# the six functionals of a column of records, one array each, and the h of
-# its g1..g4 crossings by family once evaluate_all has solved them
+# the six functionals of a column of records, one array each in the order of
+# EXPONENT, and the h of its g1..g4 crossings by family once evaluate_all has
+# solved them
 _Column = namedtuple("_Column", "area perimeter inradius circumradius diameter min_width crossings",
                      defaults=(None,))
 _FUNCTIONALS = _Column._fields[:6]
@@ -460,8 +461,9 @@ _VALUES = {d.id: value for d, _, value in _REGISTRY}
 
 def bound_value(bid: str, **column) -> np.ndarray:
     """Value formula of bound ``bid`` (no applicability test) on functionals
-    given by keyword, such as ``inradius=1.0``; unread ones may be left out."""
-    return _VALUES[bid](_Column(*(np.asarray(column.get(k, np.nan), dtype=float) for k in _FUNCTIONALS)))
+    given by short id (A, P, r, R, d, w), such as ``r=1.0``; unread ones may
+    be left out."""
+    return _VALUES[bid](_Column(*(np.asarray(column.get(k, np.nan), dtype=float) for k in EXPONENT)))
 
 
 def evaluate_all(*records: Functionals) -> list[BoundResult]:

@@ -3,10 +3,13 @@
 Subcommands: shape, measure, cheeger, bounds, sample, diagram, verify.
 ``bounds`` evaluates the whole registry at the polygon's functionals and
 Cheeger constant; its implicit bounds are crossings of g(t) = pi t^2,
-solved to 1e-13 of their domain.  Numeric output is printed with 17
-significant digits; runs with a fixed seed are byte-reproducible.  Exit
-codes: 0 success, 2 validation error, 3 numeric failure.
-CHEEGER_ATLAS_THREADS caps worker-pool parallelism.
+solved to 1e-13 of their domain.  A ``--triplet`` names a diagram, whose
+axes and unit come from ``diagrams.DIAGRAM_IDS``.  ``diagram`` draws its
+cloud at that unit, and ``sample`` writes the same x, y unless
+``--normalize`` names another unit (``none`` writes the raw records).
+Numeric output is printed with 17 significant digits; runs with a fixed
+seed are byte-reproducible.  Exit codes: 0 success, 2 validation error,
+3 numeric failure.  CHEEGER_ATLAS_THREADS caps worker-pool parallelism.
 """
 
 from __future__ import annotations
@@ -21,23 +24,26 @@ from . import shapes as shapes_mod
 from . import verify as verify_mod
 from .cheeger import cheeger_constant
 from .errors import CheegerAtlasError, InvalidParam, NoRoot, PolygonJsonError, Unreachable
-from .functionals import Functionals, measure, measure_with_cheeger
+from .functionals import EXPONENT, Functionals, measure, measure_with_cheeger
 from .geom import polygon_from_json, polygon_to_json
-from .sampler import _TAG_OF_FUNCTIONAL, NORMALIZE_TAGS, cloud_csv, sample_cloud
+from .sampler import cloud_csv, sample_cloud
 
 G17 = lambda v: format(v, ".17g")
 
+# triplet alias -> diagram id
 TRIPLETS = {
-    "phr": ("D1_PHR", ("P", "h", "r")),
-    "rhr": ("D2_RHR", ("R", "h", "r")),
-    "dhr": ("D3_DHR", ("d", "h", "r")),
-    "hwd": ("HWD", ("w", "h", "d")),
-    "hwr-circ": ("HWR_CIRC", ("w", "h", "R")),
-    "hwp": ("HWP", ("w", "h", "P")),
-    "hwa": ("HWA", ("w", "h", "A")),
-    "hrd": ("HRD", ("R", "h", "d")),
-    "hwr-in": ("HWR_IN", ("w", "h", "r")),
+    "phr": "D1_PHR",
+    "rhr": "D2_RHR",
+    "dhr": "D3_DHR",
+    "hwd": "HWD",
+    "hwr-circ": "HWR_CIRC",
+    "hwp": "HWP",
+    "hwa": "HWA",
+    "hrd": "HRD",
+    "hwr-in": "HWR_IN",
 }
+# --normalize spelling -> unit functional (None: raw records)
+NORMALIZE = {"area": "A", "inradius": "r", "diameter": "d", "none": None}
 
 # family alias -> (class, [(flag, param name)])
 FAMILIES = {
@@ -83,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--n-min", type=int, default=3)
     ap.add_argument("--n-max", type=int, default=30)
     ap.add_argument("--triplet", choices=sorted(TRIPLETS), default="phr")
-    ap.add_argument("--normalize", choices=NORMALIZE_TAGS)
+    ap.add_argument("--normalize", choices=NORMALIZE,
+                    help="scale each record to this unit instead of the diagram's")
     ap.add_argument("--out", required=True)
 
     dp = sub.add_parser("diagram", help="diagram boundary curves (and optional cloud)")
@@ -126,8 +133,7 @@ def _read_polygon(path: str):
 
 
 def _functional_dict(f: Functionals) -> dict:
-    out = {"A": f.area, "P": f.perimeter, "r": f.inradius, "R": f.circumradius,
-           "d": f.diameter, "w": f.min_width}
+    out = {key: f.value(key) for key in EXPONENT}
     if f.cheeger is not None:
         out["h"] = f.cheeger
         out["t_star"] = f.cheeger_t
@@ -175,16 +181,17 @@ def _cmd_bounds(args) -> int:
 def _cmd_sample(args) -> int:
     if args.samples < 1:
         raise InvalidParam("--samples must be at least 1")
-    _, triplet = TRIPLETS[args.triplet]
-    tag = args.normalize or _TAG_OF_FUNCTIONAL.get(triplet[2], "none")
-    records = sample_cloud(args.samples, args.n_min, args.n_max, tag, triplet, args.seed)
+    x_key, y_key, unit, _ = diagrams_mod.DIAGRAM_IDS[TRIPLETS[args.triplet]]
+    if args.normalize is not None:
+        unit = NORMALIZE[args.normalize]
+    records = sample_cloud(args.samples, args.n_min, args.n_max, (x_key, y_key, unit), args.seed)
     with open(args.out, "w", newline="") as fh:
         fh.write(cloud_csv(records))
     return 0
 
 
 def _cmd_diagram(args) -> int:
-    did, triplet = TRIPLETS[args.triplet]
+    did = TRIPLETS[args.triplet]
     x_range = None
     if args.x_min is not None or args.x_max is not None:
         if args.x_min is None or args.x_max is None:
@@ -192,11 +199,9 @@ def _cmd_diagram(args) -> int:
         x_range = (args.x_min, args.x_max)
     spec = diagrams_mod.DiagramSpec(did, x_range=x_range, grid=args.grid)
     lower, upper = diagrams_mod.boundary(spec)
-    cloud = []
-    if args.samples:
-        for rec in sample_cloud(args.samples, 3, 30, "none", triplet, args.seed):
-            f = rec.functionals.normalized(triplet[2])  # the body with J3 = 1
-            cloud.append(diagrams_mod.DiagramPoint(f.value(triplet[0]), f.cheeger, f"seed:{rec.seed}"))
+    records = sample_cloud(args.samples, 3, 30, diagrams_mod.DIAGRAM_IDS[did][:3],
+                           args.seed) if args.samples else []
+    cloud = [diagrams_mod.DiagramPoint(rec.x, rec.y, f"seed:{rec.seed}") for rec in records]
     diagrams_mod.render(cloud, [lower, upper], args.format, args.out)
     return 0
 

@@ -2,10 +2,10 @@
 
 The three solved diagrams (P, h, r), (R, h, r) and (d, h, r) have complete
 lower/upper curves; the partially solved width diagrams expose only their
-proven pieces and answer "unknown" in between.  All curves are produced at
-unit normalization of the third functional, on a whole grid of abscissae
-at once: an implicit lower curve is one column crossing, a triangle upper
-curve one column ``solve_param``.
+proven pieces and answer "unknown" in between.  ``DIAGRAM_IDS`` holds each
+diagram's x, y and unit functionals.  All curves are drawn with the unit
+functional 1, on a whole grid of abscissae at once: an implicit lower curve
+is one column crossing, a triangle upper curve one column ``solve_param``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .errors import CheegerAtlasError, DomainError
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
 
-# diagram id -> (x functional, y functional, normalizing functional, x-range)
-# an x-range upper bound of None means unbounded to the right
+# diagram id -> (x functional, y functional, unit functional, x-range): the
+# one table of a diagram's axes; its curves and clouds are drawn with the unit
+# functional 1. An x-range upper bound of None means unbounded to the right
 DIAGRAM_IDS = {
     "D1_PHR": ("P", "h", "r", (2 * PI, None)),
     "D2_RHR": ("R", "h", "r", (1.0, None)),
@@ -80,35 +81,36 @@ class DiagramPoint:
     provenance: str = ""
 
 
-def _bound(bid: str, x_name: str, **fixed):
-    """Registry bound ``bid`` as a curve: its value with the functional
-    ``x_name`` on the abscissae and the others ``fixed``."""
-    return lambda x: bounds.bound_value(bid, **{x_name: x}, **fixed)
+def _bound(did: str, bid: str):
+    """Registry bound ``bid`` as a curve of diagram ``did``: its value with
+    the diagram's x functional on the abscissae and its unit functional 1."""
+    x_key, _, unit, _ = DIAGRAM_IDS[did]
+    return lambda x: bounds.bound_value(bid, **{x_key: x, unit: 1.0})
 
 
 # diagram id -> proven lower / upper boundary on an array of abscissae
 _LOWER = {
-    "D1_PHR": _bound("HRP_LO", "perimeter", inradius=1.0),
-    "D2_RHR": _bound("HRR_LO_IMPLICIT", "circumradius", inradius=1.0),
-    "D3_DHR": _bound("HDR_LO_IMPLICIT", "diameter", inradius=1.0),
-    "HWD": _bound("HDW_LO_IMPLICIT", "min_width", diameter=1.0),
-    "HWR_CIRC": _bound("HRW_LO_IMPLICIT", "min_width", circumradius=1.0),
-    "HWP": _bound("HWP_LO", "min_width", perimeter=1.0),
-    "HWA": _bound("HAW_LO", "min_width", area=1.0),
-    "HWR_IN": _bound("HWR_LO", "min_width", inradius=1.0),
+    "D1_PHR": _bound("D1_PHR", "HRP_LO"),
+    "D2_RHR": _bound("D2_RHR", "HRR_LO_IMPLICIT"),
+    "D3_DHR": _bound("D3_DHR", "HDR_LO_IMPLICIT"),
+    "HWD": _bound("HWD", "HDW_LO_IMPLICIT"),
+    "HWR_CIRC": _bound("HWR_CIRC", "HRW_LO_IMPLICIT"),
+    "HWP": _bound("HWP", "HWP_LO"),
+    "HWA": _bound("HWA", "HAW_LO"),
+    "HWR_IN": _bound("HWR_IN", "HWR_LO"),
 }
 _UPPER = {
-    "D1_PHR": _bound("HRP_UP", "perimeter", inradius=1.0),
-    "D2_RHR": _bound("HRR_UP", "circumradius", inradius=1.0),
-    "D3_DHR": _bound("HDR_UP", "diameter", inradius=1.0),
+    "D1_PHR": _bound("D1_PHR", "HRP_UP"),
+    "D2_RHR": _bound("D2_RHR", "HRR_UP"),
+    "D3_DHR": _bound("D3_DHR", "HDR_UP"),
     "HWD": lambda x: np.where(x <= SQRT3 / 2, bounds._triangle_h_from_wd(x, 1.0),
-                              bounds.bound_value("HDW_UP_YAM", min_width=x, diameter=1.0)),
+                              bounds.bound_value("HDW_UP_YAM", w=x, d=1.0)),
     "HWR_CIRC": lambda x: np.where(x <= 1.5, bounds._triangle_h_matched("R", 1.0, "w", x), np.nan),
     "HWP": lambda x: np.where(x <= 1.0 / (2 * SQRT3),
                               bounds._triangle_h_matched("P", 1.0, "w", x), np.nan),
     "HWA": lambda x: np.where(SQRT3 >= x * x, bounds._triangle_h_matched("A", 1.0, "w", x), np.nan),
-    "HRD": _bound("HRD_UP", "circumradius", diameter=1.0),
-    "HWR_IN": _bound("HWR_UP", "min_width", inradius=1.0),
+    "HRD": _bound("HRD", "HRD_UP"),
+    "HWR_IN": _bound("HWR_IN", "HWR_UP"),
 }
 
 

@@ -6,7 +6,9 @@ paired at random, sorted by angle and chained.  Every output is strictly
 convex, lies in the unit square, and is a deterministic function of
 (n, seed).  Per-record streams are derived from a master seed with a
 SplitMix64-style mix, so batch runs parallelize with order-independent
-output.
+output.  A batch record is measured once and then scaled so that its unit
+functional is 1 (``Functionals.normalized``); a unit of None keeps the raw
+record.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import DegenerateInput
-from .functionals import Functionals, measure_with_cheeger
+from .functionals import EXPONENT, Functionals, measure_with_cheeger
 from .geom import ConvexPolygon, shifted, walk_block
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-NORMALIZE_TAGS = ("area", "inradius", "diameter", "none")
 # fewest records in a block of a batch: for shorter blocks, starting a worker
 # pool and the registry's higher cost per record on a short column outweigh
 # what a second worker saves (measured on a 2-core VM)
@@ -94,11 +95,6 @@ def _valtr_draw(n: int, rng: np.random.Generator) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
-# the functional that each normalization tag but "none" scales to 1
-_FUNCTIONAL_OF_TAG = {"area": "A", "inradius": "r", "diameter": "d"}
-_TAG_OF_FUNCTIONAL = {key: tag for tag, key in _FUNCTIONAL_OF_TAG.items()}
-
-
 @dataclass(frozen=True)
 class SampleRecord:
     """One measured random polygon inside a batch run."""
@@ -107,7 +103,6 @@ class SampleRecord:
     seed: int
     vertex_count: int
     functionals: Functionals
-    tag: str
     x: float
     y: float
 
@@ -125,26 +120,26 @@ def seeded_polygon(master_seed: int, index: int, n_min: int,
 
 
 def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: int,
-                   tag: str) -> list[tuple[int, int, Functionals]]:
+                   unit: str | None) -> list[tuple[int, int, Functionals]]:
     """Records start..stop-1 of a batch: (record seed, vertex count, functionals
     with the Cheeger constant) each.
 
     The block's drawn polygons walk their straight skeletons as one column
     (``geom.walk_block``) and are measured once; a record is then scaled
-    so that the tag's functional is 1 (``Functionals.normalized``).
-    A record's numbers do not depend on the block it lands in.
+    so that the functional ``unit`` is 1 (``Functionals.normalized``), or
+    kept raw when ``unit`` is None.  A record's numbers do not depend on
+    the block it lands in.
     """
     drawn = [seeded_polygon(master_seed, index, n_min, n_max) for index in range(start, stop)]
     walk_block([poly for _, _, poly in drawn])
-    key = _FUNCTIONAL_OF_TAG.get(tag)
     records = [(rec_seed, n, measure_with_cheeger(poly)) for rec_seed, n, poly in drawn]
-    return records if key is None else [(rec_seed, n, f.normalized(key)) for rec_seed, n, f in records]
+    return records if unit is None else [(rec_seed, n, f.normalized(unit)) for rec_seed, n, f in records]
 
 
 def _sample_block(args) -> list[SampleRecord]:
-    start, stop, master_seed, n_min, n_max, tag, x_key, y_key = args
-    records = measured_block(master_seed, start, stop, n_min, n_max, tag)
-    return [SampleRecord(index, rec_seed, n, f, tag, f.value(x_key), f.value(y_key))
+    start, stop, master_seed, n_min, n_max, (x_key, y_key, unit) = args
+    records = measured_block(master_seed, start, stop, n_min, n_max, unit)
+    return [SampleRecord(index, rec_seed, n, f, f.value(x_key), f.value(y_key))
             for index, (rec_seed, n, f) in enumerate(records, start)]
 
 
@@ -172,13 +167,13 @@ def parallel_map(fn, items: list) -> list:
         return pool.map(fn, items)
 
 
-def sample_cloud(count: int, n_min: int, n_max: int, tag: str,
-                 triplet: tuple[str, str, str], seed: int,
-                 workers: int | None = None) -> list[SampleRecord]:
+def sample_cloud(count: int, n_min: int, n_max: int, triplet: tuple[str, str, str | None],
+                 seed: int, workers: int | None = None) -> list[SampleRecord]:
     """Measured records for ``count`` random polygons.
 
-    ``triplet`` = (x functional, y functional, normalizing functional); the
-    normalizing functional must agree with ``tag`` when both are given.
+    ``triplet`` = (x functional, y functional, unit): each record is scaled
+    so that the unit functional (A, P, r, R, d or w) is 1, or kept raw
+    when the unit is None, and (x, y) are read off the scaled record.
     Vertex counts are uniform on [n_min, n_max]; record i uses the derived
     seed mix(seed, i), so output is order-independent and replayable.  The
     records are split into contiguous blocks as the census splits them
@@ -189,13 +184,9 @@ def sample_cloud(count: int, n_min: int, n_max: int, tag: str,
         raise ValueError("count must be at least 1")
     if not 3 <= n_min <= n_max:
         raise ValueError("need 3 <= n_min <= n_max")
-    if tag not in NORMALIZE_TAGS:
-        raise ValueError(f"unknown tag {tag!r}")
-    x_key, y_key, norm_key = triplet
-    expect = _TAG_OF_FUNCTIONAL.get(norm_key)
-    if expect is not None and tag not in (expect, "none"):
-        raise ValueError(f"tag {tag!r} conflicts with triplet normalizer {norm_key!r}")
-    args = [(lo, hi, seed, n_min, n_max, tag, x_key, y_key) for lo, hi in blocks(count, workers)]
+    if triplet[2] is not None and triplet[2] not in EXPONENT:
+        raise ValueError(f"unknown unit {triplet[2]!r}")
+    args = [(lo, hi, seed, n_min, n_max, triplet) for lo, hi in blocks(count, workers)]
     return [rec for block in parallel_map(_sample_block, args) for rec in block]
 
 

@@ -335,26 +335,15 @@ def _build_cw_nonagon(spec: ConstantWidthNonagon, step: float) -> ConvexPolygon:
     o_prev = chord_center(0, 2)
     delta = math.atan2(*(v[0] - o_prev)[::-1]) - math.pi / 2
 
-    def piece_points(a0, a1, fn):
-        span = a1 - a0
-        k = max(1, int(math.ceil(span / step)))
-        phis = a0 + span * np.arange(k + 1) / k
-        return fn(phis)
-
     chunks = []
     for i in range(3):
         t0 = theta[i]
         prev_i, next_i = (i + 2) % 3, (i + 1) % 3
         chunks.append(np.array([v[i]]))
-        o1 = chord_center(i, prev_i)
-        chunks.append(piece_points(t0 + delta, t0 + math.pi / 3 - delta,
-                                   lambda p, o=o1: o + (w / 2) * np.column_stack((np.cos(p), np.sin(p)))))
-        vv = v[prev_i]
-        chunks.append(piece_points(t0 + math.pi / 3 - delta, t0 + math.pi / 3 + delta,
-                                   lambda p, c=vv: c + w * np.column_stack((np.cos(p), np.sin(p)))))
-        o2 = chord_center(next_i, prev_i)
-        chunks.append(piece_points(t0 + math.pi / 3 + delta, t0 + 2 * math.pi / 3 - delta,
-                                   lambda p, o=o2: o + (w / 2) * np.column_stack((np.cos(p), np.sin(p)))))
+        chunks.append(_arc(chord_center(i, prev_i), w / 2, t0 + delta, t0 + math.pi / 3 - delta, step))
+        chunks.append(_arc(v[prev_i], w, t0 + math.pi / 3 - delta, t0 + math.pi / 3 + delta, step))
+        chunks.append(_arc(chord_center(next_i, prev_i), w / 2,
+                           t0 + math.pi / 3 + delta, t0 + 2 * math.pi / 3 - delta, step))
     return ConvexPolygon(_dedupe(chunks, w))
 
 

@@ -30,8 +30,10 @@ STADIUM_GAPS = (0.1, 1.0, 10.0)
 STADIUM_BOUNDS = ("HRA_LO", "HPA_UP", "HRP_LO", "HAW_LO", "HWP_LO")
 TWOCUP_TIPS = (1.2, 2.0, 5.0)
 TWOCUP_BOUNDS = ("HDR_UP", "HRR_UP")
+TWOCUP_CURVES = (("D1_PHR", "upper"), ("D2_RHR", "upper"), ("D3_DHR", "upper"))
 SLICE_DIAMETERS = (2.2, 3.0, 6.0)
 SLICE_BOUNDS = ("HRR_LO_IMPLICIT", "HDW_LO_IMPLICIT", "HRW_LO_IMPLICIT")
+SLICE_CURVES = (("D2_RHR", "lower"),)
 SUBEQ_DIAMETERS = (2.5, 3.0, 5.0)  # at width 1
 SUBEQ_BOUNDS = ("HWR_LO", "HRD_UP", "HDW_UP_TRI", "HRW_UP_TRI", "HAW_UP_TRI", "HWP_UP_TRI")
 EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
@@ -44,7 +46,7 @@ def _census_block(args) -> list[tuple[int, list[tuple[str, str, float | None]]]]
     seed, [(id, status, slack)]) each.  A polygon whose walk fails raises
     when its record is measured, as it would alone."""
     start, stop, master_seed, n_min, n_max = args
-    records = measured_block(master_seed, start, stop, n_min, n_max, "area")
+    records = measured_block(master_seed, start, stop, n_min, n_max, "A")
     results = [(r.id, r.status, r.slack) for r in evaluate_all(*(f for _, _, f in records))]
     k = len(bounds_mod.BOUND_IDS)
     return [(rec_seed, results[i * k:(i + 1) * k]) for i, (rec_seed, _, _) in enumerate(records)]
@@ -81,32 +83,31 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     return agg
 
 
-def _two_cup_curves(f) -> list[tuple[str, float]]:
-    h = f.cheeger
-    return [(f"{did}:upper", abs(h * f.inradius - diagrams._upper_y(did, x / f.inradius)) / h)
-            for did, x in (("D1_PHR", f.perimeter), ("D2_RHR", f.circumradius),
-                           ("D3_DHR", f.diameter))]
+_CURVE_Y = {"lower": diagrams._lower_y, "upper": diagrams._upper_y}
 
 
-def _slice_curve(f) -> list[tuple[str, float]]:
-    y = diagrams._lower_y("D2_RHR", f.circumradius / f.inradius)
-    return [("D2_RHR:lower", abs(f.cheeger * f.inradius - y) / f.cheeger)]
+def _curve_residual(f, did: str, side: str) -> float:
+    """How far the body's h at the unit of diagram ``did`` is from the
+    diagram's ``side`` curve at the body's x, relative to the body's own h."""
+    x_key, _, unit, _ = diagrams.DIAGRAM_IDS[did]
+    g = f.normalized(unit)
+    return abs(g.cheeger - _CURVE_Y[side](did, g.value(x_key))) / f.cheeger
 
 
-def _sharpness_bodies() -> list[tuple[str, object, tuple[str, ...], object]]:
-    """The extremal bodies of the sharpness suite:
-    (label, shape spec, saturated bound ids, diagram-curve residuals or None)."""
-    specs = [(f"stadium(r=1,l={gap:g})", Stadium(1.0, gap), STADIUM_BOUNDS, None)
+def _sharpness_bodies() -> list[tuple[str, object, tuple[str, ...], tuple]]:
+    """The extremal bodies of the sharpness suite: (label, shape spec,
+    saturated bound ids, traced diagram curves as (diagram id, side))."""
+    specs = [(f"stadium(r=1,l={gap:g})", Stadium(1.0, gap), STADIUM_BOUNDS, ())
              for gap in STADIUM_GAPS]
-    specs += [(f"two_cup(r=1,k={tip:g})", TwoCup(1.0, tip), TWOCUP_BOUNDS, _two_cup_curves)
+    specs += [(f"two_cup(r=1,k={tip:g})", TwoCup(1.0, tip), TWOCUP_BOUNDS, TWOCUP_CURVES)
               for tip in TWOCUP_TIPS]
-    specs += [(f"slice(r=1,d={dia:g})", Slice(1.0, dia), SLICE_BOUNDS, _slice_curve)
+    specs += [(f"slice(r=1,d={dia:g})", Slice(1.0, dia), SLICE_BOUNDS, SLICE_CURVES)
               for dia in SLICE_DIAMETERS]
     specs += [(f"subeq_triangle(w=1,d={dia:g})",
-               solve_param("subequilateral_triangle", ("w", 1.0), ("d", dia)), SUBEQ_BOUNDS, None)
+               solve_param("subequilateral_triangle", ("w", 1.0), ("d", dia)), SUBEQ_BOUNDS, ())
               for dia in SUBEQ_DIAMETERS]
     specs.append(("equilateral_triangle(side=1)", SubequilateralTriangle(1.0, math.sqrt(3) / 2),
-                  EQUILATERAL_BOUNDS, None))
+                  EQUILATERAL_BOUNDS, ()))
     return specs
 
 
@@ -130,8 +131,9 @@ def sharpness(res: int = 8192) -> list[dict]:
             slack = by_id[bid].slack
             rows.append({"shape": label, "bound": bid,
                          "residual": math.inf if slack is None else abs(slack) / f.cheeger})
-        for bid, residual in curves(f) if curves else ():
-            rows.append({"shape": label, "bound": bid, "residual": residual})
+        for did, side in curves:
+            rows.append({"shape": label, "bound": f"{did}:{side}",
+                         "residual": _curve_residual(f, did, side)})
     return rows
 
 

@@ -214,11 +214,11 @@ class TestClosedFormOracles:
         den = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
             + r * r * (PI - 2 * np.arccos(np.minimum(1.0, 2 * r / d)))
         assert _same(two_cup_area(r, d / 2), den)
-        assert _same(bounds.bound_value("HDR_UP", inradius=r, diameter=d), 1 / r + np.sqrt(PI / den))
+        assert _same(bounds.bound_value("HDR_UP", r=r, d=d), 1 / r + np.sqrt(PI / den))
         R = big
         den = 2 * r * (np.sqrt(np.maximum(R * R - r * r, 0.0)) + r * np.arcsin(np.minimum(1.0, r / R)))
         assert np.allclose(two_cup_area(r, R), den, rtol=1e-15, atol=0.0)
-        got = bounds.bound_value("HRR_UP", inradius=r, circumradius=R)
+        got = bounds.bound_value("HRR_UP", r=r, R=R)
         assert np.allclose(got, 1 / r + np.sqrt(PI / den), rtol=1e-15, atol=0.0)
 
     def test_closed_forms_of_slice_and_two_cup(self):

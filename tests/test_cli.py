@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from cheeger_atlas.cli import run
+from cheeger_atlas.cli import TRIPLETS, run
+from cheeger_atlas.functionals import measure_with_cheeger
 from cheeger_atlas.geom import polygon_from_json
+from cheeger_atlas.sampler import seeded_polygon
 
 
 def _read(path):
@@ -89,6 +91,41 @@ class TestSampleDeterminism:
     def test_zero_samples_exit2(self, tmp_path):
         assert run(["sample", "--samples", "0", "--seed", "1",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def _sample_rows(tmp_path, *args):
+    out = tmp_path / "cloud.csv"
+    assert run(["sample", "--samples", "6", "--seed", "3", *args, "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+class TestSampleUnits:
+    @pytest.mark.parametrize("triplet", sorted(TRIPLETS))
+    def test_sample_is_the_diagram_cloud(self, tmp_path, triplet):
+        # sample writes the x, y that diagram plots: the record at the diagram's unit
+        rows = _sample_rows(tmp_path, "--triplet", triplet)
+        out = tmp_path / "d.csv"
+        assert run(["diagram", "--triplet", triplet, "--grid", "2", "--samples", "6",
+                    "--seed", "3", "--format", "csv", "--out", str(out)]) == 0
+        cloud = [ln for ln in out.read_text().splitlines() if ",seed:" in ln]
+        assert cloud == [f"{r['x']},{r['y']},seed:{r['seed']}" for r in rows]
+
+    def test_normalize_none_is_raw(self, tmp_path):
+        rows = _sample_rows(tmp_path, "--triplet", "hwa", "--normalize", "none")
+        g = lambda v: format(v, ".17g")
+        for i, row in enumerate(rows):
+            f = measure_with_cheeger(seeded_polygon(3, i, 3, 30)[2])
+            assert [row[k] for k in ("A", "P", "r", "R", "d", "w", "h", "x", "y")] == [
+                g(v) for v in (f.area, f.perimeter, f.inradius, f.circumradius, f.diameter,
+                               f.min_width, f.cheeger, f.min_width, f.cheeger)]
+
+    def test_named_unit_overrides_the_diagram(self, tmp_path):
+        rows = _sample_rows(tmp_path, "--triplet", "phr", "--normalize", "area")
+        assert len(rows) == 6
+        for row in rows:
+            assert float(row["A"]) == pytest.approx(1.0, rel=1e-14)
+            assert (row["x"], row["y"]) == (row["P"], row["h"])
 
 
 class TestDiagramCommand:

@@ -150,6 +150,6 @@ class TestRender:
 
     def test_cloud_between_curves(self):
         from cheeger_atlas.sampler import sample_cloud
-        recs = sample_cloud(25, 3, 20, "inradius", ("P", "h", "r"), seed=8, workers=2)
+        recs = sample_cloud(25, 3, 20, ("P", "h", "r"), seed=8, workers=2)
         for rec in recs:
             assert membership("D1_PHR", rec.x, rec.y) == "inside"

@@ -37,29 +37,29 @@ class TestValtr:
 
 class TestSampleCloud:
     def test_single_record_triplet(self):
-        rec, = sample_cloud(1, 5, 5, "inradius", ("P", "h", "r"), seed=3, workers=1)
+        rec, = sample_cloud(1, 5, 5, ("P", "h", "r"), seed=3, workers=1)
         assert rec.functionals.inradius == pytest.approx(1.0, abs=1e-12)
         assert rec.x == rec.functionals.perimeter
         assert rec.y == rec.functionals.cheeger
 
     def test_byte_identical_replay(self):
-        a = cloud_csv(sample_cloud(20, 3, 12, "area", ("P", "h", "A"), seed=11, workers=1))
-        b = cloud_csv(sample_cloud(20, 3, 12, "area", ("P", "h", "A"), seed=11, workers=2))
+        a = cloud_csv(sample_cloud(20, 3, 12, ("P", "h", "A"), seed=11, workers=1))
+        b = cloud_csv(sample_cloud(20, 3, 12, ("P", "h", "A"), seed=11, workers=2))
         assert a == b
         assert a.splitlines()[0] == "index,seed,n,A,P,r,R,d,w,h,x,y"
         assert "\r" not in a
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sample_cloud(0, 3, 30, "area", ("P", "h", "A"), seed=1)
+            sample_cloud(0, 3, 30, ("P", "h", "A"), seed=1)
         with pytest.raises(ValueError):
-            sample_cloud(1, 2, 30, "area", ("P", "h", "A"), seed=1)
+            sample_cloud(1, 2, 30, ("P", "h", "A"), seed=1)
         with pytest.raises(ValueError):
-            sample_cloud(1, 3, 30, "area", ("P", "h", "r"), seed=1)
+            sample_cloud(1, 3, 30, ("P", "h", "area"), seed=1)
 
     def test_one_machine_per_block(self, monkeypatch):
-        # the records of a block are measured once and scaled, so the
-        # inradius tag walks the skeletons no more often than the area tag
+        # the records of a block are measured once and scaled, so scaling to
+        # r walks the skeletons no more often than scaling to A
         built = []
         init = OffsetMachine.__init__
 
@@ -67,9 +67,9 @@ class TestSampleCloud:
             built.append(len(polys))
             init(self, polys)
         monkeypatch.setattr(OffsetMachine, "__init__", counted)
-        sample_cloud(40, 3, 30, "inradius", ("R", "h", "r"), seed=1, workers=1)
+        sample_cloud(40, 3, 30, ("R", "h", "r"), seed=1, workers=1)
         assert built == [40]
-        sample_cloud(40, 3, 30, "area", ("w", "h", "A"), seed=1, workers=1)
+        sample_cloud(40, 3, 30, ("w", "h", "A"), seed=1, workers=1)
         assert built == [40, 40]
         polys = [valtr(n, n) for n in range(3, 9)]
         walk_block(polys)
@@ -80,6 +80,6 @@ class TestSampleCloud:
 
     def test_d1_membership(self):
         from cheeger_atlas.diagrams import membership
-        recs = sample_cloud(60, 3, 30, "inradius", ("P", "h", "r"), seed=42, workers=2)
+        recs = sample_cloud(60, 3, 30, ("P", "h", "r"), seed=42, workers=2)
         for rec in recs:
             assert membership("D1_PHR", rec.x, rec.y) == "inside"
