@@ -446,9 +446,18 @@ def _fan_det(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
 def _bisector_velocity(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """The d with n . d = n2 . d = 1, at which lines with normals n and n2 moving
     in at unit speed meet, as a (2, N) array; (n + n2) / (|n + n2|^2 / 2)
-    keeps needle tips exact."""
+    keeps needle tips exact.  That form has n . d = 1 only for exactly unit
+    normals: at an acute corner, where n . n2 < 0, the rounding of |n|^2 is
+    divided by 1 + n . n2, so there d comes from Cramer's rule instead.  At
+    flat corners Cramer's determinant vanishes, so only acute ones use it."""
     s = (ns + n2).T
-    return s / (0.5 * (s[0] * s[0] + s[1] * s[1]))
+    d = s / (0.5 * (s[0] * s[0] + s[1] * s[1]))
+    acute = np.flatnonzero(np.einsum("ij,ij->i", ns, n2) < 0.0)
+    if acute.size:
+        n, m = ns[acute].T, n2[acute].T
+        det = n[0] * m[1] - n[1] * m[0]
+        d[:, acute] = (m[1] - n[1]) / det, (n[0] - m[0]) / det
+    return d
 
 
 def _flagged(flag: np.ndarray, start: np.ndarray, seg: np.ndarray, later: bool) -> np.ndarray:
