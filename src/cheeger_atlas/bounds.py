@@ -12,8 +12,9 @@ g(t) = pi t^2 of g1..g4, solved for a column in one ``smallest_crossing``
 call over the 4n elements stacked from the four families (g1 through psi,
 g2..g4 through one slice_area call per step), each bound reading its own
 quarter; a diagram curve (``bound_value``) solves only its own family.
-Triangle-valued bounds match the column's subequilateral triangles in one
-``shapes.solve_param`` call and use the triangle identity
+Triangle-valued bounds match the column's subequilateral triangles in
+closed form (``shapes.subeq_from``, through ``shapes.solve_param`` where a
+bound matches by w and A, R or P) and use the triangle identity
 h = 1/r + sqrt(pi/A).
 """
 
@@ -226,13 +227,6 @@ def _crossing_h(f, families) -> dict:
     return {fam: 1.0 / part.reshape(dim) for fam, part, dim in zip(families, np.split(t, cuts), dims)}
 
 
-def _triangle_h_from_wd(w, d):
-    """h of the subequilateral triangles with widths w and diameters d (w <= sqrt(3)d/2)."""
-    b2 = 2 * d * d - 2 * d * np.sqrt(np.maximum(d * d - w * w, 0.0))
-    height = np.sqrt(np.maximum(d * d - b2 / 4, 0.0))
-    return triangle_values(np.sqrt(b2), height)["h"]
-
-
 def _triangle_h_matched(fixed_id: str, fixed_val, target_id: str, target_val) -> np.ndarray:
     """h of the subequilateral triangles matching a column of (fixed, target)
     values, in one ``solve_param`` call; NaN where no triangle matches."""
@@ -343,7 +337,7 @@ def _build_registry():
     add("HDW_UP_TRI", "upper", "omega <= sqrt(3)/2 * d", "h-w-d-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= SQRT3 / 2 * f.diameter,
-        lambda f: _triangle_h_from_wd(f.min_width, f.diameter))
+        lambda f: triangle_values(*shapes.subeq_from(("d", "w"), f.diameter, f.min_width))["h"])
 
     def hdw_up_yam(f):
         w, d = f.min_width, f.diameter

@@ -5,7 +5,8 @@ lower/upper curves; the partially solved width diagrams expose only their
 proven pieces and answer "unknown" in between.  ``DIAGRAM_IDS`` holds each
 diagram's x, y and unit functionals.  All curves are drawn with the unit
 functional 1, on a whole grid of abscissae at once: an implicit lower curve
-is one column crossing, a triangle upper curve one column ``solve_param``.
+is one column crossing, a triangle upper curve the closed-form match of
+the grid's subequilateral triangles (``shapes.subeq_from``).
 """
 
 from __future__ import annotations
@@ -103,12 +104,11 @@ _UPPER = {
     "D1_PHR": _bound("D1_PHR", "HRP_UP"),
     "D2_RHR": _bound("D2_RHR", "HRR_UP"),
     "D3_DHR": _bound("D3_DHR", "HDR_UP"),
-    "HWD": lambda x: np.where(x <= SQRT3 / 2, bounds._triangle_h_from_wd(x, 1.0),
-                              bounds.bound_value("HDW_UP_YAM", w=x, d=1.0)),
-    "HWR_CIRC": lambda x: np.where(x <= 1.5, bounds._triangle_h_matched("R", 1.0, "w", x), np.nan),
-    "HWP": lambda x: np.where(x <= 1.0 / (2 * SQRT3),
-                              bounds._triangle_h_matched("P", 1.0, "w", x), np.nan),
-    "HWA": lambda x: np.where(SQRT3 >= x * x, bounds._triangle_h_matched("A", 1.0, "w", x), np.nan),
+    "HWD": lambda x: np.where(x <= SQRT3 / 2, _bound("HWD", "HDW_UP_TRI")(x),
+                              _bound("HWD", "HDW_UP_YAM")(x)),
+    "HWR_CIRC": _bound("HWR_CIRC", "HRW_UP_TRI"),
+    "HWP": _bound("HWP", "HWP_UP_TRI"),
+    "HWA": _bound("HWA", "HAW_UP_TRI"),
     "HRD": _bound("HRD", "HRD_UP"),
     "HWR_IN": _bound("HWR_IN", "HWR_UP"),
 }
@@ -138,8 +138,8 @@ def _lower_y(diagram_id: str, x):
 def _upper_y(diagram_id: str, x):
     """Proven upper boundary/bound value at abscissa x (None where none).
 
-    An array x gives an array, NaN where there is no value; the triangle
-    curves are then one column ``solve_param``.
+    An array x gives an array, NaN where there is no value, such as past
+    the equilateral end of a triangle curve.
     """
     return _curve_y(_UPPER, diagram_id, x)
 

@@ -425,6 +425,74 @@ def triangle_values(base, height) -> dict:
             "w": b * hh / s, "h": 1 / r + np.sqrt(math.pi / A)}
 
 
+def _u_from_sin(rho):
+    """u = sin(theta/2) where sin(theta) = rho, which is w / d and w^2 / (2A)."""
+    return np.sin(0.5 * np.arcsin(rho))
+
+
+def _u_from_wR(q):
+    """The root u in (0, 1/2] of u^3 - u + q = 0, where q = w / (4R).  It lies
+    between the outer roots t0 > 0 > t2, which the trigonometric formula
+    gives to full precision, and is -q / (t0 t2) by Vieta: the formula's own
+    middle root loses digits at a small q."""
+    phi = np.arccos(-1.5 * SQRT3 * q) / 3
+    return -q / ((2 / SQRT3) ** 2 * np.cos(phi) * np.cos(phi - 4 * math.pi / 3))
+
+
+def _u_from_wP(rho):
+    """u = x1 / k, where x1 is the positive middle root of
+    x^3 - k x^2 + x + k = 0 and k = P / w = 1 / rho.  The largest root
+    x0 = k y0 comes from the trigonometric formula; the other two have
+    x1 + x2 = (1 + k/x0) / x0 and x1 x2 = -k/x0, and x1 is the positive root
+    of that quadratic.  Written in rho, so that no power of k overflows."""
+    s = np.sqrt(1 - 3 * rho * rho)
+    y0 = (1 + 2 * s * np.cos(np.arccos(np.clip((1 - 18 * rho * rho) / s ** 3, -1.0, 1.0)) / 3)) / 3
+    x_sum = rho * (1 + 1 / y0) / y0
+    return 0.5 * rho * (x_sum + np.sqrt(x_sum * x_sum + 4 / y0))
+
+
+# X -> (the ratio rho of w and X that fixes a triangle's shape, rising to the
+# equilateral end, its value there, u from rho)
+_SUBEQ_BY = {
+    "d": (lambda w, d: w / d, SQRT3 / 2, _u_from_sin),
+    "A": (lambda w, A: w * w / (2 * A), SQRT3 / 2, _u_from_sin),
+    "R": (lambda w, R: w / (4 * R), 3 / 8, _u_from_wR),
+    "P": (lambda w, P: w / P, 1 / (2 * SQRT3), _u_from_wP),
+}
+
+
+def subeq_from(pair, fixed, target):
+    """Base and height of the subequilateral triangles matching values of a
+    pair of functional ids, ``pair = (fixed id, target id)``: the width w
+    and one of d, A, R, P, in either order.
+
+    The one inversion of the family, in closed form.  With u = sin(theta/2),
+    theta <= pi/3 the apex angle, the triangle of leg 1 has
+    w = 2u sqrt(1 - u^2), A = u sqrt(1 - u^2), P = 2 + 2u and
+    R = 1 / (2 sqrt(1 - u^2)), so a ratio of w and X gives u (``_SUBEQ_BY``)
+    and the fixed value the scale.  Values are arrays (broadcast together);
+    NaN marks an element with no match, or with a value that is not
+    positive.  A ratio within 1e-12 (relative) past the equilateral end is
+    taken at that end.
+    """
+    fid, tid = pair
+    key = tid if fid == "w" else fid
+    if "w" not in pair or key not in _SUBEQ_BY:
+        raise InvalidParam(f"subequilateral triangles are matched by w and one of "
+                           f"{', '.join(_SUBEQ_BY)}, not by {fid} and {tid}")
+    fval, tval = np.broadcast_arrays(np.asarray(fixed, dtype=float), np.asarray(target, dtype=float))
+    w, x = (fval, tval) if fid == "w" else (tval, fval)
+    ratio, end, to_u = _SUBEQ_BY[key]
+    with np.errstate(all="ignore"):
+        rho = ratio(w, x)
+        match = (w > 0) & (x > 0) & (rho <= end * (1 + 1e-12))
+        u = np.where(match, to_u(np.minimum(rho, end)), np.nan)
+        c = np.sqrt(1 - u * u)
+        unit = {"w": 2 * u * c, "d": 1.0, "A": u * c, "R": 0.5 / c, "P": 2 + 2 * u}[fid]
+        leg = (fval / unit) ** (1.0 / EXPONENT[fid])
+    return 2 * u * leg, c * leg
+
+
 def triangle_functionals(base: float, height: float) -> Functionals:
     """Exact functionals of the isosceles triangle, Cheeger constant included."""
     v = {k: float(x) for k, x in triangle_values(base, height).items()}
@@ -439,6 +507,10 @@ def triangle_functionals(base: float, height: float) -> Functionals:
 SCAN_POINTS = 65  # points of each family's one scan of its shape parameter
 SCAN_RES = 8192  # arc segments of the members measured off a built polygon
 _FAR_SIGMA = 64 * 4.0 ** 11  # far end of the scan of an unbounded shape parameter
+# relative spread below which a scanned ratio is one constant: the square of
+# the chord angle at SCAN_RES bounds how far an inscribed member's
+# functionals are from the body's
+_FLAT = (2 * math.pi / SCAN_RES) ** 2
 
 
 def _far_scan(lo):
@@ -446,12 +518,12 @@ def _far_scan(lo):
     return lo + (np.geomspace(1.0, _FAR_SIGMA - lo + 1.0, SCAN_POINTS) - 1.0)
 
 
-# family name -> (scan of the shape parameter sigma, unit spec builder)
+# family name -> (scan of the shape parameter sigma, unit spec builder); the
+# subequilateral triangles are matched in closed form (subeq_from) instead
 _SIGMA = {
     "stadium": (_far_scan(0.0), lambda s: Stadium(1.0, s)),
     "two_cup": (_far_scan(1.0), lambda s: TwoCup(1.0, s)),
     "slice": (_far_scan(1.0), lambda s: Slice(1.0, 2.0 * s)),
-    "subequilateral_triangle": (_far_scan(SQRT3 / 2), lambda s: SubequilateralTriangle(1.0, s)),
     "yamanouti": (np.linspace(1e-6, 1.0, SCAN_POINTS), lambda s: Yamanouti(1.0, s)),
     "smoothed_nonagon": (np.linspace(2.0 + 1e-9, 2 * SQRT3 - 1e-9, SCAN_POINTS),
                          lambda s: SmoothedNonagon(1.0, s)),
@@ -475,11 +547,8 @@ def _unit_functionals(family: str, sigma: float) -> Functionals:
 
 def _unit_values(family: str, sigmas) -> dict:
     """Functionals by id of the unit members at shape parameters ``sigmas``,
-    as arrays shaped like ``sigmas`` (the triangles in closed form; NaN at
-    a NaN shape parameter)."""
+    as arrays shaped like ``sigmas`` (NaN at a NaN shape parameter)."""
     sigmas = np.asarray(sigmas, dtype=float)
-    if family == "subequilateral_triangle":
-        return triangle_values(1.0, sigmas)
     out = {k: np.full(sigmas.shape, np.nan) for k in EXPONENT}
     for idx, s in np.ndenumerate(sigmas):
         if math.isfinite(s):
@@ -498,42 +567,49 @@ def _scaled(u, tid, fid, fv):
 @lru_cache(maxsize=None)
 def _scan(family: str, tid: str, fid: str):
     """The family's one scan for a (target, fixed) pair of ids: the unit
-    members' functionals on the scan grid (read-only) and whether the target
-    functional of the members scaled to a unit fixed one is monotone there."""
+    members' functionals on the scan grid (read-only) and the trend of the
+    target functional of the members scaled to a unit fixed one there:
+    "flat" when its spread is within _FLAT of its size (a fixed ratio, such
+    as P = pi d of constant width), else "monotone" or "non-monotone"."""
     u = _unit_values(family, _SIGMA[family][0])
     for col in u.values():
         col.setflags(write=False)
     unit = _scaled(u, tid, fid, 1.0)
-    tol = 1e-12 * float(np.max(np.abs(unit)))
-    return u, not (np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol))
+    top = float(np.max(np.abs(unit)))
+    if np.ptp(unit) <= _FLAT * top:
+        return u, "flat"
+    tol = 1e-12 * top
+    return u, "non-monotone" if np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol) else "monotone"
 
 
 def solve_param(family, target, fixed):
     """Find the family member matching ``target`` once ``fixed`` is imposed.
 
     ``target`` and ``fixed`` are (functional id, value) pairs with ids from
-    {A, P, r, R, d, w}.  The family is reduced to one dimensionless shape
-    parameter sigma; for each trial value the ``fixed`` functional pins the
-    scale and the target functional is driven to its value by the bracketed
-    root finder, to 1e-13 in the shape parameter.
-
-    Values may be arrays (broadcast together): a column of matches.  The
-    scale cancels in the target functional of the members scaled to a unit
-    fixed functional, which depends on sigma alone, so one fixed scan of
-    sigma (SCAN_POINTS points: linear over a bounded range, geometric up to
+    {A, P, r, R, d, w}.  Values may be arrays (broadcast together): a column
+    of matches.  The subequilateral triangles, matched by w and one of d,
+    A, R, P, come from their closed form (``subeq_from``).  Every other
+    family is reduced to one dimensionless shape parameter sigma; the scale
+    cancels in the target functional of the members scaled to a unit fixed
+    functional, which depends on sigma alone, so one fixed scan of sigma
+    (SCAN_POINTS points: linear over a bounded range, geometric up to
     sigma = 64 * 4**11 for an unbounded one) brackets every element, and
-    one vectorised root loop then solves all elements.  The scan and its
-    monotonicity test depend only on (family, target id, fixed id), so
-    each is computed once per triple and cached for the process
-    (``_scan``).  A float call returns the spec; it raises InvalidParam
-    for a value that is not positive, NonMonotone when the scan is not
-    monotone, and Unreachable when the target lies outside the scanned
-    range.  A column call returns a list of specs, with None for each
-    element that one of those would have failed, or whose root solve did
-    not converge; the other elements are unaffected.
+    one vectorised root loop of the bracketed root finder then drives all
+    elements to their targets, to 1e-13 in the shape parameter.  The scan
+    and its trend depend only on (family, target id, fixed id), so each is
+    computed once per triple and cached for the process (``_scan``).
+
+    A float call returns the spec.  It raises InvalidParam for a value
+    that is not positive, or for a target on a ratio that every member
+    shares (every member matches); NonMonotone when the scan is not
+    monotone; and Unreachable when the target lies outside the family's
+    range (for a shared ratio: off it).  A column call returns a list of
+    specs, with None for each element that one of those would have failed,
+    or whose root solve did not converge; the other elements are
+    unaffected.
     """
     fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
-    if fam not in _SIGMA:
+    if fam not in _SIGMA and fam != "subequilateral_triangle":
         raise InvalidParam(f"family {fam!r} has no parameter solver")
     tid, tval = target
     fid, fval = fixed
@@ -543,11 +619,24 @@ def solve_param(family, target, fixed):
     bad = (fval <= 0) | (tval <= 0)
     if scalar and bad[0]:
         raise InvalidParam("target and fixed values must be positive")
+    if fam == "subequilateral_triangle":
+        base, height = subeq_from((fid, tid), fval, tval)
+        found = (base > 0) & np.isfinite(base) & np.isfinite(height)  # none under- or overflowed
+        if scalar and not found[0]:
+            raise Unreachable(f"no subequilateral triangle has {tid}={tval[0]} and {fid}={fval[0]}")
+        specs = [SubequilateralTriangle(float(b), float(h)) if ok else None
+                 for b, h, ok in zip(base, height, found)]
+        return specs[0] if scalar else specs
     grid, make = _SIGMA[fam]
-    u, monotone = _scan(fam, tid, fid)
-    if scalar and not monotone:
+    u, trend = _scan(fam, tid, fid)
+    if scalar and trend == "non-monotone":
         raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
-    k = np.flatnonzero(~bad & monotone)  # the elements the scan can bracket
+    if scalar and trend == "flat":
+        shared = float(np.median(_scaled(u, tid, fid, fval[0])))
+        if abs(tval[0] - shared) <= _FLAT * shared:
+            raise InvalidParam(f"every member matches: each {fam} with {fid}={fval[0]} has {tid}={shared}")
+        raise Unreachable(f"every {fam} with {fid}={fval[0]} has {tid}={shared}, not {tval[0]}")
+    k = np.flatnonzero(~bad & (trend == "monotone"))  # the elements the scan can bracket
     t = tval[k]
     row = _scaled(u, tid, fid, fval[k, None])  # one row per element
     vmin, vmax = row.min(axis=1), row.max(axis=1)

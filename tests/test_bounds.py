@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas import bounds, cheeger, verify
+from cheeger_atlas import bounds, cheeger, shapes, verify
 from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_all,
                                   implicit_g, phi, psi, registry_csv)
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
@@ -526,19 +526,50 @@ class TestSubeqInverse:
         assert got[-1] is None and sum(s is None for s in got) < len(got) // 2
 
     def test_column_reaches_the_far_end(self):
-        # areas at unit width of triangles with height / base up to 2e8 are
-        # matched in one column; the last one, past the scan's far end
-        # sigma = 64 * 4**11, is unreachable
+        # areas at unit width of triangles with height / base up to 1e9 are
+        # matched in one column, element by element as a float call matches
+        # them: the closed form has no far end
         sigma = np.array([3.0, 1e4, 1e7, 1e8, 2e8, 1e9])
         f = triangle_values(1.0, sigma)
         area = f["A"] / f["w"] ** 2
         got = solve_param("subequilateral_triangle", ("A", area), ("w", 1.0))
-        for spec, a in zip(got[:-1], area[:-1]):
+        for spec, a in zip(got, area):
             assert spec == solve_param("subequilateral_triangle", ("A", float(a)), ("w", 1.0))
-        assert [s.height / s.base for s in got[:-1]] == pytest.approx(sigma[:-1], rel=1e-12)
-        assert got[-1] is None
-        with pytest.raises(Unreachable):
-            solve_param("subequilateral_triangle", ("A", float(area[-1])), ("w", 1.0))
+        assert [s.height / s.base for s in got] == pytest.approx(sigma, rel=1e-12)
+
+    # h of the triangle each bound matches, from a 60-digit evaluation: the
+    # ratio of the inputs, u = sin(theta/2) from it (by 250 bisection steps
+    # on the cubic for R and P), the leg from w, then 1/r + sqrt(pi/A).  Per
+    # bound: the equilateral end, the middle of the range, and a thin body
+    # (w/d = 1e-9 and w^2/(2A) = 1e-9 are height/base of about 1e9)
+    @pytest.mark.parametrize("bid, key, w, x, h", [
+        ("HDW_UP_TRI", "d", SQRT3 / 2, 1.0, 6.1576489893149514866727113819649022),
+        ("HDW_UP_TRI", "d", 0.5, 1.0, 8.5801838822211151039919303171784837),
+        ("HDW_UP_TRI", "d", 1e-9, 1.0, 2000079267.5459519956546155618249677),
+        ("HAW_UP_TRI", "A", 1.0, 1 / SQRT3, 5.3326804523343208828681358136371000),
+        ("HAW_UP_TRI", "A", 1.0, 1.0, 4.2900919411105575519959651585892418),
+        ("HAW_UP_TRI", "A", 1.0, 5e8, 2.0000792675459521202202669007003024),
+        ("HRW_UP_TRI", "R", 1.5, 1.0, 3.5551203015562141607427311237893744),
+        ("HRW_UP_TRI", "R", 1.0, 1.0, 4.3453964736981340900969107430557031),
+        ("HRW_UP_TRI", "R", 1e-7, 1.0, 20005605.491216398834739985360141578),
+        ("HWP_UP_TRI", "P", 1.0, 2 * SQRT3, 5.3326804523343212411140966856840615),
+        ("HWP_UP_TRI", "P", 1.0, 5.0, 4.3031960637695427204145481071992213),
+        ("HWP_UP_TRI", "P", 1.0, 1e7, 2.0011211982993495021105855869399738),
+    ])
+    def test_high_precision_oracle(self, bid, key, w, x, h):
+        assert bounds.bound_value(bid, w=w, **{key: x}) == pytest.approx(h, rel=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(aspect=st.floats(math.log10(SQRT3 / 2), 9.0), base=st.floats(1e-3, 1e3),
+           key=st.sampled_from("dARP"), by_width=st.booleans())
+    def test_round_trip(self, aspect, base, key, by_width):
+        # 20,000 random such round trips kept base and height within 1.2e-15
+        height = base * 10.0 ** aspect
+        v = triangle_values(base, height)
+        w, x = ("w", float(v["w"])), (key, float(v[key]))
+        spec = solve_param("subequilateral_triangle", *((x, w) if by_width else (w, x)))
+        assert spec.base == pytest.approx(base, rel=1e-12)
+        assert spec.height == pytest.approx(height, rel=1e-12)
 
     def test_column_marks_invalid_values(self):
         # a value that is not positive raises for a float call and leaves
@@ -626,15 +657,23 @@ class TestEvaluateAll:
                 assert a.value == pytest.approx(b.value, rel=1e-12), a.id
 
     def test_failing_record_leaves_others_alone(self, column_records):
-        # width 1e-9 at circumradius 1 needs a triangle taller than the
-        # scan ever reaches, so its HRW_UP_TRI match is unreachable
-        thin = Functionals(area=1e-9, perimeter=4.0, inradius=4e-10, circumradius=1.0,
-                           diameter=2.0, min_width=1e-9)
+        # width 1e-320 at circumradius 1 matches a triangle whose h
+        # overflows, so its HRW_UP_TRI result (and most others) is no-root
+        thin = Functionals(area=1e-320, perimeter=4.0, inradius=4e-321, circumradius=1.0,
+                           diameter=2.0, min_width=1e-320)
         a, b = column_records[:2]
         k = len(BOUND_IDS)
         got = evaluate_all(a, thin, b)
         assert {r.id: r.status for r in got[k:2 * k]}["HRW_UP_TRI"] == "no-root"
         assert got[:k] + got[2 * k:] == evaluate_all(a, b)
+
+    def test_no_root_loop_over_shapes(self, monkeypatch, column_records):
+        # the triangle matches are closed forms: a census column never runs
+        # a root loop over a family's shape parameter
+        def loop(*args):
+            raise AssertionError("evaluate_all ran a root loop in shapes")
+        monkeypatch.setattr(shapes, "_bracketed_root", loop)
+        assert len(evaluate_all(*column_records[:10])) == 10 * len(BOUND_IDS)
 
     def test_csv_export(self):
         f = ball_functionals()
@@ -643,6 +682,13 @@ class TestEvaluateAll:
         assert lines[0] == "id,direction,condition,formula-id,value,slack"
         assert len(lines) == 1 + len(BOUND_IDS)
         assert text.endswith("\n") and "\r" not in text
+
+
+def test_curve_residual_is_scale_free():
+    # two-cups with k = 2r trace the upper curve of (P, h, r) at any r
+    got = [verify._curve_residual(measure_with_cheeger(build(TwoCup(r, 2 * r), 2048)), "D1_PHR", "upper")
+           for r in (1.0, 2.0)]
+    assert got[1] == pytest.approx(got[0], rel=1e-12)
 
 
 class TestBoundaryColumns:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cheeger_atlas.cheeger import cheeger_constant
-from cheeger_atlas.errors import InvalidParam, NonMonotone, Unreachable, Unsupported
+from cheeger_atlas.errors import InvalidParam, Unreachable, Unsupported
 from cheeger_atlas.functionals import measure
 from cheeger_atlas import shapes
 from cheeger_atlas.geom import support
@@ -224,31 +224,41 @@ class TestSolveParam:
             solve_param("subequilateral_triangle", ("A", 0.5 / SQRT3), ("w", 1.0))
 
     def test_scan_cache(self):
-        # the family's scan and its monotonicity test are computed once per
-        # (family, target id, fixed id); that changes no spec, and a float
-        # call still raises once the scan is warm
-        tri = "subequilateral_triangle"
-        tval, fval = np.array([1.2, 3.0, 1.0, 7.0]), np.array([1.0, 1.0, 1.0, 2.0])
+        # the family's scan and its trend are computed once per (family,
+        # target id, fixed id); that changes no spec, and a float call still
+        # raises once the scan is warm
+        fam = "two_cup"
+        tval, fval = np.array([4.0, 3.0, 1.0, 7.0]), np.array([1.0, 1.0, 1.0, 2.0])
         shapes._scan.cache_clear()
-        first = solve_param(tri, ("d", tval), ("w", fval))
+        first = solve_param(fam, ("d", tval), ("r", fval))
         assert shapes._scan.cache_info().misses == 1
-        assert solve_param(tri, ("d", tval), ("w", fval)) == first
+        assert solve_param(fam, ("d", tval), ("r", fval)) == first
         assert shapes._scan.cache_info().misses == 1
-        assert first[2] is None  # d < w: no triangle
+        assert first[2] is None  # d < 2r: no two-cup
         for spec, t, f in zip(first, tval, fval):
             if spec is None:
                 with pytest.raises(Unreachable):
-                    solve_param(tri, ("d", float(t)), ("w", float(f)))
+                    solve_param(fam, ("d", float(t)), ("r", float(f)))
             else:
-                assert solve_param(tri, ("d", float(t)), ("w", float(f))) == spec
-        solve_param(tri, ("A", np.array([1.0])), ("w", 1.0))
+                assert solve_param(fam, ("d", float(t)), ("r", float(f))) == spec
+        solve_param(fam, ("A", np.array([5.0])), ("r", 1.0))
         with pytest.raises(Unreachable):
-            solve_param(tri, ("A", 0.5 / SQRT3), ("w", 1.0))
+            solve_param(fam, ("A", 1.0), ("r", 1.0))  # below the ball's pi
+
+    def test_fixed_ratio(self):
         # perimeter and diameter of a constant-width body are pi apart
-        # whatever its shape, so the scan is flat up to rounding
+        # whatever its shape, so the scan is flat up to rounding: every
+        # member matches a target on that ratio, none one off it
+        fam = "constant_width_nonagon"
         for _ in range(2):
-            with pytest.raises(NonMonotone):
-                solve_param("constant_width_nonagon", ("P", 3.0), ("d", 1.0))
+            with pytest.raises(InvalidParam, match="every member matches"):
+                solve_param(fam, ("P", math.pi), ("d", 1.0))
+            with pytest.raises(Unreachable):
+                solve_param(fam, ("P", 3.0), ("d", 1.0))
+        assert solve_param(fam, ("P", np.array([3.0, math.pi])), ("d", 1.0)) == [None, None]
+        # and so is the width of a stadium, twice its inradius
+        with pytest.raises(InvalidParam, match="every member matches"):
+            solve_param("stadium", ("w", 2.0), ("r", 1.0))
 
     def test_stadium_area_perimeter(self):
         spec = solve_param("stadium", ("A", 10.0), ("P", 12.0))
