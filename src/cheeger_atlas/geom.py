@@ -454,9 +454,9 @@ def _bisector_velocity(ns: np.ndarray, n2: np.ndarray) -> np.ndarray:
     d = s / (0.5 * (s[0] * s[0] + s[1] * s[1]))
     acute = np.flatnonzero(np.einsum("ij,ij->i", ns, n2) < 0.0)
     if acute.size:
-        n, m = ns[acute].T, n2[acute].T
-        det = n[0] * m[1] - n[1] * m[0]
-        d[:, acute] = (m[1] - n[1]) / det, (n[0] - m[0]) / det
+        n, m = ns[acute], n2[acute]
+        det = _fan_det(n, m)
+        d[:, acute] = (m[:, 1] - n[:, 1]) / det, (n[:, 0] - m[:, 0]) / det
     return d
 
 

@@ -214,6 +214,9 @@ class TestSolveParam:
                                    ("w", want.min_width))
                 assert spec.base == pytest.approx(1.0, rel=1e-10)
                 assert spec.height == pytest.approx(height, rel=1e-10)
+        # the closed form takes the width and one of d, A, R, P
+        with pytest.raises(InvalidParam, match="matched by w"):
+            solve_param("subequilateral_triangle", ("r", 0.2), ("d", 3.0))
 
     def test_unreachable(self):
         with pytest.raises(Unreachable):
