@@ -519,7 +519,7 @@ def _far_scan(lo):
 
 
 # family name -> (scan of the shape parameter sigma, unit spec builder); the
-# subequilateral triangles are matched in closed form (subeq_from) instead
+# subequilateral triangles have a closed form (subeq_from) and no scan
 _SIGMA = {
     "stadium": (_far_scan(0.0), lambda s: Stadium(1.0, s)),
     "two_cup": (_far_scan(1.0), lambda s: TwoCup(1.0, s)),
