@@ -5,8 +5,8 @@ from .bounds import (BoundResult, arcsinc, chi, d0, dstar, evaluate_all, implici
 from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, smallest_crossing
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,
-                     NoConvergence, NoRoot, NonMonotone, PolygonJsonError, UnboundedRegion,
-                     Unreachable, Unsupported)
+                     NoConvergence, NoRoot, PolygonJsonError, UnboundedRegion, Unreachable,
+                     Unsupported)
 from .functionals import (Functionals, area, circumradius, diameter, inradius,
                           measure, measure_with_cheeger, min_width, perimeter)
 from .geom import (ConvexPolygon, HalfPlane, convex_hull, dilate, form_body,

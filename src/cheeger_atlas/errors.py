@@ -25,10 +25,6 @@ class Unreachable(CheegerAtlasError):
     """A parameter solve cannot reach the requested target value."""
 
 
-class NonMonotone(CheegerAtlasError):
-    """A sampled scan detected non-monotone behaviour where monotone was required."""
-
-
 class DomainError(CheegerAtlasError):
     """Arguments violate a formula's domain."""
 

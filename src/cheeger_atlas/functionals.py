@@ -7,11 +7,11 @@ the vertex farthest from each edge is found at once for all edges by
 ``searchsorted`` of the opposite normal angle among the increasing
 edge-normal angles, in one pass per polygon (``ConvexPolygon.antipodes``,
 cached on the polygon, which both functionals read). The inradius is the
-offset at which the inner parallel set vanishes, found by walking its
-straight-skeleton events (Aichholzer et al. 1995) on the offset chain the
-Cheeger solve uses. The circumradius is the minimal enclosing circle of the
-vertices, found by farthest-violator iteration over a support set of at
-most three points (Elzinga & Hearn 1972).
+depth of the point at which the inner parallel set vanishes, found by
+walking its straight-skeleton events (Aichholzer et al. 1995) on the offset
+chain the Cheeger solve uses; no second solve refines it. The circumradius
+is the minimal enclosing circle of the vertices, found by farthest-violator
+iteration over a support set of at most three points (Elzinga & Hearn 1972).
 
 A record scales with its body: ``Functionals.normalized`` gives the record
 of the body scaled so that one functional is 1, by the powers in
@@ -151,44 +151,15 @@ def min_width(poly: ConvexPolygon):
 def inradius(poly: ConvexPolygon):
     """Largest inscribed disc; returns (r, center).
 
-    The centre comes from the polygon's one straight-skeleton walk
-    (``ConvexPolygon.walk``, which also gives the Cheeger solve its t*) to
-    the offset at which the inner parallel set vanishes.  It is then
-    polished: the points equidistant from three (or two antiparallel) of
-    the edges nearest to it are candidates too, the deepest candidate is
-    returned, and r is its depth min(c_i - n_i . x).
-    So the disc returned always lies in the polygon, and it is accurate to
-    machine precision in regular cases.  Which edges count as nearest
-    follows the polygon's extent about its vertex mean, not its distance
-    from the origin.
+    The centre x is where the polygon's one straight-skeleton walk
+    (``ConvexPolygon.walk``, which also gives the Cheeger solve its t*)
+    ends, at the offset where the inner parallel set vanishes, and r is the
+    depth min(c_i - n_i . x) of that centre.  So the disc returned always
+    lies in the polygon.
     """
     walk = poly.walk
-    scale = max(1.0, float(np.max(np.abs(poly.vertices - walk.origin))))
-    return _polish_chebyshev(poly.edge_normals, poly.edge_offsets, walk.centre + walk.origin, walk.r, scale)
-
-
-def _polish_chebyshev(ns, cs, x, t, scale):
-    """The deepest of x and the points equidistant from three, or from two
-    antiparallel, of the (at most four) edges within 1e-6*scale of depth t
-    at x; returns (depth, point)."""
-    resid = cs - ns @ x - t
-    cand = [int(i) for i in np.argsort(resid)[:4] if resid[i] < 1e-6 * scale]
-    points = [x]
-    for combo in itertools.combinations(cand, 3):
-        M = np.column_stack((ns[list(combo)], np.ones(3)))
-        try:
-            points.append(np.linalg.solve(M, cs[list(combo)])[:2])
-        except np.linalg.LinAlgError:
-            continue
-    for i, j in itertools.combinations(cand, 2):
-        cross = ns[i, 0] * ns[j, 1] - ns[i, 1] * ns[j, 0]
-        if abs(cross) <= 1e-9 and float(ns[i] @ ns[j]) <= 0.0:
-            # an antiparallel pair pins the depth by itself
-            tt = (cs[i] + cs[j]) / 2.0
-            points.append(x + (cs[i] - tt - float(ns[i] @ x)) * ns[i])
-    depths = [float(np.min(cs - ns @ p)) for p in points]
-    k = int(np.argmax(depths))
-    return depths[k], np.asarray(points[k], dtype=float)
+    x = walk.centre + walk.origin
+    return float(np.min(poly.edge_offsets - poly.edge_normals @ x)), x
 
 
 def circumradius(poly: ConvexPolygon):

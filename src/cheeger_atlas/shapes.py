@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cheeger import _bracketed_root
-from .errors import InvalidParam, NonMonotone, Unreachable, Unsupported
+from .errors import InvalidParam, Unreachable, Unsupported
 from .functionals import EXPONENT, Functionals, measure
 from .geom import ConvexPolygon, convex_hull
 
@@ -567,19 +567,15 @@ def _scaled(u, tid, fid, fv):
 @lru_cache(maxsize=None)
 def _scan(family: str, tid: str, fid: str):
     """The family's one scan for a (target, fixed) pair of ids: the unit
-    members' functionals on the scan grid (read-only) and the trend of the
-    target functional of the members scaled to a unit fixed one there:
-    "flat" when its spread is within _FLAT of its size (a fixed ratio, such
-    as P = pi d of constant width), else "monotone" or "non-monotone"."""
+    members' functionals on the scan grid (read-only) and whether the target
+    functional of the members scaled to a unit fixed one is flat there: its
+    spread within _FLAT of its size (a fixed ratio, such as P = pi d of
+    constant width).  Every other such column is monotone on the grid."""
     u = _unit_values(family, _SIGMA[family][0])
     for col in u.values():
         col.setflags(write=False)
     unit = _scaled(u, tid, fid, 1.0)
-    top = float(np.max(np.abs(unit)))
-    if np.ptp(unit) <= _FLAT * top:
-        return u, "flat"
-    tol = 1e-12 * top
-    return u, "non-monotone" if np.any(np.diff(unit) > tol) and np.any(np.diff(unit) < -tol) else "monotone"
+    return u, bool(np.ptp(unit) <= _FLAT * np.max(np.abs(unit)))
 
 
 def solve_param(family, target, fixed):
@@ -596,17 +592,16 @@ def solve_param(family, target, fixed):
     sigma = 64 * 4**11 for an unbounded one) brackets every element, and
     one vectorised root loop of the bracketed root finder then drives all
     elements to their targets, to 1e-13 in the shape parameter.  The scan
-    and its trend depend only on (family, target id, fixed id), so each is
+    and its flatness depend only on (family, target id, fixed id), so each is
     computed once per triple and cached for the process (``_scan``).
 
     A float call returns the spec.  It raises InvalidParam for a value
     that is not positive, or for a target on a ratio that every member
-    shares (every member matches); NonMonotone when the scan is not
-    monotone; and Unreachable when the target lies outside the family's
-    range (for a shared ratio: off it).  A column call returns a list of
-    specs, with None for each element that one of those would have failed,
-    or whose root solve did not converge; the other elements are
-    unaffected.
+    shares (every member matches), and Unreachable when the target lies
+    outside the family's range (for a shared ratio: off it).  A column call
+    returns a list of specs, with None for each element that one of those
+    would have failed, or whose root solve did not converge; the other
+    elements are unaffected.
     """
     fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
     if fam not in _SIGMA and fam != "subequilateral_triangle":
@@ -628,15 +623,13 @@ def solve_param(family, target, fixed):
                  for b, h, ok in zip(base, height, found)]
         return specs[0] if scalar else specs
     grid, make = _SIGMA[fam]
-    u, trend = _scan(fam, tid, fid)
-    if scalar and trend == "non-monotone":
-        raise NonMonotone(f"{tid} is not monotone in the {fam} shape parameter")
-    if scalar and trend == "flat":
+    u, flat = _scan(fam, tid, fid)
+    if scalar and flat:
         shared = float(np.median(_scaled(u, tid, fid, fval[0])))
         if abs(tval[0] - shared) <= _FLAT * shared:
             raise InvalidParam(f"every member matches: each {fam} with {fid}={fval[0]} has {tid}={shared}")
         raise Unreachable(f"every {fam} with {fid}={fval[0]} has {tid}={shared}, not {tval[0]}")
-    k = np.flatnonzero(~bad & (trend == "monotone"))  # the elements the scan can bracket
+    k = np.flatnonzero(~bad & (not flat))  # the elements the scan can bracket
     t = tval[k]
     row = _scaled(u, tid, fid, fval[k, None])  # one row per element
     vmin, vmax = row.min(axis=1), row.max(axis=1)

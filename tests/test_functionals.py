@@ -232,8 +232,8 @@ class TestAgainstBruteForce:
            shift=SHIFTS, angle=st.floats(0.0, 2 * math.pi))
     # a 100-gon whose depth is flat to 1e-7 near its centre; a sharp triangle
     # (census seed 90210, record 1742) whose chain ends far from the frame
-    # origin; a heptagon moved by 5e5, where a polish tolerance taken from
-    # |v| accepted an infeasible triple 7e-7 too deep
+    # origin; a heptagon moved by 5e5, where a former polish's tolerance,
+    # taken from |v|, accepted an infeasible triple 7e-7 too deep
     @example(seed=1708, n=100, tag="none", shift=(0.0, 0.0), angle=0.0)
     @example(seed=mix(90210, 1742), n=3, tag="area", shift=(0.0, 0.0), angle=0.0)
     @example(seed=352998337988516388, n=7, tag="none",
@@ -260,15 +260,16 @@ class TestAgainstBruteForce:
             assert inradius(p)[0] == pytest.approx(inradius_brute(p)[0], abs=tol)
 
     def test_inradius_no_deeper_than_centre(self):
-        # the disc of the returned r about the returned centre lies in the
-        # polygon; the polish once reported the res-8192 two-cup (k = 1.2)
-        # 6.3e-13 deeper than its centre
+        # r is the depth of the walk's centre, so the disc of the returned r
+        # about the returned centre lies in the polygon, and r is the walk's
+        # own r up to the depth's rounding (worst measured 1.2e-11 relative,
+        # the res-8192 two-cup with k = 5)
         polys = [build(spec, 8192) for _, spec, _, _ in verify._sharpness_bodies()]
         polys += [area_normalized(seeded_polygon(1, i, 3, 30)[2]) for i in range(200)]
         for poly in polys:
             r, center = inradius(poly)
-            depth = float(np.min(poly.edge_offsets - poly.edge_normals @ center))
-            assert r <= depth + 1e-15 * r
+            assert r == float(np.min(poly.edge_offsets - poly.edge_normals @ center))
+            assert abs(r - poly.walk.r) <= 1e-10 * r
 
     def test_inradius_step_bound(self, monkeypatch):
         # the walk's first step reaches the piece that holds t*, its second
@@ -414,11 +415,28 @@ class TestEdgeData:
         assert calls == {"roll": 0, "unwrap": 1}
 
 
+_IMPORTS = """
+import sys
+before = set(sys.modules)
+import cheeger_atlas, cheeger_atlas.cli
+cheeger_atlas.evaluate_all(cheeger_atlas.measure_with_cheeger(cheeger_atlas.valtr(12, 3)))
+# modules the import system found; not the aliases and runtime objects that
+# multiprocessing and Cython extensions put in sys.modules
+new = {name.partition(".")[0] for name, module in list(sys.modules.items())
+       if name not in before and getattr(module, "__spec__", None) is not None}
+from importlib.metadata import packages_distributions
+dists = packages_distributions()
+dists.setdefault("cheeger_atlas", ["cheeger-atlas"])  # mapped only when installed
+print(" ".join(sorted({d for m in new - sys.stdlib_module_names for d in dists.get(m, [m])})))
+"""
+
+
 class TestImport:
-    def test_no_scipy(self):
-        # a fresh interpreter, importing the package under test
+    def test_numpy_is_the_one_runtime_dependency(self):
+        # a fresh interpreter imports the package and its CLI and measures
+        # one record; every module this brings in that is not in the
+        # standard library comes from numpy or the package itself
         src = os.path.dirname(os.path.dirname(cheeger_atlas.__file__))
-        code = "import sys, cheeger_atlas; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        out = subprocess.run([sys.executable, "-c", _IMPORTS], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert set(out.stdout.split()) <= {"numpy", "cheeger-atlas"}

@@ -774,27 +774,6 @@ class TestFormBody:
             assert np.allclose(a1, a2, atol=1e-9)
 
 
-class TestAgainstShapely:
-    """Optional oracle: GEOS negative buffering (skipped when unavailable).
-
-    GEOS collapses near-vanishing remnants, so only offsets with a solid
-    remaining area are compared.
-    """
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 30),
-           frac=st.sampled_from([0.15, 0.4, 0.7]))
-    def test_offset_area(self, seed, n, frac):
-        shapely = pytest.importorskip("shapely.geometry")
-        poly = valtr(n, seed)
-        r, _ = inradius(poly)
-        t = frac * r
-        mine = inner_parallel_area(poly, t)
-        buf = shapely.Polygon(poly.vertices.tolist()).buffer(
-            -t, join_style=2, mitre_limit=1e9)
-        assert mine == pytest.approx(buf.area, abs=1e-9)
-
-
 class TestPolygonJson:
     def test_round_trip(self, unit_square):
         text = polygon_to_json(unit_square)

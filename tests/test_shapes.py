@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import InvalidParam, Unreachable, Unsupported
-from cheeger_atlas.functionals import measure
+from cheeger_atlas.functionals import EXPONENT, measure
 from cheeger_atlas import shapes
 from cheeger_atlas.geom import support
 from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Polygon, Resolution,
@@ -227,7 +228,7 @@ class TestSolveParam:
             solve_param("subequilateral_triangle", ("A", 0.5 / SQRT3), ("w", 1.0))
 
     def test_scan_cache(self):
-        # the family's scan and its trend are computed once per (family,
+        # the family's scan and its flatness are computed once per (family,
         # target id, fixed id); that changes no spec, and a float call still
         # raises once the scan is warm
         fam = "two_cup"
@@ -262,6 +263,17 @@ class TestSolveParam:
         # and so is the width of a stadium, twice its inradius
         with pytest.raises(InvalidParam, match="every member matches"):
             solve_param("stadium", ("w", 2.0), ("r", 1.0))
+
+    @pytest.mark.parametrize("family", sorted(shapes._SIGMA))
+    def test_every_scan_is_monotone_or_flat(self, family):
+        # solve_param brackets a target by the first sign change on the
+        # scan, so the scaled target column must not turn: 160 id pairs are
+        # monotone, 20 flat (a fixed ratio, such as P = pi d of constant width)
+        for tid, fid in itertools.permutations(EXPONENT, 2):
+            u, flat = shapes._scan(family, tid, fid)
+            unit = shapes._scaled(u, tid, fid, 1.0)
+            step, tol = np.diff(unit), 1e-12 * float(np.max(np.abs(unit)))
+            assert flat or np.all(step >= -tol) or np.all(step <= tol), (tid, fid)
 
     def test_stadium_area_perimeter(self):
         spec = solve_param("stadium", ("A", 10.0), ("P", 12.0))
