@@ -23,7 +23,7 @@ from . import diagrams as diagrams_mod
 from . import shapes as shapes_mod
 from . import verify as verify_mod
 from .cheeger import cheeger_constant
-from .errors import CheegerAtlasError, InvalidParam, NoRoot, PolygonJsonError, Unreachable
+from .errors import CheegerAtlasError, DomainError, InvalidParam, NoRoot, PolygonJsonError, Unreachable
 from .functionals import EXPONENT, Functionals, measure, measure_with_cheeger
 from .geom import polygon_from_json, polygon_to_json
 from .sampler import cloud_csv, sample_cloud
@@ -236,7 +236,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (InvalidParam, PolygonJsonError, ValueError, OSError) as exc:
+    except (InvalidParam, DomainError, PolygonJsonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

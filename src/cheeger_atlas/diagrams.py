@@ -3,10 +3,11 @@
 The three solved diagrams (P, h, r), (R, h, r) and (d, h, r) have complete
 lower/upper curves; the partially solved width diagrams expose only their
 proven pieces and answer "unknown" in between.  ``DIAGRAM_IDS`` holds each
-diagram's x, y and unit functionals.  All curves are drawn with the unit
-functional 1, on a whole grid of abscissae at once: an implicit lower curve
-is one column crossing, a triangle upper curve the closed-form match of
-the grid's subequilateral triangles (``shapes.subeq_from``).
+diagram's x, y and unit functionals, ``CURVES`` the registry bound ids of
+its proven curves.  ``curve`` evaluates one with the unit functional 1, on
+a whole grid of abscissae at once: an implicit lower curve is one column
+crossing, a triangle upper curve the closed-form match of the grid's
+subequilateral triangles (``shapes.subeq_from``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .errors import CheegerAtlasError, DomainError
+from .errors import DomainError
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -38,6 +39,22 @@ DIAGRAM_IDS = {
 }
 
 SOLVED = ("D1_PHR", "D2_RHR", "D3_DHR")
+
+# diagram id -> (lower, upper) registry bound ids: every proven boundary piece
+# is one of the sharp inequalities at the diagram's unit.  None: no proven
+# lower curve.  HWD's upper curve is the triangle bound up to x = sqrt(3)/2
+# and the Yamanouti bound past it
+CURVES = {
+    "D1_PHR": ("HRP_LO", "HRP_UP"),
+    "D2_RHR": ("HRR_LO_IMPLICIT", "HRR_UP"),
+    "D3_DHR": ("HDR_LO_IMPLICIT", "HDR_UP"),
+    "HWD": ("HDW_LO_IMPLICIT", ("HDW_UP_TRI", "HDW_UP_YAM")),
+    "HWR_CIRC": ("HRW_LO_IMPLICIT", "HRW_UP_TRI"),
+    "HWP": ("HWP_LO", "HWP_UP_TRI"),
+    "HWA": ("HAW_LO", "HAW_UP_TRI"),
+    "HRD": (None, "HRD_UP"),
+    "HWR_IN": ("HWR_LO", "HWR_UP"),
+}
 
 # cap for log-spaced grids on unbounded ranges, relative to the left endpoint
 UNBOUNDED_SPAN = 100.0
@@ -82,66 +99,27 @@ class DiagramPoint:
     provenance: str = ""
 
 
-def _bound(did: str, bid: str):
-    """Registry bound ``bid`` as a curve of diagram ``did``: its value with
-    the diagram's x functional on the abscissae and its unit functional 1."""
-    x_key, _, unit, _ = DIAGRAM_IDS[did]
-    return lambda x: bounds.bound_value(bid, **{x_key: x, unit: 1.0})
+def curve(diagram_id: str, side: str, x):
+    """The proven ``side`` ("lower" or "upper") curve of a diagram at x: its
+    ``CURVES`` bound with the diagram's x functional at x and unit functional 1.
 
-
-# diagram id -> proven lower / upper boundary on an array of abscissae
-_LOWER = {
-    "D1_PHR": _bound("D1_PHR", "HRP_LO"),
-    "D2_RHR": _bound("D2_RHR", "HRR_LO_IMPLICIT"),
-    "D3_DHR": _bound("D3_DHR", "HDR_LO_IMPLICIT"),
-    "HWD": _bound("HWD", "HDW_LO_IMPLICIT"),
-    "HWR_CIRC": _bound("HWR_CIRC", "HRW_LO_IMPLICIT"),
-    "HWP": _bound("HWP", "HWP_LO"),
-    "HWA": _bound("HWA", "HAW_LO"),
-    "HWR_IN": _bound("HWR_IN", "HWR_LO"),
-}
-_UPPER = {
-    "D1_PHR": _bound("D1_PHR", "HRP_UP"),
-    "D2_RHR": _bound("D2_RHR", "HRR_UP"),
-    "D3_DHR": _bound("D3_DHR", "HDR_UP"),
-    "HWD": lambda x: np.where(x <= SQRT3 / 2, _bound("HWD", "HDW_UP_TRI")(x),
-                              _bound("HWD", "HDW_UP_YAM")(x)),
-    "HWR_CIRC": _bound("HWR_CIRC", "HRW_UP_TRI"),
-    "HWP": _bound("HWP", "HWP_UP_TRI"),
-    "HWA": _bound("HWA", "HAW_UP_TRI"),
-    "HRD": _bound("HRD", "HRD_UP"),
-    "HWR_IN": _bound("HWR_IN", "HWR_UP"),
-}
-
-
-def _curve_y(curves: dict, diagram_id: str, x):
-    """The curve at x, a float or an array; NaN (None for a float) where there is none."""
+    A float x gives a float, None where there is no value; an array x gives
+    an array, NaN where there is no value, such as past the equilateral end
+    of a triangle curve.
+    """
+    x_key, _, unit, _ = DIAGRAM_IDS[diagram_id]
+    bid = CURVES[diagram_id][("lower", "upper").index(side)]
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.full(xs.shape, np.nan)
-    if diagram_id in curves:
-        with np.errstate(all="ignore"):
-            ys = np.asarray(curves[diagram_id](xs), dtype=float)
+    value = lambda b: bounds.bound_value(b, **{x_key: xs, unit: 1.0})
+    with np.errstate(all="ignore"):
+        if isinstance(bid, tuple):
+            ys = np.where(xs <= SQRT3 / 2, value(bid[0]), value(bid[1]))
+        elif bid is not None:
+            ys = np.asarray(value(bid), dtype=float)
     if np.ndim(x):
         return ys
     return float(ys[0]) if math.isfinite(ys[0]) else None
-
-
-def _lower_y(diagram_id: str, x):
-    """Proven lower boundary/bound value at abscissa x (None where none).
-
-    An array x (a grid) gives an array, NaN where there is no value; the
-    implicit curves are then one column crossing.
-    """
-    return _curve_y(_LOWER, diagram_id, x)
-
-
-def _upper_y(diagram_id: str, x):
-    """Proven upper boundary/bound value at abscissa x (None where none).
-
-    An array x gives an array, NaN where there is no value, such as past
-    the equilateral end of a triangle curve.
-    """
-    return _curve_y(_UPPER, diagram_id, x)
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -158,39 +136,30 @@ def boundary(spec: DiagramSpec) -> tuple[np.ndarray, np.ndarray]:
     nonagon branch below d0() and the slice branch above it.
     """
     xs = spec.xs()
-    return _points(xs, _lower_y(spec.id, xs)), _points(xs, _upper_y(spec.id, xs))
+    return _points(xs, curve(spec.id, "lower", xs)), _points(xs, curve(spec.id, "upper", xs))
 
 
-def membership(spec: DiagramSpec | str, x: float, y: float,
-               tol: float = MEMBERSHIP_TOL) -> str:
+def membership(diagram_id: str, x: float, y: float) -> str:
     """'inside' / 'outside' for the solved diagrams, else possibly 'unknown'.
 
-    Points are compared against the proven curves with tolerance ``tol``;
-    for the partially solved diagrams the region between proven pieces is
-    unknown.
+    The point (x, y) is compared against the diagram's proven curves with
+    tolerance ``MEMBERSHIP_TOL``; for the partially solved diagrams the
+    region between proven pieces is unknown.  An unknown diagram id or a
+    non-finite x or y raises DomainError.
     """
-    diagram_id = spec.id if isinstance(spec, DiagramSpec) else spec
     if diagram_id not in DIAGRAM_IDS:
         raise DomainError(f"unknown diagram id {diagram_id!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"point ({x}, {y}) is not finite")
     lo_x, hi_x = DIAGRAM_IDS[diagram_id][3]
-    solved = diagram_id in SOLVED
+    tol = MEMBERSHIP_TOL
     if x < lo_x - tol or (hi_x is not None and x > hi_x + tol):
         return "outside"
-    try:
-        lo = _lower_y(diagram_id, max(x, lo_x))
-    except (CheegerAtlasError, ValueError):
-        lo = None
-    try:
-        up = _upper_y(diagram_id, max(x, lo_x))
-    except (CheegerAtlasError, ValueError):
-        up = None
-    if lo is not None and y < lo - tol:
+    lo = curve(diagram_id, "lower", max(x, lo_x))
+    up = curve(diagram_id, "upper", max(x, lo_x))
+    if (lo is not None and y < lo - tol) or (up is not None and y > up + tol):
         return "outside"
-    if up is not None and y > up + tol:
-        return "outside"
-    if solved:
-        return "inside"
-    return "unknown"
+    return "inside" if diagram_id in SOLVED else "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +170,11 @@ VIEW_W, VIEW_H = 1000, 700
 _MARGIN = 70.0
 
 
-def _ticks(lo: float, hi: float, want: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / max(1, want - 1)
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -222,17 +191,14 @@ def render_csv(cloud: list[DiagramPoint],
     lines = ["x,y,provenance"]
     for p in cloud:
         lines.append(f"{format(p.x, '.17g')},{format(p.y, '.17g')},{p.provenance}")
-    names = ("curve:lower", "curve:upper")
-    for i, c in enumerate(curves or []):
-        label = names[i] if i < len(names) else f"curve:{i}"
+    for label, c in zip(("curve:lower", "curve:upper"), curves or []):
         for x, y in c:
             lines.append(f"{format(float(x), '.17g')},{format(float(y), '.17g')},{label}")
     return "\n".join(lines) + "\n"
 
 
 def render_svg(cloud: list[DiagramPoint],
-               curves: list[np.ndarray] | None = None,
-               title: str = "") -> str:
+               curves: list[np.ndarray] | None = None) -> str:
     """Deterministic standalone SVG: 1px dots, polyline curves, labeled axes."""
     curves = [c for c in (curves or []) if len(c)]
     xs = [p.x for p in cloud] + [float(v) for c in curves for v in c[:, 0]]
@@ -257,9 +223,6 @@ def render_svg(cloud: list[DiagramPoint],
     fmt = lambda v: f"{v:.3f}"
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}">',
            f'<rect width="{VIEW_W}" height="{VIEW_H}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{VIEW_W / 2:.0f}" y="28" font-family="sans-serif" '
-                   f'font-size="16" text-anchor="middle">{title}</text>')
     ax = (f'M {fmt(_MARGIN)} {fmt(_MARGIN)} L {fmt(_MARGIN)} {fmt(VIEW_H - _MARGIN)} '
           f'L {fmt(VIEW_W - _MARGIN)} {fmt(VIEW_H - _MARGIN)}')
     out.append(f'<path d="{ax}" stroke="black" fill="none" stroke-width="1"/>')

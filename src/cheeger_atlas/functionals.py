@@ -188,9 +188,9 @@ def circumradius(poly: ConvexPolygon):
     raise NoConvergence(f"enclosing circle not found in {MAX_CIRCLE_STEPS} steps")
 
 
-def _in_circle(dist, radius, slack=1e-12):
-    """Whether a point at distance ``dist`` from a circle's center lies in it."""
-    return dist <= radius * (1 + slack) + 1e-300
+def _in_circle(dist, radius):
+    """Whether a point at distance ``dist`` from a circle's center lies in it (slack 1e-12)."""
+    return dist <= radius * (1 + 1e-12) + 1e-300
 
 
 def _smallest_circle(pts: np.ndarray):

@@ -83,16 +83,13 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     return agg
 
 
-_CURVE_Y = {"lower": diagrams._lower_y, "upper": diagrams._upper_y}
-
-
 def _curve_residual(f, did: str, side: str) -> float:
     """How far the body's h at the unit of diagram ``did`` is from the
     diagram's ``side`` curve at the body's x, relative to that h: like the
     curve, it does not depend on the body's scale."""
     x_key, _, unit, _ = diagrams.DIAGRAM_IDS[did]
     g = f.normalized(unit)
-    return abs(g.cheeger - _CURVE_Y[side](did, g.value(x_key))) / g.cheeger
+    return abs(g.cheeger - diagrams.curve(did, side, g.value(x_key))) / g.cheeger
 
 
 def _sharpness_bodies() -> list[tuple[str, object, tuple[str, ...], tuple]]:

@@ -9,7 +9,7 @@ from cheeger_atlas import bounds, cheeger, shapes, verify
 from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_all,
                                   implicit_g, phi, psi, registry_csv)
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
-from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, _lower_y, _upper_y, boundary
+from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, curve
 from cheeger_atlas.errors import DomainError, InvalidParam, Unreachable
 from cheeger_atlas.functionals import Functionals, measure, measure_with_cheeger
 from cheeger_atlas.sampler import seeded_polygon, valtr
@@ -700,8 +700,8 @@ class TestBoundaryColumns:
                              ids=lambda spec: f"{spec.id}{'' if spec.x_range is None else '-from-0'}")
     def test_grid_matches_pointwise(self, spec):
         did = spec.id
-        for got, curve_y in zip(boundary(spec), (_lower_y, _upper_y)):
-            want = [(x, y) for x in spec.xs() if (y := curve_y(did, float(x))) is not None]
+        for got, side in zip(boundary(spec), ("lower", "upper")):
+            want = [(x, y) for x in spec.xs() if (y := curve(did, side, float(x))) is not None]
             assert got.shape == (len(want), 2)
             if want:
                 assert np.array_equal(got[:, 0], [x for x, _ in want])

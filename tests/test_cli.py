@@ -146,6 +146,11 @@ class TestDiagramCommand:
         assert sum(1 for ln in lines if ln.endswith("curve:lower")) == 16
         assert sum(1 for ln in lines if ln.endswith("curve:upper")) == 16
 
+    @pytest.mark.parametrize("flags", [["--grid", "1"], ["--x-min", "1", "--x-max", "2"]])
+    def test_bad_grid_or_range_exit2(self, tmp_path, capsys, flags):
+        assert run(["diagram", "--triplet", "phr", *flags, "--out", str(tmp_path / "d.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_p_normalized_overlay(self, tmp_path):
         out = tmp_path / "hwp.svg"
         assert run(["diagram", "--triplet", "hwp", "--grid", "24", "--samples", "8",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cheeger_atlas.cheeger import cheeger_constant
-from cheeger_atlas.diagrams import (DiagramPoint, DiagramSpec, boundary, membership,
-                                    render_csv, render_svg)
+from cheeger_atlas.bounds import _REGISTRY, BOUND_IDS
+from cheeger_atlas.diagrams import (CURVES, DIAGRAM_IDS, SOLVED, DiagramPoint, DiagramSpec,
+                                    boundary, curve, membership, render_csv, render_svg)
 from cheeger_atlas.errors import DomainError
 from cheeger_atlas.functionals import measure
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
@@ -60,13 +61,28 @@ class TestMembership:
         assert membership("D1_PHR", 6.0, 2.0) == "outside"
 
     def test_unknown_band_is_between_curves(self):
-        import cheeger_atlas.diagrams as dg
         x = 0.5
-        lo = dg._lower_y("HWD", x)
-        up = dg._upper_y("HWD", x)
+        lo = curve("HWD", "lower", x)
+        up = curve("HWD", "upper", x)
         assert membership("HWD", x, lo - 1e-3) == "outside"
         assert membership("HWD", x, up + 1e-3) == "outside"
         assert membership("HWD", x, (lo + up) / 2) == "unknown"
+
+    @pytest.mark.parametrize("did, x, y", [("D1_PHR", math.nan, 2.0), ("D1_PHR", 7.0, math.nan),
+                                           ("HWD", 0.5, math.nan), ("D2_RHR", math.inf, 2.0)])
+    def test_non_finite_point_raises(self, did, x, y):
+        with pytest.raises(DomainError):
+            membership(did, x, y)
+
+
+@pytest.mark.parametrize("did", DIAGRAM_IDS)
+def test_curves_are_registry_bounds(did):
+    # each proven curve is a registry bound on its side; a solved diagram has both
+    direction = {d.id: d.direction for d, _, _ in _REGISTRY}
+    assert did not in SOLVED or None not in CURVES[did]
+    for side, bids in zip(("lower", "upper"), CURVES[did]):
+        for bid in bids if isinstance(bids, tuple) else (bids,):
+            assert bid is None or (bid in BOUND_IDS and direction[bid] == side), bid
 
 
 class TestExtremalSweeps:
@@ -77,7 +93,6 @@ class TestExtremalSweeps:
             assert f.cheeger == pytest.approx(lower_y, rel=1e-12)
 
     def test_two_cup_on_upper_curves(self):
-        import cheeger_atlas.diagrams as dg
         for k in (1.5, 3.0):
             poly = build(TwoCup(1.0, k), Resolution(4096))
             f = measure(poly)
@@ -85,36 +100,33 @@ class TestExtremalSweeps:
             r = f.inradius
             for did, x in (("D1_PHR", f.perimeter), ("D2_RHR", f.circumradius),
                            ("D3_DHR", f.diameter)):
-                y = dg._upper_y(did, x / r)
+                y = curve(did, "upper", x / r)
                 assert abs(h * r - y) / (h * r) < 1e-4, did
 
     def test_slice_on_d2_lower(self):
-        import cheeger_atlas.diagrams as dg
         for d in (2.4, 4.0):
             poly = build(Slice(1.0, d), Resolution(4096))
             f = measure(poly)
             h = cheeger_constant(poly).h
-            y = dg._lower_y("D2_RHR", f.circumradius / f.inradius)
+            y = curve("D2_RHR", "lower", f.circumradius / f.inradius)
             assert abs(h * f.inradius - y) / h < 1e-4
 
     def test_nonagon_on_d3_lower_below_d0(self):
-        import cheeger_atlas.diagrams as dg
         from cheeger_atlas.bounds import d0
         from cheeger_atlas.shapes import SmoothedNonagon
         cutoff = d0(1024)
         for x in (2.05, cutoff - 0.05):
             poly = build(SmoothedNonagon(1.0, x), Resolution(2048))
             h = cheeger_constant(poly).h
-            y = dg._lower_y("D3_DHR", x)
+            y = curve("D3_DHR", "lower", x)
             assert abs(h - y) / h < 1e-3
 
     def test_slice_on_d3_lower_above_d0(self):
-        import cheeger_atlas.diagrams as dg
         from cheeger_atlas.bounds import d0
         for x in (d0(1024) + 0.1, 3.5):
             poly = build(Slice(1.0, x), Resolution(4096))
             h = cheeger_constant(poly).h
-            y = dg._lower_y("D3_DHR", x)
+            y = curve("D3_DHR", "lower", x)
             assert abs(h - y) / h < 1e-4
 
     def test_interpolation_stays_inside_d1(self):
