@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, NoRoot
+from .errors import InvalidParam, NoConvergence, NoRoot
 from .geom import ConvexPolygon, dilate, shoelace
 
 # A crossing is solved until its bracket is below this fraction of the domain.
@@ -81,8 +81,8 @@ class CheegerResult:
 
     @cached_property
     def inner_core(self) -> ConvexPolygon:
-        # the polygon's own machine has the frame and size its walk had in any block
-        core = self._poly.offset_machine.as_polygon(self._poly.walk.core)
+        # the polygon's own origin, area and perimeter: its walk's frame and size in any block
+        core = self._poly.placed(self._poly.walk.core)
         if core is None:
             raise NoConvergence(f"the inner core at t* = {self.t_star!r} is not a strictly convex polygon")
         return core
@@ -117,6 +117,8 @@ def cheeger_constant(poly: ConvexPolygon,
     """Cheeger constant read off the polygon's one straight-skeleton walk
     (``ConvexPolygon.walk``), which also gives the inradius; the inner core
     and the Cheeger set are built only when read."""
+    if arc_segments < 8:
+        raise InvalidParam("arc_segments must be at least 8")
     walk = poly.walk
     residual = abs(shoelace(walk.core) - math.pi * walk.t_star * walk.t_star)
     diagnostics = SolveDiagnostics(walk.evaluations, residual, walk.steps_after, walk.cascade_passes,

@@ -1,17 +1,17 @@
 """The six geometric functionals of a convex polygon.
 
-Area comes straight from the vertex chain, and the perimeter sums the edge
-lengths that ``ConvexPolygon`` keeps from its construction. Diameter and
-minimal width read the antipodal pairs (rotating calipers, Toussaint 1983):
-the vertex farthest from each edge is found at once for all edges by
-``searchsorted`` of the opposite normal angle among the increasing
-edge-normal angles, in one pass per polygon (``ConvexPolygon.antipodes``,
-cached on the polygon, which both functionals read). The inradius is the
-depth of the point at which the inner parallel set vanishes, found by
-walking its straight-skeleton events (Aichholzer et al. 1995) on the offset
-chain the Cheeger solve uses; no second solve refines it. The circumradius
-is the minimal enclosing circle of the vertices, found by farthest-violator
-iteration over a support set of at most three points (Elzinga & Hearn 1972).
+Area and perimeter are the polygon's own, derived at construction and read
+by its skeleton walk too. Diameter and minimal width read the antipodal
+pairs (rotating calipers, Toussaint 1983): the vertex farthest from each
+edge is found at once for all edges by ``searchsorted`` of the opposite
+normal angle among the increasing edge-normal angles, in one pass per
+polygon (``ConvexPolygon.antipodes``, cached on the polygon, which both
+functionals read). The inradius is the depth of the point at which the
+inner parallel set vanishes, found by walking its straight-skeleton events
+(Aichholzer et al. 1995) on the offset chain the Cheeger solve uses; no
+second solve refines it. The circumradius is the minimal enclosing circle
+of the vertices, found by farthest-violator iteration over a support set of
+at most three points (Elzinga & Hearn 1972).
 
 A record scales with its body: ``Functionals.normalized`` gives the record
 of the body scaled so that one functional is 1, by the powers in
@@ -28,7 +28,7 @@ import numpy as np
 
 from .cheeger import cheeger_constant
 from .errors import NoConvergence
-from .geom import ConvexPolygon, shoelace
+from .geom import ConvexPolygon
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
@@ -109,13 +109,14 @@ class Functionals:
 
 
 def area(poly: ConvexPolygon) -> float:
-    """Shoelace area."""
-    return shoelace(poly.vertices)
+    """The polygon's ``area``: a shoelace about its vertex mean, so its rounding
+    is of the polygon's size wherever it sits; its walk reads the same number."""
+    return poly.area
 
 
 def perimeter(poly: ConvexPolygon) -> float:
-    """Sum of the edge lengths the polygon kept from its construction."""
-    return float(np.sum(poly.edge_lengths))
+    """The polygon's ``perimeter``, the sum of its edge lengths, as its walk reads it."""
+    return poly.perimeter
 
 
 def diameter(poly: ConvexPolygon):
@@ -157,8 +158,7 @@ def inradius(poly: ConvexPolygon):
     depth min(c_i - n_i . x) of that centre.  So the disc returned always
     lies in the polygon.
     """
-    walk = poly.walk
-    x = walk.centre + walk.origin
+    x = poly.walk.centre + poly.origin
     return float(np.min(poly.edge_offsets - poly.edge_normals @ x)), x
 
 

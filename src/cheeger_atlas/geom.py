@@ -18,9 +18,10 @@ straight skeletons together, and each polygon keeps its own walk
 (``ConvexPolygon.walk``).
 
 A polygon derives its edge data once: construction keeps each edge's
-length, outward normal and offset, and the edges' antipodes are found on
-first use and cached (``ConvexPolygon.antipodes``).  Cyclic shifts of
-these small arrays slice (``shifted``) rather than call ``np.roll``.
+length, outward normal and offset, and the polygon's ``origin``, ``area``
+and ``perimeter``, which the offset machine and the walk read; the edges'
+antipodes are found on first use and cached (``ConvexPolygon.antipodes``).
+Cyclic shifts of these small arrays slice (``shifted``), not ``np.roll``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def shifted(a: np.ndarray, k: int = 1) -> np.ndarray:
 
 
 def shoelace(vertices: np.ndarray) -> float:
-    """Signed area of a closed vertex chain (positive for counterclockwise)."""
+    """Signed area of a closed vertex chain (positive for counterclockwise), by reduceat as in a column."""
     x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.dot(x, shifted(y)) - np.dot(y, shifted(x)))
+    return 0.5 * float(np.add.reduceat(x * shifted(y), [0])[0] - np.add.reduceat(y * shifted(x), [0])[0])
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,14 @@ class ConvexPolygon:
     area, and every consecutive vertex triple makes a strict left turn.
     Clockwise input is reversed on construction; anything else is rejected.
     Construction derives the edge vectors once, for the turn test and the
-    edge lengths, normals and offsets, and keeps the last three.
+    edge lengths, normals and offsets, and keeps the last three; with them
+    the ``perimeter``, the vertex mean ``origin`` and the ``area`` about it.
     """
 
     vertices: np.ndarray
+    origin: np.ndarray = field(init=False, repr=False, compare=False)
+    area: float = field(init=False, repr=False, compare=False)
+    perimeter: float = field(init=False, repr=False, compare=False)
     _lengths: np.ndarray = field(init=False, repr=False, compare=False)
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
@@ -92,10 +97,11 @@ class ConvexPolygon:
             raise DegenerateInput("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise DegenerateInput("vertex coordinates must be finite")
-        # orientation from coordinates relative to a vertex: far from the
-        # origin the absolute shoelace cancels beyond a thin polygon's area
-        if shoelace(v - v[0]) < 0.0:
-            v = v[::-1]
+        for v in (v, v[::-1]):  # clockwise input is reversed
+            origin = np.add.reduceat(v, [0], axis=0)[0] / len(v)
+            area = shoelace(v - origin)
+            if area >= 0.0:
+                break
         edges = shifted(v) - v
         cross = _turn_cross(edges)
         if np.any(cross <= 0.0):
@@ -108,10 +114,10 @@ class ConvexPolygon:
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, v)
-        for name, a in (("vertices", v), ("_lengths", lengths), ("_normals", normals),
-                        ("_offsets", offsets)):
+        for a in (v, origin, lengths, normals, offsets):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        self.__dict__.update(vertices=v, origin=origin, area=area, perimeter=float(np.sum(lengths)),
+                             _lengths=lengths, _normals=normals, _offsets=offsets)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -165,6 +171,14 @@ class ConvexPolygon:
         far = np.searchsorted(angle, target) % len(ns)
         far.setflags(write=False)
         return far
+
+    def placed(self, local: np.ndarray) -> "ConvexPolygon | None":
+        """Vertices about ``origin``, such as the walk's core, as a polygon in the
+        caller's frame; None when they hold no strictly convex polygon."""
+        verts = _strictify(local, 2.0 * self.area / self.perimeter)
+        if verts is None or shoelace(verts) <= self.area * DEGENERATE_AREA_REL:
+            return None
+        return ConvexPolygon(verts + self.origin)
 
     def translate(self, delta) -> "ConvexPolygon":
         return ConvexPolygon(self.vertices + np.asarray(delta, dtype=float))
@@ -608,18 +622,17 @@ def _offset_chain(ns: np.ndarray, cs: np.ndarray, fan: np.ndarray, start: np.nda
 
 class SkeletonWalk(NamedTuple):
     """What ``OffsetMachine.walks`` reads off one polygon's straight
-    skeleton, in the machine's centred frame: t*, the core's vertices
-    there, the chain evaluations made before t* was known, r, the centre
-    and the frame's origin in the caller's frame; then how the walk ran:
-    its steps after t*, the peel passes that ran the cascade rule and the
-    chains whose cascade was recomputed after a failed certificate."""
+    skeleton, in the frame centred on the polygon's ``origin``: t*, the
+    core's vertices there, the chain evaluations made before t* was known,
+    r and the centre; then how the walk ran: its steps after t*, the peel
+    passes that ran the cascade rule and the chains whose cascade was
+    recomputed after a failed certificate."""
 
     t_star: float
     core: np.ndarray
     evaluations: int
     r: float
     centre: np.ndarray
-    origin: np.ndarray
     steps_after: int
     cascade_passes: int
     recomputes: int
@@ -644,7 +657,7 @@ class OffsetMachine:
     numbers have the same bits in any column, alone included, and what
     fails for one polygon fails for it alone.  The inradius and the Cheeger
     solve read one skeleton walk per polygon (``walks``), all taken
-    together; the inner parallel sets (``polygon_at``) and their areas
+    together; the inner parallel sets (``inner_parallel``) and their areas
     (``area_at``) of a one-polygon machine read it the same way.  The
     set-up is one set of array operations for the column, but for normal
     merging, which happens once per polygon; each query
@@ -654,10 +667,10 @@ class OffsetMachine:
     which is exact; only planes that became neighbours when the edges
     between them vanished (or merged) are intersected, and the edge
     lengths (so perimeter and reach) always come from the intersections.
-    Each chain runs in a frame centred on its polygon's vertex mean, with
+    Each chain runs in the frame centred on its polygon's ``origin``, with
     tolerances scaled by the intrinsic size ``2A/P`` (between the inradius
-    and twice it), so neither where a polygon sits nor how thin it is
-    moves the result.
+    and twice it) of the polygon's ``area`` and ``perimeter``, so neither
+    where a polygon sits nor how thin it is moves the result.
     """
 
     def __init__(self, polys):
@@ -666,10 +679,11 @@ class OffsetMachine:
         vstart = np.concatenate(([0], np.cumsum(count)))
         vertices = np.concatenate([p.vertices for p in polys])
         normals = np.concatenate([p.edge_normals for p in polys])
+        origin, area, perimeter = (np.array([getattr(p, name) for p in polys])
+                                   for name in ("origin", "area", "perimeter"))
         # no reference back to the polygons, whose caches would then hold a cycle
         vseg, vnxt, _ = _links(vstart)
-        self.origin = _seg_sum(vertices, vstart) / count[:, None]
-        local = vertices - self.origin.take(vseg, axis=0)
+        local = vertices - origin.take(vseg, axis=0)
         offsets = np.einsum("ij,ij->i", normals, local)
         merged = [_merge_parallel(normals[a:b], offsets[a:b]) + a for a, b in zip(vstart[:-1], vstart[1:])]
         edge = np.concatenate(merged)
@@ -682,16 +696,12 @@ class OffsetMachine:
         self.kinetic = following == vnxt[edge]
         self.corner = local.take(following, axis=0).T.copy()
         self.speed = _bisector_velocity(self.ns, self.ns.take(self.succ, axis=0))
-        x, y = local[:, 0], local[:, 1]
-        self.area0 = 0.5 * (_seg_sum(x * y[vnxt], vstart) - _seg_sum(y * x[vnxt], vstart))
-        edges = local.take(vnxt, axis=0) - local
-        perimeter0 = _seg_sum(np.hypot(edges[:, 0], edges[:, 1]), vstart)
-        self.size = 2.0 * self.area0 / perimeter0
-        self.eps = self.size * 1e-14
+        self.floor = area * DEGENERATE_AREA_REL
+        self.eps = 2.0 * area / perimeter * 1e-14
         self.chain0 = self._chain(0.0)
         # the polygons' own areas and edge lengths, not the lines' intersections
         m = self._measure(self.chain0)[0]
-        self.measure0 = m._replace(area=self.area0, perimeter=perimeter0)
+        self.measure0 = m._replace(area=area, perimeter=perimeter)
 
     def _chain(self, t, prev: _Chain | None = None, step=0.0) -> _Chain:
         """Local-frame chains of the inner parallel sets at t, one per polygon,
@@ -721,7 +731,7 @@ class OffsetMachine:
         m = np.zeros((4, len(chain.alive)))
         if len(chain.fan):
             measured = np.array(_chain_measure(chain))
-            full = measured[0] > self.area0[self.owner[chain.fan[chain.start[:-1]]]] * DEGENERATE_AREA_REL
+            full = measured[0] > self.floor[self.owner[chain.fan[chain.start[:-1]]]]
             m[:, chain.alive] = np.where(full, measured, 0.0)
             if not full.all():
                 chain = chain.select(full)
@@ -753,7 +763,7 @@ class OffsetMachine:
         polygon leaves the column when its chain empties.  Every count and
         failure is the polygon's own, MAX_WALK_STEPS included.
         """
-        k = len(self.area0)
+        k = len(self.floor)
         out: list = [NoConvergence("the polygon's own offset chain is empty")] * k
         live = np.flatnonzero(self.chain0.alive)
         t, chain = np.zeros(len(live)), self.chain0
@@ -786,8 +796,7 @@ class OffsetMachine:
                 for j in np.flatnonzero(done):
                     i, r = live[j], float(t[j] + s[j])
                     out[i] = (SkeletonWalk(float(t_star[i]), core[i], int(evals[i]), r, centres[j],
-                                           self.origin[i], steps + 1 - int(evals[i]), int(cascades[i]),
-                                           int(recomputes[i]))
+                                           steps + 1 - int(evals[i]), int(cascades[i]), int(recomputes[i]))
                               if found[i] else
                               NoConvergence(f"inner parallel set vanished at t = {r!r} before t*"))
                 if done.all():
@@ -812,23 +821,6 @@ class OffsetMachine:
         m, chain = self._measure(self._chain(t, prev, step))
         return m if prev is None else (m, chain)
 
-    def as_polygon(self, local: np.ndarray) -> ConvexPolygon | None:
-        """Centred-frame vertices of a one-polygon machine as a polygon in the
-        caller's frame; None when they hold no strictly convex polygon."""
-        (size,), (area0,), (origin,) = self.size, self.area0, self.origin
-        verts = _strictify(local, size)
-        if verts is None or shoelace(verts) <= area0 * DEGENERATE_AREA_REL:
-            return None
-        return ConvexPolygon(verts + origin)
-
-    def polygon_at(self, t: float) -> ConvexPolygon | None:
-        """The inner parallel set at t of a one-polygon machine, in the
-        caller's frame; None once it is empty or does not survive as a
-        strictly convex polygon."""
-        chain = self._chain(t)
-        alive, = chain.alive
-        return self.as_polygon(chain.verts) if alive else None
-
 
 def walk_block(polys: list[ConvexPolygon]) -> None:
     """Walk the straight skeletons of ``polys`` as one column: each polygon's
@@ -845,7 +837,9 @@ def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:
         raise DegenerateInput("offset distance must be nonnegative")
     if t == 0.0:
         return poly
-    return poly.offset_machine.polygon_at(t)
+    chain = poly.offset_machine._chain(t)
+    alive, = chain.alive
+    return poly.placed(chain.verts) if alive else None
 
 
 def inner_parallel_area(poly: ConvexPolygon, t: float) -> float:

@@ -12,6 +12,7 @@ from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smalles
 from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, curve
 from cheeger_atlas.errors import DomainError, InvalidParam, Unreachable
 from cheeger_atlas.functionals import Functionals, measure, measure_with_cheeger
+from cheeger_atlas.geom import walk_block
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
                                   solve_param, triangle_functionals, triangle_values,
@@ -645,6 +646,18 @@ class TestEvaluateAll:
         for r in evaluate_all(f):
             if r.status == "ok":
                 assert r.slack >= -1e-7, (r.id, seed, n)
+
+    def test_soundness_far_from_the_origin(self):
+        # the area of a polygon shifted this far was once a shoelace of the
+        # caller's coordinates, up to 6.3e-3 off: nine of these records then
+        # failed HRA_UP or HPA_LO, by up to 7.3e-4 h
+        polys = [seeded_polygon(1, i, 3, 30)[2].translate((1e6, -7e5)) for i in range(300)]
+        walk_block(polys)
+        fs = [measure_with_cheeger(poly) for poly in polys]
+        k = len(BOUND_IDS)
+        for i, r in enumerate(evaluate_all(*fs)):
+            if r.status == "ok":
+                assert r.slack >= -1e-8 * fs[i // k].cheeger, (r.id, i // k)
 
     def test_column_matches_records(self, column_records):
         # 200 census polygons and the 13 sharpness bodies as one column

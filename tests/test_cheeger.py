@@ -201,7 +201,7 @@ class TestRobustness:
         def lost(self, local):
             asked.append(local)
             return None
-        monkeypatch.setattr(OffsetMachine, "as_polygon", lost)
+        monkeypatch.setattr(ConvexPolygon, "placed", lost)
         res = cheeger_constant(unit_square)
         assert res.t_star == pytest.approx(square_t_star(), rel=1e-15)
         assert asked == []

@@ -58,6 +58,19 @@ class TestShapeAndCheeger:
         bad.write_text('{"vertices": [[0,0],[1,0],[2,0]]}')
         assert run(["cheeger", "--in", str(bad)]) == 2
 
+    @pytest.mark.parametrize("res, out", [("4", True), ("-5", False)])
+    def test_bad_res_exit2(self, tmp_path, capsys, res, out):
+        # a resolution below 8 chords is a bad parameter, with or without a
+        # Cheeger set to write: it once exited 3 with --out and 0 without
+        square = tmp_path / "sq.json"
+        square.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]]}')
+        argv = ["cheeger", "--in", str(square), "--res", res]
+        if out:
+            argv += ["--out", str(tmp_path / "o.json")]
+        assert run(argv) == 2
+        assert "arc_segments must be at least 8" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestBoundsCommand:
     def test_csv_shape(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ def inradius_brute(poly: ConvexPolygon):
                             for part in np.array_split(centers, len(centers) // 4096 + 1)])
     k = int(np.argmax(depth))
     return float(depth[k]), centers[k]
+
+
+def area_exact(poly: ConvexPolygon) -> float:
+    """Oracle: the shoelace of the float vertices in rational arithmetic."""
+    v = [[Fraction(x) for x in p] for p in poly.vertices.tolist()]
+    return float(sum(v[i - 1][0] * v[i][1] - v[i][0] * v[i - 1][1] for i in range(len(v))) / 2)
 
 
 def circumradius_brute(poly: ConvexPolygon):
@@ -209,6 +216,17 @@ class TestAgainstBruteForce:
         height = THIN_FAR.vertices[2, 1] - THIN_FAR.vertices[1, 1]
         assert min_width(THIN_FAR)[0] == height
         assert diameter(THIN_FAR)[0] == math.hypot(1.0, height)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 40), shift=SHIFTS,
+           angle=st.floats(0.0, 2 * math.pi))
+    def test_area(self, seed, n, shift, angle):
+        # a shoelace of the caller's coordinates was up to 3.5e-3 off at
+        # |shift| 1e6, and read THIN_FAR's area as 0
+        poly = valtr(n, seed)
+        for p in (poly, moved(poly, shift, angle), THIN_FAR):
+            tol = 1e-12 * max(1.0, 1e-3 * float(np.abs(p.vertices).max()))
+            assert area(p) == pytest.approx(area_exact(p), rel=tol)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, 40), shift=SHIFTS,

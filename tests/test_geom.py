@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cheeger_atlas import geom
+from cheeger_atlas import geom, verify
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import DegenerateInput, NoConvergence, PolygonJsonError, UnboundedRegion
 from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, measure_with_cheeger,
@@ -200,22 +200,38 @@ class TestInnerParallel:
         assert inner_parallel(other, 0.1) is not None
         assert inner_parallel(other, 0.3) is not None
         assert len(built) == 2 and built[1] == [other]
+        # a block-walked polygon's core is placed by its own origin, area
+        # and perimeter: reading it builds no machine
+        block = [seeded_polygon(3, i, 3, 30)[2] for i in range(10)]
+        walk_block(block)
+        assert len(built) == 3
+        for poly in block:
+            assert len(cheeger_constant(poly).inner_core) >= 3
+        assert len(built) == 3
+        # the area and perimeter a machine's column holds at t = 0 are the
+        # polygon's own, for each polygon alone and in a mixed block
+        census = [seeded_polygon(1, i, 3, 30)[2] for i in range(20)]
+        bodies = [build(spec, 8192) for _, spec, _, _ in verify._sharpness_bodies()]
+        for polys in [[p] for p in census + bodies] + [census[:10] + bodies + census[10:]]:
+            m = OffsetMachine(polys).area_at(0.0)
+            assert np.array_equal(m.area, [p.area for p in polys])
+            assert np.array_equal(m.perimeter, [p.perimeter for p in polys])
 
     def test_one_walk_per_polygon(self, monkeypatch):
         # one walk, its offsets increasing, gives r and t*; the core is built
         # only when read, and later reads evaluate no chain
         offsets, built = [], []
-        area_at, polygon_at = OffsetMachine.area_at, OffsetMachine.polygon_at
+        area_at, placed = OffsetMachine.area_at, ConvexPolygon.placed
 
         def counted_area(self, t, *args):
             offsets.append(t)
             return area_at(self, t, *args)
 
-        def counted_polygon(self, t):
-            built.append(t)
-            return polygon_at(self, t)
+        def counted_polygon(self, local):
+            built.append(local)
+            return placed(self, local)
         monkeypatch.setattr(OffsetMachine, "area_at", counted_area)
-        monkeypatch.setattr(OffsetMachine, "polygon_at", counted_polygon)
+        monkeypatch.setattr(ConvexPolygon, "placed", counted_polygon)
         poly = valtr(12, 3)
         f = measure_with_cheeger(poly)
         assert len(offsets) >= 1 and built == []
@@ -520,7 +536,7 @@ class TestCascade:
         r = inradius(poly)[0]
         for t in r * (1.0 + 0.01 * 2.0 ** -np.arange(45)):  # in (r, 1.01 r]
             assert inner_parallel_area(poly, t) == 0.0
-            assert poly.offset_machine.polygon_at(t) is None
+            assert inner_parallel(poly, t) is None
         # a cascade that found a region, recomputed as empty by plain passes
         assert (geom.CASCADE_PASS, False) in peels
         assert any(cascade > geom.CASCADE_PASS and empty for cascade, empty in peels)
