@@ -3,10 +3,12 @@
 Area and perimeter are the polygon's own, derived at construction and read
 by its skeleton walk too. Diameter and minimal width read the antipodal
 pairs (rotating calipers, Toussaint 1983): the vertex farthest from each
-edge is found at once for all edges by ``searchsorted`` of the opposite
-normal angle among the increasing edge-normal angles, in one pass per
-polygon (``ConvexPolygon.antipodes``, cached on the polygon, which both
-functionals read). The inradius is the depth of the point at which the
+edge is the count of increasing edge-normal angles below the opposite
+normal angle, found at once for all edges of a block of polygons
+(``geom.find_antipodes``, cached on each polygon, which both functionals
+read). Diameter, width and ``measure`` take one polygon or a block (a
+list), which they measure as one column; one polygon is the block of one,
+and a polygon's numbers do not depend on its block. The inradius is the depth of the point at which the
 inner parallel set vanishes, found by walking its straight-skeleton events
 (Aichholzer et al. 1995) on the offset chain the Cheeger solve uses; no
 second solve refines it. The circumradius is the minimal enclosing circle
@@ -28,7 +30,7 @@ import numpy as np
 
 from .cheeger import cheeger_constant
 from .errors import NoConvergence
-from .geom import ConvexPolygon
+from .geom import ConvexPolygon, find_antipodes
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
@@ -119,34 +121,74 @@ def perimeter(poly: ConvexPolygon) -> float:
     return poly.perimeter
 
 
-def diameter(poly: ConvexPolygon):
+def _block(poly) -> tuple[list[ConvexPolygon], bool]:
+    """(the polygons of ``poly``, a polygon or a block (list) of them, and
+    whether it was one polygon)."""
+    return ([poly], True) if isinstance(poly, ConvexPolygon) else (list(poly), False)
+
+
+def _calipers(polys: list[ConvexPolygon]):
+    """The block's vertices end to end, with the start of each polygon, and
+    for each edge its polygon's size and start and its antipode, as an index
+    within the polygon (found for the block as one column by
+    ``geom.find_antipodes``)."""
+    find_antipodes(polys)
+    count = np.array([len(p) for p in polys])
+    start = np.concatenate(([0], np.cumsum(count)))
+    v = np.concatenate([p.vertices for p in polys])
+    far = np.concatenate([p.antipodes for p in polys])
+    return v, start, count.repeat(count)[:, None], start[:-1].repeat(count)[:, None], far[:, None]
+
+
+def _first(x: np.ndarray, best: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Column index of the first entry of each segment equal to its ``best``."""
+    hit = np.flatnonzero(x == best.repeat(start[1:] - start[:-1]))
+    return hit[np.searchsorted(hit, start[:-1])]
+
+
+# the pairs diameter compares for edge i: vertex i or i + 1 (_ENDS) with the
+# antipode or a neighbour of it (_NEAR)
+_ENDS = np.array([0, 0, 0, 1, 1, 1])
+_NEAR = np.array([-1, 0, 1, -1, 0, 1])
+
+
+def diameter(poly):
     """Max vertex distance; returns (d, p, q).
 
     Every antipodal vertex pair joins an endpoint of some edge to that
     edge's antipode, so only those pairs are compared, with the antipode
     widened by one vertex each way to absorb rounding at parallel edges.
+    Of a block (a list of polygons), the list of each one's result, found
+    as one column.
     """
-    v = poly.vertices
-    n = len(v)
-    a = ((np.arange(n)[:, None] + [0, 0, 0, 1, 1, 1]) % n).ravel()
-    b = ((poly.antipodes[:, None] + [-1, 0, 1, -1, 0, 1]) % n).ravel()
-    dist = np.hypot(*(v[a] - v[b]).T)
-    k = int(np.argmax(dist))
-    return float(dist[k]), v[a[k]].copy(), v[b[k]].copy()
+    polys, one = _block(poly)
+    v, start, n, base, far = _calipers(polys)
+    a = ((np.arange(len(v))[:, None] - base + _ENDS) % n + base).ravel()
+    b = ((far + _NEAR) % n + base).ravel()
+    gap = v.take(a, axis=0) - v.take(b, axis=0)
+    dist = np.hypot(gap[:, 0], gap[:, 1])
+    at = _first(dist, np.maximum.reduceat(dist, 6 * start[:-1]), 6 * start)
+    out = list(zip(dist[at].tolist(), v.take(a[at], axis=0), v.take(b[at], axis=0)))
+    return out[0] if one else out
 
 
-def min_width(poly: ConvexPolygon):
+def min_width(poly):
     """Minimal width: min over edges of the farthest vertex distance.
 
     The farthest vertex of an edge is its antipode or a neighbour of it.
     Returns (width, outward unit normal of the attaining edge); ties go to
-    the smallest edge index.
+    the smallest edge index.  Of a block (a list of polygons), the list of
+    each one's result, found as one column.
     """
-    v, ns, cs = poly.vertices, poly.edge_normals, poly.edge_offsets
-    far = v[(poly.antipodes[:, None] + np.arange(-1, 2)) % len(v)]
-    widths = (cs[:, None] - np.einsum("ik,ijk->ij", ns, far)).max(axis=1)
-    i = int(np.argmin(widths))
-    return float(widths[i]), ns[i].copy()
+    polys, one = _block(poly)
+    v, start, n, base, far = _calipers(polys)
+    ns = np.concatenate([p.edge_normals for p in polys])
+    cs = np.concatenate([p.edge_offsets for p in polys])
+    near = v.take((far + _NEAR[:3]) % n + base, axis=0)
+    widths = (cs[:, None] - np.einsum("ik,ijk->ij", ns, near)).max(axis=1)
+    at = _first(widths, np.minimum.reduceat(widths, start[:-1]), start)
+    out = list(zip(widths[at].tolist(), ns.take(at, axis=0)))
+    return out[0] if one else out
 
 
 def inradius(poly: ConvexPolygon):
@@ -221,17 +263,22 @@ def _circle(p, q, s=None):
     return p[0] + ux, p[1] + uy, math.hypot(ux, uy)
 
 
-def measure(poly: ConvexPolygon) -> Functionals:
-    """All six functionals of a polygon (Cheeger fields left unset)."""
-    d, _, _ = diameter(poly)
-    w, _ = min_width(poly)
-    r, _ = inradius(poly)
-    R, _ = circumradius(poly)
-    return Functionals(area(poly), perimeter(poly), r, R, d, w)
+def measure(poly):
+    """All six functionals of a polygon (Cheeger fields left unset).  Of a
+    block (a list of polygons), the list of each one's record, with the
+    diameters and widths found as one column."""
+    polys, one = _block(poly)
+    out = [Functionals(area(p), perimeter(p), inradius(p)[0], circumradius(p)[0], d, w)
+           for p, (d, _, _), (w, _) in zip(polys, diameter(polys), min_width(polys))]
+    return out[0] if one else out
 
 
-def measure_with_cheeger(poly: ConvexPolygon) -> Functionals:
-    """All six functionals of a polygon and its Cheeger constant."""
-    f = measure(poly)
-    res = cheeger_constant(poly)
-    return f.with_cheeger(res.h, res.t_star)
+def measure_with_cheeger(poly):
+    """All six functionals of a polygon and its Cheeger constant; of a
+    block, the list of each one's (as ``measure``)."""
+    polys, one = _block(poly)
+    out = []
+    for p, f in zip(polys, measure(polys)):
+        res = cheeger_constant(p)
+        out.append(f.with_cheeger(res.h, res.t_star))
+    return out[0] if one else out

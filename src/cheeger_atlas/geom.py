@@ -6,22 +6,26 @@ length-2 arrays (or anything ``np.asarray`` turns into one).  Offsets,
 Minkowski sums, form bodies and dilations all work on double precision
 coordinates; there is no exact arithmetic.
 
-Inward offsets run on an ``OffsetMachine``, which holds a block of k
-polygons as one ragged column: their planes lie end to end in flat arrays
-cut into one segment per polygon, with neighbours found by index within a
-segment and no padding.  Each peel pass and chain measure runs once for the
-whole column, every per-polygon reduction is a ``ufunc.reduceat`` over the
-segments (so a polygon's numbers have the same bits in any column), and a
-polygon's failure stays its own.  One polygon is the case k = 1
-(``ConvexPolygon.offset_machine``); ``walk_block`` walks a block's
-straight skeletons together, and each polygon keeps its own walk
-(``ConvexPolygon.walk``).
+A block of polygons is one ragged column: their vertices or planes lie end
+to end in flat arrays cut into one segment per polygon, with neighbours
+found by index within a segment.  Each step runs once for the whole
+column, every per-polygon sort is a ``lexsort`` by (segment, key), every
+per-polygon reduction a ``ufunc.reduceat`` over the segments, and a
+running sum or unwrap runs along the rows of a zero-padded array, so a
+polygon's numbers have the same bits in any column, and a polygon's
+failure stays its own.  One polygon is the block of one.
 
-A polygon derives its edge data once: construction keeps each edge's
-length, outward normal and offset, and the polygon's ``origin``, ``area``
-and ``perimeter``, which the offset machine and the walk read; the edges'
-antipodes are found on first use and cached (``ConvexPolygon.antipodes``).
-Cyclic shifts of these small arrays slice (``shifted``), not ``np.roll``.
+A block is built as one column (``polygon_block``; ``ConvexPolygon(v)`` is
+the block of one): each polygon keeps its edges' lengths, outward normals
+and offsets, and its ``origin``, ``area`` and ``perimeter``, which the
+offset machine and the walk read.  The edges' antipodes are found for a
+block as one column (``find_antipodes``), or for one polygon on first use,
+and cached (``ConvexPolygon.antipodes``).  Inward offsets run on an
+``OffsetMachine`` of a block (``ConvexPolygon.offset_machine`` for one
+polygon): each peel pass and chain measure runs once for the column;
+``walk_block`` walks a block's straight skeletons together, and each
+polygon keeps its own walk (``ConvexPolygon.walk``).  Cyclic shifts of a
+polygon's small arrays slice (``shifted``), not ``np.roll``.
 """
 
 from __future__ import annotations
@@ -76,11 +80,13 @@ class ConvexPolygon:
     """Strictly convex polygon, vertices counterclockwise.
 
     Invariants: at least 3 vertices, finite coordinates, positive signed
-    area, and every consecutive vertex triple makes a strict left turn.
+    area, a strict left turn at every consecutive vertex triple, and edge
+    directions that turn once round (those of a star turn more often).
     Clockwise input is reversed on construction; anything else is rejected.
-    Construction derives the edge vectors once, for the turn test and the
-    edge lengths, normals and offsets, and keeps the last three; with them
-    the ``perimeter``, the vertex mean ``origin`` and the ``area`` about it.
+    Construction is the block of one of ``polygon_block``: it derives the
+    edge vectors once, for the turn and winding tests and the edge lengths,
+    normals and offsets, and keeps the last three; with them the
+    ``perimeter``, the vertex mean ``origin`` and the ``area`` about it.
     """
 
     vertices: np.ndarray
@@ -95,29 +101,12 @@ class ConvexPolygon:
         v = _as_vertex_array(self.vertices)
         if len(v) < 3:
             raise DegenerateInput("a polygon needs at least 3 vertices")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DegenerateInput("vertex coordinates must be finite")
-        for v in (v, v[::-1]):  # clockwise input is reversed
-            origin = np.add.reduceat(v, [0], axis=0)[0] / len(v)
-            area = shoelace(v - origin)
-            if area >= 0.0:
-                break
-        edges = shifted(v) - v
-        cross = _turn_cross(edges)
-        if np.any(cross <= 0.0):
-            bad = int(np.argmin(cross))
-            raise DegenerateInput(
-                f"vertex chain is not strictly convex near index {bad} "
-                f"(turn cross product {cross[bad]:.3e})"
-            )
-        v = v.copy()
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
-        normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
-        offsets = np.einsum("ij,ij->i", normals, v)
-        for a in (v, origin, lengths, normals, offsets):
-            a.setflags(write=False)
-        self.__dict__.update(vertices=v, origin=origin, area=area, perimeter=float(np.sum(lengths)),
-                             _lengths=lengths, _normals=normals, _offsets=offsets)
+        data, = _edge_data(v, np.array([0, len(v)]))
+        if isinstance(data, DegenerateInput):
+            raise data
+        self.__dict__.update(data)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -158,19 +147,9 @@ class ConvexPolygon:
     @cached_property
     def antipodes(self) -> np.ndarray:
         """Index of a vertex farthest from the line of each edge, found on
-        first use and then shared by ``diameter`` and ``min_width``.
-
-        Vertex j's normal cone spans the unwrapped edge-normal angles
-        [a_(j-1), a_j], so the vertex whose cone holds -n_i is found by
-        ``searchsorted`` of a_i + pi.
-        """
-        ns = self._normals
-        angle = np.unwrap(np.arctan2(ns[:, 1], ns[:, 0]))
-        target = angle + np.pi
-        target[target >= angle[0] + 2 * np.pi] -= 2 * np.pi
-        far = np.searchsorted(angle, target) % len(ns)
-        far.setflags(write=False)
-        return far
+        first use (or for a whole block by ``find_antipodes``) and then shared
+        by ``diameter`` and ``min_width``."""
+        return _antipodes(self._normals, np.array([0, len(self)]))
 
     def placed(self, local: np.ndarray) -> "ConvexPolygon | None":
         """Vertices about ``origin``, such as the walk's core, as a polygon in the
@@ -209,6 +188,135 @@ def _turn_cross(e: np.ndarray) -> np.ndarray:
     """Cross product of each edge vector with the next (positive = strict left turn)."""
     e_next = shifted(e)
     return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+
+
+def _centred_area(v: np.ndarray, start: np.ndarray, count: np.ndarray, nxt: np.ndarray):
+    """(vertex mean, shoelace area about it) of each chain of a column, by ``reduceat``."""
+    origin = np.add.reduceat(v, start[:-1], axis=0) / count[:, None]
+    centred = v - origin.repeat(count, axis=0)
+    x, y = centred[:, 0], centred[:, 1]
+    return origin, 0.5 * (np.add.reduceat(x * y.take(nxt), start[:-1])
+                          - np.add.reduceat(y * x.take(nxt), start[:-1]))
+
+
+def _fault(cross: np.ndarray, a: int, b: int, least: float, turns: int) -> DegenerateInput:
+    """Why the chain of vertices a to b - 1 of a column is not a strictly
+    convex polygon: the least turn cross product of its vertices, ``least``,
+    is not positive, or it turns ``turns`` times round."""
+    if least <= 0.0:
+        bad = int(np.argmin(cross[a:b]))
+        return DegenerateInput(f"vertex chain is not strictly convex near index {bad} "
+                               f"(turn cross product {cross[a + bad]:.3e})")
+    return DegenerateInput(f"vertex chain turns {turns} times round: it crosses itself")
+
+
+def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
+    """What ``ConvexPolygon`` keeps of each chain of a column of vertex chains,
+    chain j holding the vertices start[j] to start[j + 1] - 1 (at least 3,
+    all finite): a dict of its attributes, or the DegenerateInput the chain
+    fails with.
+
+    Every step runs once for the column, elementwise or as a ``reduceat``
+    over the chains, but the perimeter, which is each chain's own ``np.sum``
+    (a pairwise sum, which ``reduceat`` is not); so a chain's numbers have
+    the bits it has alone.  With every turn a strict left turn, the edge
+    directions pass the +x direction once for each time they turn round.
+    """
+    cut, count = start[:-1], start[1:] - start[:-1]
+    nxt = np.arange(1, len(v) + 1)
+    nxt[start[1:] - 1] = cut
+    origin, area = _centred_area(v, start, count, nxt)
+    if min(area.tolist()) < 0.0:  # clockwise chains are reversed
+        seg, at = _segments(start), np.arange(len(v))
+        v = v.take(np.where((area < 0.0)[seg], (cut + start[1:] - 1)[seg] - at, at), axis=0)
+        origin, area = _centred_area(v, start, count, nxt)
+    else:
+        v = v.copy()
+    edges = v.take(nxt, axis=0) - v
+    following = edges.take(nxt, axis=0)
+    ex, ey, ex_next, ey_next = edges[:, 0], edges[:, 1], following[:, 0], following[:, 1]
+    cross = ex * ey_next - ey * ex_next
+    least = np.minimum.reduceat(cross, cut).tolist()
+    wraps = (ey < 0.0) > (ey_next < 0.0)
+    # a chain of left turns wraps at least once: when there are as many
+    # wraps as chains, and only left turns, each chain wraps once
+    if min(least) > 0.0 and np.count_nonzero(wraps) == len(least):
+        turns = [1] * len(least)
+    else:
+        turns = np.add.reduceat(wraps, cut).tolist()
+    chains = list(zip(cut.tolist(), start[1:].tolist(), least, turns))
+    if max(least) <= 0.0:  # all fail, maybe on edges of length 0 to divide by
+        return [_fault(cross, *chain) for chain in chains]
+    lengths = np.hypot(ex, ey)
+    normals = np.empty((len(v), 2))
+    np.divide(ey, lengths, out=normals[:, 0])
+    np.divide(-ex, lengths, out=normals[:, 1])
+    offsets = np.einsum("ij,ij->i", normals, v)
+    for a in (v, origin, lengths, normals, offsets):
+        a.setflags(write=False)
+    return [_fault(cross, a, b, least, turns) if least <= 0.0 or turns > 1 else
+            {"vertices": v[a:b], "origin": origin_j, "area": area_j,
+             "perimeter": float(np.add.reduce(lengths[a:b])), "_lengths": lengths[a:b],
+             "_normals": normals[a:b], "_offsets": offsets[a:b]}
+            for (a, b, least, turns), area_j, origin_j in zip(chains, area.tolist(), origin)]
+
+
+def polygon_block(vertices: np.ndarray, start: np.ndarray) -> list:
+    """The polygons of a column of vertex chains, chain j holding the
+    vertices start[j] to start[j + 1] - 1 (at least 3, all finite), checked
+    and given their edge data in one pass (``_edge_data``): each a
+    ``ConvexPolygon`` with the bits it has built alone, or the
+    DegenerateInput that building it alone raises."""
+    out = []
+    for data in _edge_data(vertices, start):
+        if isinstance(data, dict):
+            poly = object.__new__(ConvexPolygon)
+            poly.__dict__.update(data)
+            data = poly
+        out.append(data)
+    return out
+
+
+def _antipodes(normals: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Index, within its polygon, of a vertex farthest from the line of each
+    edge of a column of polygons' outward edge normals, polygon j's from
+    start[j] to start[j + 1] - 1.
+
+    Vertex i's normal cone spans the unwrapped edge-normal angles
+    [a_(i-1), a_i], so the vertex whose cone holds -n_e is the count of
+    angles below a_e + pi (less 2 pi past a_0 + 2 pi), mod n: what
+    ``searchsorted`` finds in one polygon, here one ``lexsort`` of the
+    angles and those targets by (polygon, value), a target before an equal
+    angle.  One ``np.unwrap`` runs over the polygons as zero-padded rows,
+    which leaves each row's bits as they are alone.
+    """
+    seg, count = _segments(start), start[1:] - start[:-1]
+    m, width = len(seg), int(count.max())
+    cell = seg * width + np.arange(m) - start[:-1][seg]
+    rows = np.zeros(len(count) * width)
+    rows[cell] = np.arctan2(normals[:, 1], normals[:, 0])
+    angle = np.unwrap(rows.reshape(-1, width), axis=1).ravel()[cell]
+    target = angle + np.pi
+    target[target >= (angle[start[:-1]] + 2 * np.pi)[seg]] -= 2 * np.pi
+    order = np.lexsort((np.arange(2 * m) >= m, np.concatenate((target, angle)), np.tile(seg, 2)))
+    is_angle = order >= m
+    below = (np.cumsum(is_angle) - is_angle)[~is_angle]  # angles sorted before each target
+    edge = order[~is_angle]
+    far = np.empty(m, dtype=np.intp)
+    far[edge] = (below - start[:-1][seg[edge]]) % count[seg[edge]]
+    far.setflags(write=False)
+    return far
+
+
+def find_antipodes(polys: list[ConvexPolygon]) -> None:
+    """Find the ``antipodes`` of a block of polygons as one column; each
+    polygon that has none yet keeps its own, with the bits it finds alone."""
+    todo = [p for p in polys if "antipodes" not in p.__dict__]
+    if todo:
+        start = np.concatenate(([0], np.cumsum([len(p) for p in todo])))
+        far = _antipodes(np.concatenate([p.edge_normals for p in todo]), start)
+        for poly, a, b in zip(todo, start[:-1], start[1:]):
+            poly.__dict__["antipodes"] = far[a:b]
 
 
 def convex_hull(points) -> ConvexPolygon:
@@ -277,7 +385,7 @@ def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
     offsets = np.array([p.c for p in planes])
     size = max(1.0, float(np.max(np.abs(offsets))))
     offsets = np.concatenate((offsets, np.full(4, 1e8 * size)))
-    fan = _merge_parallel(normals, offsets)
+    fan = _merge_parallel(normals, offsets, np.array([0, len(offsets)]))
     chain = _offset_chain(normals[fan], offsets[fan], np.arange(len(fan)), np.array([0, len(fan)]),
                           np.array([size * 1e-14]))
     alive, = chain.alive
@@ -293,24 +401,33 @@ def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
     return ConvexPolygon(verts)
 
 
-def _merge_parallel(normals, offsets) -> np.ndarray:
-    """Indices, in angle order, of the half-planes left once those whose
-    normals agree within PARALLEL_EPS are merged (the tighter one kept).
+def _merge_parallel(normals: np.ndarray, offsets: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Indices, in angle order within each fan of a column (fan j holding
+    the half-planes start[j] to start[j + 1] - 1), of the half-planes left
+    once those whose normals agree within PARALLEL_EPS are merged (the
+    tighter one kept).
 
-    Normals are sorted by angle; a gap of PARALLEL_EPS or more between
-    neighbours starts a new group, and the last group joins the first when
-    it closes the circle within PARALLEL_EPS.  Each group keeps the plane
-    of smallest offset, the earliest one on ties.
+    Each fan's normals are sorted by angle; a gap of PARALLEL_EPS or more
+    between neighbours starts a new group, and a fan's last group joins its
+    first when it closes the circle within PARALLEL_EPS.  Each group keeps
+    the plane of smallest offset, the earliest one on ties.  The sorts are
+    ``lexsort`` by (fan, key), so a fan's result is the one it has alone.
     """
     angles = np.arctan2(normals[:, 1], normals[:, 0])
-    order = np.argsort(angles, kind="stable")
+    seg = _segments(start)
+    order = np.lexsort((angles, seg))
     cs, angs = offsets[order], angles[order]
-    group = np.cumsum(np.concatenate(([False], np.diff(angs) >= PARALLEL_EPS)))
-    if group[-1] > 0 and (angs[0] + 2 * np.pi) - angs[-1] < PARALLEL_EPS:
-        group[group == group[-1]] = 0
+    new = np.concatenate(([True], np.diff(angs) >= PARALLEL_EPS))
+    new[start[:-1]] = True
+    group = np.cumsum(new)
+    first, last = group[start[:-1]], group[start[1:] - 1]
+    join = (last > first) & ((angs[start[:-1]] + 2 * np.pi) - angs[start[1:] - 1] < PARALLEL_EPS)
+    if join.any():
+        relabel = np.arange(group[-1] + 1)
+        relabel[last[join]] = first[join]
+        group = relabel[group]
     by_offset = np.lexsort((cs, group))
-    first = by_offset[np.concatenate(([True], np.diff(group[by_offset]) != 0))]
-    return order[first]
+    return order[by_offset[np.concatenate(([True], np.diff(group[by_offset]) != 0))]]
 
 
 class ChainMeasure(NamedTuple):
@@ -659,10 +776,9 @@ class OffsetMachine:
     solve read one skeleton walk per polygon (``walks``), all taken
     together; the inner parallel sets (``inner_parallel``) and their areas
     (``area_at``) of a one-polygon machine read it the same way.  The
-    set-up is one set of array operations for the column, but for normal
-    merging, which happens once per polygon; each query
-    reruns only the chains of neighbouring planes with redundant ones
-    peeled off (``_chain``).  Where two planes are neighbours in the
+    set-up, the merging of parallel normals included, is one set of array
+    operations for the column; each query reruns only the chains of
+    neighbouring planes with redundant ones peeled off (``_chain``).  Where two planes are neighbours in the
     polygon, their vertex is the polygon's own moved along the bisector,
     which is exact; only planes that became neighbours when the edges
     between them vanished (or merged) are intersected, and the edge
@@ -685,9 +801,8 @@ class OffsetMachine:
         vseg, vnxt, _ = _links(vstart)
         local = vertices - origin.take(vseg, axis=0)
         offsets = np.einsum("ij,ij->i", normals, local)
-        merged = [_merge_parallel(normals[a:b], offsets[a:b]) + a for a, b in zip(vstart[:-1], vstart[1:])]
-        edge = np.concatenate(merged)
-        self.start = np.concatenate(([0], np.cumsum([len(e) for e in merged])))
+        edge = _merge_parallel(normals, offsets, vstart)
+        self.start = np.concatenate(([0], np.cumsum(np.bincount(vseg[edge], minlength=len(polys)))))
         self.owner, self.succ, _ = _links(self.start)
         self.ns, self.cs = normals.take(edge, axis=0), offsets[edge]
         # planes k and k + 1 that are neighbours in a polygon meet at its

@@ -6,9 +6,13 @@ paired at random, sorted by angle and chained.  Every output is strictly
 convex, lies in the unit square, and is a deterministic function of
 (n, seed).  Per-record streams are derived from a master seed with a
 SplitMix64-style mix, so batch runs parallelize with order-independent
-output.  A batch record is measured once and then scaled so that its unit
-functional is 1 (``Functionals.normalized``); a unit of None keeps the raw
-record.
+output.  A block of records is drawn as one column: each record makes its
+own random calls on its own Philox stream, and the sorting, differencing,
+chaining and placement run once for the block (``valtr`` of sequences);
+one polygon is the block of one.  A batch record is measured once, with
+its block (``measure_with_cheeger`` of a list), and then scaled so that its
+unit functional is 1 (``Functionals.normalized``); a unit of None keeps the
+raw record.  A record's numbers do not depend on its block.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .functionals import EXPONENT, Functionals, measure_with_cheeger
-from .geom import ConvexPolygon, shifted, walk_block
+from .geom import ConvexPolygon, polygon_block, walk_block
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -46,53 +50,109 @@ def mix(seed: int, index: int) -> int:
     return splitmix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+def _streams(keys):
+    """For each key in turn, one generator set to the initial state of
+    np.random.Philox(key=key), without building a bit generator per key."""
+    gen = np.random.Generator(np.random.Philox(0))
+    key = np.zeros(2, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k in keys:
+        key[0] = k & _MASK64
+        gen.bit_generator.state = state
+        yield gen
 
 
-def valtr(n: int, seed: int) -> ConvexPolygon:
+def valtr(n, seed):
     """Random polygon with exactly n vertices in convex position in [0,1]^2.
 
-    Deterministic for fixed (n, seed).  The rare numerically degenerate draw
+    Deterministic for fixed (n, seed).  ``n`` and ``seed`` may also be
+    sequences, one entry per record of a block: the block is drawn as one
+    column (``_draw``) and the list of its polygons returned, each with the
+    bits it has drawn alone.  The rare numerically degenerate draw
     (collinear chain from coinciding angles) retries on a derived stream, so
     the result is still a pure function of the arguments.
     """
-    if n < 3:
+    block = not isinstance(n, (int, np.integer))
+    ns, seeds = (list(n), list(seed)) if block else ([n], [seed])
+    if min(ns) < 3:
         raise DegenerateInput("need at least 3 vertices")
+    polys: list = [None] * len(ns)
+    todo = list(range(len(ns)))
     for attempt in range(16):
-        rng = _rng(seed if attempt == 0 else mix(seed, (1 << 40) + attempt))
-        try:
-            return _valtr_draw(n, rng)
-        except DegenerateInput:
-            continue
-    raise DegenerateInput(f"could not draw a strictly convex {n}-gon for seed {seed}")
+        keys = [seeds[i] if attempt == 0 else mix(seeds[i], (1 << 40) + attempt) for i in todo]
+        drawn = _draw([ns[i] for i in todo], keys)
+        for i, poly in zip(todo, drawn):
+            polys[i] = poly
+        todo = [i for i, poly in zip(todo, drawn) if not isinstance(poly, ConvexPolygon)]
+        if not todo:
+            return polys if block else polys[0]
+    raise DegenerateInput(f"could not draw a strictly convex {ns[todo[0]]}-gon for seed {seeds[todo[0]]}")
 
 
-def _increments(sorted_vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = sorted_vals[0], sorted_vals[-1]
-    interior = sorted_vals[1:-1]
-    side = rng.integers(0, 2, size=len(interior)).astype(bool)
-    chain_a = np.concatenate(([lo], interior[side], [hi]))
-    chain_b = np.concatenate(([lo], interior[~side], [hi]))
-    return np.concatenate((np.diff(chain_a), -np.diff(chain_b)))
+def _increments(s: np.ndarray, side: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Valtr's increments of each group of a column of sorted values, group j
+    holding start[j] to start[j + 1] - 1: the chain of the group's lowest
+    value, its interior values where ``side`` (one flag per interior value)
+    and its highest, differenced, then the chain of the rest, differenced
+    and negated.  A group's increments take its own places in the column."""
+    first, ends = np.zeros(len(s), dtype=bool), np.zeros(len(s), dtype=bool)
+    first[start[:-1]] = ends[start[:-1]] = ends[start[1:] - 1] = True
+    flag = np.zeros(len(s), dtype=bool)
+    flag[~ends] = side
+    chains = (np.flatnonzero(ends | flag), np.flatnonzero(ends | ~flag))
+    member = np.concatenate(chains)
+    # by group, each group's first chain before its second, each in order
+    key = 2 * np.searchsorted(start, member, "right") - 2
+    key[len(chains[0]):] += 1
+    order = np.argsort(key, kind="stable")
+    member, second = member[order], key[order] & 1
+    step = s[member[1:]] - s[member[:-1]]
+    # each chain of a group starts at its first value, where no step ends
+    return np.where(second[1:] == 1, -step, step)[~first[member[1:]]]
 
 
-def _valtr_draw(n: int, rng: np.random.Generator) -> ConvexPolygon:
-    xs = np.sort(rng.random(n))
-    ys = np.sort(rng.random(n))
-    dx = _increments(xs, rng)
-    dy = rng.permutation(_increments(ys, rng))
-    vecs = np.column_stack((dx, dy))
-    angles = np.arctan2(vecs[:, 1], vecs[:, 0])
-    lengths = np.hypot(vecs[:, 0], vecs[:, 1])
-    order = np.lexsort((lengths, angles))
-    chain = np.cumsum(vecs[order], axis=0)
-    verts = np.vstack((np.zeros(2), chain[:-1]))
-    verts[:, 0] += xs[0] - verts[:, 0].min()
-    verts[:, 1] += ys[0] - verts[:, 1].min()
-    start = int(np.lexsort((verts[:, 0], verts[:, 1]))[0])
-    verts = shifted(verts, start)
-    return ConvexPolygon(verts)
+def _draw(ns: list[int], keys: list[int]) -> list:
+    """Valtr draws of a block, record i with ns[i] vertices from key keys[i]:
+    a ``ConvexPolygon`` each, or the DegenerateInput its chain fails with.
+
+    Each record makes its own random calls on its own stream: 2n uniforms
+    (the x then the y values), 2(n - 2) side bits (x then y) and a
+    permutation of the y increments.  The rest runs once for the block, on
+    one column cut into a segment per record: the sorts are ``lexsort`` by
+    (segment, key), the chaining a sequential ``cumsum`` along the rows of
+    a zero-padded array, the placement a ``reduceat`` minimum; so each
+    record's vertices have the bits it draws alone.
+    """
+    vals, bits, perms = [], [], []
+    for n, gen in zip(ns, _streams(keys)):
+        vals.append(gen.random(2 * n))
+        bits.append(gen.integers(0, 2, size=2 * (n - 2)))
+        perms.append(gen.permutation(n))
+    count = np.array(ns)
+    start = np.concatenate(([0], np.cumsum(count)))
+    seg = np.arange(len(ns)).repeat(count)
+    base, size = start[:-1][seg], count[seg]
+    within = np.arange(len(seg)) - base
+    # record j's x values, then its y values, from 2 start[j]: groups 2j and 2j + 1
+    raw = np.concatenate(vals)
+    s = raw[np.lexsort((raw, np.arange(2 * len(ns)).repeat(count.repeat(2))))]
+    inc = _increments(s, np.concatenate(bits).astype(bool), np.concatenate(([0], np.cumsum(count.repeat(2)))))
+    dx = inc[2 * base + within]
+    dy = inc[2 * base + size + np.concatenate(perms)]
+    order = np.lexsort((np.hypot(dx, dy), np.arctan2(dy, dx), seg))
+    # vertex i of a record sums its first i increments in that order: a
+    # cumsum along each row of a zero-padded array, as the record's own
+    width = int(count.max())
+    rows = np.zeros((len(ns), width, 2))
+    summed = within < size - 1
+    rows.reshape(-1, 2)[(seg * width + within + 1)[summed]] = np.column_stack((dx, dy))[order[summed]]
+    verts = np.cumsum(rows, axis=1).reshape(-1, 2).take(seg * width + within, axis=0)
+    low = np.column_stack((s[2 * start[:-1]], s[2 * start[:-1] + count]))
+    verts += (low - np.minimum.reduceat(verts, start[:-1], axis=0))[seg]
+    # each record starts at its lowest (then leftmost) vertex
+    lowest = np.lexsort((verts[:, 0], verts[:, 1], seg))[start[:-1]] - start[:-1]
+    return polygon_block(verts.take(base + (within + lowest[seg]) % size, axis=0), start)
 
 
 @dataclass(frozen=True)
@@ -107,16 +167,26 @@ class SampleRecord:
     y: float
 
 
+def seeded_polygons(master_seed: int, start: int, stop: int, n_min: int,
+                    n_max: int) -> tuple[list[int], list[int], list[ConvexPolygon]]:
+    """Records start..stop-1 of a batch: (record seeds, vertex counts, drawn
+    polygons).
+
+    Record i's seed is mix(master_seed, i); its stream draws the vertex
+    count uniformly from [n_min, n_max], then restarts to draw the Valtr
+    polygon, and the block's polygons are drawn as one column.
+    """
+    seeds = [mix(master_seed, index) for index in range(start, stop)]
+    ns = [int(gen.integers(n_min, n_max + 1)) for gen in _streams(seeds)]
+    return seeds, ns, valtr(ns, seeds)
+
+
 def seeded_polygon(master_seed: int, index: int, n_min: int,
                    n_max: int) -> tuple[int, int, ConvexPolygon]:
-    """Record ``index`` of a batch: (record seed, vertex count, drawn polygon).
-
-    The record seed is mix(master_seed, index); it draws the vertex count
-    uniformly from [n_min, n_max] and then seeds the Valtr polygon.
-    """
-    rec_seed = mix(master_seed, index)
-    n = int(_rng(rec_seed).integers(n_min, n_max + 1))
-    return rec_seed, n, valtr(n, rec_seed)
+    """Record ``index`` of a batch, the block of one of ``seeded_polygons``:
+    (record seed, vertex count, drawn polygon)."""
+    (rec_seed,), (n,), (poly,) = seeded_polygons(master_seed, index, index + 1, n_min, n_max)
+    return rec_seed, n, poly
 
 
 def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: int,
@@ -124,16 +194,19 @@ def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: i
     """Records start..stop-1 of a batch: (record seed, vertex count, functionals
     with the Cheeger constant) each.
 
-    The block's drawn polygons walk their straight skeletons as one column
-    (``geom.walk_block``) and are measured once; a record is then scaled
-    so that the functional ``unit`` is 1 (``Functionals.normalized``), or
-    kept raw when ``unit`` is None.  A record's numbers do not depend on
-    the block it lands in.
+    The block is drawn as one column (``seeded_polygons``), its polygons
+    walk their straight skeletons as one column (``geom.walk_block``) and
+    are measured once, as one column (``measure_with_cheeger`` of the
+    block); a record is then scaled so that the functional ``unit`` is 1
+    (``Functionals.normalized``), or kept raw when ``unit`` is None.  A
+    record's numbers do not depend on the block it lands in.
     """
-    drawn = [seeded_polygon(master_seed, index, n_min, n_max) for index in range(start, stop)]
-    walk_block([poly for _, _, poly in drawn])
-    records = [(rec_seed, n, measure_with_cheeger(poly)) for rec_seed, n, poly in drawn]
-    return records if unit is None else [(rec_seed, n, f.normalized(unit)) for rec_seed, n, f in records]
+    seeds, ns, polys = seeded_polygons(master_seed, start, stop, n_min, n_max)
+    walk_block(polys)
+    records = measure_with_cheeger(polys)
+    if unit is not None:
+        records = [f.normalized(unit) for f in records]
+    return list(zip(seeds, ns, records))
 
 
 def _sample_block(args) -> list[SampleRecord]:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cheeger_atlas.cli import TRIPLETS, run
+from cheeger_atlas.errors import PolygonJsonError
 from cheeger_atlas.functionals import measure_with_cheeger
 from cheeger_atlas.geom import polygon_from_json
 from cheeger_atlas.sampler import seeded_polygon
@@ -57,6 +58,18 @@ class TestShapeAndCheeger:
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [[0,0],[1,0],[2,0]]}')
         assert run(["cheeger", "--in", str(bad)]) == 2
+
+    def test_pentagram_exit2(self, tmp_path, capsys):
+        # a left turn at every vertex, but the star crosses itself: it was
+        # once measured (A 1.469, h 4.698)
+        star = tmp_path / "star.json"
+        star.write_text(json.dumps({"vertices": [[math.cos(4 * math.pi * k / 5),
+                                                  math.sin(4 * math.pi * k / 5)] for k in range(5)]}))
+        with pytest.raises(PolygonJsonError) as err:
+            polygon_from_json(star.read_text())
+        assert err.value.code == "not-convex"
+        assert run(["measure", "--in", str(star)]) == 2
+        assert "turns 2 times round" in capsys.readouterr().err
 
     @pytest.mark.parametrize("res, out", [("4", True), ("-5", False)])
     def test_bad_res_exit2(self, tmp_path, capsys, res, out):

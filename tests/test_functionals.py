@@ -17,7 +17,7 @@ from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, _smallest_circle, area, circumradius, diameter,
                                        inradius, measure, measure_with_cheeger, min_width, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
-from cheeger_atlas.sampler import mix, seeded_polygon, valtr
+from cheeger_atlas.sampler import measured_block, mix, seeded_polygon, valtr
 from cheeger_atlas.shapes import build
 from conftest import area_normalized, random_polygons, regular_ngon
 
@@ -420,16 +420,17 @@ class TestEdgeData:
             assert got_w == w and np.array_equal(got_normal, normal)
 
     def test_numpy_call_counts(self, monkeypatch):
-        # a census record, from its draw to its Cheeger constant: no np.roll
-        # and one np.unwrap (the antipodes, shared by diameter and width);
-        # the np.roll formulas made 11 and 2
+        # a census block of 10 records, from its draw to its Cheeger
+        # constants: no np.roll and one np.unwrap (the block's antipodes,
+        # shared by diameter and width); the np.roll formulas made 11 and 2
+        # per record, the antipodes of one polygon at a time 0 and 1
         calls = {"roll": 0, "unwrap": 0}
         for name in calls:
             def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np, name, counted)
-        measure_with_cheeger(seeded_polygon(1, 0, 3, 30)[2])
+        measured_block(1, 0, 10, 3, 30, "A")
         assert calls == {"roll": 0, "unwrap": 1}
 
 

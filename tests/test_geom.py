@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import deque
@@ -16,13 +17,17 @@ from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, m
 from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, HalfPlane, OffsetMachine,
                                 _merge_parallel, convex_hull, dilate, form_body,
                                 halfplane_intersection, inner_parallel, inner_parallel_area,
-                                interpolate, minkowski_sum, polygon_from_json,
-                                polygon_to_json, support, walk_block)
+                                find_antipodes, interpolate, minkowski_sum, polygon_block,
+                                polygon_from_json, polygon_to_json, support, walk_block)
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, SmoothedNonagon, Stadium,
                                   SubequilateralTriangle, TwoCup, build, solve_param)
 from cheeger_atlas.verify import SLICE_DIAMETERS, STADIUM_GAPS, SUBEQ_DIAMETERS, TWOCUP_TIPS
 from conftest import random_polygons, regular_ngon
+
+
+# the star (cos 4 pi k / 5, sin 4 pi k / 5): a left turn at every vertex
+PENTAGRAM = [[math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)] for k in range(5)]
 
 
 class TestConvexPolygon:
@@ -41,6 +46,11 @@ class TestConvexPolygon:
     def test_rejects_nonconvex(self):
         with pytest.raises(DegenerateInput):
             ConvexPolygon([[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]])
+
+    def test_rejects_pentagram(self):
+        # every turn is a left turn, but the edge directions turn twice round
+        with pytest.raises(DegenerateInput, match="turns 2 times round"):
+            ConvexPolygon(PENTAGRAM)
 
 
 class TestConvexHull:
@@ -301,7 +311,7 @@ def _sharpness_bodies(res):
 
 class TestMergeParallel:
     def _check(self, normals, offsets):
-        kept = _merge_parallel(normals, offsets)
+        kept = _merge_parallel(normals, offsets, np.array([0, len(offsets)]))
         got_n, got_c = normals[kept], offsets[kept]
         want_n, want_c = _merge_parallel_loop(normals, offsets)
         assert np.array_equal(got_n, want_n)
@@ -321,7 +331,7 @@ class TestMergeParallel:
         normals = np.column_stack((np.cos(ang), np.sin(ang)))
         offsets = np.array([1.0, 0.5, 1.0, 2.0, 3.0, 1.0])
         self._check(normals, offsets)
-        cs = offsets[_merge_parallel(normals, offsets)]
+        cs = offsets[_merge_parallel(normals, offsets, np.array([0, len(offsets)]))]
         assert len(cs) == 4
         assert sorted(cs.tolist()) == [0.5, 1.0, 1.0, 2.0]
 
@@ -599,10 +609,8 @@ class TestColumnWalk:
         # a needle, the chamfered strip whose skeleton ends in a segment, a
         # body far from the origin, a 1,024-gon whose walk runs cascade
         # passes, and a stadium whose arcs vanish together, in one column
-        needle = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-4]])
-        strip = _turned([[0, 0], [1, 0], [1, .006], [0.996, .01], [0, .01]], 120)
-        far = valtr(17, 5).translate([1e6, 1e6])
-        polys = [needle, strip, far, valtr(1024, 11), build(Stadium(1.0, 2.0), 1024)]
+        polys = _mixed_bodies()
+        strip = polys[1]
         walks = OffsetMachine(polys).walks
         assert all(_same(w, _walk_alone(p)) for w, p in zip(walks, polys))
         walk_block(polys)
@@ -633,6 +641,76 @@ class TestColumnWalk:
                     poly.walk
             else:
                 assert _same(poly.walk, walk)
+
+
+def _mixed_bodies():
+    """The bodies of ``TestColumnWalk.test_mixed_block``."""
+    needle = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-4]])
+    strip = _turned([[0, 0], [1, 0], [1, .006], [0.996, .01], [0, .01]], 120)
+    far = valtr(17, 5).translate([1e6, 1e6])
+    return [needle, strip, far, valtr(1024, 11), build(Stadium(1.0, 2.0), 1024)]
+
+
+def _edge_results(polys):
+    """Everything a block's edge column gives each polygon: its attributes,
+    antipodes, diameter with witnesses, width with normal and merged planes."""
+    fresh = [ConvexPolygon(p.vertices) for p in polys]
+    start = np.concatenate(([0], np.cumsum([len(p) for p in fresh])))
+    normals = np.concatenate([p.edge_normals for p in fresh])
+    offsets = np.concatenate([p.edge_offsets for p in fresh])
+    merged = _merge_parallel(normals, offsets, start)
+    owner = np.searchsorted(start, merged, "right") - 1
+    find_antipodes(fresh)
+    return [(p.vertices, p.origin, p.area, p.perimeter, p.edge_lengths, p.edge_normals,
+             p.edge_offsets, p.antipodes, d, w, merged[owner == j] - start[j])
+            for j, (p, d, w) in enumerate(zip(fresh, diameter(fresh), min_width(fresh)))]
+
+
+def _same_results(a, b):
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same_results(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+class TestEdgeColumn:
+    """A block's edge data, antipodes, diameters, widths and merged planes
+    are one column (``polygon_block``, ``find_antipodes``, ``diameter`` and
+    ``min_width`` of a block, ``_merge_parallel``); each polygon's have the
+    bits of its block of one."""
+
+    CHUNK_SEEDS = TestColumnWalk.CHUNK_SEEDS + [random.Random(90210).getrandbits(63) for _ in range(30)]
+
+    def _check(self, polys):
+        alone = [_edge_results([p])[0] for p in polys]
+        assert all(_same_results(a, b) for a, b in zip(_edge_results(polys), alone))
+        order = np.random.default_rng(len(polys)).permutation(len(polys))
+        shuffled = _edge_results([polys[i] for i in order])
+        assert all(_same_results(shuffled[j], alone[i]) for j, i in enumerate(order))
+        start = np.concatenate(([0], np.cumsum([len(p) for p in polys])))
+        built = polygon_block(np.concatenate([p.vertices for p in polys]), start)
+        assert all(_same_results(_edge_results([q])[0], a) for q, a in zip(built, alone))
+
+    def test_census_chunks(self):
+        for chunk_seed in self.CHUNK_SEEDS:
+            self._check(_census_chunk(chunk_seed))
+
+    def test_mixed_block(self):
+        self._check(_mixed_bodies())
+
+    def test_failures_stay_per_chain(self):
+        # a collinear chain and a pentagram between two polygons
+        polys = _mixed_bodies()[:2]
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        chains = [polys[0].vertices, line, np.array(PENTAGRAM), polys[1].vertices]
+        start = np.concatenate(([0], np.cumsum([len(c) for c in chains])))
+        built = polygon_block(np.concatenate(chains), start)
+        for chain, got in zip(chains, built):
+            try:
+                want = ConvexPolygon(chain)
+            except DegenerateInput as exc:
+                assert isinstance(got, DegenerateInput) and str(got) == str(exc)
+            else:
+                assert _same_results(_edge_results([got])[0], _edge_results([want])[0])
 
 
 def _minkowski_loop(p, q):
@@ -801,6 +879,7 @@ class TestPolygonJson:
         ("{}", "missing-vertices"),
         ('{"vertices": [[0,0],[1,0]]}', "bad-vertex-list"),
         ('{"vertices": [[0,0],[1,0],[2,0]]}', "not-convex"),
+        (json.dumps({"vertices": PENTAGRAM}), "not-convex"),
         # coordinates must be finite JSON numbers, and not booleans
         ('{"vertices": [[0,0],[true,0],[0,true]]}', "bad-vertex-list"),
         ('{"vertices": [[0,0],["1",0],[0,1]]}', "bad-vertex-list"),

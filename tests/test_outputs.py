@@ -1,0 +1,46 @@
+"""Byte identity of the deterministic outputs.
+
+Each pin is the sha256 of an output as computed before the census block
+was drawn and measured as one column, with numpy 2.4.6: the soundness
+census report at the benchmark's two census seeds, and the sample CSV of
+every diagram triplet.  A change that moves a bit of these outputs updates
+the pin and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from cheeger_atlas import diagrams, verify
+from cheeger_atlas.cli import TRIPLETS
+from cheeger_atlas.sampler import cloud_csv, sample_cloud
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "ae16071a3ff718a238a04c67ba45355ae0edbe138e0e9fe2364b2446b0d0cc5a"),
+    (90210, "9d52ed5f95d9f0e9e9361e8e3d16f3a4c1642c3de15cde009344c2da9fd81a7b"),
+])
+def test_census_report(seed, digest):
+    assert _sha256(verify.report_json(verify.census(2000, seed, workers=1))) == digest
+
+
+@pytest.mark.parametrize("triplet, digest", [
+    ("dhr", "d67d01b49cee66d3cda0c6babe2a25927ad99397c0998f57669c79847eaf80b8"),
+    ("hrd", "5eefd53e964380d52c040d9abc58f7cf89892c9e469932312984bf45eb73b284"),
+    ("hwa", "021ee678bf3a06240f994ef5210629734a91d159b015497a32dd589454775079"),
+    ("hwd", "d2fd80f2e3231de2c318c8b734bfe6c3d2a8421b537441d091bf3000c659c979"),
+    ("hwp", "f615f7a45b3d1dc20e3bc63a5dbe00716716ff41babaf1afd91c1b13224a67d3"),
+    ("hwr-circ", "b92fe69d472dc71eaeb8db60c30a525fe7472f192b138fa4367755fea736eae7"),
+    ("hwr-in", "51a62a3118dcd6ada488942160a598e5ab479a98becb7304e2525143c5b2c6b0"),
+    ("phr", "d89da50e9c43ae197dea6a79a080913c98d14c438f48862a2788c0fcae550e4c"),
+    ("rhr", "ce33e34c5b2d8596de25acdbd5f9108d3401267b9b5e221855e2cf0f4147aed6"),
+])
+def test_sample_csv(triplet, digest):
+    # 200 records at seed 1, n in 3..30 (the command line's defaults)
+    x_key, y_key, unit, _ = diagrams.DIAGRAM_IDS[TRIPLETS[triplet]]
+    records = sample_cloud(200, 3, 30, (x_key, y_key, unit), 1, workers=1)
+    assert _sha256(cloud_csv(records)) == digest

@@ -1,10 +1,14 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cheeger_atlas import sampler
 from cheeger_atlas.functionals import measure_with_cheeger
 from cheeger_atlas.geom import OffsetMachine, walk_block
-from cheeger_atlas.sampler import cloud_csv, mix, sample_cloud, splitmix64, valtr
+from cheeger_atlas.sampler import (cloud_csv, mix, sample_cloud, seeded_polygon, seeded_polygons,
+                                   splitmix64, valtr)
 
 
 class TestValtr:
@@ -33,6 +37,62 @@ class TestValtr:
         seeds = {mix(7, i) for i in range(1000)}
         assert len(seeds) == 1000
         assert splitmix64(0) != splitmix64(1)
+
+
+# the chunk seeds of the census benchmark at its seed 1 and at its held-out seed
+CHUNK_SEEDS = [random.Random(s).getrandbits(63) for s in (1, 90210) for _ in range(30)]
+
+
+class _Diagonal:
+    """A stream whose Valtr draw has equal x and y increments, in the same
+    order: every increment lies on the diagonal, so the chain is collinear."""
+
+    def random(self, size):
+        return np.tile(np.linspace(0.1, 0.9, size // 2), 2)
+
+    def integers(self, low, high, size):
+        return np.tile(np.arange(size // 2) % 2, 2)
+
+    def permutation(self, n):
+        return np.arange(n)
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(np.array_equal(p.vertices, q.vertices) for p, q in zip(a, b))
+
+
+class TestBlockDraw:
+    """A block is drawn as one column; each record has the bits it draws alone."""
+
+    def test_census_chunks(self):
+        for chunk_seed in CHUNK_SEEDS:
+            seeds, ns, polys = seeded_polygons(chunk_seed, 0, 10, 3, 30)
+            alone = [seeded_polygon(chunk_seed, i, 3, 30) for i in range(10)]
+            assert [(s, n) for s, n, _ in alone] == list(zip(seeds, ns))
+            assert _same(polys, [p for _, _, p in alone])
+            assert _same(polys, [valtr(n, s) for n, s in zip(ns, seeds)])
+
+    def test_shuffled_block(self):
+        seeds, ns, polys = seeded_polygons(CHUNK_SEEDS[0], 0, 40, 3, 30)
+        order = np.random.default_rng(0).permutation(40)
+        shuffled = valtr([ns[i] for i in order], [seeds[i] for i in order])
+        assert _same(shuffled, [polys[i] for i in order])
+
+    def test_retry_path(self, monkeypatch):
+        # record 3's first stream draws a collinear chain: it alone retries,
+        # on its first derived stream, in a block as alone
+        seeds, ns, polys = seeded_polygons(CHUNK_SEEDS[1], 0, 10, 3, 30)
+        streams = sampler._streams
+
+        def patched(keys):
+            for key, gen in zip(keys, streams(keys)):
+                yield _Diagonal() if key == seeds[3] else gen
+        monkeypatch.setattr(sampler, "_streams", patched)
+        block = valtr(ns, seeds)
+        retried = valtr(ns[3], mix(seeds[3], (1 << 40) + 1))
+        assert not np.array_equal(retried.vertices, polys[3].vertices)
+        assert _same(block, polys[:3] + [retried] + polys[4:])
+        assert _same([valtr(ns[3], seeds[3])], [retried])
 
 
 class TestSampleCloud:
