@@ -3,8 +3,9 @@
 Each pin is the sha256 of an output as computed before the census block
 was drawn and measured as one column, with numpy 2.4.6: the soundness
 census report at the benchmark's two census seeds, and the sample CSV of
-every diagram triplet.  A change that moves a bit of these outputs updates
-the pin and says why.
+every diagram triplet.  The ``bounds`` command's CSV and JSON for one fixed
+polygon are pinned as computed before the registry answered in arrays.  A
+change that moves a bit of these outputs updates the pin and says why.
 """
 
 import hashlib
@@ -12,8 +13,9 @@ import hashlib
 import pytest
 
 from cheeger_atlas import diagrams, verify
-from cheeger_atlas.cli import TRIPLETS
-from cheeger_atlas.sampler import cloud_csv, sample_cloud
+from cheeger_atlas.cli import TRIPLETS, run
+from cheeger_atlas.geom import polygon_to_json
+from cheeger_atlas.sampler import cloud_csv, sample_cloud, valtr
 
 
 def _sha256(text: str) -> str:
@@ -44,3 +46,15 @@ def test_sample_csv(triplet, digest):
     x_key, y_key, unit, _ = diagrams.DIAGRAM_IDS[TRIPLETS[triplet]]
     records = sample_cloud(200, 3, 30, (x_key, y_key, unit), 1, workers=1)
     assert _sha256(cloud_csv(records)) == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "de895bb6d305ae7c4221e77585494cc7151fe829a2236c4102e1e8400d30b7ba"),
+    ("json", "867b651c6ab9dd60d778fd7ca2664c77f4ea37772b369813d47c12dba59e0a12"),
+])
+def test_bounds_command(fmt, digest, tmp_path, capsys):
+    # valtr(12, 3): 41 bounds evaluated, three not applicable
+    poly = tmp_path / "p.json"
+    poly.write_text(polygon_to_json(valtr(12, 3)) + "\n")
+    assert run(["bounds", "--in", str(poly), "--format", fmt]) == 0
+    assert _sha256(capsys.readouterr().out) == digest
