@@ -1,10 +1,12 @@
 """Every sharp bound at once: the registry, its equality cases, and the
 two computed constants dstar and d0.
 
-The registry maps one record of (A, P, r, R, d, w, h) to every known lower
-and upper bound on h, with per-bound applicability conditions.  A negative
-slack would be a counterexample to a theorem; extremal shapes drive their
-inequality's slack to zero.
+The registry maps records of (A, P, r, R, d, w, h) to every known lower
+and upper bound on h, with per-bound applicability conditions, as arrays
+of bound ids by records (value, slack and a status code); ``results()``
+reads them one bound and record at a time.  A negative slack would be a
+counterexample to a theorem; extremal shapes drive their inequality's
+slack to zero.
 """
 
 from cheeger_atlas.bounds import d0, dstar, evaluate_all, registry_csv
@@ -16,7 +18,7 @@ from cheeger_atlas.shapes import Stadium, TwoCup, closed_form
 def print_registry(f, label):
     print(f"\n-- {label} (h = {f.cheeger:.9f}) --")
     print(f"{'bound':18s} {'dir':5s} {'value':>14s} {'slack':>12s}")
-    for r in evaluate_all(f):
+    for r in evaluate_all(f).results():  # a column of one record
         if r.status != "ok":
             print(f"{r.id:18s} {r.direction:5s} {r.status:>14s}")
         else:

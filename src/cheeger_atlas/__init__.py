@@ -1,6 +1,6 @@
 """Cheeger constants, extremal shapes and sharp bounds for planar convex bodies."""
 
-from .bounds import (BoundResult, arcsinc, chi, d0, dstar, evaluate_all, implicit_g,
+from .bounds import (BoundResult, BoundTable, arcsinc, chi, d0, dstar, evaluate_all, implicit_g,
                      phi, psi, registry_csv)
 from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, smallest_crossing
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render

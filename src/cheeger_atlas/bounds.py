@@ -1,21 +1,18 @@
 """Every sharp bound on the Cheeger constant, as a queryable registry.
 
 Each inequality gets a symbolic id, a direction (lower/upper bound on h), an
-applicability predicate on the six functionals, and an evaluator.  The
-registry is evaluated on columns: ``evaluate_all(*records)`` gathers each
-functional of all records into one numpy array, and every predicate and
-value is computed once on those arrays.  The areas of the extremal bodies
-(slice, smoothed nonagon, two-cup) come from their closed forms in
-``shapes``: psi, chi, phi and g1..g4 are such areas, and the two-cup
-bounds the h of a two-cup.  The four implicit bounds are the crossings
-g(t) = pi t^2 of g1..g4, solved for a column in one ``smallest_crossing``
-call over the 4n elements stacked from the four families (g1 through psi,
-g2..g4 through one slice_area call per step), each bound reading its own
-quarter; a diagram curve (``bound_value``) solves only its own family.
-Triangle-valued bounds match the column's subequilateral triangles in
-closed form (``shapes.subeq_from``, through ``shapes.solve_param`` where a
-bound matches by w and A, R or P) and use the triangle identity
-h = 1/r + sqrt(pi/A).
+applicability predicate on the six functionals, and an evaluator.
+``evaluate_all(*records)`` evaluates the registry on a column of records,
+each functional one numpy array, and answers in arrays of ids by records
+(``BoundTable``; its ``results()`` are ``BoundResult`` objects).  psi, chi,
+phi, g1..g4 and the two-cup bounds use the areas of the extremal bodies
+(slice, smoothed nonagon, two-cup) in closed form, from ``shapes``.  A
+column's root solves run once for all its bounds (``_solve``): the
+crossings g(t) = pi t^2 of g1..g4 in one ``smallest_crossing`` call, the
+arcsinc of PHR_LO and PHD_LO in one loop; a diagram curve (``bound_value``)
+solves only its own.  Triangle bounds match the column's subequilateral
+triangles in closed form (``shapes.subeq_from``, through
+``shapes.solve_param`` for w and A, R or P) and use h = 1/r + sqrt(pi/A).
 """
 
 from __future__ import annotations
@@ -150,6 +147,10 @@ def d0(res: int = 4096) -> float:
     return _D0_CACHE[res]
 
 
+# PHR_LO and PHD_LO by name: c, where x = arcsinc(c / P) and h >= 4x / den
+# + sqrt(8 pi x / (P den)), den = P - c cos x
+_ARCSINC = {"PHR": lambda f: 4 * f.circumradius, "PHD": lambda f: 2 * f.diameter}
+
 # family -> (parameter names, the column fields they are, domain message,
 # outside-domain test, (x, y, upper) maker: the body at t = 0, (d, r) of
 # psi for g1 and (D, W) of the slice for g2..g4, and the domain's end)
@@ -200,15 +201,18 @@ def implicit_g(family: str, **params) -> ImplicitRootProblem:
     return ImplicitRootProblem(g, _in_domain(upper, outside(p, q), scalar, message))
 
 
-def _crossing_h(f, families) -> dict:
-    """h = 1/t at the crossings g(t) = pi t^2 of ``families`` (of g1..g4)
-    over the column ``f``, by family, NaN where there is none.
-
-    All are solved in one ``smallest_crossing`` call over the column stacked
-    from the families: g1, first, through psi on its part, and the slice
-    families through one slice_area call on the rest.
-    """
-    families = sorted(families)
+def _solve(f, names) -> dict:
+    """The root solves ``names`` over the column ``f`` by name, NaN where
+    there is no root: the arcsinc of the ``_ARCSINC`` columns in one loop,
+    and h = 1/t at the crossings g(t) = pi t^2 of g1..g4 in one
+    ``smallest_crossing`` call over the column stacked from the families,
+    g1 first, through psi, and the rest through one slice_area call."""
+    sincs = [k for k in names if k in _ARCSINC]
+    roots = arcsinc(np.minimum(1.0, np.stack([_ARCSINC[k](f) / f.perimeter for k in sincs]))) if sincs else []
+    out = dict(zip(sincs, roots))
+    families = sorted(k for k in names if k in _IMPLICIT)
+    if not families:
+        return out
     dims, xs, ys, uppers = [], [], [], []
     for fam in families:
         _, fields, _, outside, body = _IMPLICIT[fam]
@@ -224,7 +228,7 @@ def _crossing_h(f, families) -> dict:
     t = smallest_crossing(ImplicitRootProblem(
         lambda t: np.concatenate((g1(t[..., :k]), slices(t[..., k:])), axis=-1), np.concatenate(uppers)))
     cuts = np.cumsum([a.size for a in xs])[:-1]
-    return {fam: 1.0 / part.reshape(dim) for fam, part, dim in zip(families, np.split(t, cuts), dims)}
+    return out | {fam: 1.0 / part.reshape(dim) for fam, part, dim in zip(families, np.split(t, cuts), dims)}
 
 
 def _triangle_h_matched(fixed_id: str, fixed_val, target_id: str, target_val) -> np.ndarray:
@@ -253,6 +257,10 @@ class BoundDef:
         assert self.direction in ("lower", "upper")
 
 
+STATUSES = ("ok", "not-applicable", "no-root")
+OK, NOT_APPLICABLE, NO_ROOT = range(len(STATUSES))  # a BoundTable's status codes
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """One evaluated inequality against one Functionals record."""
@@ -269,16 +277,15 @@ class BoundResult:
 
 
 # the six functionals of a column of records, one array each in the order of
-# EXPONENT, and the h of its g1..g4 crossings by family once evaluate_all has
-# solved them
-_Column = namedtuple("_Column", "area perimeter inradius circumradius diameter min_width crossings",
+# EXPONENT, and its root solves by name once evaluate_all has solved them
+_Column = namedtuple("_Column", "area perimeter inradius circumradius diameter min_width solved",
                      defaults=(None,))
 _FUNCTIONALS = _Column._fields[:6]
 
 
-def _implicit_h(f: _Column, family: str) -> np.ndarray:
-    """h of the ``family`` crossings over the column ``f``."""
-    return (f.crossings or _crossing_h(f, [family]))[family]
+def _solved(f: _Column, name: str) -> np.ndarray:
+    """The root solve ``name`` over the column ``f``."""
+    return (f.solved or _solve(f, [name]))[name]
 
 
 def _build_registry():
@@ -287,7 +294,7 @@ def _build_registry():
     def add(bid, direction, cond_str, formula_id, extremal, pred, value):
         reg.append((BoundDef(bid, direction, cond_str, formula_id, extremal), pred, value))
 
-    always = lambda f: np.ones(f.area.shape, dtype=bool)
+    always = None  # no predicate: every record is admitted
 
     add("HRA_LO", "lower", "", "h-r-area-lower", "stadiums", always,
         lambda f: 1 / f.inradius + PI * f.inradius / f.area)
@@ -315,7 +322,7 @@ def _build_registry():
     add("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", always,
         lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.diameter / 2)))
     add("HDR_LO_IMPLICIT", "lower", "", "g1-crossing", "slices / smoothed nonagons", always,
-        lambda f: _implicit_h(f, "g1"))
+        lambda f: _solved(f, "g1"))
 
     def hdr_lo_exp(f):
         d, r = f.diameter, f.inradius
@@ -325,7 +332,7 @@ def _build_registry():
     add("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", always,
         lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.circumradius)))
     add("HRR_LO_IMPLICIT", "lower", "", "g2-crossing", "slices", always,
-        lambda f: _implicit_h(f, "g2"))
+        lambda f: _solved(f, "g2"))
 
     def hrr_lo_exp(f):
         R, r = f.circumradius, f.inradius
@@ -333,7 +340,7 @@ def _build_registry():
     add("HRR_LO_EXPLICIT", "lower", "", "h-R-r-lower-explicit", "thinning rectangles", always, hrr_lo_exp)
 
     add("HDW_LO_IMPLICIT", "lower", "", "g3-crossing", "slices", always,
-        lambda f: _implicit_h(f, "g3"))
+        lambda f: _solved(f, "g3"))
     add("HDW_UP_TRI", "upper", "omega <= sqrt(3)/2 * d", "h-w-d-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= SQRT3 / 2 * f.diameter,
@@ -356,7 +363,7 @@ def _build_registry():
     add("HDW_LO_EXPLICIT", "lower", "", "h-w-d-lower-explicit", "thinning rectangles", always, hdw_lo_exp)
 
     add("HRW_LO_IMPLICIT", "lower", "", "g4-crossing", "slices", always,
-        lambda f: _implicit_h(f, "g4"))
+        lambda f: _solved(f, "g4"))
     add("HRW_UP_TRI", "upper", "omega <= 3R/2", "h-w-R-upper-triangle",
         "subequilateral triangles",
         lambda f: f.min_width <= 1.5 * f.circumradius,
@@ -408,17 +415,17 @@ def _build_registry():
         lambda f: 1 / (2 * f.circumradius) + PI * f.circumradius / (2 * f.area)
         + np.sqrt(PI / f.area))
 
-    add("PHR_UP", "upper", "P > 4R", "h-P-R-upper", "thinning rectangles",
-        lambda f: f.perimeter > 4 * f.circumradius,
+    p_over_4r = lambda f: f.perimeter > 4 * f.circumradius
+    add("PHR_UP", "upper", "P > 4R", "h-P-R-upper", "thinning rectangles", p_over_4r,
         lambda f: f.perimeter / (f.circumradius * (f.perimeter - 4 * f.circumradius)))
 
-    def phr_lo(f):
-        P, R = f.perimeter, f.circumradius
-        x = arcsinc(np.minimum(1.0, 4 * R / P))
-        den = P - 4 * R * np.cos(x)
-        return 4 * x / den + np.sqrt(8 * PI * x / (P * den))
-    add("PHR_LO", "lower", "P > 4R", "h-P-R-lower", "balls",
-        lambda f: f.perimeter > 4 * f.circumradius, phr_lo)
+    def p_lower(name):
+        def value(f):
+            P, c, x = f.perimeter, _ARCSINC[name](f), _solved(f, name)
+            den = P - c * np.cos(x)
+            return 4 * x / den + np.sqrt(8 * PI * x / (P * den))
+        return value
+    add("PHR_LO", "lower", "P > 4R", "h-P-R-lower", "balls", p_over_4r, p_lower("PHR"))
 
     add("PHD_UP1", "upper", "2d < P < 3d", "h-P-d-upper-1", "",
         lambda f: (2 * f.diameter < f.perimeter) & (f.perimeter < 3 * f.diameter),
@@ -430,13 +437,8 @@ def _build_registry():
         lambda f: 4 / (f.perimeter - 2 * f.diameter) + np.sqrt(
             4 * PI / (SQRT3 * f.diameter * (f.perimeter - 2 * f.diameter))))
 
-    def phd_lo(f):
-        P, d = f.perimeter, f.diameter
-        y = arcsinc(np.minimum(1.0, 2 * d / P))
-        den = P - 2 * d * np.cos(y)
-        return 4 * y / den + np.sqrt(8 * PI * y / (P * den))
     add("PHD_LO", "lower", "P > 2d", "h-P-d-lower", "balls",
-        lambda f: f.perimeter > 2 * f.diameter, phd_lo)
+        lambda f: f.perimeter > 2 * f.diameter, p_lower("PHD"))
 
     add("DHA_UP1", "upper", "", "h-d-area-upper-1", "", always,
         lambda f: 4 / f.diameter + 2 * f.diameter / f.area)
@@ -449,7 +451,10 @@ def _build_registry():
 
 
 _REGISTRY = _build_registry()
-BOUND_IDS = tuple(d.id for d, _, _ in _REGISTRY)
+_DEFS = tuple(d for d, _, _ in _REGISTRY)
+BOUND_IDS = tuple(d.id for d in _DEFS)
+_LOWER = np.array([[d.direction == "lower"] for d in _DEFS])
+_PREDICATES = {pred for _, pred, _ in _REGISTRY}  # each once; None admits every record
 _VALUES = {d.id: value for d, _, value in _REGISTRY}
 
 
@@ -460,49 +465,47 @@ def bound_value(bid: str, **column) -> np.ndarray:
     return _VALUES[bid](_Column(*(np.asarray(column.get(k, np.nan), dtype=float) for k in EXPONENT)))
 
 
-def evaluate_all(*records: Functionals) -> list[BoundResult]:
-    """Evaluate every registered inequality against one or more Functionals records.
+@dataclass(frozen=True)
+class BoundTable:
+    """The registry on a column of records: arrays of ids (``BOUND_IDS``
+    order) by records.  ``value`` is NaN where the status is not ok, and
+    ``slack`` (h - value for a lower bound, value - h for an upper one;
+    nonnegative where the inequality holds) also where the record has no h.
+    ``status`` holds codes into ``STATUSES``.  Iterating it yields ``results()``."""
 
-    The records form one column: each predicate and each value is computed
-    once, on numpy arrays over the records (values only over the records
-    the predicate admits).  The result is record-major, ``len(BOUND_IDS)``
-    results per record in ``BOUND_IDS`` order.  The column solves mark a
-    record they cannot serve with NaN instead of raising, so per-record
-    failures (a non-finite value, a missing crossing, an unmatched
-    triangle) surface as that record's no-root results and leave the other
-    records' values untouched.  When a record carries the Cheeger constant
-    each of its results also reports its slack (nonnegative slack = the
-    inequality holds).
-    """
-    n = len(records)
+    value: np.ndarray
+    slack: np.ndarray
+    status: np.ndarray
+
+    def results(self) -> list[BoundResult]:
+        """The record-major view, NaN as None: ``len(BOUND_IDS)`` per record."""
+        value, slack = (np.where(np.isnan(a), None, a).T.tolist() for a in (self.value, self.slack))
+        return [BoundResult(d.id, d.direction, v, STATUSES[c], s)
+                for vs, ss, cs in zip(value, slack, self.status.T.tolist())
+                for d, v, s, c in zip(_DEFS, vs, ss, cs)]
+
+    def __iter__(self):
+        return iter(self.results())
+
+
+def evaluate_all(*records: Functionals) -> BoundTable:
+    """Every registered inequality against one or more Functionals records,
+    evaluated as one column on numpy arrays (a predicate that bounds share
+    runs once) into a ``BoundTable`` of ids by records, whose ``results()``
+    are the record-major view.  A record that a column solve cannot serve
+    gets NaN, not an exception: its failures (a non-finite value, a missing
+    crossing, an unmatched triangle) are its own no-root results."""
     cols = _Column(*(np.array([getattr(f, k) for f in records], dtype=float)
                      for k in _FUNCTIONALS))
-    table = []
     with np.errstate(all="ignore"):
-        cols = cols._replace(crossings=_crossing_h(cols, _IMPLICIT))  # g1..g4 in one loop
-        for bdef, pred, value_fn in _REGISTRY:
-            admitted = pred(cols)
-            vals = np.full(n, np.nan)
-            if admitted.any():
-                sub = cols if admitted.all() else _Column(*(c[admitted] for c in cols[:6]))
-                vals[admitted] = value_fn(sub)
-            table.append((bdef, admitted, vals))
-    out = []
-    for i, f in enumerate(records):
-        h = f.cheeger
-        for bdef, admitted, vals in table:
-            if not admitted[i]:
-                out.append(BoundResult(bdef.id, bdef.direction, None, "not-applicable", None))
-                continue
-            val = float(vals[i])
-            if not math.isfinite(val):
-                out.append(BoundResult(bdef.id, bdef.direction, None, "no-root", None))
-                continue
-            slack = None
-            if h is not None:
-                slack = (h - val) if bdef.direction == "lower" else (val - h)
-            out.append(BoundResult(bdef.id, bdef.direction, val, "ok", slack))
-    return out
+        cols = cols._replace(solved=_solve(cols, [*_IMPLICIT, *_ARCSINC]))
+        value = np.array([value_fn(cols) for _, _, value_fn in _REGISTRY])
+        admitted = {p: np.ones(len(records), dtype=bool) if p is None else p(cols) for p in _PREDICATES}
+    status = np.where(np.array([admitted[p] for _, p, _ in _REGISTRY]),
+                      np.where(np.isfinite(value), OK, NO_ROOT), NOT_APPLICABLE).astype(np.int8)
+    value[status != OK] = np.nan
+    h = np.array([np.nan if f.cheeger is None else f.cheeger for f in records])
+    return BoundTable(value, np.where(_LOWER, h - value, value - h), status)
 
 
 def registry_csv(f: Functionals) -> str:
@@ -510,9 +513,7 @@ def registry_csv(f: Functionals) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "direction", "condition", "formula-id", "value", "slack"])
-    defs = {d.id: d for d, _, _ in _REGISTRY}
-    for r in evaluate_all(f):
-        d = defs[r.id]
+    for d, r in zip(_DEFS, evaluate_all(f).results()):
         val = r.status if r.status != "ok" else format(r.value, ".17g")
         slack = "" if r.slack is None else format(r.slack, ".17g")
         writer.writerow([r.id, r.direction, d.condition, d.formula_id, val, slack])

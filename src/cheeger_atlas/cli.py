@@ -168,7 +168,7 @@ def _cmd_bounds(args) -> int:
         rows = [{"id": b.id, "direction": b.direction, "status": b.status,
                  "value": None if b.value is None else G17(b.value),
                  "slack": None if b.slack is None else G17(b.slack)}
-                for b in bounds_mod.evaluate_all(f)]
+                for b in bounds_mod.evaluate_all(f).results()]
         text = json.dumps(rows, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:

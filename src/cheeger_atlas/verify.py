@@ -1,7 +1,8 @@
 """Soundness census and sharpness residuals, as a machine-readable report.
 
 The census draws unit-area random polygons, evaluates the full bound
-registry against each, and aggregates the minimum slack per bound id (a
+registry against each block of them as one column, and folds its arrays
+into the count of each status and the minimum slack per bound id (a
 negative slack beyond tolerance is a violation).  The sharpness block
 rebuilds each extremal family at high resolution and reports how far its
 inequality is from equality.  The report never stops early: violations are
@@ -13,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 
-from . import bounds as bounds_mod
+import numpy as np
+
 from . import diagrams
-from .bounds import evaluate_all
+from .bounds import BOUND_IDS, NO_ROOT, NOT_APPLICABLE, OK, evaluate_all
 from .functionals import measure_with_cheeger
 from .sampler import blocks, measured_block, parallel_map
 from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
@@ -39,17 +41,34 @@ SUBEQ_BOUNDS = ("HWR_LO", "HRD_UP", "HDW_UP_TRI", "HRW_UP_TRI", "HAW_UP_TRI", "H
 EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
 
 
-def _census_block(args) -> list[tuple[int, list[tuple[str, str, float | None]]]]:
-    """Records start..stop-1 of a census: drawn and measured, their
-    polygons walking their straight skeletons as one column
-    (``sampler.measured_block``), then the registry in one column; (record
-    seed, [(id, status, slack)]) each.  A polygon whose walk fails raises
-    when its record is measured, as it would alone."""
+def _census_block(args) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Records start..stop-1 of a census, drawn, walked and measured as one
+    column (``sampler.measured_block``), then the registry on that column:
+    (record seeds, status codes, slacks), the arrays ids by records.  A
+    polygon whose walk fails raises when its record is measured, as alone."""
     start, stop, master_seed, n_min, n_max = args
     records = measured_block(master_seed, start, stop, n_min, n_max, "A")
-    results = [(r.id, r.status, r.slack) for r in evaluate_all(*(f for _, _, f in records))]
-    k = len(bounds_mod.BOUND_IDS)
-    return [(rec_seed, results[i * k:(i + 1) * k]) for i, (rec_seed, _, _) in enumerate(records)]
+    table = evaluate_all(*(f for _, _, f in records))
+    return [rec_seed for rec_seed, _, _ in records], table.status, table.slack
+
+
+def _fold(parts) -> dict:
+    """Per bound id over census blocks ``(seeds, status, slack)``, whose
+    arrays are ids by records: how many records are evaluated, not
+    applicable and without a root, and the least slack of an evaluated
+    record with its seed (the first such record on a tie; None for none)."""
+    seeds = [s for part, _, _ in parts for s in part]
+    status, slack = (np.concatenate([np.empty((len(BOUND_IDS), 0)), *(part[k] for part in parts)], axis=1)
+                     for k in (1, 2))
+    counts = [(status == code).sum(axis=1).tolist() for code in (OK, NOT_APPLICABLE, NO_ROOT)]
+    # a last column of inf: the argmin of an id that no record evaluates
+    ranked = np.full((len(BOUND_IDS), len(seeds) + 1), np.inf)
+    np.copyto(ranked[:, :-1], slack, where=(status == OK) & ~np.isnan(slack))
+    return {bid: {"min_slack": least if least < math.inf else None,
+                  "argmin_seed": seeds[i] if least < math.inf else None,
+                  "evaluated": ok, "not_applicable": na, "no_root": nr}
+            for bid, least, i, ok, na, nr in zip(BOUND_IDS, ranked.min(axis=1).tolist(),
+                                                  ranked.argmin(axis=1).tolist(), *counts)}
 
 
 def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
@@ -62,25 +81,7 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     one column.  A record's results do not depend on the block it lands in.
     """
     args = [(lo, hi, seed, n_min, n_max) for lo, hi in blocks(samples, workers)]
-    rows = [row for block in parallel_map(_census_block, args) for row in block]
-    agg: dict[str, dict] = {
-        bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
-              "not_applicable": 0, "no_root": 0}
-        for bid in bounds_mod.BOUND_IDS
-    }
-    for rec_seed, results in rows:
-        for bid, status, slack in results:
-            a = agg[bid]
-            if status == "not-applicable":
-                a["not_applicable"] += 1
-            elif status == "no-root":
-                a["no_root"] += 1
-            else:
-                a["evaluated"] += 1
-                if a["min_slack"] is None or slack < a["min_slack"]:
-                    a["min_slack"] = slack
-                    a["argmin_seed"] = rec_seed
-    return agg
+    return _fold(parallel_map(_census_block, args))
 
 
 def _curve_residual(f, did: str, side: str) -> float:
@@ -120,15 +121,13 @@ def sharpness(res: int = 8192) -> list[dict]:
     """
     bodies = [(label, measure_with_cheeger(build(spec, res)), ids, curves)
               for label, spec, ids, curves in _sharpness_bodies()]
-    results = evaluate_all(*(f for _, f, _, _ in bodies))
-    k = len(bounds_mod.BOUND_IDS)
+    slack = evaluate_all(*(f for _, f, _, _ in bodies)).slack
     rows = []
     for i, (label, f, ids, curves) in enumerate(bodies):
-        by_id = {r.id: r for r in results[i * k:(i + 1) * k]}
         for bid in ids:
-            slack = by_id[bid].slack
+            s = slack[BOUND_IDS.index(bid), i]
             rows.append({"shape": label, "bound": bid,
-                         "residual": math.inf if slack is None else abs(slack) / f.cheeger})
+                         "residual": math.inf if math.isnan(s) else float(abs(s) / f.cheeger)})
         for did, side in curves:
             rows.append({"shape": label, "bound": f"{did}:{side}",
                          "residual": _curve_residual(f, did, side)})

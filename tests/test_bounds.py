@@ -397,7 +397,8 @@ class TestRootSteps:
 
     def test_census_column_steps(self, monkeypatch):
         # 30 census records as one column: one crossing loop for g1..g4, each
-        # of its elements done in 7 steps, and arcsinc elements in 6
+        # of its elements done in 7 steps, and one arcsinc loop for PHR_LO and
+        # PHD_LO, its elements done in 6
         records = [measure_with_cheeger(area_normalized(seeded_polygon(1, i, 3, 30)[2]))
                    for i in range(30)]
         dstar()  # cached before the count, so that only arcsinc runs bounds' root loop
@@ -420,13 +421,12 @@ class TestRootSteps:
             return root
         monkeypatch.setattr(bounds, "smallest_crossing", counted_crossing)
         monkeypatch.setattr(bounds, "_bracketed_root", counted_root)
-        results = evaluate_all(*records)
+        table = evaluate_all(*records)
         assert len(crossing_calls) == 1
         calls = crossing_calls[0]
         assert calls[0] == (2, 4 * len(records)) and 1 <= len(calls) - 1 <= 7
-        assert len(arcsinc_steps) == 2 and max(arcsinc_steps) <= 6
+        assert len(arcsinc_steps) == 1 and arcsinc_steps[0] <= 6
         # the stacked loop gives each family's crossings bit for bit
-        k = len(BOUND_IDS)
         for fam, bid, kw in (("g1", "HDR_LO_IMPLICIT", ("d", "diameter", "r", "inradius")),
                              ("g2", "HRR_LO_IMPLICIT", ("R", "circumradius", "r", "inradius")),
                              ("g3", "HDW_LO_IMPLICIT", ("d", "diameter", "w", "min_width")),
@@ -434,8 +434,7 @@ class TestRootSteps:
             column = {kw[0]: np.array([getattr(f, kw[1]) for f in records]),
                       kw[2]: np.array([getattr(f, kw[3]) for f in records])}
             want = 1.0 / smallest_crossing(implicit_g(fam, **column))
-            j = BOUND_IDS.index(bid)
-            assert [results[i * k + j].value for i in range(len(records))] == list(want), fam
+            assert table.value[BOUND_IDS.index(bid)].tolist() == list(want), fam
 
 
 class TestImplicitG:
@@ -661,8 +660,8 @@ class TestEvaluateAll:
 
     def test_column_matches_records(self, column_records):
         # 200 census polygons and the 13 sharpness bodies as one column
-        got = evaluate_all(*column_records)
-        want = [r for f in column_records for r in evaluate_all(f)]
+        got = evaluate_all(*column_records).results()
+        want = [r for f in column_records for r in evaluate_all(f).results()]
         assert [(r.id, r.status) for r in got] == [(r.id, r.status) for r in want]
         assert [r.id for r in got[:len(BOUND_IDS)]] == list(BOUND_IDS)
         for a, b in zip(got, want):
@@ -676,9 +675,9 @@ class TestEvaluateAll:
                            diameter=2.0, min_width=1e-320)
         a, b = column_records[:2]
         k = len(BOUND_IDS)
-        got = evaluate_all(a, thin, b)
+        got = evaluate_all(a, thin, b).results()
         assert {r.id: r.status for r in got[k:2 * k]}["HRW_UP_TRI"] == "no-root"
-        assert got[:k] + got[2 * k:] == evaluate_all(a, b)
+        assert got[:k] + got[2 * k:] == evaluate_all(a, b).results()
 
     def test_no_root_loop_over_shapes(self, monkeypatch, column_records):
         # the triangle matches are closed forms: a census column never runs
@@ -686,7 +685,29 @@ class TestEvaluateAll:
         def loop(*args):
             raise AssertionError("evaluate_all ran a root loop in shapes")
         monkeypatch.setattr(shapes, "_bracketed_root", loop)
-        assert len(evaluate_all(*column_records[:10])) == 10 * len(BOUND_IDS)
+        assert evaluate_all(*column_records[:10]).status.shape == (len(BOUND_IDS), 10)
+
+    def test_arrays_and_their_view(self, column_records):
+        # the arrays are ids by records; the view reads them record by record,
+        # and a record without h has NaN slacks in the arrays and None in the view
+        fs = column_records[:20] + [dataclasses.replace(column_records[20], cheeger=None, cheeger_t=None)]
+        table = evaluate_all(*fs)
+        assert table.value.shape == table.slack.shape == table.status.shape == (len(BOUND_IDS), len(fs))
+        ok = table.status == bounds.OK
+        assert np.isnan(table.value[~ok]).all() and np.isfinite(table.value[ok]).all()
+        assert np.isnan(table.slack[:, -1]).all() and np.isfinite(table.slack[:, :-1][ok[:, :-1]]).all()
+        k = len(BOUND_IDS)
+        for i, r in enumerate(table.results()):
+            j, rec = i % k, i // k
+            assert (r.id, r.direction) == (BOUND_IDS[j], bounds._DEFS[j].direction)
+            assert r.status == bounds.STATUSES[table.status[j, rec]]
+            assert r.value == (table.value[j, rec] if ok[j, rec] else None)
+            h = fs[rec].cheeger
+            want = None if h is None or r.value is None else (h - r.value if r.direction == "lower"
+                                                               else r.value - h)
+            assert r.slack == want
+        assert list(table) == table.results()
+        assert {"not-applicable", "ok"} <= {r.status for r in table}
 
     def test_csv_export(self):
         f = ball_functionals()
@@ -725,3 +746,50 @@ class TestCensusBlocks:
     def test_grouping_does_not_matter(self):
         # one block of 40 records against two blocks of 20 in a pool
         assert verify.census(40, 31, workers=1) == verify.census(40, 31, workers=2)
+
+    def test_no_records(self):
+        # zero blocks fold into zero counts and no slack
+        empty = {bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0, "not_applicable": 0,
+                       "no_root": 0} for bid in BOUND_IDS}
+        assert verify._fold([]) == empty and verify.census(0, 1) == empty
+
+    def test_fold_by_hand(self):
+        # four records; id 0 ties at -1.0 (the first of them wins), id 1 is
+        # never applicable, id 2 evaluates one record, the rest none
+        ok, na, nr = bounds.OK, bounds.NOT_APPLICABLE, bounds.NO_ROOT
+        seeds = [11, 22, 33, 44]
+        status = np.full((len(BOUND_IDS), 4), nr, dtype=np.int8)
+        slack = np.full(status.shape, np.nan)
+        status[0], slack[0] = ok, [0.5, -1.0, 2.0, -1.0]
+        status[1] = na
+        status[2] = [na, nr, ok, na]
+        slack[2, 2] = 0.0
+        agg = verify._fold([(seeds, status, slack)])
+        assert list(agg) == list(BOUND_IDS)
+        first, never, one = (agg[BOUND_IDS[j]] for j in range(3))
+        assert first == {"min_slack": -1.0, "argmin_seed": 22, "evaluated": 4,
+                         "not_applicable": 0, "no_root": 0}
+        assert never == {"min_slack": None, "argmin_seed": None, "evaluated": 0,
+                         "not_applicable": 4, "no_root": 0}
+        assert one == {"min_slack": 0.0, "argmin_seed": 33, "evaluated": 1,
+                       "not_applicable": 2, "no_root": 1}
+        assert all(a["min_slack"] is None for a in list(agg.values())[3:])
+        for a in agg.values():
+            assert a["evaluated"] + a["not_applicable"] + a["no_root"] == len(seeds)
+
+    def test_fold_matches_the_results(self):
+        # the fold of a block's arrays against the fold of its result view,
+        # one result at a time
+        block = verify._census_block((0, 60, 5, 3, 30))
+        fs = [f for _, _, f in verify.measured_block(5, 0, 60, 3, 30, "A")]
+        want = {bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
+                      "not_applicable": 0, "no_root": 0} for bid in BOUND_IDS}
+        for i, r in enumerate(evaluate_all(*fs)):
+            a = want[r.id]
+            a[{"ok": "evaluated", "not-applicable": "not_applicable", "no-root": "no_root"}[r.status]] += 1
+            if r.status == "ok" and (a["min_slack"] is None or r.slack < a["min_slack"]):
+                a["min_slack"], a["argmin_seed"] = r.slack, block[0][i // len(BOUND_IDS)]
+        assert verify._fold([block]) == want
+        # the same records in three blocks
+        assert verify._fold([verify._census_block((lo, hi, 5, 3, 30))
+                             for lo, hi in ((0, 17), (17, 18), (18, 60))]) == want
