@@ -1,4 +1,4 @@
-"""The polygon kernel: hulls, offsets, Minkowski sums, dilation, form bodies.
+"""The polygon kernel: checked polygons, offsets, Minkowski sums, dilation, form bodies.
 
 Everything downstream (Cheeger constants, bounds, diagrams) reduces to a
 handful of exact polygon operations shown here.
@@ -8,17 +8,20 @@ import math
 
 import numpy as np
 
+from cheeger_atlas.errors import DegenerateInput
 from cheeger_atlas.functionals import area, inradius, perimeter
-from cheeger_atlas.geom import (ConvexPolygon, convex_hull, dilate, form_body,
-                                inner_parallel, minkowski_sum, support)
+from cheeger_atlas.geom import ConvexPolygon, dilate, form_body, inner_parallel, minkowski_sum, support
 
 
 def main():
-    print("-- convex hull drops interior and collinear points --")
-    h = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.5, 0.0)])
-    print(f"hull of 6 points has {len(h)} vertices, area {area(h)}")
-
-    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    print("-- a polygon is checked strictly convex and keeps its edge data --")
+    square = ConvexPolygon([[0, 0], [0, 1], [1, 1], [1, 0]])
+    print(f"clockwise input is reversed: {square.vertices.tolist()}, area {area(square)}, "
+          f"support along (1, 1): {support(square, (1, 1))}")
+    try:
+        ConvexPolygon([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])
+    except DegenerateInput as exc:
+        print(f"a collinear vertex is rejected: {exc}")
 
     print("\n-- inner parallel sets shrink every functional linearly --")
     for t in (0.1, 0.25, 0.4, 0.49):

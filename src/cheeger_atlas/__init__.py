@@ -5,18 +5,15 @@ from .bounds import (BoundResult, BoundTable, arcsinc, chi, d0, dstar, evaluate_
 from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, smallest_crossing
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,
-                     NoConvergence, NoRoot, PolygonJsonError, UnboundedRegion, Unreachable,
-                     Unsupported)
+                     NoConvergence, NoRoot, PolygonJsonError, Unreachable, Unsupported)
 from .functionals import (Functionals, area, circumradius, diameter, inradius,
                           measure, measure_with_cheeger, min_width, perimeter)
-from .geom import (ConvexPolygon, HalfPlane, convex_hull, dilate, form_body,
-                   halfplane_intersection, inner_parallel, interpolate, minkowski_sum,
+from .geom import (ConvexPolygon, dilate, form_body, inner_parallel, interpolate, minkowski_sum,
                    polygon_from_json, polygon_to_json, support)
 from .sampler import SampleRecord, cloud_csv, mix, sample_cloud, valtr
-from .shapes import (Ball, ConstantWidthNonagon, Polygon, Resolution, ShapeSpec, Slice,
-                     SmoothedNonagon, Stadium, SubequilateralTriangle, TwoCup, Yamanouti,
-                     build, closed_form, solve_param, spec_from_json, spec_to_json,
-                     triangle_functionals)
+from .shapes import (Ball, ConstantWidthNonagon, Resolution, ShapeSpec, Slice, SmoothedNonagon,
+                     Stadium, SubequilateralTriangle, TwoCup, Yamanouti, build, closed_form,
+                     solve_param, triangle_functionals)
 from .verify import verify_suite
 
 __version__ = "0.1.0"

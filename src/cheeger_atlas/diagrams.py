@@ -171,19 +171,34 @@ _MARGIN = 70.0
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
+    """Round values from lo to hi, a step of 1, 2 or 5 times a power of 10
+    apart: at most six, as the step is at least a fifth of the span.  A
+    step below the rounding of the values does not move them, and gives
+    one tick."""
     span = hi - lo
     if span <= 0:
         return [lo]
     raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
     out = []
-    v = first
-    while v <= hi + 1e-9 * span:
+    v = math.ceil(lo / step) * step
+    for _ in range(6):
+        if v > hi + 1e-9 * span:
+            break
         out.append(round(v, 12))
         v += step
-    return out
+    return list(dict.fromkeys(out))
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), with a range of one value widened each way by 0.5 or by 5e-4
+    of its magnitude, whichever is larger, which the value's rounding does
+    not lose."""
+    if hi - lo > 0:
+        return lo, hi
+    half = max(0.5, 5e-4 * abs(lo))
+    return lo - half, hi + half
 
 
 def render_csv(cloud: list[DiagramPoint],
@@ -205,12 +220,8 @@ def render_svg(cloud: list[DiagramPoint],
     ys = [p.y for p in cloud] + [float(v) for c in curves for v in c[:, 1]]
     if not xs:
         raise ValueError("nothing to render")
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 - x0 <= 0:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y1 - y0 <= 0:
-        y0, y1 = y0 - 0.5, y1 + 0.5
+    x0, x1 = _widened(min(xs), max(xs))
+    y0, y1 = _widened(min(ys), max(ys))
     padx, pady = 0.04 * (x1 - x0), 0.04 * (y1 - y0)
     x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
 

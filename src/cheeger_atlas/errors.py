@@ -9,10 +9,6 @@ class DegenerateInput(CheegerAtlasError):
     """Input does not span a 2-dimensional region (collinear, too few points...)."""
 
 
-class UnboundedRegion(CheegerAtlasError):
-    """A half-plane intersection is unbounded."""
-
-
 class InvalidParam(CheegerAtlasError):
     """A shape parameter violates its admissible range."""
 

@@ -4,7 +4,8 @@ Counterclockwise strictly convex vertex chains are the universal carrier;
 every operation is a pure function on immutable polygons.  Points are plain
 length-2 arrays (or anything ``np.asarray`` turns into one).  Offsets,
 Minkowski sums, form bodies and dilations all work on double precision
-coordinates; there is no exact arithmetic.
+coordinates; there is no exact arithmetic.  A form body is its polygon's
+own normal fan at offset 1, peeled as an offset chain is (``_fan_region``).
 
 A block of polygons is one ragged column: their vertices or planes lie end
 to end in flat arrays cut into one segment per polygon, with neighbours
@@ -38,14 +39,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, NoConvergence, PolygonJsonError, UnboundedRegion
+from .errors import DegenerateInput, NoConvergence, PolygonJsonError
 
 # Angle below which two half-plane normals are treated as parallel and merged.
 PARALLEL_EPS = 1e-10
 # Relative area below which an offset/intersection result counts as empty.
 DEGENERATE_AREA_REL = 1e-18
-# Unit-norm check for half-plane normals.
-UNIT_EPS = 1e-12
 # Chain evaluations one polygon's skeleton walk may make before it gives up.
 MAX_WALK_STEPS = 64
 # Peel pass of ``_offset_chain`` from which planes eaten by a long edge go too.
@@ -166,22 +165,6 @@ class ConvexPolygon:
         if factor <= 0:
             raise DegenerateInput("scale factor must be positive")
         return ConvexPolygon(self.vertices * float(factor))
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Closed half-plane {x : x . n <= c} with unit normal n."""
-
-    n: np.ndarray
-    c: float
-
-    def __post_init__(self):
-        n = np.asarray(self.n, dtype=float).reshape(2)
-        if abs(np.hypot(n[0], n[1]) - 1.0) > UNIT_EPS:
-            raise DegenerateInput("half-plane normal must have unit norm")
-        n.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", float(self.c))
 
 
 def _turn_cross(e: np.ndarray) -> np.ndarray:
@@ -319,34 +302,6 @@ def find_antipodes(polys: list[ConvexPolygon]) -> None:
             poly.__dict__["antipodes"] = far[a:b]
 
 
-def convex_hull(points) -> ConvexPolygon:
-    """Strict convex hull (Andrew monotone chain); collinear points dropped."""
-    pts = np.unique(_as_vertex_array(points), axis=0)
-    if len(pts) < 3:
-        raise DegenerateInput("need at least 3 distinct points")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def build(seq):
-        chain: list[np.ndarray] = []
-        for p in seq:
-            while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) <= 0.0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateInput("points are collinear")
-    return ConvexPolygon(np.array(hull))
-
-
 def support(poly: ConvexPolygon, direction) -> float:
     """Support function p(y) = max over vertices of x . y (y need not be unit)."""
     d = np.asarray(direction, dtype=float)
@@ -369,36 +324,6 @@ def _strictify(vertices: np.ndarray, scale: float) -> np.ndarray | None:
             return v
         v = v[shifted(cross > 0.0, -1)]
     return None
-
-
-def halfplane_intersection(planes: list[HalfPlane]) -> ConvexPolygon | None:
-    """Bounded intersection of half-planes; None when the interior is empty.
-
-    Raises UnboundedRegion when the intersection is unbounded.  The planes
-    and the sides of a huge square go through the offset chain's fan peel
-    (``_merge_parallel``, ``_offset_chain``): a side that survives means
-    escape to infinity at the working scale.
-    """
-    if not planes:
-        raise DegenerateInput("need at least one half-plane")
-    normals = np.concatenate(([p.n for p in planes], [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-    offsets = np.array([p.c for p in planes])
-    size = max(1.0, float(np.max(np.abs(offsets))))
-    offsets = np.concatenate((offsets, np.full(4, 1e8 * size)))
-    fan = _merge_parallel(normals, offsets, np.array([0, len(offsets)]))
-    chain = _offset_chain(normals[fan], offsets[fan], np.arange(len(fan)), np.array([0, len(fan)]),
-                          np.array([size * 1e-14]))
-    alive, = chain.alive
-    if not alive:
-        return None
-    verts, kept = chain.verts, fan[chain.fan]
-    if np.any(kept >= len(planes)):
-        raise UnboundedRegion("half-plane intersection is unbounded")
-    scale = float(np.max(np.abs(verts))) or 1.0
-    verts = _strictify(verts, scale)
-    if verts is None or abs(shoelace(verts)) <= (scale * scale) * DEGENERATE_AREA_REL:
-        return None
-    return ConvexPolygon(verts)
 
 
 def _merge_parallel(normals: np.ndarray, offsets: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -514,10 +439,7 @@ def _chain_measure(chain: _Chain) -> ChainMeasure:
     below the emptiness floor as the chain shrinks to a point.
     """
     start, ns, nxt = chain.start, chain.ns, chain.nxt
-    mean = _seg_sum(chain.verts, start) / (start[1:] - start[:-1])[:, None]
-    centred = chain.verts - mean.take(chain.seg, axis=0)
-    vx, vy = centred[:, 0], centred[:, 1]
-    a = 0.5 * (_seg_sum(vx * vy[nxt], start) - _seg_sum(vy * vx[nxt], start))
+    _, a = _centred_area(chain.verts, start, start[1:] - start[:-1], nxt)
     n2 = ns.take(nxt, axis=0)
     # exterior angle at vertex k, between edges k and k + 1
     theta = np.arctan2(ns[:, 0] * n2[:, 1] - ns[:, 1] * n2[:, 0],
@@ -1027,13 +949,36 @@ def dilate(poly: ConvexPolygon, t: float, arc_segments: int = 4096) -> ConvexPol
     return ConvexPolygon(verts)
 
 
+def _fan_region(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
+    """Vertices of the region {x : n_k . x <= c_k} of one fan of half-planes,
+    such as a polygon's own edge normals at other offsets, or None when it
+    is empty.  A fan with a gap, whose region is unbounded, reads as empty.
+
+    The offset chain's fan peel (``_merge_parallel``, ``_offset_chain`` with
+    eps = max(1, max |c_k|) * 1e-14), then ``_strictify``; a region whose
+    area is at most DEGENERATE_AREA_REL of its squared size is empty.
+    """
+    fan = _merge_parallel(normals, offsets, np.array([0, len(offsets)]))
+    eps = max(1.0, float(np.max(np.abs(offsets)))) * 1e-14
+    chain = _offset_chain(normals[fan], offsets[fan], np.arange(len(fan)), np.array([0, len(fan)]),
+                          np.array([eps]))
+    alive, = chain.alive
+    if not alive:
+        return None
+    scale = float(np.max(np.abs(chain.verts))) or 1.0
+    verts = _strictify(chain.verts, scale)
+    if verts is None or abs(shoelace(verts)) <= (scale * scale) * DEGENERATE_AREA_REL:
+        return None
+    return verts
+
+
 def form_body(poly: ConvexPolygon) -> ConvexPolygon:
-    """Intersection of {x . u <= 1} over the polygon's edge outward normals."""
-    planes = [HalfPlane(n, 1.0) for n in poly.edge_normals]
-    result = halfplane_intersection(planes)
-    if result is None:
+    """Intersection of {x . u <= 1} over the polygon's edge outward normals:
+    its own normal fan, all offsets 1, through ``_fan_region``."""
+    verts = _fan_region(poly.edge_normals, np.ones(len(poly)))
+    if verts is None:
         raise DegenerateInput("form body has empty interior")
-    return result
+    return ConvexPolygon(verts)
 
 
 def polygon_to_json(poly: ConvexPolygon) -> str:

@@ -3,12 +3,13 @@
 Every family builds a counterclockwise polygon whose vertices lie ON the
 true boundary (inscribed discretization), centered at the origin with the
 diameter along the x-axis where the family has a canonical one.  Arcs are
-sampled with chords subtending at most 2*pi/arc_segments.
+sampled with chords subtending at most 2*pi/arc_segments.  Each family
+lays its boundary out in order and takes no hull: the Yamanouti set keeps
+the arc samples that bound it by two turn tests.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -19,7 +20,7 @@ import numpy as np
 from .cheeger import _bracketed_root
 from .errors import InvalidParam, Unreachable, Unsupported
 from .functionals import EXPONENT, Functionals, measure
-from .geom import ConvexPolygon, convex_hull
+from .geom import ConvexPolygon
 
 SQRT3 = math.sqrt(3.0)
 
@@ -159,55 +160,14 @@ class ConstantWidthNonagon:
             raise InvalidParam("inner_radius must lie in [width*(1-1/sqrt 3), width/2)")
 
 
-@dataclass(frozen=True)
-class Polygon:
-    vertices: tuple
-
-    def __post_init__(self):
-        for p in self.vertices:
-            for c in p:
-                _number("a vertex coordinate", c)
-        ConvexPolygon(np.asarray(self.vertices, dtype=float))
-
-
 ShapeSpec = (Ball | Stadium | TwoCup | Slice | SubequilateralTriangle
-             | Yamanouti | SmoothedNonagon | ConstantWidthNonagon | Polygon)
+             | Yamanouti | SmoothedNonagon | ConstantWidthNonagon)
 
 _FAMILY_NAMES = {
     Ball: "ball", Stadium: "stadium", TwoCup: "two_cup", Slice: "slice",
     SubequilateralTriangle: "subequilateral_triangle", Yamanouti: "yamanouti",
     SmoothedNonagon: "smoothed_nonagon", ConstantWidthNonagon: "constant_width_nonagon",
-    Polygon: "polygon",
 }
-_FAMILY_BY_NAME = {v: k for k, v in _FAMILY_NAMES.items()}
-
-
-def spec_to_json(spec: ShapeSpec) -> str:
-    params = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    if isinstance(spec, Polygon):
-        params["vertices"] = [list(p) for p in params["vertices"]]
-    return json.dumps({"family": _FAMILY_NAMES[type(spec)], "params": params})
-
-
-def spec_from_json(text: str) -> ShapeSpec:
-    """The spec of {"family": name, "params": {...}}, with the same rule for
-    numbers as polygon JSON: every parameter (every vertex coordinate of a
-    polygon) must be a finite JSON number, not a boolean.  A bad number, a
-    missing or unknown parameter, or an unknown family raises InvalidParam."""
-    doc = json.loads(text, parse_int=float)  # a too-large integer reads as inf
-    family = doc.get("family") if isinstance(doc, dict) else None
-    cls = _FAMILY_BY_NAME.get(family)
-    if cls is None:
-        raise InvalidParam(f"unknown family {family!r}")
-    params, names = doc.get("params"), {f.name for f in fields(cls)}
-    if not isinstance(params, dict) or set(params) != names:
-        raise InvalidParam(f"{family} takes the parameters {sorted(names)}, got {params!r}")
-    if cls is Polygon:
-        raw = params["vertices"]
-        if not (isinstance(raw, list) and all(isinstance(p, list) and len(p) == 2 for p in raw)):
-            raise InvalidParam("'vertices' must be a list of [x, y] pairs")
-        params["vertices"] = tuple(tuple(p) for p in raw)
-    return cls(**params)
 
 
 def _arc(center, radius, a0, a1, step):
@@ -233,8 +193,6 @@ def build(spec: ShapeSpec, res: Resolution | int = Resolution()) -> ConvexPolygo
     """Discretize a shape spec into a strictly convex polygon."""
     m = res.arc_segments if isinstance(res, Resolution) else Resolution(int(res)).arc_segments
     step = 2 * math.pi / m
-    if isinstance(spec, Polygon):
-        return ConvexPolygon(np.asarray(spec.vertices, dtype=float))
     if isinstance(spec, Ball):
         return ConvexPolygon(_arc((0.0, 0.0), spec.radius, 0.0, 2 * math.pi - 2 * math.pi / m, step))
     if isinstance(spec, Stadium):
@@ -268,24 +226,35 @@ def build(spec: ShapeSpec, res: Resolution | int = Resolution()) -> ConvexPolygo
     raise InvalidParam(f"unknown spec {spec!r}")
 
 
+def _turn(a, b, c):
+    """(b - a) x (c - a), row by row: positive where a, b, c turn strictly left."""
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
+
+
 def _build_yamanouti(spec: Yamanouti, step: float) -> ConvexPolygon:
+    """The hull of the triangle and its arcs, built in order: each triangle
+    vertex a, then the open arc about the opposite vertex, from a to the
+    next vertex b, where it bounds the hull.  Those are the arc samples
+    beyond the edge ab that turn strictly left both from a to the next such
+    sample (or b) and from the one before (or a) to b: along a circle the
+    turn seen from a point outside it changes sign once, at its tangent, so
+    the two tests keep the samples between the tangents from a and b."""
     s, rho = spec.side, spec.arc_radius
     v = np.array([[-s / 2, -s / (2 * SQRT3)], [s / 2, -s / (2 * SQRT3)], [0.0, s / SQRT3]])
-    chunks = [v]
+    chunks = []
     for i in range(3):
-        center = v[i]
-        to_next = v[(i + 1) % 3] - center
-        to_prev = v[(i + 2) % 3] - center
-        a0 = math.atan2(to_next[1], to_next[0])
-        a1 = math.atan2(to_prev[1], to_prev[0])
+        a, b, center = v[i], v[(i + 1) % 3], v[(i + 2) % 3]
+        to_a, to_b = a - center, b - center
+        a0 = math.atan2(to_a[1], to_a[0])
+        a1 = math.atan2(to_b[1], to_b[0])
         if a1 < a0:
             a1 += 2 * math.pi
-        # arc endpoints lie exactly on the triangle edges; keep the open arc
-        # so collinear points cannot survive into the hull
-        pts = _arc(center, rho, a0, a1, step)
-        if len(pts) > 2:
-            chunks.append(pts[1:-1])
-    return convex_hull(np.concatenate(chunks))
+        # the arc's end points lie on the triangle's edges
+        pts = _arc(center, rho, a0, a1, step)[1:-1]
+        pts = pts[_turn(a, b, pts) < 0.0]
+        after, before = np.concatenate((pts, [b]))[1:], np.concatenate(([a], pts))[:-1]
+        chunks += [a[None], pts[(_turn(a, pts, after) > 0.0) & (_turn(before, pts, b) > 0.0)]]
+    return ConvexPolygon(np.concatenate(chunks))
 
 
 def _build_smoothed_nonagon(spec: SmoothedNonagon, step: float) -> ConvexPolygon:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cheeger_atlas.errors import DegenerateInput
 from cheeger_atlas.functionals import area
 from cheeger_atlas.geom import ConvexPolygon
 from cheeger_atlas.sampler import valtr
@@ -36,3 +37,27 @@ def random_polygons(count: int, seed: int = 0, n_min: int = 3, n_max: int = 16):
     for _ in range(count):
         n = int(rng.integers(n_min, n_max + 1))
         yield valtr(n, int(rng.integers(0, 2**63)))
+
+
+def monotone_hull(points) -> ConvexPolygon:
+    """Strict convex hull of a point set (Andrew's monotone chain, one point
+    at a time), collinear points dropped, starting at the lowest x, then y:
+    an oracle for ``minkowski_sum`` and the Yamanouti build that shares no
+    code with them."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) < 3:
+        raise DegenerateInput("need at least 3 distinct points")
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    if len(hull) < 3:
+        raise DegenerateInput("points are collinear")
+    return ConvexPolygon(np.array(hull))

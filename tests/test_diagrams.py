@@ -6,7 +6,7 @@ import pytest
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.bounds import _REGISTRY, BOUND_IDS
 from cheeger_atlas.diagrams import (CURVES, DIAGRAM_IDS, SOLVED, DiagramPoint, DiagramSpec,
-                                    boundary, curve, membership, render_csv, render_svg)
+                                    _ticks, boundary, curve, membership, render_csv, render_svg)
 from cheeger_atlas.errors import DomainError
 from cheeger_atlas.functionals import measure
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
@@ -159,6 +159,20 @@ class TestRender:
         lower, upper = boundary(DiagramSpec("D1_PHR", grid=32))
         pts = [DiagramPoint(7.0, 1.8, "a"), DiagramPoint(9.0, 1.6, "b")]
         assert render_svg(pts, [lower, upper]) == render_svg(pts, [lower, upper])
+
+    def test_ticks(self):
+        assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        assert _ticks(7.0, 12.0) == [7.0, 8.0, 9.0, 10.0, 11.0, 12.0]
+        assert _ticks(3.0, 3.0) == [3.0]
+        # a step of 5000 does not move 1e20, whose rounding is 16384
+        assert _ticks(1e20, 1e20 + 16384.0) == [1e20]
+
+    def test_svg_far_from_zero(self):
+        # two x apart by the rounding of 1e20, and two equal x there, which
+        # 0.5 does not widen
+        for x2 in (1e20 + 16384.0, 1e20):
+            svg = render_svg([DiagramPoint(1e20, 1.0), DiagramPoint(x2, 2.0)])
+            assert svg.count("<circle") == 2
 
     def test_cloud_between_curves(self):
         from cheeger_atlas.sampler import sample_cloud

@@ -11,19 +11,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from cheeger_atlas import geom, verify
 from cheeger_atlas.cheeger import cheeger_constant
-from cheeger_atlas.errors import DegenerateInput, NoConvergence, PolygonJsonError, UnboundedRegion
+from cheeger_atlas.errors import DegenerateInput, NoConvergence, PolygonJsonError
 from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, measure_with_cheeger,
                                       min_width, perimeter)
-from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, HalfPlane, OffsetMachine,
-                                _merge_parallel, convex_hull, dilate, form_body,
-                                halfplane_intersection, inner_parallel, inner_parallel_area,
-                                find_antipodes, interpolate, minkowski_sum, polygon_block,
-                                polygon_from_json, polygon_to_json, support, walk_block)
+from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, OffsetMachine, _fan_region,
+                                _merge_parallel, dilate, form_body, inner_parallel,
+                                inner_parallel_area, find_antipodes, interpolate, minkowski_sum,
+                                polygon_block, polygon_from_json, polygon_to_json, support,
+                                walk_block)
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, SmoothedNonagon, Stadium,
                                   SubequilateralTriangle, TwoCup, build, solve_param)
 from cheeger_atlas.verify import SLICE_DIAMETERS, STADIUM_GAPS, SUBEQ_DIAMETERS, TWOCUP_TIPS
-from conftest import random_polygons, regular_ngon
+from conftest import monotone_hull, random_polygons, regular_ngon
 
 
 # the star (cos 4 pi k / 5, sin 4 pi k / 5): a left turn at every vertex
@@ -54,25 +54,27 @@ class TestConvexPolygon:
 
 
 class TestConvexHull:
+    """The test-only hull oracle, ``conftest.monotone_hull``."""
+
     def test_triangle_passthrough(self):
-        h = convex_hull([(0, 0), (1, 0), (0, 1)])
+        h = monotone_hull([(0, 0), (1, 0), (0, 1)])
         assert len(h) == 3
 
     def test_interior_point_dropped(self):
-        h = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
+        h = monotone_hull([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
         assert len(h) == 4
         assert area(h) == pytest.approx(1.0, abs=1e-15)
 
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateInput):
-            convex_hull([(0, 0), (1, 0), (2, 0)])
+            monotone_hull([(0, 0), (1, 0), (2, 0)])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 14))
     def test_idempotent(self, seed, n):
         from cheeger_atlas.sampler import seeded_polygon, valtr
         p = valtr(n, seed)
-        h = convex_hull(p.vertices)
+        h = monotone_hull(p.vertices)
         assert len(h) == len(p)
         assert abs(area(h) - area(p)) <= 1e-12 * area(p)
 
@@ -100,9 +102,9 @@ class TestSupport:
 def _clip_oracle(planes):
     """Sutherland-Hodgman clip of a huge square by the half-planes [(n, c)]:
     the polygon, or None when empty.  An oracle that shares no code with the
-    fan peel of ``halfplane_intersection`` and the offset chain.  Each edge
-    keeps the id of the plane that supports it, so every vertex is
-    recomputed from its two supporting lines."""
+    offset chain's fan peel, which ``OffsetMachine`` and ``geom._fan_region``
+    (so ``form_body``) run.  Each edge keeps the id of the plane that
+    supports it, so every vertex is recomputed from its two supporting lines."""
     big = 1e8 * max(1.0, max(abs(c) for _, c in planes))
     verts = [np.array(p) for p in ([-big, -big], [big, -big], [big, big], [-big, big])]
     ids = [-1, -2, -3, -4]
@@ -150,20 +152,26 @@ def _clip_oracle(planes):
     return ConvexPolygon(verts)
 
 
+def _fan_polygon(planes):
+    """``geom._fan_region`` of the half-planes [(n, c)] as a polygon, or None."""
+    verts = _fan_region(np.array([n for n, _ in planes], dtype=float), np.array([c for _, c in planes]))
+    return None if verts is None else ConvexPolygon(verts)
+
+
 class TestHalfplaneIntersection:
+    """A fan's region, ``geom._fan_region``."""
+
     def test_unit_square(self):
-        planes = [HalfPlane((0, -1), 0), HalfPlane((1, 0), 1),
-                  HalfPlane((0, 1), 1), HalfPlane((-1, 0), 0)]
-        poly = halfplane_intersection(planes)
+        poly = _fan_polygon([((0, -1), 0), ((1, 0), 1), ((0, 1), 1), ((-1, 0), 0)])
         assert area(poly) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty(self):
-        planes = [HalfPlane((1, 0), 0), HalfPlane((-1, 0), -1)]
-        assert halfplane_intersection(planes) is None
-
-    def test_unbounded(self):
-        with pytest.raises(UnboundedRegion):
-            halfplane_intersection([HalfPlane((1, 0), 0), HalfPlane((0, 1), 0)])
+        # a strip's fan has a gap, so has a quadrant's (unbounded), and the
+        # offsets of a triangle's fan can leave no room
+        assert _fan_polygon([((1, 0), 0), ((-1, 0), -1)]) is None
+        assert _fan_polygon([((1, 0), 0), ((0, 1), 0)]) is None
+        half = math.sqrt(0.5)
+        assert _fan_polygon([((0, -1), 0), ((1, 0), -1), ((-half, half), 0)]) is None
 
     def test_matches_clip_oracle(self):
         # shifted edge planes of random polygons, past the inradius too, and
@@ -173,7 +181,7 @@ class TestHalfplaneIntersection:
             cases = [[(n, c - frac * r) for n, c in zip(poly.edge_normals, poly.edge_offsets)]
                      for frac in (0.0, 0.3, 0.9, 1.1)]
             for planes in cases + [[(n, 1.0) for n in poly.edge_normals]]:
-                got = halfplane_intersection([HalfPlane(n, c) for n, c in planes])
+                got = _fan_polygon(planes)
                 want = _clip_oracle(planes)
                 assert (got is None) == (want is None)
                 if want is not None:
@@ -522,7 +530,7 @@ class TestCascade:
         if len(poly) <= 800:  # the clip is quadratic in the plane count
             t = frac * r
             planes = [(n, c - t) for n, c in zip(poly.edge_normals, poly.edge_offsets)]
-            mine = halfplane_intersection([HalfPlane(n, c) for n, c in planes])
+            mine = _fan_polygon(planes)
             clipped = _clip_oracle(planes)
             assert (mine is None) == (clipped is None)
             if clipped is not None:
@@ -758,7 +766,7 @@ class TestMinkowski:
         s = minkowski_sum(hexa, hexb)
         # oracle: brute-force hull of all pairwise vertex sums
         sums = (hexa.vertices[:, None, :] + hexb.vertices[None, :, :]).reshape(-1, 2)
-        oracle = convex_hull(sums)
+        oracle = monotone_hull(sums)
         assert len(s) == 12
         assert perimeter(s) == pytest.approx(perimeter(oracle), rel=1e-12)
         assert perimeter(s) == pytest.approx(12.0, rel=1e-12)
@@ -771,7 +779,7 @@ class TestMinkowski:
         p, q = valtr(3 + sa % 9, sa), valtr(3 + sb % 9, sb)
         s = minkowski_sum(p, q)
         sums = (p.vertices[:, None, :] + q.vertices[None, :, :]).reshape(-1, 2)
-        oracle = convex_hull(sums)
+        oracle = monotone_hull(sums)
         assert area(s) == pytest.approx(area(oracle), rel=1e-10)
         assert perimeter(s) == pytest.approx(perimeter(p) + perimeter(q), rel=1e-9)
 
@@ -849,14 +857,23 @@ class TestFormBody:
         assert area(fb) == pytest.approx(4.0, abs=1e-12)
 
     def test_equilateral_inradius_one(self, equilateral):
-        # oracle: direct half-plane intersection at offset 1
+        # oracle: the clip of the planes at offset 1
         fb = form_body(equilateral)
-        planes = [HalfPlane(n, 1.0) for n in equilateral.edge_normals]
-        oracle = halfplane_intersection(planes)
+        oracle = _clip_oracle([(n, 1.0) for n in equilateral.edge_normals])
         assert area(fb) == pytest.approx(area(oracle), rel=1e-12)
         r, _ = inradius(fb)
         assert r == pytest.approx(1.0, abs=1e-9)
         assert len(fb) == 3
+
+    def test_matches_clip_oracle(self):
+        # random polygons, the extremal bodies and their form bodies
+        polys = list(random_polygons(40, seed=14)) + [build(Stadium(1.0, 1.0), 256),
+                                                     build(Slice(1.0, 2.5), 256)]
+        for poly in polys + [form_body(p) for p in polys]:
+            fb = form_body(poly)
+            want = _clip_oracle([(n, 1.0) for n in poly.edge_normals])
+            k = int(np.argmin(np.hypot(*(fb.vertices - want.vertices[0]).T)))
+            assert np.allclose(np.roll(fb.vertices, -k, axis=0), want.vertices, rtol=0.0, atol=1e-12)
 
     def test_involution_same_normals(self):
         for poly in random_polygons(10, seed=9):

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -10,11 +9,11 @@ from cheeger_atlas.errors import InvalidParam, Unreachable, Unsupported
 from cheeger_atlas.functionals import EXPONENT, measure
 from cheeger_atlas import shapes
 from cheeger_atlas.geom import support
-from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Polygon, Resolution,
-                                  Slice, SmoothedNonagon, Stadium,
-                                  SubequilateralTriangle, TwoCup, Yamanouti, build,
-                                  closed_form, nonagon_area, solve_param, spec_from_json,
-                                  spec_to_json, triangle_functionals)
+from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Resolution, Slice,
+                                  SmoothedNonagon, Stadium, SubequilateralTriangle, TwoCup,
+                                  Yamanouti, build, closed_form, nonagon_area, solve_param,
+                                  triangle_functionals)
+from conftest import monotone_hull
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -183,6 +182,25 @@ class TestYamanouti:
             m = measure(build(Yamanouti(1.0, rho), Resolution(4096)))
             assert m.min_width - m.inradius == pytest.approx(1.0 / SQRT3, abs=1e-4)
 
+    @pytest.mark.parametrize("res", [512, 2048, 8192])
+    def test_is_the_hull_of_triangle_and_arcs(self, res):
+        # the ordered build against the strict hull of the triangle and the
+        # open arcs about its vertices: the same vertices, bit for bit, and
+        # the same start, across the scan grid and on both sides of the
+        # triangle height sqrt(3)/2
+        step = 2 * PI / res
+        for side in (1.0, 2.0):
+            v = np.array([[-side / 2, -side / (2 * SQRT3)], [side / 2, -side / (2 * SQRT3)],
+                          [0.0, side / SQRT3]])
+            for rho in side * np.concatenate((shapes._SIGMA["yamanouti"][0], [0.6, 0.88, 0.95])):
+                pts = [v]
+                for i in range(3):
+                    c, to_next, to_prev = v[i], v[(i + 1) % 3] - v[i], v[(i + 2) % 3] - v[i]
+                    a0, a1 = math.atan2(to_next[1], to_next[0]), math.atan2(to_prev[1], to_prev[0])
+                    pts.append(shapes._arc(c, rho, a0, a1 + 2 * PI if a1 < a0 else a1, step)[1:-1])
+                got = build(Yamanouti(side, float(rho)), Resolution(res)).vertices
+                assert np.array_equal(got, monotone_hull(np.concatenate(pts)).vertices), (side, rho)
+
 
 class TestSolveParam:
     def test_two_cup_diameter(self):
@@ -282,64 +300,10 @@ class TestSolveParam:
         assert cf.perimeter == pytest.approx(12.0, rel=1e-10)
 
 
-_SPECS = [
-    Ball(1.5), Stadium(1.0, 2.0), TwoCup(1.0, 3.0), Slice(1.0, 2.5),
-    SubequilateralTriangle(1.0, 2.0), Yamanouti(2.0, 1.5),
-    SmoothedNonagon(1.0, 2.5), ConstantWidthNonagon(1.0, 0.45),
-    Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
-]
-# JSON tokens that are no finite number, or a boolean
-_BAD_NUMBERS = ["true", "false", '"1"', "null", "[1]", "NaN", "Infinity", "-Infinity", "1e400",
-                pytest.param("1" + "0" * 400, id="integer-beyond-float-range")]
-
-
-def _spec_docs_with(token):
-    """For each parameter of each spec in _SPECS (the first vertex's x of the
-    polygon), the spec's JSON with that parameter's value replaced by ``token``."""
-    docs = []
-    for spec in _SPECS:
-        doc = json.loads(spec_to_json(spec))
-        for name in doc["params"]:
-            params = dict(doc["params"], **{name: "@"})
-            if name == "vertices":
-                params[name] = [["@", 0.0]] + doc["params"][name][1:]
-            docs.append(json.dumps(dict(doc, params=params)).replace('"@"', token))
-    return docs
-
-
-class TestSpecJson:
-    @pytest.mark.parametrize("spec", _SPECS)
-    def test_round_trip(self, spec):
-        assert spec_from_json(spec_to_json(spec)) == spec
-
-    def test_unknown_family(self):
-        with pytest.raises(InvalidParam):
-            spec_from_json('{"family": "torus", "params": {}}')
-
-    @pytest.mark.parametrize("token", _BAD_NUMBERS)
-    def test_rejects_a_bad_number_in_every_family(self, token):
-        docs = _spec_docs_with(token)
-        assert len(docs) == 16
-        for doc in docs:
-            with pytest.raises(InvalidParam):
-                spec_from_json(doc)
-
-    @pytest.mark.parametrize("doc", [
-        '{"family": "ball", "params": {}}',
-        '{"family": "ball", "params": {"radius": 1, "centre": 0}}',
-        '{"family": "ball"}',
-        '{"family": "polygon", "params": {"vertices": [0, 1, 2]}}',
-        '{"family": "polygon", "params": {"vertices": [[0, 0], [1, 0, 0], [0, 1]]}}',
-        '[]',
-    ])
-    def test_rejects_a_bad_shape(self, doc):
-        with pytest.raises(InvalidParam):
-            spec_from_json(doc)
-
+class TestSpecNumbers:
     def test_bool_is_no_number(self):
-        # bool is an int subclass; direct construction follows the JSON rule
-        for make in (lambda: Ball(True), lambda: Stadium(1.0, False), lambda: Slice(1.0, math.nan),
-                     lambda: Polygon(((0.0, 0.0), (True, 0.0), (0.0, 1.0)))):
+        # bool is an int subclass; a spec, like polygon JSON, takes no bool for a number
+        for make in (lambda: Ball(True), lambda: Stadium(1.0, False), lambda: Slice(1.0, math.nan)):
             with pytest.raises(InvalidParam):
                 make()
 
