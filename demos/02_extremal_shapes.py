@@ -17,7 +17,7 @@ from cheeger_atlas.functionals import measure
 from cheeger_atlas.geom import support
 from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Resolution, Slice,
                                   SmoothedNonagon, Stadium, SubequilateralTriangle,
-                                  TwoCup, Yamanouti, build, closed_form, solve_param)
+                                  TwoCup, Yamanouti, build, closed_form)
 
 RES = Resolution(4096)
 
@@ -60,9 +60,9 @@ def main():
               for a in np.linspace(0, math.pi, 360, endpoint=False)]
     print(f"width range: [{min(widths):.8f}, {max(widths):.8f}]  (target 1)")
 
-    print("\n-- solving for a family member: a two-cup with d = 5, r = 1 --")
-    spec = solve_param("two_cup", ("d", 5.0), ("r", 1.0))
-    print(f"solved spec: {spec}")
+    print("\n-- a two-cup with d = 5, r = 1: its tips lie d/2 from the centre --")
+    spec = TwoCup(1.0, 2.5)
+    print(f"spec: {spec}")
     print(f"its closed-form diameter: {closed_form(spec).diameter:.12f}")
 
 

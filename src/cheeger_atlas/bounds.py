@@ -11,8 +11,9 @@ column's root solves run once for all its bounds (``_solve``): the
 crossings g(t) = pi t^2 of g1..g4 in one ``smallest_crossing`` call, the
 arcsinc of PHR_LO and PHD_LO in one loop; a diagram curve (``bound_value``)
 solves only its own.  Triangle bounds match the column's subequilateral
-triangles in closed form (``shapes.subeq_from``, through
-``shapes.solve_param`` for w and A, R or P) and use h = 1/r + sqrt(pi/A).
+triangles in closed form (``shapes.subeq_from``; for w and A, R or P
+through its checked column entry ``shapes.solve_param``) and use
+h = 1/r + sqrt(pi/A).
 """
 
 from __future__ import annotations
@@ -234,11 +235,8 @@ def _solve(f, names) -> dict:
 def _triangle_h_matched(fixed_id: str, fixed_val, target_id: str, target_val) -> np.ndarray:
     """h of the subequilateral triangles matching a column of (fixed, target)
     values, in one ``solve_param`` call; NaN where no triangle matches."""
-    specs = shapes.solve_param("subequilateral_triangle", (target_id, np.atleast_1d(target_val)),
-                               (fixed_id, fixed_val))
-    base, height = (np.array([np.nan if s is None else getattr(s, k) for s in specs])
-                    for k in ("base", "height"))
-    return triangle_values(base, height)["h"]
+    return triangle_values(*shapes.solve_param((target_id, np.atleast_1d(target_val)),
+                                               (fixed_id, fixed_val)))["h"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Extremal shape families: construction, closed forms, parameter solving.
+"""Extremal shape families: construction, closed forms, the subequilateral
+triangle match.
 
 Every family builds a counterclockwise polygon whose vertices lie ON the
 true boundary (inscribed discretization), centered at the origin with the
@@ -12,14 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cheeger import _bracketed_root
 from .errors import InvalidParam, Unreachable, Unsupported
-from .functionals import EXPONENT, Functionals, measure
+from .functionals import EXPONENT, Functionals
 from .geom import ConvexPolygon
 
 SQRT3 = math.sqrt(3.0)
@@ -162,12 +161,6 @@ class ConstantWidthNonagon:
 
 ShapeSpec = (Ball | Stadium | TwoCup | Slice | SubequilateralTriangle
              | Yamanouti | SmoothedNonagon | ConstantWidthNonagon)
-
-_FAMILY_NAMES = {
-    Ball: "ball", Stadium: "stadium", TwoCup: "two_cup", Slice: "slice",
-    SubequilateralTriangle: "subequilateral_triangle", Yamanouti: "yamanouti",
-    SmoothedNonagon: "smoothed_nonagon", ConstantWidthNonagon: "constant_width_nonagon",
-}
 
 
 def _arc(center, radius, a0, a1, step):
@@ -376,7 +369,7 @@ def closed_form(spec: ShapeSpec) -> Functionals:
         r, d = spec.inradius, spec.diameter
         P = 2 * math.sqrt(max(0.0, d * d - 4 * r * r)) + 2 * d * math.asin(min(1.0, 2 * r / d))
         return Functionals(slice_area(d, 2 * r), P, r, d / 2, d, 2 * r)
-    raise Unsupported(f"no closed form for {_FAMILY_NAMES.get(type(spec), '?')}")
+    raise Unsupported(f"no closed form for {type(spec).__name__}")
 
 
 def triangle_values(base, height) -> dict:
@@ -459,7 +452,7 @@ def subeq_from(pair, fixed, target):
         c = np.sqrt(1 - u * u)
         unit = {"w": 2 * u * c, "d": 1.0, "A": u * c, "R": 0.5 / c, "P": 2 + 2 * u}[fid]
         leg = (fval / unit) ** (1.0 / EXPONENT[fid])
-    return 2 * u * leg, c * leg
+        return 2 * u * leg, c * leg
 
 
 def triangle_functionals(base: float, height: float) -> Functionals:
@@ -469,161 +462,26 @@ def triangle_functionals(base: float, height: float) -> Functionals:
                        cheeger=v["h"], cheeger_t=1 / v["h"])
 
 
-# ---------------------------------------------------------------------------
-# parameter solving: one dimensionless shape parameter + one scale
-# ---------------------------------------------------------------------------
+def solve_param(target, fixed):
+    """The subequilateral triangle matching ``target`` once ``fixed`` is
+    imposed: the checked entry to ``subeq_from``.
 
-SCAN_POINTS = 65  # points of each family's one scan of its shape parameter
-SCAN_RES = 8192  # arc segments of the members measured off a built polygon
-_FAR_SIGMA = 64 * 4.0 ** 11  # far end of the scan of an unbounded shape parameter
-# relative spread below which a scanned ratio is one constant: the square of
-# the chord angle at SCAN_RES bounds how far an inscribed member's
-# functionals are from the body's
-_FLAT = (2 * math.pi / SCAN_RES) ** 2
-
-
-def _far_scan(lo):
-    """Scan from lo to _FAR_SIGMA, geometrically spaced in 1 + sigma - lo."""
-    return lo + (np.geomspace(1.0, _FAR_SIGMA - lo + 1.0, SCAN_POINTS) - 1.0)
-
-
-# family name -> (scan of the shape parameter sigma, unit spec builder); the
-# subequilateral triangles have a closed form (subeq_from) and no scan
-_SIGMA = {
-    "stadium": (_far_scan(0.0), lambda s: Stadium(1.0, s)),
-    "two_cup": (_far_scan(1.0), lambda s: TwoCup(1.0, s)),
-    "slice": (_far_scan(1.0), lambda s: Slice(1.0, 2.0 * s)),
-    "yamanouti": (np.linspace(1e-6, 1.0, SCAN_POINTS), lambda s: Yamanouti(1.0, s)),
-    "smoothed_nonagon": (np.linspace(2.0 + 1e-9, 2 * SQRT3 - 1e-9, SCAN_POINTS),
-                         lambda s: SmoothedNonagon(1.0, s)),
-    "constant_width_nonagon": (np.linspace(1 - 1 / SQRT3, 0.5 - 1e-9, SCAN_POINTS),
-                               lambda s: ConstantWidthNonagon(1.0, s)),
-}
-
-def _scale_spec(spec: ShapeSpec, factor: float) -> ShapeSpec:
-    vals = {f.name: getattr(spec, f.name) * factor for f in fields(spec)}
-    return type(spec)(**vals)
-
-
-@lru_cache(maxsize=16384)
-def _unit_functionals(family: str, sigma: float) -> Functionals:
-    spec = _SIGMA[family][1](sigma)
-    try:
-        return closed_form(spec)
-    except Unsupported:
-        return measure(build(spec, Resolution(SCAN_RES)))
-
-
-def _unit_values(family: str, sigmas) -> dict:
-    """Functionals by id of the unit members at shape parameters ``sigmas``,
-    as arrays shaped like ``sigmas`` (NaN at a NaN shape parameter)."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    out = {k: np.full(sigmas.shape, np.nan) for k in EXPONENT}
-    for idx, s in np.ndenumerate(sigmas):
-        if math.isfinite(s):
-            f = _unit_functionals(family, float(s))
-            for k, col in out.items():
-                col[idx] = f.value(k)
-    return out
-
-
-def _scaled(u, tid, fid, fv):
-    """Target functional ``tid`` of the unit members ``u`` scaled so that
-    functional ``fid`` is ``fv``."""
-    return u[tid] * ((fv / u[fid]) ** (1.0 / EXPONENT[fid])) ** EXPONENT[tid]
-
-
-@lru_cache(maxsize=None)
-def _scan(family: str, tid: str, fid: str):
-    """The family's one scan for a (target, fixed) pair of ids: the unit
-    members' functionals on the scan grid (read-only) and whether the target
-    functional of the members scaled to a unit fixed one is flat there: its
-    spread within _FLAT of its size (a fixed ratio, such as P = pi d of
-    constant width).  Every other such column is monotone on the grid."""
-    u = _unit_values(family, _SIGMA[family][0])
-    for col in u.values():
-        col.setflags(write=False)
-    unit = _scaled(u, tid, fid, 1.0)
-    return u, bool(np.ptp(unit) <= _FLAT * np.max(np.abs(unit)))
-
-
-def solve_param(family, target, fixed):
-    """Find the family member matching ``target`` once ``fixed`` is imposed.
-
-    ``target`` and ``fixed`` are (functional id, value) pairs with ids from
-    {A, P, r, R, d, w}.  Values may be arrays (broadcast together): a column
-    of matches.  The subequilateral triangles, matched by w and one of d,
-    A, R, P, come from their closed form (``subeq_from``).  Every other
-    family is reduced to one dimensionless shape parameter sigma; the scale
-    cancels in the target functional of the members scaled to a unit fixed
-    functional, which depends on sigma alone, so one fixed scan of sigma
-    (SCAN_POINTS points: linear over a bounded range, geometric up to
-    sigma = 64 * 4**11 for an unbounded one) brackets every element, and
-    one vectorised root loop of the bracketed root finder then drives all
-    elements to their targets, to 1e-13 in the shape parameter.  The scan
-    and its flatness depend only on (family, target id, fixed id), so each is
-    computed once per triple and cached for the process (``_scan``).
-
-    A float call returns the spec.  It raises InvalidParam for a value
-    that is not positive, or for a target on a ratio that every member
-    shares (every member matches), and Unreachable when the target lies
-    outside the family's range (for a shared ratio: off it).  A column call
-    returns a list of specs, with None for each element that one of those
-    would have failed, or whose root solve did not converge; the other
-    elements are unaffected.
+    ``target`` and ``fixed`` are (functional id, value) pairs, the width w
+    and one of d, A, R, P, in either order.  A float call returns the
+    ``SubequilateralTriangle``; it raises InvalidParam for a value that is
+    not a positive finite number, and Unreachable when no triangle matches
+    (or its base or height under- or overflows).  A column call, with
+    either value an array, returns ``subeq_from``'s (base, height) arrays,
+    NaN where a float call would have raised.
     """
-    fam = family if isinstance(family, str) else _FAMILY_NAMES[family]
-    if fam not in _SIGMA and fam != "subequilateral_triangle":
-        raise InvalidParam(f"family {fam!r} has no parameter solver")
-    tid, tval = target
-    fid, fval = fixed
+    (tid, tval), (fid, fval) = target, fixed
     scalar = np.ndim(tval) == 0 and np.ndim(fval) == 0
-    tval, fval = (np.array(v, dtype=float).reshape(-1)
-                  for v in np.broadcast_arrays(np.asarray(tval), np.asarray(fval)))
-    bad = (fval <= 0) | (tval <= 0)
-    if scalar and bad[0]:
-        raise InvalidParam("target and fixed values must be positive")
-    if fam == "subequilateral_triangle":
-        base, height = subeq_from((fid, tid), fval, tval)
-        found = (base > 0) & np.isfinite(base) & np.isfinite(height)  # none under- or overflowed
-        if scalar and not found[0]:
-            raise Unreachable(f"no subequilateral triangle has {tid}={tval[0]} and {fid}={fval[0]}")
-        specs = [SubequilateralTriangle(float(b), float(h)) if ok else None
-                 for b, h, ok in zip(base, height, found)]
-        return specs[0] if scalar else specs
-    grid, make = _SIGMA[fam]
-    u, flat = _scan(fam, tid, fid)
-    if scalar and flat:
-        shared = float(np.median(_scaled(u, tid, fid, fval[0])))
-        if abs(tval[0] - shared) <= _FLAT * shared:
-            raise InvalidParam(f"every member matches: each {fam} with {fid}={fval[0]} has {tid}={shared}")
-        raise Unreachable(f"every {fam} with {fid}={fval[0]} has {tid}={shared}, not {tval[0]}")
-    k = np.flatnonzero(~bad & (not flat))  # the elements the scan can bracket
-    t = tval[k]
-    row = _scaled(u, tid, fid, fval[k, None])  # one row per element
-    vmin, vmax = row.min(axis=1), row.max(axis=1)
-    inside = (vmin - 1e-12 * vmax <= t) & (t <= vmax + 1e-12 * vmax)
-    if scalar and not inside[0]:
-        raise Unreachable(f"target {tid}={t[0]} outside scanned range [{vmin[0]}, {vmax[0]}]")
-    k, vals = k[inside], (row - t[:, None])[inside]
-    # the first sign change; a target within the scan's relative slack
-    # of an end has none and is taken at the nearest grid point
-    change = vals[:, :-1] * vals[:, 1:] <= 0.0
-    has = change.any(axis=1)
-    i = np.where(has, change.argmax(axis=1), np.abs(vals).argmin(axis=1))
-    j = np.where(has, i + 1, i)
-    a, fa, b, fb, xtol = (np.full(tval.shape, np.nan) for _ in range(5))
-    a[k], b[k] = grid[i], grid[j]
-    fa[k], fb[k] = (np.where(has, vals[np.arange(k.size), x], 0.0) for x in (i, j))
-    xtol[k] = 1e-13 * np.maximum(1.0, np.abs(b[k]))
-
-    fv, tv = (fval[0], tval[0]) if scalar else (fval, tval)
-    sigma = _bracketed_root(lambda s: _scaled(_unit_values(fam, s), tid, fid, fv) - tv,
-                            *(v[0] if scalar else v for v in (a, fa, b, fb, xtol)))
-    sigma = np.atleast_1d(sigma)
-    specs = [None] * sigma.size
-    solved = np.flatnonzero(np.isfinite(sigma))
-    scale = (fval[solved] / _unit_values(fam, sigma[solved])[fid]) ** (1.0 / EXPONENT[fid])
-    for k, c in zip(solved, scale):
-        specs[k] = _scale_spec(make(float(sigma[k])), float(c))
-    return specs[0] if scalar else specs
+    if scalar:
+        tval, fval = _positive(tid, tval), _positive(fid, fval)
+    base, height = subeq_from((fid, tid), fval, tval)
+    found = (base > 0) & np.isfinite(base) & np.isfinite(height)
+    if not scalar:
+        return np.where(found, base, np.nan), np.where(found, height, np.nan)
+    if not found:
+        raise Unreachable(f"no subequilateral triangle has {tid}={tval} and {fid}={fval}")
+    return SubequilateralTriangle(float(base), float(height))

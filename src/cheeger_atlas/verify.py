@@ -102,8 +102,7 @@ def _sharpness_bodies() -> list[tuple[str, object, tuple[str, ...], tuple]]:
               for tip in TWOCUP_TIPS]
     specs += [(f"slice(r=1,d={dia:g})", Slice(1.0, dia), SLICE_BOUNDS, SLICE_CURVES)
               for dia in SLICE_DIAMETERS]
-    specs += [(f"subeq_triangle(w=1,d={dia:g})",
-               solve_param("subequilateral_triangle", ("w", 1.0), ("d", dia)), SUBEQ_BOUNDS, ())
+    specs += [(f"subeq_triangle(w=1,d={dia:g})", solve_param(("w", 1.0), ("d", dia)), SUBEQ_BOUNDS, ())
               for dia in SUBEQ_DIAMETERS]
     specs.append(("equilateral_triangle(side=1)", SubequilateralTriangle(1.0, math.sqrt(3) / 2),
                   EQUILATERAL_BOUNDS, ()))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cheeger_atlas.cheeger import _bracketed_root
 from cheeger_atlas.errors import DegenerateInput
 from cheeger_atlas.functionals import area
 from cheeger_atlas.geom import ConvexPolygon
 from cheeger_atlas.sampler import valtr
+from cheeger_atlas.shapes import TwoCup, two_cup_area
 
 
 @pytest.fixture
@@ -30,6 +32,17 @@ def regular_ngon(n: int, radius: float = 1.0) -> ConvexPolygon:
 def area_normalized(poly: ConvexPolygon) -> ConvexPolygon:
     """The polygon scaled to unit area."""
     return poly.scale(1 / np.sqrt(area(poly)))
+
+
+def two_cup_of_perimeter(x0: float) -> TwoCup:
+    """The two-cup of inradius 1 and perimeter x0 > 2 pi.  Its perimeter
+    is twice its area, which rises with the tip distance k from pi at
+    k = 1; at k = x0/4 + 1 the straight sides alone are longer than x0."""
+    def gap(k):
+        return 2 * two_cup_area(1.0, k) - x0
+
+    hi = x0 / 4 + 1
+    return TwoCup(1.0, _bracketed_root(gap, 1.0, gap(1.0), hi, gap(hi), 1e-13))
 
 
 def random_polygons(count: int, seed: int = 0, n_min: int = 3, n_max: int = 16):

@@ -20,8 +20,8 @@ from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, m
 from cheeger_atlas.geom import inner_parallel, interpolate
 from cheeger_atlas.sampler import mix, valtr
 from cheeger_atlas.shapes import (ConstantWidthNonagon, Resolution, SmoothedNonagon,
-                                  Stadium, build, solve_param)
-from conftest import regular_ngon
+                                  Stadium, build)
+from conftest import regular_ngon, two_cup_of_perimeter
 
 PI = math.pi
 CENSUS_SEED = 20260810
@@ -144,7 +144,7 @@ def test_criterion_08_d1_vertical_paths():
     worst_p, worst_r = 0.0, 0.0
     for x0 in (2.2 * PI, 3 * PI, 5 * PI):
         stad = build(Stadium(1.0, (x0 - 2 * PI) / 2), Resolution(4096))
-        cup = build(solve_param("two_cup", ("P", x0), ("r", 1.0)), Resolution(4096))
+        cup = build(two_cup_of_perimeter(x0), Resolution(4096))
         for t in np.linspace(0.0, 1.0, 11):
             k = interpolate(stad, cup, float(t))
             f = measure(k)

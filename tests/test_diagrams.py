@@ -9,8 +9,8 @@ from cheeger_atlas.diagrams import (CURVES, DIAGRAM_IDS, SOLVED, DiagramPoint, D
                                     _ticks, boundary, curve, membership, render_csv, render_svg)
 from cheeger_atlas.errors import DomainError
 from cheeger_atlas.functionals import measure
-from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
-                                  solve_param)
+from cheeger_atlas.shapes import Resolution, Slice, Stadium, TwoCup, build, closed_form
+from conftest import two_cup_of_perimeter
 
 PI = math.pi
 
@@ -133,7 +133,7 @@ class TestExtremalSweeps:
         from cheeger_atlas.geom import interpolate
         x0 = 3 * PI
         stad = Stadium(1.0, (x0 - 2 * PI) / 2)
-        cup = solve_param("two_cup", ("P", x0), ("r", 1.0))
+        cup = two_cup_of_perimeter(x0)
         ps = build(stad, Resolution(2048))
         pc = build(cup, Resolution(2048))
         for t in np.linspace(0.0, 1.0, 5):

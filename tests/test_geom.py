@@ -312,7 +312,7 @@ def _sharpness_bodies(res):
     specs = [Stadium(1.0, g) for g in STADIUM_GAPS]
     specs += [TwoCup(1.0, k) for k in TWOCUP_TIPS]
     specs += [Slice(1.0, d) for d in SLICE_DIAMETERS]
-    specs += [solve_param("subequilateral_triangle", ("w", 1.0), ("d", d)) for d in SUBEQ_DIAMETERS]
+    specs += [solve_param(("w", 1.0), ("d", d)) for d in SUBEQ_DIAMETERS]
     specs.append(SubequilateralTriangle(1.0, math.sqrt(3) / 2))
     return [build(spec, Resolution(res)) for spec in specs]
 

@@ -14,3 +14,32 @@ def test_every_loop_has_a_bound():
     found = [f"{path.name}:{node.lineno}" for path in modules
              for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.While)]
     assert not found, f"while loops at {found}"
+
+
+def test_no_unused_private_names():
+    # a module-level _name (function, class or assignment) that no name,
+    # attribute or import anywhere in the package refers to is dead code;
+    # a docstring that mentions it is no use
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert not unused, f"unused private names: {unused}"
