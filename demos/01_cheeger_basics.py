@@ -36,9 +36,8 @@ def main():
 
     print("\n== equilateral triangle, side 1 ==")
     tri = ConvexPolygon([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
-    res = cheeger_constant(tri)
     f = measure(tri)
-    print(f"h measured    = {res.h:.12f}")
+    print(f"h measured    = {f.cheeger:.12f}")
     print(f"1/r + sqrt(pi/A) = {1 / f.inradius + math.sqrt(math.pi / f.area):.12f}")
     print("(triangles touch their incircle on every side, so the h-r-A upper")
     print(" bound is an equality for them)")

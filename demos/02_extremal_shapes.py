@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from cheeger_atlas import cheeger_constant
 from cheeger_atlas.functionals import measure
 from cheeger_atlas.geom import support
 from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Resolution, Slice,
@@ -22,15 +21,10 @@ from cheeger_atlas.shapes import (Ball, ConstantWidthNonagon, Resolution, Slice,
 RES = Resolution(4096)
 
 
-def show(name, spec, with_h=True):
-    poly = build(spec, RES)
-    f = measure(poly)
-    line = (f"{name:34s} A={f.area:9.5f} P={f.perimeter:9.5f} r={f.inradius:7.5f} "
-            f"R={f.circumradius:7.5f} d={f.diameter:8.5f} w={f.min_width:7.5f}")
-    if with_h:
-        h = cheeger_constant(poly).h
-        line += f" h={h:9.6f}"
-    print(line)
+def show(name, spec):
+    f = measure(build(spec, RES))
+    print(f"{name:34s} A={f.area:9.5f} P={f.perimeter:9.5f} r={f.inradius:7.5f} "
+          f"R={f.circumradius:7.5f} d={f.diameter:8.5f} w={f.min_width:7.5f} h={f.cheeger:9.6f}")
     return f
 
 

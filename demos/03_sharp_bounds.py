@@ -10,7 +10,7 @@ slack to zero.
 """
 
 from cheeger_atlas.bounds import d0, dstar, evaluate_all, registry_csv
-from cheeger_atlas.functionals import measure_with_cheeger
+from cheeger_atlas.functionals import measure
 from cheeger_atlas.sampler import valtr
 from cheeger_atlas.shapes import Stadium, TwoCup, closed_form
 
@@ -30,7 +30,7 @@ def main():
     print(f"d0 (nonagon/slice switch of the (d,h,r) minimizer) = {d0(1024):.7f}")
 
     # a random polygon: every bound holds with positive slack
-    print_registry(measure_with_cheeger(valtr(12, 2024)).normalized("A"), "random unit-area 12-gon")
+    print_registry(measure(valtr(12, 2024)).normalized("A"), "random unit-area 12-gon")
 
     # a stadium: the stadium-extremal bounds are tight
     print_registry(closed_form(Stadium(1.0, 2.0)), "stadium r=1 gap=2 (exact)")

@@ -6,8 +6,8 @@ from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, small
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,
                      NoConvergence, NoRoot, PolygonJsonError, Unreachable, Unsupported)
-from .functionals import (Functionals, area, circumradius, diameter, inradius,
-                          measure, measure_with_cheeger, min_width, perimeter)
+from .functionals import (Functionals, area, circumradius, diameter, inradius, measure,
+                          min_width, perimeter)
 from .geom import (ConvexPolygon, dilate, form_body, inner_parallel, interpolate, minkowski_sum,
                    polygon_from_json, polygon_to_json, support)
 from .sampler import SampleRecord, cloud_csv, mix, sample_cloud, valtr

@@ -24,7 +24,7 @@ from . import shapes as shapes_mod
 from . import verify as verify_mod
 from .cheeger import cheeger_constant
 from .errors import CheegerAtlasError, DomainError, InvalidParam, NoRoot, PolygonJsonError, Unreachable
-from .functionals import EXPONENT, Functionals, measure, measure_with_cheeger
+from .functionals import EXPONENT, measure
 from .geom import polygon_from_json, polygon_to_json
 from .sampler import cloud_csv, sample_cloud
 
@@ -132,21 +132,14 @@ def _read_polygon(path: str):
         return polygon_from_json(fh.read())
 
 
-def _functional_dict(f: Functionals) -> dict:
-    out = {key: f.value(key) for key in EXPONENT}
-    if f.cheeger is not None:
-        out["h"] = f.cheeger
-        out["t_star"] = f.cheeger_t
-    return out
-
-
 def _print_json(doc: dict) -> None:
     print(json.dumps({k: (G17(v) if isinstance(v, float) else v) for k, v in doc.items()},
                      indent=2))
 
 
 def _cmd_measure(args) -> int:
-    _print_json(_functional_dict(measure(_read_polygon(args.input))))
+    f = measure(_read_polygon(args.input))
+    _print_json({key: f.value(key) for key in EXPONENT})
     return 0
 
 
@@ -161,7 +154,7 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    f = measure_with_cheeger(_read_polygon(args.input))
+    f = measure(_read_polygon(args.input))
     if args.format == "csv":
         text = bounds_mod.registry_csv(f)
     else:

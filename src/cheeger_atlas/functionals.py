@@ -1,4 +1,4 @@
-"""The six geometric functionals of a convex polygon.
+"""The six geometric functionals of a convex polygon, and its one record.
 
 Area and perimeter are the polygon's own, derived at construction and read
 by its skeleton walk too. Diameter and minimal width read the antipodal
@@ -8,12 +8,16 @@ normal angle, found at once for all edges of a block of polygons
 (``geom.find_antipodes``, cached on each polygon, which both functionals
 read). Diameter, width and ``measure`` take one polygon or a block (a
 list), which they measure as one column; one polygon is the block of one,
-and a polygon's numbers do not depend on its block. The inradius is the depth of the point at which the
-inner parallel set vanishes, found by walking its straight-skeleton events
-(Aichholzer et al. 1995) on the offset chain the Cheeger solve uses; no
-second solve refines it. The circumradius is the minimal enclosing circle
-of the vertices, found by farthest-violator iteration over a support set of
-at most three points (Elzinga & Hearn 1972).
+and a polygon's numbers do not depend on its block. The inradius is the
+depth of the point at which the inner parallel set vanishes, found by
+walking its straight-skeleton events (Aichholzer et al. 1995) on the
+offset chain the Cheeger solve uses; no second solve refines it. The
+circumradius is the minimal enclosing circle of the vertices, found by
+farthest-violator iteration over a support set of at most three points
+(Elzinga & Hearn 1972).
+
+``measure`` is the one measuring call: the record (A, P, r, R, d, omega)
+of each polygon with h = 1/t*, read off the walk it shares with r.
 
 A record scales with its body: ``Functionals.normalized`` gives the record
 of the body scaled so that one functional is 1, by the powers in
@@ -30,7 +34,7 @@ import numpy as np
 
 from .cheeger import cheeger_constant
 from .errors import NoConvergence
-from .geom import ConvexPolygon, find_antipodes
+from .geom import ConvexPolygon, find_antipodes, walk_block
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
@@ -44,11 +48,11 @@ MAX_CIRCLE_STEPS = 64
 
 @dataclass(frozen=True)
 class Functionals:
-    """Record of (A, P, r, R, d, omega) and optionally (h, t*) for one body.
+    """Record of (A, P, r, R, d, omega) and optionally h for one body.
 
     Construction enforces the chain 2r <= omega <= 2R, omega <= d <= 2R,
     r <= R, positivity and, when the Cheeger constant is present,
-    1/r <= h <= 2/r and t* = 1/h.
+    1/r <= h <= 2/r.
     """
 
     area: float
@@ -58,7 +62,6 @@ class Functionals:
     diameter: float
     min_width: float
     cheeger: float | None = None
-    cheeger_t: float | None = None
 
     def __post_init__(self):
         A, P, r, R = self.area, self.perimeter, self.inradius, self.circumradius
@@ -77,28 +80,18 @@ class Functionals:
             raise ValueError(
                 f"functional chain violated: A={A} P={P} r={r} R={R} d={d} w={w}"
             )
-        if self.cheeger is not None:
-            h = self.cheeger
-            if not (1 / r) * (1 - tol) <= h <= (2 / r) * (1 + tol):
-                raise ValueError(f"cheeger constant h={h} outside [1/r, 2/r]")
-            if self.cheeger_t is None or abs(self.cheeger_t * h - 1.0) > 1e-12:
-                raise ValueError("cheeger_t must equal 1/h")
-
-    def with_cheeger(self, h: float, t_star: float) -> "Functionals":
-        return Functionals(self.area, self.perimeter, self.inradius,
-                           self.circumradius, self.diameter, self.min_width,
-                           cheeger=h, cheeger_t=t_star)
+        h = self.cheeger
+        if h is not None and not (1 / r) * (1 - tol) <= h <= (2 / r) * (1 + tol):
+            raise ValueError(f"cheeger constant h={h} outside [1/r, 2/r]")
 
     def normalized(self, key: str) -> "Functionals":
         """The record of the body scaled by 1/s so that functional ``key``
         (A, P, r, R, d or w) is 1, where s = value(key) ** (1 / EXPONENT[key]):
         each length is divided by s, the area by s * s, and h multiplied by s."""
         s = self.value(key) ** (1.0 / EXPONENT[key])
-        h = None if self.cheeger is None else self.cheeger * s
-        t = None if self.cheeger_t is None else self.cheeger_t / s
         return Functionals(self.area / (s * s), self.perimeter / s, self.inradius / s,
                            self.circumradius / s, self.diameter / s, self.min_width / s,
-                           cheeger=h, cheeger_t=t)
+                           None if self.cheeger is None else self.cheeger * s)
 
     def value(self, key: str) -> float:
         """Look a functional up by its short id: A, P, r, R, d, w or h."""
@@ -264,21 +257,13 @@ def _circle(p, q, s=None):
 
 
 def measure(poly):
-    """All six functionals of a polygon (Cheeger fields left unset).  Of a
-    block (a list of polygons), the list of each one's record, with the
-    diameters and widths found as one column."""
+    """The record of a polygon: its six functionals and its Cheeger constant.
+    Of a block (a list of polygons), the list of each one's record, with the
+    skeletons walked (``geom.walk_block``) and the diameters and widths found
+    as one column."""
     polys, one = _block(poly)
-    out = [Functionals(area(p), perimeter(p), inradius(p)[0], circumradius(p)[0], d, w)
+    walk_block(polys)
+    out = [Functionals(area(p), perimeter(p), inradius(p)[0], circumradius(p)[0], d, w,
+                       cheeger_constant(p).h)
            for p, (d, _, _), (w, _) in zip(polys, diameter(polys), min_width(polys))]
-    return out[0] if one else out
-
-
-def measure_with_cheeger(poly):
-    """All six functionals of a polygon and its Cheeger constant; of a
-    block, the list of each one's (as ``measure``)."""
-    polys, one = _block(poly)
-    out = []
-    for p, f in zip(polys, measure(polys)):
-        res = cheeger_constant(p)
-        out.append(f.with_cheeger(res.h, res.t_star))
     return out[0] if one else out

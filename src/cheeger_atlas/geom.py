@@ -860,12 +860,16 @@ class OffsetMachine:
 
 
 def walk_block(polys: list[ConvexPolygon]) -> None:
-    """Walk the straight skeletons of ``polys`` as one column: each polygon's
-    ``walk`` becomes its own element of ``OffsetMachine(polys).walks``, which
-    has the same bits as the walk it takes alone.  A polygon whose walk
-    failed raises when its own walk is read; the others are unaffected."""
-    for poly, walk in zip(polys, OffsetMachine(polys).walks):
-        poly.__dict__["_walk"] = walk
+    """Walk the straight skeletons of ``polys`` as one column: each polygon
+    that has no walk yet takes its own element of the column's
+    ``OffsetMachine.walks``, which has the same bits as the walk it takes
+    alone; a lone polygon walks on its own machine (``offset_machine``)
+    when its walk is first read.  A polygon whose walk failed raises when
+    its own walk is read; the others are unaffected."""
+    todo = [p for p in polys if "_walk" not in p.__dict__]
+    if len(todo) > 1:
+        for poly, walk in zip(todo, OffsetMachine(todo).walks):
+            poly.__dict__["_walk"] = walk
 
 
 def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:

@@ -10,7 +10,7 @@ output.  A block of records is drawn as one column: each record makes its
 own random calls on its own Philox stream, and the sorting, differencing,
 chaining and placement run once for the block (``valtr`` of sequences);
 one polygon is the block of one.  A batch record is measured once, with
-its block (``measure_with_cheeger`` of a list), and then scaled so that its
+its block (``functionals.measure`` of a list), and then scaled so that its
 unit functional is 1 (``Functionals.normalized``); a unit of None keeps the
 raw record.  A record's numbers do not depend on its block.
 """
@@ -25,8 +25,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import DegenerateInput
-from .functionals import EXPONENT, Functionals, measure_with_cheeger
-from .geom import ConvexPolygon, polygon_block, walk_block
+from .functionals import EXPONENT, Functionals, measure
+from .geom import ConvexPolygon, polygon_block
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -194,16 +194,14 @@ def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: i
     """Records start..stop-1 of a batch: (record seed, vertex count, functionals
     with the Cheeger constant) each.
 
-    The block is drawn as one column (``seeded_polygons``), its polygons
-    walk their straight skeletons as one column (``geom.walk_block``) and
-    are measured once, as one column (``measure_with_cheeger`` of the
-    block); a record is then scaled so that the functional ``unit`` is 1
+    The block is drawn and measured once, each as one column
+    (``seeded_polygons``, then ``functionals.measure`` of the block); a
+    record is then scaled so that the functional ``unit`` is 1
     (``Functionals.normalized``), or kept raw when ``unit`` is None.  A
     record's numbers do not depend on the block it lands in.
     """
     seeds, ns, polys = seeded_polygons(master_seed, start, stop, n_min, n_max)
-    walk_block(polys)
-    records = measure_with_cheeger(polys)
+    records = measure(polys)
     if unit is not None:
         records = [f.normalized(unit) for f in records]
     return list(zip(seeds, ns, records))
@@ -216,12 +214,16 @@ def _sample_block(args) -> list[SampleRecord]:
             for index, (rec_seed, n, f) in enumerate(records, start)]
 
 
-def blocks(count: int, workers: int | None = None) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) blocks of ``count`` records: one per worker,
-    but at most one per MIN_BLOCK records."""
+def blocks(count: int, seed: int, n_min: int, n_max: int,
+           workers: int | None = None) -> list[tuple[int, int, int, int, int]]:
+    """Contiguous [start, stop) blocks of a batch of ``count`` records, as
+    (start, stop, seed, n_min, n_max): one per worker, but at most one per
+    MIN_BLOCK records.  Raises ValueError unless 3 <= n_min <= n_max."""
+    if not 3 <= n_min <= n_max:
+        raise ValueError("need 3 <= n_min <= n_max")
     pool = max(1, min(workers or worker_count(count), count // MIN_BLOCK))
     edges = [count * k // pool for k in range(pool + 1)]
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    return [(lo, hi, seed, n_min, n_max) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def worker_count(jobs: int) -> int:
@@ -250,16 +252,14 @@ def sample_cloud(count: int, n_min: int, n_max: int, triplet: tuple[str, str, st
     Vertex counts are uniform on [n_min, n_max]; record i uses the derived
     seed mix(seed, i), so output is order-independent and replayable.  The
     records are split into contiguous blocks as the census splits them
-    (``blocks``), and each block's polygons walk their skeletons as one
-    column (``measured_block``).
+    (``blocks``), and each block is measured as one column
+    (``measured_block``).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not 3 <= n_min <= n_max:
-        raise ValueError("need 3 <= n_min <= n_max")
+    args = [(*block, triplet) for block in blocks(count, seed, n_min, n_max, workers)]
     if triplet[2] is not None and triplet[2] not in EXPONENT:
         raise ValueError(f"unknown unit {triplet[2]!r}")
-    args = [(lo, hi, seed, n_min, n_max, triplet) for lo, hi in blocks(count, workers)]
     return [rec for block in parallel_map(_sample_block, args) for rec in block]
 
 

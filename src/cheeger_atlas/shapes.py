@@ -351,20 +351,19 @@ def closed_form(spec: ShapeSpec) -> Functionals:
     if isinstance(spec, Ball):
         rho = spec.radius
         return Functionals(math.pi * rho * rho, 2 * math.pi * rho, rho, rho,
-                           2 * rho, 2 * rho, cheeger=2 / rho, cheeger_t=rho / 2)
+                           2 * rho, 2 * rho, cheeger=2 / rho)
     if isinstance(spec, Stadium):
         r, gap = spec.radius, spec.center_gap
         A = math.pi * r * r + 2 * r * gap
         P = 2 * math.pi * r + 2 * gap
         h = P / A  # stadiums are Cheeger sets of themselves
-        return Functionals(A, P, r, r + gap / 2, 2 * r + gap, 2 * r,
-                           cheeger=h, cheeger_t=1 / h)
+        return Functionals(A, P, r, r + gap / 2, 2 * r + gap, 2 * r, cheeger=h)
     if isinstance(spec, TwoCup):
         r, k = spec.radius, spec.tip_dist
         A = two_cup_area(r, k)
         P = 2 * A / r  # homothetic to its form body
         h = 1 / r + math.sqrt(math.pi / A)
-        return Functionals(A, P, r, k, 2 * k, 2 * r, cheeger=h, cheeger_t=1 / h)
+        return Functionals(A, P, r, k, 2 * k, 2 * r, cheeger=h)
     if isinstance(spec, Slice):
         r, d = spec.inradius, spec.diameter
         P = 2 * math.sqrt(max(0.0, d * d - 4 * r * r)) + 2 * d * math.asin(min(1.0, 2 * r / d))
@@ -458,8 +457,7 @@ def subeq_from(pair, fixed, target):
 def triangle_functionals(base: float, height: float) -> Functionals:
     """Exact functionals of the isosceles triangle, Cheeger constant included."""
     v = {k: float(x) for k, x in triangle_values(base, height).items()}
-    return Functionals(v["A"], v["P"], v["r"], v["R"], v["d"], v["w"],
-                       cheeger=v["h"], cheeger_t=1 / v["h"])
+    return Functionals(v["A"], v["P"], v["r"], v["R"], v["d"], v["w"], cheeger=v["h"])
 
 
 def solve_param(target, fixed):

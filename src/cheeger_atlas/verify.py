@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagrams
 from .bounds import BOUND_IDS, NO_ROOT, NOT_APPLICABLE, OK, evaluate_all
-from .functionals import measure_with_cheeger
+from .functionals import measure
 from .sampler import blocks, measured_block, parallel_map
 from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
 
@@ -42,8 +42,8 @@ EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
 
 
 def _census_block(args) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Records start..stop-1 of a census, drawn, walked and measured as one
-    column (``sampler.measured_block``), then the registry on that column:
+    """Records start..stop-1 of a census, drawn and measured as one column
+    (``sampler.measured_block``), then the registry on that column:
     (record seeds, status codes, slacks), the arrays ids by records.  A
     polygon whose walk fails raises when its record is measured, as alone."""
     start, stop, master_seed, n_min, n_max = args
@@ -76,12 +76,12 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     """Min slack per bound id over ``samples`` unit-area random polygons.
 
     The records are split into contiguous blocks (``sampler.blocks``: one
-    per worker, but at most one per MIN_BLOCK records); each block walks
-    its polygons' skeletons as one column and evaluates the registry as
-    one column.  A record's results do not depend on the block it lands in.
+    per worker, but at most one per MIN_BLOCK records, and only for
+    3 <= n_min <= n_max); each block's polygons are measured as one column,
+    their skeletons walked together, and the registry evaluated on that
+    column.  A record's results do not depend on the block it lands in.
     """
-    args = [(lo, hi, seed, n_min, n_max) for lo, hi in blocks(samples, workers)]
-    return _fold(parallel_map(_census_block, args))
+    return _fold(parallel_map(_census_block, blocks(samples, seed, n_min, n_max, workers)))
 
 
 def _curve_residual(f, did: str, side: str) -> float:
@@ -118,7 +118,7 @@ def sharpness(res: int = 8192) -> list[dict]:
     every body's planes at once.  Then the registry runs once, on all of
     them.
     """
-    bodies = [(label, measure_with_cheeger(build(spec, res)), ids, curves)
+    bodies = [(label, measure(build(spec, res)), ids, curves)
               for label, spec, ids, curves in _sharpness_bodies()]
     slack = evaluate_all(*(f for _, f, _, _ in bodies)).slack
     rows = []

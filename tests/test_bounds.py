@@ -11,7 +11,7 @@ from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_a
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
 from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, curve
 from cheeger_atlas.errors import DomainError, InvalidParam, Unreachable
-from cheeger_atlas.functionals import Functionals, measure, measure_with_cheeger
+from cheeger_atlas.functionals import Functionals, measure
 from cheeger_atlas.geom import walk_block
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
@@ -399,7 +399,7 @@ class TestRootSteps:
         # 30 census records as one column: one crossing loop for g1..g4, each
         # of its elements done in 7 steps, and one arcsinc loop for PHR_LO and
         # PHD_LO, its elements done in 6
-        records = [measure_with_cheeger(area_normalized(seeded_polygon(1, i, 3, 30)[2]))
+        records = [measure(area_normalized(seeded_polygon(1, i, 3, 30)[2]))
                    for i in range(30)]
         dstar()  # cached before the count, so that only arcsinc runs bounds' root loop
         crossing_calls, arcsinc_steps = [], []
@@ -602,8 +602,8 @@ class TestSubeqInverse:
 
 @pytest.fixture(scope="module")
 def column_records():
-    fs = [measure_with_cheeger(area_normalized(seeded_polygon(7, i, 3, 30)[2])) for i in range(200)]
-    return fs + [measure_with_cheeger(build(spec, 8192)) for _, spec, _, _ in verify._sharpness_bodies()]
+    fs = [measure(area_normalized(seeded_polygon(7, i, 3, 30)[2])) for i in range(200)]
+    return fs + [measure(build(spec, 8192)) for _, spec, _, _ in verify._sharpness_bodies()]
 
 
 class TestEvaluateAll:
@@ -650,8 +650,6 @@ class TestEvaluateAll:
     def test_soundness_random(self, seed, n):
         poly = area_normalized(valtr(n, seed))
         f = measure(poly)
-        res = cheeger_constant(poly)
-        f = f.with_cheeger(res.h, res.t_star)
         for r in evaluate_all(f):
             if r.status == "ok":
                 assert r.slack >= -1e-7, (r.id, seed, n)
@@ -662,7 +660,7 @@ class TestEvaluateAll:
         # failed HRA_UP or HPA_LO, by up to 7.3e-4 h
         polys = [seeded_polygon(1, i, 3, 30)[2].translate((1e6, -7e5)) for i in range(300)]
         walk_block(polys)
-        fs = [measure_with_cheeger(poly) for poly in polys]
+        fs = [measure(poly) for poly in polys]
         k = len(BOUND_IDS)
         for i, r in enumerate(evaluate_all(*fs)):
             if r.status == "ok":
@@ -699,7 +697,7 @@ class TestEvaluateAll:
     def test_arrays_and_their_view(self, column_records):
         # the arrays are ids by records; the view reads them record by record,
         # and a record without h has NaN slacks in the arrays and None in the view
-        fs = column_records[:20] + [dataclasses.replace(column_records[20], cheeger=None, cheeger_t=None)]
+        fs = column_records[:20] + [dataclasses.replace(column_records[20], cheeger=None)]
         table = evaluate_all(*fs)
         assert table.value.shape == table.slack.shape == table.status.shape == (len(BOUND_IDS), len(fs))
         ok = table.status == bounds.OK
@@ -729,7 +727,7 @@ class TestEvaluateAll:
 
 def test_curve_residual_is_scale_free():
     # two-cups with k = 2r trace the upper curve of (P, h, r) at any r
-    got = [verify._curve_residual(measure_with_cheeger(build(TwoCup(r, 2 * r), 2048)), "D1_PHR", "upper")
+    got = [verify._curve_residual(measure(build(TwoCup(r, 2 * r), 2048)), "D1_PHR", "upper")
            for r in (1.0, 2.0)]
     assert got[1] == pytest.approx(got[0], rel=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 
 from cheeger_atlas.cli import TRIPLETS, run
 from cheeger_atlas.errors import PolygonJsonError
-from cheeger_atlas.functionals import measure_with_cheeger
+from cheeger_atlas.functionals import measure
 from cheeger_atlas.geom import polygon_from_json
 from cheeger_atlas.sampler import seeded_polygon
 
@@ -141,7 +141,7 @@ class TestSampleUnits:
         rows = _sample_rows(tmp_path, "--triplet", "hwa", "--normalize", "none")
         g = lambda v: format(v, ".17g")
         for i, row in enumerate(rows):
-            f = measure_with_cheeger(seeded_polygon(3, i, 3, 30)[2])
+            f = measure(seeded_polygon(3, i, 3, 30)[2])
             assert [row[k] for k in ("A", "P", "r", "R", "d", "w", "h", "x", "y")] == [
                 g(v) for v in (f.area, f.perimeter, f.inradius, f.circumradius, f.diameter,
                                f.min_width, f.cheeger, f.min_width, f.cheeger)]
@@ -204,3 +204,11 @@ class TestVerifyCommand:
              "--out", str(b)])
         capsys.readouterr()
         assert _read(a) == _read(b)
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("n_min, n_max", [(2, 2), (5, 3)])
+    def test_vertex_range_exit2(self, tmp_path, capsys, command, n_min, n_max):
+        # the census checks the range before it draws a block, as sample does
+        assert run([command, "--samples", "20", "--seed", "1", "--n-min", str(n_min),
+                    "--n-max", str(n_max), "--out", str(tmp_path / "out")]) == 2
+        assert "need 3 <= n_min <= n_max" in capsys.readouterr().err

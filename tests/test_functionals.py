@@ -15,7 +15,7 @@ from cheeger_atlas.bounds import evaluate_all
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, _smallest_circle, area, circumradius, diameter,
-                                       inradius, measure, measure_with_cheeger, min_width, perimeter)
+                                       inradius, measure, min_width, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
 from cheeger_atlas.sampler import measured_block, mix, seeded_polygon, valtr
 from cheeger_atlas.shapes import build
@@ -334,10 +334,28 @@ class TestFunctionalsRecord:
             Functionals(1.0, 4.0, 0.9, 1.0, 1.5, 1.0)  # 2r > w
 
     def test_cheeger_consistency(self):
-        f = Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=2.0, cheeger_t=0.5)
+        f = Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=2.0)
         assert f.value("h") == 2.0
-        with pytest.raises(ValueError):
-            Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=2.0, cheeger_t=0.4)
+        for h in (0.99, 2.01):  # outside [1/r, 2/r]
+            with pytest.raises(ValueError):
+                Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=h)
+
+    def test_block_is_measured_as_one_column(self, monkeypatch):
+        # one machine walks the block's skeletons, and each record, h
+        # included, has the bits of its polygon measured alone
+        polys = [seeded_polygon(1, i, 3, 30)[2] for i in range(20)]
+        built = []
+        init = geom.OffsetMachine.__init__
+
+        def counted(self, block):
+            built.append(block)
+            init(self, block)
+        monkeypatch.setattr(geom.OffsetMachine, "__init__", counted)
+        records = measure(polys)
+        assert len(built) == 1 and built[0] == polys
+        for poly, f in zip(polys, records):
+            assert f.cheeger is not None
+            assert f == measure(ConvexPolygon(poly.vertices))
 
 
 class TestNormalized:
@@ -345,15 +363,15 @@ class TestNormalized:
     normalized, is the measured record of the polygon scaled."""
 
     FIELDS = ("area", "perimeter", "inradius", "circumradius", "diameter", "min_width",
-              "cheeger", "cheeger_t")
+              "cheeger")
 
     def test_matches_scaled_polygon(self):
         for i in range(40):
             poly = seeded_polygon(1, i, 3, 30)[2]
-            f = measure_with_cheeger(poly)
+            f = measure(poly)
             for key in functionals.EXPONENT:
                 s = f.value(key) ** (1.0 / functionals.EXPONENT[key])
-                expect = measure_with_cheeger(poly.scale(1.0 / s))
+                expect = measure(poly.scale(1.0 / s))
                 got = f.normalized(key)
                 assert got.value(key) == pytest.approx(1.0, rel=1e-15)
                 for name in self.FIELDS:
@@ -438,7 +456,7 @@ _IMPORTS = """
 import sys
 before = set(sys.modules)
 import cheeger_atlas, cheeger_atlas.cli
-cheeger_atlas.evaluate_all(cheeger_atlas.measure_with_cheeger(cheeger_atlas.valtr(12, 3)))
+cheeger_atlas.evaluate_all(cheeger_atlas.measure(cheeger_atlas.valtr(12, 3)))
 # modules the import system found; not the aliases and runtime objects that
 # multiprocessing and Cython extensions put in sys.modules
 new = {name.partition(".")[0] for name, module in list(sys.modules.items())

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from cheeger_atlas import geom, verify
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import DegenerateInput, NoConvergence, PolygonJsonError
-from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, measure_with_cheeger,
+from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, measure,
                                       min_width, perimeter)
 from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, OffsetMachine, _fan_region,
                                 _merge_parallel, dilate, form_body, inner_parallel,
@@ -212,7 +212,7 @@ class TestInnerParallel:
             init(self, polys)
         monkeypatch.setattr(OffsetMachine, "__init__", counted)
         poly = valtr(12, 3)
-        measure_with_cheeger(poly)
+        measure(poly)
         assert len(built) == 1 and built[0] == [poly]
         other = regular_ngon(9)
         assert inner_parallel(other, 0.1) is not None
@@ -251,7 +251,7 @@ class TestInnerParallel:
         monkeypatch.setattr(OffsetMachine, "area_at", counted_area)
         monkeypatch.setattr(ConvexPolygon, "placed", counted_polygon)
         poly = valtr(12, 3)
-        f = measure_with_cheeger(poly)
+        f = measure(poly)
         assert len(offsets) >= 1 and built == []
         assert offsets[-1] == pytest.approx(f.inradius, rel=1e-12)
         assert all(b > a for a, b in zip(offsets, offsets[1:]))

@@ -4,8 +4,9 @@ Each pin is the sha256 of an output as computed before the census block
 was drawn and measured as one column, with numpy 2.4.6: the soundness
 census report at the benchmark's two census seeds, and the sample CSV of
 every diagram triplet.  The ``bounds`` command's CSV and JSON for one fixed
-polygon are pinned as computed before the registry answered in arrays.  A
-change that moves a bit of these outputs updates the pin and says why.
+polygon are pinned as computed before the registry answered in arrays, and
+its ``measure`` and ``cheeger`` JSON as computed before ``measure`` returned
+h.  A change that moves a bit of these outputs updates the pin and says why.
 """
 
 import hashlib
@@ -57,4 +58,16 @@ def test_bounds_command(fmt, digest, tmp_path, capsys):
     poly = tmp_path / "p.json"
     poly.write_text(polygon_to_json(valtr(12, 3)) + "\n")
     assert run(["bounds", "--in", str(poly), "--format", fmt]) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("measure", "81bbb4a65e0b5504fa7ccbe5ae6d879a303893a180d1e9545370375a88adf7d7"),
+    ("cheeger", "885a5b95bdba1227519e634903e46601b236ae175e394d2f50c3d23e57af0579"),
+])
+def test_measure_and_cheeger_commands(command, digest, tmp_path, capsys):
+    # valtr(12, 3): the six functionals, and h with t*
+    poly = tmp_path / "p.json"
+    poly.write_text(polygon_to_json(valtr(12, 3)) + "\n")
+    assert run([command, "--in", str(poly)]) == 0
     assert _sha256(capsys.readouterr().out) == digest

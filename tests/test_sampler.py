@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheeger_atlas import sampler
-from cheeger_atlas.functionals import measure_with_cheeger
+from cheeger_atlas.functionals import measure
 from cheeger_atlas.geom import OffsetMachine, walk_block
 from cheeger_atlas.sampler import (cloud_csv, mix, sample_cloud, seeded_polygon, seeded_polygons,
                                    splitmix64, valtr)
@@ -135,7 +135,7 @@ class TestSampleCloud:
         walk_block(polys)
         assert built == [40, 40, 6]
         for poly in polys:
-            measure_with_cheeger(poly)
+            measure(poly)
         assert built == [40, 40, 6]
 
     def test_d1_membership(self):
