@@ -1,7 +1,6 @@
 """Cheeger constants, extremal shapes and sharp bounds for planar convex bodies."""
 
-from .bounds import (BoundResult, BoundTable, arcsinc, chi, d0, dstar, evaluate_all, implicit_g,
-                     phi, psi, registry_csv)
+from .bounds import BoundResult, BoundTable, arcsinc, d0, dstar, evaluate_all, psi, registry_csv
 from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, smallest_crossing
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,

@@ -4,8 +4,8 @@ Each inequality gets a symbolic id, a direction (lower/upper bound on h), an
 applicability predicate on the six functionals, and an evaluator.
 ``evaluate_all(*records)`` evaluates the registry on a column of records,
 each functional one numpy array, and answers in arrays of ids by records
-(``BoundTable``; its ``results()`` are ``BoundResult`` objects).  psi, chi,
-phi, g1..g4 and the two-cup bounds use the areas of the extremal bodies
+(``BoundTable``; its ``results()`` are ``BoundResult`` objects).  psi,
+g1..g4 and the two-cup bounds use the areas of the extremal bodies
 (slice, smoothed nonagon, two-cup) in closed form, from ``shapes``.  A
 column's root solves run once for all its bounds (``_solve``): the
 crossings g(t) = pi t^2 of g1..g4 in one ``smallest_crossing`` call, the
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import shapes
 from .cheeger import ImplicitRootProblem, _bracketed_root, cheeger_constant, smallest_crossing
-from .errors import DomainError
 from .functionals import EXPONENT, Functionals
 from .shapes import (Resolution, SmoothedNonagon, nonagon_area, slice_area, triangle_values,
                      two_cup_area)
@@ -39,62 +38,33 @@ PI = math.pi
 _DOMAIN_TOL = 1e-9
 
 
-def _to_arrays(*vals):
-    arrs = [np.asarray(v, dtype=float) for v in vals]
-    scalar = all(a.ndim == 0 for a in arrs)
-    return arrs, scalar
-
-
-def _in_domain(out, bad, scalar, message):
-    """``out`` as a float, or DomainError, for scalar arguments; for arrays,
-    ``out`` with NaN where ``bad`` marks an element outside the domain."""
-    if scalar:
-        if bad:
-            raise DomainError(message)
-        return float(out)
-    return np.where(bad, np.nan, out)
-
-
 def psi(d, r):
     """Largest area of a convex body with diameter d and inradius r.
 
     Two branches split at d = r * dstar(): the smoothed-nonagon branch below,
-    the spherical-slice branch above.  Accepts arrays; r = 0 is allowed as
-    the degenerate limit (area 0).
+    the spherical-slice branch above.  Elementwise, in the broadcast shape
+    of d and r (0-d for floats), with NaN outside d >= 2r >= 0; r = 0 is
+    allowed as the degenerate limit (area 0).
     """
-    (d, r), scalar = _to_arrays(d, r)
+    d, r = np.asarray(d, dtype=float), np.asarray(r, dtype=float)
     out = np.where(d <= r * dstar(), nonagon_area(d, r), slice_area(d, 2 * r))
-    bad = (r < -0.0) | (d + _DOMAIN_TOL * np.maximum(1.0, d) < 2 * r)
-    return _in_domain(out, bad, scalar, "psi needs d >= 2r >= 0")
-
-
-def chi(omega, R):
-    """Largest area of a convex body with minimal width omega and circumradius R."""
-    (w, R), scalar = _to_arrays(omega, R)
-    bad = (w < -0.0) | (w > 2 * R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL)
-    return _in_domain(slice_area(2 * R, w), bad, scalar, "chi needs 0 <= omega <= 2R")
-
-
-def phi(R, r):
-    """Largest area of a convex body with circumradius R and inradius r."""
-    (R, r), scalar = _to_arrays(R, r)
-    bad = (r < -0.0) | (r > R * (1 + _DOMAIN_TOL) + _DOMAIN_TOL)
-    return _in_domain(slice_area(2 * R, 2 * r), bad, scalar, "phi needs 0 <= r <= R")
+    return np.where((r < -0.0) | (d + _DOMAIN_TOL * np.maximum(1.0, d) < 2 * r), np.nan, out)
 
 
 def arcsinc(x):
     """Inverse of sin(y)/y on [0, pi): the unique y with sinc(y) = x.
 
-    Accepts an array, solved in one root loop, with NaN outside (0, 1].
-    The loop starts from the Taylor bracket of the root: sinc falls on
-    [0, pi], and 1 - y^2/6 <= sinc y <= 1 - y^2/6 + y^4/120 puts the root
-    between sqrt(6(1 - x)) and min(pi, sqrt(10 - sqrt(100 - 120(1 - x))))
-    (pi for x < 1/6).  Both ends are read in one call; an end whose value
-    rounds to the wrong sign (x within about 1e-5 of 1) falls back to 0
-    or pi, where sinc is known.
+    Elementwise, in the shape of x (0-d for a float), solved in one root
+    loop, with NaN outside (0, 1].  The loop starts from the Taylor bracket
+    of the root: sinc falls on [0, pi], and 1 - y^2/6 <= sinc y <= 1 - y^2/6
+    + y^4/120 puts the root between sqrt(6(1 - x)) and
+    min(pi, sqrt(10 - sqrt(100 - 120(1 - x)))) (pi for x < 1/6).  Both ends
+    are read in one call; an end whose value rounds to the wrong sign (x
+    within about 1e-5 of 1) falls back to 0 or pi, where sinc is known.
     """
-    (x,), scalar = _to_arrays(x)
-    x = _in_domain(x, ~((0.0 < x) & (x <= 1.0)), scalar, "arcsinc is defined on (0, 1]")
+    shape = np.shape(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.where((0.0 < x) & (x <= 1.0), x, np.nan)
 
     def f(y):
         return np.sin(y) / y - x
@@ -105,7 +75,7 @@ def arcsinc(x):
         fa, fb = f(ends)
     a, fa = np.where(fa >= 0.0, ends[0], 0.0), np.where(fa >= 0.0, fa, 1.0 - x)
     b, fb = np.where(fb <= 0.0, ends[1], PI), np.where(fb <= 0.0, fb, -x)
-    return _bracketed_root(f, a, fa, b, fb, 1e-14)
+    return _bracketed_root(f, a, fa, b, fb, 1e-14).reshape(shape)
 
 
 @lru_cache(maxsize=1)
@@ -152,54 +122,16 @@ def d0(res: int = 4096) -> float:
 # + sqrt(8 pi x / (P den)), den = P - c cos x
 _ARCSINC = {"PHR": lambda f: 4 * f.circumradius, "PHD": lambda f: 2 * f.diameter}
 
-# family -> (parameter names, the column fields they are, domain message,
-# outside-domain test, (x, y, upper) maker: the body at t = 0, (d, r) of
-# psi for g1 and (D, W) of the slice for g2..g4, and the domain's end)
+# family -> (the column fields of its parameters (p, q), outside-domain test,
+# (x, y, upper) maker: the body at t = 0, (d, r) of psi for g1 and (D, W) of
+# the slice for g2..g4, and the domain's end)
 _IMPLICIT = {
-    "g1": (("d", "r"), ("diameter", "inradius"), "g1 needs d >= 2r",
-           lambda d, r: d < 2 * r - _DOMAIN_TOL, lambda d, r: (d, r, r)),
-    "g2": (("R", "r"), ("circumradius", "inradius"), "g2 needs R >= r",
-           lambda R, r: R < r - _DOMAIN_TOL, lambda R, r: (2 * R, 2 * r, r)),
-    "g3": (("d", "w"), ("diameter", "min_width"), "g3 needs d >= omega",
-           lambda d, w: d < w - _DOMAIN_TOL, lambda d, w: (d, w, w / 2)),
-    "g4": (("w", "R"), ("min_width", "circumradius"), "g4 needs 2R >= omega",
-           lambda w, R: 2 * R < w - _DOMAIN_TOL, lambda w, R: (2 * R, w, w / 2)),
+    "g1": (("diameter", "inradius"), lambda d, r: d < 2 * r - _DOMAIN_TOL, lambda d, r: (d, r, r)),
+    "g2": (("circumradius", "inradius"), lambda R, r: R < r - _DOMAIN_TOL, lambda R, r: (2 * R, 2 * r, r)),
+    "g3": (("diameter", "min_width"), lambda d, w: d < w - _DOMAIN_TOL, lambda d, w: (d, w, w / 2)),
+    "g4": (("min_width", "circumradius"), lambda w, R: 2 * R < w - _DOMAIN_TOL,
+           lambda w, R: (2 * R, w, w / 2)),
 }
-
-
-def _psi_g(d, r):
-    """g1(t) = psi(d - 2t, r - t)."""
-    return lambda t: psi(d - 2 * t, np.maximum(r - t, 0.0))
-
-
-def _slice_g(D, W):
-    """g(t) = area of the slice of diameter D - 2t and width W - 2t."""
-    return lambda t: slice_area(D - 2 * t, np.maximum(W - 2 * t, 0.0))
-
-
-def implicit_g(family: str, **params) -> ImplicitRootProblem:
-    """The four implicit envelope problems g1..g4 from the lower bounds.
-
-    g1(d, r):  psi(d - 2t, r - t)                   on [0, r]
-    g2(R, r):  slice_area(2R - 2t, 2r - 2t) = phi   on [0, r]
-    g3(d, w):  slice_area(d - 2t, w - 2t)           on [0, w/2]
-    g4(w, R):  slice_area(2R - 2t, w - 2t) = chi    on [0, w/2]
-
-    g2..g4 are the areas of the slices with the shrunk functionals.  Array
-    parameters (broadcast together) give a column of problems; an element
-    outside the family's domain gets a NaN domain end, so its crossing
-    comes back NaN instead of raising DomainError.
-    """
-    if family not in _IMPLICIT:
-        raise DomainError(f"unknown implicit family {family!r}")
-    names, _, message, outside, body = _IMPLICIT[family]
-    p, q = np.broadcast_arrays(*(np.asarray(params[k], dtype=float) for k in names))
-    scalar = p.ndim == 0
-    if scalar:
-        p, q = float(p), float(q)
-    x, y, upper = body(p, q)
-    g = _psi_g(x, y) if family == "g1" else _slice_g(x, y)
-    return ImplicitRootProblem(g, _in_domain(upper, outside(p, q), scalar, message))
 
 
 def _solve(f, names) -> dict:
@@ -207,7 +139,8 @@ def _solve(f, names) -> dict:
     there is no root: the arcsinc of the ``_ARCSINC`` columns in one loop,
     and h = 1/t at the crossings g(t) = pi t^2 of g1..g4 in one
     ``smallest_crossing`` call over the column stacked from the families,
-    g1 first, through psi, and the rest through one slice_area call."""
+    g1 first.  g1(t) = psi(d - 2t, r - t); g2..g4 are the areas of the
+    slices of diameter D - 2t and width W - 2t, in one slice_area call."""
     sincs = [k for k in names if k in _ARCSINC]
     roots = arcsinc(np.minimum(1.0, np.stack([_ARCSINC[k](f) / f.perimeter for k in sincs]))) if sincs else []
     out = dict(zip(sincs, roots))
@@ -216,7 +149,7 @@ def _solve(f, names) -> dict:
         return out
     dims, xs, ys, uppers = [], [], [], []
     for fam in families:
-        _, fields, _, outside, body = _IMPLICIT[fam]
+        fields, outside, body = _IMPLICIT[fam]
         p, q = np.broadcast_arrays(*(getattr(f, k) for k in fields))
         x, y, upper = body(p.ravel(), q.ravel())
         dims.append(p.shape)
@@ -225,9 +158,13 @@ def _solve(f, names) -> dict:
         uppers.append(np.where(outside(p, q).ravel(), np.nan, upper))
     k = xs[0].size if families[0] == "g1" else 0
     x, y = np.concatenate(xs), np.concatenate(ys)
-    g1, slices = _psi_g(x[:k], y[:k]), _slice_g(x[k:], y[k:])
-    t = smallest_crossing(ImplicitRootProblem(
-        lambda t: np.concatenate((g1(t[..., :k]), slices(t[..., k:])), axis=-1), np.concatenate(uppers)))
+    d, r, D, W = x[:k], y[:k], x[k:], y[k:]
+
+    def g(t):
+        t1, t2 = t[..., :k], t[..., k:]
+        return np.concatenate((psi(d - 2 * t1, np.maximum(r - t1, 0.0)),
+                               slice_area(D - 2 * t2, np.maximum(W - 2 * t2, 0.0))), axis=-1)
+    t = smallest_crossing(ImplicitRootProblem(g, np.concatenate(uppers)))
     cuts = np.cumsum([a.size for a in xs])[:-1]
     return out | {fam: 1.0 / part.reshape(dim) for fam, part, dim in zip(families, np.split(t, cuts), dims)}
 

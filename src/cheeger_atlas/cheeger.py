@@ -21,7 +21,8 @@ hit the root closes the bracket, instead of leaving it one-sided to be
 bisected down to the tolerance; the census crossings take 5 to 7 steps.
 ``smallest_crossing`` uses it for the implicit inequalities g(t) = pi t^2
 of the bound registry, all four families of a whole column in one call;
-the bound constants, ``arcsinc`` and the shape-parameter solve use it too.
+``bounds.arcsinc`` solves its column with it, and the constants
+``bounds.dstar`` and ``bounds.d0`` use its float path.
 """
 
 from __future__ import annotations
@@ -94,22 +95,17 @@ class CheegerResult:
 
 @dataclass(frozen=True)
 class ImplicitRootProblem:
-    """The equation g(t) = pi t^2 on [0, upper].
+    """A column of equations g(t) = pi t^2, each on [0, upper] for its
+    element of ``upper``.
 
-    ``g`` must accept numpy arrays and scalars.  It is the caller's job to
-    make g(t) - pi t^2 continuous and non-increasing on the domain.  An
-    array ``upper`` makes a column of problems: g then maps t of the
-    column's shape (or of shape (2, n), both ends at once) elementwise.
-    A float ``upper`` must be positive; in a column an element whose
-    ``upper`` is not positive has no crossing.
+    ``g`` maps an array of t, of the column's shape or of shape (2, n) for
+    both ends at once, to the values there elementwise.  It is the caller's
+    job to make g(t) - pi t^2 continuous and non-increasing on each domain;
+    an element whose ``upper`` is not positive has no crossing.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     upper: float | np.ndarray
-
-    def __post_init__(self):
-        if np.ndim(self.upper) == 0 and self.upper <= 0:
-            raise ValueError("domain upper end must be positive")
 
 
 def cheeger_constant(poly: ConvexPolygon,
@@ -192,25 +188,19 @@ def _bracketed_root(f: Callable, a, fa, b, fb, xtol):
 
 
 def smallest_crossing(problem: ImplicitRootProblem):
-    """The crossing t in (0, upper] of g(t) = pi t^2.
+    """The crossings t in (0, upper] of g(t) = pi t^2, all in one root loop.
 
-    F(t) = g(t) - pi t^2 is read at both ends of the domain in one call of
-    g; it must satisfy F(0) > 0 >= F(upper), else NoRoot is raised (a touch
-    at t = 0 carries no information, since 1/t blows up).  F is
-    non-increasing, so the crossing is unique; it is solved to
-    CROSSING_REL_TOL * upper.
-
-    With an array ``upper`` (a column of problems, which g evaluates
-    elementwise) every crossing is solved in one call and an array is
-    returned, with NaN where the domain is empty, the sign change is
-    missing or the solve fails.
+    F(t) = g(t) - pi t^2 is read at both ends of every domain in one call
+    of g.  An element with F(0) > 0 >= F(upper) has a unique crossing, since
+    F is non-increasing, solved to CROSSING_REL_TOL * upper; any other
+    element (a touch at t = 0 carries no information, since 1/t blows up),
+    and one whose solve fails, comes back NaN.  A float ``upper`` takes the
+    float path of ``_bracketed_root``, which raises NoRoot instead.
     """
     upper = np.asarray(problem.upper, dtype=float)
     ends = np.stack((np.zeros_like(upper), upper))
     f0, f1 = np.asarray(problem.g(ends), dtype=float) - np.pi * ends * ends
     falls = (upper > 0.0) & (f0 > 0.0) & (f1 <= 0.0)
-    if upper.ndim == 0 and not falls:
-        raise NoRoot("g(t) - pi t^2 does not fall from positive to nonpositive on the domain")
 
     def F(t):
         return np.asarray(problem.g(t), dtype=float) - np.pi * t * t

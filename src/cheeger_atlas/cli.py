@@ -190,6 +190,8 @@ def _cmd_diagram(args) -> int:
         if args.x_min is None or args.x_max is None:
             raise InvalidParam("--x-min and --x-max go together")
         x_range = (args.x_min, args.x_max)
+    if args.samples < 0:
+        raise InvalidParam("--samples must be nonnegative")
     spec = diagrams_mod.DiagramSpec(did, x_range=x_range, grid=args.grid)
     lower, upper = diagrams_mod.boundary(spec)
     records = sample_cloud(args.samples, 3, 30, diagrams_mod.DIAGRAM_IDS[did][:3],

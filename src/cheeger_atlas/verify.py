@@ -20,7 +20,7 @@ from . import diagrams
 from .bounds import BOUND_IDS, NO_ROOT, NOT_APPLICABLE, OK, evaluate_all
 from .functionals import measure
 from .sampler import blocks, measured_block, parallel_map
-from .shapes import Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
+from .shapes import Resolution, Slice, Stadium, SubequilateralTriangle, TwoCup, build, solve_param
 
 SCHEMA = "cheeger-atlas-verify/1"
 CENSUS_SLACK_FLOOR = -1e-7
@@ -138,6 +138,7 @@ def verify_suite(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     """Full verification report: census + sharpness + pass verdict."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    Resolution(sharpness_res)  # checked before the census runs, as sharpness checks it
     cen = census(samples, seed, n_min=n_min, n_max=n_max, workers=workers)
     sharp = sharpness(res=sharpness_res)
     worst_slack = min((a["min_slack"] for a in cen.values() if a["min_slack"] is not None),

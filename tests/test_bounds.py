@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheeger_atlas import bounds, cheeger, shapes, verify
-from cheeger_atlas.bounds import (BOUND_IDS, arcsinc, chi, d0, dstar, evaluate_all,
-                                  implicit_g, phi, psi, registry_csv)
+from cheeger_atlas.bounds import BOUND_IDS, arcsinc, bound_value, d0, dstar, evaluate_all, psi, registry_csv
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
 from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, curve
-from cheeger_atlas.errors import DomainError, InvalidParam, Unreachable
+from cheeger_atlas.errors import InvalidParam, NoRoot, Unreachable
 from cheeger_atlas.functionals import Functionals, measure
 from cheeger_atlas.geom import walk_block
 from cheeger_atlas.sampler import seeded_polygon, valtr
 from cheeger_atlas.shapes import (Resolution, Slice, Stadium, TwoCup, build, closed_form,
-                                  solve_param, triangle_functionals, triangle_values,
-                                  two_cup_area)
+                                  slice_area, solve_param, triangle_functionals,
+                                  triangle_values, two_cup_area)
 from conftest import area_normalized
 
 PI = math.pi
@@ -52,42 +51,44 @@ class TestPsi:
             assert np.all(np.diff(vals) >= -1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            psi(1.0, 1.0)
+        assert np.isnan(psi(1.0, 1.0))
 
 
 class TestChiPhi:
+    # the largest areas chi(omega, R) = slice_area(2R, omega) and
+    # phi(R, r) = slice_area(2R, 2r), which g4 and g2 read at t = 0
     def test_chi_full_ball(self):
         for R in (0.5, 1.0, 2.0):
-            assert chi(2 * R, R) == pytest.approx(PI * R * R, rel=1e-12)
+            assert slice_area(2 * R, 2 * R) == pytest.approx(PI * R * R, rel=1e-12)
 
     def test_chi_hand_value(self):
-        assert chi(1.0, 1.0) == pytest.approx(SQRT3 / 2 + PI / 3, abs=1e-14)
+        assert slice_area(2.0, 1.0) == pytest.approx(SQRT3 / 2 + PI / 3, abs=1e-14)
 
     def test_chi_equals_slice_area(self):
         for r, d in [(0.5, 1.6), (1.0, 2.4), (1.0, 3.5), (2.0, 5.0), (0.3, 0.61)]:
             f = closed_form(Slice(r, d))
-            assert chi(2 * r, d / 2) == pytest.approx(f.area, abs=1e-12)
+            assert slice_area(d, 2 * r) == pytest.approx(f.area, abs=1e-12)
 
     def test_phi_ball(self):
-        assert phi(1.0, 1.0) == pytest.approx(PI, abs=1e-13)
+        assert slice_area(2.0, 2.0) == pytest.approx(PI, abs=1e-13)
 
     def test_phi_hand_value(self):
-        assert phi(2.0, 1.0) == pytest.approx(2 * SQRT3 + 4 * PI / 3, abs=1e-13)
+        assert slice_area(4.0, 2.0) == pytest.approx(2 * SQRT3 + 4 * PI / 3, abs=1e-13)
 
     def test_phi_homogeneous(self):
         for t in (0.5, 2.5):
-            assert phi(2 * t, t) == pytest.approx(t * t * phi(2.0, 1.0), rel=1e-12)
+            assert slice_area(4 * t, 2 * t) == pytest.approx(t * t * slice_area(4.0, 2.0), rel=1e-12)
 
     def test_domains(self):
-        with pytest.raises(DomainError):
-            chi(3.0, 1.0)
-        with pytest.raises(DomainError):
-            phi(1.0, 2.0)
+        # outside chi's domain omega <= 2R and phi's r <= R, the crossings
+        # of g4 and g2 that read them have no value
+        assert np.isnan(bound_value("HRW_LO_IMPLICIT", w=3.0, R=1.0))
+        assert np.isnan(bound_value("HRR_LO_IMPLICIT", R=1.0, r=2.0))
 
 
 # Oracles: the formulas that chi, phi, psi, g1-g4 and the two-cup bounds
-# typed out before they read the closed forms in ``shapes``.
+# typed out before they read the closed forms in ``shapes``; chi and phi are
+# NaN outside their domains.
 def _oracle_slice_area(d, w):
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_d = np.where(d <= 0.0, 1.0, d)
@@ -126,17 +127,28 @@ def _oracle_psi(d, r):
     return np.where(bad, np.nan, out)
 
 
-# family -> (parameter names, outside-domain test, domain end, g(t) of the parameters)
+# family -> (parameter names, outside-domain test, domain end, g(t) of the
+# parameters, the registry's lower bound that solves the family's crossing)
 _ORACLE_G = {
     "g1": (("d", "r"), lambda d, r: d < 2 * r - 1e-9, lambda d, r: r,
-           lambda d, r, t: _oracle_psi(d - 2 * t, np.maximum(r - t, 0.0))),
+           lambda d, r, t: _oracle_psi(d - 2 * t, np.maximum(r - t, 0.0)), "HDR_LO_IMPLICIT"),
     "g2": (("R", "r"), lambda R, r: R < r - 1e-9, lambda R, r: r,
-           lambda R, r, t: _oracle_phi(np.maximum(R - t, 0.0), np.maximum(r - t, 0.0))),
+           lambda R, r, t: _oracle_phi(np.maximum(R - t, 0.0), np.maximum(r - t, 0.0)), "HRR_LO_IMPLICIT"),
     "g3": (("d", "w"), lambda d, w: d < w - 1e-9, lambda d, w: w / 2,
-           lambda d, w, t: _oracle_slice_area(d - 2 * t, np.maximum(w - 2 * t, 0.0))),
+           lambda d, w, t: _oracle_slice_area(d - 2 * t, np.maximum(w - 2 * t, 0.0)), "HDW_LO_IMPLICIT"),
     "g4": (("w", "R"), lambda w, R: 2 * R < w - 1e-9, lambda w, R: w / 2,
-           lambda w, R, t: _oracle_chi(np.maximum(w - 2 * t, 0.0), np.maximum(R - t, 0.0))),
+           lambda w, R, t: _oracle_chi(np.maximum(w - 2 * t, 0.0), np.maximum(R - t, 0.0)),
+           "HRW_LO_IMPLICIT"),
 }
+
+
+def _oracle_problem(family, **params):
+    """The crossing problem of ``family`` at its parameters by name (floats,
+    or columns broadcast together) from the oracle, with a NaN domain end
+    outside the family's domain."""
+    names, outside, end, oracle, _ = _ORACLE_G[family]
+    p, q = (np.asarray(params[k], dtype=float) for k in names)
+    return ImplicitRootProblem(lambda t: oracle(p, q, t), np.where(outside(p, q), np.nan, end(p, q)))
 
 
 def _edge_grid(ratios):
@@ -159,32 +171,40 @@ def _same(got, want):
     return np.array_equal(np.asarray(got), np.asarray(want), equal_nan=True)
 
 
-def _scalar_matches(fn, args, want):
-    """A float call raises DomainError where the oracle column is NaN, and
-    gives the oracle's value bit for bit elsewhere."""
-    for *xs, w in zip(*args, want):
-        if math.isnan(w):
-            with pytest.raises(DomainError):
-                fn(*map(float, xs))
-        else:
-            assert fn(*map(float, xs)) == w
-
-
 class TestClosedFormOracles:
     def test_chi_phi_psi_bit_for_bit(self):
         R, w = _edge_grid([2 * x for x in _EDGE])
-        assert _same(chi(w, R), _oracle_chi(w, R))
-        _scalar_matches(chi, (w, R), _oracle_chi(w, R))
+        inside = ~np.isnan(_oracle_chi(w, R))
+        assert _same(slice_area(2 * R[inside], w[inside]), _oracle_chi(w, R)[inside])
         R, r = _edge_grid(_EDGE)
-        assert _same(phi(R, r), _oracle_phi(R, r))
-        _scalar_matches(phi, (R, r), _oracle_phi(R, r))
+        inside = ~np.isnan(_oracle_phi(R, r))
+        assert _same(slice_area(2 * R[inside], 2 * r[inside]), _oracle_phi(R, r)[inside])
         d, r = _edge_grid(_EDGE_RD)
         assert _same(psi(d, r), _oracle_psi(d, r))
-        _scalar_matches(psi, (d, r), _oracle_psi(d, r))
+
+    def test_float_calls_match_columns(self):
+        # a float call is a column of one, 0-d, with NaN outside the domain
+        d, r = _edge_grid(_EDGE_RD)
+        want = psi(d, r)
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        for x, y, w in zip(d.tolist(), r.tolist(), want):
+            got = psi(x, y)
+            assert np.shape(got) == () and _same(got, w)
+            assert _same(got, psi(np.array([x]), np.array([y]))[0])
+        xs = [-0.5, -0.0, 0.0, 1e-300, 1e-3, 1 / 6, 0.2, 2 / PI, 0.5, 1 - 1e-5, 1 - 1e-12, 1.0,
+              1 + 1e-15, 1.1, math.inf, math.nan]
+        want = arcsinc(np.array(xs))
+        assert _same(np.isnan(want), [not 0.0 < x <= 1.0 for x in xs])
+        for x, w in zip(xs, want):
+            got = arcsinc(x)
+            assert np.shape(got) == () and _same(got, w)
+            assert _same(got, arcsinc(np.array([x]))[0])
 
     @pytest.mark.parametrize("family", ["g1", "g2", "g3", "g4"])
-    def test_implicit_g_bit_for_bit(self, family):
-        names, outside, end, oracle = _ORACLE_G[family]
+    def test_crossings_bit_for_bit(self, family):
+        # the registry's crossings are the oracle problems' crossings, and
+        # have no value outside the family's domain
+        names, outside, end, oracle, bid = _ORACLE_G[family]
         if family == "g1":
             p, q = _edge_grid(_EDGE_RD)
         elif family == "g4":
@@ -193,20 +213,11 @@ class TestClosedFormOracles:
             p, q = _edge_grid(_EDGE)
         bad = outside(p, q)
         assert bad.any() and not bad.all()
-        problem = implicit_g(family, **{names[0]: p, names[1]: q})
-        assert _same(np.isnan(problem.upper), bad)
-        assert _same(problem.upper[~bad], end(p, q)[~bad])
-        for s in (0.0, 0.3, 0.5, 0.9, 1.0):
-            t = s * end(p, q)
-            assert _same(problem.g(t)[~bad], oracle(p, q, t)[~bad]), s
-        for x, y, out in zip(p, q, bad):
-            kw = {names[0]: float(x), names[1]: float(y)}
-            if out:
-                with pytest.raises(DomainError):
-                    implicit_g(family, **kw)
-            elif end(x, y) > 0:
-                t = 0.3 * float(end(x, y))
-                assert implicit_g(family, **kw).g(t) == float(oracle(x, y, t))
+        params = {names[0]: p, names[1]: q}
+        got = bound_value(bid, **params)
+        want = 1.0 / smallest_crossing(_oracle_problem(family, **params))
+        assert _same(got, want)
+        assert np.isnan(got[bad]).all() and np.isfinite(got).any()
 
     def test_two_cup_bounds(self):
         r, big = _edge_grid([1.0, 1.0 + 1e-12, 1.01, 1.5, 3.0, 40.0])
@@ -215,11 +226,11 @@ class TestClosedFormOracles:
         den = r * np.sqrt(np.maximum(d * d - 4 * r * r, 0.0)) \
             + r * r * (PI - 2 * np.arccos(np.minimum(1.0, 2 * r / d)))
         assert _same(two_cup_area(r, d / 2), den)
-        assert _same(bounds.bound_value("HDR_UP", r=r, d=d), 1 / r + np.sqrt(PI / den))
+        assert _same(bound_value("HDR_UP", r=r, d=d), 1 / r + np.sqrt(PI / den))
         R = big
         den = 2 * r * (np.sqrt(np.maximum(R * R - r * r, 0.0)) + r * np.arcsin(np.minimum(1.0, r / R)))
         assert np.allclose(two_cup_area(r, R), den, rtol=1e-15, atol=0.0)
-        got = bounds.bound_value("HRR_UP", r=r, R=R)
+        got = bound_value("HRR_UP", r=r, R=R)
         assert np.allclose(got, 1 / r + np.sqrt(PI / den), rtol=1e-15, atol=0.0)
 
     def test_closed_forms_of_slice_and_two_cup(self):
@@ -250,8 +261,7 @@ class TestArcsinc:
 
     def test_domain(self):
         for bad in (0.0, -0.5, 1.1):
-            with pytest.raises(DomainError):
-                arcsinc(bad)
+            assert np.isnan(arcsinc(bad))
 
 
 class TestDstar:
@@ -308,7 +318,7 @@ def crossing_columns():
 
 @pytest.fixture(scope="module")
 def crossing_problems(crossing_columns):
-    return [implicit_g(fam, **kw) for fam, params in crossing_columns for kw in _elements(params)]
+    return [_oracle_problem(fam, **kw) for fam, params in crossing_columns for kw in _elements(params)]
 
 
 def _scan_crossing(problem, points=1025):
@@ -339,18 +349,18 @@ class TestCrossingContract:
     def test_column_matches_elementwise(self, crossing_columns):
         # each element of a column takes exactly the steps it takes alone
         for fam, params in crossing_columns:
-            got = smallest_crossing(implicit_g(fam, **params))
-            want = [smallest_crossing(implicit_g(fam, **kw)) for kw in _elements(params)]
+            got = smallest_crossing(_oracle_problem(fam, **params))
+            want = [smallest_crossing(_oracle_problem(fam, **kw)) for kw in _elements(params)]
             assert np.array_equal(got, want), fam
 
     def test_column_reports_missing_crossings_as_nan(self):
         # an element outside g1's domain, and one whose F never turns
         # nonpositive, come back NaN without disturbing their neighbours
         d, r = np.array([3.0, 1.0, 4.0]), np.array([1.0, 1.0, 1.0])
-        got = smallest_crossing(implicit_g("g1", d=d, r=r))
+        got = smallest_crossing(_oracle_problem("g1", d=d, r=r))
         assert np.isnan(got[1])
-        assert got[0] == smallest_crossing(implicit_g("g1", d=3.0, r=1.0))
-        assert got[2] == smallest_crossing(implicit_g("g1", d=4.0, r=1.0))
+        assert got[0] == smallest_crossing(_oracle_problem("g1", d=3.0, r=1.0))
+        assert got[2] == smallest_crossing(_oracle_problem("g1", d=4.0, r=1.0))
         flat = ImplicitRootProblem(lambda t: np.where(np.arange(2) == 0, PI * (1 - t) ** 2, 10.0),
                                    np.array([1.0, 1.0]))
         got = smallest_crossing(flat)
@@ -361,16 +371,17 @@ class TestCrossingContract:
         # raises, the element of a column comes back NaN
         for family, params in (("g1", {"d": [3.0, 2.0], "r": [1.0, 0.0]}),
                                ("g3", {"d": [1.0, 1.0], "w": [0.5, 0.0]})):
-            got = smallest_crossing(implicit_g(family, **{k: np.array(v) for k, v in params.items()}))
+            inside, empty = ({k: v[i] for k, v in params.items()} for i in (0, 1))
+            got = smallest_crossing(_oracle_problem(family, **params))
             assert np.isnan(got[1])
-            assert got[0] == smallest_crossing(implicit_g(family, **{k: v[0] for k, v in params.items()}))
-            with pytest.raises(ValueError):
-                implicit_g(family, **{k: v[1] for k, v in params.items()})
+            assert got[0] == smallest_crossing(_oracle_problem(family, **inside))
+            with pytest.raises(NoRoot):
+                smallest_crossing(_oracle_problem(family, **empty))
 
 
 def _g_points(family, **kw):
     """(g points, crossing) of one float crossing problem; the two ends are two points."""
-    problem = implicit_g(family, **kw)
+    problem = _oracle_problem(family, **kw)
     seen = []
 
     def g(t):
@@ -386,8 +397,8 @@ class TestRootSteps:
         # rounds onto that end (37 g points when it bisected from there)
         points, t = _g_points("g3", d=1.387081534670557, w=1.0312794713830942)
         assert points <= 8
-        assert t == pytest.approx(_scan_crossing(implicit_g("g3", d=1.387081534670557,
-                                                            w=1.0312794713830942)), abs=1e-13)
+        assert t == pytest.approx(_scan_crossing(_oracle_problem("g3", d=1.387081534670557,
+                                                                 w=1.0312794713830942)), abs=1e-13)
 
     def test_one_ulp_apart_takes_the_same_steps(self):
         # R values 7e-16 apart took 9 and 15 g points while a secant on an end bisected
@@ -433,48 +444,42 @@ class TestRootSteps:
                              ("g4", "HRW_LO_IMPLICIT", ("w", "min_width", "R", "circumradius"))):
             column = {kw[0]: np.array([getattr(f, kw[1]) for f in records]),
                       kw[2]: np.array([getattr(f, kw[3]) for f in records])}
-            want = 1.0 / smallest_crossing(implicit_g(fam, **column))
+            want = 1.0 / smallest_crossing(_oracle_problem(fam, **column))
             assert table.value[BOUND_IDS.index(bid)].tolist() == list(want), fam
 
 
 class TestImplicitG:
+    # the registry's implicit lower bounds: h = 1/t at the crossings of g1..g4
     def test_g2_ball_reduction(self):
-        problem = implicit_g("g2", R=1.0, r=1.0)
         ts = np.linspace(0, 1, 7)
-        assert np.allclose(problem.g(ts), PI * (1 - ts) ** 2, atol=1e-12)
-        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
+        assert np.allclose(slice_area(2.0 - 2 * ts, 2.0 - 2 * ts), PI * (1 - ts) ** 2, atol=1e-12)
+        assert bound_value("HRR_LO_IMPLICIT", R=1.0, r=1.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_g1_ball_reduction(self):
-        problem = implicit_g("g1", d=2.0, r=1.0)
         ts = np.linspace(0, 1, 7)
-        assert np.allclose(problem.g(ts), PI * (1 - ts) ** 2, atol=1e-12)
-        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
+        assert np.allclose(psi(2.0 - 2 * ts, 1.0 - ts), PI * (1 - ts) ** 2, atol=1e-12)
+        assert bound_value("HDR_LO_IMPLICIT", d=2.0, r=1.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_g3_ball_reduction(self):
-        problem = implicit_g("g3", d=2.0, w=2.0)
-        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
+        assert bound_value("HDW_LO_IMPLICIT", d=2.0, w=2.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_g4_ball_reduction(self):
-        problem = implicit_g("g4", w=2.0, R=1.0)
-        assert 1 / smallest_crossing(problem) == pytest.approx(2.0, abs=1e-10)
+        assert bound_value("HRW_LO_IMPLICIT", w=2.0, R=1.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            implicit_g("g1", d=1.0, r=1.0)
-        with pytest.raises(DomainError):
-            implicit_g("g4", w=3.0, R=1.0)
+        assert np.isnan(bound_value("HDR_LO_IMPLICIT", d=1.0, r=1.0))
+        assert np.isnan(bound_value("HRW_LO_IMPLICIT", w=3.0, R=1.0))
 
     @pytest.mark.parametrize("d", [2.3, 3.0, 5.0])
     def test_g1_exact_on_slices(self, d):
         # |S_{-t}| = psi(d - 2t, r - t) for slices in the slice regime
-        problem = implicit_g("g1", d=d, r=1.0)
-        t = smallest_crossing(problem)
+        lo = bound_value("HDR_LO_IMPLICIT", d=d, r=1.0)
         poly = build(Slice(1.0, d), Resolution(4096))
         h = cheeger_constant(poly).h
         if d >= dstar():
-            assert 1 / t == pytest.approx(h, rel=1e-6)
+            assert lo == pytest.approx(h, rel=1e-6)
         else:
-            assert 1 / t <= h * (1 + 1e-6)
+            assert lo <= h * (1 + 1e-6)
 
     def test_direction_never_exceeds_extremal_h(self):
         # Lemma-style check: each lower bound stays below the h of the shape
@@ -483,11 +488,10 @@ class TestImplicitG:
             poly = build(Slice(1.0, d), Resolution(4096))
             h = cheeger_constant(poly).h
             f = measure(poly)
-            for fam, kw in [("g2", dict(R=f.circumradius, r=f.inradius)),
-                            ("g3", dict(d=f.diameter, w=f.min_width)),
-                            ("g4", dict(w=f.min_width, R=f.circumradius))]:
-                val = 1 / smallest_crossing(implicit_g(fam, **kw))
-                assert val <= h * (1 + 1e-6)
+            for bid, kw in [("HRR_LO_IMPLICIT", dict(R=f.circumradius, r=f.inradius)),
+                            ("HDW_LO_IMPLICIT", dict(d=f.diameter, w=f.min_width)),
+                            ("HRW_LO_IMPLICIT", dict(w=f.min_width, R=f.circumradius))]:
+                assert bound_value(bid, **kw) <= h * (1 + 1e-6)
 
 
 def _subeq_inradius(key, w, value):
@@ -566,7 +570,7 @@ class TestSubeqInverse:
         ("HWP_UP_TRI", "P", 1.0, 1e7, 2.0011211982993495021105855869399738),
     ])
     def test_high_precision_oracle(self, bid, key, w, x, h):
-        assert bounds.bound_value(bid, w=w, **{key: x}) == pytest.approx(h, rel=1e-14)
+        assert bound_value(bid, w=w, **{key: x}) == pytest.approx(h, rel=1e-14)
 
     @settings(max_examples=100, deadline=None)
     @given(aspect=st.floats(math.log10(SQRT3 / 2), 9.0), base=st.floats(1e-3, 1e3),
@@ -640,7 +644,7 @@ class TestEvaluateAll:
         for _ in range(40):
             r = rng.uniform(0.2, 2.0)
             d = r * rng.uniform(2.0, 6.0)
-            lo_impl = 1 / smallest_crossing(implicit_g("g1", d=d, r=r))
+            lo_impl = bound_value("HDR_LO_IMPLICIT", d=d, r=r)
             s = d + 2 * r - math.sqrt((d + 2 * r) ** 2 - 2 * (4 - PI) * d * r)
             lo_expl = (4 - PI) / s
             assert lo_impl >= lo_expl - 1e-9

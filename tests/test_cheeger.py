@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cheeger_atlas.bounds import implicit_g
+from cheeger_atlas.bounds import psi
 from cheeger_atlas.cheeger import (ImplicitRootProblem, _bracketed_root, cheeger_constant,
                                    smallest_crossing)
 from cheeger_atlas.errors import DegenerateInput, NoConvergence, NoRoot
@@ -282,7 +282,8 @@ class TestSmallestCrossing:
     def test_replaced_g_sees_every_evaluation(self):
         # the benchmark counts g points through dataclasses.replace(problem, g=...)
         inner, outer = [], []
-        base = implicit_g("g1", d=3.0, r=1.0)
+        # g1 at d = 3, r = 1: psi(d - 2t, r - t) on [0, r]
+        base = ImplicitRootProblem(lambda t: psi(3.0 - 2 * t, np.maximum(1.0 - t, 0.0)), 1.0)
 
         def g(t):
             inner.append(np.size(t))

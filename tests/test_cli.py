@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cheeger_atlas import verify
 from cheeger_atlas.cli import TRIPLETS, run
 from cheeger_atlas.errors import PolygonJsonError
 from cheeger_atlas.functionals import measure
@@ -177,6 +178,12 @@ class TestDiagramCommand:
         assert run(["diagram", "--triplet", "phr", *flags, "--out", str(tmp_path / "d.svg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_samples_exit2(self, tmp_path, capsys):
+        # the flag is named, before either curve is computed
+        assert run(["diagram", "--triplet", "phr", "--samples", "-3",
+                    "--out", str(tmp_path / "d.svg")]) == 2
+        assert "--samples must be nonnegative" in capsys.readouterr().err
+
     def test_p_normalized_overlay(self, tmp_path):
         out = tmp_path / "hwp.svg"
         assert run(["diagram", "--triplet", "hwp", "--grid", "24", "--samples", "8",
@@ -212,3 +219,11 @@ class TestVerifyCommand:
         assert run([command, "--samples", "20", "--seed", "1", "--n-min", str(n_min),
                     "--n-max", str(n_max), "--out", str(tmp_path / "out")]) == 2
         assert "need 3 <= n_min <= n_max" in capsys.readouterr().err
+
+    def test_bad_sharpness_res_exit2_before_the_census(self, tmp_path, capsys, monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census ran")
+        monkeypatch.setattr(verify, "census", no_census)
+        assert run(["verify", "--samples", "3000", "--seed", "1", "--sharpness-res", "8",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "arc_segments must be at least 16" in capsys.readouterr().err

@@ -6,15 +6,21 @@ census report at the benchmark's two census seeds, and the sample CSV of
 every diagram triplet.  The ``bounds`` command's CSV and JSON for one fixed
 polygon are pinned as computed before the registry answered in arrays, and
 its ``measure`` and ``cheeger`` JSON as computed before ``measure`` returned
-h.  A change that moves a bit of these outputs updates the pin and says why.
+h.  The nine diagrams' boundary curves (each curve evaluated at its own
+unit, the implicit ones one family at a time) and the sharpness rows at
+resolution 8192 (the registry on the 13 extremal bodies as one column) are
+pinned as computed before the registry's root solves took columns only.
+A change that moves a bit of these outputs updates the pin and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from cheeger_atlas import diagrams, verify
 from cheeger_atlas.cli import TRIPLETS, run
+from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, render_csv
 from cheeger_atlas.geom import polygon_to_json
 from cheeger_atlas.sampler import cloud_csv, sample_cloud, valtr
 
@@ -71,3 +77,13 @@ def test_measure_and_cheeger_commands(command, digest, tmp_path, capsys):
     poly.write_text(polygon_to_json(valtr(12, 3)) + "\n")
     assert run([command, "--in", str(poly)]) == 0
     assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_boundary_curves():
+    text = "".join(render_csv([], boundary(DiagramSpec(did))) for did in DIAGRAM_IDS)
+    assert _sha256(text) == "a0ccff63f2f87bd09a8906655070da3c5836cd5a48e3811cd5adfe04eda79045"
+
+
+def test_sharpness_rows():
+    text = json.dumps(verify.sharpness(8192), sort_keys=True)
+    assert _sha256(text) == "bc1c6264a797e6bc47c52ed82f948aaa1b613f23a6dc50f9331f0840e3d71827"
