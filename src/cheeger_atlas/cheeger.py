@@ -27,7 +27,6 @@ of the bound registry, all four families of a whole column in one call;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -35,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParam, NoConvergence, NoRoot
-from .geom import ConvexPolygon, dilate, shoelace
+from .geom import ConvexPolygon, dilate
 
 # A crossing is solved until its bracket is below this fraction of the domain.
 CROSSING_REL_TOL = 1e-13
@@ -43,25 +42,6 @@ CROSSING_REL_TOL = 1e-13
 MAX_ROOT_STEPS = 100
 # Chords per full circle when discretizing the Cheeger set boundary.
 DEFAULT_ARC_SEGMENTS = 4096
-
-
-@dataclass(frozen=True)
-class SolveDiagnostics:
-    """How one Cheeger solve went; never part of a deterministic output.
-
-    ``evaluations`` counts the offset-chain evaluations (``area_at`` calls)
-    of the polygon's skeleton walk, shared with the inradius, before it knew
-    t*; ``residual`` is |A - pi t*^2| over the core's vertices there.  The
-    counts of the rest of the walk follow: its steps after t* (on to r), the
-    peel passes that ran the cascade rule (``geom.CASCADE_PASS``) and the
-    chains recomputed by plain passes after a failed certificate.
-    """
-
-    evaluations: int
-    residual: float
-    steps_after: int
-    cascade_passes: int
-    recomputes: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +56,6 @@ class CheegerResult:
 
     h: float
     t_star: float
-    diagnostics: SolveDiagnostics = field(compare=False)
     _poly: ConvexPolygon = field(repr=False, compare=False)
     _arc_segments: int = field(repr=False, compare=False)
 
@@ -111,15 +90,12 @@ class ImplicitRootProblem:
 def cheeger_constant(poly: ConvexPolygon,
                      arc_segments: int = DEFAULT_ARC_SEGMENTS) -> CheegerResult:
     """Cheeger constant read off the polygon's one straight-skeleton walk
-    (``ConvexPolygon.walk``), which also gives the inradius; the inner core
-    and the Cheeger set are built only when read."""
+    (``ConvexPolygon.walk``), which also gives the inradius and counts how
+    the solve ran; the inner core and the Cheeger set are built only when read."""
     if arc_segments < 8:
         raise InvalidParam("arc_segments must be at least 8")
-    walk = poly.walk
-    residual = abs(shoelace(walk.core) - math.pi * walk.t_star * walk.t_star)
-    diagnostics = SolveDiagnostics(walk.evaluations, residual, walk.steps_after, walk.cascade_passes,
-                                   walk.recomputes)
-    return CheegerResult(1.0 / walk.t_star, walk.t_star, diagnostics, poly, arc_segments)
+    t_star = poly.walk.t_star
+    return CheegerResult(1.0 / t_star, t_star, poly, arc_segments)
 
 
 def _bracketed_root(f: Callable, a, fa, b, fb, xtol):

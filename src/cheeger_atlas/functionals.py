@@ -51,8 +51,8 @@ class Functionals:
     """Record of (A, P, r, R, d, omega) and optionally h for one body.
 
     Construction enforces the chain 2r <= omega <= 2R, omega <= d <= 2R,
-    r <= R, positivity and, when the Cheeger constant is present,
-    1/r <= h <= 2/r.
+    r <= R, that each is positive and finite and, when the Cheeger constant
+    is present, 1/r <= h <= 2/r (which no infinite or NaN h meets).
     """
 
     area: float
@@ -66,8 +66,8 @@ class Functionals:
     def __post_init__(self):
         A, P, r, R = self.area, self.perimeter, self.inradius, self.circumradius
         d, w = self.diameter, self.min_width
-        if min(A, P, r, R, d, w) <= 0.0:
-            raise ValueError("all functionals must be positive")
+        if not all(0.0 < x < math.inf for x in (A, P, r, R, d, w)):  # NaN fails too
+            raise ValueError("all functionals must be positive and finite")
         tol = CHAIN_TOL
         checks = [
             2 * r <= w * (1 + tol),
@@ -203,12 +203,17 @@ def circumradius(poly: ConvexPolygon):
     Farthest-violator iteration (Elzinga & Hearn 1972) from v[0] and the
     vertex farthest from it: each step keeps the support of the smallest
     circle holding the support set and the farthest vertex outside the
-    current circle. It runs in the frame of v[0], so the polygon's position
-    does not matter; a pair circle's radius is taken in the caller's frame,
-    which makes R == d/2 exactly when the diameter pair supports it.
+    current circle. It runs in the frame of v[0] scaled by 2^-e to an
+    extent in [0.5, 1), so the polygon's position does not matter and the
+    three-point circle's cubic products neither overflow nor underflow; the
+    scaling is exact, so R has the same bits at any scale where it fits. A
+    pair circle's radius is taken in the caller's frame, which makes
+    R == d/2 exactly when the diameter pair supports it.
     """
     v = poly.vertices
     local = v - v[0]
+    e = math.frexp(np.abs(local).max())[1]
+    local = np.ldexp(local, -e)
     support = np.array([0, int(np.argmax(np.hypot(local[:, 0], local[:, 1])))])
     for _ in range(MAX_CIRCLE_STEPS):
         (cx, cy, R), kept = _smallest_circle(local[support])
@@ -216,9 +221,9 @@ def circumradius(poly: ConvexPolygon):
         dist = np.hypot(local[:, 0] - cx, local[:, 1] - cy)
         k = int(np.argmax(dist))
         if _in_circle(dist[k], R):
-            if len(support) == 2:
-                R = np.hypot(*(v[support[0]] - v[support[1]])) / 2.0
-            return float(R), np.array([cx, cy]) + v[0]
+            R = (np.hypot(*(v[support[0]] - v[support[1]])) / 2.0 if len(support) == 2
+                 else math.ldexp(R, e))
+            return float(R), np.array([math.ldexp(cx, e), math.ldexp(cy, e)]) + v[0]
         support = np.append(support, k)
     raise NoConvergence(f"enclosing circle not found in {MAX_CIRCLE_STEPS} steps")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from cheeger_atlas.errors import DegenerateInput, NoConvergence, NoRoot
 from cheeger_atlas.functionals import area, diameter, inradius, measure, perimeter
 from cheeger_atlas.geom import (ConvexPolygon, OffsetMachine, inner_parallel, inner_parallel_area,
                                shoelace)
-from cheeger_atlas.sampler import seeded_polygon, valtr
+from cheeger_atlas.sampler import seeded_polygon, seeded_polygons, valtr
 from conftest import area_normalized, random_polygons, regular_ngon
 
 PI = math.pi
@@ -225,20 +226,23 @@ class TestRobustness:
 
 
 class TestDiagnostics:
+    # how a solve ran is read off the polygon's walk, the solve's one record
     def test_census_set_needs_few_evaluations(self):
         # drawn as verify.census draws its records; blind bisection took 45
         worst = 0
         for i in range(200):
             poly = area_normalized(seeded_polygon(2024, i, 3, 30)[2])
-            d = cheeger_constant(poly).diagnostics
-            worst = max(worst, d.evaluations)
+            cheeger_constant(poly)
+            worst = max(worst, poly.walk.evaluations)
         assert worst <= 8
 
     def test_record(self, unit_square):
         res = cheeger_constant(unit_square)
-        d = res.diagnostics
-        assert d.evaluations >= 0
-        assert d.residual <= 1e-14
+        walk = unit_square.walk
+        assert res.t_star == walk.t_star
+        assert walk.evaluations >= 0
+        assert min(walk.steps_after, walk.cascade_passes, walk.recomputes) >= 0
+        assert abs(shoelace(walk.core) - PI * walk.t_star ** 2) <= 1e-14
 
     def test_evaluations_are_area_at_calls(self, monkeypatch):
         # the walk's evaluations before t* are counted; the rest go on to r
@@ -252,10 +256,23 @@ class TestDiagnostics:
         poly = regular_ngon(7).translate([0.3, 0.1]).scale(2.0)
         poly = ConvexPolygon(poly.vertices * np.array([1.0, 0.4]))
         res = cheeger_constant(poly)
-        k = res.diagnostics.evaluations
+        k = poly.walk.evaluations
         assert len(calls) > k >= 1
         assert max(calls[:k]) < res.t_star < min(calls[k:])
         assert calls[-1] == pytest.approx(inradius(poly)[0], rel=1e-12)
+
+    def test_solve_runs_no_shoelace(self, monkeypatch):
+        # h is read off the walk: no shoelace of the core checks it afterwards
+        block = seeded_polygons(1, 0, 10, 3, 30)[2]
+        poly = regular_ngon(9)
+
+        def refused(*args):
+            raise AssertionError("shoelace called")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cheeger_atlas") and getattr(module, "shoelace", None) is shoelace:
+                monkeypatch.setattr(module, "shoelace", refused)
+        assert [rec.cheeger for rec in measure(block)] == [1 / p.walk.t_star for p in block]
+        assert cheeger_constant(poly).h == 1 / poly.walk.t_star
 
 
 class TestSmallestCrossing:

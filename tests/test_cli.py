@@ -7,8 +7,8 @@ from cheeger_atlas import verify
 from cheeger_atlas.cli import TRIPLETS, run
 from cheeger_atlas.errors import PolygonJsonError
 from cheeger_atlas.functionals import measure
-from cheeger_atlas.geom import polygon_from_json
-from cheeger_atlas.sampler import seeded_polygon
+from cheeger_atlas.geom import polygon_from_json, polygon_to_json
+from cheeger_atlas.sampler import seeded_polygon, valtr
 
 
 def _read(path):
@@ -87,6 +87,17 @@ class TestShapeAndCheeger:
 
 
 class TestBoundsCommand:
+    def test_huge_polygon(self, tmp_path, capsys):
+        # at 1e120 the three-point circle's products overflowed: measure
+        # printed R = inf, and bounds reported rows without a root
+        poly = tmp_path / "big.json"
+        poly.write_text(polygon_to_json(valtr(12, 3).scale(1e120)))
+        assert run(["measure", "--in", str(poly)]) == 0
+        assert math.isfinite(float(json.loads(capsys.readouterr().out)["R"]))
+        assert run(["bounds", "--in", str(poly), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 44 and not [r["id"] for r in rows if r["status"] == "no-root"]
+
     def test_csv_shape(self, tmp_path, capsys):
         poly = tmp_path / "sq.json"
         poly.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]]}')

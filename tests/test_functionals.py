@@ -17,7 +17,7 @@ from cheeger_atlas.errors import DegenerateInput, NoConvergence
 from cheeger_atlas.functionals import (Functionals, _smallest_circle, area, circumradius, diameter,
                                        inradius, measure, min_width, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
-from cheeger_atlas.sampler import measured_block, mix, seeded_polygon, valtr
+from cheeger_atlas.sampler import measured_block, mix, seeded_polygon, seeded_polygons, valtr
 from cheeger_atlas.shapes import build
 from conftest import area_normalized, random_polygons, regular_ngon
 
@@ -147,6 +147,17 @@ class TestMeasureInvariants:
         assert f.diameter <= 2 * f.circumradius + slack
         assert f.inradius <= f.circumradius + slack
         assert f.perimeter > 2 * f.diameter - slack
+
+    @pytest.mark.parametrize("k", [-480, -400, -340, -300, 300, 340, 400, 500])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # a body scaled by 2^k has each field times 2^(k * exponent), bit for
+        # bit; R was infinite beyond about 2^+-340 on three-point circles
+        polys = seeded_polygons(1, 0, 100, 3, 30)[2]
+        scaled = measure([ConvexPolygon(np.ldexp(p.vertices, k)) for p in polys])
+        for f, g in zip(measure(polys), scaled):
+            for key, exponent in functionals.EXPONENT.items():
+                assert g.value(key) == math.ldexp(f.value(key), int(k * exponent)), key
+            assert g.cheeger == math.ldexp(f.cheeger, -k)
 
     def test_diameter_circle_radius_is_half_diameter(self):
         # a minimal enclosing circle on the diameter pair has R == d/2 exactly,
@@ -332,6 +343,17 @@ class TestFunctionalsRecord:
     def test_invariant_rejection(self):
         with pytest.raises(ValueError):
             Functionals(1.0, 4.0, 0.9, 1.0, 1.5, 1.0)  # 2r > w
+
+    @pytest.mark.parametrize("fields", [(1.0, 4.0, 0.25, math.inf, 1.0, 0.5),
+                                        (math.nan, 4.0, 0.25, 0.5, 1.0, 0.5),
+                                        (1.0, math.nan, 0.25, 0.5, 1.0, 0.5),
+                                        (1.0, 4.0, 0.25, 0.5, 1.0, 0.5, math.inf),
+                                        (1.0, 4.0, 0.25, 0.5, 1.0, 0.5, math.nan)])
+    def test_non_finite_rejected(self, fields):
+        # an infinite R passed every <= of the chain, and a NaN A or P
+        # entered no comparison at all
+        with pytest.raises(ValueError):
+            Functionals(*fields)
 
     def test_cheeger_consistency(self):
         f = Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=2.0)

@@ -60,7 +60,8 @@ def test_sample_csv(triplet, digest):
     ("json", "867b651c6ab9dd60d778fd7ca2664c77f4ea37772b369813d47c12dba59e0a12"),
 ])
 def test_bounds_command(fmt, digest, tmp_path, capsys):
-    # valtr(12, 3): 41 bounds evaluated, three not applicable
+    # valtr(12, 3): 40 bounds evaluated, four not applicable (HDW_UP_YAM,
+    # HRW_UP_TRI, HWP_UP_TRI and PHD_UP2)
     poly = tmp_path / "p.json"
     poly.write_text(polygon_to_json(valtr(12, 3)) + "\n")
     assert run(["bounds", "--in", str(poly), "--format", fmt]) == 0

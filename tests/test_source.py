@@ -1,9 +1,18 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cheeger_atlas"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cheeger_atlas"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_loop_has_a_bound():
@@ -43,3 +52,32 @@ def test_no_unused_private_names():
                 used.update(alias.name for alias in node.names)
     unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert not unused, f"unused private names: {unused}"
+
+
+def test_benchmark_spans_resolve():
+    # the benchmark's tracer wraps the package's functions by name, so a
+    # rename that misses one breaks only the traced run; read it unchanged
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, target in tracer.SPANS.items():
+        module, attr = target.split(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"span {name}: {target} does not resolve"
+            obj = getattr(obj, part)
+    for workload, names in tracer.EXPECTED.items():
+        assert set(names) <= set(tracer.SPANS), workload
+
+
+@pytest.mark.parametrize("argv", [["census", "--samples", "10", "--chunks", "1", "--seed", "1"],
+                                  ["extremal"]], ids=["census", "extremal"])
+def test_traced_benchmark_runs_clean(tmp_path, argv):
+    # a traced worker run records every span its workload expects and
+    # passes its output checks
+    out = tmp_path / "out.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), *argv, "--out", str(out),
+                           "--trace"], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["problems"] == []
