@@ -4,7 +4,7 @@ from .bounds import BoundResult, BoundTable, arcsinc, d0, dstar, evaluate_all, p
 from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, smallest_crossing
 from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,
-                     NoConvergence, NoRoot, PolygonJsonError, Unreachable, Unsupported)
+                     NoConvergence, PolygonJsonError, Unreachable, Unsupported)
 from .functionals import (Functionals, area, circumradius, diameter, inradius, measure,
                           min_width, perimeter)
 from .geom import (ConvexPolygon, dilate, form_body, inner_parallel, interpolate, minkowski_sum,

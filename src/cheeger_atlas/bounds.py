@@ -62,8 +62,7 @@ def arcsinc(x):
     are read in one call; an end whose value rounds to the wrong sign (x
     within about 1e-5 of 1) falls back to 0 or pi, where sinc is known.
     """
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     x = np.where((0.0 < x) & (x <= 1.0), x, np.nan)
 
     def f(y):
@@ -75,7 +74,7 @@ def arcsinc(x):
         fa, fb = f(ends)
     a, fa = np.where(fa >= 0.0, ends[0], 0.0), np.where(fa >= 0.0, fa, 1.0 - x)
     b, fb = np.where(fb <= 0.0, ends[1], PI), np.where(fb <= 0.0, fb, -x)
-    return _bracketed_root(f, a, fa, b, fb, 1e-14).reshape(shape)
+    return _bracketed_root(f, a, fa, b, fb, 1e-14)
 
 
 @lru_cache(maxsize=1)
@@ -90,7 +89,7 @@ def dstar() -> float:
         return nonagon_area(x, 1.0) - slice_area(x, 2.0)
 
     lo, hi = 2.05, 2 * SQRT3
-    return _bracketed_root(gap, lo, gap(lo), hi, gap(hi), 1e-13)
+    return float(_bracketed_root(gap, lo, gap(lo), hi, gap(hi), 1e-13))
 
 
 _D0_CACHE: dict[int, float] = {}
@@ -109,12 +108,12 @@ def d0(res: int = 4096) -> float:
     ds = dstar()
 
     def q(x):
-        poly = shapes.build(SmoothedNonagon(1.0, x), Resolution(res))
+        poly = shapes.build(SmoothedNonagon(1.0, float(x)), Resolution(res))
         h = cheeger_constant(poly).h
         return (ds - x) / (ds - 2.0) - 1.0 / h
 
     lo, hi = 2.0 + 1e-9, ds - 1e-9
-    _D0_CACHE[res] = _bracketed_root(q, lo, q(lo), hi, q(hi), 1e-6)
+    _D0_CACHE[res] = float(_bracketed_root(q, lo, q(lo), hi, q(hi), 1e-6))
     return _D0_CACHE[res]
 
 

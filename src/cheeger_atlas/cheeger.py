@@ -13,16 +13,17 @@ bisection.
 
 The module also holds the package's one root finder for monotone scalar
 equations: ``_bracketed_root`` starts from a sign bracket and shrinks it
-with Illinois (modified regula falsi) steps, for one bracket or for an
-array of brackets at once, each element taking the steps it would take
-alone.  A secant point that rounds onto an end of its bracket moves half
-the tolerance inside that end (Brent 1973), so a step that has all but
-hit the root closes the bracket, instead of leaving it one-sided to be
-bisected down to the tolerance; the census crossings take 5 to 7 steps.
+with Illinois (modified regula falsi) steps, on a column of brackets at
+once (a float is a 0-d column), each element taking the steps it would
+take alone, NaN where there is no root.  A secant point that rounds onto
+an end of its bracket moves half the tolerance inside that end (Brent
+1973), so a step that has all but hit the root closes the bracket,
+instead of leaving it one-sided to be bisected down to the tolerance; the
+census crossings take 5 to 7 steps.
 ``smallest_crossing`` uses it for the implicit inequalities g(t) = pi t^2
 of the bound registry, all four families of a whole column in one call;
 ``bounds.arcsinc`` solves its column with it, and the constants
-``bounds.dstar`` and ``bounds.d0`` use its float path.
+``bounds.dstar`` and ``bounds.d0`` are its 0-d columns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParam, NoConvergence, NoRoot
+from .errors import InvalidParam, NoConvergence
 from .geom import ConvexPolygon, dilate
 
 # A crossing is solved until its bracket is below this fraction of the domain.
@@ -92,7 +93,7 @@ def cheeger_constant(poly: ConvexPolygon,
     """Cheeger constant read off the polygon's one straight-skeleton walk
     (``ConvexPolygon.walk``), which also gives the inradius and counts how
     the solve ran; the inner core and the Cheeger set are built only when read."""
-    if arc_segments < 8:
+    if not arc_segments >= 8:
         raise InvalidParam("arc_segments must be at least 8")
     t_star = poly.walk.t_star
     return CheegerResult(1.0 / t_star, t_star, poly, arc_segments)
@@ -101,10 +102,10 @@ def cheeger_constant(poly: ConvexPolygon,
 def _bracketed_root(f: Callable, a, fa, b, fb, xtol):
     """Roots of continuous functions between a and b, where fa = f(a) and fb = f(b).
 
-    The arguments are floats, or arrays (broadcast together) with one
-    bracket per element; f maps an array of points, one per element, to
-    the values there.  fa and fb must not share a strict sign; either may
-    be the positive one.  Illinois steps (regula falsi that halves the
+    The arguments are arrays (broadcast together; a float is a 0-d array)
+    with one bracket per element; f maps an array of points, one per
+    element, to the values there.  fa and fb must not share a strict sign;
+    either may be the positive one.  Illinois steps (regula falsi that halves the
     value kept at an end that survives twice running) shrink every
     unconverged bracket at once.  The secant point lies in the closed
     bracket up to rounding, so one that rounds onto or past an end is moved
@@ -113,22 +114,15 @@ def _bracketed_root(f: Callable, a, fa, b, fb, xtol):
     instead.  An element's result is the midpoint once its bracket
     is at most ``xtol`` wide, and it takes exactly the steps it would take
     alone: a finished element is held at the midpoint of its bracket, and
-    the values f returns there are ignored.
-
-    For float arguments f is called with floats and the root is returned
-    as a float; NoRoot is raised without a sign change and NoConvergence
-    after MAX_ROOT_STEPS evaluations of f.  For arrays those elements come
-    back as NaN.
+    the values f returns there are ignored.  An element without a sign
+    change, or still unconverged after MAX_ROOT_STEPS evaluations of f,
+    comes back NaN.
     """
-    scalar = all(np.ndim(v) == 0 for v in (a, fa, b, fb, xtol))
-    a, fa, b, fb, xtol = (np.array(v, dtype=float).reshape(-1) if scalar else np.array(v, dtype=float)
-                          for v in np.broadcast_arrays(a, fa, b, fb, xtol))
+    a, fa, b, fb, xtol = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, fa, b, fb, xtol))
     root = np.full(a.shape, np.nan)
     root[fb == 0.0] = b[fb == 0.0]
     root[fa == 0.0] = a[fa == 0.0]
     active = np.isnan(root) & ((fa > 0.0) != (fb > 0.0)) & np.isfinite(fa) & np.isfinite(fb)
-    if scalar and np.isnan(root[0]) and not active[0]:
-        raise NoRoot(f"no sign change between {a[0]!r} and {b[0]!r}")
     kept = np.zeros(a.shape)  # +1 where the last step kept a, -1 where it kept b
     with np.errstate(divide="ignore", invalid="ignore"):  # finished elements may divide 0 by 0
         for _ in range(MAX_ROOT_STEPS):
@@ -142,7 +136,7 @@ def _bracketed_root(f: Callable, a, fa, b, fb, xtol):
             finite = np.isfinite(x)
             x = np.where(x <= lo, lo + 0.5 * xtol, np.where(x >= hi, hi - 0.5 * xtol, x))
             x = np.where(active & finite & (lo < x) & (x < hi), x, 0.5 * (a + b))
-            fx = np.asarray(f(float(x[0])) if scalar else f(x), dtype=float).reshape(a.shape)
+            fx = np.asarray(f(x), dtype=float).reshape(a.shape)
             hit = active & (fx == 0.0)
             root[hit] = x[hit]
             active &= ~hit
@@ -155,11 +149,6 @@ def _bracketed_root(f: Callable, a, fa, b, fb, xtol):
                 np.copyto(f_end, fx, where=moved)
             kept[to_b] = 1
             kept[to_a] = -1
-    if scalar:
-        if active[0]:
-            raise NoConvergence(f"root bracket [{a[0]!r}, {b[0]!r}] still wider than "
-                                f"{xtol[0]!r} after {MAX_ROOT_STEPS} steps")
-        return float(root[0])
     return root
 
 
@@ -170,8 +159,8 @@ def smallest_crossing(problem: ImplicitRootProblem):
     of g.  An element with F(0) > 0 >= F(upper) has a unique crossing, since
     F is non-increasing, solved to CROSSING_REL_TOL * upper; any other
     element (a touch at t = 0 carries no information, since 1/t blows up),
-    and one whose solve fails, comes back NaN.  A float ``upper`` takes the
-    float path of ``_bracketed_root``, which raises NoRoot instead.
+    and one whose solve fails, comes back NaN; a float ``upper`` is a 0-d
+    column.
     """
     upper = np.asarray(problem.upper, dtype=float)
     ends = np.stack((np.zeros_like(upper), upper))

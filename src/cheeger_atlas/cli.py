@@ -23,7 +23,7 @@ from . import diagrams as diagrams_mod
 from . import shapes as shapes_mod
 from . import verify as verify_mod
 from .cheeger import cheeger_constant
-from .errors import CheegerAtlasError, DomainError, InvalidParam, NoRoot, PolygonJsonError, Unreachable
+from .errors import CheegerAtlasError, DomainError, InvalidParam, PolygonJsonError
 from .functionals import EXPONENT, measure
 from .geom import polygon_from_json, polygon_to_json
 from .sampler import cloud_csv, sample_cloud
@@ -235,7 +235,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (NoRoot, Unreachable, CheegerAtlasError) as exc:
+    except CheegerAtlasError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

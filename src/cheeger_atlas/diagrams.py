@@ -5,9 +5,9 @@ lower/upper curves; the partially solved width diagrams expose only their
 proven pieces and answer "unknown" in between.  ``DIAGRAM_IDS`` holds each
 diagram's x, y and unit functionals, ``CURVES`` the registry bound ids of
 its proven curves.  ``curve`` evaluates one with the unit functional 1, on
-a whole grid of abscissae at once: an implicit lower curve is one column
-crossing, a triangle upper curve the closed-form match of the grid's
-subequilateral triangles (``shapes.subeq_from``).
+a whole grid of abscissae at once, NaN where it has no value: an implicit
+lower curve is one column crossing, a triangle upper curve the closed-form
+match of the grid's subequilateral triangles (``shapes.subeq_from``).
 """
 
 from __future__ import annotations
@@ -103,9 +103,8 @@ def curve(diagram_id: str, side: str, x):
     """The proven ``side`` ("lower" or "upper") curve of a diagram at x: its
     ``CURVES`` bound with the diagram's x functional at x and unit functional 1.
 
-    A float x gives a float, None where there is no value; an array x gives
-    an array, NaN where there is no value, such as past the equilateral end
-    of a triangle curve.
+    A float x gives a float and an array x an array, NaN where there is no
+    value, such as past the equilateral end of a triangle curve.
     """
     x_key, _, unit, _ = DIAGRAM_IDS[diagram_id]
     bid = CURVES[diagram_id][("lower", "upper").index(side)]
@@ -117,9 +116,7 @@ def curve(diagram_id: str, side: str, x):
             ys = np.where(xs <= SQRT3 / 2, value(bid[0]), value(bid[1]))
         elif bid is not None:
             ys = np.asarray(value(bid), dtype=float)
-    if np.ndim(x):
-        return ys
-    return float(ys[0]) if math.isfinite(ys[0]) else None
+    return ys if np.ndim(x) else float(ys[0])
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -157,7 +154,7 @@ def membership(diagram_id: str, x: float, y: float) -> str:
         return "outside"
     lo = curve(diagram_id, "lower", max(x, lo_x))
     up = curve(diagram_id, "upper", max(x, lo_x))
-    if (lo is not None and y < lo - tol) or (up is not None and y > up + tol):
+    if y < lo - tol or y > up + tol:
         return "outside"
     return "inside" if diagram_id in SOLVED else "unknown"
 

@@ -25,10 +25,6 @@ class DomainError(CheegerAtlasError):
     """Arguments violate a formula's domain."""
 
 
-class NoRoot(CheegerAtlasError):
-    """A scalar equation has no sign change on its bracket."""
-
-
 class NoConvergence(CheegerAtlasError):
     """An iterative solve ran out of its step budget."""
 

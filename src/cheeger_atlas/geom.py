@@ -83,16 +83,15 @@ class ConvexPolygon:
     directions that turn once round (those of a star turn more often).
     Clockwise input is reversed on construction; anything else is rejected.
     Construction is the block of one of ``polygon_block``: it derives the
-    edge vectors once, for the turn and winding tests and the edge lengths,
-    normals and offsets, and keeps the last three; with them the
-    ``perimeter``, the vertex mean ``origin`` and the ``area`` about it.
+    edge vectors once, for the turn and winding tests, the ``perimeter`` and
+    the edge normals and offsets, which it keeps; with them the vertex mean
+    ``origin`` and the ``area`` about it.
     """
 
     vertices: np.ndarray
     origin: np.ndarray = field(init=False, repr=False, compare=False)
     area: float = field(init=False, repr=False, compare=False)
     perimeter: float = field(init=False, repr=False, compare=False)
-    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -127,11 +126,6 @@ class ConvexPolygon:
         if isinstance(self._walk, NoConvergence):
             raise self._walk
         return self._walk
-
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        """Length of edge i (from vertex i to vertex i+1)."""
-        return self._lengths
 
     @property
     def edge_normals(self) -> np.ndarray:
@@ -235,12 +229,12 @@ def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
     np.divide(ey, lengths, out=normals[:, 0])
     np.divide(-ex, lengths, out=normals[:, 1])
     offsets = np.einsum("ij,ij->i", normals, v)
-    for a in (v, origin, lengths, normals, offsets):
+    for a in (v, origin, normals, offsets):
         a.setflags(write=False)
     return [_fault(cross, a, b, least, turns) if least <= 0.0 or turns > 1 else
             {"vertices": v[a:b], "origin": origin_j, "area": area_j,
-             "perimeter": float(np.add.reduce(lengths[a:b])), "_lengths": lengths[a:b],
-             "_normals": normals[a:b], "_offsets": offsets[a:b]}
+             "perimeter": float(np.add.reduce(lengths[a:b])), "_normals": normals[a:b],
+             "_offsets": offsets[a:b]}
             for (a, b, least, turns), area_j, origin_j in zip(chains, area.tolist(), origin)]
 
 
@@ -874,7 +868,7 @@ def walk_block(polys: list[ConvexPolygon]) -> None:
 
 def inner_parallel(poly: ConvexPolygon, t: float) -> ConvexPolygon | None:
     """Inner parallel set at distance t >= 0; None once the body vanishes."""
-    if t < 0:
+    if not t >= 0:
         raise DegenerateInput("offset distance must be nonnegative")
     if t == 0.0:
         return poly
@@ -932,9 +926,9 @@ def dilate(poly: ConvexPolygon, t: float, arc_segments: int = 4096) -> ConvexPol
     2*pi/arc_segments, so the result is contained in the true dilation; the
     area deficit is at most (pi*t^2/6) * (2*pi/arc_segments)^2.
     """
-    if t <= 0:
+    if not t > 0:
         raise DegenerateInput("dilation radius must be positive")
-    if arc_segments < 8:
+    if not arc_segments >= 8:
         raise DegenerateInput("arc_segments must be at least 8")
     ns = poly.edge_normals
     angles = np.arctan2(ns[:, 1], ns[:, 0])

@@ -31,7 +31,7 @@ class Resolution:
     arc_segments: int = 4096
 
     def __post_init__(self):
-        if self.arc_segments < 16:
+        if not self.arc_segments >= 16:
             raise InvalidParam("arc_segments must be at least 16")
 
 

@@ -42,7 +42,7 @@ def two_cup_of_perimeter(x0: float) -> TwoCup:
         return 2 * two_cup_area(1.0, k) - x0
 
     hi = x0 / 4 + 1
-    return TwoCup(1.0, _bracketed_root(gap, 1.0, gap(1.0), hi, gap(hi), 1e-13))
+    return TwoCup(1.0, float(_bracketed_root(gap, 1.0, gap(1.0), hi, gap(hi), 1e-13)))
 
 
 def random_polygons(count: int, seed: int = 0, n_min: int = 3, n_max: int = 16):

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cheeger_atlas.bounds import psi
-from cheeger_atlas.cheeger import (ImplicitRootProblem, _bracketed_root, cheeger_constant,
-                                   smallest_crossing)
-from cheeger_atlas.errors import DegenerateInput, NoConvergence, NoRoot
+from cheeger_atlas.cheeger import (MAX_ROOT_STEPS, ImplicitRootProblem, _bracketed_root,
+                                   cheeger_constant, smallest_crossing)
+from cheeger_atlas.errors import DegenerateInput, InvalidParam, NoConvergence
 from cheeger_atlas.functionals import area, diameter, inradius, measure, perimeter
-from cheeger_atlas.geom import (ConvexPolygon, OffsetMachine, inner_parallel, inner_parallel_area,
-                               shoelace)
+from cheeger_atlas.geom import (ConvexPolygon, OffsetMachine, dilate, inner_parallel,
+                               inner_parallel_area, shoelace)
 from cheeger_atlas.sampler import seeded_polygon, seeded_polygons, valtr
+from cheeger_atlas.shapes import Resolution
 from conftest import area_normalized, random_polygons, regular_ngon
 
 PI = math.pi
@@ -225,6 +226,19 @@ class TestRobustness:
             res.inner_core
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: inner_parallel(p, math.nan), DegenerateInput, "offset distance"),
+    (lambda p: dilate(p, 0.1, arc_segments=math.nan), DegenerateInput, "arc_segments"),
+    (lambda p: dilate(p, math.nan), DegenerateInput, "dilation radius"),
+    (lambda p: cheeger_constant(p, arc_segments=math.nan).cheeger_set, InvalidParam, "arc_segments"),
+    (lambda p: Resolution(math.nan), InvalidParam, "arc_segments"),
+], ids=["inner_parallel", "dilate_arc_segments", "dilate_radius", "cheeger_constant", "Resolution"])
+def test_nan_parameter_rejected(call, error, message):
+    # NaN fails each range check itself, instead of slipping past a comparison
+    with pytest.raises(error, match=message):
+        call(valtr(12, 3))
+
+
 class TestDiagnostics:
     # how a solve ran is read off the polygon's walk, the solve's one record
     def test_census_set_needs_few_evaluations(self):
@@ -288,13 +302,11 @@ class TestSmallestCrossing:
         assert smallest_crossing(p) == pytest.approx(square_t_star(), abs=1e-12)
 
     def test_no_root(self):
-        with pytest.raises(NoRoot):
-            smallest_crossing(ImplicitRootProblem(g=lambda t: -np.ones_like(t), upper=1.0))
+        assert np.isnan(smallest_crossing(ImplicitRootProblem(g=lambda t: -np.ones_like(t), upper=1.0)))
 
     def test_touch_at_zero_is_vacuous(self):
         # g below pi t^2 everywhere except at t = 0 carries no information
-        with pytest.raises(NoRoot):
-            smallest_crossing(ImplicitRootProblem(g=lambda t: -np.asarray(t), upper=1.0))
+        assert np.isnan(smallest_crossing(ImplicitRootProblem(g=lambda t: -np.asarray(t), upper=1.0)))
 
     def test_replaced_g_sees_every_evaluation(self):
         # the benchmark counts g points through dataclasses.replace(problem, g=...)
@@ -362,11 +374,23 @@ class TestBracketedRoot:
         assert len(calls) == 1 and np.all(np.abs(got - 1.0) <= 0.5e-12)
 
     def test_no_sign_change(self):
-        with pytest.raises(NoRoot):
-            _bracketed_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0, 1e-12)
+        assert np.isnan(_bracketed_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0, 1e-12))
 
     def test_runs_out_of_steps(self):
         # a bracket of two neighbouring floats never gets below xtol = 0
-        step = lambda x: 1.0 if x < 1.0 / 3.0 else -1.0
-        with pytest.raises(NoConvergence):
-            _bracketed_root(step, 0.0, 1.0, 1.0, -1.0, 0.0)
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return 1.0 if x < 1.0 / 3.0 else -1.0
+        assert np.isnan(_bracketed_root(step, 0.0, 1.0, 1.0, -1.0, 0.0))
+        assert len(calls) == MAX_ROOT_STEPS
+
+    def test_float_is_a_0d_column(self):
+        # a float bracket is a 0-d column: the same steps and bits as its one-element column
+        f = lambda x: np.exp(x) - 2.0
+        got = _bracketed_root(f, 0.0, f(0.0), 3.0, f(3.0), 1e-14)
+        column = _bracketed_root(f, np.array([0.0]), f(np.array([0.0])), np.array([3.0]),
+                                 f(np.array([3.0])), 1e-14)
+        assert np.shape(got) == () and column.shape == (1,)
+        assert got == column[0]

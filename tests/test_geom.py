@@ -669,7 +669,7 @@ def _edge_results(polys):
     merged = _merge_parallel(normals, offsets, start)
     owner = np.searchsorted(start, merged, "right") - 1
     find_antipodes(fresh)
-    return [(p.vertices, p.origin, p.area, p.perimeter, p.edge_lengths, p.edge_normals,
+    return [(p.vertices, p.origin, p.area, p.perimeter, p.edge_normals,
              p.edge_offsets, p.antipodes, d, w, merged[owner == j] - start[j])
             for j, (p, d, w) in enumerate(zip(fresh, diameter(fresh), min_width(fresh)))]
 
