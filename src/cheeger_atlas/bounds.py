@@ -428,12 +428,19 @@ def evaluate_all(*records: Functionals) -> BoundTable:
     runs once) into a ``BoundTable`` of ids by records, whose ``results()``
     are the record-major view.  A record that a column solve cannot serve
     gets NaN, not an exception: its failures (a non-finite value, a missing
-    crossing, an unmatched triangle) are its own no-root results."""
-    cols = _Column(*(np.array([getattr(f, k) for f in records], dtype=float)
-                     for k in _FUNCTIONALS))
+    crossing, an unmatched triangle) are its own no-root results.
+
+    Each record is evaluated at the power-of-two scale 2^-e that puts its
+    perimeter in [0.5, 1), so the products of its lengths neither overflow
+    nor underflow however large or small its body is, and each value, an
+    inverse length, is scaled back by 2^-e exactly."""
+    e = np.frexp(np.array([f.perimeter for f in records], dtype=float))[1]
+    cols = _Column(*(np.ldexp(np.array([getattr(f, k) for f in records], dtype=float),
+                              -int(power) * e)
+                     for k, power in zip(_FUNCTIONALS, EXPONENT.values())))
     with np.errstate(all="ignore"):
         cols = cols._replace(solved=_solve(cols, [*_IMPLICIT, *_ARCSINC]))
-        value = np.array([value_fn(cols) for _, _, value_fn in _REGISTRY])
+        value = np.ldexp([value_fn(cols) for _, _, value_fn in _REGISTRY], -e)
         admitted = {p: np.ones(len(records), dtype=bool) if p is None else p(cols) for p in _PREDICATES}
     status = np.where(np.array([admitted[p] for _, p, _ in _REGISTRY]),
                       np.where(np.isfinite(value), OK, NO_ROOT), NOT_APPLICABLE).astype(np.int8)

@@ -6,15 +6,18 @@ pairs (rotating calipers, Toussaint 1983): the vertex farthest from each
 edge is the count of increasing edge-normal angles below the opposite
 normal angle, found at once for all edges of a block of polygons
 (``geom.find_antipodes``, cached on each polygon, which both functionals
-read). Diameter, width and ``measure`` take one polygon or a block (a
-list), which they measure as one column; one polygon is the block of one,
-and a polygon's numbers do not depend on its block. The inradius is the
-depth of the point at which the inner parallel set vanishes, found by
-walking its straight-skeleton events (Aichholzer et al. 1995) on the
-offset chain the Cheeger solve uses; no second solve refines it. The
-circumradius is the minimal enclosing circle of the vertices, found by
-farthest-violator iteration over a support set of at most three points
-(Elzinga & Hearn 1972).
+read). Diameter, width, circumradius and ``measure`` take one polygon or
+a block (a list), which they measure as one column; one polygon is the
+block of one, and a polygon's numbers do not depend on its block. The
+inradius is the depth of the point at which the inner parallel set
+vanishes, found by walking its straight-skeleton events (Aichholzer et
+al. 1995) on the offset chain the Cheeger solve uses; no second solve
+refines it. The circumradius is the minimal enclosing circle of the
+vertices: the pair ``diameter`` found (kept on each polygon, so no second
+caliper pass runs) settles every polygon whose vertices its circle holds,
+at R = d/2, and the rest take farthest-violator steps over a support set
+of at most three points (Elzinga & Hearn 1972) as rows of one array, a
+polygon leaving the column once its circle holds every vertex.
 
 ``measure`` is the one measuring call: the record (A, P, r, R, d, omega)
 of each polygon with h = 1/t*, read off the walk it shares with r.
@@ -26,7 +29,6 @@ of the body scaled so that one functional is 1, by the powers in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +43,10 @@ CHAIN_TOL = 1e-7
 # Power of the scale factor in each functional: scaling a body by s multiplies
 # its area by s**2 and each length by s (and h by 1/s).
 EXPONENT = {"A": 2.0, "P": 1.0, "r": 1.0, "R": 1.0, "d": 1.0, "w": 1.0}
-# Bound on the farthest-violator steps of `circumradius`. Each step grows the
-# circle; 4,000 census polygons took at most 7, the sharpness bodies 16.
+# Bound on the farthest-violator steps of `circumradius` per block: every row
+# of a block steps at once, so this bounds each polygon's steps. Each step
+# grows the circle; 4,000 census polygons took at most 7, and the sharpness
+# bodies that the diameter pair does not settle (the triangles) at most 2.
 MAX_CIRCLE_STEPS = 64
 
 
@@ -145,23 +149,39 @@ _ENDS = np.array([0, 0, 0, 1, 1, 1])
 _NEAR = np.array([-1, 0, 1, -1, 0, 1])
 
 
-def diameter(poly):
-    """Max vertex distance; returns (d, p, q).
+def _diameters(polys: list[ConvexPolygon]) -> list[tuple[float, int, int]]:
+    """Each polygon's diameter pair (d, i, j), d = |v[i] - v[j]|: found as
+    one column for the polygons that have none yet and kept on each (as
+    ``find_antipodes`` keeps the antipodes), so that ``circumradius``
+    reads the pair ``diameter`` found.
 
     Every antipodal vertex pair joins an endpoint of some edge to that
     edge's antipode, so only those pairs are compared, with the antipode
     widened by one vertex each way to absorb rounding at parallel edges.
+    """
+    todo = [p for p in polys if "_diameter" not in p.__dict__]
+    if todo:
+        v, start, n, base, far = _calipers(todo)
+        a = ((np.arange(len(v))[:, None] - base + _ENDS) % n + base).ravel()
+        b = ((far + _NEAR) % n + base).ravel()
+        gap = v.take(a, axis=0) - v.take(b, axis=0)
+        dist = np.hypot(gap[:, 0], gap[:, 1])
+        at = _first(dist, np.maximum.reduceat(dist, 6 * start[:-1]), 6 * start)
+        pairs = zip(dist[at].tolist(), (a[at] - start[:-1]).tolist(),
+                    (b[at] - start[:-1]).tolist())
+        for poly, pair in zip(todo, pairs):
+            poly.__dict__["_diameter"] = pair
+    return [p.__dict__["_diameter"] for p in polys]
+
+
+def diameter(poly):
+    """Max vertex distance; returns (d, p, q).
+
     Of a block (a list of polygons), the list of each one's result, found
-    as one column.
+    as one column (``_diameters``).
     """
     polys, one = _block(poly)
-    v, start, n, base, far = _calipers(polys)
-    a = ((np.arange(len(v))[:, None] - base + _ENDS) % n + base).ravel()
-    b = ((far + _NEAR) % n + base).ravel()
-    gap = v.take(a, axis=0) - v.take(b, axis=0)
-    dist = np.hypot(gap[:, 0], gap[:, 1])
-    at = _first(dist, np.maximum.reduceat(dist, 6 * start[:-1]), 6 * start)
-    out = list(zip(dist[at].tolist(), v.take(a[at], axis=0), v.take(b[at], axis=0)))
+    out = [(d, p.vertices[i], p.vertices[j]) for p, (d, i, j) in zip(polys, _diameters(polys))]
     return out[0] if one else out
 
 
@@ -197,78 +217,138 @@ def inradius(poly: ConvexPolygon):
     return float(np.min(poly.edge_offsets - poly.edge_normals @ x)), x
 
 
-def circumradius(poly: ConvexPolygon):
+def circumradius(poly):
     """Minimal enclosing circle of the vertices; returns (R, center).
 
-    Farthest-violator iteration (Elzinga & Hearn 1972) from v[0] and the
-    vertex farthest from it: each step keeps the support of the smallest
-    circle holding the support set and the farthest vertex outside the
-    current circle. It runs in the frame of v[0] scaled by 2^-e to an
-    extent in [0.5, 1), so the polygon's position does not matter and the
-    three-point circle's cubic products neither overflow nor underflow; the
-    scaling is exact, so R has the same bits at any scale where it fits. A
-    pair circle's radius is taken in the caller's frame, which makes
-    R == d/2 exactly when the diameter pair supports it.
+    Of a block (a list of polygons), the list of each one's result, found
+    as one column of rows: each polygon's vertices about v[0], scaled by
+    2^-e to an extent in [0.5, 1) and padded with copies of v[0] (the row's
+    origin, so padding never changes a maximum or its first index).  So a
+    polygon's position does not matter, the three-point circle's cubic
+    products neither overflow nor underflow, and R has the same bits at any
+    scale where it fits, and in any block.
+
+    The pair ``diameter`` found settles every polygon whose vertices all
+    lie in that pair's circle: R = d/2 exactly, about the pair's midpoint.
+    The rest take farthest-violator steps (Elzinga & Hearn 1972) from v[0]
+    and the vertex farthest from it, all rows at once: each step adds the
+    farthest vertex outside the current circle to the support and keeps
+    the smallest circle through it and one or two support points that
+    holds them all; a polygon leaves the column once its circle holds every
+    vertex.  A pair circle's radius is taken in the caller's frame, so
+    R == d/2 whenever a diameter pair supports it.
     """
-    v = poly.vertices
-    local = v - v[0]
-    e = math.frexp(np.abs(local).max())[1]
-    local = np.ldexp(local, -e)
-    support = np.array([0, int(np.argmax(np.hypot(local[:, 0], local[:, 1])))])
-    for _ in range(MAX_CIRCLE_STEPS):
-        (cx, cy, R), kept = _smallest_circle(local[support])
-        support = support[kept]
-        dist = np.hypot(local[:, 0] - cx, local[:, 1] - cy)
-        k = int(np.argmax(dist))
-        if _in_circle(dist[k], R):
-            R = (np.hypot(*(v[support[0]] - v[support[1]])) / 2.0 if len(support) == 2
-                 else math.ldexp(R, e))
-            return float(R), np.array([math.ldexp(cx, e), math.ldexp(cy, e)]) + v[0]
-        support = np.append(support, k)
-    raise NoConvergence(f"enclosing circle not found in {MAX_CIRCLE_STEPS} steps")
+    polys, one = _block(poly)
+    raw = np.empty((2, len(polys), max(map(len, polys))))
+    for row, v in enumerate(p.vertices for p in polys):
+        raw[:, row, :len(v)], raw[:, row, len(v):] = v.T, v[0, :, None]
+    local = raw - raw[:, :, :1]
+    e = np.frexp(np.maximum.reduce(np.abs(local), axis=(0, 2)))[1]
+    xy = np.ldexp(local, -e[:, None])
+
+    # each row's support, three vertex slots (a pair circle repeats its
+    # second), and circle: centre, reach (``_reach`` of the radius) and the
+    # vector whose length is the radius.  The first circles are those on the
+    # diameter pair, which settles the rows it holds, and on v[0] and the
+    # vertex farthest from it, the first step of the rest.
+    at = np.arange(len(polys))
+    far = np.hypot(xy[0], xy[1]).argmax(axis=1)
+    ends = np.array([(i, 0, j, k) for (_, i, j), k in zip(_diameters(polys), far.tolist())])
+    points = xy[:, at[:, None], ends]
+    p, q = points[..., :2], points[..., 2:]
+    w = q - p
+    pairs = np.concatenate(((p + q) / 2.0, _reach(np.hypot(w[:1], w[1:]) / 2.0), w))
+    out, k = _violators(xy[:, :, None], pairs)
+    settled = ~out[:, 0]
+    support = np.where(settled[:, None], ends.take(_DIAMETER_PAIR, axis=1),
+                       ends.take(_V0_PAIR, axis=1))
+    circle = np.where(settled, pairs[..., 0], pairs[..., 1])
+    rows = np.flatnonzero(out[:, 0] & out[:, 1])
+    k = k[rows, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # no centre through collinear points
+        for _ in range(MAX_CIRCLE_STEPS - 1):
+            if not len(rows):
+                break
+            near = xy.take(rows, axis=1)
+            support[rows], circle[:, rows] = grown = _grow(near, support[rows], k)
+            out, k = _violators(near, grown[1])
+            rows, k = rows[out], k[out]
+    if len(rows):
+        raise NoConvergence(f"enclosing circle not found in {MAX_CIRCLE_STEPS} steps")
+
+    pair = raw[:, at[:, None], support[:, :2]]
+    gap = pair[..., 0] - pair[..., 1]
+    R = np.hypot(gap[0], gap[1]) / 2.0
+    triple = np.flatnonzero(support[:, 1] != support[:, 2])
+    if len(triple):
+        R[triple] = np.ldexp([math.hypot(*u) for u in circle[3:, triple].T.tolist()], e[triple])
+    found = list(zip(R.tolist(), (np.ldexp(circle[:2], e) + raw[:, :, 0]).T))
+    return found[0] if one else found
 
 
-def _in_circle(dist, radius):
-    """Whether a point at distance ``dist`` from a circle's center lies in it (slack 1e-12)."""
-    return dist <= radius * (1 + 1e-12) + 1e-300
+def _reach(radius):
+    """The distance from a circle's centre up to which a point lies in it (slack 1e-12)."""
+    return radius * (1 + 1e-12) + 1e-300
 
 
-def _smallest_circle(pts: np.ndarray):
-    """Smallest circle through 2 or 3 of ``pts`` holding them all.
-
-    Returns ((cx, cy, R), support indices into pts).
-    """
-    pts = pts.tolist()
-    best, support = (0.0, 0.0, math.inf), []
-    for idx in itertools.chain(*(itertools.combinations(range(len(pts)), k) for k in (2, 3))):
-        c = _circle(*(pts[i] for i in idx))
-        if c[2] < best[2] and all(_in_circle(math.hypot(x - c[0], y - c[1]), c[2])
-                                  for x, y in pts):
-            best, support = c, list(idx)
-    return best, support
+def _violators(xy, circle):
+    """Whether each circle (cx, cy, reach, ...) misses a vertex of its row of
+    ``xy``, and the vertex farthest from its centre."""
+    gap = xy - circle[:2, ..., None]
+    dist = np.hypot(gap[0], gap[1])
+    return np.maximum.reduce(dist, axis=-1) > circle[2], dist.argmax(axis=-1)
 
 
-def _circle(p, q, s=None):
-    """The circle on diameter pq, or through p, q, s (infinite if collinear)."""
-    if s is None:
-        return (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0, math.hypot(p[0] - q[0], p[1] - q[1]) / 2.0
-    bx, by, cx, cy = q[0] - p[0], q[1] - p[1], s[0] - p[0], s[1] - p[1]
+# The candidate circles of a support grown by a point, as slots 0-3 of which
+# 3 is the new point: on each slot and it, then through two slots and it, in
+# the order of the support's combinations.  Each candidate's first and second
+# point (the third is slot 3) and the slots it keeps; a pair circle's centre
+# and radius are half of p + q and |q - p|, a three-point circle's p + u and
+# |u|; and the pair candidate whose vector leads from each three-point
+# candidate's first point to the new point.
+_FIRST = np.array([0, 1, 2, 0, 0, 1])
+_SECOND = np.array([3, 3, 3, 1, 2, 2])
+_KEPT = np.array([[0, 3, 3], [1, 3, 3], [2, 3, 3], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+_HALF = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
+_PAIR_OF_FIRST = np.array([0, 0, 1])
+_DIAMETER_PAIR, _V0_PAIR = np.array([0, 2, 2]), np.array([1, 3, 3])
+
+
+def _grow(xy, support, k):
+    """Each row's support with vertex k added, and the smallest candidate
+    circle that holds the support, as rows (cx, cy, reach, v) where the
+    radius is |v| (v is q - p of a pair circle on pq, or a three-point
+    circle's centre about its first point).  The repeated slot of a pair
+    support makes copies of the candidates before them, which lose every
+    tie, and a three-point candidate with no centre."""
+    at = np.arange(len(k))[:, None]
+    slots = np.concatenate((support, k[:, None]), axis=1)
+    p = xy[:, at, slots]
+    a, q = p.take(_FIRST, axis=2), p.take(_SECOND, axis=2)
+    w = q - a
+    # u, a three-point circle's centre about its first point, from b and c,
+    # which lead from that point to the second and to the new point
+    (bx, by), (cx, cy) = w[:, :, 3:], w.take(_PAIR_OF_FIRST, axis=2)
     den = 2.0 * (bx * cy - by * cx)
-    if den == 0.0:
-        return 0.0, 0.0, math.inf
     bb, cc = bx * bx + by * by, cx * cx + cy * cy
     ux, uy = (cy * bb - by * cc) / den, (bx * cc - cx * bb) / den
-    return p[0] + ux, p[1] + uy, math.hypot(ux, uy)
+    w[0, :, 3:], w[1, :, 3:] = q[0, :, 3:], q[1, :, 3:] = ux, uy
+    r = np.hypot(w[0], w[1]) * _HALF
+    cand = np.concatenate(((a + q) * _HALF, _reach(r)[None], w))
+    gap = p[:, :, None] - cand[:2, ..., None]
+    holds = np.logical_and.reduce(np.hypot(gap[0], gap[1]) <= cand[2, ..., None], axis=2)
+    best = np.where(holds, r, np.inf).argmin(axis=1)
+    return slots[at, _KEPT[best]], cand[:, at[:, 0], best]
 
 
 def measure(poly):
     """The record of a polygon: its six functionals and its Cheeger constant.
     Of a block (a list of polygons), the list of each one's record, with the
-    skeletons walked (``geom.walk_block``) and the diameters and widths found
-    as one column."""
+    skeletons walked (``geom.walk_block``) and the diameters, widths and
+    circumradii found as one column each."""
     polys, one = _block(poly)
     walk_block(polys)
-    out = [Functionals(area(p), perimeter(p), inradius(p)[0], circumradius(p)[0], d, w,
-                       cheeger_constant(p).h)
-           for p, (d, _, _), (w, _) in zip(polys, diameter(polys), min_width(polys))]
+    out = [Functionals(area(p), perimeter(p), inradius(p)[0], R, d, w, cheeger_constant(p).h)
+           for p, (d, _, _), (w, _), (R, _) in zip(polys, diameter(polys), min_width(polys),
+                                                   circumradius(polys))]
     return out[0] if one else out

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -695,6 +696,17 @@ class TestEvaluateAll:
         got = evaluate_all(a, thin, b).results()
         assert {r.id: r.status for r in got[k:2 * k]}["HRW_UP_TRI"] == "no-root"
         assert got[:k] + got[2 * k:] == evaluate_all(a, b).results()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-120, 1e120])
+    def test_tiny_and_huge_records_find_their_roots(self, scale):
+        # each record is evaluated at a perimeter in [0.5, 1): scaled by
+        # 1e-100, HRD_UP's d**3 products underflowed to no-root, and at
+        # 1e-120 four implicit crossings did too
+        def statuses(poly):
+            return collections.Counter(r.status for r in evaluate_all(measure(poly)).results())
+        witness = valtr(12, 3)
+        assert statuses(witness) == {"ok": 40, "not-applicable": 4}
+        assert statuses(witness.scale(scale)) == statuses(witness)
 
     def test_no_root_loop_over_shapes(self, column_records):
         # the triangle matches are closed forms: shapes takes nothing from

@@ -14,8 +14,8 @@ from cheeger_atlas import functionals, geom, verify
 from cheeger_atlas.bounds import evaluate_all
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import DegenerateInput, NoConvergence
-from cheeger_atlas.functionals import (Functionals, _smallest_circle, area, circumradius, diameter,
-                                       inradius, measure, min_width, perimeter)
+from cheeger_atlas.functionals import (Functionals, area, circumradius, diameter, inradius, measure,
+                                       min_width, perimeter)
 from cheeger_atlas.geom import ConvexPolygon, inner_parallel, inner_parallel_area
 from cheeger_atlas.sampler import measured_block, mix, seeded_polygon, seeded_polygons, valtr
 from cheeger_atlas.shapes import build
@@ -57,10 +57,24 @@ def area_exact(poly: ConvexPolygon) -> float:
 
 
 def circumradius_brute(poly: ConvexPolygon):
-    """Oracle: the smallest enclosing circle over all vertex pairs and triples."""
-    v = poly.vertices
-    (cx, cy, R), _ = _smallest_circle(v - v[0])
-    return float(R), np.array([cx, cy]) + v[0]
+    """Oracle: of the centres of the circles on every vertex pair and through
+    every vertex triple, the one whose farthest vertex is nearest; that
+    distance is R, and (R, centre) is returned."""
+    v = poly.vertices - poly.vertices[0]
+    pairs = np.array(list(itertools.combinations(range(len(v)), 2)))
+    centres = [(v[pairs[:, 0]] + v[pairs[:, 1]]) / 2]
+    if len(v) > 2:
+        p, q, s = (v[idx] for idx in np.array(list(itertools.combinations(range(len(v)), 3))).T)
+        b, c = q - p, s - p
+        den = 2 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        keep = den != 0
+        bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+        u = np.column_stack((c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb))
+        centres.append(p[keep] + u[keep] / den[keep, None])
+    centres = np.concatenate(centres)
+    reach = np.hypot(*(v[None] - centres[:, None]).transpose(2, 0, 1)).max(axis=1)
+    k = int(np.argmin(reach))
+    return float(reach[k]), centres[k] + poly.vertices[0]
 
 
 class TestBasics:
@@ -248,6 +262,33 @@ class TestAgainstBruteForce:
             R, _ = circumradius(p)
             Rb, _ = circumradius_brute(p)
             assert R == pytest.approx(Rb, abs=1e-9)
+
+    def test_diameter_never_exceeds_twice_circumradius(self):
+        # exactly: the diameter pair settles every polygon its circle holds
+        # at R = d/2, where the three slices stopped on a shorter pair within
+        # the 1e-12 slack (R = 1.1 against d/2 = 1.1000000000000003)
+        for _, spec, _, _ in verify._sharpness_bodies():
+            poly = build(spec, 8192)
+            assert 2 * circumradius(poly)[0] >= diameter(poly)[0]
+        polys = seeded_polygons(1, 0, 2000, 3, 30)[2]
+        for (R, _), (d, _, _) in zip(circumradius(polys), diameter(polys)):
+            assert 2 * R >= d
+
+    def test_circle_does_not_depend_on_its_block(self):
+        # census blocks of 10 and of 1000, and a block whose rows are padded
+        # to an 8194-gon stadium's length: the four triangles and ten census
+        # polygons, each R and centre bit for bit its own
+        census = seeded_polygons(1, 0, 1000, 3, 30)[2]
+        bodies = {label: build(spec, 8192) for label, spec, _, _ in verify._sharpness_bodies()}
+        mixed = [bodies["stadium(r=1,l=1)"]] + [p for p in bodies.values() if len(p) == 3]
+        mixed += census[:10]
+        assert len(mixed) == 15 and len(mixed[0]) == 8194
+        blocks = [census[i:i + 10] for i in range(0, 1000, 10)] + [census, mixed]
+        alone = {id(p): circumradius(ConvexPolygon(p.vertices)) for p in census + mixed}
+        for block in blocks:
+            for poly, (R, centre) in zip(block, circumradius(block)):
+                assert R == alone[id(poly)][0]
+                assert np.array_equal(centre, alone[id(poly)][1])
 
     def test_circumradius_step_bound(self, equilateral, monkeypatch):
         # a pair circle first, then the third vertex: two steps

@@ -87,4 +87,4 @@ def test_boundary_curves():
 
 def test_sharpness_rows():
     text = json.dumps(verify.sharpness(8192), sort_keys=True)
-    assert _sha256(text) == "bc1c6264a797e6bc47c52ed82f948aaa1b613f23a6dc50f9331f0840e3d71827"
+    assert _sha256(text) == "f10ebd1059d613f56f4f5fadded41f51753ccaef1afa87f8666919e788ae265c"
