@@ -104,8 +104,13 @@ def curve(diagram_id: str, side: str, x):
     ``CURVES`` bound with the diagram's x functional at x and unit functional 1.
 
     A float x gives a float and an array x an array, NaN where there is no
-    value, such as past the equilateral end of a triangle curve.
+    value, such as past the equilateral end of a triangle curve.  An
+    unknown diagram id or side raises DomainError.
     """
+    if diagram_id not in DIAGRAM_IDS:
+        raise DomainError(f"unknown diagram id {diagram_id!r}")
+    if side not in ("lower", "upper"):
+        raise DomainError(f"unknown curve side {side!r}: expected 'lower' or 'upper'")
     x_key, _, unit, _ = DIAGRAM_IDS[diagram_id]
     bid = CURVES[diagram_id][("lower", "upper").index(side)]
     xs = np.atleast_1d(np.asarray(x, dtype=float))

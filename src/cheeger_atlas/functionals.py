@@ -1,23 +1,24 @@
 """The six geometric functionals of a convex polygon, and its one record.
 
 Area and perimeter are the polygon's own, derived at construction and read
-by its skeleton walk too. Diameter and minimal width read the antipodal
-pairs (rotating calipers, Toussaint 1983): the vertex farthest from each
-edge is the count of increasing edge-normal angles below the opposite
-normal angle, found at once for all edges of a block of polygons
-(``geom.find_antipodes``, cached on each polygon, which both functionals
-read). Diameter, width, circumradius and ``measure`` take one polygon or
-a block (a list), which they measure as one column; one polygon is the
-block of one, and a polygon's numbers do not depend on its block. The
-inradius is the depth of the point at which the inner parallel set
-vanishes, found by walking its straight-skeleton events (Aichholzer et
-al. 1995) on the offset chain the Cheeger solve uses; no second solve
+by its skeleton walk too. Diameter and minimal width come from one caliper
+pass over the antipodal pairs (rotating calipers, Toussaint 1983): the
+vertex farthest from each edge is the count of increasing edge-normal
+angles below the opposite normal angle, found at once for all edges of a
+block of polygons, and each polygon keeps the record of its diameter pair
+and its width (``_calipers``), which ``diameter``, ``min_width`` and
+``circumradius`` read. Diameter, width, circumradius and ``measure`` take
+one polygon or a block (a list), which they measure as one column; one
+polygon is the block of one, and a polygon's numbers do not depend on its
+block. The inradius is the depth of the point at which the inner parallel
+set vanishes, found by walking its straight-skeleton events (Aichholzer
+et al. 1995) on the offset chain the Cheeger solve uses; no second solve
 refines it. The circumradius is the minimal enclosing circle of the
-vertices: the pair ``diameter`` found (kept on each polygon, so no second
-caliper pass runs) settles every polygon whose vertices its circle holds,
-at R = d/2, and the rest take farthest-violator steps over a support set
-of at most three points (Elzinga & Hearn 1972) as rows of one array, a
-polygon leaving the column once its circle holds every vertex.
+vertices: the diameter pair settles every polygon whose vertices its
+circle holds, at R = d/2, and the rest take farthest-violator steps over
+a support set of at most three points (Elzinga & Hearn 1972) as rows of
+one array, a polygon leaving the column once its circle holds every
+vertex.
 
 ``measure`` is the one measuring call: the record (A, P, r, R, d, omega)
 of each polygon with h = 1/t*, read off the walk it shares with r.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .cheeger import cheeger_constant
 from .errors import NoConvergence
-from .geom import ConvexPolygon, find_antipodes, walk_block
+from .geom import ConvexPolygon, _antipodes, walk_block
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
@@ -124,19 +125,6 @@ def _block(poly) -> tuple[list[ConvexPolygon], bool]:
     return ([poly], True) if isinstance(poly, ConvexPolygon) else (list(poly), False)
 
 
-def _calipers(polys: list[ConvexPolygon]):
-    """The block's vertices end to end, with the start of each polygon, and
-    for each edge its polygon's size and start and its antipode, as an index
-    within the polygon (found for the block as one column by
-    ``geom.find_antipodes``)."""
-    find_antipodes(polys)
-    count = np.array([len(p) for p in polys])
-    start = np.concatenate(([0], np.cumsum(count)))
-    v = np.concatenate([p.vertices for p in polys])
-    far = np.concatenate([p.antipodes for p in polys])
-    return v, start, count.repeat(count)[:, None], start[:-1].repeat(count)[:, None], far[:, None]
-
-
 def _first(x: np.ndarray, best: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Column index of the first entry of each segment equal to its ``best``."""
     hit = np.flatnonzero(x == best.repeat(start[1:] - start[:-1]))
@@ -149,39 +137,54 @@ _ENDS = np.array([0, 0, 0, 1, 1, 1])
 _NEAR = np.array([-1, 0, 1, -1, 0, 1])
 
 
-def _diameters(polys: list[ConvexPolygon]) -> list[tuple[float, int, int]]:
-    """Each polygon's diameter pair (d, i, j), d = |v[i] - v[j]|: found as
-    one column for the polygons that have none yet and kept on each (as
-    ``find_antipodes`` keeps the antipodes), so that ``circumradius``
-    reads the pair ``diameter`` found.
+def _calipers(polys: list[ConvexPolygon]) -> list[tuple[float, int, int, float, int]]:
+    """Each polygon's caliper record (d, i, j, w, k): its diameter d =
+    |v[i] - v[j]| and its minimal width w, attained at edge k.  The
+    polygons that have no record yet are measured as one column, and each
+    keeps its record, with the bits it has alone, for ``diameter``,
+    ``min_width`` and ``circumradius`` to read.
 
-    Every antipodal vertex pair joins an endpoint of some edge to that
-    edge's antipode, so only those pairs are compared, with the antipode
-    widened by one vertex each way to absorb rounding at parallel edges.
+    The antipode of each edge (``geom._antipodes``) is widened by one
+    vertex each way to absorb rounding at parallel edges.  Every antipodal
+    vertex pair joins an endpoint of some edge to that window, so d is the
+    longest of those pairs; w is the least over edges of the farthest
+    window vertex's distance from the edge's line.  Ties go to the first in
+    column order: the smallest edge index, then vertex i before i + 1 and
+    the window from antipode - 1 up.
     """
-    todo = [p for p in polys if "_diameter" not in p.__dict__]
+    todo = [p for p in polys if "_calipers" not in p.__dict__]
     if todo:
-        v, start, n, base, far = _calipers(todo)
+        count = np.array([len(p) for p in todo])
+        start = np.concatenate(([0], np.cumsum(count)))
+        v = np.concatenate([p.vertices for p in todo])
+        ns = np.concatenate([p.edge_normals for p in todo])
+        cs = np.concatenate([p.edge_offsets for p in todo])
+        n, base = count.repeat(count)[:, None], start[:-1].repeat(count)[:, None]
+        far = _antipodes(ns, start)[:, None]
         a = ((np.arange(len(v))[:, None] - base + _ENDS) % n + base).ravel()
         b = ((far + _NEAR) % n + base).ravel()
         gap = v.take(a, axis=0) - v.take(b, axis=0)
         dist = np.hypot(gap[:, 0], gap[:, 1])
         at = _first(dist, np.maximum.reduceat(dist, 6 * start[:-1]), 6 * start)
-        pairs = zip(dist[at].tolist(), (a[at] - start[:-1]).tolist(),
-                    (b[at] - start[:-1]).tolist())
-        for poly, pair in zip(todo, pairs):
-            poly.__dict__["_diameter"] = pair
-    return [p.__dict__["_diameter"] for p in polys]
+        near = v.take((far + _NEAR[:3]) % n + base, axis=0)
+        widths = (cs[:, None] - np.einsum("ik,ijk->ij", ns, near)).max(axis=1)
+        edge = _first(widths, np.minimum.reduceat(widths, start[:-1]), start)
+        records = zip(dist[at].tolist(), (a[at] - start[:-1]).tolist(),
+                      (b[at] - start[:-1]).tolist(), widths[edge].tolist(),
+                      (edge - start[:-1]).tolist())
+        for poly, record in zip(todo, records):
+            poly.__dict__["_calipers"] = record
+    return [p.__dict__["_calipers"] for p in polys]
 
 
 def diameter(poly):
     """Max vertex distance; returns (d, p, q).
 
     Of a block (a list of polygons), the list of each one's result, found
-    as one column (``_diameters``).
+    as one column (``_calipers``).
     """
     polys, one = _block(poly)
-    out = [(d, p.vertices[i], p.vertices[j]) for p, (d, i, j) in zip(polys, _diameters(polys))]
+    out = [(d, p.vertices[i], p.vertices[j]) for p, (d, i, j, _, _) in zip(polys, _calipers(polys))]
     return out[0] if one else out
 
 
@@ -191,16 +194,10 @@ def min_width(poly):
     The farthest vertex of an edge is its antipode or a neighbour of it.
     Returns (width, outward unit normal of the attaining edge); ties go to
     the smallest edge index.  Of a block (a list of polygons), the list of
-    each one's result, found as one column.
+    each one's result, found as one column (``_calipers``).
     """
     polys, one = _block(poly)
-    v, start, n, base, far = _calipers(polys)
-    ns = np.concatenate([p.edge_normals for p in polys])
-    cs = np.concatenate([p.edge_offsets for p in polys])
-    near = v.take((far + _NEAR[:3]) % n + base, axis=0)
-    widths = (cs[:, None] - np.einsum("ik,ijk->ij", ns, near)).max(axis=1)
-    at = _first(widths, np.minimum.reduceat(widths, start[:-1]), start)
-    out = list(zip(widths[at].tolist(), ns.take(at, axis=0)))
+    out = [(w, p.edge_normals[k]) for p, (_, _, _, w, k) in zip(polys, _calipers(polys))]
     return out[0] if one else out
 
 
@@ -228,7 +225,7 @@ def circumradius(poly):
     products neither overflow nor underflow, and R has the same bits at any
     scale where it fits, and in any block.
 
-    The pair ``diameter`` found settles every polygon whose vertices all
+    The diameter pair (``_calipers``) settles every polygon whose vertices all
     lie in that pair's circle: R = d/2 exactly, about the pair's midpoint.
     The rest take farthest-violator steps (Elzinga & Hearn 1972) from v[0]
     and the vertex farthest from it, all rows at once: each step adds the
@@ -253,7 +250,7 @@ def circumradius(poly):
     # vertex farthest from it, the first step of the rest.
     at = np.arange(len(polys))
     far = np.hypot(xy[0], xy[1]).argmax(axis=1)
-    ends = np.array([(i, 0, j, k) for (_, i, j), k in zip(_diameters(polys), far.tolist())])
+    ends = np.array([(i, 0, j, k) for (_, i, j, _, _), k in zip(_calipers(polys), far.tolist())])
     points = xy[:, at[:, None], ends]
     p, q = points[..., :2], points[..., 2:]
     w = q - p

@@ -19,11 +19,11 @@ failure stays its own.  One polygon is the block of one.
 A block is built as one column (``polygon_block``; ``ConvexPolygon(v)`` is
 the block of one): each polygon keeps its edges' lengths, outward normals
 and offsets, and its ``origin``, ``area`` and ``perimeter``, which the
-offset machine and the walk read.  The edges' antipodes are found for a
-block as one column (``find_antipodes``), or for one polygon on first use,
-and cached (``ConvexPolygon.antipodes``).  Inward offsets run on an
-``OffsetMachine`` of a block (``ConvexPolygon.offset_machine`` for one
-polygon): each peel pass and chain measure runs once for the column;
+offset machine and the walk read.  A block's edge antipodes are found as
+one column (``_antipodes``), for the caliper pass of ``functionals``.
+Inward offsets run on an ``OffsetMachine`` of a block
+(``ConvexPolygon.offset_machine`` for one polygon): each peel pass and
+chain measure runs once for the column;
 ``walk_block`` walks a block's straight skeletons together, and each
 polygon keeps its own walk (``ConvexPolygon.walk``).  Cyclic shifts of a
 polygon's small arrays slice (``shifted``), not ``np.roll``.
@@ -137,13 +137,6 @@ class ConvexPolygon:
         """Support value c_i so that the polygon satisfies n_i . x <= c_i."""
         return self._offsets
 
-    @cached_property
-    def antipodes(self) -> np.ndarray:
-        """Index of a vertex farthest from the line of each edge, found on
-        first use (or for a whole block by ``find_antipodes``) and then shared
-        by ``diameter`` and ``min_width``."""
-        return _antipodes(self._normals, np.array([0, len(self)]))
-
     def placed(self, local: np.ndarray) -> "ConvexPolygon | None":
         """Vertices about ``origin``, such as the walk's core, as a polygon in the
         caller's frame; None when they hold no strictly convex polygon."""
@@ -176,15 +169,22 @@ def _centred_area(v: np.ndarray, start: np.ndarray, count: np.ndarray, nxt: np.n
                           - np.add.reduceat(y * x.take(nxt), start[:-1]))
 
 
-def _fault(cross: np.ndarray, a: int, b: int, least: float, turns: int) -> DegenerateInput:
+def _fault(cross: np.ndarray, a: int, b: int, least: float, turns: int,
+           area: float) -> DegenerateInput | None:
     """Why the chain of vertices a to b - 1 of a column is not a strictly
-    convex polygon: the least turn cross product of its vertices, ``least``,
-    is not positive, or it turns ``turns`` times round."""
-    if least <= 0.0:
+    convex polygon, or None if it is: the least turn cross product of its
+    vertices, ``least``, is not positive (NaN, where a product overflowed,
+    fails too), it turns ``turns`` times round, or its ``area`` overflows."""
+    if not least > 0.0:
         bad = int(np.argmin(cross[a:b]))
-        return DegenerateInput(f"vertex chain is not strictly convex near index {bad} "
+        fault = "overflows" if math.isnan(least) else "is not strictly convex"
+        return DegenerateInput(f"vertex chain {fault} near index {bad} "
                                f"(turn cross product {cross[a + bad]:.3e})")
-    return DegenerateInput(f"vertex chain turns {turns} times round: it crosses itself")
+    if turns > 1:
+        return DegenerateInput(f"vertex chain turns {turns} times round: it crosses itself")
+    if not math.isfinite(area):
+        return DegenerateInput(f"vertex chain's area is {area}: its coordinates are too large")
+    return None
 
 
 def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
@@ -203,7 +203,7 @@ def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
     nxt = np.arange(1, len(v) + 1)
     nxt[start[1:] - 1] = cut
     origin, area = _centred_area(v, start, count, nxt)
-    if min(area.tolist()) < 0.0:  # clockwise chains are reversed
+    if any(a < 0.0 for a in area.tolist()):  # clockwise chains are reversed
         seg, at = _segments(start), np.arange(len(v))
         v = v.take(np.where((area < 0.0)[seg], (cut + start[1:] - 1)[seg] - at, at), axis=0)
         origin, area = _centred_area(v, start, count, nxt)
@@ -217,13 +217,14 @@ def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
     wraps = (ey < 0.0) > (ey_next < 0.0)
     # a chain of left turns wraps at least once: when there are as many
     # wraps as chains, and only left turns, each chain wraps once
-    if min(least) > 0.0 and np.count_nonzero(wraps) == len(least):
+    if all(x > 0.0 for x in least) and np.count_nonzero(wraps) == len(least):
         turns = [1] * len(least)
     else:
         turns = np.add.reduceat(wraps, cut).tolist()
-    chains = list(zip(cut.tolist(), start[1:].tolist(), least, turns))
-    if max(least) <= 0.0:  # all fail, maybe on edges of length 0 to divide by
-        return [_fault(cross, *chain) for chain in chains]
+    chains = list(zip(cut.tolist(), start[1:].tolist(), least, turns, area.tolist()))
+    faults = [_fault(cross, *chain) for chain in chains]
+    if None not in faults:  # all fail, maybe on edges of length 0 to divide by
+        return faults
     lengths = np.hypot(ex, ey)
     normals = np.empty((len(v), 2))
     np.divide(ey, lengths, out=normals[:, 0])
@@ -231,11 +232,11 @@ def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
     offsets = np.einsum("ij,ij->i", normals, v)
     for a in (v, origin, normals, offsets):
         a.setflags(write=False)
-    return [_fault(cross, a, b, least, turns) if least <= 0.0 or turns > 1 else
+    return [fault or
             {"vertices": v[a:b], "origin": origin_j, "area": area_j,
              "perimeter": float(np.add.reduce(lengths[a:b])), "_normals": normals[a:b],
              "_offsets": offsets[a:b]}
-            for (a, b, least, turns), area_j, origin_j in zip(chains, area.tolist(), origin)]
+            for fault, (a, b, _, _, area_j), origin_j in zip(faults, chains, origin)]
 
 
 def polygon_block(vertices: np.ndarray, start: np.ndarray) -> list:
@@ -281,19 +282,7 @@ def _antipodes(normals: np.ndarray, start: np.ndarray) -> np.ndarray:
     edge = order[~is_angle]
     far = np.empty(m, dtype=np.intp)
     far[edge] = (below - start[:-1][seg[edge]]) % count[seg[edge]]
-    far.setflags(write=False)
     return far
-
-
-def find_antipodes(polys: list[ConvexPolygon]) -> None:
-    """Find the ``antipodes`` of a block of polygons as one column; each
-    polygon that has none yet keeps its own, with the bits it finds alone."""
-    todo = [p for p in polys if "antipodes" not in p.__dict__]
-    if todo:
-        start = np.concatenate(([0], np.cumsum([len(p) for p in todo])))
-        far = _antipodes(np.concatenate([p.edge_normals for p in todo]), start)
-        for poly, a, b in zip(todo, start[:-1], start[1:]):
-            poly.__dict__["antipodes"] = far[a:b]
 
 
 def support(poly: ConvexPolygon, direction) -> float:

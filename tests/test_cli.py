@@ -72,6 +72,19 @@ class TestShapeAndCheeger:
         assert run(["measure", "--in", str(star)]) == 2
         assert "turns 2 times round" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_dart_exit2(self, tmp_path, capsys):
+        # a non-convex dart whose turn cross products overflow to NaN: it
+        # was once accepted, and measure, cheeger and bounds exited 3
+        dart = tmp_path / "dart.json"
+        dart.write_text(json.dumps({"vertices": [[0, 0], [2e160, 0], [0.5e160, 0.5e160],
+                                                 [0, 2e160]]}))
+        with pytest.raises(PolygonJsonError) as err:
+            polygon_from_json(dart.read_text())
+        assert err.value.code == "not-convex"
+        assert run(["measure", "--in", str(dart)]) == 2
+        assert "vertex chain overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("res, out", [("4", True), ("-5", False)])
     def test_bad_res_exit2(self, tmp_path, capsys, res, out):
         # a resolution below 8 chords is a bad parameter, with or without a

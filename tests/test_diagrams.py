@@ -49,6 +49,13 @@ class TestBoundaryValues:
         with pytest.raises(DomainError):
             DiagramSpec("NOPE")
 
+    @pytest.mark.parametrize("did, side, x, bad", [("XX", "lower", 1.0, "'XX'"),
+                                                   ("D1_PHR", "Lower", 7.0, "'Lower'")])
+    def test_bad_curve(self, did, side, x, bad):
+        # once a bare KeyError and a ValueError of tuple.index
+        with pytest.raises(DomainError, match=bad):
+            curve(did, side, x)
+
 
 class TestMembership:
     def test_ball_point_inside(self):

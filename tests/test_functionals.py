@@ -505,14 +505,35 @@ class TestEdgeData:
         # constants: no np.roll and one np.unwrap (the block's antipodes,
         # shared by diameter and width); the np.roll formulas made 11 and 2
         # per record, the antipodes of one polygon at a time 0 and 1
-        calls = {"roll": 0, "unwrap": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np, name, counted)
+        calls = _counted(monkeypatch, np, "roll", "unwrap")
         measured_block(1, 0, 10, 3, 30, "A")
         assert calls == {"roll": 0, "unwrap": 1}
+
+    def test_one_caliper_pass_per_block(self, monkeypatch):
+        # a census block of 10 records: ``diameter`` makes the block's one
+        # caliper pass, after which ``min_width`` only reads each polygon's
+        # record (it once concatenated the block's caliper arrays again),
+        # and ``measure`` finds the antipodes once
+        block = seeded_polygons(1, 0, 10, 3, 30)[2]
+        diameter(block)
+        calls = _counted(monkeypatch, np, "concatenate", "einsum")
+        min_width(block)
+        assert calls == {"concatenate": 0, "einsum": 0}
+        calls = _counted(monkeypatch, functionals, "_antipodes")
+        measure(seeded_polygons(1, 0, 10, 3, 30)[2])
+        assert calls == {"_antipodes": 1}
+
+
+def _counted(monkeypatch, module, *names):
+    """Count the calls of each of ``module``'s functions ``names`` from now
+    on, in the dict returned."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 _IMPORTS = """

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cheeger_atlas import geom, verify
+from cheeger_atlas import functionals, geom, verify
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.errors import DegenerateInput, NoConvergence, PolygonJsonError
 from cheeger_atlas.functionals import (area, circumradius, diameter, inradius, measure,
                                       min_width, perimeter)
 from cheeger_atlas.geom import (PARALLEL_EPS, ConvexPolygon, OffsetMachine, _fan_region,
                                 _merge_parallel, dilate, form_body, inner_parallel,
-                                inner_parallel_area, find_antipodes, interpolate, minkowski_sum,
+                                inner_parallel_area, interpolate, minkowski_sum,
                                 polygon_block, polygon_from_json, polygon_to_json, support,
                                 walk_block)
 from cheeger_atlas.sampler import seeded_polygon, valtr
@@ -28,6 +28,9 @@ from conftest import monotone_hull, random_polygons, regular_ngon
 
 # the star (cos 4 pi k / 5, sin 4 pi k / 5): a left turn at every vertex
 PENTAGRAM = [[math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)] for k in range(5)]
+# a non-convex dart and a square whose turn cross products or area overflow
+OVERFLOW_DART = [[0, 0], [2e160, 0], [0.5e160, 0.5e160], [0, 2e160]]
+OVERFLOW_SQUARE = [[1e160, 1e160], [-1e160, 1e160], [-1e160, -1e160], [1e160, -1e160]]
 
 
 class TestConvexPolygon:
@@ -51,6 +54,15 @@ class TestConvexPolygon:
         # every turn is a left turn, but the edge directions turn twice round
         with pytest.raises(DegenerateInput, match="turns 2 times round"):
             ConvexPolygon(PENTAGRAM)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("vertices, fault", [(OVERFLOW_DART, "overflows near index 1"),
+                                                 (OVERFLOW_SQUARE, "area is inf")])
+    def test_rejects_overflow(self, vertices, fault):
+        # the dart's turn cross products are NaN and the square's area is
+        # inf; both were once accepted (NaN passes ``least <= 0``)
+        with pytest.raises(DegenerateInput, match=fault):
+            ConvexPolygon(vertices)
 
 
 class TestConvexHull:
@@ -661,17 +673,19 @@ def _mixed_bodies():
 
 def _edge_results(polys):
     """Everything a block's edge column gives each polygon: its attributes,
-    antipodes, diameter with witnesses, width with normal and merged planes."""
+    antipodes, caliper record, diameter with witnesses, width with normal
+    and merged planes."""
     fresh = [ConvexPolygon(p.vertices) for p in polys]
     start = np.concatenate(([0], np.cumsum([len(p) for p in fresh])))
     normals = np.concatenate([p.edge_normals for p in fresh])
     offsets = np.concatenate([p.edge_offsets for p in fresh])
     merged = _merge_parallel(normals, offsets, start)
     owner = np.searchsorted(start, merged, "right") - 1
-    find_antipodes(fresh)
-    return [(p.vertices, p.origin, p.area, p.perimeter, p.edge_normals,
-             p.edge_offsets, p.antipodes, d, w, merged[owner == j] - start[j])
-            for j, (p, d, w) in enumerate(zip(fresh, diameter(fresh), min_width(fresh)))]
+    far = geom._antipodes(normals, start)
+    return [(p.vertices, p.origin, p.area, p.perimeter, p.edge_normals, p.edge_offsets,
+             far[start[j]:start[j + 1]], record, d, w, merged[owner == j] - start[j])
+            for j, (p, record, d, w) in enumerate(zip(fresh, functionals._calipers(fresh),
+                                                      diameter(fresh), min_width(fresh)))]
 
 
 def _same_results(a, b):
@@ -681,10 +695,10 @@ def _same_results(a, b):
 
 
 class TestEdgeColumn:
-    """A block's edge data, antipodes, diameters, widths and merged planes
-    are one column (``polygon_block``, ``find_antipodes``, ``diameter`` and
-    ``min_width`` of a block, ``_merge_parallel``); each polygon's have the
-    bits of its block of one."""
+    """A block's edge data, antipodes, caliper records, diameters, widths
+    and merged planes are one column (``polygon_block``, ``_antipodes``,
+    ``functionals._calipers``, ``diameter`` and ``min_width`` of a block,
+    ``_merge_parallel``); each polygon's have the bits of its block of one."""
 
     CHUNK_SEEDS = TestColumnWalk.CHUNK_SEEDS + [random.Random(90210).getrandbits(63) for _ in range(30)]
 
@@ -705,11 +719,14 @@ class TestEdgeColumn:
     def test_mixed_block(self):
         self._check(_mixed_bodies())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failures_stay_per_chain(self):
-        # a collinear chain and a pentagram between two polygons
+        # a collinear chain, a pentagram and chains that overflow among
+        # polygons, one of them clockwise after the dart's NaN area
         polys = _mixed_bodies()[:2]
         line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        chains = [polys[0].vertices, line, np.array(PENTAGRAM), polys[1].vertices]
+        chains = [np.array(OVERFLOW_DART), polys[0].vertices, line, np.array(PENTAGRAM),
+                  polys[1].vertices[::-1], np.array(OVERFLOW_SQUARE)]
         start = np.concatenate(([0], np.cumsum([len(c) for c in chains])))
         built = polygon_block(np.concatenate(chains), start)
         for chain, got in zip(chains, built):
