@@ -7,10 +7,10 @@ each functional one numpy array, and answers in arrays of ids by records
 (``BoundTable``; its ``results()`` are ``BoundResult`` objects).  psi,
 g1..g4 and the two-cup bounds use the areas of the extremal bodies
 (slice, smoothed nonagon, two-cup) in closed form, from ``shapes``.  A
-column's root solves run once for all its bounds (``_solve``): the
-crossings g(t) = pi t^2 of g1..g4 in one ``smallest_crossing`` call, the
-arcsinc of PHR_LO and PHD_LO in one loop; a diagram curve (``bound_value``)
-solves only its own.  Triangle bounds match the column's subequilateral
+column's root solves run once for all its bounds, in one root loop
+(``_solve``): the crossings g(t) = pi t^2 of g1..g4 in one
+``smallest_crossing`` call, with the arcsinc of PHR_LO and PHD_LO riding
+in its loop; a diagram curve (``bound_value``) solves only its own.  Triangle bounds match the column's subequilateral
 triangles in closed form (``shapes.subeq_from``; for w and A, R or P
 through its checked column entry ``shapes.solve_param``) and use
 h = 1/r + sqrt(pi/A).
@@ -47,7 +47,12 @@ def psi(d, r):
     allowed as the degenerate limit (area 0).
     """
     d, r = np.asarray(d, dtype=float), np.asarray(r, dtype=float)
-    out = np.where(d <= r * dstar(), nonagon_area(d, r), slice_area(d, 2 * r))
+    return _psi(d, r, slice_area(d, 2 * r))
+
+
+def _psi(d, r, slices):
+    """psi(d, r) given ``slices``, the areas of the slices of diameter d and width 2r."""
+    out = np.where(d <= r * dstar(), nonagon_area(d, r), slices)
     return np.where((r < -0.0) | (d + _DOMAIN_TOL * np.maximum(1.0, d) < 2 * r), np.nan, out)
 
 
@@ -55,12 +60,21 @@ def arcsinc(x):
     """Inverse of sin(y)/y on [0, pi): the unique y with sinc(y) = x.
 
     Elementwise, in the shape of x (0-d for a float), solved in one root
-    loop, with NaN outside (0, 1].  The loop starts from the Taylor bracket
-    of the root: sinc falls on [0, pi], and 1 - y^2/6 <= sinc y <= 1 - y^2/6
-    + y^4/120 puts the root between sqrt(6(1 - x)) and
-    min(pi, sqrt(10 - sqrt(100 - 120(1 - x)))) (pi for x < 1/6).  Both ends
-    are read in one call; an end whose value rounds to the wrong sign (x
-    within about 1e-5 of 1) falls back to 0 or pi, where sinc is known.
+    loop from ``_arcsinc_bracket``, with NaN outside (0, 1].
+    """
+    return _bracketed_root(*_arcsinc_bracket(x))
+
+
+def _arcsinc_bracket(x):
+    """The root column of arcsinc(x), as ``_bracketed_root`` takes it:
+    (f, a, fa, b, fb, xtol) with f(y) = sinc y - x, NaN ends outside (0, 1].
+
+    The bracket is the Taylor bracket of the root: sinc falls on [0, pi],
+    and 1 - y^2/6 <= sinc y <= 1 - y^2/6 + y^4/120 puts the root between
+    sqrt(6(1 - x)) and min(pi, sqrt(10 - sqrt(100 - 120(1 - x)))) (pi for
+    x < 1/6).  Both ends are read in one call; an end whose value rounds to
+    the wrong sign (x within about 1e-5 of 1) falls back to 0 or pi, where
+    sinc is known.
     """
     x = np.asarray(x, dtype=float)
     x = np.where((0.0 < x) & (x <= 1.0), x, np.nan)
@@ -74,7 +88,7 @@ def arcsinc(x):
         fa, fb = f(ends)
     a, fa = np.where(fa >= 0.0, ends[0], 0.0), np.where(fa >= 0.0, fa, 1.0 - x)
     b, fb = np.where(fb <= 0.0, ends[1], PI), np.where(fb <= 0.0, fb, -x)
-    return _bracketed_root(f, a, fa, b, fb, 1e-14)
+    return f, a, fa, b, fb, 1e-14
 
 
 @lru_cache(maxsize=1)
@@ -122,10 +136,10 @@ def d0(res: int = 4096) -> float:
 _ARCSINC = {"PHR": lambda f: 4 * f.circumradius, "PHD": lambda f: 2 * f.diameter}
 
 # family -> (the column fields of its parameters (p, q), outside-domain test,
-# (x, y, upper) maker: the body at t = 0, (d, r) of psi for g1 and (D, W) of
-# the slice for g2..g4, and the domain's end)
+# (D, W, upper) maker: the diameter and width of the slice at t = 0, for g1
+# the slice branch of psi(D, W/2), and the domain's end)
 _IMPLICIT = {
-    "g1": (("diameter", "inradius"), lambda d, r: d < 2 * r - _DOMAIN_TOL, lambda d, r: (d, r, r)),
+    "g1": (("diameter", "inradius"), lambda d, r: d < 2 * r - _DOMAIN_TOL, lambda d, r: (d, 2 * r, r)),
     "g2": (("circumradius", "inradius"), lambda R, r: R < r - _DOMAIN_TOL, lambda R, r: (2 * R, 2 * r, r)),
     "g3": (("diameter", "min_width"), lambda d, w: d < w - _DOMAIN_TOL, lambda d, w: (d, w, w / 2)),
     "g4": (("min_width", "circumradius"), lambda w, R: 2 * R < w - _DOMAIN_TOL,
@@ -135,37 +149,38 @@ _IMPLICIT = {
 
 def _solve(f, names) -> dict:
     """The root solves ``names`` over the column ``f`` by name, NaN where
-    there is no root: the arcsinc of the ``_ARCSINC`` columns in one loop,
-    and h = 1/t at the crossings g(t) = pi t^2 of g1..g4 in one
-    ``smallest_crossing`` call over the column stacked from the families,
-    g1 first.  g1(t) = psi(d - 2t, r - t); g2..g4 are the areas of the
-    slices of diameter D - 2t and width W - 2t, in one slice_area call."""
+    there is no root: h = 1/t at the crossings g(t) = pi t^2 of g1..g4 in
+    one ``smallest_crossing`` call over the column stacked from the
+    families, g1 first, with the arcsinc of the ``_ARCSINC`` columns riding
+    in its root loop (alone, without a crossing).  At t the slices have
+    diameter D - 2t and width W - 2t, all areas in one slice_area call;
+    g2..g4 are those areas, g1(t) = psi(D - 2t, (W - 2t)/2)."""
     sincs = [k for k in names if k in _ARCSINC]
-    roots = arcsinc(np.minimum(1.0, np.stack([_ARCSINC[k](f) / f.perimeter for k in sincs]))) if sincs else []
-    out = dict(zip(sincs, roots))
+    x = np.minimum(1.0, np.stack([_ARCSINC[k](f) / f.perimeter for k in sincs])) if sincs else None
     families = sorted(k for k in names if k in _IMPLICIT)
     if not families:
-        return out
-    dims, xs, ys, uppers = [], [], [], []
+        return dict(zip(sincs, arcsinc(x)))
+    dims, diameters, widths, uppers = [], [], [], []
     for fam in families:
         fields, outside, body = _IMPLICIT[fam]
         p, q = np.broadcast_arrays(*(getattr(f, k) for k in fields))
-        x, y, upper = body(p.ravel(), q.ravel())
+        D, W, upper = body(p.ravel(), q.ravel())
         dims.append(p.shape)
-        xs.append(x)
-        ys.append(y)
+        diameters.append(D)
+        widths.append(W)
         uppers.append(np.where(outside(p, q).ravel(), np.nan, upper))
-    k = xs[0].size if families[0] == "g1" else 0
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    d, r, D, W = x[:k], y[:k], x[k:], y[k:]
+    k = diameters[0].size if families[0] == "g1" else 0
+    D, W = np.concatenate(diameters), np.concatenate(widths)
 
     def g(t):
-        t1, t2 = t[..., :k], t[..., k:]
-        return np.concatenate((psi(d - 2 * t1, np.maximum(r - t1, 0.0)),
-                               slice_area(D - 2 * t2, np.maximum(W - 2 * t2, 0.0))), axis=-1)
-    t = smallest_crossing(ImplicitRootProblem(g, np.concatenate(uppers)))
-    cuts = np.cumsum([a.size for a in xs])[:-1]
-    return out | {fam: 1.0 / part.reshape(dim) for fam, part, dim in zip(families, np.split(t, cuts), dims)}
+        dia, wid = D - 2 * t, np.maximum(W - 2 * t, 0.0)
+        slices = slice_area(dia, wid)
+        return np.concatenate((_psi(dia[..., :k], 0.5 * wid[..., :k], slices[..., :k]), slices[..., k:]), axis=-1)
+    problem = ImplicitRootProblem(g, np.concatenate(uppers))
+    t, roots = smallest_crossing(problem, _arcsinc_bracket(x)) if sincs else (smallest_crossing(problem), [])
+    cuts = np.cumsum([a.size for a in diameters])[:-1]
+    return dict(zip(sincs, roots)) | {fam: 1.0 / part.reshape(dim)
+                                      for fam, part, dim in zip(families, np.split(t, cuts), dims)}
 
 
 def _triangle_h_matched(fixed_id: str, fixed_val, target_id: str, target_val) -> np.ndarray:

@@ -21,9 +21,10 @@ an end of its bracket moves half the tolerance inside that end (Brent
 instead of leaving it one-sided to be bisected down to the tolerance; the
 census crossings take 5 to 7 steps.
 ``smallest_crossing`` uses it for the implicit inequalities g(t) = pi t^2
-of the bound registry, all four families of a whole column in one call;
-``bounds.arcsinc`` solves its column with it, and the constants
-``bounds.dstar`` and ``bounds.d0`` are its 0-d columns.
+of the bound registry, all four families of a whole column and the
+registry's two arcsinc columns in one loop; ``bounds.arcsinc`` alone
+solves its column with it, and the constants ``bounds.dstar`` and
+``bounds.d0`` are its 0-d columns.
 """
 
 from __future__ import annotations
@@ -119,40 +120,41 @@ def _bracketed_root(f: Callable, a, fa, b, fb, xtol):
     comes back NaN.
     """
     a, fa, b, fb, xtol = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, fa, b, fb, xtol))
-    root = np.full(a.shape, np.nan)
-    root[fb == 0.0] = b[fb == 0.0]
-    root[fa == 0.0] = a[fa == 0.0]
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
     active = np.isnan(root) & ((fa > 0.0) != (fb > 0.0)) & np.isfinite(fa) & np.isfinite(fb)
-    kept = np.zeros(a.shape)  # +1 where the last step kept a, -1 where it kept b
+    half = 0.5 * xtol
+    kept_a = kept_b = np.zeros(a.shape, dtype=bool)  # where the last step kept a (moved b), kept b
     with np.errstate(divide="ignore", invalid="ignore"):  # finished elements may divide 0 by 0
         for _ in range(MAX_ROOT_STEPS):
-            done = active & (np.abs(b - a) <= xtol)
-            root[done] = 0.5 * (a[done] + b[done])
-            active &= ~done
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            mid = 0.5 * (lo + hi)
+            done = active & (hi - lo <= xtol)
+            if done.any():
+                np.copyto(root, mid, where=done)
+                active ^= done
             if not active.any():
                 break
             x = (a * fb - b * fa) / (fb - fa)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
             finite = np.isfinite(x)
-            x = np.where(x <= lo, lo + 0.5 * xtol, np.where(x >= hi, hi - 0.5 * xtol, x))
-            x = np.where(active & finite & (lo < x) & (x < hi), x, 0.5 * (a + b))
+            x = np.where(x <= lo, lo + half, np.where(x >= hi, hi - half, x))
+            x = np.where(active & finite & (lo < x) & (x < hi), x, mid)
             fx = np.asarray(f(x), dtype=float).reshape(a.shape)
             hit = active & (fx == 0.0)
-            root[hit] = x[hit]
-            active &= ~hit
+            if hit.any():
+                np.copyto(root, x, where=hit)
+                active ^= hit
             to_b = active & ((fx > 0.0) == (fb > 0.0))
             to_a = active ^ to_b
-            np.multiply(fa, 0.5, out=fa, where=to_b & (kept == 1))
-            np.multiply(fb, 0.5, out=fb, where=to_a & (kept == -1))
+            np.multiply(fa, 0.5, out=fa, where=to_b & kept_a)
+            np.multiply(fb, 0.5, out=fb, where=to_a & kept_b)
             for end, f_end, moved in ((a, fa, to_a), (b, fb, to_b)):
                 np.copyto(end, x, where=moved)
                 np.copyto(f_end, fx, where=moved)
-            kept[to_b] = 1
-            kept[to_a] = -1
+            kept_a, kept_b = to_b, to_a
     return root
 
 
-def smallest_crossing(problem: ImplicitRootProblem):
+def smallest_crossing(problem: ImplicitRootProblem, *brackets):
     """The crossings t in (0, upper] of g(t) = pi t^2, all in one root loop.
 
     F(t) = g(t) - pi t^2 is read at both ends of every domain in one call
@@ -161,6 +163,11 @@ def smallest_crossing(problem: ImplicitRootProblem):
     element (a touch at t = 0 carries no information, since 1/t blows up),
     and one whose solve fails, comes back NaN; a float ``upper`` is a 0-d
     column.
+
+    Further bracket columns ``(f, a, fa, b, fb, xtol)``, as
+    ``_bracketed_root`` takes them, ride in the same loop, each element
+    taking the steps it would take alone; with any, the result is the tuple
+    of the crossings and the roots of each column, in order.
     """
     upper = np.asarray(problem.upper, dtype=float)
     ends = np.stack((np.zeros_like(upper), upper))
@@ -171,4 +178,14 @@ def smallest_crossing(problem: ImplicitRootProblem):
         return np.asarray(problem.g(t), dtype=float) - np.pi * t * t
 
     f0, f1 = (np.where(falls, f, np.nan) for f in (f0, f1))  # NaN ends: no root, no steps
-    return _bracketed_root(F, 0.0, f0, upper, f1, CROSSING_REL_TOL * upper)
+    crossings = (F, 0.0, f0, upper, f1, CROSSING_REL_TOL * upper)
+    if not brackets:
+        return _bracketed_root(*crossings)
+    columns = [(f, np.broadcast_arrays(*args)) for f, *args in (crossings, *brackets)]
+    offsets = np.cumsum([0, *(args[0].size for _, args in columns)]).tolist()
+    parts = [(f, slice(i, j), args[0].shape) for (f, args), i, j in zip(columns, offsets, offsets[1:])]
+
+    def joint(x):
+        return np.concatenate([np.ravel(f(x[part].reshape(shape))) for f, part, shape in parts])
+    root = _bracketed_root(joint, *(np.concatenate([np.ravel(args[k]) for _, args in columns]) for k in range(5)))
+    return tuple(root[part].reshape(shape) for _, part, shape in parts)

@@ -23,7 +23,7 @@ from . import diagrams as diagrams_mod
 from . import shapes as shapes_mod
 from . import verify as verify_mod
 from .cheeger import cheeger_constant
-from .errors import CheegerAtlasError, DomainError, InvalidParam, PolygonJsonError
+from .errors import CheegerAtlasError, DegenerateInput, DomainError, InvalidParam, PolygonJsonError
 from .functionals import EXPONENT, measure
 from .geom import polygon_from_json, polygon_to_json
 from .sampler import cloud_csv, sample_cloud
@@ -121,7 +121,11 @@ def _cmd_shape(args) -> int:
         if val is None:
             raise InvalidParam(f"--family {args.family} requires --{flag}")
         kwargs[param] = val
-    poly = shapes_mod.build(cls(**kwargs), shapes_mod.Resolution(args.res))
+    try:
+        poly = shapes_mod.build(cls(**kwargs), shapes_mod.Resolution(args.res))
+    except DegenerateInput as exc:  # the parameters give no polygon in double precision
+        given = " ".join(f"--{flag} {getattr(args, flag)!r}" for flag, _ in flags)
+        raise InvalidParam(f"--family {args.family} {given} gives no polygon: {exc}") from exc
     with open(args.out, "w", newline="") as fh:
         fh.write(polygon_to_json(poly) + "\n")
     return 0

@@ -187,6 +187,7 @@ def _fault(cross: np.ndarray, a: int, b: int, least: float, turns: int,
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # such a chain gets its fault
 def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
     """What ``ConvexPolygon`` keeps of each chain of a column of vertex chains,
     chain j holding the vertices start[j] to start[j + 1] - 1 (at least 3,
@@ -198,6 +199,8 @@ def _edge_data(v: np.ndarray, start: np.ndarray) -> list:
     (a pairwise sum, which ``reduceat`` is not); so a chain's numbers have
     the bits it has alone.  With every turn a strict left turn, the edge
     directions pass the +x direction once for each time they turn round.
+    A chain whose products overflow, or whose edges vanish, fails without
+    a numpy warning.
     """
     cut, count = start[:-1], start[1:] - start[:-1]
     nxt = np.arange(1, len(v) + 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas import bounds, cheeger, shapes, verify
+from cheeger_atlas import bounds, cheeger, sampler, shapes, verify
 from cheeger_atlas.bounds import BOUND_IDS, arcsinc, bound_value, d0, dstar, evaluate_all, psi, registry_csv
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
 from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, curve
@@ -413,36 +413,56 @@ class TestRootSteps:
         assert counts[0] == counts[1] <= 8
 
     def test_census_column_steps(self, monkeypatch):
-        # 30 census records as one column: one crossing loop for g1..g4, each
-        # of its elements done in 7 steps, and one arcsinc loop for PHR_LO and
-        # PHD_LO, its elements done in 6
+        # 30 census records as one column: one root loop for the g1..g4
+        # crossings and the arcsinc of PHR_LO and PHD_LO, each of its elements
+        # done in at most 7 steps, and one slice_area call per g evaluation
         records = [measure(area_normalized(seeded_polygon(1, i, 3, 30)[2]))
                    for i in range(30)]
-        dstar()  # cached before the count, so that only arcsinc runs bounds' root loop
-        crossing_calls, arcsinc_steps = [], []
+        dstar()  # cached before the count, so that only the column runs a root loop
+        crossing_calls, loops, slices = [], [], []
 
-        def counted_crossing(problem):
+        def counted_crossing(problem, *brackets):
             calls = []
 
             def g(t):
                 calls.append(np.shape(t))
-                return problem.g(t)
-            t = smallest_crossing(dataclasses.replace(problem, g=g))
+                n = len(slices)
+                values = problem.g(t)
+                calls[-1] += (len(slices) - n,)
+                return values
+            t = smallest_crossing(dataclasses.replace(problem, g=g), *brackets)
             crossing_calls.append(calls)
             return t
 
+        root_loop = cheeger._bracketed_root
+
         def counted_root(f, *args):
             steps = []
-            root = cheeger._bracketed_root(lambda y: steps.append(1) or f(y), *args)
-            arcsinc_steps.append(len(steps))
+            root = root_loop(lambda y: steps.append(1) or f(y), *args)
+            loops.append(len(steps))
             return root
+
+        def counted_slices(*args):
+            slices.append(1)
+            return slice_area(*args)
         monkeypatch.setattr(bounds, "smallest_crossing", counted_crossing)
         monkeypatch.setattr(bounds, "_bracketed_root", counted_root)
+        monkeypatch.setattr(cheeger, "_bracketed_root", counted_root)
+        monkeypatch.setattr(bounds, "slice_area", counted_slices)
         table = evaluate_all(*records)
-        assert len(crossing_calls) == 1
+        assert len(crossing_calls) == 1 and len(loops) == 1
         calls = crossing_calls[0]
-        assert calls[0] == (2, 4 * len(records)) and 1 <= len(calls) - 1 <= 7
-        assert len(arcsinc_steps) == 1 and arcsinc_steps[0] <= 6
+        assert calls[0] == (2, 4 * len(records), 1)
+        assert calls[1:] == [(4 * len(records), 1)] * loops[0] and 1 <= loops[0] <= 7
+        # the arcsinc rides in the loop bit for bit: PHR_LO and PHD_LO as
+        # bound_value solves them, in an arcsinc loop of their own
+        column = {k: np.array([getattr(f, name) for f in records])
+                  for k, name in (("P", "perimeter"), ("R", "circumradius"), ("d", "diameter"))}
+        monkeypatch.undo()
+        for bid in ("PHR_LO", "PHD_LO"):
+            ok = table.status[BOUND_IDS.index(bid)] == bounds.OK
+            want = bound_value(bid, **column)[ok]
+            assert ok.any() and table.value[BOUND_IDS.index(bid)][ok].tolist() == want.tolist(), bid
         # the stacked loop gives each family's crossings bit for bit
         for fam, bid, kw in (("g1", "HDR_LO_IMPLICIT", ("d", "diameter", "r", "inradius")),
                              ("g2", "HRR_LO_IMPLICIT", ("R", "circumradius", "r", "inradius")),
@@ -771,8 +791,9 @@ class TestBoundaryColumns:
 
 
 class TestCensusBlocks:
-    def test_grouping_does_not_matter(self):
+    def test_grouping_does_not_matter(self, monkeypatch):
         # one block of 40 records against two blocks of 20 in a pool
+        monkeypatch.setattr(sampler, "MIN_BLOCK", 10)
         assert verify.census(40, 31, workers=1) == verify.census(40, 31, workers=2)
 
     def test_no_records(self):

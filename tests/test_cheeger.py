@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cheeger_atlas.bounds import psi
+from cheeger_atlas.bounds import _arcsinc_bracket, psi
 from cheeger_atlas.cheeger import (MAX_ROOT_STEPS, ImplicitRootProblem, _bracketed_root,
                                    cheeger_constant, smallest_crossing)
 from cheeger_atlas.errors import DegenerateInput, InvalidParam, NoConvergence
@@ -325,6 +325,21 @@ class TestSmallestCrossing:
         t = smallest_crossing(dataclasses.replace(problem, g=counting_g))
         assert t == smallest_crossing(base)
         assert sum(outer) == sum(inner) <= 8
+
+    def test_bracket_columns_ride_bit_for_bit(self):
+        # further bracket columns solved in the crossing loop come back as each
+        # solved alone, whatever their shapes and however many steps each takes
+        d = np.array([3.0, 2.5, 2.0])
+        problem = ImplicitRootProblem(lambda t: psi(d - 2 * t, np.maximum(1.0 - t, 0.0)), np.ones(3))
+        sinc = _arcsinc_bracket(np.array([[0.05, 0.5, 1.0], [0.9, 2.0, 1 - 1e-9]]))
+        step = lambda x: np.where(x < 1.0 / 3.0, 1.0, -1.0)
+        endless = (step, 0.0, 1.0, 1.0, -1.0, 0.0)  # xtol 0: out of steps long after the rest
+        line = (lambda x: x - 1.0, 0.0, -1.0, 2.0, 1.0, 1e-12)  # its first step lands on the root
+        got = smallest_crossing(problem, sinc, endless, line)
+        want = (smallest_crossing(problem), *(_bracketed_root(*c) for c in (sinc, endless, line)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == np.shape(w) and g.tobytes() == np.asarray(w).tobytes()
 
 
 class TestBracketedRoot:

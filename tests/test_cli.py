@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,7 +76,7 @@ class TestShapeAndCheeger:
         assert run(["measure", "--in", str(star)]) == 2
         assert "turns 2 times round" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_dart_exit2(self, tmp_path, capsys):
         # a non-convex dart whose turn cross products overflow to NaN: it
         # was once accepted, and measure, cheeger and bounds exited 3
@@ -84,6 +88,20 @@ class TestShapeAndCheeger:
         assert err.value.code == "not-convex"
         assert run(["measure", "--in", str(dart)]) == 2
         assert "vertex chain overflows" in capsys.readouterr().err
+        # and the command's stderr holds its own error, no numpy warning
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        done = subprocess.run([sys.executable, "-m", "cheeger_atlas.cli", "measure", "--in", str(dart)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stderr.startswith("error: vertex chain overflows")
+        assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_shape_exit2(self, tmp_path, capsys):
+        # a ball whose coordinates overflow when squared is a bad parameter:
+        # it once exited 3, a numeric failure
+        assert run(["shape", "--family", "ball", "--r", "1e160", "--out", str(tmp_path / "b.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --family ball --r 1e+160 gives no polygon: vertex chain overflows")
 
     @pytest.mark.parametrize("res, out", [("4", True), ("-5", False)])
     def test_bad_res_exit2(self, tmp_path, capsys, res, out):
