@@ -10,10 +10,10 @@ g1..g4 and the two-cup bounds use the areas of the extremal bodies
 column's root solves run once for all its bounds, in one root loop
 (``_solve``): the crossings g(t) = pi t^2 of g1..g4 in one
 ``smallest_crossing`` call, with the arcsinc of PHR_LO and PHD_LO riding
-in its loop; a diagram curve (``bound_value``) solves only its own.  Triangle bounds match the column's subequilateral
-triangles in closed form (``shapes.subeq_from``; for w and A, R or P
-through its checked column entry ``shapes.solve_param``) and use
-h = 1/r + sqrt(pi/A).
+in its loop; a diagram curve (``bound_value``) solves only its own.
+Triangle bounds match the column's subequilateral triangles in closed form
+(``shapes.subeq_from``; for w and A, R or P through its checked column
+entry ``shapes.solve_param``) and use h = 1/r + sqrt(pi/A).
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def _solve(f, names) -> dict:
     def g(t):
         dia, wid = D - 2 * t, np.maximum(W - 2 * t, 0.0)
         slices = slice_area(dia, wid)
-        return np.concatenate((_psi(dia[..., :k], 0.5 * wid[..., :k], slices[..., :k]), slices[..., k:]), axis=-1)
+        g1 = _psi(dia[..., :k], 0.5 * wid[..., :k], slices[..., :k])
+        return np.concatenate((g1, slices[..., k:]), axis=-1)
     problem = ImplicitRootProblem(g, np.concatenate(uppers))
     t, roots = smallest_crossing(problem, _arcsinc_bracket(x)) if sincs else (smallest_crossing(problem), [])
     cuts = np.cumsum([a.size for a in diameters])[:-1]

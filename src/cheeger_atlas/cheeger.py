@@ -187,5 +187,5 @@ def smallest_crossing(problem: ImplicitRootProblem, *brackets):
 
     def joint(x):
         return np.concatenate([np.ravel(f(x[part].reshape(shape))) for f, part, shape in parts])
-    root = _bracketed_root(joint, *(np.concatenate([np.ravel(args[k]) for _, args in columns]) for k in range(5)))
+    root = _bracketed_root(joint, *(np.concatenate([args[k].ravel() for _, args in columns]) for k in range(5)))
     return tuple(root[part].reshape(shape) for _, part, shape in parts)
