@@ -178,10 +178,10 @@ def _solve(f, names) -> dict:
         g1 = _psi(dia[..., :k], 0.5 * wid[..., :k], slices[..., :k])
         return np.concatenate((g1, slices[..., k:]), axis=-1)
     problem = ImplicitRootProblem(g, np.concatenate(uppers))
-    t, roots = smallest_crossing(problem, _arcsinc_bracket(x)) if sincs else (smallest_crossing(problem), [])
+    t, *roots = smallest_crossing(problem, *([_arcsinc_bracket(x)] if sincs else []))
     cuts = np.cumsum([a.size for a in diameters])[:-1]
-    return dict(zip(sincs, roots)) | {fam: 1.0 / part.reshape(dim)
-                                      for fam, part, dim in zip(families, np.split(t, cuts), dims)}
+    return dict(zip(sincs, *roots)) | {fam: 1.0 / part.reshape(dim)
+                                       for fam, part, dim in zip(families, np.split(t, cuts), dims)}
 
 
 def _triangle_h_matched(fixed_id: str, fixed_val, target_id: str, target_val) -> np.ndarray:

@@ -165,9 +165,9 @@ def smallest_crossing(problem: ImplicitRootProblem, *brackets):
     column.
 
     Further bracket columns ``(f, a, fa, b, fb, xtol)``, as
-    ``_bracketed_root`` takes them, ride in the same loop, each element
-    taking the steps it would take alone; with any, the result is the tuple
-    of the crossings and the roots of each column, in order.
+    ``_bracketed_root`` takes them, ride in the same loop as one flat
+    column, each element taking the steps it would take alone.  Returns the
+    crossings and the roots of each bracket column, in order, as a tuple.
     """
     upper = np.asarray(problem.upper, dtype=float)
     ends = np.stack((np.zeros_like(upper), upper))
@@ -178,10 +178,8 @@ def smallest_crossing(problem: ImplicitRootProblem, *brackets):
         return np.asarray(problem.g(t), dtype=float) - np.pi * t * t
 
     f0, f1 = (np.where(falls, f, np.nan) for f in (f0, f1))  # NaN ends: no root, no steps
-    crossings = (F, 0.0, f0, upper, f1, CROSSING_REL_TOL * upper)
-    if not brackets:
-        return _bracketed_root(*crossings)
-    columns = [(f, np.broadcast_arrays(*args)) for f, *args in (crossings, *brackets)]
+    columns = [(f, np.broadcast_arrays(*args))
+               for f, *args in ((F, 0.0, f0, upper, f1, CROSSING_REL_TOL * upper), *brackets)]
     offsets = np.cumsum([0, *(args[0].size for _, args in columns)]).tolist()
     parts = [(f, slice(i, j), args[0].shape) for (f, args), i, j in zip(columns, offsets, offsets[1:])]
 

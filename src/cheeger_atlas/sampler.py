@@ -32,10 +32,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # fewest records in a block of a batch: for shorter blocks, starting a worker
-# pool and the higher cost per record of a short column outweigh what a
-# second worker saves (on a 2-core VM, at about 0.1 ms a record, the forked
-# pool breaks even near 1,000 records and is 20-35% faster at 2,000)
-MIN_BLOCK = 500
+# pool and the registry's higher cost per record on a short column outweigh
+# what a second worker saves (measured on a 2-core VM)
+MIN_BLOCK = 16
 
 
 def splitmix64(z: int) -> int:

@@ -76,8 +76,8 @@ def census(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
     """Min slack per bound id over ``samples`` unit-area random polygons.
 
     The records are split into contiguous blocks (``sampler.blocks``: one
-    per worker, but at most one per MIN_BLOCK = 500 records, so fewer than
-    1,000 records run in this process; only for 3 <= n_min <= n_max); each block's polygons are measured as one column,
+    per worker, but at most one per MIN_BLOCK records, and only for
+    3 <= n_min <= n_max); each block's polygons are measured as one column,
     their skeletons walked together, and the registry evaluated on that
     column.  A record's results do not depend on the block it lands in.
     """

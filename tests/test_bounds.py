@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas import bounds, cheeger, sampler, shapes, verify
+from cheeger_atlas import bounds, cheeger, shapes, verify
 from cheeger_atlas.bounds import BOUND_IDS, arcsinc, bound_value, d0, dstar, evaluate_all, psi, registry_csv
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
 from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, curve
@@ -216,7 +216,7 @@ class TestClosedFormOracles:
         assert bad.any() and not bad.all()
         params = {names[0]: p, names[1]: q}
         got = bound_value(bid, **params)
-        want = 1.0 / smallest_crossing(_oracle_problem(family, **params))
+        want = 1.0 / smallest_crossing(_oracle_problem(family, **params))[0]
         assert _same(got, want)
         assert np.isnan(got[bad]).all() and np.isfinite(got).any()
 
@@ -350,27 +350,27 @@ class TestCrossingContract:
 
     def test_matches_scan_oracle(self, crossing_problems):
         for problem in crossing_problems:
-            got = smallest_crossing(problem)
+            got = smallest_crossing(problem)[0]
             assert abs(got - _scan_crossing(problem)) <= 1e-12 * problem.upper
 
     def test_column_matches_elementwise(self, crossing_columns):
         # each element of a column takes exactly the steps it takes alone
         for fam, params in crossing_columns:
-            got = smallest_crossing(_oracle_problem(fam, **params))
-            want = [smallest_crossing(_oracle_problem(fam, **kw)) for kw in _elements(params)]
+            got = smallest_crossing(_oracle_problem(fam, **params))[0]
+            want = [smallest_crossing(_oracle_problem(fam, **kw))[0] for kw in _elements(params)]
             assert np.array_equal(got, want), fam
 
     def test_column_reports_missing_crossings_as_nan(self):
         # an element outside g1's domain, and one whose F never turns
         # nonpositive, come back NaN without disturbing their neighbours
         d, r = np.array([3.0, 1.0, 4.0]), np.array([1.0, 1.0, 1.0])
-        got = smallest_crossing(_oracle_problem("g1", d=d, r=r))
+        got = smallest_crossing(_oracle_problem("g1", d=d, r=r))[0]
         assert np.isnan(got[1])
-        assert got[0] == smallest_crossing(_oracle_problem("g1", d=3.0, r=1.0))
-        assert got[2] == smallest_crossing(_oracle_problem("g1", d=4.0, r=1.0))
+        assert got[0] == smallest_crossing(_oracle_problem("g1", d=3.0, r=1.0))[0]
+        assert got[2] == smallest_crossing(_oracle_problem("g1", d=4.0, r=1.0))[0]
         flat = ImplicitRootProblem(lambda t: np.where(np.arange(2) == 0, PI * (1 - t) ** 2, 10.0),
                                    np.array([1.0, 1.0]))
-        got = smallest_crossing(flat)
+        got = smallest_crossing(flat)[0]
         assert got[0] == pytest.approx(0.5, abs=1e-13) and np.isnan(got[1])
 
     def test_column_empty_domain_is_nan(self):
@@ -379,10 +379,10 @@ class TestCrossingContract:
         for family, params in (("g1", {"d": [3.0, 2.0], "r": [1.0, 0.0]}),
                                ("g3", {"d": [1.0, 1.0], "w": [0.5, 0.0]})):
             inside, empty = ({k: v[i] for k, v in params.items()} for i in (0, 1))
-            got = smallest_crossing(_oracle_problem(family, **params))
+            got = smallest_crossing(_oracle_problem(family, **params))[0]
             assert np.isnan(got[1])
-            assert got[0] == smallest_crossing(_oracle_problem(family, **inside))
-            assert np.isnan(smallest_crossing(_oracle_problem(family, **empty)))
+            assert got[0] == smallest_crossing(_oracle_problem(family, **inside))[0]
+            assert np.isnan(smallest_crossing(_oracle_problem(family, **empty))[0])
 
 
 def _g_points(family, **kw):
@@ -393,7 +393,7 @@ def _g_points(family, **kw):
     def g(t):
         seen.append(np.size(t))
         return problem.g(t)
-    t = smallest_crossing(dataclasses.replace(problem, g=g))
+    t = smallest_crossing(dataclasses.replace(problem, g=g))[0]
     return sum(seen), t
 
 
@@ -470,7 +470,7 @@ class TestRootSteps:
                              ("g4", "HRW_LO_IMPLICIT", ("w", "min_width", "R", "circumradius"))):
             column = {kw[0]: np.array([getattr(f, kw[1]) for f in records]),
                       kw[2]: np.array([getattr(f, kw[3]) for f in records])}
-            want = 1.0 / smallest_crossing(_oracle_problem(fam, **column))
+            want = 1.0 / smallest_crossing(_oracle_problem(fam, **column))[0]
             assert table.value[BOUND_IDS.index(bid)].tolist() == list(want), fam
 
 
@@ -791,9 +791,8 @@ class TestBoundaryColumns:
 
 
 class TestCensusBlocks:
-    def test_grouping_does_not_matter(self, monkeypatch):
+    def test_grouping_does_not_matter(self):
         # one block of 40 records against two blocks of 20 in a pool
-        monkeypatch.setattr(sampler, "MIN_BLOCK", 10)
         assert verify.census(40, 31, workers=1) == verify.census(40, 31, workers=2)
 
     def test_no_records(self):

@@ -292,21 +292,21 @@ class TestDiagnostics:
 class TestSmallestCrossing:
     def test_symmetric_parabola(self):
         p = ImplicitRootProblem(g=lambda t: PI * (1 - t) ** 2, upper=1.0)
-        assert smallest_crossing(p) == pytest.approx(0.5, abs=1e-13)
-        assert 1 / smallest_crossing(p) == pytest.approx(2.0, abs=1e-12)
+        assert smallest_crossing(p)[0] == pytest.approx(0.5, abs=1e-13)
+        assert 1 / smallest_crossing(p)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_square_offset_area(self, unit_square):
         p = ImplicitRootProblem(
             g=lambda t: np.asarray([inner_parallel_area(unit_square, float(x)) for x in np.atleast_1d(t)]),
             upper=0.5)
-        assert smallest_crossing(p) == pytest.approx(square_t_star(), abs=1e-12)
+        assert smallest_crossing(p)[0] == pytest.approx(square_t_star(), abs=1e-12)
 
     def test_no_root(self):
-        assert np.isnan(smallest_crossing(ImplicitRootProblem(g=lambda t: -np.ones_like(t), upper=1.0)))
+        assert np.isnan(smallest_crossing(ImplicitRootProblem(g=lambda t: -np.ones_like(t), upper=1.0))[0])
 
     def test_touch_at_zero_is_vacuous(self):
         # g below pi t^2 everywhere except at t = 0 carries no information
-        assert np.isnan(smallest_crossing(ImplicitRootProblem(g=lambda t: -np.asarray(t), upper=1.0)))
+        assert np.isnan(smallest_crossing(ImplicitRootProblem(g=lambda t: -np.asarray(t), upper=1.0))[0])
 
     def test_replaced_g_sees_every_evaluation(self):
         # the benchmark counts g points through dataclasses.replace(problem, g=...)
@@ -322,8 +322,8 @@ class TestSmallestCrossing:
             outer.append(np.size(t))
             return g(t)
         problem = ImplicitRootProblem(g, base.upper)
-        t = smallest_crossing(dataclasses.replace(problem, g=counting_g))
-        assert t == smallest_crossing(base)
+        t = smallest_crossing(dataclasses.replace(problem, g=counting_g))[0]
+        assert t == smallest_crossing(base)[0]
         assert sum(outer) == sum(inner) <= 8
 
     def test_bracket_columns_ride_bit_for_bit(self):
@@ -336,7 +336,7 @@ class TestSmallestCrossing:
         endless = (step, 0.0, 1.0, 1.0, -1.0, 0.0)  # xtol 0: out of steps long after the rest
         line = (lambda x: x - 1.0, 0.0, -1.0, 2.0, 1.0, 1e-12)  # its first step lands on the root
         got = smallest_crossing(problem, sinc, endless, line)
-        want = (smallest_crossing(problem), *(_bracketed_root(*c) for c in (sinc, endless, line)))
+        want = (smallest_crossing(problem)[0], *(_bracketed_root(*c) for c in (sinc, endless, line)))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == np.shape(w) and g.tobytes() == np.asarray(w).tobytes()

@@ -181,9 +181,8 @@ class TestRender:
             svg = render_svg([DiagramPoint(1e20, 1.0), DiagramPoint(x2, 2.0)])
             assert svg.count("<circle") == 2
 
-    def test_cloud_between_curves(self, monkeypatch):
-        from cheeger_atlas import sampler
-        monkeypatch.setattr(sampler, "MIN_BLOCK", 10)  # two blocks in a pool
-        recs = sampler.sample_cloud(25, 3, 20, ("P", "h", "r"), seed=8, workers=2)
+    def test_cloud_between_curves(self):
+        from cheeger_atlas.sampler import sample_cloud
+        recs = sample_cloud(25, 3, 20, ("P", "h", "r"), seed=8, workers=2)
         for rec in recs:
             assert membership("D1_PHR", rec.x, rec.y) == "inside"

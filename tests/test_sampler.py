@@ -102,8 +102,7 @@ class TestSampleCloud:
         assert rec.x == rec.functionals.perimeter
         assert rec.y == rec.functionals.cheeger
 
-    def test_byte_identical_replay(self, monkeypatch):
-        monkeypatch.setattr(sampler, "MIN_BLOCK", 10)  # two blocks in a pool
+    def test_byte_identical_replay(self):
         a = cloud_csv(sample_cloud(20, 3, 12, ("P", "h", "A"), seed=11, workers=1))
         b = cloud_csv(sample_cloud(20, 3, 12, ("P", "h", "A"), seed=11, workers=2))
         assert a == b
@@ -139,9 +138,8 @@ class TestSampleCloud:
             measure(poly)
         assert built == [40, 40, 6]
 
-    def test_d1_membership(self, monkeypatch):
+    def test_d1_membership(self):
         from cheeger_atlas.diagrams import membership
-        monkeypatch.setattr(sampler, "MIN_BLOCK", 10)  # blocks in a pool
         recs = sample_cloud(60, 3, 30, ("P", "h", "r"), seed=42, workers=2)
         for rec in recs:
             assert membership("D1_PHR", rec.x, rec.y) == "inside"
