@@ -29,7 +29,7 @@ import numpy as np
 
 from . import shapes
 from .cheeger import ImplicitRootProblem, _bracketed_root, cheeger_constant, smallest_crossing
-from .functionals import EXPONENT, Functionals
+from .functionals import EXPONENT, FIELDS, Functionals
 from .shapes import (Resolution, SmoothedNonagon, nonagon_area, slice_area, triangle_values,
                      two_cup_area)
 
@@ -226,11 +226,9 @@ class BoundResult:
         return self.status != "not-applicable"
 
 
-# the six functionals of a column of records, one array each in the order of
-# EXPONENT, and its root solves by name once evaluate_all has solved them
-_Column = namedtuple("_Column", "area perimeter inradius circumradius diameter min_width solved",
-                     defaults=(None,))
-_FUNCTIONALS = _Column._fields[:6]
+# the six functionals of a column of records, one array each, and its root
+# solves by name once evaluate_all has solved them
+_Column = namedtuple("_Column", [FIELDS[k] for k in EXPONENT] + ["solved"], defaults=(None,))
 
 
 def _solved(f: _Column, name: str) -> np.ndarray:
@@ -440,29 +438,30 @@ class BoundTable:
 
 def evaluate_all(*records: Functionals) -> BoundTable:
     """Every registered inequality against one or more Functionals records,
-    evaluated as one column on numpy arrays (a predicate that bounds share
-    runs once) into a ``BoundTable`` of ids by records, whose ``results()``
-    are the record-major view.  A record that a column solve cannot serve
-    gets NaN, not an exception: its failures (a non-finite value, a missing
-    crossing, an unmatched triangle) are its own no-root results.
+    each one record or a column of them, joined into one column on numpy
+    arrays (a predicate that bounds share runs once) into a ``BoundTable``
+    of ids by records, whose ``results()`` are the record-major view.  A
+    record that a column solve cannot serve gets NaN, not an exception: its
+    failures (a non-finite value, a missing crossing, an unmatched
+    triangle) are its own no-root results.
 
     Each record is evaluated at the power-of-two scale 2^-e that puts its
     perimeter in [0.5, 1), so the products of its lengths neither overflow
     nor underflow however large or small its body is, and each value, an
     inverse length, is scaled back by 2^-e exactly."""
-    e = np.frexp(np.array([f.perimeter for f in records], dtype=float))[1]
-    cols = _Column(*(np.ldexp(np.array([getattr(f, k) for f in records], dtype=float),
-                              -int(power) * e)
-                     for k, power in zip(_FUNCTIONALS, EXPONENT.values())))
+    # each field joined over the records, each one record or a column; a missing h fills NaN
+    field = {k: np.concatenate([np.full(np.size(f.area), getattr(f, name), dtype=float) for f in records])
+             for k, name in FIELDS.items()}
+    e = np.frexp(field["P"])[1]
+    cols = _Column(**{FIELDS[k]: np.ldexp(field[k], -int(power) * e) for k, power in EXPONENT.items()})
     with np.errstate(all="ignore"):
         cols = cols._replace(solved=_solve(cols, [*_IMPLICIT, *_ARCSINC]))
         value = np.ldexp([value_fn(cols) for _, _, value_fn in _REGISTRY], -e)
-        admitted = {p: np.ones(len(records), dtype=bool) if p is None else p(cols) for p in _PREDICATES}
+        admitted = {p: np.ones(len(e), dtype=bool) if p is None else p(cols) for p in _PREDICATES}
     status = np.where(np.array([admitted[p] for _, p, _ in _REGISTRY]),
                       np.where(np.isfinite(value), OK, NO_ROOT), NOT_APPLICABLE).astype(np.int8)
     value[status != OK] = np.nan
-    h = np.array([np.nan if f.cheeger is None else f.cheeger for f in records])
-    return BoundTable(value, np.where(_LOWER, h - value, value - h), status)
+    return BoundTable(value, np.where(_LOWER, field["h"] - value, value - field["h"]), status)
 
 
 def registry_csv(f: Functionals) -> str:

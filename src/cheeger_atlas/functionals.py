@@ -21,11 +21,12 @@ one array, a polygon leaving the column once its circle holds every
 vertex.
 
 ``measure`` is the one measuring call: the record (A, P, r, R, d, omega)
-of each polygon with h = 1/t*, read off the walk it shares with r.
+with h = 1/t*, read off the walk it shares with r, of a polygon, or of a
+block as one record of columns.
 
 A record scales with its body: ``Functionals.normalized`` gives the record
-of the body scaled so that one functional is 1, by the powers in
-``EXPONENT``, without building or measuring the scaled polygon.
+of the body (of each body of a column) scaled so that one functional is 1,
+by the powers in ``EXPONENT``, without building or measuring a polygon.
 """
 
 from __future__ import annotations
@@ -36,11 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheeger import cheeger_constant
-from .errors import NoConvergence
+from .errors import CheegerAtlasError, NoConvergence
 from .geom import ConvexPolygon, _antipodes, walk_block
 
 # Relative slack allowed when validating the functional chain inequalities.
 CHAIN_TOL = 1e-7
+# Field of a record by short id, in the order of ``Functionals``' fields.
+FIELDS = {"A": "area", "P": "perimeter", "r": "inradius", "R": "circumradius", "d": "diameter",
+          "w": "min_width", "h": "cheeger"}
 # Power of the scale factor in each functional: scaling a body by s multiplies
 # its area by s**2 and each length by s (and h by 1/s).
 EXPONENT = {"A": 2.0, "P": 1.0, "r": 1.0, "R": 1.0, "d": 1.0, "w": 1.0}
@@ -53,56 +57,53 @@ MAX_CIRCLE_STEPS = 64
 
 @dataclass(frozen=True)
 class Functionals:
-    """Record of (A, P, r, R, d, omega) and optionally h for one body.
+    """Record of (A, P, r, R, d, omega) and optionally h: of one body, each
+    field a float; of a column of bodies, each a 1-d array of one length.
 
-    Construction enforces the chain 2r <= omega <= 2R, omega <= d <= 2R,
-    r <= R, that each is positive and finite and, when the Cheeger constant
-    is present, 1/r <= h <= 2/r (which no infinite or NaN h meets).
+    Construction enforces, record by record, the chain 2r <= omega <= 2R,
+    omega <= d <= 2R, r <= R, that each is positive and finite and, when the
+    Cheeger constant is present, 1/r <= h <= 2/r (which no infinite or NaN h
+    meets); the first record that fails raises the ValueError it raises alone.
     """
 
-    area: float
-    perimeter: float
-    inradius: float
-    circumradius: float
-    diameter: float
-    min_width: float
-    cheeger: float | None = None
+    area: float | np.ndarray
+    perimeter: float | np.ndarray
+    inradius: float | np.ndarray
+    circumradius: float | np.ndarray
+    diameter: float | np.ndarray
+    min_width: float | np.ndarray
+    cheeger: float | np.ndarray | None = None
 
     def __post_init__(self):
-        A, P, r, R = self.area, self.perimeter, self.inradius, self.circumradius
-        d, w = self.diameter, self.min_width
-        if not all(0.0 < x < math.inf for x in (A, P, r, R, d, w)):  # NaN fails too
-            raise ValueError("all functionals must be positive and finite")
+        fields = A, P, r, R, d, w, h = [getattr(self, name) for name in FIELDS.values()]
         tol = CHAIN_TOL
-        checks = [
-            2 * r <= w * (1 + tol),
-            w <= 2 * R * (1 + tol),
-            w <= d * (1 + tol),
-            d <= 2 * R * (1 + tol),
-            r <= R * (1 + tol),
-        ]
-        if not all(checks):
-            raise ValueError(
-                f"functional chain violated: A={A} P={P} r={r} R={R} d={d} w={w}"
-            )
-        h = self.cheeger
-        if h is not None and not (1 / r) * (1 - tol) <= h <= (2 / r) * (1 + tol):
-            raise ValueError(f"cheeger constant h={h} outside [1/r, 2/r]")
+        positive = np.logical_and.reduce([(0.0 < x) & (x < math.inf) for x in fields[:6]])  # NaN fails too
+        chain = ((2 * r <= w * (1 + tol)) & (w <= 2 * R * (1 + tol)) & (w <= d * (1 + tol))
+                 & (d <= 2 * R * (1 + tol)) & (r <= R * (1 + tol)))
+        with np.errstate(divide="ignore"):  # r = 0 fails as not positive
+            in_range = h is None or (np.divide(1.0, r) * (1 - tol) <= h) & (h <= np.divide(2.0, r) * (1 + tol))
+        ok = positive & chain & in_range
+        if not np.all(ok):
+            i = int(np.argmin(ok))  # the first record that fails raises what it raises alone
+            A, P, r, R, d, w, h = (None if x is None else np.ravel(x)[i].item() for x in fields)
+            raise ValueError("all functionals must be positive and finite" if not np.ravel(positive)[i]
+                             else f"functional chain violated: A={A} P={P} r={r} R={R} d={d} w={w}"
+                             if not np.ravel(chain)[i] else f"cheeger constant h={h} outside [1/r, 2/r]")
 
     def normalized(self, key: str) -> "Functionals":
         """The record of the body scaled by 1/s so that functional ``key``
         (A, P, r, R, d or w) is 1, where s = value(key) ** (1 / EXPONENT[key]):
-        each length is divided by s, the area by s * s, and h multiplied by s."""
-        s = self.value(key) ** (1.0 / EXPONENT[key])
+        each length is divided by s, the area by s * s, and h multiplied by s;
+        each row of a column by its own s, with the bits it has alone."""
+        s = np.power(self.value(key), 1.0 / EXPONENT[key])
+        s = s if np.ndim(s) else float(s)  # a record of floats stays one
         return Functionals(self.area / (s * s), self.perimeter / s, self.inradius / s,
                            self.circumradius / s, self.diameter / s, self.min_width / s,
                            None if self.cheeger is None else self.cheeger * s)
 
-    def value(self, key: str) -> float:
-        """Look a functional up by its short id: A, P, r, R, d, w or h."""
-        v = {"A": self.area, "P": self.perimeter, "r": self.inradius,
-             "R": self.circumradius, "d": self.diameter, "w": self.min_width,
-             "h": self.cheeger}[key]
+    def value(self, key: str):
+        """A functional by its short id (A, P, r, R, d, w or h): a float, or a column's array."""
+        v = getattr(self, FIELDS[key])
         if v is None:
             raise ValueError("cheeger constant not populated")
         return v
@@ -340,12 +341,16 @@ def _grow(xy, support, k):
 
 def measure(poly):
     """The record of a polygon: its six functionals and its Cheeger constant.
-    Of a block (a list of polygons), the list of each one's record, with the
+    Of a block (a list of polygons), one record of columns, with the
     skeletons walked (``geom.walk_block``) and the diameters, widths and
-    circumradii found as one column each."""
+    circumradii found as one column each.  A record that fails its own
+    checks raises a CheegerAtlasError with its message."""
     polys, one = _block(poly)
     walk_block(polys)
-    out = [Functionals(area(p), perimeter(p), inradius(p)[0], R, d, w, cheeger_constant(p).h)
-           for p, (d, _, _), (w, _), (R, _) in zip(polys, diameter(polys), min_width(polys),
-                                                   circumradius(polys))]
-    return out[0] if one else out
+    rows = [(area(p), perimeter(p), inradius(p)[0], R, d, w, cheeger_constant(p).h)
+            for p, (d, _, _), (w, _), (R, _) in zip(polys, diameter(polys), min_width(polys),
+                                                    circumradius(polys))]
+    try:
+        return Functionals(*(rows[0] if one else (np.array(col, dtype=float) for col in zip(*rows))))
+    except ValueError as exc:
+        raise CheegerAtlasError(str(exc)) from exc

@@ -9,10 +9,10 @@ SplitMix64-style mix, so batch runs parallelize with order-independent
 output.  A block of records is drawn as one column: each record makes its
 own random calls on its own Philox stream, and the sorting, differencing,
 chaining and placement run once for the block (``valtr`` of sequences);
-one polygon is the block of one.  A batch record is measured once, with
-its block (``functionals.measure`` of a list), and then scaled so that its
-unit functional is 1 (``Functionals.normalized``); a unit of None keeps the
-raw record.  A record's numbers do not depend on its block.
+one polygon is the block of one.  A batch block is measured once, as one
+record of columns (``functionals.measure`` of a list), then scaled so that
+each row's unit functional is 1 (``Functionals.normalized``); a unit of
+None keeps the raw record.  A record's numbers do not depend on its block.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import DegenerateInput
-from .functionals import EXPONENT, Functionals, measure
+from .functionals import EXPONENT, FIELDS, Functionals, measure
 from .geom import ConvexPolygon, polygon_block
 
 _MASK64 = (1 << 64) - 1
@@ -190,28 +190,27 @@ def seeded_polygon(master_seed: int, index: int, n_min: int,
 
 
 def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: int,
-                   unit: str | None) -> list[tuple[int, int, Functionals]]:
-    """Records start..stop-1 of a batch: (record seed, vertex count, functionals
-    with the Cheeger constant) each.
+                   unit: str | None) -> tuple[list[int], list[int], Functionals]:
+    """Records start..stop-1 of a batch: (record seeds, vertex counts, the
+    block's record of columns with the Cheeger constant).
 
     The block is drawn and measured once, each as one column
-    (``seeded_polygons``, then ``functionals.measure`` of the block); a
+    (``seeded_polygons``, then ``functionals.measure`` of the block); its
     record is then scaled so that the functional ``unit`` is 1
     (``Functionals.normalized``), or kept raw when ``unit`` is None.  A
     record's numbers do not depend on the block it lands in.
     """
     seeds, ns, polys = seeded_polygons(master_seed, start, stop, n_min, n_max)
-    records = measure(polys)
-    if unit is not None:
-        records = [f.normalized(unit) for f in records]
-    return list(zip(seeds, ns, records))
+    record = measure(polys)
+    return seeds, ns, record if unit is None else record.normalized(unit)
 
 
 def _sample_block(args) -> list[SampleRecord]:
     start, stop, master_seed, n_min, n_max, (x_key, y_key, unit) = args
-    records = measured_block(master_seed, start, stop, n_min, n_max, unit)
+    seeds, ns, column = measured_block(master_seed, start, stop, n_min, n_max, unit)
+    rows = [Functionals(*row) for row in zip(*(getattr(column, name).tolist() for name in FIELDS.values()))]
     return [SampleRecord(index, rec_seed, n, f, f.value(x_key), f.value(y_key))
-            for index, (rec_seed, n, f) in enumerate(records, start)]
+            for index, rec_seed, n, f in zip(range(start, stop), seeds, ns, rows)]
 
 
 def blocks(count: int, seed: int, n_min: int, n_max: int,
@@ -269,10 +268,6 @@ def cloud_csv(records: list[SampleRecord]) -> str:
     buf.write("index,seed,n,A,P,r,R,d,w,h,x,y\n")
     g = lambda v: format(v, ".17g")
     for r in records:
-        f = r.functionals
-        buf.write(",".join([
-            str(r.index), str(r.seed), str(r.vertex_count),
-            g(f.area), g(f.perimeter), g(f.inradius), g(f.circumradius),
-            g(f.diameter), g(f.min_width), g(f.cheeger), g(r.x), g(r.y),
-        ]) + "\n")
+        buf.write(",".join([str(r.index), str(r.seed), str(r.vertex_count),
+                            *(g(r.functionals.value(k)) for k in FIELDS), g(r.x), g(r.y)]) + "\n")
     return buf.getvalue()

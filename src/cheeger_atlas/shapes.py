@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam, Unreachable, Unsupported
-from .functionals import EXPONENT, Functionals
+from .functionals import EXPONENT, FIELDS, Functionals
 from .geom import ConvexPolygon
 
 SQRT3 = math.sqrt(3.0)
@@ -456,8 +456,7 @@ def subeq_from(pair, fixed, target):
 
 def triangle_functionals(base: float, height: float) -> Functionals:
     """Exact functionals of the isosceles triangle, Cheeger constant included."""
-    v = {k: float(x) for k, x in triangle_values(base, height).items()}
-    return Functionals(v["A"], v["P"], v["r"], v["R"], v["d"], v["w"], cheeger=v["h"])
+    return Functionals(**{FIELDS[k]: float(x) for k, x in triangle_values(base, height).items()})
 
 
 def solve_param(target, fixed):

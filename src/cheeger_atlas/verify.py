@@ -43,13 +43,13 @@ EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
 
 def _census_block(args) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Records start..stop-1 of a census, drawn and measured as one column
-    (``sampler.measured_block``), then the registry on that column:
+    (``sampler.measured_block``), then the registry on that record:
     (record seeds, status codes, slacks), the arrays ids by records.  A
     polygon whose walk fails raises when its record is measured, as alone."""
     start, stop, master_seed, n_min, n_max = args
-    records = measured_block(master_seed, start, stop, n_min, n_max, "A")
-    table = evaluate_all(*(f for _, _, f in records))
-    return [rec_seed for rec_seed, _, _ in records], table.status, table.slack
+    seeds, _, record = measured_block(master_seed, start, stop, n_min, n_max, "A")
+    table = evaluate_all(record)
+    return seeds, table.status, table.slack
 
 
 def _fold(parts) -> dict:

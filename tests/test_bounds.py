@@ -829,10 +829,10 @@ class TestCensusBlocks:
         # the fold of a block's arrays against the fold of its result view,
         # one result at a time
         block = verify._census_block((0, 60, 5, 3, 30))
-        fs = [f for _, _, f in verify.measured_block(5, 0, 60, 3, 30, "A")]
+        record = verify.measured_block(5, 0, 60, 3, 30, "A")[2]
         want = {bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
                       "not_applicable": 0, "no_root": 0} for bid in BOUND_IDS}
-        for i, r in enumerate(evaluate_all(*fs)):
+        for i, r in enumerate(evaluate_all(record)):
             a = want[r.id]
             a[{"ok": "evaluated", "not-applicable": "not_applicable", "no-root": "no_root"}[r.status]] += 1
             if r.status == "ok" and (a["min_slack"] is None or r.slack < a["min_slack"]):

@@ -5,19 +5,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cheeger_atlas import verify
 from cheeger_atlas.cli import TRIPLETS, run
 from cheeger_atlas.errors import PolygonJsonError
 from cheeger_atlas.functionals import measure
-from cheeger_atlas.geom import polygon_from_json, polygon_to_json
+from cheeger_atlas.geom import ConvexPolygon, polygon_from_json, polygon_to_json
 from cheeger_atlas.sampler import seeded_polygon, valtr
 
 
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _thin_body(i: int) -> ConvexPolygon:
+    """Body i of a recipe of thin bodies: a Valtr polygon squeezed by a in y,
+    turned by theta, scaled and shifted, all drawn from one generator."""
+    rng = np.random.default_rng(2026)
+    for _ in range(i + 1):
+        n, seed, a = rng.integers(3, 40), rng.integers(1 << 62), 10 ** rng.uniform(-7, 0)
+        theta, scale = rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-3, 3)
+        shift = rng.normal(size=2) * 10 ** rng.uniform(-3, 4)
+    turn = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    return ConvexPolygon((valtr(int(n), int(seed)).vertices * [1, a]) @ turn.T * scale + shift)
 
 
 class TestShapeAndCheeger:
@@ -115,6 +128,18 @@ class TestShapeAndCheeger:
         assert run(argv) == 2
         assert "arc_segments must be at least 8" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("i, message", [(19, "functional chain violated: "),
+                                            (198, "cheeger constant h=")])
+    def test_failing_record_exit3(self, tmp_path, capsys, i, message):
+        # a valid thin polygon far from the origin, d/w up to 3e5, whose
+        # measured record fails its own checks: a numeric failure, where it
+        # once exited 2 with the usage line, as a bad argument does
+        path = tmp_path / "thin.json"
+        path.write_text(polygon_to_json(_thin_body(i)))
+        assert run(["measure", "--in", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: {message}") and "usage:" not in err
 
 
 class TestBoundsCommand:

@@ -167,11 +167,10 @@ class TestMeasureInvariants:
         # a body scaled by 2^k has each field times 2^(k * exponent), bit for
         # bit; R was infinite beyond about 2^+-340 on three-point circles
         polys = seeded_polygons(1, 0, 100, 3, 30)[2]
-        scaled = measure([ConvexPolygon(np.ldexp(p.vertices, k)) for p in polys])
-        for f, g in zip(measure(polys), scaled):
-            for key, exponent in functionals.EXPONENT.items():
-                assert g.value(key) == math.ldexp(f.value(key), int(k * exponent)), key
-            assert g.cheeger == math.ldexp(f.cheeger, -k)
+        f, g = measure(polys), measure([ConvexPolygon(np.ldexp(p.vertices, k)) for p in polys])
+        for key, exponent in functionals.EXPONENT.items():
+            assert np.array_equal(g.value(key), np.ldexp(f.value(key), int(k * exponent))), key
+        assert np.array_equal(g.cheeger, np.ldexp(f.cheeger, -k))
 
     def test_diameter_circle_radius_is_half_diameter(self):
         # a minimal enclosing circle on the diameter pair has R == d/2 exactly,
@@ -404,8 +403,9 @@ class TestFunctionalsRecord:
                 Functionals(math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, cheeger=h)
 
     def test_block_is_measured_as_one_column(self, monkeypatch):
-        # one machine walks the block's skeletons, and each record, h
-        # included, has the bits of its polygon measured alone
+        # one machine walks the block's skeletons into one record of
+        # columns, and each of its rows, h included, has the bits of its
+        # polygon measured alone, whose record holds floats
         polys = [seeded_polygon(1, i, 3, 30)[2] for i in range(20)]
         built = []
         init = geom.OffsetMachine.__init__
@@ -414,11 +414,27 @@ class TestFunctionalsRecord:
             built.append(block)
             init(self, block)
         monkeypatch.setattr(geom.OffsetMachine, "__init__", counted)
-        records = measure(polys)
+        record = measure(polys)
         assert len(built) == 1 and built[0] == polys
-        for poly, f in zip(polys, records):
-            assert f.cheeger is not None
-            assert f == measure(ConvexPolygon(poly.vertices))
+        for i, poly in enumerate(polys):
+            alone = measure(ConvexPolygon(poly.vertices))
+            for key in functionals.FIELDS:
+                assert type(alone.value(key)) is float
+                assert record.value(key).shape == (20,) and record.value(key)[i] == alone.value(key), key
+
+    def test_failing_column_names_its_first_failing_record(self):
+        # record 3 breaks the chain (2r > w) and record 5 has a NaN area: the
+        # column raises what record 3 raises alone
+        fields = np.tile([math.pi, 2 * math.pi, 1.0, 1.0, 2.0, 2.0, 2.0], (8, 1))
+        fields[3, 2], fields[5, 0] = 1.5, math.nan
+        with pytest.raises(ValueError) as alone:
+            Functionals(*fields[3].tolist())
+        assert str(alone.value).startswith("functional chain violated: ")
+        with pytest.raises(ValueError) as column:
+            Functionals(*fields.T)
+        assert str(column.value) == str(alone.value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Functionals(*fields[4:].T)
 
 
 class TestNormalized:
@@ -439,6 +455,21 @@ class TestNormalized:
                 assert got.value(key) == pytest.approx(1.0, rel=1e-15)
                 for name in self.FIELDS:
                     assert getattr(got, name) == pytest.approx(getattr(expect, name), rel=1e-12, abs=0.0)
+
+    def test_block_does_not_matter(self):
+        # a 20-polygon block's record of columns, normalized in one
+        # expression, has each polygon's bits measured and normalized alone;
+        # the block holds census record 642 of seed 1, whose sqrt(A) is one
+        # ulp from Python's A ** 0.5
+        polys = seeded_polygons(1, 640, 660, 3, 30)[2]
+        column = measure(polys)
+        for key in functionals.EXPONENT:
+            scaled = column.normalized(key)
+            for i, poly in enumerate(polys):
+                alone = measure(ConvexPolygon(poly.vertices)).normalized(key)
+                for name in self.FIELDS:
+                    assert type(getattr(alone, name)) is float
+                    assert getattr(scaled, name)[i] == getattr(alone, name), (key, name, i)
 
     def test_block_walked_inner_core(self):
         polys = [seeded_polygon(2, i, 3, 30)[2] for i in range(20)]

@@ -81,3 +81,41 @@ def test_traced_benchmark_runs_clean(tmp_path, argv):
                            "--trace"], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["problems"] == []
+
+
+# calls (Python-level and C-level) of each stage of one census column: seed 1,
+# records 1000-1009, counted by sys.setprofile; a change that lowers a count
+# lowers its ceiling here
+CALL_CEILINGS = {"draw": 459, "walk": 1548, "measure": 628, "registry": 1141}
+
+
+def _census_stage_calls() -> dict:
+    from cheeger_atlas.bounds import evaluate_all
+    from cheeger_atlas.functionals import measure
+    from cheeger_atlas.geom import walk_block
+    from cheeger_atlas.sampler import seeded_polygons
+
+    counts = dict.fromkeys(CALL_CEILINGS, 0)
+
+    def counted(stage, fn, *args):
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                counts[stage] += 1
+        sys.setprofile(profile)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(None)
+    polys = counted("draw", seeded_polygons, 1, 1000, 1010, 3, 30)[2]
+    counted("walk", walk_block, polys)
+    record = counted("measure", lambda: measure(polys).normalized("A"))
+    counted("registry", evaluate_all, record)
+    return counts
+
+
+def test_census_column_call_budget():
+    # the census stages as verify.census runs them on a column of 10
+    # records: draw, walk, measure with normalize, registry
+    _census_stage_calls()  # a first run fills the caches (dstar, the unit triangles)
+    counts = _census_stage_calls()
+    assert all(counts[k] <= CALL_CEILINGS[k] for k in counts), counts
