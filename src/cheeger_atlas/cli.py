@@ -9,7 +9,9 @@ cloud at that unit, and ``sample`` writes the same x, y unless
 ``--normalize`` names another unit (``none`` writes the raw records).
 Numeric output is printed with 17 significant digits; runs with a fixed
 seed are byte-reproducible.  Exit codes: 0 success, 2 validation error,
-3 numeric failure.  CHEEGER_ATLAS_THREADS caps worker-pool parallelism.
+3 numeric failure.  ``sample``, ``diagram`` and ``verify`` draw their
+records in blocks, one forked process each, on at most the usable cores;
+CHEEGER_ATLAS_THREADS, a positive integer, can only lower that count.
 """
 
 from __future__ import annotations

@@ -101,6 +101,20 @@ class Functionals:
                            self.circumradius / s, self.diameter / s, self.min_width / s,
                            None if self.cheeger is None else self.cheeger * s)
 
+    def rows(self) -> list["Functionals"]:
+        """The records of a column, one record of floats per row, in order.
+        Each row was checked as part of the column, so it is built without
+        running the checks again, as ``geom.polygon_block`` builds polygons."""
+        n = len(self.area)
+        cols = [[None] * n if col is None else col.tolist()
+                for col in (getattr(self, name) for name in FIELDS.values())]
+        out = []
+        for row in zip(*cols):
+            rec = object.__new__(Functionals)
+            rec.__dict__.update(zip(FIELDS.values(), row))
+            out.append(rec)
+        return out
+
     def value(self, key: str):
         """A functional by its short id (A, P, r, R, d, w or h): a float, or a column's array."""
         v = getattr(self, FIELDS[key])

@@ -6,10 +6,12 @@ paired at random, sorted by angle and chained.  Every output is strictly
 convex, lies in the unit square, and is a deterministic function of
 (n, seed).  Per-record streams are derived from a master seed with a
 SplitMix64-style mix, so batch runs parallelize with order-independent
-output.  A block of records is drawn as one column: each record makes its
-own random calls on its own Philox stream, and the sorting, differencing,
-chaining and placement run once for the block (``valtr`` of sequences);
-one polygon is the block of one.  A batch block is measured once, as one
+output: a batch's contiguous blocks (``blocks``) run in one forked child
+each, which sends its result back pickled through a pipe
+(``parallel_map``).  A block of records is drawn as one column: each
+record makes its own random calls on its own Philox stream, and the
+sorting, differencing, chaining and placement run once for the block
+(``valtr`` of sequences); one polygon is the block of one.  A batch block is measured once, as one
 record of columns (``functionals.measure`` of a list), then scaled so that
 each row's unit functional is 1 (``Functionals.normalized``); a unit of
 None keeps the raw record.  A record's numbers do not depend on its block.
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 import io
 import os
+import pickle
+import signal
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -31,9 +34,10 @@ from .geom import ConvexPolygon, polygon_block
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# fewest records in a block of a batch: for shorter blocks, starting a worker
-# pool and the registry's higher cost per record on a short column outweigh
-# what a second worker saves (measured on a 2-core VM)
+# fewest records in a block of a batch: each block is a forked child, whose
+# fork, pipe and reaping cost about 1 ms (a few census records), and the
+# registry costs more per record on a short column, so shorter blocks lose
+# what a second core saves (measured on a 2-core VM)
 MIN_BLOCK = 16
 
 
@@ -208,9 +212,8 @@ def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: i
 def _sample_block(args) -> list[SampleRecord]:
     start, stop, master_seed, n_min, n_max, (x_key, y_key, unit) = args
     seeds, ns, column = measured_block(master_seed, start, stop, n_min, n_max, unit)
-    rows = [Functionals(*row) for row in zip(*(getattr(column, name).tolist() for name in FIELDS.values()))]
     return [SampleRecord(index, rec_seed, n, f, f.value(x_key), f.value(y_key))
-            for index, rec_seed, n, f in zip(range(start, stop), seeds, ns, rows)]
+            for index, rec_seed, n, f in zip(range(start, stop), seeds, ns, column.rows())]
 
 
 def blocks(count: int, seed: int, n_min: int, n_max: int,
@@ -226,19 +229,75 @@ def blocks(count: int, seed: int, n_min: int, n_max: int,
 
 
 def worker_count(jobs: int) -> int:
-    """Pool size for ``jobs`` items: CHEEGER_ATLAS_THREADS, else the core count."""
+    """Processes to run ``jobs`` items in: the usable cores, capped by
+    CHEEGER_ATLAS_THREADS when it is set (it can only lower the count).
+    Raises ValueError naming the variable unless it is a positive integer."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cap = os.environ.get("CHEEGER_ATLAS_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, jobs))
+    if cap:
+        if not (cap.isdecimal() and int(cap) > 0):
+            raise ValueError(f"CHEEGER_ATLAS_THREADS must be a positive integer, not {cap!r}")
+        cores = min(cores, int(cap))
+    return max(1, min(cores, jobs))
 
 
 def parallel_map(fn, items: list) -> list:
-    """Order-preserving map over a process pool of one worker per item (the
-    blocks of ``blocks``); one item runs in this process."""
+    """Order-preserving map of ``fn`` over ``items`` (the blocks of
+    ``blocks``) in one forked child per item; no item, or one, runs in this
+    process.  Each child sends ``(ok, result or exception)`` pickled through
+    its own pipe, and this process only reads the pipes, in item order: the
+    first failing item's exception is raised as it is, and a pipe that ends
+    without a result (its child died) raises ChildProcessError naming the
+    block.  Every child is reaped before this returns or raises, and those
+    not yet read are killed first."""
     if len(items) <= 1:
         return [fn(it) for it in items]
-    with get_context("fork").Pool(len(items)) as pool:
-        return pool.map(fn, items)
+    pids, pipes = [], []
+    try:
+        for item in items:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, item, w)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        results = []
+        for k, pipe in enumerate(pipes):
+            with pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"block {k} of {len(items)} ended without a result: its process died")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in zip(pids, pipes):
+            if not pipe.closed:
+                os.kill(pid, signal.SIGKILL)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _child(fn, item, fd: int) -> None:
+    """A forked child of ``parallel_map``: write ``(ok, fn(item) or its
+    exception)`` pickled to ``fd`` and leave without returning to the
+    caller's frames, so nothing of the parent runs or is flushed twice."""
+    try:
+        try:
+            data = pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb", closefd=False) as out:
+            out.write(data)
+    finally:
+        os._exit(0)
 
 
 def sample_cloud(count: int, n_min: int, n_max: int, triplet: tuple[str, str, str | None],

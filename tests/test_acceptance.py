@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
-per criterion.  The census and sharpness blocks are the slow parts; both
-parallelize over CHEEGER_ATLAS_THREADS (default: all cores).
+per criterion.  The census and sharpness blocks are the slow parts; the
+census forks one process per usable core, which CHEEGER_ATLAS_THREADS can
+lower.
 """
 
 import math

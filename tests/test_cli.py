@@ -294,3 +294,29 @@ class TestVerifyCommand:
         assert run(["verify", "--samples", "3000", "--seed", "1", "--sharpness-res", "8",
                     "--out", str(tmp_path / "out")]) == 2
         assert "arc_segments must be at least 16" in capsys.readouterr().err
+
+
+class TestThreads:
+    def test_bad_value_exit2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CHEEGER_ATLAS_THREADS", "abc")
+        assert run(["sample", "--samples", "40", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: CHEEGER_ATLAS_THREADS must be a positive integer, not 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--samples", "48", "--seed", "5", "--triplet", "dhr"],
+        ["diagram", "--samples", "48", "--seed", "5", "--triplet", "rhr", "--grid", "16", "--format", "svg"],
+        ["verify", "--samples", "48", "--seed", "5", "--sharpness-res", "1024"]])
+    def test_one_or_two_threads_write_the_same_bytes(self, tmp_path, command):
+        # with 2 threads the 48 records are drawn in two forked blocks; each
+        # file and the printed output are as with one, printed once
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            done = subprocess.run([sys.executable, "-m", "cheeger_atlas.cli", *command, "--out", str(out)],
+                                  env={**os.environ, "PYTHONPATH": src, "CHEEGER_ATLAS_THREADS": threads},
+                                  capture_output=True, timeout=120)
+            assert done.returncode == 0 and done.stderr == b""
+            outs.append((out.read_bytes(), done.stdout))
+        assert outs[0] == outs[1]
+        assert outs[0][1] == (outs[0][0] if command[0] == "verify" else b"")

@@ -572,8 +572,10 @@ import sys
 before = set(sys.modules)
 import cheeger_atlas, cheeger_atlas.cli
 cheeger_atlas.evaluate_all(cheeger_atlas.measure(cheeger_atlas.valtr(12, 3)))
+assert len(cheeger_atlas.sample_cloud(40, 3, 30, ("P", "h", "A"), 1, workers=2)) == 40  # two forked blocks
+assert "multiprocessing" not in sys.modules
 # modules the import system found; not the aliases and runtime objects that
-# multiprocessing and Cython extensions put in sys.modules
+# Cython extensions put in sys.modules
 new = {name.partition(".")[0] for name, module in list(sys.modules.items())
        if name not in before and getattr(module, "__spec__", None) is not None}
 from importlib.metadata import packages_distributions
@@ -585,8 +587,9 @@ print(" ".join(sorted({d for m in new - sys.stdlib_module_names for d in dists.g
 
 class TestImport:
     def test_numpy_is_the_one_runtime_dependency(self):
-        # a fresh interpreter imports the package and its CLI and measures
-        # one record; every module this brings in that is not in the
+        # a fresh interpreter imports the package and its CLI, measures
+        # one record and samples a cloud in two forked blocks, without
+        # multiprocessing; every module this brings in that is not in the
         # standard library comes from numpy or the package itself
         src = os.path.dirname(os.path.dirname(cheeger_atlas.__file__))
         out = subprocess.run([sys.executable, "-c", _IMPORTS], capture_output=True, text=True,

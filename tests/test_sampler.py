@@ -1,14 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheeger_atlas import sampler
-from cheeger_atlas.functionals import measure
+from cheeger_atlas import functionals, sampler, verify
+from cheeger_atlas.errors import CheegerAtlasError
+from cheeger_atlas.functionals import FIELDS, Functionals, measure
 from cheeger_atlas.geom import OffsetMachine, walk_block
-from cheeger_atlas.sampler import (cloud_csv, mix, sample_cloud, seeded_polygon, seeded_polygons,
-                                   splitmix64, valtr)
+from cheeger_atlas.sampler import (blocks, cloud_csv, mix, parallel_map, sample_cloud, seeded_polygon,
+                                   seeded_polygons, splitmix64, valtr)
 
 
 class TestValtr:
@@ -143,3 +150,160 @@ class TestSampleCloud:
         recs = sample_cloud(60, 3, 30, ("P", "h", "r"), seed=42, workers=2)
         for rec in recs:
             assert membership("D1_PHR", rec.x, rec.y) == "inside"
+
+
+def _post_inits(monkeypatch) -> list:
+    """Count the checks ``Functionals`` runs from here on: one entry per
+    ``__post_init__``, its record's length (0 for a record of floats)."""
+    calls = []
+    check = Functionals.__post_init__
+
+    def counted(self):
+        calls.append(np.size(self.area) if np.ndim(self.area) else 0)
+        check(self)
+    monkeypatch.setattr(Functionals, "__post_init__", counted)
+    return calls
+
+
+class TestBlockRows:
+    def test_rows_are_not_checked_again(self, monkeypatch):
+        # the block's column is checked, and scaled to A and checked again;
+        # its 60 rows are the records Functionals builds of their fields
+        calls = _post_inits(monkeypatch)
+        recs = sampler._sample_block((0, 60, 1, 3, 30, ("P", "h", "A")))
+        assert calls == [60, 60]
+        for rec in recs:
+            f = rec.functionals
+            fields = [getattr(f, name) for name in FIELDS.values()]
+            assert all(type(v) is float for v in fields)
+            assert f == Functionals(*fields)
+            assert (rec.x, rec.y) == (f.perimeter, f.cheeger)
+
+    def test_failing_column_raises_once(self, monkeypatch):
+        # records 3 and 5 get an h outside [1/r, 2/r]: the block raises
+        # what record 3 raises alone, from the one check of its column
+        solve = functionals.cheeger_constant
+        solved = []
+
+        def bad(poly):
+            res = solve(poly)
+            solved.append(res)
+            k = len(solved) - 1
+            return SimpleNamespace(h=res.h * (3.0 if k == 3 else -1.0 if k == 5 else 1.0))
+        monkeypatch.setattr(functionals, "cheeger_constant", bad)
+        calls = _post_inits(monkeypatch)
+        with pytest.raises(CheegerAtlasError) as err:
+            sampler._sample_block((0, 8, 1, 3, 30, ("P", "h", "A")))
+        assert calls == [8]
+        assert str(err.value).startswith("cheeger constant h=") and str(err.value).count("h=") == 1
+        column = measure(seeded_polygons(1, 0, 8, 3, 30)[2])
+        row = [getattr(column, name)[3].item() for name in FIELDS.values()]
+        row[-1] *= 3.0
+        with pytest.raises(ValueError) as alone:
+            Functionals(*row)
+        assert str(err.value) == str(alone.value)
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.delenv("CHEEGER_ATLAS_THREADS", raising=False)
+
+    def test_usable_cores(self, cores):
+        assert len(blocks(2000, 1, 3, 30)) == 4
+        assert len(blocks(40, 1, 3, 30)) == 2  # at most one block per MIN_BLOCK records
+
+    @pytest.mark.parametrize("value, count", [("1", 1), ("3", 3), ("4", 4), ("64", 4)])
+    def test_variable_only_lowers_the_count(self, cores, monkeypatch, value, count):
+        monkeypatch.setenv("CHEEGER_ATLAS_THREADS", value)
+        assert len(blocks(2000, 1, 3, 30)) == count
+
+    def test_explicit_workers_keep_their_meaning(self, cores, monkeypatch):
+        monkeypatch.setenv("CHEEGER_ATLAS_THREADS", "1")
+        assert len(blocks(2000, 1, 3, 30, workers=6)) == 6
+        assert len(blocks(2000, 1, 3, 30, workers=1)) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2"])
+    def test_bad_value_names_the_variable(self, cores, monkeypatch, value):
+        monkeypatch.setenv("CHEEGER_ATLAS_THREADS", value)
+        with pytest.raises(ValueError, match="CHEEGER_ATLAS_THREADS must be a positive integer"):
+            blocks(2000, 1, 3, 30)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_from(first):
+    """A block function that returns its item below ``first`` and raises from it:
+    item ``first`` a KeyError after a pause, later items at once a ValueError."""
+    def fn(item):
+        if item == first:
+            time.sleep(0.2)
+            raise KeyError(f"block {item}")
+        if item > first:
+            raise ValueError(f"block {item}")
+        return item
+    return fn
+
+
+_DYING_CHILD = """
+import os, sys
+from cheeger_atlas.sampler import parallel_map
+
+def fn(item):
+    if item == 1:
+        os._exit(3)
+    return item
+
+try:
+    parallel_map(fn, [0, 1, 2])
+except ChildProcessError as exc:
+    print("raised:", exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+class TestForkMap:
+    def test_order_with_three_children(self):
+        seed = 23
+        assert len(blocks(48, seed, 3, 30, workers=3)) == 3
+        assert verify.census(48, seed, workers=3) == verify.census(48, seed, workers=1)
+        _no_child_left()
+        triplet = ("d", "h", "r")
+        assert cloud_csv(sample_cloud(48, 3, 30, triplet, seed, workers=3)) == cloud_csv(
+            sample_cloud(48, 3, 30, triplet, seed, workers=1))
+        _no_child_left()
+
+    def test_each_item_runs_in_its_own_child(self):
+        out = parallel_map(lambda k: (k, os.getpid()), list(range(5)))
+        assert [k for k, _ in out] == list(range(5))
+        pids = {pid for _, pid in out}
+        assert len(pids) == 5 and os.getpid() not in pids
+        _no_child_left()
+
+    def test_first_failing_block_raises_its_exception(self):
+        # the second of three blocks raises a KeyError after a pause and the
+        # third a ValueError at once: the second's is read first
+        with pytest.raises(KeyError, match="block 1") as err:
+            parallel_map(_fail_from(1), [0, 1, 2])
+        assert err.type is KeyError
+        _no_child_left()
+
+    def test_dead_child_raises(self):
+        # run apart with a timeout, so a map that waits forever fails here
+        env = {**os.environ, "PYTHONPATH": str(Path(sampler.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", _DYING_CHILD], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "raised: block 1 of 3 ended without a result: its process died", "no child left"]
+
+    def test_no_item_or_one_runs_here(self):
+        assert parallel_map(lambda k: os.getpid(), []) == []
+        assert parallel_map(lambda k: os.getpid(), [0]) == [os.getpid()]
