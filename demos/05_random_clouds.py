@@ -32,12 +32,13 @@ def main():
 
     print("\n-- a reproducible cloud --")
     t0 = time.time()
-    records = sample_cloud(300, 3, 30, ("P", "h", "A"), seed=7)
-    text = cloud_csv(records)
+    # (record seeds, vertex counts, one record of columns), each record at area 1
+    cloud = sample_cloud(300, 3, 30, "A", seed=7)
+    text = cloud_csv(cloud, "P", "h")
     path = os.path.join(OUT, "cloud_pha.csv")
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    again = cloud_csv(sample_cloud(300, 3, 30, ("P", "h", "A"), seed=7))
+    again = cloud_csv(sample_cloud(300, 3, 30, "A", seed=7), "P", "h")
     print(f"300 records in {time.time() - t0:.1f}s -> {path}")
     print(f"byte-identical on replay: {text == again}")
     print("first rows:")

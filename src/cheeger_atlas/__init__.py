@@ -9,7 +9,7 @@ from .functionals import (Functionals, area, circumradius, diameter, inradius, m
                           min_width, perimeter)
 from .geom import (ConvexPolygon, dilate, form_body, inner_parallel, interpolate, minkowski_sum,
                    polygon_from_json, polygon_to_json, support)
-from .sampler import SampleRecord, cloud_csv, mix, sample_cloud, valtr
+from .sampler import cloud_csv, mix, sample_cloud, valtr
 from .shapes import (Ball, ConstantWidthNonagon, Resolution, ShapeSpec, Slice, SmoothedNonagon,
                      Stadium, SubequilateralTriangle, TwoCup, Yamanouti, build, closed_form,
                      solve_param, triangle_functionals)

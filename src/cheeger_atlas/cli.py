@@ -9,9 +9,10 @@ cloud at that unit, and ``sample`` writes the same x, y unless
 ``--normalize`` names another unit (``none`` writes the raw records).
 Numeric output is printed with 17 significant digits; runs with a fixed
 seed are byte-reproducible.  Exit codes: 0 success, 2 validation error,
-3 numeric failure.  ``sample``, ``diagram`` and ``verify`` draw their
-records in blocks, one forked process each, on at most the usable cores;
-CHEEGER_ATLAS_THREADS, a positive integer, can only lower that count.
+3 numeric failure or a block's process that died.  ``sample``, ``diagram``
+and ``verify`` draw their records in blocks, one forked process each, on
+at most the usable cores; CHEEGER_ATLAS_THREADS, a positive integer, can
+only lower that count.
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ def _cmd_sample(args) -> int:
     x_key, y_key, unit, _ = diagrams_mod.DIAGRAM_IDS[TRIPLETS[args.triplet]]
     if args.normalize is not None:
         unit = NORMALIZE[args.normalize]
-    records = sample_cloud(args.samples, args.n_min, args.n_max, (x_key, y_key, unit), args.seed)
+    cloud = sample_cloud(args.samples, args.n_min, args.n_max, unit, args.seed)
     with open(args.out, "w", newline="") as fh:
-        fh.write(cloud_csv(records))
+        fh.write(cloud_csv(cloud, x_key, y_key))
     return 0
 
 
@@ -200,9 +201,12 @@ def _cmd_diagram(args) -> int:
         raise InvalidParam("--samples must be nonnegative")
     spec = diagrams_mod.DiagramSpec(did, x_range=x_range, grid=args.grid)
     lower, upper = diagrams_mod.boundary(spec)
-    records = sample_cloud(args.samples, 3, 30, diagrams_mod.DIAGRAM_IDS[did][:3],
-                           args.seed) if args.samples else []
-    cloud = [diagrams_mod.DiagramPoint(rec.x, rec.y, f"seed:{rec.seed}") for rec in records]
+    cloud = []
+    if args.samples:
+        x_key, y_key, unit, _ = diagrams_mod.DIAGRAM_IDS[did]
+        seeds, _, record = sample_cloud(args.samples, 3, 30, unit, args.seed)
+        cloud = [diagrams_mod.DiagramPoint(x, y, f"seed:{rec_seed}") for x, y, rec_seed
+                 in zip(record.value(x_key).tolist(), record.value(y_key).tolist(), seeds)]
     diagrams_mod.render(cloud, [lower, upper], args.format, args.out)
     return 0
 
@@ -237,6 +241,9 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
+    except ChildProcessError as exc:  # a forked block died: an OSError, but not the caller's
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (InvalidParam, DomainError, PolygonJsonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -40,3 +40,6 @@ class PolygonJsonError(CheegerAtlasError):
         super().__init__(message)
         self.code = code
         self.message = message
+
+    def __reduce__(self):  # both arguments: ``parallel_map`` sends a block's exception pickled
+        return type(self), (self.code, self.message)

@@ -90,6 +90,10 @@ class Functionals:
                              else f"functional chain violated: A={A} P={P} r={r} R={R} d={d} w={w}"
                              if not np.ravel(chain)[i] else f"cheeger constant h={h} outside [1/r, 2/r]")
 
+    def __eq__(self, other):  # field by field, so that columns compare as records of floats do
+        return other.__class__ is self.__class__ and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in FIELDS.values())
+
     def normalized(self, key: str) -> "Functionals":
         """The record of the body scaled by 1/s so that functional ``key``
         (A, P, r, R, d or w) is 1, where s = value(key) ** (1 / EXPONENT[key]):
@@ -100,20 +104,6 @@ class Functionals:
         return Functionals(self.area / (s * s), self.perimeter / s, self.inradius / s,
                            self.circumradius / s, self.diameter / s, self.min_width / s,
                            None if self.cheeger is None else self.cheeger * s)
-
-    def rows(self) -> list["Functionals"]:
-        """The records of a column, one record of floats per row, in order.
-        Each row was checked as part of the column, so it is built without
-        running the checks again, as ``geom.polygon_block`` builds polygons."""
-        n = len(self.area)
-        cols = [[None] * n if col is None else col.tolist()
-                for col in (getattr(self, name) for name in FIELDS.values())]
-        out = []
-        for row in zip(*cols):
-            rec = object.__new__(Functionals)
-            rec.__dict__.update(zip(FIELDS.values(), row))
-            out.append(rec)
-        return out
 
     def value(self, key: str):
         """A functional by its short id (A, P, r, R, d, w or h): a float, or a column's array."""

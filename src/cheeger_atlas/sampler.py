@@ -14,16 +14,15 @@ sorting, differencing, chaining and placement run once for the block
 (``valtr`` of sequences); one polygon is the block of one.  A batch block is measured once, as one
 record of columns (``functionals.measure`` of a list), then scaled so that
 each row's unit functional is 1 (``Functionals.normalized``); a unit of
-None keeps the raw record.  A record's numbers do not depend on its block.
+None keeps the raw record, and a cloud joins its blocks' records into one.
+A record's numbers do not depend on its block.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import signal
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,18 +158,6 @@ def _draw(ns: list[int], keys: list[int]) -> list:
     return polygon_block(verts.take(base + (within + lowest[seg]) % size, axis=0), start)
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One measured random polygon inside a batch run."""
-
-    index: int
-    seed: int
-    vertex_count: int
-    functionals: Functionals
-    x: float
-    y: float
-
-
 def seeded_polygons(master_seed: int, start: int, stop: int, n_min: int,
                     n_max: int) -> tuple[list[int], list[int], list[ConvexPolygon]]:
     """Records start..stop-1 of a batch: (record seeds, vertex counts, drawn
@@ -193,10 +180,11 @@ def seeded_polygon(master_seed: int, index: int, n_min: int,
     return rec_seed, n, poly
 
 
-def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: int,
+def measured_block(block: tuple[int, int, int, int, int],
                    unit: str | None) -> tuple[list[int], list[int], Functionals]:
-    """Records start..stop-1 of a batch: (record seeds, vertex counts, the
-    block's record of columns with the Cheeger constant).
+    """The records of a ``block`` (start, stop, seed, n_min, n_max) of
+    ``blocks``: (record seeds, vertex counts, the block's record of columns
+    with the Cheeger constant).
 
     The block is drawn and measured once, each as one column
     (``seeded_polygons``, then ``functionals.measure`` of the block); its
@@ -204,16 +192,10 @@ def measured_block(master_seed: int, start: int, stop: int, n_min: int, n_max: i
     (``Functionals.normalized``), or kept raw when ``unit`` is None.  A
     record's numbers do not depend on the block it lands in.
     """
+    start, stop, master_seed, n_min, n_max = block
     seeds, ns, polys = seeded_polygons(master_seed, start, stop, n_min, n_max)
     record = measure(polys)
     return seeds, ns, record if unit is None else record.normalized(unit)
-
-
-def _sample_block(args) -> list[SampleRecord]:
-    start, stop, master_seed, n_min, n_max, (x_key, y_key, unit) = args
-    seeds, ns, column = measured_block(master_seed, start, stop, n_min, n_max, unit)
-    return [SampleRecord(index, rec_seed, n, f, f.value(x_key), f.value(y_key))
-            for index, rec_seed, n, f in zip(range(start, stop), seeds, ns, column.rows())]
 
 
 def blocks(count: int, seed: int, n_min: int, n_max: int,
@@ -300,33 +282,31 @@ def _child(fn, item, fd: int) -> None:
         os._exit(0)
 
 
-def sample_cloud(count: int, n_min: int, n_max: int, triplet: tuple[str, str, str | None],
-                 seed: int, workers: int | None = None) -> list[SampleRecord]:
-    """Measured records for ``count`` random polygons.
+def sample_cloud(count: int, n_min: int, n_max: int, unit: str | None, seed: int,
+                 workers: int | None = None) -> tuple[list[int], list[int], Functionals]:
+    """``count`` random polygons measured as ``measured_block`` measures one
+    block: (record seeds, vertex counts, one record of columns, scaled so
+    that the functional ``unit`` is 1, or raw when ``unit`` is None).
 
-    ``triplet`` = (x functional, y functional, unit): each record is scaled
-    so that the unit functional (A, P, r, R, d or w) is 1, or kept raw
-    when the unit is None, and (x, y) are read off the scaled record.
     Vertex counts are uniform on [n_min, n_max]; record i uses the derived
     seed mix(seed, i), so output is order-independent and replayable.  The
     records are split into contiguous blocks as the census splits them
-    (``blocks``), and each block is measured as one column
-    (``measured_block``).
+    (``blocks``), and the blocks' records are joined in block order.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    args = [(*block, triplet) for block in blocks(count, seed, n_min, n_max, workers)]
-    if triplet[2] is not None and triplet[2] not in EXPONENT:
-        raise ValueError(f"unknown unit {triplet[2]!r}")
-    return [rec for block in parallel_map(_sample_block, args) for rec in block]
+    parts = blocks(count, seed, n_min, n_max, workers)
+    if unit is not None and unit not in EXPONENT:
+        raise ValueError(f"unknown unit {unit!r}")
+    seeds, ns, records = zip(*parallel_map(lambda block: measured_block(block, unit), parts))
+    return ([s for part in seeds for s in part], [n for part in ns for n in part],
+            Functionals(*(np.concatenate([getattr(r, name) for r in records]) for name in FIELDS.values())))
 
 
-def cloud_csv(records: list[SampleRecord]) -> str:
-    """Deterministic CSV: index, seed, n, A, P, r, R, d, w, h, x, y."""
-    buf = io.StringIO()
-    buf.write("index,seed,n,A,P,r,R,d,w,h,x,y\n")
-    g = lambda v: format(v, ".17g")
-    for r in records:
-        buf.write(",".join([str(r.index), str(r.seed), str(r.vertex_count),
-                            *(g(r.functionals.value(k)) for k in FIELDS), g(r.x), g(r.y)]) + "\n")
-    return buf.getvalue()
+def cloud_csv(cloud: tuple[list[int], list[int], Functionals], x_key: str, y_key: str) -> str:
+    """Deterministic CSV of a ``sample_cloud``: index, seed, n, A, P, r, R,
+    d, w, h, x, y, with x and y its functionals ``x_key`` and ``y_key``."""
+    seeds, ns, record = cloud
+    cols = [[format(v, ".17g") for v in record.value(k).tolist()] for k in (*FIELDS, x_key, y_key)]
+    rows = [("index", "seed", "n", *FIELDS, "x", "y"), *zip(range(len(seeds)), seeds, ns, *cols)]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)

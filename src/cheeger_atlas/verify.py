@@ -41,13 +41,12 @@ SUBEQ_BOUNDS = ("HWR_LO", "HRD_UP", "HDW_UP_TRI", "HRW_UP_TRI", "HAW_UP_TRI", "H
 EQUILATERAL_BOUNDS = ("HRW_UP_EXPLICIT", "HDW_UP_YAM")
 
 
-def _census_block(args) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Records start..stop-1 of a census, drawn and measured as one column
+def _census_block(block) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """A census block of ``sampler.blocks``, drawn and measured as one column
     (``sampler.measured_block``), then the registry on that record:
     (record seeds, status codes, slacks), the arrays ids by records.  A
     polygon whose walk fails raises when its record is measured, as alone."""
-    start, stop, master_seed, n_min, n_max = args
-    seeds, _, record = measured_block(master_seed, start, stop, n_min, n_max, "A")
+    seeds, _, record = measured_block(block, "A")
     table = evaluate_all(record)
     return seeds, table.status, table.slack
 

@@ -829,7 +829,7 @@ class TestCensusBlocks:
         # the fold of a block's arrays against the fold of its result view,
         # one result at a time
         block = verify._census_block((0, 60, 5, 3, 30))
-        record = verify.measured_block(5, 0, 60, 3, 30, "A")[2]
+        record = verify.measured_block((0, 60, 5, 3, 30), "A")[2]
         want = {bid: {"min_slack": None, "argmin_seed": None, "evaluated": 0,
                       "not_applicable": 0, "no_root": 0} for bid in BOUND_IDS}
         for i, r in enumerate(evaluate_all(record)):

@@ -296,6 +296,23 @@ class TestVerifyCommand:
         assert "arc_segments must be at least 16" in capsys.readouterr().err
 
 
+_DEAD_BLOCK = """
+import os, sys
+from cheeger_atlas import cli, sampler, verify
+
+measured = sampler.measured_block
+sampler.worker_count = lambda jobs: 2
+sampler.measured_block = verify.measured_block = (
+    lambda block, unit: os._exit(3) if block[0] > 0 else measured(block, unit))
+code = cli.run(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+print("exit", code)
+"""
+
+
 class TestThreads:
     def test_bad_value_exit2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CHEEGER_ATLAS_THREADS", "abc")
@@ -320,3 +337,18 @@ class TestThreads:
             outs.append((out.read_bytes(), done.stdout))
         assert outs[0] == outs[1]
         assert outs[0][1] == (outs[0][0] if command[0] == "verify" else b"")
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--samples", "48", "--seed", "5"],
+        ["diagram", "--samples", "48", "--seed", "5", "--triplet", "rhr", "--grid", "16"],
+        ["verify", "--samples", "48", "--seed", "5", "--sharpness-res", "1024"]])
+    def test_dead_block_is_not_a_usage_error(self, tmp_path, command):
+        # the second of two forked blocks dies: exit 3, with no usage line;
+        # run apart with a timeout, as the block's process exits
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", _DEAD_BLOCK, *command, "--out", str(tmp_path / "out")],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["no child left", "exit 3"]
+        assert done.stderr == "error: block 1 of 2 ended without a result: its process died\n"

@@ -183,6 +183,6 @@ class TestRender:
 
     def test_cloud_between_curves(self):
         from cheeger_atlas.sampler import sample_cloud
-        recs = sample_cloud(25, 3, 20, ("P", "h", "r"), seed=8, workers=2)
-        for rec in recs:
-            assert membership("D1_PHR", rec.x, rec.y) == "inside"
+        _, _, rec = sample_cloud(25, 3, 20, "r", seed=8, workers=2)
+        for x, y in zip(rec.perimeter.tolist(), rec.cheeger.tolist()):
+            assert membership("D1_PHR", x, y) == "inside"

@@ -537,7 +537,7 @@ class TestEdgeData:
         # shared by diameter and width); the np.roll formulas made 11 and 2
         # per record, the antipodes of one polygon at a time 0 and 1
         calls = _counted(monkeypatch, np, "roll", "unwrap")
-        measured_block(1, 0, 10, 3, 30, "A")
+        measured_block((0, 10, 1, 3, 30), "A")
         assert calls == {"roll": 0, "unwrap": 1}
 
     def test_one_caliper_pass_per_block(self, monkeypatch):
@@ -572,7 +572,7 @@ import sys
 before = set(sys.modules)
 import cheeger_atlas, cheeger_atlas.cli
 cheeger_atlas.evaluate_all(cheeger_atlas.measure(cheeger_atlas.valtr(12, 3)))
-assert len(cheeger_atlas.sample_cloud(40, 3, 30, ("P", "h", "A"), 1, workers=2)) == 40  # two forked blocks
+assert len(cheeger_atlas.sample_cloud(40, 3, 30, "A", 1, workers=2)[2].area) == 40  # two forked blocks
 assert "multiprocessing" not in sys.modules
 # modules the import system found; not the aliases and runtime objects that
 # Cython extensions put in sys.modules

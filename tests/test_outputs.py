@@ -51,8 +51,8 @@ def test_census_report(seed, digest):
 def test_sample_csv(triplet, digest):
     # 200 records at seed 1, n in 3..30 (the command line's defaults)
     x_key, y_key, unit, _ = diagrams.DIAGRAM_IDS[TRIPLETS[triplet]]
-    records = sample_cloud(200, 3, 30, (x_key, y_key, unit), 1, workers=1)
-    assert _sha256(cloud_csv(records)) == digest
+    records = sample_cloud(200, 3, 30, unit, 1, workers=1)
+    assert _sha256(cloud_csv(records, x_key, y_key)) == digest
 
 
 @pytest.mark.parametrize("fmt, digest", [

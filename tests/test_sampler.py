@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheeger_atlas import functionals, sampler, verify
-from cheeger_atlas.errors import CheegerAtlasError
+from cheeger_atlas.errors import CheegerAtlasError, PolygonJsonError
 from cheeger_atlas.functionals import FIELDS, Functionals, measure
 from cheeger_atlas.geom import OffsetMachine, walk_block
-from cheeger_atlas.sampler import (blocks, cloud_csv, mix, parallel_map, sample_cloud, seeded_polygon,
-                                   seeded_polygons, splitmix64, valtr)
+from cheeger_atlas.sampler import (blocks, cloud_csv, measured_block, mix, parallel_map, sample_cloud,
+                                   seeded_polygon, seeded_polygons, splitmix64, valtr)
 
 
 class TestValtr:
@@ -104,25 +105,26 @@ class TestBlockDraw:
 
 class TestSampleCloud:
     def test_single_record_triplet(self):
-        rec, = sample_cloud(1, 5, 5, ("P", "h", "r"), seed=3, workers=1)
-        assert rec.functionals.inradius == pytest.approx(1.0, abs=1e-12)
-        assert rec.x == rec.functionals.perimeter
-        assert rec.y == rec.functionals.cheeger
+        cloud = seeds, ns, rec = sample_cloud(1, 5, 5, "r", seed=3, workers=1)
+        assert (seeds, ns) == ([mix(3, 0)], [5])
+        assert rec.inradius == pytest.approx([1.0], abs=1e-12)
+        row = cloud_csv(cloud, "P", "h").splitlines()[1].split(",")
+        assert row[-2:] == [format(rec.perimeter[0], ".17g"), format(rec.cheeger[0], ".17g")]
 
     def test_byte_identical_replay(self):
-        a = cloud_csv(sample_cloud(20, 3, 12, ("P", "h", "A"), seed=11, workers=1))
-        b = cloud_csv(sample_cloud(20, 3, 12, ("P", "h", "A"), seed=11, workers=2))
+        a = cloud_csv(sample_cloud(20, 3, 12, "A", seed=11, workers=1), "P", "h")
+        b = cloud_csv(sample_cloud(20, 3, 12, "A", seed=11, workers=2), "P", "h")
         assert a == b
         assert a.splitlines()[0] == "index,seed,n,A,P,r,R,d,w,h,x,y"
         assert "\r" not in a
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sample_cloud(0, 3, 30, ("P", "h", "A"), seed=1)
+            sample_cloud(0, 3, 30, "A", seed=1)
         with pytest.raises(ValueError):
-            sample_cloud(1, 2, 30, ("P", "h", "A"), seed=1)
+            sample_cloud(1, 2, 30, "A", seed=1)
         with pytest.raises(ValueError):
-            sample_cloud(1, 3, 30, ("P", "h", "area"), seed=1)
+            sample_cloud(1, 3, 30, "area", seed=1)
 
     def test_one_machine_per_block(self, monkeypatch):
         # the records of a block are measured once and scaled, so scaling to
@@ -134,9 +136,9 @@ class TestSampleCloud:
             built.append(len(polys))
             init(self, polys)
         monkeypatch.setattr(OffsetMachine, "__init__", counted)
-        sample_cloud(40, 3, 30, ("R", "h", "r"), seed=1, workers=1)
+        sample_cloud(40, 3, 30, "r", seed=1, workers=1)
         assert built == [40]
-        sample_cloud(40, 3, 30, ("w", "h", "A"), seed=1, workers=1)
+        sample_cloud(40, 3, 30, "A", seed=1, workers=1)
         assert built == [40, 40]
         polys = [valtr(n, n) for n in range(3, 9)]
         walk_block(polys)
@@ -147,9 +149,42 @@ class TestSampleCloud:
 
     def test_d1_membership(self):
         from cheeger_atlas.diagrams import membership
-        recs = sample_cloud(60, 3, 30, ("P", "h", "r"), seed=42, workers=2)
-        for rec in recs:
-            assert membership("D1_PHR", rec.x, rec.y) == "inside"
+        _, _, rec = sample_cloud(60, 3, 30, "r", seed=42, workers=2)
+        for x, y in zip(rec.perimeter.tolist(), rec.cheeger.tolist()):
+            assert membership("D1_PHR", x, y) == "inside"
+
+    @pytest.mark.parametrize("unit", ["A", "r", None])
+    def test_cloud_is_its_blocks_joined(self, unit):
+        # the same record for 1, 2 and 3 workers, and the blocks' records
+        # of measured_block joined in block order
+        clouds = [sample_cloud(48, 3, 30, unit, 9, workers=k) for k in (1, 2, 3)]
+        assert clouds[0] == clouds[1] == clouds[2]
+        _no_child_left()
+        parts = [measured_block(block, unit) for block in blocks(48, 9, 3, 30, workers=3)]
+        joined = Functionals(*(np.concatenate([getattr(part[2], name) for part in parts])
+                               for name in FIELDS.values()))
+        assert clouds[2] == ([s for part in parts for s in part[0]], [n for part in parts for n in part[1]],
+                             joined)
+        assert clouds[2][2] != parts[0][2]
+
+
+class TestRecordEquality:
+    def test_columns_compare_field_by_field(self):
+        seeds, _, column = sample_cloud(20, 3, 30, "A", 4, workers=1)
+        again = sample_cloud(20, 3, 30, "A", 4, workers=1)[2]
+        assert column is not again and column == again and not column != again
+        other = sample_cloud(20, 3, 30, "A", 5, workers=1)[2]
+        assert column != other
+        assert column != sample_cloud(19, 3, 30, "A", 4, workers=1)[2]  # a shorter column
+        assert column != column.normalized("r")
+
+    def test_records_of_floats_compare_as_before(self):
+        f = measure(valtr(7, 3))
+        fields = [getattr(f, name) for name in FIELDS.values()]
+        assert f == Functionals(*fields)
+        assert f != Functionals(*fields[:6])  # no Cheeger constant
+        assert f != f.normalized("d")
+        assert (f == "a record") is False
 
 
 def _post_inits(monkeypatch) -> list:
@@ -166,18 +201,16 @@ def _post_inits(monkeypatch) -> list:
 
 
 class TestBlockRows:
-    def test_rows_are_not_checked_again(self, monkeypatch):
-        # the block's column is checked, and scaled to A and checked again;
-        # its 60 rows are the records Functionals builds of their fields
+    def test_only_columns_are_checked(self, monkeypatch):
+        # a block's column is checked, and scaled to A and checked again; a
+        # cloud of one block checks the joined column once more, and no
+        # record of one row is ever built
         calls = _post_inits(monkeypatch)
-        recs = sampler._sample_block((0, 60, 1, 3, 30, ("P", "h", "A")))
+        measured_block((0, 60, 1, 3, 30), "A")
         assert calls == [60, 60]
-        for rec in recs:
-            f = rec.functionals
-            fields = [getattr(f, name) for name in FIELDS.values()]
-            assert all(type(v) is float for v in fields)
-            assert f == Functionals(*fields)
-            assert (rec.x, rec.y) == (f.perimeter, f.cheeger)
+        seeds, ns, column = sample_cloud(60, 3, 30, "A", 1, workers=1)
+        assert calls == [60, 60, 60, 60, 60]
+        assert len(seeds) == len(ns) == len(column.area) == 60
 
     def test_failing_column_raises_once(self, monkeypatch):
         # records 3 and 5 get an h outside [1/r, 2/r]: the block raises
@@ -193,7 +226,7 @@ class TestBlockRows:
         monkeypatch.setattr(functionals, "cheeger_constant", bad)
         calls = _post_inits(monkeypatch)
         with pytest.raises(CheegerAtlasError) as err:
-            sampler._sample_block((0, 8, 1, 3, 30, ("P", "h", "A")))
+            measured_block((0, 8, 1, 3, 30), "A")
         assert calls == [8]
         assert str(err.value).startswith("cheeger constant h=") and str(err.value).count("h=") == 1
         column = measure(seeded_polygons(1, 0, 8, 3, 30)[2])
@@ -275,9 +308,7 @@ class TestForkMap:
         assert len(blocks(48, seed, 3, 30, workers=3)) == 3
         assert verify.census(48, seed, workers=3) == verify.census(48, seed, workers=1)
         _no_child_left()
-        triplet = ("d", "h", "r")
-        assert cloud_csv(sample_cloud(48, 3, 30, triplet, seed, workers=3)) == cloud_csv(
-            sample_cloud(48, 3, 30, triplet, seed, workers=1))
+        assert sample_cloud(48, 3, 30, "r", seed, workers=3) == sample_cloud(48, 3, 30, "r", seed, workers=1)
         _no_child_left()
 
     def test_each_item_runs_in_its_own_child(self):
@@ -293,6 +324,21 @@ class TestForkMap:
         with pytest.raises(KeyError, match="block 1") as err:
             parallel_map(_fail_from(1), [0, 1, 2])
         assert err.type is KeyError
+        _no_child_left()
+
+    def test_polygon_json_error_crosses_the_pipe(self):
+        # the exception a block raises is pickled back to this process
+        exc = pickle.loads(pickle.dumps(PolygonJsonError("bad-vertex", "vertex 2 is not finite")))
+        assert type(exc) is PolygonJsonError and (exc.code, exc.message) == ("bad-vertex", "vertex 2 is not finite")
+        assert str(exc) == "vertex 2 is not finite"
+
+        def fn(item):
+            if item == 1:
+                raise PolygonJsonError("bad-vertex", f"block {item}")
+            return item
+        with pytest.raises(PolygonJsonError, match="block 1") as err:
+            parallel_map(fn, [0, 1])
+        assert err.value.code == "bad-vertex"
         _no_child_left()
 
     def test_dead_child_raises(self):
