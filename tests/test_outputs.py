@@ -10,6 +10,8 @@ h.  The nine diagrams' boundary curves (each curve evaluated at its own
 unit, the implicit ones one family at a time) and the sharpness rows at
 resolution 8192 (the registry on the 13 extremal bodies as one column) are
 pinned as computed before the registry's root solves took columns only.
+The benchmark's own ``diagram`` command, as SVG and as CSV, is pinned as
+computed before a cloud reached the renderer as columns.
 A change that moves a bit of these outputs updates the pin and says why.
 """
 
@@ -78,6 +80,19 @@ def test_measure_and_cheeger_commands(command, digest, tmp_path, capsys):
     poly.write_text(polygon_to_json(valtr(12, 3)) + "\n")
     assert run([command, "--in", str(poly)]) == 0
     assert _sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("svg", "c377ecc014f70bfb1089e86e141aad3d921bf754323ca886345ac0e563685c67"),
+    ("csv", "41a5167e40ae4d5f8e381d1069813244808cf3359a3e8031386cfba9f2468ede"),
+])
+def test_diagram_command(fmt, digest, tmp_path):
+    # the benchmark's cli_diagram command at seed 1: the cloud of 250 records
+    # over the (R, h, r) curves; the csv holds the cloud rows, then both curves
+    out = tmp_path / f"d.{fmt}"
+    assert run(["diagram", "--triplet", "rhr", "--samples", "250", "--seed", "1",
+                "--format", fmt, "--out", str(out)]) == 0
+    assert _sha256(out.read_text()) == digest
 
 
 def test_boundary_curves():
