@@ -2,7 +2,7 @@
 
 from .bounds import BoundResult, BoundTable, arcsinc, d0, dstar, evaluate_all, psi, registry_csv
 from .cheeger import CheegerResult, ImplicitRootProblem, cheeger_constant, smallest_crossing
-from .diagrams import DiagramPoint, DiagramSpec, boundary, membership, render
+from .diagrams import boundary, membership, render
 from .errors import (CheegerAtlasError, DegenerateInput, DomainError, InvalidParam,
                      NoConvergence, PolygonJsonError, Unreachable, Unsupported)
 from .functionals import (Functionals, area, circumradius, diameter, inradius, measure,

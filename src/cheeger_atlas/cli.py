@@ -3,10 +3,11 @@
 Subcommands: shape, measure, cheeger, bounds, sample, diagram, verify.
 ``bounds`` evaluates the whole registry at the polygon's functionals and
 Cheeger constant; its implicit bounds are crossings of g(t) = pi t^2,
-solved to 1e-13 of their domain.  A ``--triplet`` names a diagram, whose
-axes and unit come from ``diagrams.DIAGRAM_IDS``.  ``diagram`` draws its
-cloud at that unit, and ``sample`` writes the same x, y unless
-``--normalize`` names another unit (``none`` writes the raw records).
+solved to 1e-13 of their domain.  A ``--triplet`` is the alias of a row of
+``diagrams.DIAGRAM_IDS``, which gives the diagram's axes and unit.
+``diagram`` draws its cloud at that unit, as columns, and ``sample``
+writes the same x, y unless ``--normalize`` names another unit (``none``
+writes the raw records).
 Numeric output is printed with 17 significant digits; runs with a fixed
 seed are byte-reproducible.  Exit codes: 0 success, 2 validation error,
 3 numeric failure or a block's process that died.  ``sample``, ``diagram``
@@ -34,17 +35,7 @@ from .sampler import cloud_csv, sample_cloud
 G17 = lambda v: format(v, ".17g")
 
 # triplet alias -> diagram id
-TRIPLETS = {
-    "phr": "D1_PHR",
-    "rhr": "D2_RHR",
-    "dhr": "D3_DHR",
-    "hwd": "HWD",
-    "hwr-circ": "HWR_CIRC",
-    "hwp": "HWP",
-    "hwa": "HWA",
-    "hrd": "HRD",
-    "hwr-in": "HWR_IN",
-}
+TRIPLETS = {row.alias: did for did, row in diagrams_mod.DIAGRAM_IDS.items()}
 # --normalize spelling -> unit functional (None: raw records)
 NORMALIZE = {"area": "A", "inradius": "r", "diameter": "d", "none": None}
 
@@ -181,12 +172,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_sample(args) -> int:
     if args.samples < 1:
         raise InvalidParam("--samples must be at least 1")
-    x_key, y_key, unit, _ = diagrams_mod.DIAGRAM_IDS[TRIPLETS[args.triplet]]
-    if args.normalize is not None:
-        unit = NORMALIZE[args.normalize]
+    row = diagrams_mod.DIAGRAM_IDS[TRIPLETS[args.triplet]]
+    unit = row.unit if args.normalize is None else NORMALIZE[args.normalize]
     cloud = sample_cloud(args.samples, args.n_min, args.n_max, unit, args.seed)
     with open(args.out, "w", newline="") as fh:
-        fh.write(cloud_csv(cloud, x_key, y_key))
+        fh.write(cloud_csv(cloud, row.x, row.y))
     return 0
 
 
@@ -199,15 +189,13 @@ def _cmd_diagram(args) -> int:
         x_range = (args.x_min, args.x_max)
     if args.samples < 0:
         raise InvalidParam("--samples must be nonnegative")
-    spec = diagrams_mod.DiagramSpec(did, x_range=x_range, grid=args.grid)
-    lower, upper = diagrams_mod.boundary(spec)
-    cloud = []
+    lower, upper = diagrams_mod.boundary(did, x_range, args.grid)
+    x, y, seeds = [], [], []
     if args.samples:
-        x_key, y_key, unit, _ = diagrams_mod.DIAGRAM_IDS[did]
-        seeds, _, record = sample_cloud(args.samples, 3, 30, unit, args.seed)
-        cloud = [diagrams_mod.DiagramPoint(x, y, f"seed:{rec_seed}") for x, y, rec_seed
-                 in zip(record.value(x_key).tolist(), record.value(y_key).tolist(), seeds)]
-    diagrams_mod.render(cloud, [lower, upper], args.format, args.out)
+        row = diagrams_mod.DIAGRAM_IDS[did]
+        seeds, _, record = sample_cloud(args.samples, 3, 30, row.unit, args.seed)
+        x, y = record.value(row.x), record.value(row.y)
+    diagrams_mod.render(x, y, [f"seed:{s}" for s in seeds], [lower, upper], args.format, args.out)
     return 0
 
 

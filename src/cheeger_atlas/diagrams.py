@@ -1,19 +1,20 @@
 """Blaschke-Santalo diagram boundaries, membership tests, and rendering.
 
-The three solved diagrams (P, h, r), (R, h, r) and (d, h, r) have complete
-lower/upper curves; the partially solved width diagrams expose only their
-proven pieces and answer "unknown" in between.  ``DIAGRAM_IDS`` holds each
-diagram's x, y and unit functionals, ``CURVES`` the registry bound ids of
-its proven curves.  ``curve`` evaluates one with the unit functional 1, on
-a whole grid of abscissae at once, NaN where it has no value: an implicit
-lower curve is one column crossing, a triangle upper curve the closed-form
-match of the grid's subequilateral triangles (``shapes.subeq_from``).
+``DIAGRAM_IDS`` holds one row per diagram: its alias, axes, unit, x-range
+and the registry bound ids of its proven curves.  The three solved
+diagrams (P, h, r), (R, h, r) and (d, h, r) have complete lower/upper
+curves; the partially solved width diagrams expose only their proven
+pieces and answer "unknown" in between.  ``curve`` evaluates one with the
+unit functional 1, on a whole grid of abscissae at once, NaN where it has
+no value: an implicit lower curve is one column crossing, a triangle upper
+curve the closed-form match of the grid's subequilateral triangles
+(``shapes.subeq_from``).  A cloud is rendered from its x and y columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,37 +24,32 @@ from .errors import DomainError
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
 
-# diagram id -> (x functional, y functional, unit functional, x-range): the
-# one table of a diagram's axes; its curves and clouds are drawn with the unit
-# functional 1. An x-range upper bound of None means unbounded to the right
+
+class Diagram(NamedTuple):
+    """One diagram, drawn with the unit functional 1.  An x-range upper end
+    of None is unbounded.  ``lower`` and ``upper`` are sharp registry bounds
+    at the unit; None: unproven; a pair: the first up to x = sqrt(3)/2."""
+
+    alias: str
+    x: str
+    y: str
+    unit: str
+    x_range: tuple[float, float | None]
+    lower: str | None
+    upper: str | tuple[str, str]
+    solved: bool = False
+
+
 DIAGRAM_IDS = {
-    "D1_PHR": ("P", "h", "r", (2 * PI, None)),
-    "D2_RHR": ("R", "h", "r", (1.0, None)),
-    "D3_DHR": ("d", "h", "r", (2.0, None)),
-    "HWD": ("w", "h", "d", (0.0, 1.0)),
-    "HWR_CIRC": ("w", "h", "R", (0.0, 2.0)),
-    "HWP": ("w", "h", "P", (0.0, 1.0 / PI)),
-    "HWA": ("w", "h", "A", (0.0, 3.0 ** 0.25)),
-    "HRD": ("R", "h", "d", (0.5, 1.0 / SQRT3)),
-    "HWR_IN": ("w", "h", "r", (2.0, 3.0)),
-}
-
-SOLVED = ("D1_PHR", "D2_RHR", "D3_DHR")
-
-# diagram id -> (lower, upper) registry bound ids: every proven boundary piece
-# is one of the sharp inequalities at the diagram's unit.  None: no proven
-# lower curve.  HWD's upper curve is the triangle bound up to x = sqrt(3)/2
-# and the Yamanouti bound past it
-CURVES = {
-    "D1_PHR": ("HRP_LO", "HRP_UP"),
-    "D2_RHR": ("HRR_LO_IMPLICIT", "HRR_UP"),
-    "D3_DHR": ("HDR_LO_IMPLICIT", "HDR_UP"),
-    "HWD": ("HDW_LO_IMPLICIT", ("HDW_UP_TRI", "HDW_UP_YAM")),
-    "HWR_CIRC": ("HRW_LO_IMPLICIT", "HRW_UP_TRI"),
-    "HWP": ("HWP_LO", "HWP_UP_TRI"),
-    "HWA": ("HAW_LO", "HAW_UP_TRI"),
-    "HRD": (None, "HRD_UP"),
-    "HWR_IN": ("HWR_LO", "HWR_UP"),
+    "D1_PHR": Diagram("phr", "P", "h", "r", (2 * PI, None), "HRP_LO", "HRP_UP", solved=True),
+    "D2_RHR": Diagram("rhr", "R", "h", "r", (1.0, None), "HRR_LO_IMPLICIT", "HRR_UP", solved=True),
+    "D3_DHR": Diagram("dhr", "d", "h", "r", (2.0, None), "HDR_LO_IMPLICIT", "HDR_UP", solved=True),
+    "HWD": Diagram("hwd", "w", "h", "d", (0.0, 1.0), "HDW_LO_IMPLICIT", ("HDW_UP_TRI", "HDW_UP_YAM")),
+    "HWR_CIRC": Diagram("hwr-circ", "w", "h", "R", (0.0, 2.0), "HRW_LO_IMPLICIT", "HRW_UP_TRI"),
+    "HWP": Diagram("hwp", "w", "h", "P", (0.0, 1.0 / PI), "HWP_LO", "HWP_UP_TRI"),
+    "HWA": Diagram("hwa", "w", "h", "A", (0.0, 3.0 ** 0.25), "HAW_LO", "HAW_UP_TRI"),
+    "HRD": Diagram("hrd", "R", "h", "d", (0.5, 1.0 / SQRT3), None, "HRD_UP"),
+    "HWR_IN": Diagram("hwr-in", "w", "h", "r", (2.0, 3.0), "HWR_LO", "HWR_UP"),
 }
 
 # cap for log-spaced grids on unbounded ranges, relative to the left endpoint
@@ -61,61 +57,54 @@ UNBOUNDED_SPAN = 100.0
 MEMBERSHIP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
-    """A named diagram with a concrete x-grid."""
-
-    id: str
-    x_range: tuple[float, float] | None = None
-    grid: int = 512
-
-    def __post_init__(self):
-        if self.id not in DIAGRAM_IDS:
-            raise DomainError(f"unknown diagram id {self.id!r}")
-        lo, hi = DIAGRAM_IDS[self.id][3]
-        if self.x_range is not None:
-            a, b = self.x_range
-            if not (lo <= a < b and (hi is None or b <= hi * (1 + 1e-12))):
-                raise DomainError(f"x-range {self.x_range} outside admissible [{lo}, {hi}]")
-        if self.grid < 2:
-            raise DomainError("grid must have at least 2 points")
-
-    def xs(self) -> np.ndarray:
-        lo, hi = DIAGRAM_IDS[self.id][3]
-        if self.x_range is not None:
-            a, b = self.x_range
-            return np.linspace(a, b, self.grid)
-        if hi is None:
-            # log spacing keeps detail near the ball point
-            return np.exp(np.linspace(np.log(lo), np.log(lo * UNBOUNDED_SPAN), self.grid))
-        lo_eff = lo if lo > 0 else hi * 1e-3
-        return np.linspace(lo_eff, hi, self.grid)
+def _diagram(diagram_id: str) -> Diagram:
+    try:
+        return DIAGRAM_IDS[diagram_id]
+    except KeyError:
+        raise DomainError(f"unknown diagram id {diagram_id!r}") from None
 
 
-@dataclass(frozen=True)
-class DiagramPoint:
-    x: float
-    y: float
-    provenance: str = ""
+def x_grid(diagram_id: str, x_range: tuple[float, float] | None = None,
+           grid: int = 512) -> np.ndarray:
+    """``grid`` abscissae of a diagram, evenly over ``x_range``, a finite,
+    non-empty range inside the diagram's; without one over the diagram's
+    range, log-spaced up to ``UNBOUNDED_SPAN`` times its left end when it is
+    unbounded.  A grid of fewer than 2 points, or a range that is not
+    finite, is empty or reversed, or leaves the diagram's, raises DomainError.
+    """
+    lo, hi = _diagram(diagram_id).x_range
+    if grid < 2:
+        raise DomainError("grid must have at least 2 points")
+    if x_range is None and hi is None:
+        # log spacing keeps detail near the ball point
+        return np.exp(np.linspace(np.log(lo), np.log(lo * UNBOUNDED_SPAN), grid))
+    if x_range is None:
+        return np.linspace(lo if lo > 0 else hi * 1e-3, hi, grid)
+    a, b = x_range
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"x-range {x_range} is not finite")
+    if not a < b:
+        raise DomainError(f"x-range {x_range} is empty or reversed")
+    if a < lo or (hi is not None and b > hi * (1 + 1e-12)):
+        raise DomainError(f"x-range {x_range} outside admissible [{lo}, {hi}]")
+    return np.linspace(a, b, grid)
 
 
 def curve(diagram_id: str, side: str, x):
     """The proven ``side`` ("lower" or "upper") curve of a diagram at x: its
-    ``CURVES`` bound with the diagram's x functional at x and unit functional 1.
+    row's bound with the diagram's x functional at x and unit functional 1.
 
     A float x gives a float and an array x an array, NaN where there is no
     value, such as past the equilateral end of a triangle curve.  An
     unknown diagram id or side raises DomainError.
     """
-    if diagram_id not in DIAGRAM_IDS:
-        raise DomainError(f"unknown diagram id {diagram_id!r}")
+    row = _diagram(diagram_id)
     if side not in ("lower", "upper"):
         raise DomainError(f"unknown curve side {side!r}: expected 'lower' or 'upper'")
-    x_key, _, unit, _ = DIAGRAM_IDS[diagram_id]
-    bid = CURVES[diagram_id][("lower", "upper").index(side)]
+    bid = row.lower if side == "lower" else row.upper
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.full(xs.shape, np.nan)
-    value = lambda b: bounds.bound_value(b, **{x_key: xs, unit: 1.0})
+    value = lambda b: bounds.bound_value(b, **{row.x: xs, row.unit: 1.0})
     with np.errstate(all="ignore"):
         if isinstance(bid, tuple):
             ys = np.where(xs <= SQRT3 / 2, value(bid[0]), value(bid[1]))
@@ -124,21 +113,19 @@ def curve(diagram_id: str, side: str, x):
     return ys if np.ndim(x) else float(ys[0])
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    keep = np.isfinite(ys)
-    return np.column_stack((xs[keep], ys[keep]))
-
-
-def boundary(spec: DiagramSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) curves as (k, 2) arrays of samples; empty where unproven.
+def boundary(diagram_id: str, x_range: tuple[float, float] | None = None,
+             grid: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) curves as (k, 2) arrays of samples on ``x_grid``;
+    empty where unproven.
 
     Each curve is computed on the whole grid at once, and the grid points
     where it has no value (such as x = 0 of a width diagram) are left out.
     For D3 the implicit lower curve automatically realizes the smoothed
     nonagon branch below d0() and the slice branch above it.
     """
-    xs = spec.xs()
-    return _points(xs, curve(spec.id, "lower", xs)), _points(xs, curve(spec.id, "upper", xs))
+    xs = x_grid(diagram_id, x_range, grid)
+    curves = (np.column_stack((xs, curve(diagram_id, side, xs))) for side in ("lower", "upper"))
+    return tuple(c[np.isfinite(c[:, 1])] for c in curves)
 
 
 def membership(diagram_id: str, x: float, y: float) -> str:
@@ -149,11 +136,10 @@ def membership(diagram_id: str, x: float, y: float) -> str:
     region between proven pieces is unknown.  An unknown diagram id or a
     non-finite x or y raises DomainError.
     """
-    if diagram_id not in DIAGRAM_IDS:
-        raise DomainError(f"unknown diagram id {diagram_id!r}")
+    row = _diagram(diagram_id)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"point ({x}, {y}) is not finite")
-    lo_x, hi_x = DIAGRAM_IDS[diagram_id][3]
+    lo_x, hi_x = row.x_range
     tol = MEMBERSHIP_TOL
     if x < lo_x - tol or (hi_x is not None and x > hi_x + tol):
         return "outside"
@@ -161,7 +147,7 @@ def membership(diagram_id: str, x: float, y: float) -> str:
     up = curve(diagram_id, "upper", max(x, lo_x))
     if y < lo - tol or y > up + tol:
         return "outside"
-    return "inside" if diagram_id in SOLVED else "unknown"
+    return "inside" if row.solved else "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +189,26 @@ def _widened(lo: float, hi: float) -> tuple[float, float]:
     return lo - half, hi + half
 
 
-def render_csv(cloud: list[DiagramPoint],
-               curves: list[np.ndarray] | None = None) -> str:
-    lines = ["x,y,provenance"]
-    for p in cloud:
-        lines.append(f"{format(p.x, '.17g')},{format(p.y, '.17g')},{p.provenance}")
+def render_csv(x, y, provenance, curves: list[np.ndarray] | None = None) -> str:
+    """The cloud's columns x, y and provenance, one row per point, then the
+    curves' samples labelled by side."""
+    rows = list(zip(np.column_stack((x, y)).tolist(), provenance))
     for label, c in zip(("curve:lower", "curve:upper"), curves or []):
-        for x, y in c:
-            lines.append(f"{format(float(x), '.17g')},{format(float(y), '.17g')},{label}")
-    return "\n".join(lines) + "\n"
+        rows += [(xy, label) for xy in c.tolist()]
+    return "x,y,provenance\n" + "".join(f"{px:.17g},{py:.17g},{label}\n" for (px, py), label in rows)
 
 
-def render_svg(cloud: list[DiagramPoint],
-               curves: list[np.ndarray] | None = None) -> str:
-    """Deterministic standalone SVG: 1px dots, polyline curves, labeled axes."""
+def render_svg(x, y, curves: list[np.ndarray] | None = None) -> str:
+    """Deterministic standalone SVG of the cloud's columns x and y: 1px
+    dots, polyline curves, labeled axes."""
+    cloud = np.column_stack((x, y))
     curves = [c for c in (curves or []) if len(c)]
-    xs = [p.x for p in cloud] + [float(v) for c in curves for v in c[:, 0]]
-    ys = [p.y for p in cloud] + [float(v) for c in curves for v in c[:, 1]]
-    if not xs:
+    points = np.concatenate([cloud, *curves])
+    if not len(points):
         raise ValueError("nothing to render")
-    x0, x1 = _widened(min(xs), max(xs))
-    y0, y1 = _widened(min(ys), max(ys))
+    (x0, y0), (x1, y1) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    x0, x1 = _widened(x0, x1)
+    y0, y1 = _widened(y0, y1)
     padx, pady = 0.04 * (x1 - x0), 0.04 * (y1 - y0)
     x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
@@ -256,18 +241,19 @@ def render_svg(cloud: list[DiagramPoint],
         pts = " ".join(f"{fmt(sx(float(x)))},{fmt(sy(float(y)))}" for x, y in c)
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{palette[i % len(palette)]}" stroke-width="1.5"/>')
-    for p in cloud:
-        out.append(f'<circle cx="{fmt(sx(p.x))}" cy="{fmt(sy(p.y))}" r="1" fill="black"/>')
+    for px, py in cloud.tolist():
+        out.append(f'<circle cx="{fmt(sx(px))}" cy="{fmt(sy(py))}" r="1" fill="black"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def render(cloud: list[DiagramPoint], curves, fmt: str, path: str) -> None:
-    """Write a cloud + curves to ``path`` as csv or svg (byte-deterministic)."""
+def render(x, y, provenance, curves, fmt: str, path: str) -> None:
+    """Write a cloud's columns + curves to ``path`` as csv or svg
+    (byte-deterministic); the svg draws no provenance."""
     if fmt == "csv":
-        text = render_csv(cloud, curves)
+        text = render_csv(x, y, provenance, curves)
     elif fmt == "svg":
-        text = render_svg(cloud, curves)
+        text = render_svg(x, y, curves)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", newline="") as fh:

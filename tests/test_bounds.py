@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cheeger_atlas import bounds, cheeger, shapes, verify
 from cheeger_atlas.bounds import BOUND_IDS, arcsinc, bound_value, d0, dstar, evaluate_all, psi, registry_csv
 from cheeger_atlas.cheeger import ImplicitRootProblem, cheeger_constant, smallest_crossing
-from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, curve
+from cheeger_atlas.diagrams import DIAGRAM_IDS, boundary, curve, x_grid
 from cheeger_atlas.errors import InvalidParam, Unreachable
 from cheeger_atlas.functionals import Functionals, measure
 from cheeger_atlas.geom import walk_block
@@ -305,10 +305,10 @@ def _crossing_columns(count=100, seed=1):
                   for k in ("diameter", "inradius", "circumradius", "min_width"))
     return [("g1", dict(d=d, r=r)), ("g2", dict(R=R, r=r)), ("g3", dict(d=d, w=w)),
             ("g4", dict(w=w, R=R)),
-            ("g2", dict(R=DiagramSpec("D2_RHR").xs(), r=1.0)),
-            ("g1", dict(d=DiagramSpec("D3_DHR").xs(), r=1.0)),
-            ("g3", dict(d=1.0, w=DiagramSpec("HWD").xs())),
-            ("g4", dict(w=DiagramSpec("HWR_CIRC").xs(), R=1.0))]
+            ("g2", dict(R=x_grid("D2_RHR"), r=1.0)),
+            ("g1", dict(d=x_grid("D3_DHR"), r=1.0)),
+            ("g3", dict(d=1.0, w=x_grid("HWD"))),
+            ("g4", dict(w=x_grid("HWR_CIRC"), R=1.0))]
 
 
 def _elements(params):
@@ -776,14 +776,13 @@ def test_curve_residual_is_scale_free():
 class TestBoundaryColumns:
     # the default grids, and the width diagrams on grids that start at
     # x = 0, where no curve has a value
-    @pytest.mark.parametrize("spec", [DiagramSpec(did, grid=64) for did in DIAGRAM_IDS]
-                             + [DiagramSpec(did, (0.0, DIAGRAM_IDS[did][3][1]), grid=64)
-                                for did in ("HWD", "HWR_CIRC", "HWP", "HWA")],
-                             ids=lambda spec: f"{spec.id}{'' if spec.x_range is None else '-from-0'}")
-    def test_grid_matches_pointwise(self, spec):
-        did = spec.id
-        for got, side in zip(boundary(spec), ("lower", "upper")):
-            want = [(x, y) for x in spec.xs() if math.isfinite(y := curve(did, side, float(x)))]
+    @pytest.mark.parametrize("did, x_range", [pytest.param(did, None, id=did) for did in DIAGRAM_IDS]
+                             + [pytest.param(did, (0.0, DIAGRAM_IDS[did].x_range[1]), id=f"{did}-from-0")
+                                for did in ("HWD", "HWR_CIRC", "HWP", "HWA")])
+    def test_grid_matches_pointwise(self, did, x_range):
+        for got, side in zip(boundary(did, x_range, grid=64), ("lower", "upper")):
+            want = [(x, y) for x in x_grid(did, x_range, grid=64)
+                    if math.isfinite(y := curve(did, side, float(x)))]
             assert got.shape == (len(want), 2)
             if want:
                 assert np.array_equal(got[:, 0], [x for x, _ in want])

@@ -245,6 +245,21 @@ class TestDiagramCommand:
         assert run(["diagram", "--triplet", "phr", *flags, "--out", str(tmp_path / "d.svg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("triplet, x_min, x_max, fault", [
+        ("rhr", "1", "inf", "is not finite"), ("dhr", "nan", "3", "is not finite"),
+        ("phr", "7", "7", "is empty or reversed"), ("phr", "9", "7", "is empty or reversed")])
+    def test_range_fault_named(self, tmp_path, capsys, fmt, triplet, x_min, x_max, fault):
+        # x-max = inf once passed on the unbounded diagrams and wrote inf rows
+        # (csv) or failed in the tick labels (svg); (7, 7) was called outside
+        # [2 pi, oo), which holds 7
+        out = tmp_path / f"d.{fmt}"
+        assert run(["diagram", "--triplet", triplet, "--x-min", x_min, "--x-max", x_max,
+                    "--format", fmt, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: x-range (") and fault in err.splitlines()[0]
+        assert not out.exists()
+
     def test_negative_samples_exit2(self, tmp_path, capsys):
         # the flag is named, before either curve is computed
         assert run(["diagram", "--triplet", "phr", "--samples", "-3",

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from cheeger_atlas.cheeger import cheeger_constant
 from cheeger_atlas.bounds import _REGISTRY, BOUND_IDS
-from cheeger_atlas.diagrams import (CURVES, DIAGRAM_IDS, SOLVED, DiagramPoint, DiagramSpec,
-                                    _ticks, boundary, curve, membership, render_csv, render_svg)
+from cheeger_atlas.cli import TRIPLETS, _build_parser
+from cheeger_atlas.diagrams import (DIAGRAM_IDS, _ticks, boundary, curve, membership, render_csv,
+                                    render_svg)
 from cheeger_atlas.errors import DomainError
-from cheeger_atlas.functionals import measure
+from cheeger_atlas.functionals import EXPONENT, FIELDS, measure
 from cheeger_atlas.shapes import Resolution, Slice, Stadium, TwoCup, build, closed_form
 from conftest import two_cup_of_perimeter
 
@@ -17,26 +19,23 @@ PI = math.pi
 
 class TestBoundaryValues:
     def test_d1_ball_point(self):
-        spec = DiagramSpec("D1_PHR", x_range=(2 * PI, 4 * PI), grid=3)
-        lower, upper = boundary(spec)
+        lower, upper = boundary("D1_PHR", x_range=(2 * PI, 4 * PI), grid=3)
         assert lower[0] == pytest.approx([2 * PI, 2.0], abs=1e-12)
         assert upper[0] == pytest.approx([2 * PI, 2.0], abs=1e-12)
 
     def test_d1_at_4pi(self):
-        spec = DiagramSpec("D1_PHR", x_range=(4 * PI, 8 * PI), grid=2)
-        lower, upper = boundary(spec)
+        lower, upper = boundary("D1_PHR", x_range=(4 * PI, 8 * PI), grid=2)
         assert lower[0][1] == pytest.approx(4 / 3, abs=1e-12)
         assert upper[0][1] == pytest.approx(1 + math.sqrt(0.5), abs=1e-12)
 
     def test_d2_ball_point(self):
-        spec = DiagramSpec("D2_RHR", x_range=(1.0, 2.0), grid=2)
-        lower, upper = boundary(spec)
+        lower, upper = boundary("D2_RHR", x_range=(1.0, 2.0), grid=2)
         assert lower[0][1] == pytest.approx(2.0, abs=1e-9)
         assert upper[0][1] == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("did", ["D1_PHR", "D2_RHR", "D3_DHR"])
     def test_lower_below_upper(self, did):
-        lower, upper = boundary(DiagramSpec(did, grid=80))
+        lower, upper = boundary(did, grid=80)
         assert len(lower) == len(upper) == 80
         gap = upper[:, 1] - lower[:, 1]
         assert np.all(gap >= -1e-9)
@@ -44,10 +43,25 @@ class TestBoundaryValues:
         assert np.all(gap[5:] > 1e-4)
 
     def test_bad_spec(self):
-        with pytest.raises(DomainError):
-            DiagramSpec("D1_PHR", x_range=(1.0, 2.0))
-        with pytest.raises(DomainError):
-            DiagramSpec("NOPE")
+        with pytest.raises(DomainError, match="outside admissible"):
+            boundary("D1_PHR", x_range=(1.0, 2.0))
+        with pytest.raises(DomainError, match="outside admissible"):
+            boundary("HWD", x_range=(0.5, 1.5))
+        with pytest.raises(DomainError, match="unknown diagram id 'NOPE'"):
+            boundary("NOPE")
+        with pytest.raises(DomainError, match="at least 2 points"):
+            boundary("D1_PHR", grid=1)
+        # 7 lies inside [2 pi, oo): the fault is the range's own
+        for x_range in ((7.0, 7.0), (9.0, 7.0)):
+            with pytest.raises(DomainError, match="empty or reversed"):
+                boundary("D1_PHR", x_range=x_range)
+
+    @pytest.mark.parametrize("did, x_range", [("D2_RHR", (1.0, math.inf)), ("D1_PHR", (7.0, math.nan)),
+                                              ("D3_DHR", (math.nan, 3.0)), ("HWD", (-math.inf, 0.5))])
+    def test_non_finite_range(self, did, x_range):
+        # an unbounded diagram once took x-max = inf, and drew inf rows
+        with pytest.raises(DomainError, match="not finite"):
+            boundary(did, x_range)
 
     @pytest.mark.parametrize("did, side, x, bad", [("XX", "lower", 1.0, "'XX'"),
                                                    ("D1_PHR", "Lower", 7.0, "'Lower'")])
@@ -84,12 +98,30 @@ class TestMembership:
 
 @pytest.mark.parametrize("did", DIAGRAM_IDS)
 def test_curves_are_registry_bounds(did):
-    # each proven curve is a registry bound on its side; a solved diagram has both
+    # each proven curve of a row is a registry bound on its side; a solved
+    # diagram has both
+    row = DIAGRAM_IDS[did]
     direction = {d.id: d.direction for d, _, _ in _REGISTRY}
-    assert did not in SOLVED or None not in CURVES[did]
-    for side, bids in zip(("lower", "upper"), CURVES[did]):
+    assert not row.solved or None not in (row.lower, row.upper)
+    for side, bids in (("lower", row.lower), ("upper", row.upper)):
         for bid in bids if isinstance(bids, tuple) else (bids,):
             assert bid is None or (bid in BOUND_IDS and direction[bid] == side), bid
+
+
+def test_diagram_rows():
+    # the paper's three solved diagrams; axes that are record fields and a
+    # unit that scales with its body; one unique alias per row, which are
+    # the --triplet choices of sample and diagram
+    rows = DIAGRAM_IDS.values()
+    assert [did for did, row in DIAGRAM_IDS.items() if row.solved] == ["D1_PHR", "D2_RHR", "D3_DHR"]
+    assert all(row.x in FIELDS and row.y in FIELDS and row.unit in EXPONENT for row in rows)
+    aliases = [row.alias for row in rows]
+    assert len(set(aliases)) == len(aliases) == 9
+    assert TRIPLETS == {row.alias: did for did, row in DIAGRAM_IDS.items()}
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("sample", "diagram"):
+        triplet = next(a for a in sub.choices[command]._actions if a.dest == "triplet")
+        assert triplet.choices == sorted(aliases)
 
 
 class TestExtremalSweeps:
@@ -154,18 +186,20 @@ class TestExtremalSweeps:
 
 class TestRender:
     def test_csv(self):
-        text = render_csv([DiagramPoint(1.0, 2.0, "seed:9")])
+        text = render_csv([1.0], [2.0], ["seed:9"])
         assert text == "x,y,provenance\n1,2,seed:9\n"
+        # columns as arrays write the same bytes
+        assert render_csv(np.array([1.0]), np.array([2.0]), ["seed:9"]) == text
 
     def test_svg_single_dot(self):
-        svg = render_svg([DiagramPoint(1.0, 2.0)])
+        svg = render_svg([1.0], [2.0])
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert '<circle' in svg
 
     def test_svg_deterministic(self):
-        lower, upper = boundary(DiagramSpec("D1_PHR", grid=32))
-        pts = [DiagramPoint(7.0, 1.8, "a"), DiagramPoint(9.0, 1.6, "b")]
-        assert render_svg(pts, [lower, upper]) == render_svg(pts, [lower, upper])
+        lower, upper = boundary("D1_PHR", grid=32)
+        x, y = [7.0, 9.0], [1.8, 1.6]
+        assert render_svg(x, y, [lower, upper]) == render_svg(x, y, [lower, upper])
 
     def test_ticks(self):
         assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
@@ -178,7 +212,7 @@ class TestRender:
         # two x apart by the rounding of 1e20, and two equal x there, which
         # 0.5 does not widen
         for x2 in (1e20 + 16384.0, 1e20):
-            svg = render_svg([DiagramPoint(1e20, 1.0), DiagramPoint(x2, 2.0)])
+            svg = render_svg([1e20, x2], [1.0, 2.0])
             assert svg.count("<circle") == 2
 
     def test_cloud_between_curves(self):

@@ -20,9 +20,9 @@ import json
 
 import pytest
 
-from cheeger_atlas import diagrams, verify
+from cheeger_atlas import verify
 from cheeger_atlas.cli import TRIPLETS, run
-from cheeger_atlas.diagrams import DIAGRAM_IDS, DiagramSpec, boundary, render_csv
+from cheeger_atlas.diagrams import DIAGRAM_IDS, boundary, render_csv
 from cheeger_atlas.geom import polygon_to_json
 from cheeger_atlas.sampler import cloud_csv, sample_cloud, valtr
 
@@ -52,9 +52,9 @@ def test_census_report(seed, digest):
 ])
 def test_sample_csv(triplet, digest):
     # 200 records at seed 1, n in 3..30 (the command line's defaults)
-    x_key, y_key, unit, _ = diagrams.DIAGRAM_IDS[TRIPLETS[triplet]]
-    records = sample_cloud(200, 3, 30, unit, 1, workers=1)
-    assert _sha256(cloud_csv(records, x_key, y_key)) == digest
+    row = DIAGRAM_IDS[TRIPLETS[triplet]]
+    records = sample_cloud(200, 3, 30, row.unit, 1, workers=1)
+    assert _sha256(cloud_csv(records, row.x, row.y)) == digest
 
 
 @pytest.mark.parametrize("fmt, digest", [
@@ -96,7 +96,7 @@ def test_diagram_command(fmt, digest, tmp_path):
 
 
 def test_boundary_curves():
-    text = "".join(render_csv([], boundary(DiagramSpec(did))) for did in DIAGRAM_IDS)
+    text = "".join(render_csv([], [], [], boundary(did)) for did in DIAGRAM_IDS)
     assert _sha256(text) == "a0ccff63f2f87bd09a8906655070da3c5836cd5a48e3811cd5adfe04eda79045"
 
 
