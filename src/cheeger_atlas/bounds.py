@@ -1,7 +1,9 @@
 """Every sharp bound on the Cheeger constant, as a queryable registry.
 
-Each inequality gets a symbolic id, a direction (lower/upper bound on h), an
-applicability predicate on the six functionals, and an evaluator.
+``_REGISTRY`` holds one ``Bound`` row per inequality: id, direction (lower
+or upper bound on h), condition, formula id, extremal bodies, predicate and
+value formula; the last two read a column of records by the paper's short
+ids (f.A, f.P, f.r, f.R, f.d, f.w), as ``bound_value`` takes them.
 ``evaluate_all(*records)`` evaluates the registry on a column of records,
 each functional one numpy array, and answers in arrays of ids by records
 (``BoundTable``; its ``results()`` are ``BoundResult`` objects).  psi,
@@ -22,8 +24,10 @@ import csv
 import io
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,17 +137,16 @@ def d0(res: int = 4096) -> float:
 
 # PHR_LO and PHD_LO by name: c, where x = arcsinc(c / P) and h >= 4x / den
 # + sqrt(8 pi x / (P den)), den = P - c cos x
-_ARCSINC = {"PHR": lambda f: 4 * f.circumradius, "PHD": lambda f: 2 * f.diameter}
+_ARCSINC = {"PHR": lambda f: 4 * f.R, "PHD": lambda f: 2 * f.d}
 
 # family -> (the column fields of its parameters (p, q), outside-domain test,
 # (D, W, upper) maker: the diameter and width of the slice at t = 0, for g1
 # the slice branch of psi(D, W/2), and the domain's end)
 _IMPLICIT = {
-    "g1": (("diameter", "inradius"), lambda d, r: d < 2 * r - _DOMAIN_TOL, lambda d, r: (d, 2 * r, r)),
-    "g2": (("circumradius", "inradius"), lambda R, r: R < r - _DOMAIN_TOL, lambda R, r: (2 * R, 2 * r, r)),
-    "g3": (("diameter", "min_width"), lambda d, w: d < w - _DOMAIN_TOL, lambda d, w: (d, w, w / 2)),
-    "g4": (("min_width", "circumradius"), lambda w, R: 2 * R < w - _DOMAIN_TOL,
-           lambda w, R: (2 * R, w, w / 2)),
+    "g1": (("d", "r"), lambda d, r: d < 2 * r - _DOMAIN_TOL, lambda d, r: (d, 2 * r, r)),
+    "g2": (("R", "r"), lambda R, r: R < r - _DOMAIN_TOL, lambda R, r: (2 * R, 2 * r, r)),
+    "g3": (("d", "w"), lambda d, w: d < w - _DOMAIN_TOL, lambda d, w: (d, w, w / 2)),
+    "g4": (("w", "R"), lambda w, R: 2 * R < w - _DOMAIN_TOL, lambda w, R: (2 * R, w, w / 2)),
 }
 
 
@@ -156,7 +159,7 @@ def _solve(f, names) -> dict:
     diameter D - 2t and width W - 2t, all areas in one slice_area call;
     g2..g4 are those areas, g1(t) = psi(D - 2t, (W - 2t)/2)."""
     sincs = [k for k in names if k in _ARCSINC]
-    x = np.minimum(1.0, np.stack([_ARCSINC[k](f) / f.perimeter for k in sincs])) if sincs else None
+    x = np.minimum(1.0, np.stack([_ARCSINC[k](f) / f.P for k in sincs])) if sincs else None
     families = sorted(k for k in names if k in _IMPLICIT)
     if not families:
         return dict(zip(sincs, arcsinc(x)))
@@ -195,18 +198,6 @@ def _triangle_h_matched(fixed_id: str, fixed_val, target_id: str, target_val) ->
 # the registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundDef:
-    id: str
-    direction: str  # "lower" or "upper" bound on h
-    condition: str  # human-readable applicability predicate ("" = always)
-    formula_id: str
-    extremal: str
-
-    def __post_init__(self):
-        assert self.direction in ("lower", "upper")
-
-
 STATUSES = ("ok", "not-applicable", "no-root")
 OK, NOT_APPLICABLE, NO_ROOT = range(len(STATUSES))  # a BoundTable's status codes
 
@@ -226,9 +217,9 @@ class BoundResult:
         return self.status != "not-applicable"
 
 
-# the six functionals of a column of records, one array each, and its root
-# solves by name once evaluate_all has solved them
-_Column = namedtuple("_Column", [FIELDS[k] for k in EXPONENT] + ["solved"], defaults=(None,))
+# the six functionals of a column of records by short id, one array each, and
+# its root solves by name once evaluate_all has solved them
+_Column = namedtuple("_Column", [*EXPONENT, "solved"], defaults=(None,))
 
 
 def _solved(f: _Column, name: str) -> np.ndarray:
@@ -236,174 +227,142 @@ def _solved(f: _Column, name: str) -> np.ndarray:
     return (f.solved or _solve(f, [name]))[name]
 
 
-def _build_registry():
-    reg: list[tuple[BoundDef, callable, callable]] = []
+class Bound(NamedTuple):
+    """One inequality: h >= value(f) ("lower") or h <= value(f) ("upper")
+    on the records of a column ``f`` that ``admits`` (None: every record),
+    ``condition`` in words ("" = always); ``extremal`` names the bodies
+    that attain it, "" where the paper gives none."""
 
-    def add(bid, direction, cond_str, formula_id, extremal, pred, value):
-        reg.append((BoundDef(bid, direction, cond_str, formula_id, extremal), pred, value))
-
-    always = None  # no predicate: every record is admitted
-
-    add("HRA_LO", "lower", "", "h-r-area-lower", "stadiums", always,
-        lambda f: 1 / f.inradius + PI * f.inradius / f.area)
-    add("HRA_UP", "upper", "", "h-r-area-upper", "form-body homothets", always,
-        lambda f: 1 / f.inradius + np.sqrt(PI / f.area))
-    add("HPA_LO", "lower", "", "h-perim-area-lower", "form-body homothets", always,
-        lambda f: (f.perimeter + np.sqrt(4 * PI * f.area)) / (2 * f.area))
-    add("HPA_UP", "upper", "", "h-perim-area-upper", "bodies Cheeger of themselves", always,
-        lambda f: f.perimeter / f.area)
-    add("ONEQ_A", "lower", "", "h-area-only", "balls", always,
-        lambda f: 2 * np.sqrt(PI / f.area))
-    add("ONEQ_P", "lower", "", "h-perimeter-only", "balls", always,
-        lambda f: 4 * PI / f.perimeter)
-    add("ONEQ_D", "lower", "", "h-diameter-only", "balls", always,
-        lambda f: 4 / f.diameter)
-    add("ONEQ_R_LO", "lower", "", "h-circumradius-only", "balls", always,
-        lambda f: 2 / f.circumradius)
-    add("ONEQ_R_UP2", "upper", "", "h-inradius-only", "balls", always,
-        lambda f: 2 / f.inradius)
-    add("HRP_LO", "lower", "", "h-r-perim-lower", "stadiums", always,
-        lambda f: 1 / f.inradius + PI / (f.perimeter - PI * f.inradius))
-    add("HRP_UP", "upper", "", "h-r-perim-upper", "form-body homothets", always,
-        lambda f: 1 / f.inradius + np.sqrt(2 * PI / (f.perimeter * f.inradius)))
-
-    add("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", always,
-        lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.diameter / 2)))
-    add("HDR_LO_IMPLICIT", "lower", "", "g1-crossing", "slices / smoothed nonagons", always,
-        lambda f: _solved(f, "g1"))
-
-    def hdr_lo_exp(f):
-        d, r = f.diameter, f.inradius
-        return (4 - PI) / (d + 2 * r - np.sqrt((d + 2 * r) ** 2 - 2 * (4 - PI) * d * r))
-    add("HDR_LO_EXPLICIT", "lower", "", "h-d-r-lower-explicit", "thinning rectangles", always, hdr_lo_exp)
-
-    add("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", always,
-        lambda f: 1 / f.inradius + np.sqrt(PI / two_cup_area(f.inradius, f.circumradius)))
-    add("HRR_LO_IMPLICIT", "lower", "", "g2-crossing", "slices", always,
-        lambda f: _solved(f, "g2"))
-
-    def hrr_lo_exp(f):
-        R, r = f.circumradius, f.inradius
-        return (4 - PI) / (2 * (R + r) - np.sqrt(4 * (R + r) ** 2 - 4 * (4 - PI) * R * r))
-    add("HRR_LO_EXPLICIT", "lower", "", "h-R-r-lower-explicit", "thinning rectangles", always, hrr_lo_exp)
-
-    add("HDW_LO_IMPLICIT", "lower", "", "g3-crossing", "slices", always,
-        lambda f: _solved(f, "g3"))
-    add("HDW_UP_TRI", "upper", "omega <= sqrt(3)/2 * d", "h-w-d-upper-triangle",
-        "subequilateral triangles",
-        lambda f: f.min_width <= SQRT3 / 2 * f.diameter,
-        lambda f: triangle_values(*shapes.subeq_from(("d", "w"), f.diameter, f.min_width))["h"])
-
-    def hdw_up_yam(f):
-        w, d = f.min_width, f.diameter
-        ac = np.arccos(np.minimum(1.0, w / d))
-        den = PI * w * w - SQRT3 * d * d + 6 * w * w * (np.tan(ac) - ac)
-        return SQRT3 / (SQRT3 * w - d) + np.sqrt(2 * PI / den)
-    add("HDW_UP_YAM", "upper", "sqrt(3)/2 * d <= omega <= d", "h-w-d-upper-yamanouti",
-        "equilateral triangles",
-        lambda f: SQRT3 / 2 * f.diameter <= f.min_width,
-        hdw_up_yam)
-
-    def hdw_lo_exp(f):
-        w, d = f.min_width, f.diameter
-        inv = 1 / w + 1 / d
-        return inv + np.sqrt(inv * inv - (4 - PI) / (w * d))
-    add("HDW_LO_EXPLICIT", "lower", "", "h-w-d-lower-explicit", "thinning rectangles", always, hdw_lo_exp)
-
-    add("HRW_LO_IMPLICIT", "lower", "", "g4-crossing", "slices", always,
-        lambda f: _solved(f, "g4"))
-    add("HRW_UP_TRI", "upper", "omega <= 3R/2", "h-w-R-upper-triangle",
-        "subequilateral triangles",
-        lambda f: f.min_width <= 1.5 * f.circumradius,
-        lambda f: _triangle_h_matched("R", f.circumradius, "w", f.min_width))
-    add("HRW_UP_EXPLICIT", "upper", "", "h-w-R-upper-explicit", "equilateral triangles", always,
-        lambda f: 3 / f.min_width + np.sqrt(2 * PI / (SQRT3 * f.circumradius * f.min_width)))
-
-    def hrw_lo_exp(f):
-        R, w = f.circumradius, f.min_width
-        return (4 - PI) / ((2 * R + w) - np.sqrt((2 * R + w) ** 2 - 2 * (4 - PI) * R * w))
-    add("HRW_LO_EXPLICIT", "lower", "", "h-w-R-lower-explicit", "thinning rectangles", always, hrw_lo_exp)
-
-    add("HAW_LO", "lower", "", "h-w-area-lower", "stadiums", always,
-        lambda f: 2 / f.min_width + PI * f.min_width / (2 * f.area))
-    add("HAW_UP_TRI", "upper", "sqrt(3)*A >= omega^2", "h-w-area-upper-triangle",
-        "subequilateral triangles",
-        lambda f: SQRT3 * f.area >= f.min_width ** 2 * (1 - 1e-12),
-        lambda f: _triangle_h_matched("w", f.min_width, "A", f.area))
-    add("HAW_UP1", "upper", "", "h-w-area-upper-1", "equilateral triangles", always,
-        lambda f: 2 / f.min_width + f.min_width / (SQRT3 * f.area) + np.sqrt(PI / f.area))
-    add("HAW_UP2", "upper", "", "h-w-area-upper-2", "thin subequilateral triangles", always,
-        lambda f: 2 / (f.min_width - f.min_width ** 3 / (4 * f.area)) + np.sqrt(PI / f.area))
-
-    add("HWP_LO", "lower", "", "h-w-perim-lower", "stadiums", always,
-        lambda f: 2 / f.min_width + 2 * PI / (2 * f.perimeter - PI * f.min_width))
-    add("HWP_UP_TRI", "upper", "P >= 2*sqrt(3)*omega", "h-w-perim-upper-triangle",
-        "subequilateral triangles",
-        lambda f: f.perimeter >= 2 * SQRT3 * f.min_width,
-        lambda f: _triangle_h_matched("w", f.min_width, "P", f.perimeter))
-
-    def hrd_up(f):
-        R, d = f.circumradius, f.diameter
-        root = np.sqrt(np.maximum(4 * R * R - d * d, 0.0))
-        return 2 * R * (2 * R + root) / (d * d * root) + np.sqrt(4 * PI * R * R / (d ** 3 * root))
-    add("HRD_UP", "upper", "sqrt(3)*R <= d < 2R", "h-R-d-upper", "subequilateral triangles",
-        lambda f: f.diameter < 2 * f.circumradius, hrd_up)
-
-    def hwr_lo(f):
-        r, w = f.inradius, f.min_width
-        inner = PI * np.maximum(1 - 2 * r / w, 0.0) * np.sqrt(np.maximum(4 * r / w - 1, 0.0))
-        return 1 / r + np.sqrt(inner) / r
-    add("HWR_LO", "lower", "", "h-w-r-lower", "subequilateral triangles", always, hwr_lo)
-    add("HWR_UP", "upper", "", "h-w-r-upper", "equilateral triangles", always,
-        lambda f: 1 / f.inradius + math.sqrt(PI * SQRT3) / f.min_width)
-
-    add("RHA_UP", "upper", "", "h-R-area-upper", "thinning rectangles", always,
-        lambda f: 1 / f.circumradius + 4 * f.circumradius / f.area)
-    add("RHA_LO", "lower", "", "h-R-area-lower", "balls", always,
-        lambda f: 1 / (2 * f.circumradius) + PI * f.circumradius / (2 * f.area)
-        + np.sqrt(PI / f.area))
-
-    p_over_4r = lambda f: f.perimeter > 4 * f.circumradius
-    add("PHR_UP", "upper", "P > 4R", "h-P-R-upper", "thinning rectangles", p_over_4r,
-        lambda f: f.perimeter / (f.circumradius * (f.perimeter - 4 * f.circumradius)))
-
-    def p_lower(name):
-        def value(f):
-            P, c, x = f.perimeter, _ARCSINC[name](f), _solved(f, name)
-            den = P - c * np.cos(x)
-            return 4 * x / den + np.sqrt(8 * PI * x / (P * den))
-        return value
-    add("PHR_LO", "lower", "P > 4R", "h-P-R-lower", "balls", p_over_4r, p_lower("PHR"))
-
-    add("PHD_UP1", "upper", "2d < P < 3d", "h-P-d-upper-1", "",
-        lambda f: (2 * f.diameter < f.perimeter) & (f.perimeter < 3 * f.diameter),
-        lambda f: 4 / (f.perimeter - 2 * f.diameter) + np.sqrt(
-            4 * PI / ((f.perimeter - 2 * f.diameter)
-                      * np.sqrt(f.perimeter * (4 * f.diameter - f.perimeter)))))
-    add("PHD_UP2", "upper", "3d <= P <= pi*d", "h-P-d-upper-2", "",
-        lambda f: (3 * f.diameter <= f.perimeter) & (f.perimeter <= PI * f.diameter * (1 + 1e-12)),
-        lambda f: 4 / (f.perimeter - 2 * f.diameter) + np.sqrt(
-            4 * PI / (SQRT3 * f.diameter * (f.perimeter - 2 * f.diameter))))
-
-    add("PHD_LO", "lower", "P > 2d", "h-P-d-lower", "balls",
-        lambda f: f.perimeter > 2 * f.diameter, p_lower("PHD"))
-
-    add("DHA_UP1", "upper", "", "h-d-area-upper-1", "", always,
-        lambda f: 4 / f.diameter + 2 * f.diameter / f.area)
-    add("DHA_UP2", "upper", "", "h-d-area-upper-2", "", always,
-        lambda f: 2 * f.diameter / f.area + np.sqrt(PI / f.area))
-    add("DHA_LO", "lower", "", "h-d-area-lower", "thinning two-cup bodies", always,
-        lambda f: f.diameter / f.area + np.sqrt(PI / f.area))
-
-    return reg
+    id: str
+    direction: str
+    condition: str
+    formula_id: str
+    extremal: str
+    admits: Callable | None
+    value: Callable
 
 
-_REGISTRY = _build_registry()
-_DEFS = tuple(d for d, _, _ in _REGISTRY)
-BOUND_IDS = tuple(d.id for d in _DEFS)
-_LOWER = np.array([[d.direction == "lower"] for d in _DEFS])
-_PREDICATES = {pred for _, pred, _ in _REGISTRY}  # each once; None admits every record
-_VALUES = {d.id: value for d, _, value in _REGISTRY}
+def _hdw_up_yam(f):
+    w, d = f.w, f.d
+    ac = np.arccos(np.minimum(1.0, w / d))
+    den = PI * w * w - SQRT3 * d * d + 6 * w * w * (np.tan(ac) - ac)
+    return SQRT3 / (SQRT3 * w - d) + np.sqrt(2 * PI / den)
+
+
+def _hdw_lo_exp(f):
+    inv = 1 / f.w + 1 / f.d
+    return inv + np.sqrt(inv * inv - (4 - PI) / (f.w * f.d))
+
+
+def _hrd_up(f):
+    R, d = f.R, f.d
+    root = np.sqrt(np.maximum(4 * R * R - d * d, 0.0))
+    return 2 * R * (2 * R + root) / (d * d * root) + np.sqrt(4 * PI * R * R / (d ** 3 * root))
+
+
+def _hwr_lo(f):
+    r, w = f.r, f.w
+    inner = PI * np.maximum(1 - 2 * r / w, 0.0) * np.sqrt(np.maximum(4 * r / w - 1, 0.0))
+    return 1 / r + np.sqrt(inner) / r
+
+
+def _p_lower(name):
+    """The value of PHR_LO or PHD_LO, by its ``_ARCSINC`` name."""
+    def value(f):
+        c, x = _ARCSINC[name](f), _solved(f, name)
+        den = f.P - c * np.cos(x)
+        return 4 * x / den + np.sqrt(8 * PI * x / (f.P * den))
+    return value
+
+
+def _p_over_4r(f):  # PHR_UP and PHR_LO share it, so a column runs it once
+    return f.P > 4 * f.R
+
+
+_REGISTRY = (
+    Bound("HRA_LO", "lower", "", "h-r-area-lower", "stadiums", None, lambda f: 1 / f.r + PI * f.r / f.A),
+    Bound("HRA_UP", "upper", "", "h-r-area-upper", "form-body homothets", None,
+          lambda f: 1 / f.r + np.sqrt(PI / f.A)),
+    Bound("HPA_LO", "lower", "", "h-perim-area-lower", "form-body homothets", None,
+          lambda f: (f.P + np.sqrt(4 * PI * f.A)) / (2 * f.A)),
+    Bound("HPA_UP", "upper", "", "h-perim-area-upper", "bodies Cheeger of themselves", None,
+          lambda f: f.P / f.A),
+    Bound("ONEQ_A", "lower", "", "h-area-only", "balls", None, lambda f: 2 * np.sqrt(PI / f.A)),
+    Bound("ONEQ_P", "lower", "", "h-perimeter-only", "balls", None, lambda f: 4 * PI / f.P),
+    Bound("ONEQ_D", "lower", "", "h-diameter-only", "balls", None, lambda f: 4 / f.d),
+    Bound("ONEQ_R_LO", "lower", "", "h-circumradius-only", "balls", None, lambda f: 2 / f.R),
+    Bound("ONEQ_R_UP2", "upper", "", "h-inradius-only", "balls", None, lambda f: 2 / f.r),
+    Bound("HRP_LO", "lower", "", "h-r-perim-lower", "stadiums", None,
+          lambda f: 1 / f.r + PI / (f.P - PI * f.r)),
+    Bound("HRP_UP", "upper", "", "h-r-perim-upper", "form-body homothets", None,
+          lambda f: 1 / f.r + np.sqrt(2 * PI / (f.P * f.r))),
+    Bound("HDR_UP", "upper", "", "h-d-r-upper", "two-cup bodies", None,
+          lambda f: 1 / f.r + np.sqrt(PI / two_cup_area(f.r, f.d / 2))),
+    Bound("HDR_LO_IMPLICIT", "lower", "", "g1-crossing", "slices / smoothed nonagons", None,
+          lambda f: _solved(f, "g1")),
+    Bound("HDR_LO_EXPLICIT", "lower", "", "h-d-r-lower-explicit", "thinning rectangles", None,
+          lambda f: (4 - PI) / (f.d + 2 * f.r - np.sqrt((f.d + 2 * f.r) ** 2 - 2 * (4 - PI) * f.d * f.r))),
+    Bound("HRR_UP", "upper", "", "h-R-r-upper", "two-cup bodies", None,
+          lambda f: 1 / f.r + np.sqrt(PI / two_cup_area(f.r, f.R))),
+    Bound("HRR_LO_IMPLICIT", "lower", "", "g2-crossing", "slices", None, lambda f: _solved(f, "g2")),
+    Bound("HRR_LO_EXPLICIT", "lower", "", "h-R-r-lower-explicit", "thinning rectangles", None,
+          lambda f: (4 - PI) / (2 * (f.R + f.r) - np.sqrt(4 * (f.R + f.r) ** 2 - 4 * (4 - PI) * f.R * f.r))),
+    Bound("HDW_LO_IMPLICIT", "lower", "", "g3-crossing", "slices", None, lambda f: _solved(f, "g3")),
+    Bound("HDW_UP_TRI", "upper", "omega <= sqrt(3)/2 * d", "h-w-d-upper-triangle", "subequilateral triangles",
+          lambda f: f.w <= SQRT3 / 2 * f.d,
+          lambda f: triangle_values(*shapes.subeq_from(("d", "w"), f.d, f.w))["h"]),
+    Bound("HDW_UP_YAM", "upper", "sqrt(3)/2 * d <= omega <= d", "h-w-d-upper-yamanouti",
+          "equilateral triangles", lambda f: SQRT3 / 2 * f.d <= f.w, _hdw_up_yam),
+    Bound("HDW_LO_EXPLICIT", "lower", "", "h-w-d-lower-explicit", "thinning rectangles", None, _hdw_lo_exp),
+    Bound("HRW_LO_IMPLICIT", "lower", "", "g4-crossing", "slices", None, lambda f: _solved(f, "g4")),
+    Bound("HRW_UP_TRI", "upper", "omega <= 3R/2", "h-w-R-upper-triangle", "subequilateral triangles",
+          lambda f: f.w <= 1.5 * f.R, lambda f: _triangle_h_matched("R", f.R, "w", f.w)),
+    Bound("HRW_UP_EXPLICIT", "upper", "", "h-w-R-upper-explicit", "equilateral triangles", None,
+          lambda f: 3 / f.w + np.sqrt(2 * PI / (SQRT3 * f.R * f.w))),
+    Bound("HRW_LO_EXPLICIT", "lower", "", "h-w-R-lower-explicit", "thinning rectangles", None,
+          lambda f: (4 - PI) / ((2 * f.R + f.w) - np.sqrt((2 * f.R + f.w) ** 2 - 2 * (4 - PI) * f.R * f.w))),
+    Bound("HAW_LO", "lower", "", "h-w-area-lower", "stadiums", None,
+          lambda f: 2 / f.w + PI * f.w / (2 * f.A)),
+    Bound("HAW_UP_TRI", "upper", "sqrt(3)*A >= omega^2", "h-w-area-upper-triangle",
+          "subequilateral triangles", lambda f: SQRT3 * f.A >= f.w ** 2 * (1 - 1e-12),
+          lambda f: _triangle_h_matched("w", f.w, "A", f.A)),
+    Bound("HAW_UP1", "upper", "", "h-w-area-upper-1", "equilateral triangles", None,
+          lambda f: 2 / f.w + f.w / (SQRT3 * f.A) + np.sqrt(PI / f.A)),
+    Bound("HAW_UP2", "upper", "", "h-w-area-upper-2", "thin subequilateral triangles", None,
+          lambda f: 2 / (f.w - f.w ** 3 / (4 * f.A)) + np.sqrt(PI / f.A)),
+    Bound("HWP_LO", "lower", "", "h-w-perim-lower", "stadiums", None,
+          lambda f: 2 / f.w + 2 * PI / (2 * f.P - PI * f.w)),
+    Bound("HWP_UP_TRI", "upper", "P >= 2*sqrt(3)*omega", "h-w-perim-upper-triangle",
+          "subequilateral triangles", lambda f: f.P >= 2 * SQRT3 * f.w,
+          lambda f: _triangle_h_matched("w", f.w, "P", f.P)),
+    Bound("HRD_UP", "upper", "sqrt(3)*R <= d < 2R", "h-R-d-upper", "subequilateral triangles",
+          lambda f: f.d < 2 * f.R, _hrd_up),
+    Bound("HWR_LO", "lower", "", "h-w-r-lower", "subequilateral triangles", None, _hwr_lo),
+    Bound("HWR_UP", "upper", "", "h-w-r-upper", "equilateral triangles", None,
+          lambda f: 1 / f.r + math.sqrt(PI * SQRT3) / f.w),
+    Bound("RHA_UP", "upper", "", "h-R-area-upper", "thinning rectangles", None,
+          lambda f: 1 / f.R + 4 * f.R / f.A),
+    Bound("RHA_LO", "lower", "", "h-R-area-lower", "balls", None,
+          lambda f: 1 / (2 * f.R) + PI * f.R / (2 * f.A) + np.sqrt(PI / f.A)),
+    Bound("PHR_UP", "upper", "P > 4R", "h-P-R-upper", "thinning rectangles", _p_over_4r,
+          lambda f: f.P / (f.R * (f.P - 4 * f.R))),
+    Bound("PHR_LO", "lower", "P > 4R", "h-P-R-lower", "balls", _p_over_4r, _p_lower("PHR")),
+    Bound("PHD_UP1", "upper", "2d < P < 3d", "h-P-d-upper-1", "", lambda f: (2 * f.d < f.P) & (f.P < 3 * f.d),
+          lambda f: 4 / (f.P - 2 * f.d) + np.sqrt(
+              4 * PI / ((f.P - 2 * f.d) * np.sqrt(f.P * (4 * f.d - f.P))))),
+    Bound("PHD_UP2", "upper", "3d <= P <= pi*d", "h-P-d-upper-2", "",
+          lambda f: (3 * f.d <= f.P) & (f.P <= PI * f.d * (1 + 1e-12)),
+          lambda f: 4 / (f.P - 2 * f.d) + np.sqrt(4 * PI / (SQRT3 * f.d * (f.P - 2 * f.d)))),
+    Bound("PHD_LO", "lower", "P > 2d", "h-P-d-lower", "balls", lambda f: f.P > 2 * f.d, _p_lower("PHD")),
+    Bound("DHA_UP1", "upper", "", "h-d-area-upper-1", "", None, lambda f: 4 / f.d + 2 * f.d / f.A),
+    Bound("DHA_UP2", "upper", "", "h-d-area-upper-2", "", None, lambda f: 2 * f.d / f.A + np.sqrt(PI / f.A)),
+    Bound("DHA_LO", "lower", "", "h-d-area-lower", "thinning two-cup bodies", None,
+          lambda f: f.d / f.A + np.sqrt(PI / f.A)),
+)
+BOUND_IDS = tuple(b.id for b in _REGISTRY)
+_LOWER = np.array([[b.direction == "lower"] for b in _REGISTRY])
+_PREDICATES = {b.admits for b in _REGISTRY}  # each once; None admits every record
+_VALUES = {b.id: b.value for b in _REGISTRY}
 
 
 def bound_value(bid: str, **column) -> np.ndarray:
@@ -428,9 +387,9 @@ class BoundTable:
     def results(self) -> list[BoundResult]:
         """The record-major view, NaN as None: ``len(BOUND_IDS)`` per record."""
         value, slack = (np.where(np.isnan(a), None, a).T.tolist() for a in (self.value, self.slack))
-        return [BoundResult(d.id, d.direction, v, STATUSES[c], s)
+        return [BoundResult(b.id, b.direction, v, STATUSES[c], s)
                 for vs, ss, cs in zip(value, slack, self.status.T.tolist())
-                for d, v, s, c in zip(_DEFS, vs, ss, cs)]
+                for b, v, s, c in zip(_REGISTRY, vs, ss, cs)]
 
     def __iter__(self):
         return iter(self.results())
@@ -453,24 +412,27 @@ def evaluate_all(*records: Functionals) -> BoundTable:
     field = {k: np.concatenate([np.full(np.size(f.area), getattr(f, name), dtype=float) for f in records])
              for k, name in FIELDS.items()}
     e = np.frexp(field["P"])[1]
-    cols = _Column(**{FIELDS[k]: np.ldexp(field[k], -int(power) * e) for k, power in EXPONENT.items()})
+    cols = _Column(**{k: np.ldexp(field[k], -int(power) * e) for k, power in EXPONENT.items()})
     with np.errstate(all="ignore"):
         cols = cols._replace(solved=_solve(cols, [*_IMPLICIT, *_ARCSINC]))
-        value = np.ldexp([value_fn(cols) for _, _, value_fn in _REGISTRY], -e)
+        value = np.ldexp([b.value(cols) for b in _REGISTRY], -e)
         admitted = {p: np.ones(len(e), dtype=bool) if p is None else p(cols) for p in _PREDICATES}
-    status = np.where(np.array([admitted[p] for _, p, _ in _REGISTRY]),
+    status = np.where(np.array([admitted[b.admits] for b in _REGISTRY]),
                       np.where(np.isfinite(value), OK, NO_ROOT), NOT_APPLICABLE).astype(np.int8)
     value[status != OK] = np.nan
     return BoundTable(value, np.where(_LOWER, field["h"] - value, value - field["h"]), status)
 
 
 def registry_csv(f: Functionals) -> str:
-    """CSV export of the registry evaluated at one record."""
+    """CSV export of the registry evaluated at one record; a column of any
+    other number of records raises ValueError."""
+    if np.size(f.area) != 1:
+        raise ValueError(f"registry_csv takes one record, not a column of {np.size(f.area)}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "direction", "condition", "formula-id", "value", "slack"])
-    for d, r in zip(_DEFS, evaluate_all(f).results()):
+    for b, r in zip(_REGISTRY, evaluate_all(f).results()):
         val = r.status if r.status != "ok" else format(r.value, ".17g")
         slack = "" if r.slack is None else format(r.slack, ".17g")
-        writer.writerow([r.id, r.direction, d.condition, d.formula_id, val, slack])
+        writer.writerow([r.id, r.direction, b.condition, b.formula_id, val, slack])
     return buf.getvalue()

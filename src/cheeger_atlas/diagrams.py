@@ -118,14 +118,22 @@ def boundary(diagram_id: str, x_range: tuple[float, float] | None = None,
     """(lower, upper) curves as (k, 2) arrays of samples on ``x_grid``;
     empty where unproven.
 
-    Each curve is computed on the whole grid at once, and the grid points
-    where it has no value (such as x = 0 of a width diagram) are left out.
-    For D3 the implicit lower curve automatically realizes the smoothed
-    nonagon branch below d0() and the slice branch above it.
+    Each curve is computed on the whole grid at once.  The grid points
+    where it has no value (such as x = 0 of a width diagram) are left out;
+    a solved diagram has none to leave out, and raises DomainError at the
+    first x where a curve has no value (past x ~ 1e154, where a crossing's
+    squares overflow).  For D3 the implicit lower curve automatically
+    realizes the smoothed nonagon branch below d0() and the slice branch
+    above it.
     """
     xs = x_grid(diagram_id, x_range, grid)
-    curves = (np.column_stack((xs, curve(diagram_id, side, xs))) for side in ("lower", "upper"))
-    return tuple(c[np.isfinite(c[:, 1])] for c in curves)
+    ys = np.array([curve(diagram_id, side, xs) for side in ("lower", "upper")])
+    missing = ~np.isfinite(ys)
+    if DIAGRAM_IDS[diagram_id].solved and missing.any():
+        i, side = np.argwhere(missing.T)[0]
+        raise DomainError(f"the {('lower', 'upper')[side]} curve of {diagram_id} has no value "
+                          f"at x = {xs[i]:.17g}")
+    return tuple(np.column_stack((xs, y))[ok] for y, ok in zip(ys, ~missing))
 
 
 def membership(diagram_id: str, x: float, y: float) -> str:

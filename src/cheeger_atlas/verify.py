@@ -132,13 +132,12 @@ def sharpness(res: int = 8192) -> list[dict]:
     return rows
 
 
-def verify_suite(samples: int, seed: int, n_min: int = 3, n_max: int = 30,
-                 sharpness_res: int = 8192, workers: int | None = None) -> dict:
+def verify_suite(samples: int, seed: int, n_min: int = 3, n_max: int = 30, sharpness_res: int = 8192) -> dict:
     """Full verification report: census + sharpness + pass verdict."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     Resolution(sharpness_res)  # checked before the census runs, as sharpness checks it
-    cen = census(samples, seed, n_min=n_min, n_max=n_max, workers=workers)
+    cen = census(samples, seed, n_min=n_min, n_max=n_max)
     sharp = sharpness(res=sharpness_res)
     worst_slack = min((a["min_slack"] for a in cen.values() if a["min_slack"] is not None),
                       default=0.0)

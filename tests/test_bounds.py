@@ -747,7 +747,7 @@ class TestEvaluateAll:
         k = len(BOUND_IDS)
         for i, r in enumerate(table.results()):
             j, rec = i % k, i // k
-            assert (r.id, r.direction) == (BOUND_IDS[j], bounds._DEFS[j].direction)
+            assert (r.id, r.direction) == (BOUND_IDS[j], bounds._REGISTRY[j].direction)
             assert r.status == bounds.STATUSES[table.status[j, rec]]
             assert r.value == (table.value[j, rec] if ok[j, rec] else None)
             h = fs[rec].cheeger
@@ -764,6 +764,29 @@ class TestEvaluateAll:
         assert lines[0] == "id,direction,condition,formula-id,value,slack"
         assert len(lines) == 1 + len(BOUND_IDS)
         assert text.endswith("\n") and "\r" not in text
+
+    def test_csv_takes_one_record(self):
+        # a column of two records once gave the first record's table alone,
+        # its 44 rows zipped against 88 results; a column of one is a record
+        polys = [valtr(8, 1), valtr(9, 2)]
+        with pytest.raises(ValueError, match="not a column of 2"):
+            registry_csv(measure(polys))
+        assert registry_csv(measure(polys[:1])) == registry_csv(measure(polys[0]))
+
+
+def test_registry_rows():
+    # one row per inequality, in BOUND_IDS order; a condition in words
+    # exactly where a predicate is; an extremal body for all but the four
+    # bounds the paper gives none; PHR_UP and PHR_LO share one predicate,
+    # which a column runs once
+    rows = bounds._REGISTRY
+    ids = [b.id for b in rows]
+    assert len(rows) == len(set(ids)) == 44 and tuple(ids) == BOUND_IDS
+    assert all(b.direction in ("lower", "upper") for b in rows)
+    assert all((b.condition == "") == (b.admits is None) for b in rows)
+    assert [b.id for b in rows if b.extremal == ""] == ["PHD_UP1", "PHD_UP2", "DHA_UP1", "DHA_UP2"]
+    assert rows[ids.index("PHR_UP")].admits is rows[ids.index("PHR_LO")].admits
+    assert bounds._PREDICATES == {b.admits for b in rows} and len(bounds._PREDICATES) == 11
 
 
 def test_curve_residual_is_scale_free():

@@ -260,6 +260,17 @@ class TestDiagramCommand:
         assert err.startswith("error: x-range (") and fault in err.splitlines()[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("triplet, did", [("rhr", "D2_RHR"), ("dhr", "D3_DHR")])
+    def test_solved_curve_gap_exit2(self, tmp_path, capsys, triplet, did):
+        # past x ~ 1e154 the lower curve has no value: the csv once held 8
+        # upper rows and 1 lower row, and the command exited 0
+        out = tmp_path / "d.csv"
+        assert run(["diagram", "--triplet", triplet, "--x-min", "2", "--x-max", "1e300", "--grid", "8",
+                    "--format", "csv", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the lower curve of {did} has no value at x = 1.4285714285714286e+299\n")
+        assert not out.exists()
+
     def test_negative_samples_exit2(self, tmp_path, capsys):
         # the flag is named, before either curve is computed
         assert run(["diagram", "--triplet", "phr", "--samples", "-3",

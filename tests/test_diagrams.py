@@ -1,5 +1,6 @@
 import argparse
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestBoundaryValues:
             with pytest.raises(DomainError, match="empty or reversed"):
                 boundary("D1_PHR", x_range=x_range)
 
+    @pytest.mark.parametrize("did", ["D2_RHR", "D3_DHR"])
+    def test_solved_curve_is_never_dropped(self, did):
+        # past x ~ 1e154 the crossing's squares overflow and the lower curve
+        # has no value; those points were once left out silently
+        xs = np.linspace(1e150, 1e160, 11)
+        with pytest.raises(DomainError, match=re.escape(f"the lower curve of {did} has no value "
+                                                        f"at x = {xs[1]:.17g}")):
+            boundary(did, (1e150, 1e160), grid=11)
+        lower, upper = boundary(did, (1e150, 1e153), grid=11)
+        assert len(lower) == len(upper) == 11
+
     @pytest.mark.parametrize("did, x_range", [("D2_RHR", (1.0, math.inf)), ("D1_PHR", (7.0, math.nan)),
                                               ("D3_DHR", (math.nan, 3.0)), ("HWD", (-math.inf, 0.5))])
     def test_non_finite_range(self, did, x_range):
@@ -101,7 +113,7 @@ def test_curves_are_registry_bounds(did):
     # each proven curve of a row is a registry bound on its side; a solved
     # diagram has both
     row = DIAGRAM_IDS[did]
-    direction = {d.id: d.direction for d, _, _ in _REGISTRY}
+    direction = {b.id: b.direction for b in _REGISTRY}
     assert not row.solved or None not in (row.lower, row.upper)
     for side, bids in (("lower", row.lower), ("upper", row.upper)):
         for bid in bids if isinstance(bids, tuple) else (bids,):
